@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench fuzz autopilot-smoke whatif-smoke gateway-smoke shard-smoke verify
+.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench bench-smoke fuzz autopilot-smoke whatif-smoke gateway-smoke shard-smoke verify
 
 build:
 	$(GO) build ./...
@@ -10,9 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The race run is part of verify: the engine's read path is exercised by
-# 32 concurrent goroutines against a config-applying writer (see
-# internal/engine/race_test.go), and the autopilot's overlapped
+# The race run is part of verify: the engine's lock-free read path is
+# exercised by 32 concurrent goroutines against a config-applying writer
+# (see internal/engine/race_test.go), and the autopilot's overlapped
 # transitions retune while traffic flows; full-scale golden tests skip
 # themselves under the detector.
 race:
@@ -28,9 +28,9 @@ fmtcheck:
 
 # conflint enforces the repo's concurrency & determinism invariants at
 # the source level (see "Invariants & static analysis" in README.md),
-# including the interprocedural analyzers (epoch, dettaint,
-# shutdownpath, and the v4 effect-summary rules pure and readpath).
-# Running the full twelve-rule set also arms stale-ignore detection: a
+# including the interprocedural analyzers (dettaint, shutdownpath, and
+# the v4 effect-summary rule pure).
+# Running the full ten-rule set also arms stale-ignore detection: a
 # directive that suppresses nothing is itself a finding. The committed
 # baseline is empty — every rule must run clean — and a malformed
 # baseline fails the run rather than silently suppressing nothing.
@@ -55,6 +55,14 @@ lint-fix:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# The wall-clock benchmark's own tests (a module of its own, so `go test
+# ./...` at the root does not reach it): every workload at 1/20 size with
+# every answer checked against the P-configuration oracle and the
+# committed digests. An engine refactor is checked by the benchmark's
+# oracle here, before the benchmark itself is run.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 fuzz:
 	$(GO) test ./internal/sql/ -fuzz=FuzzParse -fuzztime=30s
@@ -88,4 +96,4 @@ gateway-smoke:
 shard-smoke:
 	$(GO) run ./cmd/shardbench -smoke -o BENCH_shard.json
 
-verify: build test race vet fmtcheck lint autopilot-smoke whatif-smoke gateway-smoke shard-smoke
+verify: build test race vet fmtcheck lint bench-smoke autopilot-smoke whatif-smoke gateway-smoke shard-smoke

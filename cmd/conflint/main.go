@@ -53,7 +53,7 @@ func run() int {
 		sarifOut  = fs.String("sarif", "", "additionally write a SARIF 2.1.0 log to this file (the CI code-scanning artifact)")
 		hints     = fs.Bool("hints", false, "lint-fix-hints mode: print the offending line and a suggested edit under each finding")
 		fix       = fs.Bool("fix", false, "apply suggested fixes (finding-atomic, non-overlapping), gofmt the touched files, then re-lint to prove the fixed findings are gone and no new ones appeared")
-		rules     = fs.String("rules", "", "comma-separated rule subset (default: all); names: lock, determinism, atomic, errcheck, lockorder, goleak, hotalloc, epoch, dettaint, shutdownpath, pure, readpath")
+		rules     = fs.String("rules", "", "comma-separated rule subset (default: all); names: lock, determinism, atomic, errcheck, lockorder, goleak, hotalloc, dettaint, shutdownpath, pure")
 		benchJSON = fs.String("bench-json", "", "write a BENCH-style JSON record (per-rule counts and wall, fixpoint iterations, fix-plan wall, sequential-vs-parallel wall) to this file")
 		listRules = fs.Bool("list-rules", false, "print the analyzers and exit")
 		baseline  = fs.String("baseline", "", "suppress findings matching this baseline file (entries keyed rule+package+symbol; malformed files are load errors)")
@@ -337,14 +337,13 @@ func benchRun(root string, m *lint.Module, analyzers []*lint.Analyzer) ([]lint.F
 }
 
 // scopeRuleKeys restricts a per-rule map to the selected analyzers (the
-// shared "effects" fixpoint is attributed to its consumers, pure and
-// readpath), so -bench-json never reports sections for unselected
-// rules.
+// shared "effects" fixpoint is attributed to its consumer, pure), so
+// -bench-json never reports sections for unselected rules.
 func scopeRuleKeys[V any](src map[string]V, analyzers []*lint.Analyzer) map[string]V {
 	allowed := make(map[string]bool, len(analyzers)+1)
 	for _, a := range analyzers {
 		allowed[a.Name] = true
-		if a.Name == "pure" || a.Name == "readpath" {
+		if a.Name == "pure" {
 			allowed["effects"] = true
 		}
 	}

@@ -75,10 +75,10 @@ func TestMatchPattern(t *testing.T) {
 
 // TestScopeRuleKeys pins the bench-section scoping contract: per-rule
 // maps only carry keys for selected rules, and the shared "effects"
-// fixpoint is attributed to its consumers (pure, readpath) — present
-// exactly when one of them is selected.
+// fixpoint is attributed to its consumer (pure) — present exactly when
+// it is selected.
 func TestScopeRuleKeys(t *testing.T) {
-	src := map[string]int{"epoch": 3, "dettaint": 2, "effects": 5, "shutdownpath": 1}
+	src := map[string]int{"dettaint": 2, "effects": 5, "shutdownpath": 1}
 
 	pure, err := lint.ByNames("pure")
 	if err != nil {
@@ -89,13 +89,13 @@ func TestScopeRuleKeys(t *testing.T) {
 		t.Errorf("scope(pure) = %v; want only effects=5", got)
 	}
 
-	epoch, err := lint.ByNames("epoch")
+	dettaint, err := lint.ByNames("dettaint")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = scopeRuleKeys(src, epoch)
-	if len(got) != 1 || got["epoch"] != 3 {
-		t.Errorf("scope(epoch) = %v; want only epoch=3", got)
+	got = scopeRuleKeys(src, dettaint)
+	if len(got) != 1 || got["dettaint"] != 2 {
+		t.Errorf("scope(dettaint) = %v; want only dettaint=2", got)
 	}
 
 	all, err := lint.ByNames("")

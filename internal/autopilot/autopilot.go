@@ -299,7 +299,7 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 	var pending *retuneJob
 	// joinPending drains the in-flight retune, if any. It runs before
 	// every return: a retune goroutine may be mid-Transition, and exiting
-	// while it holds the engine's write lock would drop accepted work on
+	// before it has published or failed would drop its retune record on
 	// the floor (the shutdown-ordering contract shared with the gateway).
 	joinPending := func() {
 		if pending == nil {

@@ -42,9 +42,9 @@ type RetuneRecord struct {
 // controller decides when to retune and performs the retunes. Launching
 // and considering happen on the autopilot's loop goroutine; the retune
 // body itself may run concurrently with query traffic — its reads go
-// through the engine's what-if session (read lock) and its apply goes
-// through Transition (write lock), so traffic and tuning interleave
-// safely.
+// through the engine's what-if session (lock-free against the published
+// snapshot) and its apply goes through Transition (which publishes the
+// next snapshot atomically), so traffic and tuning interleave safely.
 type controller struct {
 	eng     *engine.Engine
 	runner  core.Runner
@@ -63,9 +63,9 @@ type controller struct {
 
 	// whatif is the controller's long-lived estimation session. The
 	// recommender search and the post-search prediction share its
-	// relevance-keyed cache; the session invalidates itself when a
-	// Transition moves the engine's configuration epoch, so it stays
-	// correct across retunes.
+	// relevance-keyed cache; the session flushes itself when a
+	// Transition publishes a new engine snapshot, so it stays correct
+	// across retunes.
 	whatif *engine.WhatIf
 
 	metrics *Metrics

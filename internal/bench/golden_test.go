@@ -26,10 +26,10 @@ func TestGoldenArtifacts(t *testing.T) {
 		t.Skip("full-scale golden regeneration is too slow under -race")
 	}
 	if testing.Short() {
-		t.Skip("golden regeneration takes ~20s; skipped with -short")
+		t.Skip("golden regeneration takes ~30s; skipped with -short")
 	}
 	l := NewLab(artifactScale, artifactSeed)
-	for _, id := range []string{"fig1", "table1", "goals"} {
+	for _, id := range []string{"fig1", "table1", "goals", "transitions", "ablation-disk", "insertions"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			exp, ok := Find(id)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/cost"
 	"repro/internal/optimizer"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/val"
 )
@@ -85,28 +86,37 @@ func SystemC() Profile {
 // maintained, matching the experiment (no NREF recommendation contains
 // views, Table 2).
 func (e *Engine) InsertRows(table string, rows []val.Row) (Measure, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.configEpoch++
-	h := e.Heap(table)
-	if h == nil {
-		return Measure{}, fmt.Errorf("engine: unknown table %s", table)
-	}
-	ixs := e.indexes[strings.ToLower(table)]
 	var seconds float64
 	var meter cost.Meter
-	for _, r := range rows {
-		seconds += e.insertRowCost(h, len(ixs))
-		id, err := h.Insert(&meter, r)
+	err := e.mutate(func(next *snapshot) error {
+		h, err := next.growHeap(table)
 		if err != nil {
-			return Measure{}, err
+			return err
 		}
-		for _, ix := range ixs {
-			key := r.Project(ix.Cols)
-			if err := ix.Tree.Insert(key, int64(id)); err != nil {
-				return Measure{}, err
+		name := strings.ToLower(table)
+		ixs := next.phys.Indexes[name]
+		for _, r := range rows {
+			seconds += e.insertRowCost(h, len(ixs))
+			if _, err := h.Insert(&meter, r); err != nil {
+				return err
 			}
 		}
+		// Readers of the published snapshot still walk the old trees, so
+		// each index gets a new one over the grown heap; its size model
+		// stays as built.
+		grown := make([]*plan.IndexInfo, len(ixs))
+		for i, ix := range ixs {
+			nix := *ix
+			if nix.Tree, err = fillTree(h, ix.Cols); err != nil {
+				return err
+			}
+			grown[i] = &nix
+		}
+		next.phys.Indexes[name] = grown
+		return nil
+	})
+	if err != nil {
+		return Measure{}, err
 	}
 	return Measure{
 		SQL:     fmt.Sprintf("INSERT INTO %s (%d rows)", table, len(rows)),
@@ -128,11 +138,10 @@ func (e *Engine) insertRowCost(h *storage.Heap, numIndexes int) float64 {
 // InsertCostPerRow returns the simulated cost of one row insertion under
 // the current configuration without mutating state.
 func (e *Engine) InsertCostPerRow(table string) float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	h := e.Heap(table)
-	if h == nil {
+	phys := e.cur.Load().phys
+	ti := phys.Table(table)
+	if ti == nil {
 		return 0
 	}
-	return e.insertRowCost(h, len(e.indexes[strings.ToLower(table)]))
+	return e.insertRowCost(ti.Heap, len(phys.IndexesOn(table)))
 }

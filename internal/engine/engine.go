@@ -15,10 +15,12 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -46,13 +48,15 @@ type Profile struct {
 
 // Engine is one database instance under one configuration.
 //
-// The read path — Run, Estimate, Prepare, Physical and what-if estimation
-// — is safe for concurrent use: readers share mu.RLock while
-// configuration changes (ApplyConfig, Transition, Load, InsertRows,
-// CollectStats) take the writer side and therefore observe no in-flight
-// queries. Model is an exported field and is not guarded: callers that
-// mutate it (the disk ablation) must hold exclusive use of the engine.
-type Engine struct {
+// All state a query or an estimate can observe lives in one immutable
+// snapshot behind cur. Readers — Run, Estimate, Prepare, Physical, the
+// accessors and what-if estimation — load it once and take no lock;
+// mutators (ApplyConfig, Transition, Load, InsertRows, CollectStats,
+// NoteTopologyChange) serialize on mu, build the next snapshot beside the
+// published one and swap it in with a single Store, or fail and publish
+// nothing. Model is an exported field and is not guarded: callers that
+// reassign it (the disk ablation) must hold exclusive use of the engine.
+type Engine struct { // conflint:ignore mu only serializes mutators: all state is behind the atomic cur, which readers load without it
 	Schema  *catalog.Schema
 	Profile Profile
 
@@ -63,33 +67,28 @@ type Engine struct {
 
 	// DisableWhatIfCache turns off the what-if relevance-keyed estimate
 	// cache for sessions opened after it is set (the -whatif-cache=off
-	// escape hatch). Like Model, it is not lock-guarded: set it right
-	// after construction, before the engine is shared.
+	// escape hatch). Like Model, it is not guarded: set it right after
+	// construction, before the engine is shared.
 	DisableWhatIfCache bool
 
-	heaps      map[string]*storage.Heap
-	tableOrder []string
+	mu  sync.Mutex // serializes mutators; readers never take it
+	cur atomic.Pointer[snapshot]
+}
 
-	// mu serializes configuration changes (writers) against query
-	// execution and estimation (readers).
-	mu sync.RWMutex
-
-	// statsMu guards tstats on its own: the lazy collection in physical()
-	// runs under mu.RLock, so map access needs a separate lock. It is
-	// always innermost — nothing acquires mu while holding it.
-	statsMu sync.Mutex
-	tstats  map[string]*stats.TableStats // conflint:guardedby statsMu
-
-	current conf.Configuration           // conflint:guardedby mu conflint:epoch
-	indexes map[string][]*plan.IndexInfo // conflint:guardedby mu conflint:epoch (keyed by lower-case relation name)
-	views   []*plan.ViewInfo             // conflint:guardedby mu conflint:epoch
-
-	// configEpoch counts every change that can move an estimate:
-	// configuration switches, data loads and statistics collection. Open
-	// what-if sessions compare it against the epoch their caches were
-	// derived in and flush on mismatch (invalidation on RUNSTATS and
-	// Transition).
-	configEpoch int64 // conflint:guardedby mu conflint:epochcounter
+// snapshot is one published engine state. Nothing reachable from it is
+// written after the Store that publishes it: a mutator copies what it
+// changes (the Tables and Indexes maps, the TableInfo of a table it
+// loads into) and shares the rest with its predecessor. Snapshot identity
+// is the generation what-if sessions validate their caches against.
+type snapshot struct {
+	config conf.Configuration
+	// phys carries the heaps and statistics (Tables), the built indexes
+	// and the materialized views. Its Model and Mem are those of the
+	// mutator that published it; query paths re-read the engine's.
+	phys *plan.Physical
+	// ready reports that every table has statistics. A snapshot published
+	// before CollectStats is completed on first read (see snap).
+	ready bool
 }
 
 // New creates an empty engine for the schema at the given data scale
@@ -103,113 +102,138 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 		Profile:     profile,
 		ScaleFactor: scaleFactor,
 		Model:       cost.Desktop2005().WithScale(1 / scaleFactor),
-		heaps:       make(map[string]*storage.Heap),
-		tstats:      make(map[string]*stats.TableStats),
-		indexes:     make(map[string][]*plan.IndexInfo),
+	}
+	phys := &plan.Physical{
+		Schema:  schema,
+		Tables:  make(map[string]*plan.TableInfo),
+		Indexes: make(map[string][]*plan.IndexInfo),
 	}
 	for _, t := range schema.Tables() {
-		e.heaps[strings.ToLower(t.Name)] = storage.NewHeap(t)
-		e.tableOrder = append(e.tableOrder, t.Name)
+		phys.Tables[strings.ToLower(t.Name)] = &plan.TableInfo{Table: t, Heap: storage.NewHeap(t)}
 	}
+	e.cur.Store(&snapshot{phys: phys})
 	return e
+}
+
+// mutate runs one state change under the writer mutex: fn edits a copy of
+// the published snapshot (copy-on-write — it must replace, never modify,
+// anything the copy still shares) and the copy is published only if fn
+// succeeds.
+func (e *Engine) mutate(fn func(next *snapshot) error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cur := e.cur.Load()
+	phys := *cur.phys
+	phys.Tables = maps.Clone(phys.Tables)
+	phys.Indexes = maps.Clone(phys.Indexes)
+	phys.Mem, phys.Model = e.Profile.MemBytes, e.Model
+	next := &snapshot{config: cur.config, phys: &phys, ready: true}
+	if err := fn(next); err != nil {
+		return err
+	}
+	for _, ti := range phys.Tables {
+		next.ready = next.ready && ti.Stats != nil
+	}
+	e.cur.Store(next)
+	return nil
+}
+
+// publish is mutate for changes that cannot fail.
+func (e *Engine) publish(fn func(next *snapshot)) {
+	_ = e.mutate(func(next *snapshot) error { fn(next); return nil }) // conflint:ignore fn has no error to return
+}
+
+// snap returns the published snapshot, first collecting the statistics of
+// any table the caller forgot to run CollectStats for.
+func (e *Engine) snap() *snapshot {
+	s := e.cur.Load()
+	if !s.ready {
+		e.publish(func(next *snapshot) { next.collectStats(false) })
+		s = e.cur.Load()
+	}
+	return s
+}
+
+// collectStats (re)collects table statistics: all of them, or only the
+// missing ones.
+func (s *snapshot) collectStats(all bool) {
+	for name, ti := range s.phys.Tables {
+		if all || ti.Stats == nil {
+			s.phys.Tables[name] = &plan.TableInfo{Table: ti.Table, Heap: ti.Heap, Stats: stats.Collect(ti.Heap)}
+		}
+	}
+}
+
+// growHeap swaps a private clone of the table's heap into the snapshot
+// and returns it for appending.
+func (s *snapshot) growHeap(table string) (*storage.Heap, error) {
+	ti := s.phys.Table(table)
+	if ti == nil {
+		return nil, fmt.Errorf("engine: unknown table %s", table)
+	}
+	h := ti.Heap.Clone()
+	s.phys.Tables[strings.ToLower(table)] = &plan.TableInfo{Table: ti.Table, Heap: h, Stats: ti.Stats}
+	return h, nil
 }
 
 // Heap returns the heap of a base table.
 func (e *Engine) Heap(table string) *storage.Heap {
-	return e.heaps[strings.ToLower(table)]
+	if ti := e.cur.Load().phys.Table(table); ti != nil {
+		return ti.Heap
+	}
+	return nil
 }
 
 // Load bulk-inserts rows into a base table without cost accounting
 // (loading is not part of any measured experiment).
 func (e *Engine) Load(table string, rows []val.Row) error {
-	h := e.Heap(table)
-	if h == nil {
-		return fmt.Errorf("engine: unknown table %s", table)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.configEpoch++
-	for _, r := range rows {
-		if _, err := h.Insert(nil, r); err != nil {
+	return e.mutate(func(next *snapshot) error {
+		h, err := next.growHeap(table)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		for _, r := range rows {
+			if _, err := h.Insert(nil, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // CollectStats runs statistics collection on every base table (the
 // paper directs systems to collect statistics before recommending and
 // before running queries, §3.2.3).
 func (e *Engine) CollectStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.configEpoch++
-	for name, h := range e.heaps {
-		ts := stats.Collect(h)
-		e.statsMu.Lock()
-		e.tstats[name] = ts
-		e.statsMu.Unlock()
-	}
+	e.publish(func(next *snapshot) { next.collectStats(true) })
 }
 
 // NoteTopologyChange records an estimate-moving change that happened
 // outside this engine — resharding moves rows between partitions, so any
-// H estimate cached against the old topology is stale. Open what-if
-// sessions flush on the next estimate.
+// H estimate cached against the old topology is stale. Publishing a new
+// snapshot makes open what-if sessions flush on the next estimate.
 func (e *Engine) NoteTopologyChange() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.configEpoch++
+	e.publish(func(*snapshot) {})
 }
 
 // TableStats returns the collected statistics for a base table.
-func (e *Engine) TableStats(table string) *stats.TableStats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.tstats[strings.ToLower(table)]
-}
+func (e *Engine) TableStats(table string) *stats.TableStats { return e.cur.Load().stats(table) }
 
-// statsFor returns the memoized statistics for a heap, collecting them
-// lazily if the caller forgot. Safe under mu.RLock: duplicate collection
-// is deterministic and the first stored result wins.
-func (e *Engine) statsFor(name string, h *storage.Heap) *stats.TableStats {
-	e.statsMu.Lock()
-	ts := e.tstats[name]
-	e.statsMu.Unlock()
-	if ts != nil {
-		return ts
+func (s *snapshot) stats(table string) *stats.TableStats {
+	if ti := s.phys.Table(table); ti != nil {
+		return ti.Stats
 	}
-	ts = stats.Collect(h)
-	e.statsMu.Lock()
-	if cur := e.tstats[name]; cur != nil {
-		ts = cur
-	} else {
-		e.tstats[name] = ts
-	}
-	e.statsMu.Unlock()
-	return ts
+	return nil
 }
 
 // Current returns the active configuration.
-func (e *Engine) Current() conf.Configuration {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.current
-}
+func (e *Engine) Current() conf.Configuration { return e.cur.Load().config }
 
 // Views returns the materialized views of the active configuration.
-func (e *Engine) Views() []*plan.ViewInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.views
-}
+func (e *Engine) Views() []*plan.ViewInfo { return e.cur.Load().phys.Views }
 
 // Indexes returns the built indexes on a relation.
-func (e *Engine) Indexes(rel string) []*plan.IndexInfo {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.indexes[strings.ToLower(rel)]
-}
+func (e *Engine) Indexes(rel string) []*plan.IndexInfo { return e.cur.Load().phys.IndexesOn(rel) }
 
 // BuildReport summarizes applying a configuration (paper Table 1).
 type BuildReport struct {
@@ -234,94 +258,116 @@ type BuildReport struct {
 
 // ApplyConfig drops the previous configuration's structures and builds the
 // new configuration's indexes and materialized views, returning size and
-// build-time figures.
+// build-time figures. On error the previous configuration keeps serving.
 func (e *Engine) ApplyConfig(c conf.Configuration) (BuildReport, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.configEpoch++
-	dropped := len(e.views)
-	for _, list := range e.indexes {
+	var rep BuildReport
+	err := e.mutate(func(next *snapshot) (err error) {
+		rep, err = e.applyConfig(next, c)
+		return err
+	})
+	return rep, err
+}
+
+func (e *Engine) applyConfig(next *snapshot, c conf.Configuration) (BuildReport, error) {
+	next.collectStats(false)
+	phys := next.phys
+	dropped := len(phys.Views)
+	for _, list := range phys.Indexes {
 		dropped += len(list)
 	}
-	e.indexes = make(map[string][]*plan.IndexInfo)
-	e.views = nil
-	e.current = c.Clone()
+	phys.Indexes = make(map[string][]*plan.IndexInfo)
+	phys.Views = nil
+	next.config = c.Clone()
 
 	var meter, viewMeter cost.Meter
 	var extraBytes int64
 
 	// Views first: view indexes may reference them.
 	for _, vd := range c.Views {
-		vi, m, err := e.buildView(vd)
+		vi, m, err := e.buildView(next, vd)
 		if err != nil {
 			return BuildReport{}, fmt.Errorf("engine: building %s: %w", vd.Name, err)
 		}
 		meter.Add(m)
 		viewMeter.Add(m)
-		e.views = append(e.views, vi)
+		phys.Views = append(phys.Views, vi)
 		extraBytes += int64(float64(vi.Heap.Bytes()) / e.ScaleFactor)
 	}
 
 	for _, d := range c.Indexes {
-		ix, m, err := e.buildIndex(d)
+		ix, m, err := e.buildIndex(next, d)
 		if err != nil {
 			return BuildReport{}, fmt.Errorf("engine: building %s: %w", d.Name(), err)
 		}
 		meter.Add(m)
 		key := strings.ToLower(d.Table)
-		e.indexes[key] = append(e.indexes[key], ix)
+		phys.Indexes[key] = append(phys.Indexes[key], ix)
 		extraBytes += ix.Bytes
 	}
-	for _, list := range e.indexes {
+	for _, list := range phys.Indexes {
 		plan.SortIndexes(list)
 	}
 
-	rep := BuildReport{
-		Config:       e.current,
+	return BuildReport{
+		Config:       next.config,
 		IndexBytes:   extraBytes,
-		Bytes:        e.baseBytes() + extraBytes,
+		Bytes:        e.baseBytes(next) + extraBytes,
 		BuildSeconds: e.Model.Seconds(&meter),
 		ViewSeconds:  e.Model.Seconds(&viewMeter),
 		Built:        len(c.Views) + len(c.Indexes),
 		Dropped:      dropped,
-	}
-	return rep, nil
+	}, nil
 }
 
 // BaseBytes returns the full-scale size of the base tables.
-func (e *Engine) BaseBytes() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.baseBytes()
-}
+func (e *Engine) BaseBytes() int64 { return e.baseBytes(e.cur.Load()) }
 
-func (e *Engine) baseBytes() int64 {
+func (e *Engine) baseBytes(s *snapshot) int64 {
 	var b int64
-	for _, h := range e.heaps {
-		b += int64(float64(h.Bytes()) / e.ScaleFactor)
+	for _, ti := range s.phys.Tables {
+		b += int64(float64(ti.Heap.Bytes()) / e.ScaleFactor)
 	}
 	return b
 }
 
-// relationSchema resolves a relation name to its schema (base table or
-// materialized view) plus the heap and a view pointer when applicable.
-func (e *Engine) relationSchema(name string) (*catalog.Table, *storage.Heap, *plan.ViewInfo, error) {
-	if t := e.Schema.Table(name); t != nil {
-		return t, e.Heap(name), nil, nil
-	}
-	for _, v := range e.views {
-		if strings.EqualFold(v.Def.Name, name) {
-			return v.Table, v.Heap, v, nil
+// findIndex returns the snapshot's built index matching the definition,
+// if any.
+func (s *snapshot) findIndex(d conf.IndexDef) *plan.IndexInfo {
+	for _, ix := range s.phys.IndexesOn(d.Table) {
+		if ix.Def.Equal(d) {
+			return ix
 		}
 	}
-	return nil, nil, nil, fmt.Errorf("engine: unknown relation %s", name)
+	return nil
+}
+
+// findView returns the snapshot's built view with the given name, if any.
+func (s *snapshot) findView(name string) *plan.ViewInfo {
+	for _, v := range s.phys.Views {
+		if strings.EqualFold(v.Def.Name, name) {
+			return v
+		}
+	}
+	return nil
+}
+
+// relation resolves a relation name to its schema and heap (base table or
+// materialized view).
+func (s *snapshot) relation(name string) (*catalog.Table, *storage.Heap, error) {
+	if ti := s.phys.Table(name); ti != nil {
+		return ti.Table, ti.Heap, nil
+	}
+	if v := s.findView(name); v != nil {
+		return v.Table, v.Heap, nil
+	}
+	return nil, nil, fmt.Errorf("engine: unknown relation %s", name)
 }
 
 // buildIndex constructs a B+-tree for the definition and measures its
 // (sort-based) build cost: one scan of the relation, a sort of the
 // entries, and a sequential write of the leaves.
-func (e *Engine) buildIndex(d conf.IndexDef) (*plan.IndexInfo, cost.Meter, error) {
-	tab, heap, _, err := e.relationSchema(d.Table)
+func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost.Meter, error) {
+	tab, heap, err := s.relation(d.Table)
 	if err != nil {
 		return nil, cost.Meter{}, err
 	}
@@ -334,18 +380,9 @@ func (e *Engine) buildIndex(d conf.IndexDef) (*plan.IndexInfo, cost.Meter, error
 		cols[i] = ci
 	}
 
-	tree := btree.New(false) // PK uniqueness is enforced by generators
-	var insertErr error
-	heap.Scan(nil, func(id storage.RowID, r val.Row) bool {
-		key := r.Project(cols)
-		if err := tree.Insert(key, int64(id)); err != nil {
-			insertErr = err
-			return false
-		}
-		return true
-	})
-	if insertErr != nil {
-		return nil, cost.Meter{}, insertErr
+	tree, err := fillTree(heap, cols)
+	if err != nil {
+		return nil, cost.Meter{}, err
 	}
 
 	ix := &plan.IndexInfo{
@@ -367,6 +404,18 @@ func (e *Engine) buildIndex(d conf.IndexDef) (*plan.IndexInfo, cost.Meter, error
 		m.CPUOps = int64(n * math.Log2(n))
 	}
 	return ix, m, nil
+}
+
+// fillTree indexes every row of the heap on the given columns, in heap
+// order.
+func fillTree(heap *storage.Heap, cols []int) (*btree.Tree, error) {
+	tree := btree.New(false) // PK uniqueness is enforced by generators
+	var err error
+	heap.Scan(nil, func(id storage.RowID, r val.Row) bool {
+		err = tree.Insert(r.Project(cols), int64(id))
+		return err == nil
+	})
+	return tree, err
 }
 
 // measureKeyNDV walks the tree in key order counting distinct prefixes of
@@ -397,12 +446,8 @@ func measureKeyNDV(tree *btree.Tree, width int) []int64 {
 
 // buildView materializes the view by executing its defining query and
 // collecting statistics over the result.
-func (e *Engine) buildView(vd conf.ViewDef) (*plan.ViewInfo, cost.Meter, error) {
-	stmt, err := sql.ParseSelect(vd.SQL)
-	if err != nil {
-		return nil, cost.Meter{}, err
-	}
-	q, err := sql.Analyze(e.Schema, stmt)
+func (e *Engine) buildView(s *snapshot, vd conf.ViewDef) (*plan.ViewInfo, cost.Meter, error) {
+	q, err := e.AnalyzeSQL(vd.SQL)
 	if err != nil {
 		return nil, cost.Meter{}, err
 	}
@@ -412,8 +457,7 @@ func (e *Engine) buildView(vd conf.ViewDef) (*plan.ViewInfo, cost.Meter, error) 
 
 	// Plan against the base configuration (no secondary structures are
 	// assumed during the build).
-	phys := e.physical(optimizer.Options{NoViews: true})
-	p, err := optimizer.Optimize(phys, q, optimizer.Options{NoViews: true})
+	p, err := optimizer.Optimize(s.phys, q, optimizer.Options{NoViews: true})
 	if err != nil {
 		return nil, cost.Meter{}, err
 	}
@@ -462,27 +506,18 @@ func (e *Engine) buildView(vd conf.ViewDef) (*plan.ViewInfo, cost.Meter, error) 
 	return vi, m, nil
 }
 
-// physical assembles the Physical description of the current state.
-func (e *Engine) physical(_ optimizer.Options) *plan.Physical {
-	phys := &plan.Physical{
-		Schema:  e.Schema,
-		Tables:  make(map[string]*plan.TableInfo),
-		Views:   e.views,
-		Indexes: e.indexes,
-		Mem:     e.Profile.MemBytes,
-		Model:   e.Model,
-	}
-	for name, h := range e.heaps {
-		phys.Tables[name] = &plan.TableInfo{Table: h.Table, Heap: h, Stats: e.statsFor(name, h)}
-	}
-	return phys
-}
+// Physical exposes the current physical design (for the recommenders):
+// the published snapshot's own description, shared by every caller until
+// the next mutator.
+func (e *Engine) Physical() *plan.Physical { return e.snap().phys }
 
-// Physical exposes the current physical design (for the recommenders).
-func (e *Engine) Physical() *plan.Physical {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.physical(e.Profile.Opts)
+// livePhysical is the snapshot's description under the engine's current
+// Model and memory budget, which callers with exclusive use may reassign
+// between queries without reconfiguring.
+func (e *Engine) livePhysical(s *snapshot) *plan.Physical {
+	phys := *s.phys
+	phys.Mem, phys.Model = e.Profile.MemBytes, e.Model
+	return &phys
 }
 
 // Measure is one observed or estimated query cost.
@@ -496,31 +531,18 @@ type Measure struct {
 // Prepare parses, analyzes and optimizes a query under the current
 // configuration.
 func (e *Engine) Prepare(sqlText string) (*plan.Plan, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.prepare(sqlText)
-}
-
-// prepare is Prepare without locking; the caller holds mu.
-func (e *Engine) prepare(sqlText string) (*plan.Plan, error) {
-	stmt, err := sql.ParseSelect(sqlText)
+	q, err := e.AnalyzeSQL(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	q, err := sql.Analyze(e.Schema, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return optimizer.Optimize(e.physical(e.Profile.Opts), q, e.Profile.Opts)
+	return optimizer.Optimize(e.livePhysical(e.snap()), q, e.Profile.Opts)
 }
 
 // Run executes the query under the current configuration with the given
 // simulated-time limit (0 = no limit), returning the result rows (nil on
 // timeout) and the measured cost A(q, C).
 func (e *Engine) Run(sqlText string, limitSeconds float64) (*exec.Result, Measure, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	p, err := e.prepare(sqlText)
+	p, err := e.Prepare(sqlText)
 	if err != nil {
 		return nil, Measure{}, err
 	}
@@ -533,9 +555,7 @@ func (e *Engine) Run(sqlText string, limitSeconds float64) (*exec.Result, Measur
 // front end a second time per request. The query must have been analyzed
 // against this engine's schema.
 func (e *Engine) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result, Measure, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	p, err := optimizer.Optimize(e.physical(e.Profile.Opts), q, e.Profile.Opts)
+	p, err := optimizer.Optimize(e.livePhysical(e.snap()), q, e.Profile.Opts)
 	if err != nil {
 		return nil, Measure{}, err
 	}
@@ -543,7 +563,6 @@ func (e *Engine) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result, 
 }
 
 // execPlan runs an optimized plan and folds the execution into a Measure.
-// The caller holds mu.RLock.
 func (e *Engine) execPlan(p *plan.Plan, sqlText string, limitSeconds float64) (*exec.Result, Measure, error) {
 	ctx := &exec.Ctx{Model: e.Model, LimitSeconds: limitSeconds}
 	res, runErr := exec.Run(p, ctx)
@@ -567,9 +586,7 @@ func (e *Engine) execPlan(p *plan.Plan, sqlText string, limitSeconds float64) (*
 // Estimate returns the optimizer's estimated cost E(q, C) of the query in
 // the current configuration.
 func (e *Engine) Estimate(sqlText string) (Measure, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	p, err := e.prepare(sqlText)
+	p, err := e.Prepare(sqlText)
 	if err != nil {
 		return Measure{}, err
 	}

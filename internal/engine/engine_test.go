@@ -269,7 +269,10 @@ func TestInsertRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumRows() != before+1 {
+	if h.NumRows() != before {
+		t.Fatal("InsertRows grew a heap a reader was holding")
+	}
+	if e.Heap("neighboring_seq").NumRows() != before+1 {
 		t.Fatal("row not inserted")
 	}
 	if m.Seconds <= 0 {

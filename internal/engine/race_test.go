@@ -7,10 +7,12 @@ import (
 
 // TestConcurrentReadersWithWriter hammers the engine's read path — Run,
 // Estimate and what-if estimation — from 32 goroutines while a writer
-// periodically applies configurations. It asserts nothing about the
-// values (determinism is covered elsewhere); its job is to put every
-// lock in the engine under pressure so `go test -race ./...` can prove
-// the discipline sound.
+// periodically applies configurations, so `go test -race ./...` can
+// prove the snapshot discipline sound. The what-if readers share a few
+// long-lived sessions; once the writer is done each of them must answer
+// exactly as a fresh session does — an estimate computed against an
+// earlier snapshot must never have been stored after the session moved
+// on.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	e := testNREF(t, SystemA())
 	if _, err := e.ApplyConfig(PConfiguration(e)); err != nil {
@@ -21,6 +23,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 
 	const readers = 32
 	const iters = 6
+	sessions := []*WhatIf{e.NewWhatIf(), e.NewWhatIf(), e.NewWhatIf(), e.NewWhatIf()}
 
 	var wg sync.WaitGroup
 	errc := make(chan error, readers+1)
@@ -29,7 +32,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			w := e.NewWhatIf()
+			w := sessions[g%len(sessions)]
 			for i := 0; i < iters; i++ {
 				sqlText := testQueries[(g+i)%len(testQueries)]
 				switch g % 3 {
@@ -73,6 +76,23 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+
+	fresh := e.NewWhatIf()
+	for _, sqlText := range testQueries {
+		q, err := e.AnalyzeSQL(sqlText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Estimate(q, hypo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range sessions {
+			if got, err := w.Estimate(q, hypo); err != nil || got != want {
+				t.Errorf("session %d: %v, %v; a fresh session says %v", i, got.Seconds, err, want.Seconds)
+			}
+		}
 	}
 }
 

@@ -14,18 +14,27 @@ import (
 // ones are dropped, and only new ones are built. The returned report's
 // BuildSeconds is the paper's AT(Ci, Cj) — the actual cost of changing the
 // system configuration (§2.2) — which is much smaller than rebuilding Cj
-// from scratch when the configurations overlap.
+// from scratch when the configurations overlap. On error the previous
+// configuration keeps serving.
 func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.configEpoch++
+	var rep BuildReport
+	err := e.mutate(func(next *snapshot) (err error) {
+		rep, err = e.transition(next, target)
+		return err
+	})
+	return rep, err
+}
+
+func (e *Engine) transition(next *snapshot, target conf.Configuration) (BuildReport, error) {
+	next.collectStats(false)
+	phys := next.phys
 	var meter, viewMeter cost.Meter
 	var nBuilt, nKept, nDropped int
 
 	// Views: keep unchanged definitions, build new ones. Drops cost one
 	// page write (catalog update; deallocation is lazy).
-	oldViews := e.views
-	e.views = nil
+	oldViews := phys.Views
+	phys.Views = nil
 	for _, vd := range target.Views {
 		var kept *plan.ViewInfo
 		for _, v := range oldViews {
@@ -35,17 +44,17 @@ func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
 			}
 		}
 		if kept != nil {
-			e.views = append(e.views, kept)
+			phys.Views = append(phys.Views, kept)
 			nKept++
 			continue
 		}
-		vi, m, err := e.buildView(vd)
+		vi, m, err := e.buildView(next, vd)
 		if err != nil {
 			return BuildReport{}, err
 		}
 		meter.Add(m)
 		viewMeter.Add(m)
-		e.views = append(e.views, vi)
+		phys.Views = append(phys.Views, vi)
 		nBuilt++
 	}
 	for _, v := range oldViews {
@@ -58,8 +67,8 @@ func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
 
 	// Indexes: keep matching definitions (on still-existing relations),
 	// build the rest.
-	oldIndexes := e.indexes
-	e.indexes = make(map[string][]*plan.IndexInfo)
+	oldIndexes := phys.Indexes
+	phys.Indexes = make(map[string][]*plan.IndexInfo)
 	var extraBytes int64
 	for _, d := range target.Indexes {
 		key := strings.ToLower(d.Table)
@@ -72,22 +81,22 @@ func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
 		}
 		// An index on a rebuilt view must itself be rebuilt.
 		if kept != nil && e.Schema.Table(d.Table) == nil {
-			if v := e.findView(d.Table); v == nil || v.Heap == nil {
+			if v := next.findView(d.Table); v == nil || v.Heap == nil {
 				kept = nil
 			}
 		}
 		if kept != nil {
-			e.indexes[key] = append(e.indexes[key], kept)
+			phys.Indexes[key] = append(phys.Indexes[key], kept)
 			extraBytes += kept.Bytes
 			nKept++
 			continue
 		}
-		ix, m, err := e.buildIndex(d)
+		ix, m, err := e.buildIndex(next, d)
 		if err != nil {
 			return BuildReport{}, err
 		}
 		meter.Add(m)
-		e.indexes[key] = append(e.indexes[key], ix)
+		phys.Indexes[key] = append(phys.Indexes[key], ix)
 		extraBytes += ix.Bytes
 		nBuilt++
 	}
@@ -95,7 +104,7 @@ func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
 	for key, list := range oldIndexes {
 		for _, ix := range list {
 			found := false
-			for _, cur := range e.indexes[key] {
+			for _, cur := range phys.Indexes[key] {
 				if cur == ix {
 					found = true
 					break
@@ -108,18 +117,18 @@ func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
 	}
 	meter.FixedSeq += int64(dropped)
 	nDropped += dropped
-	for _, list := range e.indexes {
+	for _, list := range phys.Indexes {
 		plan.SortIndexes(list)
 	}
 
-	e.current = target.Clone()
-	for _, v := range e.views {
+	next.config = target.Clone()
+	for _, v := range phys.Views {
 		extraBytes += int64(float64(v.Heap.Bytes()) / e.ScaleFactor)
 	}
 	return BuildReport{
-		Config:       e.current,
+		Config:       next.config,
 		IndexBytes:   extraBytes,
-		Bytes:        e.baseBytes() + extraBytes,
+		Bytes:        e.baseBytes(next) + extraBytes,
 		BuildSeconds: e.Model.Seconds(&meter),
 		ViewSeconds:  e.Model.Seconds(&viewMeter),
 		Built:        nBuilt,
@@ -135,20 +144,21 @@ func (e *Engine) Transition(target conf.Configuration) (BuildReport, error) {
 // new index; the defining query's estimated cost plus the result write
 // per new view).
 func (w *WhatIf) EstimateTransition(target conf.Configuration) (float64, error) {
-	w.e.mu.RLock()
-	defer w.e.mu.RUnlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s := w.pinLocked()
 	var meter cost.Meter
 	for _, vd := range target.Views {
-		if w.e.findView(vd.Name) != nil {
+		if s.findView(vd.Name) != nil {
 			continue
 		}
-		vi, err := w.hypoView(vd)
+		vi, err := w.hypoViewLocked(vd)
 		if err != nil {
 			return 0, err
 		}
 		// Build = scan the base tables, join, write the result.
 		for _, t := range vi.Query.Tables {
-			if info := w.e.TableStats(t.Table.Name); info != nil {
+			if info := s.stats(t.Table.Name); info != nil {
 				meter.SeqPages += info.Pages
 				meter.Rows += info.Rows
 			}
@@ -156,17 +166,17 @@ func (w *WhatIf) EstimateTransition(target conf.Configuration) (float64, error) 
 		meter.WritePage += vi.Stats.Pages
 	}
 	for _, d := range target.Indexes {
-		if w.e.findIndex(d) != nil {
+		if s.findIndex(d) != nil {
 			continue
 		}
-		ix, err := w.hypoIndex(d)
+		ix, err := w.hypoIndexLocked(d)
 		if err != nil {
 			return 0, err
 		}
 		var rows, pages int64
-		if ts := w.e.TableStats(d.Table); ts != nil {
+		if ts := s.stats(d.Table); ts != nil {
 			rows, pages = ts.Rows, ts.Pages
-		} else if vi, err := w.hypoView2(d.Table); err == nil && vi != nil {
+		} else if vi := w.viewCache[strings.ToLower(d.Table)]; vi != nil {
 			rows, pages = vi.Stats.Rows, vi.Stats.Pages
 		}
 		meter.SeqPages += pages
@@ -176,14 +186,4 @@ func (w *WhatIf) EstimateTransition(target conf.Configuration) (float64, error) 
 		}
 	}
 	return w.e.Model.Seconds(&meter), nil
-}
-
-// hypoView2 returns the cached hypothetical view by name, if any.
-func (w *WhatIf) hypoView2(name string) (*plan.ViewInfo, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if v, ok := w.viewCache[strings.ToLower(name)]; ok {
-		return v, nil
-	}
-	return nil, nil
 }

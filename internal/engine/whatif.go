@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -56,40 +55,34 @@ func ResetWhatIfCounters() {
 //     definition, and resolution caches hold the actual-or-derived
 //     description per definition, so a search evaluating hundreds of
 //     candidates pays each derivation and catalog lookup once;
-//   - the base physical description (table stats, memory, cost model) is
-//     assembled once and shared by every estimate of an epoch;
 //   - estimates themselves are cached under a relevance key: the query's
 //     fingerprint plus only the structures on relations the query can
 //     touch, so candidate configurations differing in irrelevant
 //     structures share one optimizer invocation.
 //
-// Every cache is invalidated when the engine's configuration epoch moves
-// (ApplyConfig, Transition, Load, InsertRows, CollectStats), so a session
-// may outlive configuration changes — the autopilot controller keeps one
-// across retunes. A session may be shared by concurrent estimators: the
-// caches are guarded by their own read-write mutex (warm estimates run
-// the read-shared pass; cache fills take the exclusive pass), and every
-// estimation entry point takes the engine's reader lock for the duration
-// of the call.
+// The session pins the engine snapshot its caches were derived from and
+// flushes them when the engine has published another (ApplyConfig,
+// Transition, Load, InsertRows, CollectStats, NoteTopologyChange), so a
+// session may outlive configuration changes — the autopilot controller
+// keeps one across retunes. A session may be shared by concurrent
+// estimators: mu guards the caches, the optimizer runs outside it, and no
+// estimation entry point takes an engine lock.
 type WhatIf struct {
 	e *Engine
 	// caching is fixed at session creation from the engine's
 	// DisableWhatIfCache escape hatch.
 	caching bool
 
-	// mu guards the caches. Lock ordering: acquired after the engine's
-	// reader lock, never the other way around. The values the maps hold
-	// (*plan.IndexInfo, *plan.ViewInfo, the base *plan.Physical) are
-	// immutable once published, so readers may keep using them after
-	// releasing mu.
-	mu    sync.RWMutex
-	epoch int64 // conflint:guardedby mu (engine configEpoch the caches belong to)
+	// mu guards the caches. The values the maps hold (*plan.IndexInfo,
+	// *plan.ViewInfo) are immutable once published, so estimators keep
+	// using them after releasing mu.
+	mu     sync.Mutex
+	pinned *snapshot // conflint:guardedby mu (the engine snapshot the caches belong to)
 
 	indexCache map[string]*plan.IndexInfo     // conflint:guardedby mu
 	viewCache  map[string]*plan.ViewInfo      // conflint:guardedby mu
 	resIndex   map[ixKey][]resolvedIndex      // conflint:guardedby mu (actual-or-hypo, bucketed by ixKey)
 	resView    map[string]*plan.ViewInfo      // conflint:guardedby mu (actual-or-hypo, by lower name)
-	base       *plan.Physical                 // conflint:guardedby mu
 	queries    map[*sql.Query]*queryRelevance // conflint:guardedby mu
 	estimates  map[string]estEntry            // conflint:guardedby mu
 }
@@ -139,15 +132,9 @@ func keyOf(d conf.IndexDef) ixKey {
 // NewWhatIf opens a what-if session against the current configuration.
 func (e *Engine) NewWhatIf() *WhatIf {
 	return &WhatIf{
-		e:          e,
-		caching:    !e.DisableWhatIfCache,
-		epoch:      -1, // force a sync on first use
-		indexCache: make(map[string]*plan.IndexInfo),
-		viewCache:  make(map[string]*plan.ViewInfo),
-		resIndex:   make(map[ixKey][]resolvedIndex),
-		resView:    make(map[string]*plan.ViewInfo),
-		queries:    make(map[*sql.Query]*queryRelevance),
-		estimates:  make(map[string]estEntry),
+		e:       e,
+		caching: !e.DisableWhatIfCache,
+		queries: make(map[*sql.Query]*queryRelevance),
 	}
 }
 
@@ -163,22 +150,21 @@ func (e *Engine) AnalyzeSQL(sqlText string) (*sql.Query, error) {
 	return sql.Analyze(e.Schema, stmt)
 }
 
-// syncEpochLocked flushes the derivation, resolution and estimate caches
-// when the engine's configuration epoch has moved since they were filled
-// (invalidation on RUNSTATS, transitions and loads). Query fingerprints
-// survive: they depend only on the query text. The caller holds w.mu and
-// the engine's reader lock (required to read configEpoch).
-func (w *WhatIf) syncEpochLocked() {
-	if w.epoch == w.e.configEpoch {
-		return
+// pinLocked returns the engine's published snapshot, first flushing the
+// derivation, resolution and estimate caches if they were filled under
+// another one (invalidation on RUNSTATS, transitions and loads). Query
+// fingerprints survive: they depend only on the query text. The caller
+// holds w.mu.
+func (w *WhatIf) pinLocked() *snapshot {
+	if s := w.e.snap(); w.pinned != s {
+		w.pinned = s
+		w.indexCache = make(map[string]*plan.IndexInfo)
+		w.viewCache = make(map[string]*plan.ViewInfo)
+		w.resIndex = make(map[ixKey][]resolvedIndex)
+		w.resView = make(map[string]*plan.ViewInfo)
+		w.estimates = make(map[string]estEntry)
 	}
-	w.epoch = w.e.configEpoch
-	w.indexCache = make(map[string]*plan.IndexInfo)
-	w.viewCache = make(map[string]*plan.ViewInfo)
-	w.resIndex = make(map[ixKey][]resolvedIndex)
-	w.resView = make(map[string]*plan.ViewInfo)
-	w.base = nil
-	w.estimates = make(map[string]estEntry)
+	return w.pinned
 }
 
 // Estimate returns H(q, Ch, Ca) for the hypothetical configuration.
@@ -186,8 +172,6 @@ func (w *WhatIf) syncEpochLocked() {
 // conflint:hotpath — every recommender candidate trial and every
 // controller prediction funnels through here.
 func (w *WhatIf) Estimate(q *sql.Query, hypo conf.Configuration) (Measure, error) {
-	w.e.mu.RLock()
-	defer w.e.mu.RUnlock()
 	whatifCalls.Add(1)
 	if !w.caching {
 		return w.estimateUncached(q, hypo)
@@ -202,8 +186,6 @@ func (w *WhatIf) Estimate(q *sql.Query, hypo conf.Configuration) (Measure, error
 // already holds and delta indexes base already defines are skipped,
 // mirroring Configuration.HasView/AddIndex deduplication.
 func (w *WhatIf) EstimateWith(q *sql.Query, base, delta conf.Configuration) (Measure, error) {
-	w.e.mu.RLock()
-	defer w.e.mu.RUnlock()
 	whatifCalls.Add(1)
 	if !w.caching {
 		return w.estimateUncached(q, combineConfig(base, delta))
@@ -225,13 +207,9 @@ func (w *WhatIf) estimateUncached(q *sql.Query, hypo conf.Configuration) (Measur
 	return Measure{SQL: q.SQL(), Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
 }
 
-// errNeedFill is the internal signal that the read-shared estimation
-// pass met a cold cache entry and the exclusive pass must run.
-var errNeedFill = errors.New("engine: what-if caches need filling")
-
 // estimate is the relevance-keyed fast path. The hypothetical
 // configuration arrives as base plus an optional delta. Every definition
-// is resolved (memoized per epoch) so derivation errors surface exactly
+// is resolved (memoized per snapshot) so derivation errors surface exactly
 // as on the uncached path; the estimate is then keyed by the query
 // fingerprint plus only the relevant structures:
 //
@@ -245,128 +223,35 @@ var errNeedFill = errors.New("engine: what-if caches need filling")
 //
 // Two candidate configurations that agree on the relevant subset
 // therefore share one cache entry and one optimizer invocation.
-//
-// The work runs as two passes so a fanned-out search does not serialize
-// on the session: the read-shared pass handles warm caches concurrently,
-// and only a cold fingerprint, definition or base falls back to the
-// exclusive pass that may write.
 func (w *WhatIf) estimate(q *sql.Query, baseViews []conf.ViewDef, baseIx []conf.IndexDef,
 	deltaViews []conf.ViewDef, deltaIx []conf.IndexDef) (Measure, error) {
-	m, err := w.estimatePass(q, baseViews, baseIx, deltaViews, deltaIx, false)
-	if err == errNeedFill {
-		m, err = w.estimatePass(q, baseViews, baseIx, deltaViews, deltaIx, true)
+	c, err := w.lookup(q, baseViews, baseIx, deltaViews, deltaIx)
+	if err != nil {
+		return Measure{}, err
 	}
-	return m, err
+	if c.hit {
+		whatifHits.Add(1)
+		return Measure{SQL: c.sql, Seconds: c.ent.seconds, Meter: c.ent.meter}, nil
+	}
+	return w.fill(q, c)
 }
 
-// estimatePass is one attempt at the fast path. In the shared pass
-// (exclusive=false) it holds only the read half of w.mu and reports
-// errNeedFill at the first cold cache entry; in the exclusive pass it
-// holds the write half and fills whatever is missing. Both passes
-// assemble and optimize outside the lock — the cached structures they
-// reference are immutable once published, and the engine's reader lock
-// (held by the caller for the whole estimate) pins the epoch.
-func (w *WhatIf) estimatePass(q *sql.Query, baseViews []conf.ViewDef, baseIx []conf.IndexDef,
-	deltaViews []conf.ViewDef, deltaIx []conf.IndexDef, exclusive bool) (Measure, error) {
-
-	if exclusive {
-		w.mu.Lock()
-	} else {
-		w.mu.RLock()
-	}
-	unlock := func() {
-		if exclusive {
-			w.mu.Unlock()
-		} else {
-			w.mu.RUnlock()
-		}
-	}
-	if exclusive {
-		w.syncEpochLocked()
-	} else if w.epoch != w.e.configEpoch {
-		unlock()
-		return Measure{}, errNeedFill
-	}
-	fp := w.queries[q]
-	if fp == nil {
-		if !exclusive {
-			unlock()
-			return Measure{}, errNeedFill
-		}
-		fp = w.relevanceLocked(q)
-	}
-
-	var key strings.Builder
-	key.Grow(len(fp.sql) + 24*(len(baseViews)+len(deltaViews)+len(baseIx)+len(deltaIx)))
-	key.WriteString(fp.sql)
-
-	// Views first (indexes on views resolve against them); base before
-	// delta, in configuration order — phys.Views order decides equal-cost
-	// ties, so it is part of the key by construction.
-	relViews := make([]*plan.ViewInfo, 0, len(baseViews)+len(deltaViews))
-	relNames := make(map[string]bool, len(baseViews)+len(deltaViews))
-	for _, vd := range baseViews {
-		if err := w.noteView(vd, fp, &relViews, relNames, &key, exclusive); err != nil {
-			unlock()
-			return Measure{}, err
-		}
-	}
-	for i, vd := range deltaViews {
-		if viewNamed(baseViews, vd.Name) || viewNamed(deltaViews[:i], vd.Name) {
-			continue
-		}
-		if err := w.noteView(vd, fp, &relViews, relNames, &key, exclusive); err != nil {
-			unlock()
-			return Measure{}, err
-		}
-	}
-	relIx := make([]*plan.IndexInfo, 0, len(baseIx)+len(deltaIx))
-	for _, d := range baseIx {
-		if err := w.noteIndex(d, fp, relNames, &relIx, &key, exclusive); err != nil {
-			unlock()
-			return Measure{}, err
-		}
-	}
-	for i, d := range deltaIx {
-		if indexDefined(baseIx, d) || indexDefined(deltaIx[:i], d) {
-			continue
-		}
-		if err := w.noteIndex(d, fp, relNames, &relIx, &key, exclusive); err != nil {
-			unlock()
-			return Measure{}, err
-		}
-	}
-
-	k := key.String()
-	if ent, ok := w.estimates[k]; ok {
-		unlock()
-		whatifHits.Add(1)
-		return Measure{SQL: fp.sql, Seconds: ent.seconds, Meter: ent.meter}, nil
-	}
-	base := w.base
-	if base == nil {
-		if !exclusive {
-			unlock()
-			return Measure{}, errNeedFill
-		}
-		base = w.basePhysicalLocked()
-	}
-	unlock()
-
-	// Miss: assemble the candidate physical incrementally — the memoized
-	// base supplies tables, memory and model; only the relevant structures
-	// are attached. Per-relation lists are name-sorted here, once, so the
-	// optimizer's sortedIndexes takes its no-copy path. Workers racing on
-	// the same key duplicate the optimization but store identical results.
+// fill is the miss path: assemble the candidate physical incrementally —
+// the snapshot lookup pinned supplies the tables; only the relevant
+// structures are attached — optimize, and cache the result. Per-relation
+// lists are name-sorted here, once, so the optimizer's sortedIndexes
+// takes its no-copy path. The optimizer runs outside w.mu: workers racing
+// on the same key duplicate the optimization but store identical results.
+func (w *WhatIf) fill(q *sql.Query, c candidate) (Measure, error) {
 	phys := &plan.Physical{
-		Schema:  base.Schema,
-		Tables:  base.Tables,
-		Views:   relViews,
-		Indexes: make(map[string][]*plan.IndexInfo, len(fp.tables)),
-		Mem:     base.Mem,
-		Model:   base.Model,
+		Schema:  w.e.Schema,
+		Tables:  c.snap.phys.Tables,
+		Views:   c.views,
+		Indexes: make(map[string][]*plan.IndexInfo, len(c.indexes)),
+		Mem:     w.e.Profile.MemBytes,
+		Model:   w.e.Model,
 	}
-	for _, ix := range relIx {
+	for _, ix := range c.indexes {
 		rel := strings.ToLower(ix.Def.Table)
 		phys.Indexes[rel] = append(phys.Indexes[rel], ix)
 	}
@@ -378,9 +263,77 @@ func (w *WhatIf) estimatePass(q *sql.Query, baseViews []conf.ViewDef, baseIx []c
 		return Measure{}, err
 	}
 	w.mu.Lock()
-	w.estimates[k] = estEntry{seconds: p.Est.Seconds, meter: p.Est.Meter}
+	// An estimate derived from a snapshot the session has since left must
+	// not land in the flushed cache.
+	if w.pinned == c.snap {
+		w.estimates[c.key] = estEntry{seconds: p.Est.Seconds, meter: p.Est.Meter}
+	}
 	w.mu.Unlock()
-	return Measure{SQL: fp.sql, Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
+	return Measure{SQL: c.sql, Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
+}
+
+// candidate is what lookup resolves one estimate request to: the cache
+// key and either the cached entry or the material to optimize against.
+type candidate struct {
+	snap    *snapshot // the snapshot everything below was resolved under
+	sql     string
+	key     string
+	hit     bool
+	ent     estEntry
+	views   []*plan.ViewInfo
+	indexes []*plan.IndexInfo
+}
+
+// lookup is the part of estimate that runs under w.mu: pin the engine
+// snapshot, resolve every definition, build the relevance key and probe
+// the estimate cache.
+func (w *WhatIf) lookup(q *sql.Query, baseViews []conf.ViewDef, baseIx []conf.IndexDef,
+	deltaViews []conf.ViewDef, deltaIx []conf.IndexDef) (candidate, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	c := candidate{snap: w.pinLocked()}
+	fp := w.relevanceLocked(q)
+	c.sql = fp.sql
+
+	var key strings.Builder
+	key.Grow(len(fp.sql) + 24*(len(baseViews)+len(deltaViews)+len(baseIx)+len(deltaIx)))
+	key.WriteString(fp.sql)
+
+	// Views first (indexes on views resolve against them); base before
+	// delta, in configuration order — phys.Views order decides equal-cost
+	// ties, so it is part of the key by construction.
+	c.views = make([]*plan.ViewInfo, 0, len(baseViews)+len(deltaViews))
+	relNames := make(map[string]bool, len(baseViews)+len(deltaViews))
+	for _, vd := range baseViews {
+		if err := w.noteView(vd, fp, &c.views, relNames, &key); err != nil {
+			return c, err
+		}
+	}
+	for i, vd := range deltaViews {
+		if viewNamed(baseViews, vd.Name) || viewNamed(deltaViews[:i], vd.Name) {
+			continue
+		}
+		if err := w.noteView(vd, fp, &c.views, relNames, &key); err != nil {
+			return c, err
+		}
+	}
+	c.indexes = make([]*plan.IndexInfo, 0, len(baseIx)+len(deltaIx))
+	for _, d := range baseIx {
+		if err := w.noteIndex(d, fp, relNames, &c.indexes, &key); err != nil {
+			return c, err
+		}
+	}
+	for i, d := range deltaIx {
+		if indexDefined(baseIx, d) || indexDefined(deltaIx[:i], d) {
+			continue
+		}
+		if err := w.noteIndex(d, fp, relNames, &c.indexes, &key); err != nil {
+			return c, err
+		}
+	}
+	c.key = key.String()
+	c.ent, c.hit = w.estimates[c.key]
+	return c, nil
 }
 
 // relevanceLocked returns the memoized fingerprint of an analyzed query.
@@ -407,10 +360,10 @@ func (w *WhatIf) relevanceLocked(q *sql.Query) *queryRelevance {
 // relevant to the query, records it for assembly and in the cache key.
 // Resolution is keyed by name (first definition wins), matching the
 // derivation cache's semantics, so the name alone identifies the
-// description within an epoch.
+// description within a snapshot.
 func (w *WhatIf) noteView(vd conf.ViewDef, fp *queryRelevance,
-	relViews *[]*plan.ViewInfo, relNames map[string]bool, key *strings.Builder, exclusive bool) error {
-	vi, err := w.resolveView(vd, exclusive)
+	relViews *[]*plan.ViewInfo, relNames map[string]bool, key *strings.Builder) error {
+	vi, err := w.resolveView(vd)
 	if err != nil {
 		return err
 	}
@@ -429,8 +382,8 @@ func (w *WhatIf) noteView(vd conf.ViewDef, fp *queryRelevance,
 // noteIndex resolves one index definition and, when its relation is
 // relevant, records it for assembly and in the cache key.
 func (w *WhatIf) noteIndex(d conf.IndexDef, fp *queryRelevance, relNames map[string]bool,
-	relIx *[]*plan.IndexInfo, key *strings.Builder, exclusive bool) error {
-	ix, name, err := w.resolveIndex(d, exclusive)
+	relIx *[]*plan.IndexInfo, key *strings.Builder) error {
+	ix, name, err := w.resolveIndex(d)
 	if err != nil {
 		return err
 	}
@@ -480,17 +433,13 @@ func combineConfig(base, delta conf.Configuration) conf.Configuration {
 }
 
 // resolveView returns the actual or derived description of a view,
-// memoized per epoch under its lower-case name. In the shared pass a
-// cold entry reports errNeedFill instead of writing.
-func (w *WhatIf) resolveView(vd conf.ViewDef, exclusive bool) (*plan.ViewInfo, error) {
+// memoized per snapshot under its lower-case name.
+func (w *WhatIf) resolveView(vd conf.ViewDef) (*plan.ViewInfo, error) {
 	key := strings.ToLower(vd.Name)
 	if v, ok := w.resView[key]; ok {
 		return v, nil
 	}
-	if !exclusive {
-		return nil, errNeedFill
-	}
-	v := w.e.findView(vd.Name)
+	v := w.pinned.findView(vd.Name)
 	if v == nil {
 		var err error
 		v, err = w.hypoViewLocked(vd)
@@ -504,21 +453,17 @@ func (w *WhatIf) resolveView(vd conf.ViewDef, exclusive bool) (*plan.ViewInfo, e
 
 // resolveIndex returns the actual or derived description of an index
 // and its definition name (the index's cache-key component), memoized
-// per epoch. Entries are interned in small buckets and matched by Equal —
-// equal definitions share one description and one name, so the
-// allocation-heavy Name construction happens once per definition. In
-// the shared pass a cold entry reports errNeedFill instead of writing.
-func (w *WhatIf) resolveIndex(d conf.IndexDef, exclusive bool) (*plan.IndexInfo, string, error) {
+// per snapshot. Entries are interned in small buckets and matched by
+// Equal — equal definitions share one description and one name, so the
+// allocation-heavy Name construction happens once per definition.
+func (w *WhatIf) resolveIndex(d conf.IndexDef) (*plan.IndexInfo, string, error) {
 	rel := keyOf(d)
 	for _, r := range w.resIndex[rel] {
 		if r.def.Equal(d) {
 			return r.ix, r.name, nil
 		}
 	}
-	if !exclusive {
-		return nil, "", errNeedFill
-	}
-	ix := w.e.findIndex(d)
+	ix := w.pinned.findIndex(d)
 	if ix == nil {
 		var err error
 		ix, err = w.hypoIndexLocked(d)
@@ -531,26 +476,16 @@ func (w *WhatIf) resolveIndex(d conf.IndexDef, exclusive bool) (*plan.IndexInfo,
 	return ix, r.name, nil
 }
 
-// basePhysicalLocked returns the memoized configuration-independent part
-// of a hypothetical Physical: table descriptions, memory budget and cost
-// model. The Tables map is shared by every estimate of the epoch; the
-// optimizer only reads it.
-func (w *WhatIf) basePhysicalLocked() *plan.Physical {
-	if w.base == nil {
-		w.base = w.e.physical(w.e.Profile.Opts)
-	}
-	return w.base
-}
-
 // EstimateSize returns the estimated full-scale bytes of the
 // configuration's indexes and views beyond the base data — the measure
 // the storage budget constrains (paper §2.2: ET uses storage).
 func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
-	w.e.mu.RLock()
-	defer w.e.mu.RUnlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.pinLocked()
 	var total int64
 	for _, vd := range hypo.Views {
-		vi, err := w.hypoView(vd)
+		vi, err := w.hypoViewLocked(vd)
 		if err != nil {
 			continue
 		}
@@ -560,7 +495,7 @@ func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
 		if d.Auto {
 			continue // primary-key indexes belong to every configuration
 		}
-		ix, err := w.hypoIndex(d)
+		ix, err := w.hypoIndexLocked(d)
 		if err != nil {
 			continue
 		}
@@ -572,70 +507,39 @@ func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
 // physical assembles a hypothetical physical design from scratch — the
 // uncached estimation path.
 func (w *WhatIf) physical(hypo conf.Configuration) (*plan.Physical, error) {
-	phys := w.e.physical(w.e.Profile.Opts)
-	indexes := make(map[string][]*plan.IndexInfo)
-	views := make([]*plan.ViewInfo, 0, len(hypo.Views))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s := w.pinLocked()
+	phys := w.e.livePhysical(s) // a copy: the snapshot's own is shared
+	phys.Indexes = make(map[string][]*plan.IndexInfo)
+	phys.Views = make([]*plan.ViewInfo, 0, len(hypo.Views))
 
 	for _, vd := range hypo.Views {
-		if actual := w.e.findView(vd.Name); actual != nil {
-			views = append(views, actual)
-			continue
+		vi := s.findView(vd.Name)
+		if vi == nil {
+			var err error
+			if vi, err = w.hypoViewLocked(vd); err != nil {
+				return nil, err
+			}
 		}
-		vi, err := w.hypoView(vd)
-		if err != nil {
-			return nil, err
-		}
-		views = append(views, vi)
+		phys.Views = append(phys.Views, vi)
 	}
 	for _, d := range hypo.Indexes {
-		var ix *plan.IndexInfo
-		if actual := w.e.findIndex(d); actual != nil {
-			ix = actual
-		} else {
+		ix := s.findIndex(d)
+		if ix == nil {
 			var err error
-			ix, err = w.hypoIndex(d)
-			if err != nil {
+			if ix, err = w.hypoIndexLocked(d); err != nil {
 				return nil, err
 			}
 		}
 		key := strings.ToLower(d.Table)
-		indexes[key] = append(indexes[key], ix)
+		phys.Indexes[key] = append(phys.Indexes[key], ix)
 	}
-	phys.Indexes = indexes
-	phys.Views = views
 	return phys, nil
 }
 
-// findIndex returns the built index matching the definition, if any.
-func (e *Engine) findIndex(d conf.IndexDef) *plan.IndexInfo {
-	for _, ix := range e.indexes[strings.ToLower(d.Table)] {
-		if ix.Def.Equal(d) {
-			return ix
-		}
-	}
-	return nil
-}
-
-// findView returns the built view with the given name, if any.
-func (e *Engine) findView(name string) *plan.ViewInfo {
-	for _, v := range e.views {
-		if strings.EqualFold(v.Def.Name, name) {
-			return v
-		}
-	}
-	return nil
-}
-
-// hypoIndex derives (and caches) a hypothetical index description from
-// the statistics of the current configuration.
-func (w *WhatIf) hypoIndex(d conf.IndexDef) (*plan.IndexInfo, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.syncEpochLocked()
-	return w.hypoIndexLocked(d)
-}
-
-// hypoIndexLocked is hypoIndex with w.mu held by the caller.
+// hypoIndexLocked derives (and caches) a hypothetical index description
+// from the statistics of the pinned snapshot. The caller holds w.mu.
 func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
 	key := d.Name()
 	if ix, ok := w.indexCache[key]; ok {
@@ -645,10 +549,10 @@ func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
 	var ts *stats.TableStats
 	if t := w.e.Schema.Table(d.Table); t != nil {
 		tab = t
-		ts = w.e.TableStats(d.Table)
+		ts = w.pinned.stats(d.Table)
 	} else if v, ok := w.viewCache[strings.ToLower(d.Table)]; ok {
 		tab, ts = v.Table, v.Stats
-	} else if v := w.e.findView(d.Table); v != nil {
+	} else if v := w.pinned.findView(d.Table); v != nil {
 		tab, ts = v.Table, v.Stats
 	}
 	if tab == nil || ts == nil {
@@ -706,28 +610,16 @@ func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
 	return ix, nil
 }
 
-// hypoView derives (and caches) a hypothetical materialized view
+// hypoViewLocked derives (and caches) a hypothetical materialized view
 // description: the defining query is analyzed, its cardinality estimated
 // with the join formula, and column statistics are borrowed from the base
-// tables.
-func (w *WhatIf) hypoView(vd conf.ViewDef) (*plan.ViewInfo, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.syncEpochLocked()
-	return w.hypoViewLocked(vd)
-}
-
-// hypoViewLocked is hypoView with w.mu held by the caller.
+// tables. The caller holds w.mu.
 func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
 	key := strings.ToLower(vd.Name)
 	if v, ok := w.viewCache[key]; ok {
 		return v, nil
 	}
-	stmt, err := sql.ParseSelect(vd.SQL)
-	if err != nil {
-		return nil, err
-	}
-	q, err := sql.Analyze(w.e.Schema, stmt)
+	q, err := w.e.AnalyzeSQL(vd.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -738,7 +630,7 @@ func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
 	// divide by the square root of their NDV only.
 	rows := 1.0
 	for _, t := range q.Tables {
-		ts := w.e.TableStats(t.Table.Name)
+		ts := w.pinned.stats(t.Table.Name)
 		if ts == nil {
 			return nil, fmt.Errorf("engine: no stats for %s", t.Table.Name)
 		}
@@ -746,8 +638,8 @@ func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
 	}
 	pairSeen := make(map[[2]int]bool)
 	for _, j := range q.Joins {
-		lts := w.e.TableStats(q.Tables[j.L.Tab].Table.Name)
-		rts := w.e.TableStats(q.Tables[j.R.Tab].Table.Name)
+		lts := w.pinned.stats(q.Tables[j.L.Tab].Table.Name)
+		rts := w.pinned.stats(q.Tables[j.R.Tab].Table.Name)
 		ndv := math.Max(float64(lts.Cols[j.L.Col].NDV), float64(rts.Cols[j.R.Col].NDV))
 		pair := [2]int{j.L.Tab, j.R.Tab}
 		if pair[0] > pair[1] {
@@ -776,7 +668,7 @@ func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
 			Indexable: src.Indexable, AvgWidth: src.AvgWidth,
 		}
 		outSrc[i] = o.Col
-		srcStats := w.e.TableStats(q.Tables[o.Col.Tab].Table.Name)
+		srcStats := w.pinned.stats(q.Tables[o.Col.Tab].Table.Name)
 		cstats[i] = srcStats.Cols[o.Col.Col]
 		if cstats[i].NDV > int64(rows) {
 			cstats[i].NDV = int64(rows)

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"fmt"
+
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/sql"
@@ -35,13 +37,25 @@ type jobResult struct {
 func (g *Gateway) pump(t *tenantState) {
 	defer g.pumpWG.Done()
 	for j := range t.queue {
-		g.gate <- struct{}{} // conflint:ignore bounded semaphore acquire: gate capacity is the global concurrency cap and every slot is released below
-		g.inflight.Add(1)
-		res, m, err := g.run(j.q, g.cfg.TimeoutSeconds)
-		g.inflight.Add(-1)
-		<-g.gate // conflint:ignore paired release of the slot acquired above; receives from a non-empty buffered channel
+		res, m, err := g.execute(j)
 		g.finish(j, res, m, err)
 	}
+}
+
+// execute runs one job under a gate slot. An executor panic becomes an
+// ordinary execution error: the slot and the inflight count are released
+// on the way out, and finish audits the 500 and returns the drain ticket.
+func (g *Gateway) execute(j *job) (res *exec.Result, m engine.Measure, err error) {
+	g.gate <- struct{}{} // conflint:ignore bounded semaphore acquire: gate capacity is the global concurrency cap and every slot is released below
+	g.inflight.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			res, m, err = nil, engine.Measure{}, fmt.Errorf("gateway: query panicked: %v", r)
+		}
+		g.inflight.Add(-1)
+		<-g.gate // the slot acquired above: never blocks
+	}()
+	return g.run(j.q, g.cfg.TimeoutSeconds)
 }
 
 // finish closes out one admitted query: audit record first, then the

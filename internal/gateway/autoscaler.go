@@ -79,8 +79,9 @@ func (as *autoscaler) start() {
 }
 
 // stop ends the loop and waits out an in-flight reshard — a reshard
-// rebuilds partitions and must never be abandoned mid-swap (the same
-// shutdown-ordering contract as the tuner's Transition).
+// builds the next topology beside the serving one, and Shutdown must not
+// return until it has swapped in or failed (the same shutdown-ordering
+// contract as the tuner's Transition).
 func (as *autoscaler) stop() {
 	as.stop1.Do(func() { close(as.trigger) })
 	<-as.done

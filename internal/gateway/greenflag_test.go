@@ -191,6 +191,7 @@ func TestGreenflagMetricsAndStats(t *testing.T) {
 	for _, want := range []string{
 		"gateway_ready 1",
 		"gateway_accepted_total 2",
+		"gateway_retune_errors_total 0",
 		`gateway_tenant_admitted_total{tenant="alpha"} 2`,
 		`gateway_tenant_goal_level{tenant="alpha"}`,
 	} {

@@ -124,6 +124,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("gateway_rejected_total", float64(s.Rejected))
 	b.WriteString("# HELP gateway_retunes_total Goal-triggered configuration transitions applied.\n# TYPE gateway_retunes_total counter\n")
 	gauge("gateway_retunes_total", float64(s.Retunes))
+	b.WriteString("# HELP gateway_retune_errors_total Retunes that failed to recommend or to apply a configuration.\n# TYPE gateway_retune_errors_total counter\n")
+	gauge("gateway_retune_errors_total", float64(s.RetuneErrs))
 	if s.Sharding != nil {
 		b.WriteString("# HELP gateway_shards Current shard count.\n# TYPE gateway_shards gauge\n")
 		gauge("gateway_shards", float64(s.Sharding.Shards))

@@ -5,6 +5,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"testing"
 	"time"
@@ -255,4 +256,45 @@ func waitUntil(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// TestRedflagExecutorPanic: a panic inside the executor must cost the
+// client a 500 and nothing else — one execution-error audit record, the
+// gate slot and the drain ticket returned, and the tenant still serving.
+func TestRedflagExecutorPanic(t *testing.T) {
+	g, ts := newTestGateway(t, testConfig())
+	alpha := g.tenants["alpha"]
+	// A nil analyzed query makes the optimizer dereference nil.
+	j, reason := g.admit(alpha, 41, "NREF2J", "SELECT poison", nil)
+	if reason != "" {
+		t.Fatalf("admit rejected: %s", reason)
+	}
+	select {
+	case out := <-j.reply:
+		if out.err == nil {
+			t.Fatal("a panicking query must reply with an execution error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no reply: the pump died holding the job")
+	}
+	rec := lastAudit(t, g, func(r AuditRecord) bool { return r.Seq == 41 && r.Tenant == "alpha" })
+	if rec.Status != http.StatusInternalServerError || rec.Reason != "execution-error" || rec.Decision != DecisionAccept {
+		t.Errorf("audit record %+v, want an accepted 500 execution-error", rec)
+	}
+	if n := g.inflight.Load(); n != 0 {
+		t.Errorf("inflight %d after the panic, want 0", n)
+	}
+	if n := len(g.gate); n != 0 {
+		t.Errorf("%d gate slots still held after the panic", n)
+	}
+
+	sqlText := poolQuery(t, ts.URL, "alpha-key", "NREF2J", 0)
+	if status, body, _ := postQuery(t, ts.URL, "alpha-key", 42, "NREF2J", sqlText); status != http.StatusOK {
+		t.Fatalf("query after the panic: status %d body %v", status, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := g.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown did not drain after the panic: %v", err)
+	}
 }

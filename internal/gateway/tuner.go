@@ -65,8 +65,9 @@ func (tn *tuner) signal(tenant string) {
 }
 
 // stop ends the loop and waits for an in-flight retune to finish — a
-// Transition holds the engine's write lock and must never be abandoned
-// mid-build (the shutdown-ordering contract shared with autopilotd).
+// Transition builds the next engine snapshot beside the serving one, and
+// Shutdown must not return until it has published or failed (the
+// shutdown-ordering contract shared with autopilotd).
 func (tn *tuner) stop() {
 	tn.stop1.Do(func() { close(tn.trigger) })
 	<-tn.done

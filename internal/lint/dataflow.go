@@ -1,5 +1,5 @@
-// The interprocedural dataflow substrate for the v3 analyzers (epoch,
-// dettaint, shutdownpath). It layers two things on the v2 call graph:
+// The interprocedural dataflow substrate for the v3 analyzers (dettaint,
+// shutdownpath). It layers two things on the v2 call graph:
 //
 //   - reverse edges (Callers), so a changed function summary can requeue
 //     exactly the functions whose own summaries depend on it;
@@ -7,9 +7,8 @@
 //     in sorted-key order, re-enqueued dependents keep that order, and
 //     the per-rule iteration count is recorded for BENCH_conflint.json.
 //
-// Summaries must be monotone over a finite lattice (bumpsAlways flips
-// false→true at most once; a taint value appears at most once per slot;
-// a blocking fact never un-blocks), so the fixpoint terminates and —
+// Summaries must be monotone over a finite lattice (a taint value
+// appears at most once per slot; a blocking fact never un-blocks), so the fixpoint terminates and —
 // because both the initial queue and every re-enqueue are ordered — it
 // terminates in the same state with findings in the same order on every
 // run, sequential or parallel.

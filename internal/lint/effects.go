@@ -1,11 +1,10 @@
 // The interprocedural effect analysis: the substrate for the v4 purity
-// rules (pure, readpath). Every function in the analysis domain gets a
+// rule (pure). Every function in the analysis domain gets a
 // side-effect summary — a set of effects over a finite lattice:
 //
 //   - writes, classified by what they mutate: the receiver, a
-//     reference-typed parameter (with its slot), a package-level
-//     variable, or — for conflint:epoch fields only — state the
-//     analysis could not attribute ("escaped");
+//     reference-typed parameter (with its slot), or a package-level
+//     variable;
 //   - channel operations (send, receive, close);
 //   - goroutine spawns;
 //   - lock acquisitions (Lock and RLock both: a pure observation has no
@@ -22,9 +21,7 @@
 // literal, new, make, a zero-value var — the fresh-local escape
 // exemption) it is discharged: mutating an object the function itself
 // allocated is not an observable effect. Writes the re-rooting cannot
-// attribute are dropped (conservative silence) — except writes to
-// conflint:epoch config-bearing fields, which are kept as "escaped" so
-// the readpath rule never loses track of a configuration mutation.
+// attribute are dropped (conservative silence).
 //
 // Every effect carries a witness chain (root-first) through the calls
 // that realize it, in the same vocabulary as the other interprocedural
@@ -79,10 +76,6 @@ const (
 	rootRecv effRoot = iota
 	rootParam
 	rootGlobal
-	// rootEscaped marks a conflint:epoch write the re-rooting could not
-	// attribute to caller-visible state; kept so readpath (and the pure
-	// contract) never lose a configuration mutation.
-	rootEscaped
 )
 
 // effect is one entry of a function's side-effect summary. Entries are
@@ -94,7 +87,6 @@ type effect struct {
 	slot  int     // parameter index for root == rootParam
 	desc  string  // human-readable effect ("writes engine.Engine.current")
 	pos   token.Pos
-	epoch fieldKey // non-zero typ when the write hits a conflint:epoch field
 	steps []string // witness chain, summarized function first
 }
 
@@ -103,39 +95,21 @@ func (e *effect) id() string {
 	return fmt.Sprintf("%d|%d|%d|%d", e.pos, e.kind, e.root, e.slot)
 }
 
-// readSession is one RLock-held span of an epoch-guarding mutex: the
-// engine's what-if read session (and its cluster analogue).
-type readSession struct {
-	key      string // holder function
-	class    string // lock class of the guard
-	interval heldInterval
-}
-
 // effectState is the module-wide result of the analysis, built once.
 type effectState struct {
-	m     *Module
-	sets  *epochSets
-	sums  map[string][]effect // fixpoint summaries, sorted per key
-	local map[string][]effect // per-function direct effects
-	// full marks functions needing the complete lattice (the pure-root
-	// closure); everything else in the domain tracks epoch writes only
-	// (the readpath closure can span most of the module — keeping its
-	// summaries epoch-only keeps the fixpoint small).
-	full      map[string]bool
-	domain    []string // sorted
-	pureRoots []string // sorted conflint:pure function keys
-	sessions  []readSession
+	m         *Module
+	sums      map[string][]effect // fixpoint summaries, sorted per key
+	local     map[string][]effect // per-function direct effects
+	domain    []string            // sorted: the non-go call closure of the pure roots
+	pureRoots []string            // sorted conflint:pure function keys
 
 	// callCtx caches per-call-site root classifications: the fixpoint
-	// revisits functions, the AST walk need not. ctxMu guards it (the
-	// fixpoint itself is single-goroutine, but pure and readpath may
-	// race to warm the state's lazy parts).
+	// revisits functions, the AST walk need not. ctxMu guards it.
 	ctxMu   sync.Mutex
 	callCtx map[*funcDecl]map[token.Pos]callRoots // conflint:guardedby ctxMu
 }
 
-// effectsOf builds (once) the module's effect summaries, the pure roots
-// and the read sessions. Both the pure and readpath analyzers share it.
+// effectsOf builds (once) the module's effect summaries and pure roots.
 func effectsOf(m *Module) *effectState {
 	m.effOnce.Do(func() {
 		m.eff = buildEffects(m)
@@ -146,10 +120,8 @@ func effectsOf(m *Module) *effectState {
 func buildEffects(m *Module) *effectState {
 	es := &effectState{
 		m:     m,
-		sets:  epochSetsOf(m),
 		sums:  make(map[string][]effect),
 		local: make(map[string][]effect),
-		full:  make(map[string]bool),
 	}
 	g := m.Graph()
 
@@ -161,45 +133,15 @@ func buildEffects(m *Module) *effectState {
 		}
 	}
 
-	// Read sessions: RLock intervals of mutexes that guard epoch fields.
-	guards := epochGuardClasses(m, es.sets)
-	if len(guards) > 0 {
-		for _, key := range g.Keys() {
-			node := g.Node(key)
-			if node.Fn == nil || node.Fn.decl.Body == nil {
-				continue
-			}
-			for _, iv := range m.lockIntervals(node.Fn) {
-				if iv.rlock && guards[iv.class] {
-					es.sessions = append(es.sessions, readSession{key: key, class: iv.class, interval: iv})
-				}
-			}
-		}
-	}
-	if len(es.pureRoots) == 0 && len(es.sessions) == 0 {
+	if len(es.pureRoots) == 0 {
 		return es
 	}
 
-	// Domain: the non-go call closure of the pure roots (tracked with
-	// the full lattice) plus the closure of every call made inside a
-	// read session (epoch writes only).
+	// Domain: the non-go call closure of the pure roots.
 	inDomain := make(map[string]bool)
-	var queue []string
-	push := func(key string, full bool) {
-		if full && !es.full[key] {
-			es.full[key] = true
-			queue = append(queue, key)
-			inDomain[key] = true
-		} else if !inDomain[key] {
-			inDomain[key] = true
-			queue = append(queue, key)
-		}
-	}
-	for _, r := range es.pureRoots {
-		push(r, true)
-	}
-	for _, s := range es.sessions {
-		push(s.key, false)
+	queue := append([]string(nil), es.pureRoots...)
+	for _, r := range queue {
+		inDomain[r] = true
 	}
 	for len(queue) > 0 {
 		key := queue[0]
@@ -209,10 +151,10 @@ func buildEffects(m *Module) *effectState {
 			continue
 		}
 		for _, cs := range node.Out {
-			if cs.Go {
-				continue
+			if !cs.Go && !inDomain[cs.Callee] {
+				inDomain[cs.Callee] = true
+				queue = append(queue, cs.Callee)
 			}
-			push(cs.Callee, es.full[key])
 		}
 	}
 	for key := range inDomain {
@@ -243,29 +185,6 @@ func docHasToken(fn *ast.FuncDecl, tok string) bool {
 		}
 	}
 	return false
-}
-
-// epochGuardClasses derives the lock classes that guard epoch fields
-// from the fields' own conflint:guardedby annotations.
-func epochGuardClasses(m *Module, sets *epochSets) map[string]bool {
-	out := make(map[string]bool)
-	for fk := range sets.guarded {
-		st, _ := m.StructOf(fk.typ)
-		if st == nil {
-			continue
-		}
-		for _, fld := range st.Fields.List {
-			for _, n := range fld.Names {
-				if n.Name != fk.field {
-					continue
-				}
-				if mu := guardAnnotation(fld); mu != "" {
-					out[fk.typ+"."+mu] = true
-				}
-			}
-		}
-	}
-	return out
 }
 
 // stdlibEffects is the curated table of effectful stdlib calls, keyed
@@ -345,13 +264,10 @@ type rootRef struct {
 	kind effRoot
 	slot int
 	sym  string // global symbol key for rootGlobal
-	// drop marks an expression that aliases nothing caller-visible:
-	// fresh reports the fresh-local exemption (also value-typed copies),
-	// and !fresh an unattributable root (call results, unresolved) —
-	// the difference matters only for epoch writes, which escape rather
-	// than discharge when the root is unattributable.
-	drop  bool
-	fresh bool
+	// drop marks an expression that aliases nothing caller-visible: a
+	// fresh local, a value-typed copy, or an unattributable root (call
+	// results, unresolved).
+	drop bool
 }
 
 const maxRootTrace = 6
@@ -377,13 +293,10 @@ func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) ro
 	if id == nil {
 		// Composite literals and &T{...} are fresh; anything else
 		// (call results, conversions) is unattributable.
-		if isFreshExpr(unparen(e)) {
-			return rootRef{drop: true, fresh: true}
-		}
 		return rootRef{drop: true}
 	}
 	if id.Name == "_" {
-		return rootRef{drop: true, fresh: true}
+		return rootRef{drop: true}
 	}
 	fn := fd.decl
 	if fn.Recv != nil && len(fn.Recv.List) > 0 {
@@ -393,7 +306,7 @@ func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) ro
 					return rootRef{kind: rootRecv}
 				}
 				// Value receiver: the function owns a copy.
-				return rootRef{drop: true, fresh: true}
+				return rootRef{drop: true}
 			}
 		}
 	}
@@ -409,7 +322,7 @@ func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) ro
 					if es.isRefTypeExpr(fd, fld.Type) {
 						return rootRef{kind: rootParam, slot: slot + i}
 					}
-					return rootRef{drop: true, fresh: true} // value copy
+					return rootRef{drop: true} // value copy
 				}
 			}
 			slot += n
@@ -427,7 +340,7 @@ func (es *effectState) classifyRootDepth(fd *funcDecl, e ast.Expr, depth int) ro
 		return rootRef{drop: true}
 	}
 	if !es.isRefType(t) {
-		return rootRef{drop: true, fresh: true} // value copy
+		return rootRef{drop: true} // value copy
 	}
 	return es.traceLocal(fd, id.Name, depth)
 }
@@ -509,30 +422,38 @@ func (es *effectState) traceLocal(fd *funcDecl, name string, depth int) rootRef 
 	if !found {
 		return rootRef{drop: true}
 	}
-	if def == nil || isFreshLocalExpr(def) {
-		return rootRef{drop: true, fresh: true}
+	if def == nil {
+		return rootRef{drop: true} // zero value: fresh by construction
 	}
 	if _, isCall := unparen(def).(*ast.CallExpr); isCall {
-		// A call result: function-local as far as the caller can see,
-		// but not provably fresh.
+		// A call result — new and make included: function-local as far
+		// as the caller can see.
 		return rootRef{drop: true}
 	}
+	// Composite literals and &T{...} have no root identifier and drop in
+	// classifyRootDepth: the fresh-local exemption.
 	return es.classifyRootDepth(fd, def, depth-1)
 }
 
-// isFreshLocalExpr extends the epoch rule's freshness (composite
-// literals, &T{...}, new) with make: all allocate storage this function
-// owns.
-func isFreshLocalExpr(e ast.Expr) bool {
-	if isFreshExpr(e) {
-		return true
-	}
-	if call, ok := unparen(e).(*ast.CallExpr); ok {
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" {
-			return true
+// rootIdent unwraps selectors, indexes, derefs and parens down to the
+// identifier an expression is rooted in.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch t := e.(type) {
+		case *ast.SelectorExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.Ident:
+			return t
+		default:
+			return nil
 		}
 	}
-	return false
 }
 
 func unparen(e ast.Expr) ast.Expr {
@@ -563,14 +484,10 @@ func (es *effectState) directEffects(key string) []effect {
 		return nil
 	}
 	fd := node.Fn
-	full := es.full[key]
 	short := m.shortKey(key)
 	var out []effect
 	seen := make(map[string]bool)
 	add := func(e effect) {
-		if !full && e.epoch.typ == "" {
-			return // epoch-only tracking outside the pure closure
-		}
 		e.steps = []string{m.stepf(e.pos, "%s %s", short, e.desc)}
 		if k := e.id(); !seen[k] {
 			seen[k] = true
@@ -589,30 +506,10 @@ func (es *effectState) directEffects(key string) []effect {
 			}
 			return
 		}
-		ref := es.classifyRoot(fd, t)
-		var ek fieldKey
-		if sel := baseSelector(t); sel != nil {
-			fkey := m.NamedKey(m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X))
-			if fkey != "" {
-				if _, guarded := es.sets.guarded[fieldKey{fkey, sel.Sel.Name}]; guarded {
-					ek = fieldKey{fkey, sel.Sel.Name}
-				}
-			}
-		}
-		desc := "writes " + exprString(m.Fset, t)
-		if ek.typ != "" {
-			desc = fmt.Sprintf("writes %s.%s (conflint:epoch)", m.shortKey(ek.typ), ek.field)
-		}
-		switch {
-		case ref.drop && ref.fresh:
-			return // fresh-local exemption (or a value copy)
-		case ref.drop:
-			if ek.typ != "" {
-				add(effect{kind: effWrite, root: rootEscaped, desc: desc, pos: t.Pos(), epoch: ek})
-			}
-			return
-		default:
-			add(effect{kind: effWrite, root: ref.kind, slot: ref.slot, desc: desc, pos: t.Pos(), epoch: ek})
+		// A dropped root is the fresh-local exemption, a value copy, or
+		// unattributable: not an effect either way.
+		if ref := es.classifyRoot(fd, t); !ref.drop {
+			add(effect{kind: effWrite, root: ref.kind, slot: ref.slot, desc: "writes " + exprString(m.Fset, t), pos: t.Pos()})
 		}
 	}
 
@@ -664,17 +561,15 @@ func (es *effectState) directEffects(key string) []effect {
 		return true
 	})
 
-	if full {
-		for _, ev := range m.lockEvents(fd) {
-			if !ev.acquire {
-				continue
-			}
-			flavor := "Lock"
-			if ev.rlock {
-				flavor = "RLock"
-			}
-			add(effect{kind: effLock, desc: fmt.Sprintf("acquires %s (%s)", ev.target, flavor), pos: ev.pos})
+	for _, ev := range m.lockEvents(fd) {
+		if !ev.acquire {
+			continue
 		}
+		flavor := "Lock"
+		if ev.rlock {
+			flavor = "RLock"
+		}
+		add(effect{kind: effLock, desc: fmt.Sprintf("acquires %s (%s)", ev.target, flavor), pos: ev.pos})
 	}
 	return out
 }
@@ -688,7 +583,6 @@ func (es *effectState) recompute(key string) bool {
 	if node == nil || node.Fn == nil || node.Fn.decl.Body == nil {
 		return false
 	}
-	full := es.full[key]
 	short := m.shortKey(key)
 	set := make(map[string]effect)
 	var order []string
@@ -711,9 +605,6 @@ func (es *effectState) recompute(key string) bool {
 		for _, ce := range es.sums[cs.Callee] {
 			ne, keep := es.reroot(ce, callCtx[cs.Pos])
 			if !keep {
-				continue
-			}
-			if !full && ne.epoch.typ == "" {
 				continue
 			}
 			ne.pos = ce.pos
@@ -794,8 +685,7 @@ func (es *effectState) callContexts(fd *funcDecl) map[token.Pos]callRoots {
 // reroot lifts a callee effect into the caller: ambient effects (chan,
 // go, lock, io) carry over unchanged; write effects re-root through the
 // call's receiver/argument expressions, discharging against fresh
-// locals and escaping (epoch writes) or dropping (everything else) when
-// unattributable.
+// locals and dropping when unattributable.
 func (es *effectState) reroot(ce effect, cr callRoots) (effect, bool) {
 	if ce.kind != effWrite {
 		return ce, true
@@ -803,8 +693,6 @@ func (es *effectState) reroot(ce effect, cr callRoots) (effect, bool) {
 	var ref rootRef
 	switch ce.root {
 	case rootGlobal:
-		return ce, true
-	case rootEscaped:
 		return ce, true
 	case rootRecv:
 		ref = cr.recv
@@ -816,10 +704,6 @@ func (es *effectState) reroot(ce effect, cr callRoots) (effect, bool) {
 		}
 	}
 	if ref.drop {
-		if ce.epoch.typ != "" && !ref.fresh {
-			ce.root = rootEscaped
-			return ce, true
-		}
 		return effect{}, false
 	}
 	ce.root = ref.kind

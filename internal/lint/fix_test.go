@@ -213,21 +213,6 @@ func TestPureWitnessShape(t *testing.T) {
 		"fixture.note writes package-level fixture.hits")
 }
 
-// TestReadPathWitnessShape pins the read-session witness: the RLock
-// acquisition, the call into the mutator, and the epoch write.
-func TestReadPathWitnessShape(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "readpath"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := Run(m, All())
-	f := findingWith(t, fs, "held by fixture.Store.BadTransitiveWrite")
-	wantWitness(t, f,
-		"acquires fixture.Store.mu via RLock (read session)",
-		"BadTransitiveWrite calls fixture.Store.grow",
-		"fixture.Store.grow writes fixture.Store.catalog (conflint:epoch)")
-}
-
 // TestRenderSARIF smoke-tests the SARIF renderer: valid version, rule
 // metadata, results with module-relative URIs.
 func TestRenderSARIF(t *testing.T) {

@@ -129,7 +129,6 @@ type Module struct {
 	atomics *atomicSets         // lazy module-wide atomic-field sets (atomiccheck.go)
 	graph   *CallGraph          // lazy module-wide call graph (callgraph.go)
 	callers map[string][]string // lazy reverse call-graph edges (dataflow.go)
-	epochs  *epochSets          // lazy epoch annotation sets (epoch.go)
 	// inter caches module-wide analyzer results by rule name, so the
 	// per-package Check calls of interprocedural rules share one run.
 	// interMu guards it: RunParallel warms the cache from worker
@@ -143,7 +142,7 @@ type Module struct {
 	statMu   sync.Mutex
 	fixIters map[string]int // conflint:guardedby statMu
 	// eff is the module-wide effect-summary state (effects.go), built
-	// once under effOnce and shared by the pure and readpath rules.
+	// once under effOnce for the pure rule.
 	effOnce sync.Once
 	eff     *effectState
 	// usedMu guards usedIgnores: "path:line" of every ignore directive
@@ -188,11 +187,9 @@ func All() []*Analyzer {
 		LockOrder(),
 		GoLeak(),
 		HotAlloc(),
-		Epoch(),
 		DetTaint(),
 		ShutdownPath(),
 		Pure(),
-		ReadPath(),
 	}
 }
 

@@ -104,7 +104,6 @@ type lockEvent struct {
 // is held.
 type heldInterval struct {
 	class      string
-	rlock      bool // acquired via RLock (a read session, for readpath)
 	start, end token.Pos
 }
 
@@ -297,7 +296,7 @@ func (m *Module) lockIntervals(fd *funcDecl) []heldInterval {
 		if !ev.acquire || ev.class == "" {
 			continue
 		}
-		iv := heldInterval{class: ev.class, rlock: ev.rlock, start: ev.pos, end: end}
+		iv := heldInterval{class: ev.class, start: ev.pos, end: end}
 		for _, rel := range events[i+1:] {
 			if rel.acquire || rel.consumed || rel.rlock != ev.rlock || rel.target != ev.target {
 				continue

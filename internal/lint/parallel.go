@@ -18,23 +18,20 @@ import (
 var interprocRules = map[string]bool{
 	"lockorder":    true,
 	"hotalloc":     true,
-	"epoch":        true,
 	"dettaint":     true,
 	"shutdownpath": true,
 	"pure":         true,
-	"readpath":     true,
 }
 
 // Prewarm builds every lazily shared structure the analyzers read
 // concurrently: the resolution index, the call graph and its reverse
-// edges, the atomic and epoch field sets. After Prewarm, those caches
-// are read-only.
+// edges, the atomic field sets. After Prewarm, those caches are
+// read-only.
 func (m *Module) Prewarm() {
 	m.buildIndex()
 	m.Graph()
 	m.Callers()
 	atomicSetsOf(m)
-	epochSetsOf(m)
 }
 
 // RunParallel is Run with the per-package analyzer checks fanned out

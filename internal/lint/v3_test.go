@@ -38,25 +38,6 @@ func wantWitness(t *testing.T, f Finding, fragments ...string) {
 	}
 }
 
-// TestEpochWitness pins the interprocedural witness shape: the write,
-// the conditionally bumping callee that was tried, and the unbumped
-// return.
-func TestEpochWitness(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "epoch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := Run(m, All())
-	f := findingWith(t, fs, "BadTriedBump writes config-bearing field")
-	wantWitness(t, f,
-		"BadTriedBump writes",
-		"calls", "does not bump on every path",
-		"returns with the write unbumped")
-	if !strings.Contains(f.Message, "stale what-if sessions") {
-		t.Errorf("message should explain the consequence: %s", f.Message)
-	}
-}
-
 // TestDetTaintWitness pins the source -> assignment -> field -> sink
 // chains for the three finding shapes.
 func TestDetTaintWitness(t *testing.T) {
@@ -99,7 +80,7 @@ func TestShutdownPathWitness(t *testing.T) {
 // scratch many times, sequentially and in parallel, and requires the
 // exact same findings in the exact same order every time.
 func TestFixpointDeterminism(t *testing.T) {
-	for _, fixture := range []string{"epoch", "dettaint", "shutdownpath", "lockorder"} {
+	for _, fixture := range []string{"dettaint", "shutdownpath", "lockorder"} {
 		dir := filepath.Join("testdata", "src", fixture)
 		var first []Finding
 		for i := 0; i < 10; i++ {
@@ -152,7 +133,7 @@ func TestRepoParallelIdentical(t *testing.T) {
 		t.Fatalf("parallel run differs from sequential:\n%v\nvs\n%v", par, seq)
 	}
 	iters := m2.FixpointIters()
-	for _, rule := range []string{"epoch", "dettaint", "shutdownpath", "effects"} {
+	for _, rule := range []string{"dettaint", "shutdownpath", "effects"} {
 		if iters[rule] < 1 {
 			t.Errorf("fixpoint for %s reported %d iterations; want >= 1", rule, iters[rule])
 		}
@@ -207,12 +188,12 @@ func TestBaselineStrict(t *testing.T) {
 		}
 	}
 
-	good := write("good.json", `[{"rule": "epoch", "package": "p", "symbol": "s"}]`)
+	good := write("good.json", `[{"rule": "dettaint", "package": "p", "symbol": "s"}]`)
 	base, err := ReadBaseline(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !base[BaselineKey("epoch", "p", "s")] {
+	if !base[BaselineKey("dettaint", "p", "s")] {
 		t.Error("valid entry not in the suppression set")
 	}
 
@@ -226,8 +207,8 @@ func TestBaselineStrict(t *testing.T) {
 // TestWriteReadBaselineRoundtrip: entries survive the write/read cycle.
 func TestWriteReadBaselineRoundtrip(t *testing.T) {
 	fs := []Finding{
-		{Rule: "epoch", Package: "repro/internal/engine", Symbol: "Engine.ApplyConfig"},
-		{Rule: "epoch", Package: "repro/internal/engine", Symbol: "Engine.ApplyConfig"}, // dup
+		{Rule: "lockorder", Package: "repro/internal/engine", Symbol: "Engine.ApplyConfig"},
+		{Rule: "lockorder", Package: "repro/internal/engine", Symbol: "Engine.ApplyConfig"}, // dup
 		{Rule: "dettaint", Package: "repro/internal/core", Symbol: "Histogram.Render"},
 	}
 	p := filepath.Join(t.TempDir(), "base.json")
@@ -251,7 +232,7 @@ func TestWriteReadBaselineRoundtrip(t *testing.T) {
 // TestRunTimed: the per-analyzer walls cover every analyzer and the
 // timed run returns the same findings as Run.
 func TestRunTimed(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "epoch"))
+	m, err := LoadFixture(filepath.Join("testdata", "src", "dettaint"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +240,7 @@ func TestRunTimed(t *testing.T) {
 	if len(walls) != len(All()) {
 		t.Errorf("want a wall per analyzer, got %d/%d", len(walls), len(All()))
 	}
-	m2, err := LoadFixture(filepath.Join("testdata", "src", "epoch"))
+	m2, err := LoadFixture(filepath.Join("testdata", "src", "dettaint"))
 	if err != nil {
 		t.Fatal(err)
 	}

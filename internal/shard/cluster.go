@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/conf"
@@ -26,21 +27,21 @@ import (
 // merge deterministically; Reshard swaps in a new partition set live, and
 // Transition propagates configuration changes to every partition.
 //
-// Lock order: reshardMu before mu. Engine-internal locks are only taken
-// with both released (topology snapshots are handed out under RLock and
-// used lock-free — partition engines are immutable once published except
-// through their own internal locking).
+// The cluster reconfigures the way the engine does: the topology is an
+// immutable generation behind an atomic pointer, queries load it once and
+// take no lock, and the writers (Reshard, Transition) serialize on
+// reshardMu, build the next generation beside the serving one and swap it
+// in with one Store.
 type Cluster struct {
 	coord *engine.Engine
 
 	// reshardMu serializes topology and configuration changes (Reshard,
 	// Transition); the expensive partition builds run under it without
-	// blocking queries, which only need mu for a snapshot.
+	// blocking queries.
 	reshardMu sync.Mutex
 
-	mu   sync.RWMutex
-	top  *topology // conflint:guardedby mu conflint:epoch
-	pool int       // conflint:guardedby mu
+	top  atomic.Pointer[topology]
+	pool atomic.Int64
 
 	statMu sync.Mutex
 	st     Stats // conflint:guardedby statMu
@@ -74,12 +75,13 @@ func New(coord *engine.Engine, spec Spec, pool int) (*Cluster, error) {
 	if pool < 1 {
 		pool = 1
 	}
-	c := &Cluster{coord: coord, pool: pool}
+	c := &Cluster{coord: coord}
+	c.pool.Store(int64(pool))
 	top, err := c.buildTopology(spec)
 	if err != nil {
 		return nil, err
 	}
-	c.top = top
+	c.top.Store(top)
 	return c, nil
 }
 
@@ -89,25 +91,13 @@ func New(coord *engine.Engine, spec Spec, pool int) (*Cluster, error) {
 func (c *Cluster) Coordinator() *engine.Engine { return c.coord }
 
 // snapshot hands out the current topology generation and pool width.
-func (c *Cluster) snapshot() (*topology, int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.top, c.pool
-}
+func (c *Cluster) snapshot() (*topology, int) { return c.top.Load(), c.Pool() }
 
 // Shards returns the current shard count.
-func (c *Cluster) Shards() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.top.spec.Shards
-}
+func (c *Cluster) Shards() int { return c.top.Load().spec.Shards }
 
 // Pool returns the current worker-pool width for partition fan-out.
-func (c *Cluster) Pool() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.pool
-}
+func (c *Cluster) Pool() int { return int(c.pool.Load()) }
 
 // SetPool changes the worker-pool width (min 1). Unlike Reshard this is
 // instant: the pool bounds fan-out concurrency only.
@@ -115,17 +105,11 @@ func (c *Cluster) SetPool(n int) {
 	if n < 1 {
 		n = 1
 	}
-	c.mu.Lock()
-	c.pool = n
-	c.mu.Unlock()
+	c.pool.Store(int64(n))
 }
 
 // Spec returns the current topology spec.
-func (c *Cluster) Spec() Spec {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.top.spec
-}
+func (c *Cluster) Spec() Spec { return c.top.Load().spec }
 
 // Stats returns a snapshot of the execution counters.
 func (c *Cluster) Stats() Stats {
@@ -148,9 +132,7 @@ func (c *Cluster) buildTopology(spec Spec) (*topology, error) {
 // load, collect statistics and build the coordinator's current
 // base-table structures per partition in parallel over the pool — the
 // transition-cost side of the scale-out: build work divides across
-// partitions. Called without c.mu held (the coordinator's heaps are
-// append-only and only mutated at load time, never while a cluster
-// serves).
+// partitions.
 func (c *Cluster) buildShards(spec Spec) ([]*engine.Engine, error) {
 	if spec.Shards <= 1 {
 		return nil, nil // 1-shard topology serves straight from the coordinator
@@ -223,7 +205,7 @@ func baseOnly(schema *catalog.Schema, cfg conf.Configuration) conf.Configuration
 // live. Running queries keep their snapshot of the old topology —
 // including its exchange-bucket cache, so a query never joins old
 // partitions against new-generation buckets; new queries see the new
-// generation. The coordinator's what-if epoch is bumped so cached H
+// generation. The coordinator publishes a new snapshot so cached H
 // estimates never survive the topology change.
 func (c *Cluster) Reshard(n int) error {
 	if n < 1 {
@@ -231,9 +213,7 @@ func (c *Cluster) Reshard(n int) error {
 	}
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	c.mu.RLock()
-	spec := c.top.spec
-	c.mu.RUnlock()
+	spec := c.Spec()
 	if n == spec.Shards {
 		return nil
 	}
@@ -242,9 +222,7 @@ func (c *Cluster) Reshard(n int) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.top = top
-	c.mu.Unlock()
+	c.top.Store(top)
 	c.statMu.Lock()
 	c.st.Reshards++
 	c.statMu.Unlock()

@@ -210,10 +210,7 @@ func TestTransitionPropagates(t *testing.T) {
 	if _, err := cl.Transition(target); err != nil {
 		t.Fatal(err)
 	}
-	cl.mu.RLock()
-	shards := cl.top.shards
-	cl.mu.RUnlock()
-	for i, sh := range shards {
+	for i, sh := range cl.top.Load().shards {
 		if got := len(sh.Current().Indexes); got != len(baseOnly(coord.Schema, target).Indexes) {
 			t.Errorf("shard %d has %d indexes after transition", i, got)
 		}

@@ -43,6 +43,15 @@ func NewHeap(t *catalog.Table) *Heap {
 	return &Heap{Table: t, rowsPerPage: rpp}
 }
 
+// Clone returns a heap over the same rows that can be appended to while
+// h is being read: appends land beyond h's length, which h never reads.
+// Only the most recent clone of a heap may be appended to — the engine's
+// writer mutex keeps that history linear.
+func (h *Heap) Clone() *Heap {
+	c := *h
+	return &c
+}
+
 // Insert appends a row and returns its RowID. The row must have one value
 // per table column; Insert bills a page write to m when it opens a fresh
 // page (the amortized cost of appending) and one row of CPU work.
