@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench bench-smoke fuzz autopilot-smoke whatif-smoke gateway-smoke shard-smoke verify
+.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench bench-smoke fuzz perf-compare verify
 
 build:
 	$(GO) build ./...
@@ -67,33 +67,12 @@ bench-smoke:
 fuzz:
 	$(GO) test ./internal/sql/ -fuzz=FuzzParse -fuzztime=30s
 
-# A bounded online run: 3 windows with a mixture drift, metrics served
-# on an ephemeral port, perf record written to BENCH_autopilot.json.
-autopilot-smoke:
-	$(GO) run ./cmd/autopilotd -windows 3 -drift -drift-at 1 \
-		-addr 127.0.0.1:0 -bench-json BENCH_autopilot.json
+# make perf-compare BASE=<rev>: this checkout against <rev> on the
+# wall-clock benchmark — ten interleaved pairs per workload, each
+# metric's medians, the base's inter-quartile spread, wins/pairs and a
+# verdict against the bounds in BENCHMARK.json. The one protocol for
+# "did this change move the wall".
+perf-compare:
+	bash scripts/perf-compare.sh $(BASE)
 
-# The what-if fast path held to its perf record: the Table 2 / Figure 5
-# recommender searches run cache-off then cache-on, recommendations must
-# be byte-identical, and the speedups land in BENCH_whatif.json.
-whatif-smoke:
-	$(GO) run ./cmd/whatifbench -o BENCH_whatif.json
-
-# Boot the multi-tenant gateway in-process, drive 500 one-query sessions
-# across 3 tenants, and drain. loadgen exits nonzero unless the gateway
-# went ready, admitted queries, saw zero transport errors and shut down
-# cleanly; throughput, p50/p99, rejection rate and per-tenant goal
-# levels land in BENCH_gateway.json.
-gateway-smoke:
-	$(GO) run ./cmd/loadgen -selfhost -scale 0.0001 -tuning \
-		-sessions 500 -queries 1 -workers 24 -o BENCH_gateway.json
-
-# The sharded engine's scaling curve and determinism contract: results
-# and recommendations byte-identical at 1 and 4 shards, simulated
-# throughput monotone in shard count, dry-run autoscaler audited without
-# mutating. Exits nonzero on any violation; the curve lands in
-# BENCH_shard.json.
-shard-smoke:
-	$(GO) run ./cmd/shardbench -smoke -o BENCH_shard.json
-
-verify: build test race vet fmtcheck lint bench-smoke autopilot-smoke whatif-smoke gateway-smoke shard-smoke
+verify: build test race vet fmtcheck lint bench-smoke

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	autobench [-scale f] [-seed n] [-size n] [-parallel n] [-whatif-cache on|off] [-exp id[,id...]] [-list]
+//	autobench [-scale f] [-seed n] [-size n] [-parallel n] [-exp id[,id...]] [-list]
 //
 // With no -exp it runs every experiment in paper order. Experiment IDs
 // are listed by -list (fig1..fig11, table1..table3, lowerbounds,
@@ -25,7 +25,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	size := flag.Int("size", 100, "queries per workload sample")
 	parallel := flag.Int("parallel", 0, "workload query parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	whatifCache := flag.String("whatif-cache", "on", "what-if estimate cache: on, or off for the pre-cache estimation path (outputs are identical; recommenders get slower)")
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outDir := flag.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
@@ -46,11 +45,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *whatifCache != "on" && *whatifCache != "off" {
-		fmt.Fprintf(os.Stderr, "autobench: -whatif-cache must be on or off, got %q\n", *whatifCache)
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *list && *exp != "" {
 		fmt.Fprintln(os.Stderr, "autobench: -list and -exp are mutually exclusive (-list only prints the ids)")
 		flag.Usage()
@@ -67,7 +61,6 @@ func main() {
 	lab := bench.NewLab(*scale, *seed)
 	lab.WorkloadSize = *size
 	lab.Parallelism = *parallel
-	lab.DisableWhatIfCache = *whatifCache == "off"
 
 	var selected []bench.Experiment
 	if *exp == "" {

@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -32,12 +31,6 @@ import (
 	"repro/internal/autopilot"
 	"repro/internal/core"
 )
-
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
 
 // parseShares parses "NREF2J:0.9,NREF3J:0.1".
 func parseShares(s string) ([]autopilot.FamilyShare, error) {
@@ -64,30 +57,44 @@ func parseShares(s string) ([]autopilot.FamilyShare, error) {
 }
 
 func main() {
-	system := flag.String("system", "B", "engine profile (A, B or C)")
-	rec := flag.String("recommender", "", "tuner profile: A, B, C or 1C (default: -system)")
-	families := flag.String("families", "NREF2J:0.9,NREF3J:0.1", "initial mixture as NAME:WEIGHT,...")
-	drift := flag.Bool("drift", false, "shift the family mixture mid-run")
-	driftAt := flag.Int("drift-at", 2, "window at which the mixture shifts")
-	driftTo := flag.String("drift-to", "NREF2J:0.1,NREF3J:0.9", "post-drift mixture as NAME:WEIGHT,...")
-	scale := flag.Float64("scale", 0.0002, "data scale factor relative to the paper's databases")
-	seed := flag.Int64("seed", 42, "generator seed")
-	pool := flag.Int("pool", 30, "per-family query pool size")
-	window := flag.Int("window", 24, "queries per observation window")
-	windows := flag.Int("windows", 0, "number of windows to run (0 = stream until interrupted)")
-	parallel := flag.Int("parallel", 0, "query parallelism within a window (0 = GOMAXPROCS)")
-	goalSpec := flag.String("goal", "60:0.50,400:0.95", "QoS goal as SECONDS:FRACTION,... (empty = the paper's Example 2)")
-	threshold := flag.Float64("mix-threshold", 0.25, "mixture shift detection threshold (moved probability mass)")
-	timeout := flag.Float64("timeout", core.DefaultTimeout, "per-query simulated timeout in seconds")
-	syncT := flag.Bool("sync", false, "apply transitions at window boundaries (deterministic) instead of overlapping traffic")
-	whatifCache := flag.String("whatif-cache", "on", "what-if estimate cache: on, or off for the pre-cache estimation path (reports are identical; retunes get slower)")
-	static := flag.Bool("static", false, "freeze the configuration after warmup (decaying baseline)")
-	noWarmup := flag.Bool("no-warmup", false, "skip the initial warmup tune (start serving under P)")
-	compare := flag.Bool("compare", false, "also run the static baseline on the identical stream and print both")
-	addr := flag.String("addr", ":9090", "HTTP listen address for /metrics and /healthz (empty = disabled)")
-	benchJSON := flag.String("bench-json", "", "write machine-readable run metrics to this file")
-	outFile := flag.String("o", "", "also write the per-window table artifact to this file")
-	flag.Parse()
+	opts, addr, compare, outFile := parseArgs(os.Args[1:])
+	if err := run(opts, addr, compare, outFile); err != nil {
+		fmt.Fprintln(os.Stderr, "autopilotd:", err)
+		os.Exit(1)
+	}
+}
+
+// parseArgs turns the command line into run's arguments; a bad or
+// nonsensical flag is a usage error (exit 2).
+func parseArgs(args []string) (opts autopilot.Options, addr string, compare bool, outFile string) {
+	fs := flag.NewFlagSet("autopilotd", flag.ExitOnError)
+	usageErr := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fs.Usage()
+		os.Exit(2)
+	}
+	system := fs.String("system", "B", "engine profile (A, B or C)")
+	rec := fs.String("recommender", "", "tuner profile: A, B, C or 1C (default: -system)")
+	families := fs.String("families", "NREF2J:0.9,NREF3J:0.1", "initial mixture as NAME:WEIGHT,...")
+	drift := fs.Bool("drift", false, "shift the family mixture mid-run")
+	driftAt := fs.Int("drift-at", 2, "window at which the mixture shifts")
+	driftTo := fs.String("drift-to", "NREF2J:0.1,NREF3J:0.9", "post-drift mixture as NAME:WEIGHT,...")
+	scale := fs.Float64("scale", 0.0002, "data scale factor relative to the paper's databases")
+	seed := fs.Int64("seed", 42, "generator seed")
+	pool := fs.Int("pool", 30, "per-family query pool size")
+	window := fs.Int("window", 24, "queries per observation window")
+	windows := fs.Int("windows", 0, "number of windows to run (0 = stream until interrupted)")
+	parallel := fs.Int("parallel", 0, "query parallelism within a window (0 = GOMAXPROCS)")
+	goalSpec := fs.String("goal", "60:0.50,400:0.95", "QoS goal as SECONDS:FRACTION,... (empty = the paper's Example 2)")
+	threshold := fs.Float64("mix-threshold", 0.25, "mixture shift detection threshold (moved probability mass)")
+	timeout := fs.Float64("timeout", core.DefaultTimeout, "per-query simulated timeout in seconds")
+	syncT := fs.Bool("sync", false, "apply transitions at window boundaries (deterministic) instead of overlapping traffic")
+	static := fs.Bool("static", false, "freeze the configuration after warmup (decaying baseline)")
+	noWarmup := fs.Bool("no-warmup", false, "skip the initial warmup tune (start serving under P)")
+	fs.BoolVar(&compare, "compare", false, "also run the static baseline on the identical stream and print both")
+	fs.StringVar(&addr, "addr", ":9090", "HTTP listen address for /metrics and /healthz (empty = disabled)")
+	fs.StringVar(&outFile, "o", "", "also write the per-window table artifact to this file")
+	fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	if *windows < 0 {
 		usageErr("autopilotd: -windows must be >= 0, got %d", *windows)
@@ -97,9 +104,6 @@ func main() {
 	}
 	if *parallel < 0 {
 		usageErr("autopilotd: -parallel must be >= 0, got %d", *parallel)
-	}
-	if *whatifCache != "on" && *whatifCache != "off" {
-		usageErr("autopilotd: -whatif-cache must be on or off, got %q", *whatifCache)
 	}
 
 	// Nonsensical flag combinations are usage errors, not silent surprises.
@@ -112,15 +116,15 @@ func main() {
 	if *drift && *driftAt < 0 {
 		usageErr("autopilotd: -drift-at must be >= 0, got %d", *driftAt)
 	}
-	flag.Visit(func(fl *flag.Flag) {
+	fs.Visit(func(fl *flag.Flag) {
 		if !*drift && (fl.Name == "drift-at" || fl.Name == "drift-to") {
 			usageErr("autopilotd: -%s has no effect without -drift", fl.Name)
 		}
 	})
-	if *compare && !*syncT {
+	if compare && !*syncT {
 		usageErr("autopilotd: -compare needs -sync: with overlapped retunes the two streams are not window-aligned, so the comparison is meaningless")
 	}
-	if *compare && *static {
+	if compare && *static {
 		usageErr("autopilotd: -compare with -static would compare the frozen baseline against itself")
 	}
 
@@ -131,7 +135,7 @@ func main() {
 	if *rec == "" {
 		*rec = *system
 	}
-	opts := autopilot.Options{
+	opts = autopilot.Options{
 		System:            *system,
 		Recommender:       *rec,
 		Families:          shares,
@@ -146,7 +150,6 @@ func main() {
 		Sync:              *syncT,
 		Static:            *static,
 		Warmup:            !*noWarmup,
-		NoWhatIfCache:     *whatifCache == "off",
 	}
 	if *goalSpec != "" {
 		if opts.Goal, err = core.ParseGoal(*goalSpec); err != nil {
@@ -160,11 +163,7 @@ func main() {
 		}
 		opts.Drift = &autopilot.Drift{AtWindow: *driftAt, Shares: to}
 	}
-
-	if err := run(opts, *addr, *compare, *outFile, *benchJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "autopilotd:", err)
-		os.Exit(1)
-	}
+	return opts, addr, compare, outFile
 }
 
 // run drives one daemon lifetime with the shutdown ordering contract:
@@ -172,7 +171,7 @@ func main() {
 // before returning, so no transition is abandoned mid-build), artifacts
 // are written second, and the metrics listener closes last — deferred,
 // so it happens on error paths too.
-func run(opts autopilot.Options, addr string, compare bool, outFile, benchJSON string) error {
+func run(opts autopilot.Options, addr string, compare bool, outFile string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -245,77 +244,5 @@ func run(opts autopilot.Options, addr string, compare bool, outFile, benchJSON s
 			return err
 		}
 	}
-	if benchJSON != "" {
-		if err := writeBenchJSON(benchJSON, opts, snap, reports, retunes, wall); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// writeBenchJSON emits the perf-trajectory record for this run.
-func writeBenchJSON(path string, opts autopilot.Options, snap autopilot.Snapshot,
-	reports []autopilot.WindowReport, retunes []autopilot.RetuneRecord, wall float64) error {
-	qps := 0.0
-	if wall > 0 {
-		qps = float64(snap.QueriesServed) / wall
-	}
-	retuneMS := int64(0)
-	nOK := int64(0)
-	for _, r := range retunes {
-		if r.Err == "" {
-			retuneMS += r.WallMS
-			nOK++
-		}
-	}
-	meanRetuneMS := int64(0)
-	if nOK > 0 {
-		meanRetuneMS = retuneMS / nOK
-	}
-	rec := map[string]any{
-		"bench":        "autopilot",
-		"system":       opts.System,
-		"recommender":  opts.Recommender,
-		"scale":        opts.Scale,
-		"seed":         opts.Seed,
-		"window_size":  opts.WindowSize,
-		"windows":      snap.WindowsCompleted,
-		"parallelism":  opts.Parallelism,
-		"wall_seconds": round3(wall),
-
-		"queries_served":  snap.QueriesServed,
-		"queries_per_sec": round3(qps),
-
-		"retunes_applied":     snap.RetunesApplied,
-		"retune_wall_ms_mean": meanRetuneMS,
-		"structures_built":    snap.StructuresBuilt,
-		"structures_dropped":  snap.StructuresDropped,
-	}
-	if n := len(reports); n > 0 {
-		last := reports[n-1]
-		rec["final_window_p95_seconds"] = jsonSec(last.P95)
-		rec["final_window_goal_satisfaction"] = last.Satisfaction
-		maxP95 := 0.0
-		for _, r := range reports {
-			if s := jsonSec(r.P95); s > maxP95 {
-				maxP95 = s
-			}
-		}
-		rec["max_window_p95_seconds"] = maxP95
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func round3(x float64) float64 { return float64(int64(x*1000+0.5)) / 1000 }
-
-// jsonSec clamps a possibly-infinite quantile for JSON.
-func jsonSec(x float64) float64 {
-	if x > core.DefaultTimeout*10 {
-		return -1
-	}
-	return round3(x)
 }

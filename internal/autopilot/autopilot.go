@@ -88,11 +88,6 @@ type Options struct {
 	// baseline the drift experiment compares against.
 	Static bool
 
-	// NoWhatIfCache disables the engine's what-if estimate cache (the
-	// -whatif-cache=off escape hatch). Reports are byte-identical either
-	// way; only retune wall time changes.
-	NoWhatIfCache bool
-
 	// Autoscale, when non-nil, feeds every window report through the
 	// shard autoscaler's recommend/apply loop (the ScaleMetrics bridge) —
 	// the batch counterpart of the gateway's live elastic loop. The
@@ -151,19 +146,6 @@ type Autopilot struct {
 	curName string
 }
 
-// recConfigOf maps a recommender profile name ("1C" handled upstream).
-func recConfigOf(name string) (recommender.Config, error) {
-	switch name {
-	case "A":
-		return recommender.SystemA(), nil
-	case "B":
-		return recommender.SystemB(), nil
-	case "C":
-		return recommender.SystemC(), nil
-	}
-	return recommender.Config{}, fmt.Errorf("autopilot: unknown recommender %q", name)
-}
-
 // New loads the engine and family pools through a bench.Lab (the PR 1
 // substrate: loading, stratified sampling and the storage budget are the
 // batch benchmark's own) and assembles the control loop. The lab is not
@@ -189,7 +171,7 @@ func New(opts Options) (*Autopilot, error) {
 	}
 	var recCfg recommender.Config
 	if opts.Recommender != "1C" {
-		if recCfg, err = recConfigOf(opts.Recommender); err != nil {
+		if recCfg, err = recommender.System(opts.Recommender); err != nil {
 			return nil, err
 		}
 	}
@@ -197,7 +179,6 @@ func New(opts Options) (*Autopilot, error) {
 	lab := bench.NewLab(opts.Scale, opts.Seed)
 	lab.WorkloadSize = opts.PoolSize
 	lab.Parallelism = opts.Parallelism
-	lab.DisableWhatIfCache = opts.NoWhatIfCache
 
 	famOrder := make([]string, len(opts.Families))
 	pools := make([]workload.Family, len(opts.Families))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/recommender"
 )
 
 // Experiment is one reproducible unit: a figure, a table, or an analysis
@@ -415,7 +416,7 @@ func ablationWhatIf(l *Lab) (string, error) {
 	fam := l.Workload("B", "NREF2J")
 	w := e.NewWhatIf()
 	budget := w.EstimateSize(engine.OneColumnConfiguration(e))
-	rec, err := newRecommender(e, "B").Recommend(fam.SQLs(), budget)
+	rec, err := recommender.New(e, recommender.SystemB()).Recommend(fam.SQLs(), budget)
 	if err != nil {
 		return "", err
 	}
@@ -451,7 +452,7 @@ func ablationBudget(l *Lab) (string, error) {
 	em := l.lockEngine("B", DBNref)
 	em.Lock()
 	l.apply("B", DBNref, "P", conf.Configuration{})
-	recBig, err := newRecommender(e, "B").Recommend(fam.SQLs(), budget*4)
+	recBig, err := recommender.New(e, recommender.SystemB()).Recommend(fam.SQLs(), budget*4)
 	if err != nil {
 		em.Unlock()
 		return "", err

@@ -47,8 +47,8 @@ type Lab struct {
 	Parallelism int
 
 	// DisableWhatIfCache turns off the what-if estimate cache on every
-	// engine the lab loads (the -whatif-cache=off escape hatch). Set it
-	// before the first workload runs.
+	// engine the lab loads (the tests' reference path). Set it before the
+	// first workload runs.
 	DisableWhatIfCache bool
 
 	mu        sync.Mutex
@@ -116,18 +116,6 @@ func profileOf(sys string) engine.Profile {
 		return engine.SystemB()
 	case "C":
 		return engine.SystemC()
-	}
-	panic("bench: unknown system " + sys)
-}
-
-func recConfigOf(sys string) recommender.Config {
-	switch sys {
-	case "A":
-		return recommender.SystemA()
-	case "B":
-		return recommender.SystemB()
-	case "C":
-		return recommender.SystemC()
 	}
 	panic("bench: unknown system " + sys)
 }
@@ -267,6 +255,10 @@ func (l *Lab) Recommendation(sys, family string) (conf.Configuration, error) {
 	}
 	l.mu.Unlock()
 
+	recCfg, err := recommender.System(sys)
+	if err != nil {
+		return conf.Configuration{}, err
+	}
 	db := dbOfFamily(family)
 	fam := l.Workload(sys, family)
 	e := l.Engine(sys, db)
@@ -282,8 +274,7 @@ func (l *Lab) Recommendation(sys, family string) (conf.Configuration, error) {
 	}
 	l.mu.Unlock()
 	l.apply(sys, db, "P", conf.Configuration{})
-	r := recommender.New(e, recConfigOf(sys)).Parallel(l.Parallelism)
-	cfg, err := r.Recommend(fam.SQLs(), budget)
+	cfg, err := recommender.New(e, recCfg).Parallel(l.Parallelism).Recommend(fam.SQLs(), budget)
 	if err == nil {
 		cfg.Name = fmt.Sprintf("%s %s R", sys, family)
 	}
@@ -291,14 +282,6 @@ func (l *Lab) Recommendation(sys, family string) (conf.Configuration, error) {
 	l.recs[key] = recResult{cfg, err}
 	l.mu.Unlock()
 	return cfg, err
-}
-
-// DropRecommendation forgets a memoized Recommendation result so the
-// same search can be re-run (whatifbench times best-of-N repetitions).
-func (l *Lab) DropRecommendation(sys, family string) {
-	l.mu.Lock()
-	delete(l.recs, sys+":"+family)
-	l.mu.Unlock()
 }
 
 // Config materializes one of the named configurations for an engine.
@@ -473,11 +456,6 @@ func generateFamily(family string, e *engine.Engine, opts workload.Options) work
 // datagenNREFInto loads a fresh NREF instance with the lab's parameters.
 func datagenNREFInto(e *engine.Engine, l *Lab) error {
 	return datagen.GenerateNREF(e, datagen.NREFOptions{ScaleFactor: l.Scale, Seed: l.Seed})
-}
-
-// newRecommender builds the recommender profile for a system name.
-func newRecommender(e *engine.Engine, sys string) *recommender.Recommender {
-	return recommender.New(e, recConfigOf(sys))
 }
 
 // ApplyNamed switches an engine to a named configuration ("P", "1C",

@@ -162,9 +162,13 @@ func TestRecommendationParallelIdentity(t *testing.T) {
 		if err := l.ApplyNamed(spec.sys, db, "P"); err != nil {
 			t.Fatal(err)
 		}
-		base, baseErr := recommender.New(e, recConfigOf(spec.sys)).Parallel(1).Recommend(sqls, budget)
+		recCfg, err := recommender.System(spec.sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, baseErr := recommender.New(e, recCfg).Parallel(1).Recommend(sqls, budget)
 		for _, n := range []int{4, 16} {
-			got, err := recommender.New(e, recConfigOf(spec.sys)).Parallel(n).Recommend(sqls, budget)
+			got, err := recommender.New(e, recCfg).Parallel(n).Recommend(sqls, budget)
 			if fmt.Sprint(err) != fmt.Sprint(baseErr) {
 				t.Fatalf("%s/%s: parallel(%d) error %v, sequential %v", spec.sys, spec.family, n, err, baseErr)
 			}
@@ -177,15 +181,19 @@ func TestRecommendationParallelIdentity(t *testing.T) {
 
 // TestRecommendationCacheOnOffIdentity requires the estimate cache to be
 // invisible in recommender output: cache-on and cache-off labs must
-// produce byte-identical recommendations.
+// produce byte-identical recommendations on the five searches behind
+// Table 2 / Figure 5 (the benchmark's advise cases; System A on NREF3J
+// capitulates before estimating anything).
 func TestRecommendationCacheOnOffIdentity(t *testing.T) {
 	cached := tinyLab()
 	uncached := tinyLab()
 	uncached.DisableWhatIfCache = true
 	for _, spec := range []struct{ sys, family string }{
 		{"A", "NREF2J"},
+		{"B", "NREF2J"},
 		{"B", "NREF3J"},
 		{"C", "SkTH3J"},
+		{"C", "UnTH3J"},
 	} {
 		a, errA := cached.Recommendation(spec.sys, spec.family)
 		b, errB := uncached.Recommendation(spec.sys, spec.family)

@@ -66,9 +66,10 @@ type Engine struct { // conflint:ignore mu only serializes mutators: all state i
 	Model       cost.Model
 
 	// DisableWhatIfCache turns off the what-if relevance-keyed estimate
-	// cache for sessions opened after it is set (the -whatif-cache=off
-	// escape hatch). Like Model, it is not guarded: set it right after
-	// construction, before the engine is shared.
+	// cache for sessions opened after it is set: the uncached path is
+	// the reference the cache-identity tests compare against. Like
+	// Model, it is not guarded: set it right after construction, before
+	// the engine is shared.
 	DisableWhatIfCache bool
 
 	mu  sync.Mutex // serializes mutators; readers never take it

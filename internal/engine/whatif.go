@@ -18,8 +18,8 @@ import (
 )
 
 // whatifCalls and whatifHits count estimate invocations and relevance-
-// cache hits process-wide. They are observability only — BENCH_whatif.json
-// reports the hit rate — and nothing on a decision path reads them.
+// cache hits process-wide. They are observability only — the benchmark's
+// engine.whatif.hit_rate reads them — and nothing on a decision path does.
 var (
 	whatifCalls atomic.Int64
 	whatifHits  atomic.Int64
@@ -70,7 +70,7 @@ func ResetWhatIfCounters() {
 type WhatIf struct {
 	e *Engine
 	// caching is fixed at session creation from the engine's
-	// DisableWhatIfCache escape hatch.
+	// DisableWhatIfCache.
 	caching bool
 
 	// mu guards the caches. The values the maps hold (*plan.IndexInfo,
@@ -193,8 +193,8 @@ func (w *WhatIf) EstimateWith(q *sql.Query, base, delta conf.Configuration) (Mea
 	return w.estimate(q, base.Views, base.Indexes, delta.Views, delta.Indexes)
 }
 
-// estimateUncached is the pre-cache code path, kept verbatim behind the
-// -whatif-cache=off escape hatch so regressions can be bisected.
+// estimateUncached is the pre-cache code path, kept verbatim as the
+// reference the cache-identity tests compare against.
 func (w *WhatIf) estimateUncached(q *sql.Query, hypo conf.Configuration) (Measure, error) {
 	phys, err := w.physical(hypo)
 	if err != nil {

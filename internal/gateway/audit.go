@@ -37,8 +37,8 @@ const (
 // seeded client schedule reproduces per-tenant logs byte for byte.
 type AuditRecord struct {
 	// Seq is the client-assigned sequence number (-1 when the request
-	// carried none). The loadgen assigns schedule positions, which is
-	// what makes per-tenant dumps comparable across runs.
+	// carried none). A seeded load generator assigns schedule positions,
+	// which is what makes per-tenant dumps comparable across runs.
 	Seq    int64  `json:"seq"`
 	Tenant string `json:"tenant"` // "-" before authentication succeeded
 	Family string `json:"family,omitempty"`

@@ -109,18 +109,6 @@ type Gateway struct {
 	shutdownErr error
 }
 
-// recConfigOf maps the serving profile to its recommender behaviors.
-func recConfigOf(system string) recommender.Config {
-	switch system {
-	case "A":
-		return recommender.SystemA()
-	case "C":
-		return recommender.SystemC()
-	default:
-		return recommender.SystemB()
-	}
-}
-
 // BuildBackend loads the engine and family pools through a bench.Lab —
 // the same substrate the batch benchmark and autopilot use.
 func BuildBackend(cfg Config) (*Backend, error) {
@@ -218,6 +206,10 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 			b = &nb
 		}
 	}
+	var recCfg recommender.Config
+	if err == nil && g.cfg.Tuning {
+		recCfg, err = recommender.System(g.cfg.System)
+	}
 	if err != nil {
 		g.loadMu.Lock()
 		g.loadErr = err
@@ -231,7 +223,7 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 	}
 	g.backend.Store(b)
 	if g.cfg.Tuning {
-		tn := newTuner(g, recConfigOf(g.cfg.System), b.Engine.NewWhatIf(), b.Budget)
+		tn := newTuner(g, recCfg, b.Engine.NewWhatIf(), b.Budget)
 		g.tunerP.Store(tn)
 		tn.start()
 	}
@@ -303,14 +295,6 @@ func (g *Gateway) WaitReady(ctx context.Context) error {
 
 // ServeHTTP makes the gateway a plain http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
-
-// Retunes reports goal-triggered transitions applied so far.
-func (g *Gateway) Retunes() int64 {
-	if tn := g.tunerP.Load(); tn != nil {
-		return tn.applied.Load()
-	}
-	return 0
-}
 
 // queryRequest is the /v1/query body.
 type queryRequest struct {

@@ -79,7 +79,13 @@ func testConfig(tenants ...TenantConfig) Config {
 // the right order: gateway drain first, listener second.
 func newTestGateway(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
 	t.Helper()
-	g, err := New(Options{Config: cfg, Backend: sharedBackend(t)})
+	return newTestGatewayOn(t, cfg, sharedBackend(t))
+}
+
+// newTestGatewayOn is newTestGateway over a backend of the caller's.
+func newTestGatewayOn(t *testing.T, cfg Config, b *Backend) (*Gateway, *httptest.Server) {
+	t.Helper()
+	g, err := New(Options{Config: cfg, Backend: b})
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}

@@ -37,7 +37,8 @@ func TestShardedGatewayByteIdentical(t *testing.T) {
 			}
 		}
 		// Simulated cost differs by design (max-of-shards + merge vs
-		// serial; scaling is asserted by shardbench) — only sanity-check
+		// serial; scaling is asserted by internal/shard's
+		// TestResultsByteIdenticalAcrossTopologies) — only sanity-check
 		// that the sharded path billed something.
 		if secs, _ := body2["sim_seconds"].(float64); secs <= 0 {
 			t.Errorf("query %d: sharded sim_seconds = %v, want > 0", i, secs)

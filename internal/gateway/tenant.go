@@ -179,7 +179,7 @@ func (t *tenantState) recentQueries() []string {
 }
 
 // TenantSnapshot is the per-tenant observability record served by
-// /v1/stats and folded into BENCH_gateway.json.
+// /v1/stats.
 type TenantSnapshot struct {
 	Tenant    string           `json:"tenant"`
 	Admitted  int64            `json:"admitted"`

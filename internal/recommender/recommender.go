@@ -89,6 +89,19 @@ func SystemC() Config {
 	}
 }
 
+// System returns the profile of the named system: "A", "B" or "C".
+func System(name string) (Config, error) {
+	switch name {
+	case "A":
+		return SystemA(), nil
+	case "B":
+		return SystemB(), nil
+	case "C":
+		return SystemC(), nil
+	}
+	return Config{}, fmt.Errorf("recommender: unknown system %q", name)
+}
+
 // candidate is one atomic configuration change: a set of indexes, possibly
 // bundled with the materialized view they are defined on.
 type candidate struct {

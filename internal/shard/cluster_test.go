@@ -74,6 +74,11 @@ func render(res *exec.Result) string {
 // claim: every query's result is byte-identical at shard counts
 // {1,2,4,8} × pool widths {1,4,16}, in both partitioning modes, and a
 // fixed topology's simulated cost does not depend on the pool width.
+// It also holds the scaling contract: no query falls back to the
+// coordinator at any topology, and in hash mode the workload's summed
+// simulated seconds never rise with the shard count (range mode is
+// logged only: its uneven 2-shard split costs more than 1 shard).
+// -v prints the curve EXPERIMENTS.md quotes.
 func TestResultsByteIdenticalAcrossTopologies(t *testing.T) {
 	coord := testCoord(t)
 	base, err := New(coord, Spec{Shards: 1}, 1)
@@ -81,15 +86,31 @@ func TestResultsByteIdenticalAcrossTopologies(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]string, len(clusterQueries))
+	baseSim := 0.0
 	for i, q := range clusterQueries {
-		res, _, err := base.Run(q, 0)
+		res, m, err := base.Run(q, 0)
 		if err != nil {
 			t.Fatalf("baseline query %d: %v", i, err)
 		}
 		want[i] = render(res)
+		baseSim += m.Seconds
 	}
+	// scaling logs one row of the curve and checks the two contracts.
+	scaling := func(mode Mode, cl *Cluster, sim, prevSim float64) {
+		st := cl.Stats()
+		t.Logf("%s/%d shards: %.2f simulated s per pass of %d queries; %d of %d runs exchanged rows, %d fell back",
+			mode, cl.Shards(), sim, len(clusterQueries), st.Exchanges, st.Queries, st.Fallbacks)
+		if st.Fallbacks != 0 {
+			t.Errorf("%s/%d: %d coordinator-serial fallbacks, want 0", mode, cl.Shards(), st.Fallbacks)
+		}
+		if mode == ModeHash && sim > prevSim {
+			t.Errorf("hash/%d: simulated seconds rose to %.2f from %.2f at the previous shard count", cl.Shards(), sim, prevSim)
+		}
+	}
+	scaling(ModeHash, base, baseSim, baseSim)
 
 	for _, mode := range []Mode{ModeHash, ModeRange} {
+		prevSim := baseSim
 		for _, n := range []int{2, 4, 8} {
 			cl, err := New(coord, Spec{Shards: n, Mode: mode}, 1)
 			if err != nil {
@@ -115,6 +136,12 @@ func TestResultsByteIdenticalAcrossTopologies(t *testing.T) {
 					}
 				}
 			}
+			sim := 0.0
+			for _, s := range secs {
+				sim += s
+			}
+			scaling(mode, cl, sim, prevSim)
+			prevSim = sim
 		}
 	}
 }
