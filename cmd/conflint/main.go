@@ -9,8 +9,8 @@
 // Packages are directory patterns relative to the module root ("./...",
 // "./internal/engine", "internal/autopilot/..."); the default is the whole
 // module. Note the module is always parsed in full — cross-package rules
-// like atomic-discipline need the whole tree — and the patterns only select
-// which packages' findings are reported.
+// like lockorder need the whole tree — and the patterns only select which
+// packages' findings are reported.
 //
 // A baseline file (-baseline) suppresses known findings so the tool can be
 // adopted on a codebase that is not yet clean. Entries are keyed by
@@ -19,10 +19,8 @@
 // load error (exit 2), never an empty suppression set. This repository's end
 // state is an empty baseline: every rule runs clean with no suppressions.
 //
-// With -bench-json, the run additionally executes the full analyzer set
-// twice — once sequentially (timing each analyzer) and once parallel over a
-// fresh parse — records both walls plus the interprocedural fixpoint
-// iteration counts, and verifies the two runs' findings are byte-identical.
+// With -bench-json, the run additionally records each analyzer's wall, the
+// interprocedural fixpoint iteration counts and the fix-planning wall.
 //
 // Exit status: 0 no findings, 1 findings, 2 usage or load error.
 package main
@@ -34,6 +32,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -48,17 +47,15 @@ func run() int {
 	start := time.Now()
 	fs := flag.NewFlagSet("conflint", flag.ContinueOnError)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit findings as a JSON array (shorthand for -format json)")
 		format    = fs.String("format", "", "output format: text (default), json, or sarif (SARIF 2.1.0)")
 		sarifOut  = fs.String("sarif", "", "additionally write a SARIF 2.1.0 log to this file (the CI code-scanning artifact)")
 		hints     = fs.Bool("hints", false, "lint-fix-hints mode: print the offending line and a suggested edit under each finding")
 		fix       = fs.Bool("fix", false, "apply suggested fixes (finding-atomic, non-overlapping), gofmt the touched files, then re-lint to prove the fixed findings are gone and no new ones appeared")
-		rules     = fs.String("rules", "", "comma-separated rule subset (default: all); names: lock, determinism, atomic, errcheck, lockorder, goleak, hotalloc, dettaint, shutdownpath, pure")
-		benchJSON = fs.String("bench-json", "", "write a BENCH-style JSON record (per-rule counts and wall, fixpoint iterations, fix-plan wall, sequential-vs-parallel wall) to this file")
+		rules     = fs.String("rules", "", "comma-separated rule subset (default: all); names: lock, lockorder, errcheck, goleak, shutdownpath, determinism, pure")
+		benchJSON = fs.String("bench-json", "", "write a BENCH-style JSON record (per-rule counts and wall, fixpoint iterations, fix-plan wall) to this file")
 		listRules = fs.Bool("list-rules", false, "print the analyzers and exit")
 		baseline  = fs.String("baseline", "", "suppress findings matching this baseline file (entries keyed rule+package+symbol; malformed files are load errors)")
 		writeBase = fs.String("write-baseline", "", "write the current findings to this baseline file and exit 0")
-		parallel  = fs.Int("parallel", 0, "lint worker parallelism across packages (0 = GOMAXPROCS, 1 = sequential); findings are identical at any setting")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: conflint [flags] [packages]\n")
@@ -75,9 +72,6 @@ func run() int {
 		return 0
 	}
 
-	if *jsonOut && *format == "" {
-		*format = "json"
-	}
 	switch *format {
 	case "", "text", "json", "sarif":
 	default:
@@ -106,17 +100,9 @@ func run() int {
 		return 2
 	}
 
-	var findings []lint.Finding
-	var bench *benchStats
-	if *benchJSON != "" {
-		findings, bench, err = benchRun(root, m, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "conflint: %v\n", err)
-			return 2
-		}
-	} else {
-		findings = lint.RunParallel(m, analyzers, *parallel)
-	}
+	t0 := time.Now()
+	findings, perRule := lint.RunTimed(m, analyzers)
+	lintWall := time.Since(t0)
 	findings = filterFindings(root, findings, fs.Args())
 
 	if *writeBase != "" {
@@ -136,7 +122,7 @@ func run() int {
 	}
 
 	if *fix {
-		code, err := runFix(root, m, analyzers, findings, fs.Args(), *baseline, *parallel)
+		code, err := runFix(root, m, analyzers, findings, fs.Args(), *baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "conflint: %v\n", err)
 			return 2
@@ -145,7 +131,7 @@ func run() int {
 	}
 
 	if *benchJSON != "" {
-		if err := writeBench(*benchJSON, m, analyzers, findings, bench); err != nil {
+		if err := writeBench(*benchJSON, m, analyzers, findings, lintWall, perRule); err != nil {
 			fmt.Fprintf(os.Stderr, "conflint: %v\n", err)
 			return 2
 		}
@@ -224,8 +210,8 @@ func applyBaseline(findings []lint.Finding, path string) ([]lint.Finding, int, e
 //
 // Exit code: 0 when no findings remain, 1 when unfixable findings
 // remain, 2 when verification fails (a fix changed analysis results in
-// an unexpected way, e.g. labeling a sink armed its closure audit).
-func runFix(root string, m *lint.Module, analyzers []*lint.Analyzer, findings []lint.Finding, patterns []string, baseline string, parallel int) (int, error) {
+// an unexpected way).
+func runFix(root string, m *lint.Module, analyzers []*lint.Analyzer, findings []lint.Finding, patterns []string, baseline string) (int, error) {
 	plan, err := lint.PlanFixes(m, findings)
 	if err != nil {
 		return 2, err
@@ -245,7 +231,7 @@ func runFix(root string, m *lint.Module, analyzers []*lint.Analyzer, findings []
 	if err != nil {
 		return 2, err
 	}
-	after := filterFindings(root, lint.RunParallel(m2, analyzers, parallel), patterns)
+	after := filterFindings(root, lint.Run(m2, analyzers), patterns)
 	after, _, err = applyBaseline(after, baseline)
 	if err != nil {
 		return 2, err
@@ -276,64 +262,6 @@ func runFix(root string, m *lint.Module, analyzers []*lint.Analyzer, findings []
 		return 1, nil
 	}
 	return 0, nil
-}
-
-// benchStats is the extra instrumentation a -bench-json run records.
-type benchStats struct {
-	seqWall   time.Duration
-	parWall   time.Duration
-	fixWall   time.Duration
-	fixable   int
-	perRule   map[string]time.Duration
-	fixIters  map[string]int
-	identical bool
-}
-
-// benchRun executes the analyzers twice — sequentially on m (timing each
-// analyzer) and in parallel on a fresh parse — and checks the rendered
-// findings are byte-identical. The sequential findings are returned as
-// the run's result.
-func benchRun(root string, m *lint.Module, analyzers []*lint.Analyzer) ([]lint.Finding, *benchStats, error) {
-	t0 := time.Now()
-	seqF, perRule := lint.RunTimed(m, analyzers)
-	seqWall := time.Since(t0)
-
-	m2, err := lint.LoadModule(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	t1 := time.Now()
-	parF := lint.RunParallel(m2, analyzers, 0)
-	parWall := time.Since(t1)
-
-	seqJSON, err := lint.RenderJSON(m, seqF)
-	if err != nil {
-		return nil, nil, err
-	}
-	parJSON, err := lint.RenderJSON(m2, parF)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Time the fix planner (plan only — nothing is written): the edit
-	// computation plus per-file splice-and-gofmt over every fixable
-	// finding of the run.
-	t2 := time.Now()
-	plan, err := lint.PlanFixes(m, seqF)
-	if err != nil {
-		return nil, nil, err
-	}
-	fixWall := time.Since(t2)
-
-	return seqF, &benchStats{
-		seqWall:   seqWall,
-		parWall:   parWall,
-		fixWall:   fixWall,
-		fixable:   len(plan.Applied),
-		perRule:   perRule,
-		fixIters:  m.FixpointIters(),
-		identical: seqJSON == parJSON,
-	}, nil
 }
 
 // scopeRuleKeys restricts a per-rule map to the selected analyzers (the
@@ -409,37 +337,34 @@ func matchPattern(relDir, pat string) bool {
 	return relDir == pat
 }
 
-// writeBench records the run in the same shape as the BENCH_*.json
-// artifacts the other harnesses produce.
-func writeBench(path string, m *lint.Module, analyzers []*lint.Analyzer, fs []lint.Finding, bench *benchStats) error {
-	perRule := make(map[string]int)
-	for _, a := range analyzers {
-		perRule[a.Name] = 0
+// writeBench records the run: the lint wall and each analyzer's share
+// of it, the fixpoint iteration counts, and the wall of planning (not
+// writing) every fixable finding's edits.
+func writeBench(path string, m *lint.Module, analyzers []*lint.Analyzer, fs []lint.Finding, lintWall time.Duration, perRuleWall map[string]time.Duration) error {
+	t0 := time.Now()
+	plan, err := lint.PlanFixes(m, fs)
+	if err != nil {
+		return err
 	}
+	fixWall := time.Since(t0)
+
+	perRule := make(map[string]int)
 	for _, f := range fs {
 		perRule[f.Rule]++
 	}
 	nodes, edges := m.Graph().Stats()
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000.0) }
 	var b strings.Builder
 	b.WriteString("{\n  \"bench\": \"conflint\",\n")
 	fmt.Fprintf(&b, "  \"findings\": %d,\n", len(fs))
 	fmt.Fprintf(&b, "  \"gomaxprocs\": %d,\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "  \"callgraph\": {\"nodes\": %d, \"edges\": %d},\n", nodes, edges)
-	if bench != nil {
-		speedup := 0.0
-		if bench.parWall > 0 {
-			speedup = float64(bench.seqWall) / float64(bench.parWall)
-		}
-		fmt.Fprintf(&b, "  \"wall_ms\": {\"sequential\": %.3f, \"parallel\": %.3f, \"speedup\": %.2f},\n",
-			ms(bench.seqWall), ms(bench.parWall), speedup)
-		fmt.Fprintf(&b, "  \"findings_identical\": %v,\n", bench.identical)
-		fmt.Fprintf(&b, "  \"fix\": {\"fixable\": %d, \"plan_wall_ms\": %.3f},\n", bench.fixable, ms(bench.fixWall))
-		writeSortedMap(&b, "fixpoint_iterations", scopeRuleKeys(bench.fixIters, analyzers), func(v int) string { return fmt.Sprintf("%d", v) })
-		b.WriteString(",\n")
-		writeSortedMap(&b, "per_rule_wall_ms", scopeRuleKeys(bench.perRule, analyzers), func(v time.Duration) string { return fmt.Sprintf("%.3f", ms(v)) })
-		b.WriteString(",\n")
-	}
+	fmt.Fprintf(&b, "  \"wall_ms\": %s,\n", ms(lintWall))
+	fmt.Fprintf(&b, "  \"fix\": {\"fixable\": %d, \"plan_wall_ms\": %s},\n", len(plan.Applied), ms(fixWall))
+	writeSortedMap(&b, "fixpoint_iterations", scopeRuleKeys(m.FixpointIters(), analyzers), strconv.Itoa)
+	b.WriteString(",\n")
+	writeSortedMap(&b, "per_rule_wall_ms", perRuleWall, ms)
+	b.WriteString(",\n")
 	b.WriteString("  \"per_rule\": {")
 	names := make([]string, 0, len(analyzers)+1)
 	for _, a := range analyzers {

@@ -13,9 +13,9 @@ import (
 // never line numbers, so a moved finding still matches.
 func TestBaselineRoundTrip(t *testing.T) {
 	fs := []lint.Finding{
-		{Rule: "hotalloc", Package: "optimizer", Symbol: "search.indexJoinCands", Line: 444},
+		{Rule: "errcheck", Package: "optimizer", Symbol: "search.indexJoinCands", Line: 444},
 		{Rule: "goleak", Package: "main", Symbol: "main", Line: 207},
-		{Rule: "hotalloc", Package: "optimizer", Symbol: "search.indexJoinCands", Line: 450}, // same symbol, other line
+		{Rule: "errcheck", Package: "optimizer", Symbol: "search.indexJoinCands", Line: 450}, // same symbol, other line
 	}
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	if err := lint.WriteBaseline(path, fs); err != nil {
@@ -25,7 +25,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("want 2 deduped entries, got %d: %v", len(entries), entries)
 	}
-	if entries[0].Rule != "goleak" || entries[1].Rule != "hotalloc" {
+	if entries[0].Rule != "errcheck" || entries[1].Rule != "goleak" {
 		t.Errorf("entries not sorted by rule: %v", entries)
 	}
 
@@ -34,13 +34,13 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A finding at a new line with the same symbol still matches.
-	if !base[lint.BaselineKey("hotalloc", "optimizer", "search.indexJoinCands")] {
-		t.Error("baseline lost the hotalloc entry")
+	if !base[lint.BaselineKey("errcheck", "optimizer", "search.indexJoinCands")] {
+		t.Error("baseline lost the errcheck entry")
 	}
 	if !base[lint.BaselineKey("goleak", "main", "main")] {
 		t.Error("baseline lost the goleak entry")
 	}
-	if base[lint.BaselineKey("hotalloc", "optimizer", "otherFunc")] {
+	if base[lint.BaselineKey("errcheck", "optimizer", "otherFunc")] {
 		t.Error("baseline matches a symbol it does not contain")
 	}
 }
@@ -78,7 +78,7 @@ func TestMatchPattern(t *testing.T) {
 // fixpoint is attributed to its consumer (pure) — present exactly when
 // it is selected.
 func TestScopeRuleKeys(t *testing.T) {
-	src := map[string]int{"dettaint": 2, "effects": 5, "shutdownpath": 1}
+	src := map[string]int{"lockorder": 2, "effects": 5, "shutdownpath": 1}
 
 	pure, err := lint.ByNames("pure")
 	if err != nil {
@@ -89,13 +89,13 @@ func TestScopeRuleKeys(t *testing.T) {
 		t.Errorf("scope(pure) = %v; want only effects=5", got)
 	}
 
-	dettaint, err := lint.ByNames("dettaint")
+	lockorder, err := lint.ByNames("lockorder")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = scopeRuleKeys(src, dettaint)
-	if len(got) != 1 || got["dettaint"] != 2 {
-		t.Errorf("scope(dettaint) = %v; want only dettaint=2", got)
+	got = scopeRuleKeys(src, lockorder)
+	if len(got) != 1 || got["lockorder"] != 2 {
+		t.Errorf("scope(lockorder) = %v; want only lockorder=2", got)
 	}
 
 	all, err := lint.ByNames("")

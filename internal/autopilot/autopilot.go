@@ -254,9 +254,6 @@ func (a *Autopilot) Metrics() *Metrics { return a.metrics }
 // with window w+1's traffic and is joined before window w+2, so a
 // transition overlaps exactly one window of queries and every later
 // window runs fully under the new configuration.
-//
-// conflint:hotpath — the window loop: every statement here executes once
-// per window while traffic flows.
 func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []RetuneRecord, err error) {
 	obs := &observer{goal: a.opts.Goal, timeout: a.opts.Timeout, famOrder: a.famOrder}
 	reports = make([]WindowReport, 0, a.opts.Windows)

@@ -179,8 +179,6 @@ func fmtMix(mix []FamilyCount) string {
 // artifact. Retune records appear under the window whose report
 // triggered them. Wall-clock fields are deliberately omitted: the table
 // must be byte-identical for a given seed at any parallelism.
-//
-// conflint:sink drift experiment window table
 func RenderTable(reports []WindowReport, retunes []RetuneRecord) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-4s %-8s %-24s %4s %8s %8s %8s %4s %7s %5s %5s  %s\n",
@@ -222,8 +220,6 @@ func renderRetune(r RetuneRecord) string {
 // RenderComparison prints the headline drift experiment: the autopilot
 // run against a static baseline that froze its configuration after the
 // warmup tune, window by window.
-//
-// conflint:sink autopilot-vs-static comparison table
 func RenderComparison(auto, static []WindowReport) string {
 	n := len(auto)
 	if len(static) < n {

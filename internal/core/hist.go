@@ -52,8 +52,6 @@ func NewHistogram(ms []Measure, lo, timeout float64, binsPerDecade int) Histogra
 
 // Render draws the histogram with an overlaid cumulative-frequency column,
 // the textual analogue of the paper's Figures 1 and 2.
-//
-// conflint:sink histogram figure
 func (h Histogram) Render(title string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s  (n=%d, t_out=%d)\n", title, h.Total, h.TOut)
@@ -137,8 +135,6 @@ func (h RatioHistogram) Count(exp int) int {
 
 // Render draws the ratio histogram (Figure 11 style). Ratios below one
 // mean the first configuration is faster; above one, the second.
-//
-// conflint:sink ratio histogram figure
 func (h RatioHistogram) Render(title string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s  (n=%d)\n", title, h.Total)

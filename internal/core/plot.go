@@ -10,8 +10,6 @@ import (
 // chart — the textual analogue of the paper's Figures 3 through 10. Each
 // curve gets a marker character; the y axis is cumulative fraction and the
 // x axis spans [lo, timeout] log-scaled, with a final t_out column.
-//
-// conflint:sink cumulative-frequency curve figure
 func RenderCurves(title string, labels []string, curves []CFC, lo, timeout float64) string {
 	const width, height = 64, 16
 	if lo <= 0 {

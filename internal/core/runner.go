@@ -93,9 +93,6 @@ func (r Runner) Each(n int, fn func(i int) error) error {
 // RunWorkload executes every query under the engine's current
 // configuration with the timeout, returning the A(q, C) measures in
 // workload order.
-//
-// conflint:hotpath — one call per query per window; everything reachable
-// from here is the measure path.
 func (r Runner) RunWorkload(e *engine.Engine, queries []string, timeout float64) ([]Measure, error) {
 	out := make([]Measure, len(queries))
 	err := r.Each(len(queries), func(i int) error {
@@ -117,9 +114,6 @@ func (r Runner) RunWorkload(e *engine.Engine, queries []string, timeout float64)
 
 // EstimateWorkload returns the optimizer estimates E(q, C) under the
 // current configuration.
-//
-// conflint:hotpath — runs once per query per window alongside the
-// measured pass.
 func (r Runner) EstimateWorkload(e *engine.Engine, queries []string) ([]Measure, error) {
 	out := make([]Measure, len(queries))
 	err := r.Each(len(queries), func(i int) error {
@@ -141,9 +135,6 @@ func (r Runner) EstimateWorkload(e *engine.Engine, queries []string) ([]Measure,
 // One what-if session is shared by all workers, so the per-structure
 // statistics derivation is paid once; the session's caches are
 // internally synchronized.
-//
-// conflint:hotpath — the controller predicts over every window's
-// queries through this path.
 func (r Runner) WhatIfWorkload(e *engine.Engine, queries []string, hypo conf.Configuration) ([]Measure, error) {
 	return r.WhatIfSessionWorkload(e.NewWhatIf(), queries, hypo)
 }
@@ -153,8 +144,6 @@ func (r Runner) WhatIfWorkload(e *engine.Engine, queries []string, hypo conf.Con
 // cache filled by the recommender search is still warm when the
 // controller predicts the winning configuration's cost. The session's
 // engine must be the one the queries are analyzed against.
-//
-// conflint:hotpath — shares the prediction path with WhatIfWorkload.
 func (r Runner) WhatIfSessionWorkload(w *engine.WhatIf, queries []string, hypo conf.Configuration) ([]Measure, error) {
 	e := w.Engine()
 	out := make([]Measure, len(queries))

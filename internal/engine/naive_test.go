@@ -10,8 +10,12 @@ import (
 
 // naiveEval is an independent, obviously-correct query evaluator used as
 // the ground truth for plan-equivalence tests: fold the FROM list left to
-// right, applying every predicate as soon as its tables are bound, then
-// group and aggregate. It shares no code with the optimizer or executor.
+// right as nested loops, applying every predicate as soon as its tables
+// are bound, and group and aggregate (or project) each surviving
+// combination as it is produced. It shares no code with the optimizer or
+// executor, and it never materializes an intermediate join — the
+// three-table families' intermediates run to gigabytes, which the race
+// detector's shadow memory multiplies past this box.
 func naiveEval(e *Engine, q *sql.Query) []val.Row {
 	layout := layoutOf(q)
 
@@ -41,48 +45,48 @@ func naiveEval(e *Engine, q *sql.Query) []val.Row {
 		sets[i] = set
 	}
 
-	// Fold tables.
-	var bound []bool = make([]bool, len(q.Tables))
-	cur := []val.Row{make(val.Row, layout.width)}
+	// Each table's rows that pass its local predicates, so the nested
+	// loops below only check join predicates.
+	local := make([][]val.Row, len(q.Tables))
 	for t := range q.Tables {
-		var next []val.Row
-		var tRows []val.Row
 		e.Heap(q.Tables[t].Table.Name).Scan(nil, func(_ storage.RowID, r val.Row) bool {
-			tRows = append(tRows, r)
+			if naiveLocalPasses(q, r, t, sets) {
+				local[t] = append(local[t], r)
+			}
 			return true
 		})
-		// Pre-filter the new table's rows on its local predicates so the
-		// nested loop below only checks join predicates.
-		var local []val.Row
-		for _, r := range tRows {
-			if naiveLocalPasses(q, r, t, sets) {
-				local = append(local, r)
-			}
-		}
-		for _, acc := range cur {
-			for _, r := range local {
-				if !naiveJoinPasses(q, layout, acc, r, bound, t) {
-					continue
-				}
-				merged := acc.Clone()
-				copy(merged[layout.base[t]:], r)
-				next = append(next, merged)
-			}
-		}
-		cur = next
-		bound[t] = true
 	}
 
-	// Group and aggregate (or project).
+	// Fold tables depth-first: acc holds the rows bound so far, and a
+	// combination that survives every join predicate goes straight to
+	// emit (which must not retain acc).
+	acc := make(val.Row, layout.width)
+	var emit func(r val.Row)
+	var fold func(t int)
+	fold = func(t int) {
+		if t == len(q.Tables) {
+			emit(acc)
+			return
+		}
+		for _, r := range local[t] {
+			if naiveJoinPasses(q, layout, acc, r, t) {
+				copy(acc[layout.base[t]:], r)
+				fold(t + 1)
+			}
+		}
+	}
+
+	// Project, or group and aggregate.
 	if len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
 		var out []val.Row
-		for _, r := range cur {
+		emit = func(r val.Row) {
 			row := make(val.Row, len(q.Out))
 			for i, o := range q.Out {
 				row[i] = r[layout.off(o.Col)]
 			}
 			out = append(out, row)
 		}
+		fold(0)
 		sortRows(out)
 		return out
 	}
@@ -96,7 +100,7 @@ func naiveEval(e *Engine, q *sql.Query) []val.Row {
 		distinct []map[string]bool
 	}
 	groups := make(map[string]*group)
-	for _, r := range cur {
+	emit = func(r val.Row) {
 		gv := make(val.Row, len(q.GroupBy))
 		for i, g := range q.GroupBy {
 			gv[i] = r[layout.off(g)]
@@ -135,6 +139,7 @@ func naiveEval(e *Engine, q *sql.Query) []val.Row {
 			}
 		}
 	}
+	fold(0)
 	var out []val.Row
 	for _, g := range groups {
 		row := make(val.Row, len(q.Out))
@@ -197,8 +202,9 @@ func naiveLocalPasses(q *sql.Query, r val.Row, t int, sets []map[string]bool) bo
 }
 
 // naiveJoinPasses checks join predicates that become fully bound when
-// table t's row r joins the accumulated row acc.
-func naiveJoinPasses(q *sql.Query, l tLayout, acc, r val.Row, bound []bool, t int) bool {
+// table t's row r joins the accumulated row acc (tables before t are
+// bound, tables after it are not).
+func naiveJoinPasses(q *sql.Query, l tLayout, acc, r val.Row, t int) bool {
 	get := func(c sql.QCol) val.Value {
 		if c.Tab == t {
 			return r[c.Col]
@@ -206,10 +212,8 @@ func naiveJoinPasses(q *sql.Query, l tLayout, acc, r val.Row, bound []bool, t in
 		return acc[l.off(c)]
 	}
 	for _, j := range q.Joins {
-		lb := j.L.Tab == t || bound[j.L.Tab]
-		rb := j.R.Tab == t || bound[j.R.Tab]
 		touches := j.L.Tab == t || j.R.Tab == t
-		if touches && lb && rb && !val.Equal(get(j.L), get(j.R)) {
+		if touches && j.L.Tab <= t && j.R.Tab <= t && !val.Equal(get(j.L), get(j.R)) {
 			return false
 		}
 	}

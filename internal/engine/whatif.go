@@ -168,9 +168,6 @@ func (w *WhatIf) pinLocked() *snapshot {
 }
 
 // Estimate returns H(q, Ch, Ca) for the hypothetical configuration.
-//
-// conflint:hotpath — every recommender candidate trial and every
-// controller prediction funnels through here.
 func (w *WhatIf) Estimate(q *sql.Query, hypo conf.Configuration) (Measure, error) {
 	whatifCalls.Add(1)
 	if !w.caching {

@@ -308,3 +308,70 @@ func TestOrderByExecution(t *testing.T) {
 		}
 	}
 }
+
+// TestMergePartialsLeavesInputsIntact pins the contract MergePartials
+// declares (conflint:pure, which cannot see through the fresh executor):
+// the partials are observed, not consumed. Two partitions carrying the
+// same groups are merged twice — the second merge must equal the first —
+// and each partial merged alone afterwards must still equal the
+// single-partition run, i.e. its group states were never folded into.
+func TestMergePartialsLeavesInputsIntact(t *testing.T) {
+	w := newWorld(t)
+	stmt, err := sql.ParseSelect(`SELECT g, COUNT(*), SUM(k), MIN(k), MAX(k), COUNT(DISTINCT s)
+		FROM t GROUP BY g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sql.Analyze(w.schema, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := optimizer.Optimize(w.phys, q, optimizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCtx := func() *exec.Ctx { return &exec.Ctx{Model: w.phys.Model} }
+	render := func(res *exec.Result) string {
+		var b strings.Builder
+		for _, r := range res.Rows {
+			for _, v := range r {
+				b.WriteString(v.String())
+				b.WriteByte(' ')
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	merge := func(parts ...*exec.Partial) string {
+		t.Helper()
+		res, err := exec.MergePartials(p, parts, newCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return render(res)
+	}
+
+	single, err := exec.Run(p, newCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts [2]*exec.Partial
+	for i := range parts {
+		if parts[i], err = exec.RunPartial(p, newCtx()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := merge(parts[0], parts[1])
+	if first == render(single) {
+		t.Fatal("two partitions merged to the single-partition result: the fold did nothing")
+	}
+	if again := merge(parts[0], parts[1]); again != first {
+		t.Errorf("second merge of the same partials differs:\n%s\nvs\n%s", again, first)
+	}
+	for i, part := range parts {
+		if alone := merge(part); alone != render(single) {
+			t.Errorf("partial %d was mutated by the merges:\n%s\nwant\n%s", i, alone, render(single))
+		}
+	}
+}

@@ -32,8 +32,6 @@ type jobResult struct {
 // MaxConcurrency pumps, so the queue's fan-out is the tenant's
 // concurrency cap; the global gate bounds engine load across tenants.
 // Pumps exit when Shutdown closes the queue after the drain completes.
-//
-// conflint:hotpath — every admitted query flows through this loop.
 func (g *Gateway) pump(t *tenantState) {
 	defer g.pumpWG.Done()
 	for j := range t.queue {

@@ -78,8 +78,6 @@ func newAuditor(capacity int, sink io.Writer) *auditor {
 }
 
 // add appends one record, streaming it to the sink if configured.
-//
-// conflint:sink gateway audit log
 func (a *auditor) add(rec AuditRecord) {
 	a.mu.Lock()
 	rec.arrival = a.next

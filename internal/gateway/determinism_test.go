@@ -6,8 +6,10 @@
 package gateway
 
 import (
+	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,27 +18,41 @@ import (
 )
 
 // fleetReq is one scheduled request: seq is its schedule position, which
-// the gateway threads into the audit log.
+// the gateway threads into the audit log, and status the answer the
+// schedule itself determines.
 type fleetReq struct {
 	seq    int64
 	tenant TenantConfig
 	family string
 	sql    string
+	status int
 }
 
 // seededSchedule assigns 24 one-query sessions to the tenants round-robin
 // and samples each query from the tenant's pools with a fixed seed, so
-// every fleet issues the identical request set.
+// every fleet issues the identical request set. The first tenant then
+// collects three distinct rejection reasons, each decided by the request
+// alone: its Rejected map has more than one key, so a report that ranged
+// over it unsorted would not render the same bytes twice.
 func seededSchedule(t *testing.T, tenants []TenantConfig) []fleetReq {
 	t.Helper()
 	pools := sharedBackend(t).Pools
 	rng := rand.New(rand.NewSource(11))
-	schedule := make([]fleetReq, 24)
+	schedule := make([]fleetReq, 24, 27)
 	for s := range schedule {
 		tc := tenants[s%len(tenants)]
 		fam := tc.Families[rng.Intn(len(tc.Families))]
 		pool := pools[fam]
-		schedule[s] = fleetReq{seq: int64(s), tenant: tc, family: fam, sql: pool[rng.Intn(len(pool))]}
+		schedule[s] = fleetReq{seq: int64(s), tenant: tc, family: fam, sql: pool[rng.Intn(len(pool))], status: http.StatusOK}
+	}
+	alpha := tenants[0] // granted NREF2J only
+	for _, bad := range []fleetReq{
+		{family: "NREF2J", sql: "SELECT FROM", status: http.StatusBadRequest},                                         // malformed-sql
+		{family: "NREF3J", sql: pools["NREF3J"][0], status: http.StatusForbidden},                                     // capability-violation
+		{family: "NREF2J", sql: "INSERT INTO protein VALUES ('NF1', 'p', 1, 'SEQ', 3)", status: http.StatusForbidden}, // read-only
+	} {
+		bad.seq, bad.tenant = int64(len(schedule)), alpha
+		schedule = append(schedule, bad)
 	}
 	return schedule
 }
@@ -45,7 +61,7 @@ func seededSchedule(t *testing.T, tenants []TenantConfig) []fleetReq {
 // takes positions w, w+N, w+2N, ... so the executed request set — and
 // with per-tenant caps at or above N, every admission decision — is
 // identical at any worker count. It returns how many requests the
-// gateway did not answer 200.
+// gateway did not answer as scheduled.
 func runSchedule(t *testing.T, baseURL string, schedule []fleetReq, workers int) int64 {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -56,7 +72,7 @@ func runSchedule(t *testing.T, baseURL string, schedule []fleetReq, workers int)
 			defer wg.Done()
 			for i := w; i < len(schedule); i += workers {
 				r := schedule[i]
-				if status, _, _ := postQuery(t, baseURL, r.tenant.APIKey, r.seq, r.family, r.sql); status != http.StatusOK {
+				if status, _, _ := postQuery(t, baseURL, r.tenant.APIKey, r.seq, r.family, r.sql); status != r.status {
 					refused.Add(1)
 				}
 			}
@@ -75,7 +91,7 @@ func runSyncFleet(t *testing.T, workers int) (dumps map[string]string, goalRepor
 	// Per-tenant caps exceed the worker count, so admission decisions
 	// are schedule-determined: nothing may bounce.
 	if refused := runSchedule(t, ts.URL, seededSchedule(t, cfg.Tenants), workers); refused != 0 {
-		t.Fatalf("sync fleet: %d requests refused — caps must exceed workers", refused)
+		t.Fatalf("sync fleet: %d requests not answered as scheduled — caps must exceed workers", refused)
 	}
 	dumps = make(map[string]string, len(cfg.Tenants))
 	for _, tc := range cfg.Tenants {
@@ -84,7 +100,44 @@ func runSyncFleet(t *testing.T, workers int) (dumps map[string]string, goalRepor
 			t.Fatalf("tenant %s has an empty audit dump", tc.Name)
 		}
 	}
-	return dumps, g.GoalReport()
+	// The rendered ledgers are functions of the counters: rendering them
+	// again must not move a byte. Map iteration starts at a random offset
+	// per range, so sixteen renders see an unsorted one with near
+	// certainty where three fleets would mostly agree by luck.
+	goalReport = g.GoalReport() + rejectedMetrics(t, ts.URL)
+	if !strings.Contains(goalReport, "alpha.rejected."+ReasonCapability) || !strings.Contains(goalReport, "alpha.rejected."+ReasonMalformedSQL) {
+		t.Fatalf("schedule did not give alpha two rejection reasons:\n%s", goalReport)
+	}
+	for i := 0; i < 16; i++ {
+		if again := g.GoalReport() + rejectedMetrics(t, ts.URL); again != goalReport {
+			t.Fatalf("rendering the same counters twice differs:\n--- first\n%s--- again\n%s", goalReport, again)
+		}
+	}
+	return dumps, goalReport
+}
+
+// rejectedMetrics returns /metrics' per-tenant rejection lines — the one
+// section of the exposition that ranges over a map and carries no wall
+// clock.
+func rejectedMetrics(t *testing.T, baseURL string) string {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read metrics: %v", err)
+	}
+	var b strings.Builder
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "gateway_tenant_rejected_total{") {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }
 
 func TestDeterminismAcrossRunsAndParallelism(t *testing.T) {

@@ -369,8 +369,6 @@ func (g *Gateway) reject(w http.ResponseWriter, t *tenantState, seq int64, famil
 // handleQuery is the request pipeline: authenticate, bound and decode
 // the body, check readiness, authorize family and relations, enforce
 // read-only, admit, execute, respond.
-//
-// conflint:hotpath — every client request flows through this handler.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t := g.byKey[r.Header.Get("X-API-Key")]
 	if t == nil {

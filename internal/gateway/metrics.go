@@ -188,8 +188,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // seeded schedule it is byte-identical across runs and parallelism (the
 // numbers derive from order-insensitive cumulative counters). Reasons
 // and tenants iterate in sorted/config order.
-//
-// conflint:sink per-tenant goal ledger
 func (g *Gateway) GoalReport() string {
 	var b strings.Builder
 	b.WriteString("tenant  admitted  completed  timeouts  rejected  goal_level\n")

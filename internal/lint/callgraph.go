@@ -1,5 +1,5 @@
 // The module-wide call graph: the substrate for the interprocedural
-// analyzers (lockorder, goleak, hotalloc). It is built from go/ast plus
+// analyzers (lockorder, goleak, shutdownpath, pure). It is built from go/ast plus
 // the lightweight resolver — no go/types — so edges exist only where the
 // callee is statically resolvable inside the module: direct calls to
 // package functions, cross-package calls through an import, and method

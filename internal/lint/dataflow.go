@@ -1,5 +1,5 @@
-// The interprocedural dataflow substrate for the v3 analyzers (dettaint,
-// shutdownpath). It layers two things on the v2 call graph:
+// The interprocedural summary substrate for shutdownpath and pure. It
+// layers two things on the call graph:
 //
 //   - reverse edges (Callers), so a changed function summary can requeue
 //     exactly the functions whose own summaries depend on it;
@@ -7,16 +7,15 @@
 //     in sorted-key order, re-enqueued dependents keep that order, and
 //     the per-rule iteration count is recorded for BENCH_conflint.json.
 //
-// Summaries must be monotone over a finite lattice (a taint value
-// appears at most once per slot; a blocking fact never un-blocks), so the fixpoint terminates and —
-// because both the initial queue and every re-enqueue are ordered — it
-// terminates in the same state with findings in the same order on every
-// run, sequential or parallel.
+// Summaries must be monotone over a finite lattice (a blocking fact never
+// un-blocks; an effect, once in a summary, stays), so the fixpoint
+// terminates and — because both the initial queue and every re-enqueue
+// are ordered — it terminates in the same state with findings in the
+// same order on every run.
 //
-// Witness paths reuse lockorder's vocabulary: each taintVal carries the
-// step-by-step chain (source position first) that realizes the flow, so
-// every interprocedural finding prints how the violation happens, not
-// just where.
+// Witness steps (stepf) reuse lockorder's vocabulary, so every
+// interprocedural finding prints how the violation happens, not just
+// where.
 package lint
 
 import (
@@ -59,11 +58,9 @@ func (m *Module) Callers() map[string][]string {
 // fixpoint drives a summary computation to stability: recompute(key) is
 // called for every key in sorted order; when it reports a change, the
 // key's callers are re-enqueued (in order, each at most once per round).
-// deps, when non-nil, maps a key to extra dependents to re-enqueue
-// beyond the call-graph callers (dettaint uses it for field readers).
 // The total number of recompute calls is recorded under rule in
-// Module.FixpointIters and returned.
-func (m *Module) fixpoint(rule string, keys []string, deps func(key string) []string, recompute func(key string) bool) int {
+// Module.FixpointIters.
+func (m *Module) fixpoint(rule string, keys []string, recompute func(key string) bool) {
 	callers := m.Callers()
 	queue := append([]string(nil), keys...)
 	sort.Strings(queue)
@@ -100,57 +97,17 @@ func (m *Module) fixpoint(rule string, keys []string, deps func(key string) []st
 			for _, c := range callers[k] {
 				enqueue(c)
 			}
-			if deps != nil {
-				for _, d := range deps(k) {
-					enqueue(d)
-				}
-			}
 		}
 	}
-	m.noteIters(rule, iters)
-	return iters
-}
-
-// noteIters records a rule's fixpoint iteration count (guarded: the
-// parallel runner may warm several module passes concurrently).
-func (m *Module) noteIters(rule string, iters int) {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
 	if m.fixIters == nil {
 		m.fixIters = make(map[string]int)
 	}
 	m.fixIters[rule] += iters
 }
 
-// FixpointIters returns a copy of the per-rule fixpoint iteration
-// counts accumulated so far (for BENCH_conflint.json).
-func (m *Module) FixpointIters() map[string]int {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	out := make(map[string]int, len(m.fixIters))
-	for k, v := range m.fixIters {
-		out[k] = v
-	}
-	return out
-}
-
-// taintVal is one abstract tainted value: the nondeterminism source it
-// descends from plus the witness chain (source first) that carried it
-// here. Values are immutable; extend copies.
-type taintVal struct {
-	src   string // "time.Now", "math/rand", "map iteration order", "runtime.GOMAXPROCS"
-	steps []string
-}
-
-func (t *taintVal) extend(step string) *taintVal {
-	if t == nil {
-		return nil
-	}
-	steps := make([]string, 0, len(t.steps)+1)
-	steps = append(steps, t.steps...)
-	steps = append(steps, step)
-	return &taintVal{src: t.src, steps: steps}
-}
+// FixpointIters returns the per-rule fixpoint iteration counts
+// accumulated so far (for BENCH_conflint.json).
+func (m *Module) FixpointIters() map[string]int { return m.fixIters }
 
 // stepf renders one witness step with a module-relative position.
 func (m *Module) stepf(pos token.Pos, format string, args ...any) string {

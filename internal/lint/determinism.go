@@ -47,7 +47,7 @@ func Determinism() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
 		Doc:  "bans wall-clock reads, the global math/rand source, and map iteration feeding ordered output in report-producing packages",
-		Check: func(p *Package) []Finding {
+		Run: perPackage(func(p *Package) []Finding {
 			if !determinismScope[p.Name] {
 				return nil
 			}
@@ -56,7 +56,7 @@ func Determinism() *Analyzer {
 				out = append(out, checkDeterminismFile(p, f)...)
 			}
 			return out
-		},
+		}),
 	}
 }
 

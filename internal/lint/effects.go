@@ -1,4 +1,4 @@
-// The interprocedural effect analysis: the substrate for the v4 purity
+// The interprocedural effect analysis: the substrate for the purity
 // rule (pure). Every function in the analysis domain gets a
 // side-effect summary — a set of effects over a finite lattice:
 //
@@ -12,7 +12,7 @@
 //   - calls into a curated table of effectful stdlib functions (file
 //     and network I/O, logging, global rand, atomics, sleeps).
 //
-// Summaries propagate bottom-up over the v2 call graph with the v3
+// Summaries propagate bottom-up over the call graph with the
 // fixpoint driver (m.fixpoint, rule "effects"). At each call site a
 // callee's receiver/parameter-rooted write is re-rooted through the
 // caller's actual receiver/argument expression: rooted in the caller's
@@ -43,7 +43,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"sync"
 )
 
 const pureDirective = "conflint:pure"
@@ -52,9 +51,9 @@ const pureDirective = "conflint:pure"
 // pure directive in its doc comment must be transitively effect-free.
 func Pure() *Analyzer {
 	return &Analyzer{
-		Name:  "pure",
-		Doc:   "functions declared conflint:pure must be transitively effect-free: no writes to caller-visible state, no channel ops, spawns, locks, or effectful stdlib calls",
-		Check: func(p *Package) []Finding { return p.Mod.interprocFindings(p, "pure", pureModule) },
+		Name: "pure",
+		Doc:  "functions declared conflint:pure must be transitively effect-free: no writes to caller-visible state, no channel ops, spawns, locks, or effectful stdlib calls",
+		Run:  pureModule,
 	}
 }
 
@@ -95,7 +94,7 @@ func (e *effect) id() string {
 	return fmt.Sprintf("%d|%d|%d|%d", e.pos, e.kind, e.root, e.slot)
 }
 
-// effectState is the module-wide result of the analysis, built once.
+// effectState is the module-wide result of the analysis.
 type effectState struct {
 	m         *Module
 	sums      map[string][]effect // fixpoint summaries, sorted per key
@@ -104,24 +103,17 @@ type effectState struct {
 	pureRoots []string            // sorted conflint:pure function keys
 
 	// callCtx caches per-call-site root classifications: the fixpoint
-	// revisits functions, the AST walk need not. ctxMu guards it.
-	ctxMu   sync.Mutex
-	callCtx map[*funcDecl]map[token.Pos]callRoots // conflint:guardedby ctxMu
+	// revisits functions, the AST walk need not.
+	callCtx map[*funcDecl]map[token.Pos]callRoots
 }
 
-// effectsOf builds (once) the module's effect summaries and pure roots.
-func effectsOf(m *Module) *effectState {
-	m.effOnce.Do(func() {
-		m.eff = buildEffects(m)
-	})
-	return m.eff
-}
-
+// buildEffects computes the module's effect summaries and pure roots.
 func buildEffects(m *Module) *effectState {
 	es := &effectState{
-		m:     m,
-		sums:  make(map[string][]effect),
-		local: make(map[string][]effect),
+		m:       m,
+		sums:    make(map[string][]effect),
+		local:   make(map[string][]effect),
+		callCtx: make(map[*funcDecl]map[token.Pos]callRoots),
 	}
 	g := m.Graph()
 
@@ -166,7 +158,7 @@ func buildEffects(m *Module) *effectState {
 	for _, key := range es.domain {
 		es.local[key] = es.directEffects(key)
 	}
-	m.fixpoint("effects", es.domain, nil, es.recompute)
+	m.fixpoint("effects", es.domain, es.recompute)
 	return es
 }
 
@@ -190,7 +182,7 @@ func docHasToken(fn *ast.FuncDecl, tok string) bool {
 // stdlibEffects is the curated table of effectful stdlib calls, keyed
 // like stdlibReturnsError ("importPath.Func", "importPath.Type.Method").
 // Reads of the wall clock are deliberately absent: nondeterminism is
-// dettaint's jurisdiction; this table is about side effects.
+// the determinism rule's jurisdiction; this table is about side effects.
 var stdlibEffects = map[string]bool{
 	// Filesystem and process.
 	"os.WriteFile": true, "os.ReadFile": true, "os.Create": true,
@@ -648,15 +640,9 @@ type callRoots struct {
 // callContexts builds the per-call-site re-rooting table for a function
 // (cached: the fixpoint revisits functions, the AST walk need not).
 func (es *effectState) callContexts(fd *funcDecl) map[token.Pos]callRoots {
-	es.ctxMu.Lock()
-	if es.callCtx == nil {
-		es.callCtx = make(map[*funcDecl]map[token.Pos]callRoots)
-	}
 	if got, ok := es.callCtx[fd]; ok {
-		es.ctxMu.Unlock()
 		return got
 	}
-	es.ctxMu.Unlock()
 	out := make(map[token.Pos]callRoots)
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -676,9 +662,7 @@ func (es *effectState) callContexts(fd *funcDecl) map[token.Pos]callRoots {
 		out[call.Pos()] = cr
 		return true
 	})
-	es.ctxMu.Lock()
 	es.callCtx[fd] = out
-	es.ctxMu.Unlock()
 	return out
 }
 
@@ -714,7 +698,7 @@ func (es *effectState) reroot(ce effect, cr callRoots) (effect, bool) {
 // pureModule reports every effect in the summary of a conflint:pure
 // function, chained through the calls that realize it.
 func pureModule(m *Module) []Finding {
-	es := effectsOf(m)
+	es := buildEffects(m)
 	var out []Finding
 	for _, root := range es.pureRoots {
 		node := m.Graph().Node(root)
@@ -736,10 +720,3 @@ func pureModule(m *Module) []Finding {
 	}
 	return out
 }
-
-// pureRootsOf exposes the pure-annotated function keys (for tests).
-func (m *Module) pureRootsOf() []string { return effectsOf(m).pureRoots }
-
-// effectSummary exposes one function's effect summary (for tests). The
-// function must be in the analysis domain to have one.
-func (m *Module) effectSummary(key string) []effect { return effectsOf(m).sums[key] }

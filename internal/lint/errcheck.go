@@ -25,9 +25,9 @@ import (
 // ErrCheck returns the unchecked-error analyzer.
 func ErrCheck() *Analyzer {
 	return &Analyzer{
-		Name:  "errcheck",
-		Doc:   "no silently discarded errors: expression-statement, go/defer, and blank-assigned error results are findings",
-		Check: checkErrors,
+		Name: "errcheck",
+		Doc:  "no silently discarded errors: expression-statement, go/defer, and blank-assigned error results are findings",
+		Run:  perPackage(checkErrors),
 	}
 }
 

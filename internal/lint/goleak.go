@@ -36,9 +36,9 @@ const workerDirective = "conflint:worker"
 // GoLeak returns the goroutine-lifecycle analyzer.
 func GoLeak() *Analyzer {
 	return &Analyzer{
-		Name:  "goleak",
-		Doc:   "every go statement must terminate, be WaitGroup-paired, follow a lifecycle channel, or carry conflint:worker <reason>",
-		Check: checkGoLeak,
+		Name: "goleak",
+		Doc:  "every go statement must terminate, be WaitGroup-paired, follow a lifecycle channel, or carry conflint:worker <reason>",
+		Run:  perPackage(checkGoLeak),
 	}
 }
 

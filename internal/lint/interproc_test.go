@@ -78,16 +78,16 @@ func TestBareWorkerDirective(t *testing.T) {
 	}
 }
 
-// TestFindingOrdering is the determinism golden: on the hotalloc fixture
+// TestFindingOrdering is the determinism golden: on the errcheck fixture
 // the findings come out in exactly (file, line, col, rule) order, with
 // package and symbol attribution filled in.
 func TestFindingOrdering(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "hotalloc"))
+	m, err := LoadFixture(filepath.Join("testdata", "src", "errcheck"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	findings := Run(m, All())
-	wantLines := []int{16, 17, 18, 19, 31}
+	wantLines := []int{15, 20, 25, 30, 36}
 	if len(findings) != len(wantLines) {
 		t.Fatalf("want %d findings, got %d: %v", len(wantLines), len(findings), findings)
 	}
@@ -95,12 +95,12 @@ func TestFindingOrdering(t *testing.T) {
 		if f.Line != wantLines[i] {
 			t.Errorf("finding %d: want line %d, got %s", i, wantLines[i], f)
 		}
-		if f.Rule != "hotalloc" || f.Package == "" || f.Symbol == "" {
-			t.Errorf("finding %d: want hotalloc with package+symbol attribution, got %+v", i, f)
+		if f.Rule != "errcheck" || f.Package == "" || f.Symbol == "" {
+			t.Errorf("finding %d: want errcheck with package+symbol attribution, got %+v", i, f)
 		}
 	}
-	if findings[4].Symbol != "helper" {
-		t.Errorf("want symbol attribution \"helper\" on the callee finding, got %q", findings[4].Symbol)
+	if findings[4].Symbol != "Assigned" {
+		t.Errorf("want symbol attribution \"Assigned\" on the last finding, got %q", findings[4].Symbol)
 	}
 	sorted := sort.SliceIsSorted(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

@@ -1,8 +1,10 @@
 // Package lint implements conflint, the repository's own static-analysis
-// suite. It enforces, at the source level, the invariants PR 1 and PR 2
-// established by construction and test: the engine's lock discipline, the
-// determinism of everything that feeds rendered reports, the atomicity of
-// the metrics counters, and the absence of silently dropped errors.
+// suite. It enforces, at the source level, the invariants no faster gate
+// (vet, the tests, the race detector) catches: lock discipline and lock
+// ordering, goroutine termination and prompt shutdown, the determinism of
+// report-producing packages, declared purity, and the absence of silently
+// dropped errors. DESIGN.md §10 holds the measured table of what each
+// rule catches that nothing else does.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
 // analyzed syntactically with a lightweight name-resolution layer
@@ -34,7 +36,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -126,38 +127,21 @@ type Module struct {
 	Pkgs []*Package
 
 	idx     *index              // lazy resolution indexes (resolve.go)
-	atomics *atomicSets         // lazy module-wide atomic-field sets (atomiccheck.go)
 	graph   *CallGraph          // lazy module-wide call graph (callgraph.go)
 	callers map[string][]string // lazy reverse call-graph edges (dataflow.go)
-	// inter caches module-wide analyzer results by rule name, so the
-	// per-package Check calls of interprocedural rules share one run.
-	// interMu guards it: RunParallel warms the cache from worker
-	// goroutines (one per interprocedural rule, never two for the same
-	// rule), while the sequential path takes the lock uncontended.
-	interMu   sync.Mutex
-	inter     map[string][]Finding  // conflint:guardedby interMu
-	interOnce map[string]*sync.Once // conflint:guardedby interMu
-	// statMu guards fixIters, the per-rule fixpoint iteration counts
-	// (dataflow.go) reported in BENCH_conflint.json.
-	statMu   sync.Mutex
-	fixIters map[string]int // conflint:guardedby statMu
-	// eff is the module-wide effect-summary state (effects.go), built
-	// once under effOnce for the pure rule.
-	effOnce sync.Once
-	eff     *effectState
-	// usedMu guards usedIgnores: "path:line" of every ignore directive
-	// that actually suppressed a finding this run. Most suppression
-	// happens in finishRun, but shutdownpath consumes directives at
-	// source level during its module pass and records them here.
-	usedMu      sync.Mutex
-	usedIgnores map[string]bool // conflint:guardedby usedMu
+	// fixIters is the per-rule fixpoint iteration counts (dataflow.go)
+	// reported in BENCH_conflint.json.
+	fixIters map[string]int
+	// usedIgnores is "path:line" of every ignore directive that actually
+	// suppressed a finding this run. Most suppression happens in
+	// finishRun, but shutdownpath consumes directives at source level
+	// during its module pass and records them here.
+	usedIgnores map[string]bool
 }
 
 // noteIgnoreUsed records that the directive at path:line suppressed a
 // finding (stale-ignore detection reads the set in finishRun).
 func (m *Module) noteIgnoreUsed(path string, line int) {
-	m.usedMu.Lock()
-	defer m.usedMu.Unlock()
 	if m.usedIgnores == nil {
 		m.usedIgnores = make(map[string]bool)
 	}
@@ -165,30 +149,37 @@ func (m *Module) noteIgnoreUsed(path string, line int) {
 }
 
 func (m *Module) ignoreUsed(path string, line int) bool {
-	m.usedMu.Lock()
-	defer m.usedMu.Unlock()
 	return m.usedIgnores[fmt.Sprintf("%s:%d", path, line)]
 }
 
-// Analyzer is one conflint rule.
+// Analyzer is one conflint rule: a pass over the whole module. Rules
+// that judge one package at a time wrap their check in perPackage.
 type Analyzer struct {
-	Name  string
-	Doc   string
-	Check func(p *Package) []Finding
+	Name string
+	Doc  string
+	Run  func(m *Module) []Finding
+}
+
+// perPackage lifts a per-package check to a module pass.
+func perPackage(check func(p *Package) []Finding) func(m *Module) []Finding {
+	return func(m *Module) []Finding {
+		var out []Finding
+		for _, p := range m.Pkgs {
+			out = append(out, check(p)...)
+		}
+		return out
+	}
 }
 
 // All returns every analyzer in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockCheck(),
-		Determinism(),
-		AtomicCheck(),
-		ErrCheck(),
 		LockOrder(),
+		ErrCheck(),
 		GoLeak(),
-		HotAlloc(),
-		DetTaint(),
 		ShutdownPath(),
+		Determinism(),
 		Pure(),
 	}
 }
@@ -384,8 +375,8 @@ func scanIgnores(fset *token.FileSet, f *ast.File) map[int]*ignoreInfo {
 	return out
 }
 
-// Run executes the analyzers over every package, applies ignore
-// directives, reports reason-less directives, and returns findings in
+// Run executes the analyzers over the module, applies ignore directives,
+// reports reason-less and stale directives, and returns findings in
 // position order.
 func Run(m *Module, analyzers []*Analyzer) []Finding {
 	fs, _ := RunTimed(m, analyzers)
@@ -393,18 +384,97 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 }
 
 // RunTimed is Run, additionally reporting each analyzer's wall time
-// across the whole module (for BENCH_conflint.json).
+// (for BENCH_conflint.json).
 func RunTimed(m *Module, analyzers []*Analyzer) ([]Finding, map[string]time.Duration) {
 	walls := make(map[string]time.Duration, len(analyzers))
 	var raw []Finding
 	for _, a := range analyzers {
 		t0 := time.Now()
-		for _, p := range m.Pkgs {
-			raw = append(raw, a.Check(p)...)
-		}
-		walls[a.Name] += time.Since(t0)
+		raw = append(raw, a.Run(m)...)
+		walls[a.Name] = time.Since(t0)
 	}
 	return finishRun(m, raw, analyzers), walls
+}
+
+// coversAllRules reports whether the selected analyzers include every
+// registered rule. Stale-ignore detection only runs then: under a rule
+// subset, a directive written for an unselected rule would look unused.
+func coversAllRules(analyzers []*Analyzer) bool {
+	names := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		names[a.Name] = true
+	}
+	for _, a := range All() {
+		if !names[a.Name] {
+			return false
+		}
+	}
+	return true
+}
+
+// finishRun applies ignore directives, reports bare and stale
+// directives, fills structural attribution, and sorts.
+func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
+	var out []Finding
+	for _, f := range raw {
+		if info, dline, ok := m.ignoreAt(f.File, f.Line); ok {
+			m.noteIgnoreUsed(f.File, dline)
+			if info.reason != "" {
+				continue
+			}
+			// Fall through: a bare directive suppresses nothing.
+		}
+		out = append(out, f)
+	}
+	staleCheck := coversAllRules(analyzers)
+	for _, p := range m.Pkgs {
+		for _, file := range p.Files {
+			lines := make([]int, 0, len(file.ignores))
+			for line := range file.ignores {
+				lines = append(lines, line)
+			}
+			sort.Ints(lines)
+			for _, line := range lines {
+				info := file.ignores[line]
+				if info.reason == "" {
+					out = append(out, Finding{
+						Rule: "ignore", File: file.Path, Line: line, Col: 1,
+						Message: "conflint:ignore needs a reason (// conflint:ignore <why this is safe>)",
+						Hint:    "state why the finding is a false alarm, or fix the code",
+					})
+					continue
+				}
+				if staleCheck && !m.ignoreUsed(file.Path, line) {
+					out = append(out, Finding{
+						Rule: "ignore", File: file.Path, Line: line, Col: 1,
+						Message: "conflint:ignore suppresses nothing: no rule reports a finding on this line or the line below",
+						Hint:    "delete the stale directive (conflint -fix does), or restore the code it was written for",
+						Fixes:   []TextEdit{m.deleteCommentEdit(file, info.pos, info.end)},
+					})
+				}
+			}
+		}
+	}
+	for i := range out {
+		out[i].Package, out[i].Symbol = m.symbolAt(out[i].File, out[i].Line)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
+	})
+	return out
 }
 
 // symbolAt locates a source line structurally: the import path of its

@@ -115,8 +115,8 @@ func TestByNames(t *testing.T) {
 		t.Error("ByNames(nosuchrule) should fail")
 	}
 	all, err := ByNames("")
-	if err != nil || len(all) != 10 {
-		t.Errorf("ByNames(\"\") = %d analyzers, err %v; want 10", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Errorf("ByNames(\"\") = %d analyzers, err %v; want 7", len(all), err)
 	}
 	if _, err := ByNames("lock,lock"); err == nil || !strings.Contains(err.Error(), "duplicate rule") {
 		t.Errorf("ByNames(lock,lock) = %v; want duplicate-rule error", err)
@@ -124,8 +124,8 @@ func TestByNames(t *testing.T) {
 	if _, err := ByNames("lock,,errcheck"); err == nil || !strings.Contains(err.Error(), "empty rule name") {
 		t.Errorf("ByNames(lock,,errcheck) = %v; want empty-name error", err)
 	}
-	if _, err := ByNames("nosuchrule"); err == nil || !strings.Contains(err.Error(), "dettaint") {
-		t.Errorf("ByNames(nosuchrule) = %v; want error listing known rules (incl. dettaint)", err)
+	if _, err := ByNames("nosuchrule"); err == nil || !strings.Contains(err.Error(), "shutdownpath") {
+		t.Errorf("ByNames(nosuchrule) = %v; want error listing known rules (incl. shutdownpath)", err)
 	}
 }
 

@@ -41,9 +41,9 @@ const guardedByDirective = "conflint:guardedby"
 // LockCheck returns the lock-discipline analyzer.
 func LockCheck() *Analyzer {
 	return &Analyzer{
-		Name:  "lock",
-		Doc:   "guarded fields (conflint:guardedby) must be accessed under their mutex in exported methods; every Lock has a same-function release",
-		Check: checkLocks,
+		Name: "lock",
+		Doc:  "guarded fields (conflint:guardedby) must be accessed under their mutex in exported methods; every Lock has a same-function release",
+		Run:  perPackage(checkLocks),
 	}
 }
 

@@ -32,61 +32,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // LockOrder returns the interprocedural lock-ordering analyzer.
 func LockOrder() *Analyzer {
 	return &Analyzer{
-		Name:  "lockorder",
-		Doc:   "mutex acquisitions must nest consistently module-wide: any cycle in the lock-ordering graph is a potential deadlock",
-		Check: checkLockOrder,
+		Name: "lockorder",
+		Doc:  "mutex acquisitions must nest consistently module-wide: any cycle in the lock-ordering graph is a potential deadlock",
+		Run:  lockOrderModule,
 	}
-}
-
-func checkLockOrder(p *Package) []Finding {
-	return p.Mod.interprocFindings(p, "lockorder", lockOrderModule)
-}
-
-// interprocFindings runs a module-wide analysis once (cached) and returns
-// the findings whose file belongs to package p, so per-package Check
-// calls never duplicate a module-level finding. Each rule's pass runs
-// under its own sync.Once, so RunParallel can warm different rules from
-// different goroutines while per-package checks hit the warm cache.
-func (m *Module) interprocFindings(p *Package, rule string, run func(m *Module) []Finding) []Finding {
-	m.interMu.Lock()
-	if m.inter == nil {
-		m.inter = make(map[string][]Finding)
-	}
-	if m.interOnce == nil {
-		m.interOnce = make(map[string]*sync.Once)
-	}
-	once := m.interOnce[rule]
-	if once == nil {
-		once = new(sync.Once)
-		m.interOnce[rule] = once
-	}
-	m.interMu.Unlock()
-	once.Do(func() {
-		all := run(m)
-		m.interMu.Lock()
-		m.inter[rule] = all
-		m.interMu.Unlock()
-	})
-	m.interMu.Lock()
-	all := m.inter[rule]
-	m.interMu.Unlock()
-	inPkg := make(map[string]bool, len(p.Files))
-	for _, f := range p.Files {
-		inPkg[f.Path] = true
-	}
-	var out []Finding
-	for _, f := range all {
-		if inPkg[f.File] {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // lockEvent is one Lock/RLock/Unlock/RUnlock call, in source order.

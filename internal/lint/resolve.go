@@ -120,6 +120,17 @@ func baseTypeName(e ast.Expr) string {
 	}
 }
 
+// fileFuncs returns the file's function declarations with bodies.
+func fileFuncs(f *File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, d := range f.AST.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
+			out = append(out, fn)
+		}
+	}
+	return out
+}
+
 // importPathOf resolves a package identifier within a file to its import
 // path ("" when the ident is not an import).
 func importPathOf(f *File, name string) string {
@@ -389,6 +400,15 @@ func (r *resolver) callType(call *ast.CallExpr) Type {
 						Pkg:  r.pkg, File: r.file,
 					}
 				}
+			}
+		}
+		// x.Load() on an atomic.Pointer[T] yields *T: the snapshot
+		// pointers (engine.cur, gateway.tunerP) are all read this way.
+		if sel.Sel.Name == "Load" {
+			recv := r.typeOf(sel.X)
+			if ix, ok := recv.Expr.(*ast.IndexExpr); ok &&
+				r.m.NamedKey(Type{Expr: ix.X, Pkg: recv.Pkg, File: recv.File}) == "sync/atomic.Pointer" {
+				return Type{Expr: &ast.StarExpr{X: ix.Index}, Pkg: recv.Pkg, File: recv.File}
 			}
 		}
 	}

@@ -40,9 +40,9 @@ import (
 // ShutdownPath returns the worker shutdown-path analyzer.
 func ShutdownPath() *Analyzer {
 	return &Analyzer{
-		Name:  "shutdownpath",
-		Doc:   "every conflint:worker must declare lifecycle=<chan>|none|external, and all its blocking ops must be guarded by that lifecycle",
-		Check: func(p *Package) []Finding { return p.Mod.interprocFindings(p, "shutdownpath", shutdownPathModule) },
+		Name: "shutdownpath",
+		Doc:  "every conflint:worker must declare lifecycle=<chan>|none|external, and all its blocking ops must be guarded by that lifecycle",
+		Run:  shutdownPathModule,
 	}
 }
 
@@ -299,7 +299,7 @@ func (sp *spState) summarize(key string) bool {
 func shutdownPathModule(m *Module) []Finding {
 	sp := &spState{m: m, blocks: make(map[string]*blockInfo)}
 	g := m.Graph()
-	m.fixpoint("shutdownpath", g.Keys(), nil, sp.summarize)
+	m.fixpoint("shutdownpath", g.Keys(), sp.summarize)
 
 	var out []Finding
 	fset := m.Fset

@@ -4,7 +4,10 @@
 // callees — must be guarded by that channel.
 package shutdownfix
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type worker struct {
 	trigger chan struct{}
@@ -138,6 +141,51 @@ func (w *worker) startIgnored(c chan int) {
 	go func() {
 		for range w.trigger {
 			w.boundedNotify(c)
+		}
+	}()
+}
+
+// notifier is reached only through an atomic.Pointer: the resolver must
+// type Load()'s result as *notifier to see the send behind it.
+type notifier struct {
+	ch chan struct{}
+}
+
+// signal is a bare send: it blocks until somebody receives.
+func (n *notifier) signal() {
+	n.ch <- struct{}{}
+}
+
+type hub struct {
+	trigger chan struct{}
+	notifP  atomic.Pointer[notifier]
+}
+
+// poke reaches the send through the value loaded from the pointer.
+func (h *hub) poke() {
+	if n := h.notifP.Load(); n != nil {
+		n.signal()
+	}
+}
+
+// startLoaded blocks three frames down — worker → poke → the loaded
+// notifier's signal → bare send — and the middle hop crosses an
+// atomic.Pointer[T].Load().
+func (h *hub) startLoaded() {
+	// conflint:worker lifecycle=trigger pokes the notifier per tick
+	go func() {
+		for range h.trigger {
+			h.poke() // want "worker \(lifecycle=trigger\) sends on n\.ch with no lifecycle guard"
+		}
+	}()
+}
+
+// startLoadedDirect calls through the Load() result without a local.
+func (h *hub) startLoadedDirect() {
+	// conflint:worker lifecycle=trigger signals the notifier per tick
+	go func() {
+		for range h.trigger {
+			h.notifP.Load().signal() // want "worker \(lifecycle=trigger\) sends on n\.ch with no lifecycle guard"
 		}
 	}()
 }

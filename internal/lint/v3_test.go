@@ -38,29 +38,6 @@ func wantWitness(t *testing.T, f Finding, fragments ...string) {
 	}
 }
 
-// TestDetTaintWitness pins the source -> assignment -> field -> sink
-// chains for the three finding shapes.
-func TestDetTaintWitness(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "dettaint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := Run(m, All())
-
-	mapF := findingWith(t, fs, "map iteration order", "passed to report sink")
-	wantWitness(t, mapF, "collected during map iteration", "passed to report sink")
-
-	fieldF := findingWith(t, fs, "tainted field", "Report.wall")
-	wantWitness(t, fieldF,
-		"report sink",
-		"time.Now called in",
-		"assigned to",
-		"read while rendering")
-
-	closureF := findingWith(t, fs, "time.Now inside the call closure")
-	wantWitness(t, closureF, "report sink", "calls", "read while rendering")
-}
-
 // TestShutdownPathWitness pins the transitive chain: spawn site, the
 // call into the helper, and the blocking op inside it.
 func TestShutdownPathWitness(t *testing.T) {
@@ -77,10 +54,10 @@ func TestShutdownPathWitness(t *testing.T) {
 }
 
 // TestFixpointDeterminism re-runs the interprocedural analyzers from
-// scratch many times, sequentially and in parallel, and requires the
-// exact same findings in the exact same order every time.
+// scratch many times and requires the exact same findings in the exact
+// same order every time.
 func TestFixpointDeterminism(t *testing.T) {
-	for _, fixture := range []string{"dettaint", "shutdownpath", "lockorder"} {
+	for _, fixture := range []string{"pure", "shutdownpath", "lockorder"} {
 		dir := filepath.Join("testdata", "src", fixture)
 		var first []Finding
 		for i := 0; i < 10; i++ {
@@ -100,66 +77,6 @@ func TestFixpointDeterminism(t *testing.T) {
 				t.Fatalf("%s: run %d differs:\n%v\nvs\n%v", fixture, i, fs, first)
 			}
 		}
-		for _, par := range []int{2, 4} {
-			m, err := LoadFixture(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs := RunParallel(m, All(), par)
-			if !reflect.DeepEqual(fs, first) {
-				t.Fatalf("%s: RunParallel(%d) differs:\n%v\nvs\n%v", fixture, par, fs, first)
-			}
-		}
-	}
-}
-
-// TestRepoParallelIdentical is the repo-scale determinism gate:
-// RunParallel over the real module produces exactly Run's findings
-// (both empty, per TestRepoIsClean, but compared structurally so a
-// future regression in either path shows the difference).
-func TestRepoParallelIdentical(t *testing.T) {
-	root := repoRoot(t)
-	m1, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := Run(m1, All())
-	m2, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := RunParallel(m2, All(), 0)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel run differs from sequential:\n%v\nvs\n%v", par, seq)
-	}
-	iters := m2.FixpointIters()
-	for _, rule := range []string{"dettaint", "shutdownpath", "effects"} {
-		if iters[rule] < 1 {
-			t.Errorf("fixpoint for %s reported %d iterations; want >= 1", rule, iters[rule])
-		}
-	}
-}
-
-// TestBareSinkDirective: a label-less conflint:sink is itself a finding.
-func TestBareSinkDirective(t *testing.T) {
-	dir := t.TempDir()
-	src := `package sinkbare
-
-// render is a sink with no label.
-//
-// conflint:sink
-func render(lines []string) string { return lines[0] }
-`
-	if err := os.WriteFile(filepath.Join(dir, "sinkbare.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadFixture(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := Run(m, []*Analyzer{DetTaint()})
-	if len(fs) != 1 || !strings.Contains(fs[0].Message, "conflint:sink needs a label") {
-		t.Fatalf("want exactly the bare-sink finding, got %v", fs)
 	}
 }
 
@@ -188,12 +105,12 @@ func TestBaselineStrict(t *testing.T) {
 		}
 	}
 
-	good := write("good.json", `[{"rule": "dettaint", "package": "p", "symbol": "s"}]`)
+	good := write("good.json", `[{"rule": "pure", "package": "p", "symbol": "s"}]`)
 	base, err := ReadBaseline(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !base[BaselineKey("dettaint", "p", "s")] {
+	if !base[BaselineKey("pure", "p", "s")] {
 		t.Error("valid entry not in the suppression set")
 	}
 
@@ -209,7 +126,7 @@ func TestWriteReadBaselineRoundtrip(t *testing.T) {
 	fs := []Finding{
 		{Rule: "lockorder", Package: "repro/internal/engine", Symbol: "Engine.ApplyConfig"},
 		{Rule: "lockorder", Package: "repro/internal/engine", Symbol: "Engine.ApplyConfig"}, // dup
-		{Rule: "dettaint", Package: "repro/internal/core", Symbol: "Histogram.Render"},
+		{Rule: "determinism", Package: "repro/internal/core", Symbol: "Histogram.Render"},
 	}
 	p := filepath.Join(t.TempDir(), "base.json")
 	if err := WriteBaseline(p, fs); err != nil {
@@ -229,10 +146,11 @@ func TestWriteReadBaselineRoundtrip(t *testing.T) {
 	}
 }
 
-// TestRunTimed: the per-analyzer walls cover every analyzer and the
-// timed run returns the same findings as Run.
+// TestRunTimed: the per-analyzer walls cover every analyzer, the
+// timed run returns the same findings as Run, and the fixpoints report
+// their iteration counts.
 func TestRunTimed(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "dettaint"))
+	m, err := LoadFixture(filepath.Join("testdata", "src", "pure"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +158,17 @@ func TestRunTimed(t *testing.T) {
 	if len(walls) != len(All()) {
 		t.Errorf("want a wall per analyzer, got %d/%d", len(walls), len(All()))
 	}
-	m2, err := LoadFixture(filepath.Join("testdata", "src", "dettaint"))
+	m2, err := LoadFixture(filepath.Join("testdata", "src", "pure"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain := Run(m2, All()); !reflect.DeepEqual(fs, plain) {
 		t.Errorf("RunTimed findings differ from Run's")
+	}
+	iters := m.FixpointIters()
+	for _, rule := range []string{"shutdownpath", "effects"} {
+		if iters[rule] < 1 {
+			t.Errorf("fixpoint for %s reported %d iterations; want >= 1", rule, iters[rule])
+		}
 	}
 }

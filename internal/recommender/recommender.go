@@ -219,9 +219,6 @@ type soloJob struct {
 
 // Recommend returns a configuration for the workload within the storage
 // budget (full-scale bytes for structures beyond the base configuration).
-//
-// conflint:hotpath — the whole candidate search runs inside here; every
-// allocation repeats per candidate per round.
 func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configuration, error) {
 	base := r.e.Current().Clone()
 	base.Name = r.cfg.Name + " R"
