@@ -81,12 +81,27 @@ type Result struct {
 type inSet struct {
 	keys map[string]bool
 	vals []val.Value
+	buf  []byte // key of the value being tested or added
 }
 
 func (s *inSet) contains(v val.Value) bool {
-	return s.keys[val.Row{v}.Key()]
+	s.buf = val.AppendKey(s.buf[:0], v)
+	return s.keys[string(s.buf)]
 }
 
+// add inserts v unless it is already a member.
+func (s *inSet) add(v val.Value) {
+	if !s.contains(v) {
+		s.keys[string(s.buf)] = true
+		s.vals = append(s.vals, v)
+	}
+}
+
+// executor is one execution of one plan by one goroutine. Everything an
+// operator reuses across tuples — its scratch row, its key buffer, an
+// inSet's buf — is created by that operator's run* call or by buildSets,
+// so it belongs to this executor alone: the sharded path runs one
+// executor per partition goroutine and none of it is shared between them.
 type executor struct {
 	ctx  *Ctx
 	p    *plan.Plan
@@ -99,34 +114,27 @@ func Run(p *plan.Plan, ctx *Ctx) (*Result, error) {
 	if err := e.buildSets(); err != nil {
 		return nil, err
 	}
-	var raw []val.Row
-	if err := e.runNode(p.Root, func(r val.Row) error {
-		raw = append(raw, r)
-		return nil
-	}); err != nil {
+	raw, err := e.collect(p.Root)
+	if err != nil {
 		return nil, err
 	}
-	res := e.assemble(raw)
-	// ORDER BY keys first (when present), then the canonical row order as
-	// a deterministic tiebreak.
-	specs := p.Query.OrderBy
-	sort.Slice(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		for _, o := range specs {
-			c := val.Compare(a[o.OutIdx], b[o.OutIdx])
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return val.CompareRows(a, b) < 0
-	})
-	return res, nil
+	return e.assemble(raw), nil
 }
 
-// assemble reorders operator output into the query's select-list order.
+// collect runs n and keeps its rows. It is a retainer of borrowed rows,
+// so it clones each one.
+func (e *executor) collect(n plan.Node) ([]val.Row, error) {
+	var rows []val.Row
+	err := e.runNode(n, func(r val.Row) error {
+		rows = append(rows, r.Clone())
+		return nil
+	})
+	return rows, err
+}
+
+// assemble reorders operator output into the query's select-list order
+// and sorts it: ORDER BY keys first (when present), then the canonical
+// row order as a deterministic tiebreak.
 func (e *executor) assemble(raw []val.Row) *Result {
 	q := e.p.Query
 	res := &Result{}
@@ -151,6 +159,20 @@ func (e *executor) assemble(raw []val.Row) *Result {
 	default:
 		res.Rows = raw
 	}
+	specs := q.OrderBy
+	sort.Slice(res.Rows, func(i, j int) bool {
+		a, b := res.Rows[i], res.Rows[j]
+		for _, o := range specs {
+			c := val.Compare(a[o.OutIdx], b[o.OutIdx])
+			if o.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return val.CompareRows(a, b) < 0
+	})
 	return res
 }
 
@@ -166,7 +188,8 @@ func (e *executor) buildSets() error {
 			vals := e.ctx.Preset[i].Vals
 			set := &inSet{keys: make(map[string]bool, len(vals)), vals: vals}
 			for _, v := range vals {
-				set.keys[val.Row{v}.Key()] = true
+				set.buf = val.AppendKey(set.buf[:0], v)
+				set.keys[string(set.buf)] = true
 			}
 			e.sets = append(e.sets, set)
 		}
@@ -203,13 +226,6 @@ func ComputeInSets(p *plan.Plan, ctx *Ctx) ([]InSetValues, error) {
 // computeInSet evaluates one IN-subquery set.
 func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 	set := &inSet{keys: make(map[string]bool)}
-	add := func(v val.Value) {
-		k := val.Row{v}.Key()
-		if !set.keys[k] {
-			set.keys[k] = true
-			set.vals = append(set.vals, v)
-		}
-	}
 	p := is.Pred
 
 	if is.Index != nil {
@@ -222,7 +238,7 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 		haveCur := false
 		flush := func() {
 			if haveCur && (p.Having == nil || cmpHaving(curCount, p.Having)) {
-				add(curKey)
+				set.add(curKey)
 			}
 		}
 		for {
@@ -255,6 +271,7 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 		v val.Value
 		n int64
 	})
+	var key []byte
 	var scanErr error
 	is.Info.Heap.Scan(&e.ctx.Meter, func(_ storage.RowID, r val.Row) bool {
 		if err := e.ctx.check(); err != nil {
@@ -271,11 +288,11 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 			}
 		}
 		e.ctx.Meter.CPUOps++
-		k := val.Row{v}.Key()
-		if c := counts[k]; c != nil {
+		key = val.AppendKey(key[:0], v)
+		if c := counts[string(key)]; c != nil {
 			c.n++
 		} else {
-			counts[k] = &struct {
+			counts[string(key)] = &struct {
 				v val.Value
 				n int64
 			}{v, 1}
@@ -294,7 +311,7 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 	}
 	for _, c := range counts {
 		if p.Having == nil || cmpHaving(c.n, p.Having) {
-			add(c.v)
+			set.add(c.v)
 		}
 	}
 	// Keep probe order deterministic.

@@ -29,6 +29,12 @@ type world struct {
 
 func newWorld(t *testing.T, indexes ...conf.IndexDef) *world {
 	t.Helper()
+	return newWorldRows(t, 2000, indexes...)
+}
+
+// newWorldRows is newWorld with tRows rows in t instead of 2000.
+func newWorldRows(t *testing.T, tRows int, indexes ...conf.IndexDef) *world {
+	t.Helper()
 	schema := catalog.NewSchema("w")
 	tt := catalog.MustTable("t", []catalog.Column{
 		{Name: "k", Type: catalog.TypeInt, Domain: "k", Indexable: true},
@@ -43,7 +49,7 @@ func newWorld(t *testing.T, indexes ...conf.IndexDef) *world {
 	schema.MustAdd(uu)
 
 	ht := storage.NewHeap(tt)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < tRows; i++ {
 		if _, err := ht.Insert(nil, val.Row{
 			val.Int(int64(i)), val.Int(int64(i % 10)), val.String(string(rune('a' + i%5))),
 		}); err != nil {

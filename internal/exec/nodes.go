@@ -13,6 +13,11 @@ import (
 
 // runNode pushes the rows produced by n into out. Rows are flat layout
 // rows; each operator populates the segments of the tables it covers.
+//
+// A row handed to out is borrowed: it is the operator's one scratch row,
+// valid until out returns and overwritten by the next tuple. Whoever
+// keeps a row clones it — the hash join's build side and the result
+// collector (collect) are the only retainers.
 func (e *executor) runNode(n plan.Node, out func(val.Row) error) error {
 	switch n := n.(type) {
 	case *plan.SeqScan:
@@ -77,14 +82,13 @@ func (e *executor) passes(r val.Row, filters []plan.Filter, ins []plan.InFilter)
 
 func (e *executor) runSeqScan(n *plan.SeqScan, out func(val.Row) error) error {
 	base := e.p.Layout.Base[n.Tab]
-	width := e.p.Layout.Width
+	flat := make(val.Row, e.p.Layout.Width)
 	var innerErr error
 	n.Info.Heap.Scan(&e.ctx.Meter, func(_ storage.RowID, r val.Row) bool {
 		if err := e.ctx.check(); err != nil {
 			innerErr = err
 			return false
 		}
-		flat := make(val.Row, width)
 		copy(flat[base:], r)
 		if !e.passes(flat, n.Filters, n.Ins) {
 			return true
@@ -98,16 +102,14 @@ func (e *executor) runSeqScan(n *plan.SeqScan, out func(val.Row) error) error {
 	return innerErr
 }
 
-// emitIndexMatch materializes a flat row for one index entry, either from
-// the key columns (covering) or by fetching the heap row.
-func (e *executor) emitIndexMatch(tab int, info *plan.TableInfo, ix *plan.IndexInfo,
-	cur *storage.Cursor, covering bool, key val.Row, rid int64,
-	filters []plan.Filter, ins []plan.InFilter, out func(val.Row) error) error {
+// emitIndexMatch fills the scan's scratch row for one index entry, either
+// from the key columns (covering) or by fetching the heap row.
+func (e *executor) emitIndexMatch(n *plan.IndexScan, flat val.Row, cur *storage.Cursor,
+	key val.Row, rid int64, out func(val.Row) error) error {
 
-	base := e.p.Layout.Base[tab]
-	flat := make(val.Row, e.p.Layout.Width)
-	if covering {
-		for j, c := range ix.Cols {
+	base := e.p.Layout.Base[n.Tab]
+	if n.Covering {
+		for j, c := range n.Index.Cols {
 			flat[base+c] = key[j]
 		}
 	} else {
@@ -117,7 +119,7 @@ func (e *executor) emitIndexMatch(tab int, info *plan.TableInfo, ix *plan.IndexI
 		}
 		copy(flat[base:], r)
 	}
-	if !e.passes(flat, filters, ins) {
+	if !e.passes(flat, n.Filters, n.Ins) {
 		return nil
 	}
 	return out(flat)
@@ -144,7 +146,7 @@ func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) erro
 	ridSort := n.RidSort && !n.Covering
 	ridList := make([]storage.RowID, 0, 256)
 	base := e.p.Layout.Base[n.Tab]
-	width := e.p.Layout.Width
+	flat := make(val.Row, e.p.Layout.Width)
 
 	consume := func(it interface {
 		Next() (val.Row, int64, bool)
@@ -163,7 +165,7 @@ func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) erro
 				ridList = append(ridList, storage.RowID(rid))
 				continue
 			}
-			if err := e.emitIndexMatch(n.Tab, n.Info, n.Index, cur, n.Covering, k, rid, n.Filters, n.Ins, out); err != nil {
+			if err := e.emitIndexMatch(n, flat, cur, k, rid, out); err != nil {
 				return err
 			}
 		}
@@ -179,7 +181,6 @@ func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) erro
 				innerErr = err
 				return false
 			}
-			flat := make(val.Row, width)
 			copy(flat[base:], r)
 			if !e.passes(flat, n.Filters, n.Ins) {
 				return true
@@ -253,9 +254,8 @@ func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) erro
 }
 
 func (e *executor) runViewScan(n *plan.ViewScan, out func(val.Row) error) error {
-	width := e.p.Layout.Width
+	flat := make(val.Row, e.p.Layout.Width)
 	emit := func(viewRow val.Row) error {
-		flat := make(val.Row, width)
 		for i, off := range n.ColOffsets {
 			if off >= 0 {
 				flat[off] = viewRow[i]
@@ -316,15 +316,16 @@ func (e *executor) runViewScan(n *plan.ViewScan, out func(val.Row) error) error 
 
 func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error {
 	buildTabs := tabsOf(n.Build)
+	var key []byte // reused per tuple; empty for a cross join: one bucket
 
-	// Build phase.
+	// Build phase: the table keeps its input rows, so it clones them.
 	table := make(map[string][]val.Row)
 	var buildRows int64
 	err := e.runNode(n.Build, func(r val.Row) error {
 		e.ctx.Meter.CPUOps++
 		buildRows++
-		k := keyOf(r, n.BuildKeys)
-		table[k] = append(table[k], r)
+		key = appendKey(key[:0], r, n.BuildKeys)
+		table[string(key)] = append(table[string(key)], r.Clone())
 		return nil
 	})
 	if err != nil {
@@ -332,6 +333,7 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 	}
 
 	// Probe phase.
+	merged := make(val.Row, e.p.Layout.Width)
 	var probeRows int64
 	err = e.runNode(n.Probe, func(r val.Row) error {
 		e.ctx.Meter.CPUOps++
@@ -339,8 +341,13 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		for _, b := range table[keyOf(r, n.ProbeKeys)] {
-			merged := r.Clone()
+		key = appendKey(key[:0], r, n.ProbeKeys)
+		matches := table[string(key)]
+		if len(matches) == 0 {
+			return nil
+		}
+		copy(merged, r)
+		for _, b := range matches {
 			copySegments(merged, b, buildTabs, e.p.Layout)
 			if len(n.BuildKeys) == 0 {
 				e.ctx.Meter.CPUOps++ // cross-product work
@@ -366,13 +373,13 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 	return nil
 }
 
-// keyOf renders the join key of a row; empty key lists (cross joins) map
-// every row to the same bucket.
-func keyOf(r val.Row, offsets []int) string {
-	if len(offsets) == 0 {
-		return ""
+// appendKey appends the key encoding of r's values at offsets to dst —
+// Row.Project(offsets).Key() without the two allocations.
+func appendKey(dst []byte, r val.Row, offsets []int) []byte {
+	for _, o := range offsets {
+		dst = val.AppendKey(dst, r[o])
 	}
-	return r.Project(offsets).Key()
+	return dst
 }
 
 // copySegments copies the table segments of src for the given ordinals
@@ -395,6 +402,8 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 	cur := n.Info.Heap.NewCursor()
 	e.ctx.Meter.FixedRand += int64(n.Index.Height)
 	base := e.p.Layout.Base[n.Tab]
+	merged := make(val.Row, e.p.Layout.Width)
+	key := make(val.Row, len(n.Binds))
 
 	var entries int64
 	err := e.runNode(n.Outer, func(outer val.Row) error {
@@ -402,7 +411,6 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		key := make(val.Row, len(n.Binds))
 		for i, b := range n.Binds {
 			if b.Const != nil {
 				key[i] = *b.Const
@@ -422,7 +430,7 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 			if err := e.ctx.check(); err != nil {
 				return err
 			}
-			merged := outer.Clone()
+			copy(merged, outer)
 			if n.Covering {
 				for j, c := range n.Index.Cols {
 					merged[base+c] = k[j]
@@ -466,28 +474,36 @@ type aggState struct {
 	distinct  []map[string]bool
 }
 
-func (e *executor) runHashAgg(n *plan.HashAgg, out func(val.Row) error) error {
+// newAggState returns the empty state of a group of n.
+func newAggState(n *plan.HashAgg, groupVals val.Row) *aggState {
+	return &aggState{
+		groupVals: groupVals,
+		counts:    make([]int64, len(n.Aggs)),
+		sums:      make([]float64, len(n.Aggs)),
+		mins:      make([]val.Value, len(n.Aggs)),
+		maxs:      make([]val.Value, len(n.Aggs)),
+		distinct:  make([]map[string]bool, len(n.Aggs)),
+	}
+}
+
+// accumulateAgg runs the aggregate's input and accumulates group states
+// without finishing them: runHashAgg finishes them at once, RunPartial
+// hands them to MergePartials open. Group and DISTINCT keys are encoded
+// into one reused buffer; a tuple of a group already seen allocates
+// nothing.
+func (e *executor) accumulateAgg(n *plan.HashAgg) (map[string]*aggState, error) {
 	groups := make(map[string]*aggState)
-	var inRows int64
+	var key []byte
 	err := e.runNode(n.Input, func(r val.Row) error {
 		e.ctx.Meter.CPUOps++
-		inRows++
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		gv := r.Project(n.Groups)
-		k := gv.Key()
-		st := groups[k]
+		key = appendKey(key[:0], r, n.Groups)
+		st := groups[string(key)]
 		if st == nil {
-			st = &aggState{
-				groupVals: gv,
-				counts:    make([]int64, len(n.Aggs)),
-				sums:      make([]float64, len(n.Aggs)),
-				mins:      make([]val.Value, len(n.Aggs)),
-				maxs:      make([]val.Value, len(n.Aggs)),
-				distinct:  make([]map[string]bool, len(n.Aggs)),
-			}
-			groups[k] = st
+			st = newAggState(n, r.Project(n.Groups))
+			groups[string(key)] = st
 		}
 		for i, a := range n.Aggs {
 			if a.Kind == sql.AggCountStar {
@@ -510,35 +526,50 @@ func (e *executor) runHashAgg(n *plan.HashAgg, out func(val.Row) error) error {
 				if st.distinct[i] == nil {
 					st.distinct[i] = make(map[string]bool)
 				}
-				st.distinct[i][val.Row{v}.Key()] = true
+				key = val.AppendKey(key[:0], v)
+				if !st.distinct[i][string(key)] { // an assignment allocates the string even when present
+					st.distinct[i][string(key)] = true
+				}
 				e.ctx.Meter.CPUOps++
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	// Spill accounting.
+	// Spill accounting over the group count.
 	bytes := int64(len(groups)) * int64(n.GroupWidth)
 	if n.GroupWidth > 0 && float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
 		pg := cost.PagesForBytes(bytes)
 		e.ctx.Meter.WritePage += pg
 		e.ctx.Meter.SeqPages += pg
 	}
+	return groups, nil
+}
 
+func (e *executor) runHashAgg(n *plan.HashAgg, out func(val.Row) error) error {
+	groups, err := e.accumulateAgg(n)
+	if err != nil {
+		return err
+	}
+	rowOut := make(val.Row, len(n.Groups)+len(n.Aggs))
 	for _, st := range groups {
-		rowOut := make(val.Row, len(n.Groups)+len(n.Aggs))
-		copy(rowOut, st.groupVals)
-		for i, a := range n.Aggs {
-			rowOut[len(n.Groups)+i] = finishAgg(a.Kind, st, i)
-		}
-		if err := out(rowOut); err != nil {
+		if err := out(finishGroup(rowOut, n, st)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// finishGroup writes a group's [group values..., agg values...] into dst.
+func finishGroup(dst val.Row, n *plan.HashAgg, st *aggState) val.Row {
+	copy(dst, st.groupVals)
+	for i, a := range n.Aggs {
+		dst[len(n.Groups)+i] = finishAgg(a.Kind, st, i)
+	}
+	return dst
 }
 
 // finishAgg produces the final value of aggregate i for a group.
@@ -570,8 +601,12 @@ func finishAgg(kind sql.AggKind, st *aggState, i int) val.Value {
 }
 
 func (e *executor) runProject(n *plan.Project, out func(val.Row) error) error {
+	proj := make(val.Row, len(n.Offsets))
 	return e.runNode(n.Input, func(r val.Row) error {
-		return out(r.Project(n.Offsets))
+		for i, o := range n.Offsets {
+			proj[i] = r[o]
+		}
+		return out(proj)
 	})
 }
 
@@ -762,12 +797,11 @@ func (e *executor) runMergeJoin(n *plan.MergeJoin, out func(val.Row) error) erro
 		}
 		copy(flat[base:], rows[ent.rid])
 	}
-	width := e.p.Layout.Width
+	flat := make(val.Row, e.p.Layout.Width)
 	for _, p := range pairs {
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		flat := make(val.Row, width)
 		fill(flat, &n.L, lRows, p.l)
 		fill(flat, &n.R, rRows, p.r)
 		if !e.passes(flat, n.L.PostFilters, n.L.PostIns) ||

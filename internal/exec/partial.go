@@ -28,9 +28,7 @@ package exec
 import (
 	"sort"
 
-	"repro/internal/cost"
 	"repro/internal/plan"
-	"repro/internal/sql"
 	"repro/internal/val"
 )
 
@@ -57,11 +55,8 @@ func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
 	}
 	root, ok := p.Root.(*plan.HashAgg)
 	if !ok {
-		var raw []val.Row
-		if err := e.runNode(p.Root, func(r val.Row) error {
-			raw = append(raw, r)
-			return nil
-		}); err != nil {
+		raw, err := e.collect(p.Root)
+		if err != nil {
 			return nil, err
 		}
 		return &Partial{rows: raw}, nil
@@ -72,70 +67,6 @@ func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
 		return nil, err
 	}
 	return &Partial{agg: true, groups: groups}, nil
-}
-
-// accumulateAgg runs the aggregate's input and accumulates group states
-// without finishing them — the open-state half of runHashAgg, billed the
-// same way.
-func (e *executor) accumulateAgg(n *plan.HashAgg) (map[string]*aggState, error) {
-	groups := make(map[string]*aggState)
-	err := e.runNode(n.Input, func(r val.Row) error {
-		e.ctx.Meter.CPUOps++
-		if err := e.ctx.check(); err != nil {
-			return err
-		}
-		gv := r.Project(n.Groups)
-		k := gv.Key()
-		st := groups[k]
-		if st == nil {
-			st = &aggState{
-				groupVals: gv,
-				counts:    make([]int64, len(n.Aggs)),
-				sums:      make([]float64, len(n.Aggs)),
-				mins:      make([]val.Value, len(n.Aggs)),
-				maxs:      make([]val.Value, len(n.Aggs)),
-				distinct:  make([]map[string]bool, len(n.Aggs)),
-			}
-			groups[k] = st
-		}
-		for i, a := range n.Aggs {
-			if a.Kind == sql.AggCountStar {
-				st.counts[i]++
-				continue
-			}
-			v := r[a.Offset]
-			if v.IsNull() {
-				continue
-			}
-			st.counts[i]++
-			st.sums[i] += v.AsFloat()
-			if st.counts[i] == 1 || val.Compare(v, st.mins[i]) < 0 {
-				st.mins[i] = v
-			}
-			if st.counts[i] == 1 || val.Compare(v, st.maxs[i]) > 0 {
-				st.maxs[i] = v
-			}
-			if a.Kind == sql.AggCountDistinct {
-				if st.distinct[i] == nil {
-					st.distinct[i] = make(map[string]bool)
-				}
-				st.distinct[i][val.Row{v}.Key()] = true
-				e.ctx.Meter.CPUOps++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Spill accounting over this partition's group count, as in runHashAgg.
-	bytes := int64(len(groups)) * int64(n.GroupWidth)
-	if n.GroupWidth > 0 && float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(bytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
-	return groups, nil
 }
 
 // cloneAggState deep-copies one group's partial state (distinct sets
@@ -247,13 +178,7 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 		sort.Strings(keys) // deterministic finish order (cosmetic: the final sort below decides output order)
 		agg := p.Root.(*plan.HashAgg)
 		for _, k := range keys {
-			st := merged[k]
-			rowOut := make(val.Row, len(agg.Groups)+len(agg.Aggs))
-			copy(rowOut, st.groupVals)
-			for i, a := range agg.Aggs {
-				rowOut[len(agg.Groups)+i] = finishAgg(a.Kind, st, i)
-			}
-			raw = append(raw, rowOut)
+			raw = append(raw, finishGroup(make(val.Row, len(agg.Groups)+len(agg.Aggs)), agg, merged[k]))
 		}
 	} else {
 		for _, part := range parts {
@@ -265,22 +190,6 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 		}
 	}
 
-	res := e.assemble(raw)
-	// Identical final ordering to Run: ORDER BY keys, then the canonical
-	// row order as the deterministic tiebreak.
-	specs := p.Query.OrderBy
-	sort.Slice(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		for _, o := range specs {
-			c := val.Compare(a[o.OutIdx], b[o.OutIdx])
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return val.CompareRows(a, b) < 0
-	})
-	return res, nil
+	// Identical final ordering to Run: the same assemble.
+	return e.assemble(raw), nil
 }

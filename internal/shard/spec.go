@@ -163,7 +163,8 @@ func hashShard(v val.Value, n int) int {
 	if n <= 1 || v.IsNull() {
 		return 0
 	}
+	var buf [64]byte
 	h := fnv.New64a()
-	h.Write([]byte(val.Row{v}.Key()))
+	h.Write(val.AppendKey(buf[:0], v))
 	return int(h.Sum64() % uint64(n))
 }

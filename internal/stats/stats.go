@@ -91,17 +91,18 @@ func Collect(h *storage.Heap) *TableStats {
 	for i := range counts {
 		counts[i] = make(map[string]*ValueCount)
 	}
+	var key []byte
 	h.Scan(nil, func(_ storage.RowID, r val.Row) bool {
 		for i, v := range r {
 			if v.IsNull() {
 				ts.Cols[i].Nulls++
 				continue
 			}
-			k := val.Row{v}.Key()
-			if vc := counts[i][k]; vc != nil {
+			key = val.AppendKey(key[:0], v)
+			if vc := counts[i][string(key)]; vc != nil {
 				vc.Count++
 			} else {
-				counts[i][k] = &ValueCount{Value: v, Count: 1}
+				counts[i][string(key)] = &ValueCount{Value: v, Count: 1}
 			}
 		}
 		return true

@@ -10,7 +10,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -146,8 +146,8 @@ func (h *Heap) Get(id RowID) val.Row {
 // the heap is read in page order). Iteration stops early if fn returns
 // false. The ids slice is not modified.
 func (h *Heap) FetchMany(m *cost.Meter, ids []RowID, fn func(RowID, val.Row) bool) error {
-	sorted := append([]RowID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
 	lastPage := int64(-1)
 	for _, id := range sorted {
 		if id < 0 || int64(id) >= int64(len(h.rows)) {

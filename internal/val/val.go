@@ -205,21 +205,40 @@ func CompareRows(a, b Row) int {
 }
 
 // Key renders a row as a canonical string, usable as a map key for
-// hash joins and grouping. The encoding is unambiguous: each value is
-// prefixed by its kind and terminated by a 0x00 byte (escaped in strings).
+// hash joins and grouping: the concatenation of AppendKey over its values.
 func (r Row) Key() string {
-	var sb strings.Builder
+	buf := make([]byte, 0, 64)
 	for _, v := range r {
-		sb.WriteByte(byte('0' + v.K))
-		switch v.K {
-		case KindInt:
-			sb.WriteString(strconv.FormatInt(v.I, 36))
-		case KindFloat:
-			sb.WriteString(strconv.FormatFloat(v.F, 'b', -1, 64))
-		case KindString:
-			sb.WriteString(strings.ReplaceAll(v.Str, "\x00", "\x00\x00"))
-		}
-		sb.WriteByte(0)
+		buf = AppendKey(buf, v)
 	}
-	return sb.String()
+	return string(buf)
+}
+
+// AppendKey appends the canonical key encoding of v to dst and returns the
+// extended buffer. The encoding is unambiguous: each value is prefixed by
+// its kind and terminated by a 0x00 byte (escaped in strings). Callers on
+// a per-tuple path keep one buffer, re-encode into buf[:0] and look up
+// with m[string(buf)], which does not allocate. The byte stream is pinned
+// by a golden test: the shard partition hash and the cross-partition
+// group merge both hang off it.
+func AppendKey(dst []byte, v Value) []byte {
+	dst = append(dst, byte('0'+v.K))
+	switch v.K {
+	case KindInt:
+		dst = strconv.AppendInt(dst, v.I, 36)
+	case KindFloat:
+		dst = strconv.AppendFloat(dst, v.F, 'b', -1, 64)
+	case KindString:
+		s := v.Str
+		for {
+			i := strings.IndexByte(s, 0)
+			if i < 0 {
+				break
+			}
+			dst = append(append(dst, s[:i]...), 0, 0)
+			s = s[i+1:]
+		}
+		dst = append(dst, s...)
+	}
+	return append(dst, 0)
 }

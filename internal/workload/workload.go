@@ -130,16 +130,17 @@ func analyzeColumn(h *storage.Heap, col int) freqTriple {
 		v val.Value
 		n int64
 	})
+	var key []byte
 	h.Scan(nil, func(_ storage.RowID, r val.Row) bool {
 		v := r[col]
 		if v.IsNull() {
 			return true
 		}
-		k := val.Row{v}.Key()
-		if c := counts[k]; c != nil {
+		key = val.AppendKey(key[:0], v)
+		if c := counts[string(key)]; c != nil {
 			c.n++
 		} else {
-			counts[k] = &struct {
+			counts[string(key)] = &struct {
 				v val.Value
 				n int64
 			}{v, 1}
