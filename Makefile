@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmtcheck lint lint-fix-hints lint-fix bench bench-smoke fuzz perf-compare verify
+.PHONY: build test race vet fmtcheck lint bench bench-smoke fuzz perf-compare verify
 
 build:
 	$(GO) build ./...
@@ -32,31 +32,10 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # conflint enforces the repo's concurrency & determinism invariants at
-# the source level (see "Invariants & static analysis" in README.md):
-# seven rules, each kept because it catches a seeded bug that vet, the
-# tests and the race detector all pass (the table is DESIGN.md §10).
-# Running the full set also arms stale-ignore detection: a directive
-# that suppresses nothing is itself a finding. The committed baseline is
-# empty — every rule must run clean — and a malformed baseline fails
-# the run rather than silently suppressing nothing. The lint wall, each
-# analyzer's share of it, fixpoint iteration counts and the fix-planning
-# wall land in BENCH_conflint.json; the same findings land in
-# conflint.sarif for code-scanning UIs.
+# the source level: seven rules, each kept for a seeded bug only it
+# catches (DESIGN.md §10). Any finding — a stale ignore included — exits 1.
 lint:
-	$(GO) run ./cmd/conflint -baseline baseline.empty.json \
-		-bench-json BENCH_conflint.json -sarif conflint.sarif ./...
-
-# Same run, but each finding prints the offending line and a suggested
-# edit.
-lint-fix-hints:
-	$(GO) run ./cmd/conflint -hints ./...
-
-# Apply every mechanical fix (errcheck reasoned discard, stale-ignore
-# deletion), gofmt the touched files, then re-lint to prove the fixed
-# findings are gone and no new ones appeared. Running it twice is a
-# no-op.
-lint-fix:
-	$(GO) run ./cmd/conflint -fix ./...
+	$(GO) run ./cmd/conflint ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .

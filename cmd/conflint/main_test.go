@@ -1,57 +1,82 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/lint"
 )
 
-// TestBaselineRoundTrip writes a baseline from findings and reads it
-// back: entries are deduped, sorted, and keyed rule+package+symbol —
-// never line numbers, so a moved finding still matches.
-func TestBaselineRoundTrip(t *testing.T) {
-	fs := []lint.Finding{
-		{Rule: "errcheck", Package: "optimizer", Symbol: "search.indexJoinCands", Line: 444},
-		{Rule: "goleak", Package: "main", Symbol: "main", Line: 207},
-		{Rule: "errcheck", Package: "optimizer", Symbol: "search.indexJoinCands", Line: 450}, // same symbol, other line
+// inModule makes a one-package module out of src in a temp directory and
+// runs the test from inside it (run finds the module from the working
+// directory).
+func inModule(t *testing.T, src []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"go.mod": []byte("module fixture\n"), "p.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := lint.WriteBaseline(path, fs); err != nil {
-		t.Fatal(err)
-	}
-	entries := lint.BaselineEntries(fs)
-	if len(entries) != 2 {
-		t.Fatalf("want 2 deduped entries, got %d: %v", len(entries), entries)
-	}
-	if entries[0].Rule != "errcheck" || entries[1].Rule != "goleak" {
-		t.Errorf("entries not sorted by rule: %v", entries)
-	}
-
-	base, err := lint.ReadBaseline(path)
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A finding at a new line with the same symbol still matches.
-	if !base[lint.BaselineKey("errcheck", "optimizer", "search.indexJoinCands")] {
-		t.Error("baseline lost the errcheck entry")
-	}
-	if !base[lint.BaselineKey("goleak", "main", "main")] {
-		t.Error("baseline lost the goleak entry")
-	}
-	if base[lint.BaselineKey("errcheck", "optimizer", "otherFunc")] {
-		t.Error("baseline matches a symbol it does not contain")
-	}
-}
-
-func TestReadBaselineRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lint.ReadBaseline(path); err == nil {
-		t.Error("want an error for malformed baseline JSON")
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestExitCodes pins the command's contract: 0 clean, 1 findings (each
+// with its position line and fix: hint), 2 usage error — and a flag this
+// command no longer has is a usage error, so a stale invocation fails
+// loudly instead of linting without the suppression it asked for.
+func TestExitCodes(t *testing.T) {
+	errcheck, err := os.ReadFile(filepath.Join("..", "..", "internal", "lint", "testdata", "src", "errcheck", "errcheck.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		src    []byte
+		args   []string
+		code   int
+		stdout []string
+		stderr string
+	}{
+		{"clean", []byte("package p\n\nfunc F() {}\n"), []string{"./..."}, 0, nil, "7 rules, 0 finding(s)"},
+		{"findings", errcheck, nil, 1,
+			[]string{"p.go:15:2: [errcheck] result of mayFail is an error", "        fix: handle the error"}, "5 finding(s)"},
+		{"unknown rule", errcheck, []string{"-rules", "nosuchrule"}, 2, nil, `unknown rule "nosuchrule"`},
+		{"deleted -baseline", errcheck, []string{"-baseline", "x"}, 2, nil, "flag provided but not defined: -baseline"},
+		{"deleted -fix", errcheck, []string{"-fix"}, 2, nil, "flag provided but not defined: -fix"},
+		{"deleted -sarif", errcheck, []string{"-sarif", "x"}, 2, nil, "flag provided but not defined: -sarif"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			inModule(t, c.src)
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.code {
+				t.Errorf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, c.code, &stdout, &stderr)
+			}
+			for _, want := range c.stdout {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("stdout missing %q:\n%s", want, &stdout)
+				}
+			}
+			if len(c.stdout) == 0 && stdout.Len() > 0 {
+				t.Errorf("want empty stdout, got:\n%s", &stdout)
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr missing %q:\n%s", c.stderr, &stderr)
+			}
+		})
 	}
 }
 
@@ -70,39 +95,5 @@ func TestMatchPattern(t *testing.T) {
 		if got := matchPattern(c.rel, c.pat); got != c.want {
 			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.rel, c.pat, got, c.want)
 		}
-	}
-}
-
-// TestScopeRuleKeys pins the bench-section scoping contract: per-rule
-// maps only carry keys for selected rules, and the shared "effects"
-// fixpoint is attributed to its consumer (pure) — present exactly when
-// it is selected.
-func TestScopeRuleKeys(t *testing.T) {
-	src := map[string]int{"lockorder": 2, "effects": 5, "shutdownpath": 1}
-
-	pure, err := lint.ByNames("pure")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := scopeRuleKeys(src, pure)
-	if len(got) != 1 || got["effects"] != 5 {
-		t.Errorf("scope(pure) = %v; want only effects=5", got)
-	}
-
-	lockorder, err := lint.ByNames("lockorder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = scopeRuleKeys(src, lockorder)
-	if len(got) != 1 || got["lockorder"] != 2 {
-		t.Errorf("scope(lockorder) = %v; want only lockorder=2", got)
-	}
-
-	all, err := lint.ByNames("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got = scopeRuleKeys(src, all); len(got) != len(src) {
-		t.Errorf("scope(all) = %v; want every key kept", got)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/recommender"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -87,22 +86,6 @@ type Options struct {
 	// Static freezes the configuration after warmup: the decaying
 	// baseline the drift experiment compares against.
 	Static bool
-
-	// Autoscale, when non-nil, feeds every window report through the
-	// shard autoscaler's recommend/apply loop (the ScaleMetrics bridge) —
-	// the batch counterpart of the gateway's live elastic loop. The
-	// cluster is the caller's: the autopilot grades its own traffic and
-	// only drives the scale decision.
-	Autoscale *ScaleLoop
-}
-
-// ScaleLoop bundles the elastic-scaling collaborators the batch loop
-// drives between windows: the cluster under management plus the shard
-// package's pure Recommender and side-effecting Updater.
-type ScaleLoop struct {
-	Cluster *shard.Cluster
-	Rec     *shard.Recommender
-	Upd     *shard.Updater
 }
 
 func (o *Options) setDefaults() {
@@ -357,27 +340,11 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 			}
 		}
 
-		a.scaleWindow(rep)
 		a.metrics.ObserveWindow(rep)
 		reports = append(reports, rep)
 	}
 
 	return reports, retunes, nil
-}
-
-// scaleWindow hands one window's digest to the elastic loop, if one is
-// configured: the report lowers to shard.WindowMetrics through the
-// ScaleMetrics bridge (batch windows have no admission queue, so queue
-// depth is 0) and the recommender/updater pair may reshard the cluster
-// between windows — the same code path the gateway's live autoscaler
-// drives.
-func (a *Autopilot) scaleWindow(rep WindowReport) {
-	s := a.opts.Autoscale
-	if s == nil || s.Cluster == nil || s.Rec == nil || s.Upd == nil {
-		return
-	}
-	cur := shard.State{Shards: s.Cluster.Shards(), Pool: s.Cluster.Pool()}
-	s.Upd.Apply(s.Rec.Recommend(cur, rep.ScaleMetrics(0)))
 }
 
 func sqlsOf(qs []workload.Query) []string {

@@ -9,11 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/datagen"
-	"repro/internal/engine"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -69,60 +65,6 @@ func TestDriftRecovery(t *testing.T) {
 	}
 	if m.RetunesInFlight != 0 {
 		t.Errorf("retunes still in flight after Run: %d", m.RetunesInFlight)
-	}
-}
-
-// TestScaleLoopDrivenByWindows pins the batch loop's elastic wiring:
-// every window report is lowered through ScaleMetrics and drives the
-// shard recommender/updater pair — the first window's fired rule
-// reshards the cluster, and the updater's cooldown holds the rest. The
-// audit trail is the contract: one record per window, in window order.
-func TestScaleLoopDrivenByWindows(t *testing.T) {
-	coord := engine.New(catalog.NREF(), 0.0001, engine.SystemB())
-	if err := datagen.GenerateNREF(coord, datagen.NREFOptions{ScaleFactor: 0.0001, Seed: 42}); err != nil {
-		t.Fatal(err)
-	}
-	coord.CollectStats()
-	cl, err := shard.New(coord, shard.Spec{Shards: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upd := shard.NewUpdater(cl, shard.Bounds{MinShards: 1, MaxShards: 8, MinPool: 1, MaxPool: 16}, false)
-	upd.Cooldown = 8 // longer than the run: exactly one action may land
-
-	opts := tinyOpts(1, true)
-	opts.Autoscale = &ScaleLoop{
-		Cluster: cl,
-		// A rule on the window's query count fires deterministically on
-		// every window regardless of what the traffic scores.
-		Rec: &shard.Recommender{Rules: []shard.ScalingRule{
-			{Name: "always-out", Metric: "queries", Op: ">", Threshold: 1, MinQueries: 1, ShardFactor: 2},
-		}},
-		Upd: upd,
-	}
-	reports, _ := runBounded(t, opts)
-
-	if got := cl.Shards(); got != 2 {
-		t.Errorf("cluster at %d shards after the run, want 2 (window 0 scale-out applied once)", got)
-	}
-	if st := cl.Stats(); st.Reshards != 1 {
-		t.Errorf("Reshards = %d, want 1 (cooldown must hold later windows)", st.Reshards)
-	}
-	audit := upd.Audit()
-	if len(audit) != len(reports) {
-		t.Fatalf("%d audit records, want one per window (%d)", len(audit), len(reports))
-	}
-	for i, a := range audit {
-		if a.Window != reports[i].Window {
-			t.Errorf("audit %d is for window %d, want %d (ScaleMetrics must carry the window number)", i, a.Window, reports[i].Window)
-		}
-		want := shard.ActionCooldown
-		if i == 0 {
-			want = shard.ActionApply
-		}
-		if a.Action != want {
-			t.Errorf("audit %d: action %q, want %q", i, a.Action, want)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -49,25 +48,6 @@ type WindowReport struct {
 	// first full window served by a freshly applied configuration — the
 	// online analogue of the paper's H-vs-A comparison.
 	HypoRatio float64
-}
-
-// ScaleMetrics lowers the report into the metric record the shard
-// autoscaler's scaling rules evaluate, bridging the autopilot's
-// observer to the elastic resource loop: goal level and mean latency
-// carry over, queue depth is the caller's to supply (the autopilot's
-// batch windows have no admission queue).
-//
-// conflint:pure — lowering an observation must not adjust it: the
-// autoscaler grades this record against its goal, and a bridge that
-// mutated the report would corrupt the retune decision downstream.
-func (r WindowReport) ScaleMetrics(queueDepth float64) shard.WindowMetrics {
-	return shard.WindowMetrics{
-		Window:      r.Window,
-		Queries:     r.Queries,
-		MeanSeconds: r.MeanSeconds,
-		GoalLevel:   r.Satisfaction,
-		QueueDepth:  queueDepth,
-	}
 }
 
 // observer turns raw window traffic into WindowReports.

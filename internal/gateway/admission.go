@@ -84,7 +84,7 @@ func (g *Gateway) finish(j *job, res *exec.Result, m engine.Measure, err error) 
 	violated := j.tenant.noteCompleted(j.sqlText, m.Seconds, m.TimedOut, err != nil)
 	if violated {
 		if tn := g.tunerP.Load(); tn != nil {
-			tn.signal(j.tenant.cfg.Name)
+			tn.signal()
 		}
 	}
 	if as := g.autoP.Load(); as != nil {

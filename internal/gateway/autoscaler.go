@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/autopilot"
 	"repro/internal/core"
 	"repro/internal/shard"
 )
@@ -29,13 +28,10 @@ type autoscaler struct {
 	upd  *shard.Updater
 
 	mu      sync.Mutex
-	entries []windowEntry         // conflint:guardedby mu (accumulating window)
+	entries []core.Measure        // conflint:guardedby mu (accumulating window)
 	errored int                   // conflint:guardedby mu
-	windowN int64                 // conflint:guardedby mu (windows closed so far)
+	windowN int                   // conflint:guardedby mu (windows closed so far)
 	pending []shard.WindowMetrics // conflint:guardedby mu (closed, unevaluated)
-	// lastReport is the most recent window's full autopilot digest, the
-	// upstream form of the metrics handed to the scaling rules.
-	lastReport autopilot.WindowReport // conflint:guardedby mu
 
 	windows atomic.Int64 // windows evaluated
 
@@ -61,7 +57,7 @@ func newAutoscaler(g *Gateway, cl *shard.Cluster) *autoscaler {
 			Predict: cl.PredictSeconds,
 		},
 		upd:     upd,
-		entries: make([]windowEntry, 0, g.cfg.AutoscaleWindow),
+		entries: make([]core.Measure, 0, g.cfg.AutoscaleWindow),
 		trigger: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -96,7 +92,7 @@ func (as *autoscaler) observe(seconds float64, timedOut, errored bool) {
 	if errored {
 		as.errored++
 	} else {
-		as.entries = append(as.entries, windowEntry{seconds, timedOut})
+		as.entries = append(as.entries, core.Measure{Seconds: seconds, TimedOut: timedOut})
 	}
 	if len(as.entries)+as.errored < as.g.cfg.AutoscaleWindow {
 		as.mu.Unlock()
@@ -111,45 +107,31 @@ func (as *autoscaler) observe(seconds float64, timedOut, errored bool) {
 	}
 }
 
-// closeWindowLocked grades the filled window into the autopilot's
-// WindowReport — the same digest the batch observer produces — and
-// lowers it to shard.WindowMetrics through the ScaleMetrics bridge, so
-// the gateway's live loop and the autopilot's batch loop feed the
-// scaling rules through one code path. The report is kept for
-// observability (lastReport).
+// closeWindowLocked grades the filled window into the record the
+// scaling rules evaluate: mean simulated seconds over the queries that
+// finished, goal level over the window's CFC, and the live queue backlog.
 func (as *autoscaler) closeWindowLocked() shard.WindowMetrics {
-	ms := make([]core.Measure, len(as.entries))
 	var sum float64
 	n := 0
-	timeouts := 0
-	for i, e := range as.entries {
-		ms[i] = core.Measure{Seconds: e.seconds, TimedOut: e.timedOut}
-		if e.timedOut {
-			timeouts++
-		} else {
-			sum += e.seconds
+	for _, e := range as.entries {
+		if !e.TimedOut {
+			sum += e.Seconds
 			n++
 		}
 	}
 	as.windowN++
-	cfc := core.NewCFC(ms, 0)
-	rep := autopilot.WindowReport{
-		Window:       int(as.windowN),
-		Queries:      len(as.entries),
-		Timeouts:     timeouts,
-		P50:          cfc.Quantile(0.50),
-		P95:          cfc.Quantile(0.95),
-		P99:          cfc.Quantile(0.99),
-		Satisfaction: as.goal.Satisfaction(cfc),
+	w := shard.WindowMetrics{
+		Window:     as.windowN,
+		Queries:    len(as.entries),
+		GoalLevel:  as.goal.Satisfaction(core.NewCFC(as.entries, 0)),
+		QueueDepth: as.g.queueDepth(),
 	}
-	rep.Satisfied = rep.Satisfaction >= 1
 	if n > 0 {
-		rep.MeanSeconds = sum / float64(n)
+		w.MeanSeconds = sum / float64(n)
 	}
-	as.lastReport = rep
 	as.entries = as.entries[:0]
 	as.errored = 0
-	return rep.ScaleMetrics(as.g.queueDepth())
+	return w
 }
 
 // drain evaluates every pending window in order.

@@ -18,12 +18,14 @@ type Snapshot struct {
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
 
-	Retunes    int64            `json:"retunes"`
-	RetuneErrs int64            `json:"retune_errors,omitempty"`
-	AuditKept  int64            `json:"audit_records"`
-	AuditLost  int64            `json:"audit_overflow,omitempty"`
-	Sharding   *ShardSnapshot   `json:"sharding,omitempty"`
-	Tenants    []TenantSnapshot `json:"tenants"`
+	Retunes    int64 `json:"retunes"`
+	RetuneErrs int64 `json:"retune_errors,omitempty"`
+	// RetuneLastError is why the most recent failed retune failed.
+	RetuneLastError string           `json:"retune_last_error,omitempty"`
+	AuditKept       int64            `json:"audit_records"`
+	AuditLost       int64            `json:"audit_overflow,omitempty"`
+	Sharding        *ShardSnapshot   `json:"sharding,omitempty"`
+	Tenants         []TenantSnapshot `json:"tenants"`
 }
 
 // ShardSnapshot reports the shard cluster and autoscaler state (absent
@@ -57,6 +59,9 @@ func (g *Gateway) Stats() Snapshot {
 	if tn := g.tunerP.Load(); tn != nil {
 		s.Retunes = tn.applied.Load()
 		s.RetuneErrs = tn.failed.Load()
+		if e := tn.lastErr.Load(); e != nil {
+			s.RetuneLastError = *e
+		}
 	}
 	g.audit.mu.Lock()
 	s.AuditKept = int64(len(g.audit.records))

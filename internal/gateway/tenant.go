@@ -39,17 +39,12 @@ type tenantState struct {
 	goalMet   []int64          // conflint:guardedby mu (per goal step: completed with s <= X)
 	mix       map[string]int64 // conflint:guardedby mu (by family)
 
-	window     []windowEntry // conflint:guardedby mu (ring of recent completions)
-	windowPos  int           // conflint:guardedby mu
-	recentSQL  []string      // conflint:guardedby mu (ring of recent query texts)
+	window     []core.Measure // conflint:guardedby mu (ring of recent completions)
+	windowPos  int            // conflint:guardedby mu
+	recentSQL  []string       // conflint:guardedby mu (ring of recent query texts)
 	recentSet  map[string]bool
 	recentPos  int
 	lastTuneAt int64 // conflint:guardedby mu (completed count at last tuner signal)
-}
-
-type windowEntry struct {
-	seconds  float64
-	timedOut bool
 }
 
 func newTenantState(cfg TenantConfig) *tenantState {
@@ -62,7 +57,7 @@ func newTenantState(cfg TenantConfig) *tenantState {
 		rejected:  make(map[string]int64),
 		goalMet:   make([]int64, len(cfg.goalOf().Steps)),
 		mix:       make(map[string]int64),
-		window:    make([]windowEntry, 0, cfg.Window),
+		window:    make([]core.Measure, 0, cfg.Window),
 		recentSQL: make([]string, 0, recentSQLCap),
 		recentSet: make(map[string]bool, recentSQLCap),
 	}
@@ -105,10 +100,11 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 		}
 	}
 
+	m := core.Measure{Seconds: seconds, TimedOut: timedOut}
 	if len(t.window) < t.cfg.Window {
-		t.window = append(t.window, windowEntry{seconds, timedOut})
+		t.window = append(t.window, m)
 	} else {
-		t.window[t.windowPos] = windowEntry{seconds, timedOut}
+		t.window[t.windowPos] = m
 		t.windowPos = (t.windowPos + 1) % t.cfg.Window
 	}
 
@@ -129,20 +125,11 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 	if t.completed-t.lastTuneAt < int64(t.cfg.Window) {
 		return false
 	}
-	if t.windowGoalLevelLocked() >= 1 {
+	if t.goal.Satisfaction(core.NewCFC(t.window, 0)) >= 1 {
 		return false
 	}
 	t.lastTuneAt = t.completed
 	return true
-}
-
-// windowGoalLevelLocked grades the sliding window against the goal.
-func (t *tenantState) windowGoalLevelLocked() float64 {
-	ms := make([]core.Measure, len(t.window))
-	for i, w := range t.window {
-		ms[i] = core.Measure{Seconds: w.seconds, TimedOut: w.timedOut}
-	}
-	return t.goal.Satisfaction(core.NewCFC(ms, 0))
 }
 
 // goalLevelLocked grades the cumulative run: the fraction of goal steps
@@ -230,11 +217,7 @@ func (t *tenantState) snapshot() TenantSnapshot {
 		}
 	}
 	if len(t.window) > 0 {
-		ms := make([]core.Measure, len(t.window))
-		for i, w := range t.window {
-			ms[i] = core.Measure{Seconds: w.seconds, TimedOut: w.timedOut}
-		}
-		cfc := core.NewCFC(ms, 0)
+		cfc := core.NewCFC(t.window, 0)
 		if len(t.window) == t.cfg.Window {
 			s.WindowGoalLevel = t.goal.Satisfaction(cfc)
 		}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -23,15 +24,17 @@ type tuner struct {
 	whatif *engine.WhatIf
 	budget int64
 
-	// trigger carries the name of the violating tenant. Capacity 1:
-	// sends are non-blocking, so a burst of violations collapses into
-	// one retune.
-	trigger chan string
+	// trigger wakes the worker. Capacity 1: sends are non-blocking, so a
+	// burst of violations collapses into one retune.
+	trigger chan struct{}
 	done    chan struct{}
 	stop1   sync.Once
 
 	applied atomic.Int64
 	failed  atomic.Int64
+	// lastErr is the most recent failed retune's reason (nil until one
+	// fails), served as retune_last_error in /v1/stats.
+	lastErr atomic.Pointer[string]
 }
 
 func newTuner(g *Gateway, recCfg recommender.Config, whatif *engine.WhatIf, budget int64) *tuner {
@@ -40,7 +43,7 @@ func newTuner(g *Gateway, recCfg recommender.Config, whatif *engine.WhatIf, budg
 		recCfg:  recCfg,
 		whatif:  whatif,
 		budget:  budget,
-		trigger: make(chan string, 1),
+		trigger: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 }
@@ -50,16 +53,16 @@ func (tn *tuner) start() {
 	// conflint:worker lifecycle=trigger retune loop; tuner.stop closes trigger and waits on done
 	go func() {
 		defer close(tn.done)
-		for tenant := range tn.trigger {
-			tn.retune(tenant)
+		for range tn.trigger {
+			tn.retune()
 		}
 	}()
 }
 
 // signal nudges the tuner without blocking the hot path.
-func (tn *tuner) signal(tenant string) {
+func (tn *tuner) signal() {
 	select {
-	case tn.trigger <- tenant:
+	case tn.trigger <- struct{}{}:
 	default:
 	}
 }
@@ -76,7 +79,7 @@ func (tn *tuner) stop() {
 // retune recommends over the union of every tenant's recent distinct
 // queries (all tenants share one engine, so the configuration must serve
 // the blended workload) and applies the result incrementally.
-func (tn *tuner) retune(string) {
+func (tn *tuner) retune() {
 	sqls := make([]string, 0, recentSQLCap)
 	seen := make(map[string]bool, recentSQLCap)
 	for _, name := range tn.g.tenantOrder {
@@ -95,13 +98,21 @@ func (tn *tuner) retune(string) {
 		UseSession(tn.whatif).
 		Recommend(sqls, tn.budget)
 	if err != nil {
-		tn.failed.Add(1)
+		tn.fail(fmt.Errorf("recommend: %w", err))
 		return
 	}
 	cfg.Name = "gw-retune"
 	if err := tn.g.transition(cfg); err != nil {
-		tn.failed.Add(1)
+		tn.fail(fmt.Errorf("transition: %w", err))
 		return
 	}
 	tn.applied.Add(1)
+}
+
+// fail keeps a failed retune's reason, then counts it — in that order,
+// so a reader that sees the count sees a reason.
+func (tn *tuner) fail(err error) {
+	msg := err.Error()
+	tn.lastErr.Store(&msg)
+	tn.failed.Add(1)
 }

@@ -62,3 +62,23 @@ func TestTunerRetunesUnderLoad(t *testing.T) {
 		t.Errorf("shutdown left %d queries in flight", s.Inflight)
 	}
 }
+
+// TestFailedRetuneKeepsItsReason: a retune that cannot recommend is
+// counted and its reason is served in the stats — an operator seeing
+// retune_errors climb must be able to tell why without a debugger.
+func TestFailedRetuneKeepsItsReason(t *testing.T) {
+	cfg := testConfig(TenantConfig{Name: "alpha", APIKey: "alpha-key", Families: []string{"NREF2J"}})
+	cfg.Tuning = true
+	g, _ := newTestGateway(t, cfg)
+
+	ten := g.tenants["alpha"]
+	ten.mu.Lock()
+	ten.recentSQL = append(ten.recentSQL, "SELECT FROM WHERE")
+	ten.mu.Unlock()
+	g.tunerP.Load().retune()
+
+	s := g.Stats()
+	if s.Retunes != 0 || s.RetuneErrs != 1 || s.RetuneLastError == "" {
+		t.Errorf("retunes %d, retune errors %d, last error %q; want 0, 1 and a reason", s.Retunes, s.RetuneErrs, s.RetuneLastError)
+	}
+}

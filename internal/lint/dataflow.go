@@ -4,8 +4,7 @@
 //   - reverse edges (Callers), so a changed function summary can requeue
 //     exactly the functions whose own summaries depend on it;
 //   - a deterministic worklist fixpoint driver: functions are recomputed
-//     in sorted-key order, re-enqueued dependents keep that order, and
-//     the per-rule iteration count is recorded for BENCH_conflint.json.
+//     in sorted-key order, and re-enqueued dependents keep that order.
 //
 // Summaries must be monotone over a finite lattice (a blocking fact never
 // un-blocks; an effect, once in a summary, stays), so the fixpoint
@@ -58,9 +57,7 @@ func (m *Module) Callers() map[string][]string {
 // fixpoint drives a summary computation to stability: recompute(key) is
 // called for every key in sorted order; when it reports a change, the
 // key's callers are re-enqueued (in order, each at most once per round).
-// The total number of recompute calls is recorded under rule in
-// Module.FixpointIters.
-func (m *Module) fixpoint(rule string, keys []string, recompute func(key string) bool) {
+func (m *Module) fixpoint(keys []string, recompute func(key string) bool) {
 	callers := m.Callers()
 	queue := append([]string(nil), keys...)
 	sort.Strings(queue)
@@ -72,7 +69,6 @@ func (m *Module) fixpoint(rule string, keys []string, recompute func(key string)
 	for _, k := range queue {
 		known[k] = true
 	}
-	iters := 0
 	enqueue := func(k string) {
 		if known[k] && !queued[k] {
 			queued[k] = true
@@ -90,7 +86,6 @@ func (m *Module) fixpoint(rule string, keys []string, recompute func(key string)
 			queued[k] = false
 		}
 		for _, k := range batch {
-			iters++
 			if !recompute(k) {
 				continue
 			}
@@ -99,15 +94,7 @@ func (m *Module) fixpoint(rule string, keys []string, recompute func(key string)
 			}
 		}
 	}
-	if m.fixIters == nil {
-		m.fixIters = make(map[string]int)
-	}
-	m.fixIters[rule] += iters
 }
-
-// FixpointIters returns the per-rule fixpoint iteration counts
-// accumulated so far (for BENCH_conflint.json).
-func (m *Module) FixpointIters() map[string]int { return m.fixIters }
 
 // stepf renders one witness step with a module-relative position.
 func (m *Module) stepf(pos token.Pos, format string, args ...any) string {

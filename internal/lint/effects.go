@@ -158,7 +158,7 @@ func buildEffects(m *Module) *effectState {
 	for _, key := range es.domain {
 		es.local[key] = es.directEffects(key)
 	}
-	m.fixpoint("effects", es.domain, es.recompute)
+	m.fixpoint(es.domain, es.recompute)
 	return es
 }
 

@@ -66,52 +66,6 @@ var errDiscardAllowedRecvs = map[string]bool{
 	"bytes.Buffer":    true,
 }
 
-// stdlibSingleErrResult is the subset of stdlibReturnsError whose calls
-// return exactly one value (the error) — the precondition for rewriting
-// a discarding expression statement to `_ = call()`. Multi-result calls
-// (io.Copy, os.File.Write, the strconv parsers, time.Parse) are
-// excluded: `_ =` would not compile for them.
-var stdlibSingleErrResult = map[string]bool{
-	"os.WriteFile": true, "os.MkdirAll": true, "os.Mkdir": true,
-	"os.Remove": true, "os.RemoveAll": true, "os.Rename": true,
-	"os.Setenv": true, "os.Chdir": true,
-	"os.File.Close": true, "os.File.Sync": true,
-	"net/http.Server.Serve": true, "net/http.Server.ListenAndServe": true,
-	"net/http.Server.Shutdown": true, "net/http.Server.Close": true,
-	"encoding/json.Encoder.Encode": true,
-	"encoding/json.Unmarshal":      true,
-	"encoding/csv.Writer.Write":    true, "encoding/csv.Writer.WriteAll": true,
-	"bufio.Writer.Flush": true,
-}
-
-// errFixIgnoreComment is the reasoned-discard comment -fix appends: the
-// reason is a deliberate TODO — the fix makes the discard explicit and
-// auditable, the justification stays a human's job.
-const errFixIgnoreComment = " // conflint:ignore TODO: justify this error discard"
-
-// singleErrorResult reports whether the call provably returns exactly
-// one value, an error: a resolved module signature with one result, or
-// a curated single-result stdlib call.
-func singleErrorResult(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) bool {
-	r := &resolver{m: m, pkg: p, file: f, fn: fn}
-	if sig, _, _ := r.signatureOf(call); sig != nil {
-		return returnsError(sig) && resultCount(sig) == 1
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			return stdlibSingleErrResult[imp+"."+sel.Sel.Name]
-		}
-	}
-	if key := m.NamedKey(m.TypeOf(p, f, fn, sel.X)); key != "" {
-		return stdlibSingleErrResult[key+"."+sel.Sel.Name]
-	}
-	return false
-}
-
 func checkErrors(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
@@ -127,11 +81,11 @@ func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
 	fset := m.Fset
 	var out []Finding
 
-	flag := func(at ast.Node, msg, hint string, fixes []TextEdit) {
+	flag := func(at ast.Node, msg, hint string) {
 		pos := fset.Position(at.Pos())
 		out = append(out, Finding{
 			Rule: "errcheck", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-			Message: msg, Hint: hint, Fixes: fixes,
+			Message: msg, Hint: hint,
 		})
 	}
 
@@ -143,32 +97,21 @@ func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
 				return true
 			}
 			if name, drops := callDropsError(m, p, f, fn, call); drops {
-				// Fixable when the call provably returns just the error
-				// (so `_ =` compiles) and the statement ends its line:
-				// prefix the blank assign, append the reasoned ignore.
-				var fixes []TextEdit
-				if singleErrorResult(m, p, f, fn, call) {
-					if tail, ok := m.appendLineCommentEdit(f, s.End(), errFixIgnoreComment); ok {
-						at := m.offsetOf(s.Pos())
-						fixes = []TextEdit{{File: f.Path, Start: at, End: at, New: "_ = "}, tail}
-					}
-				}
 				flag(call,
 					fmt.Sprintf("result of %s is an error and this statement discards it", name),
-					"handle the error, or discard explicitly with `_ = ... // conflint:ignore <reason>`",
-					fixes)
+					"handle the error, or discard explicitly with `_ = ... // conflint:ignore <reason>`")
 			}
 		case *ast.GoStmt:
 			if name, drops := callDropsError(m, p, f, fn, s.Call); drops {
 				flag(s.Call,
 					fmt.Sprintf("go %s drops its error: the goroutine dies silently when it fails", name),
-					"wrap in `go func() { if err := ...; err != nil { log / signal } }()`", nil)
+					"wrap in `go func() { if err := ...; err != nil { log / signal } }()`")
 			}
 		case *ast.DeferStmt:
 			if name, drops := callDropsError(m, p, f, fn, s.Call); drops {
 				flag(s.Call,
 					fmt.Sprintf("defer %s drops its error", name),
-					"defer a closure that checks the error, or discard explicitly with a conflint:ignore reason", nil)
+					"defer a closure that checks the error, or discard explicitly with a conflint:ignore reason")
 			}
 		case *ast.AssignStmt:
 			out = append(out, checkBlankErrors(m, p, f, fn, s)...)
@@ -277,18 +220,11 @@ func checkBlankErrors(m *Module, p *Package, f *File, fn *ast.FuncDecl, s *ast.A
 				continue
 			}
 			if ret, known := callReturnsError(m, p, f, fn, call); known && ret {
-				// The discard is already explicit; the fix appends the
-				// reasoned ignore that makes it auditable.
-				var fixes []TextEdit
-				if e, ok := m.appendLineCommentEdit(f, s.End(), errFixIgnoreComment); ok {
-					fixes = []TextEdit{e}
-				}
 				pos := fset.Position(s.Lhs[i].Pos())
 				out = append(out, Finding{
 					Rule: "errcheck", File: pos.Filename, Line: pos.Line, Col: pos.Column,
 					Message: fmt.Sprintf("`_ = %s` discards an error without a conflint:ignore reason", exprString(fset, call.Fun)),
 					Hint:    "handle the error or append `// conflint:ignore <reason>` to the discard",
-					Fixes:   fixes,
 				})
 			}
 		}

@@ -41,17 +41,10 @@ func TestLockOrderWitness(t *testing.T) {
 		}
 	}
 
-	// The witness must survive both renderers.
-	text := RenderText(m, findings, false)
-	if !strings.Contains(text, "edge fixture.S.a -> fixture.S.b:") {
+	// The witness must survive rendering.
+	text := RenderText(m, findings)
+	if !strings.Contains(text, "edge fixture.S.a -> fixture.S.b:") || !strings.Contains(text, "fixture.S.grab") {
 		t.Errorf("text rendering drops the witness:\n%s", text)
-	}
-	j, err := RenderJSON(m, findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(j, `"witness"`) || !strings.Contains(j, "fixture.S.grab") {
-		t.Errorf("JSON rendering drops the witness:\n%s", j)
 	}
 }
 
@@ -79,8 +72,7 @@ func TestBareWorkerDirective(t *testing.T) {
 }
 
 // TestFindingOrdering is the determinism golden: on the errcheck fixture
-// the findings come out in exactly (file, line, col, rule) order, with
-// package and symbol attribution filled in.
+// the findings come out in exactly (file, line, col, rule) order.
 func TestFindingOrdering(t *testing.T) {
 	m, err := LoadFixture(filepath.Join("testdata", "src", "errcheck"))
 	if err != nil {
@@ -95,12 +87,9 @@ func TestFindingOrdering(t *testing.T) {
 		if f.Line != wantLines[i] {
 			t.Errorf("finding %d: want line %d, got %s", i, wantLines[i], f)
 		}
-		if f.Rule != "errcheck" || f.Package == "" || f.Symbol == "" {
-			t.Errorf("finding %d: want errcheck with package+symbol attribution, got %+v", i, f)
+		if f.Rule != "errcheck" {
+			t.Errorf("finding %d: want errcheck, got %s", i, f)
 		}
-	}
-	if findings[4].Symbol != "Assigned" {
-		t.Errorf("want symbol attribution \"Assigned\" on the last finding, got %q", findings[4].Symbol)
 	}
 	sorted := sort.SliceIsSorted(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

@@ -27,7 +27,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -36,33 +35,21 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one rule violation at one source position.
 type Finding struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
-	// Hint, when non-empty, is a suggested edit (the -hints mode prints
-	// it under the offending source line).
-	Hint string `json:"hint,omitempty"`
-	// Package and Symbol locate the finding structurally (import path
-	// and enclosing top-level declaration) — the key baselines use, so
-	// a baseline survives reformatting while dying with the code it
-	// described.
-	Package string `json:"package,omitempty"`
-	Symbol  string `json:"symbol,omitempty"`
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
+	// Hint, when non-empty, is a suggested edit, printed as a `fix:`
+	// line under the finding.
+	Hint string
 	// Witness, for interprocedural findings, is the step-by-step path
 	// that realizes the violation (lockorder cycle edges).
-	Witness []string `json:"witness,omitempty"`
-	// Fixes, when non-empty, is a machine-applicable suggested fix: a
-	// set of byte-offset edits that together resolve the finding
-	// (fix.go applies them under `conflint -fix`). Edits within one
-	// finding are applied atomically or not at all.
-	Fixes []TextEdit `json:"fixes,omitempty"`
+	Witness []string
 }
 
 func (f Finding) String() string {
@@ -73,21 +60,11 @@ func (f Finding) String() string {
 type File struct {
 	Path string // absolute path
 	AST  *ast.File
-	// lines is the raw source split by newline, for -hints output.
-	lines []string
 	// ignores maps a directive's own line number to the directive. A
 	// directive suppresses findings on its line and the line below.
 	ignores map[int]*ignoreInfo
 	// parents maps every AST node to its parent, built on demand.
 	parents map[ast.Node]ast.Node
-}
-
-// SourceLine returns the 1-based source line, or "".
-func (f *File) SourceLine(n int) string {
-	if n < 1 || n > len(f.lines) {
-		return ""
-	}
-	return f.lines[n-1]
 }
 
 // Parent returns the syntactic parent of a node in this file.
@@ -129,9 +106,6 @@ type Module struct {
 	idx     *index              // lazy resolution indexes (resolve.go)
 	graph   *CallGraph          // lazy module-wide call graph (callgraph.go)
 	callers map[string][]string // lazy reverse call-graph edges (dataflow.go)
-	// fixIters is the per-rule fixpoint iteration counts (dataflow.go)
-	// reported in BENCH_conflint.json.
-	fixIters map[string]int
 	// usedIgnores is "path:line" of every ignore directive that actually
 	// suppressed a finding this run. Most suppression happens in
 	// finishRun, but shutdownpath consumes directives at source level
@@ -305,21 +279,11 @@ func (m *Module) loadDir(dir, importPath string) (*Package, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(m.Fset, path, src, parser.ParseComments)
+		f, err := parser.ParseFile(m.Fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		file := &File{
-			Path:    path,
-			AST:     f,
-			lines:   strings.Split(string(src), "\n"),
-			ignores: scanIgnores(m.Fset, f),
-		}
-		pkg.Files = append(pkg.Files, file)
+		pkg.Files = append(pkg.Files, &File{Path: path, AST: f, ignores: scanIgnores(m.Fset, f)})
 		if pkg.Name == "" {
 			pkg.Name = f.Name.Name
 		}
@@ -349,11 +313,9 @@ func modulePath(gomod string) (string, error) {
 const ignoreDirective = "conflint:ignore"
 
 // ignoreInfo is one conflint:ignore directive: its reason (empty for a
-// bare directive) and the comment's source extent, kept so `-fix` can
-// delete a directive that suppresses nothing.
+// bare directive).
 type ignoreInfo struct {
-	reason   string
-	pos, end token.Pos
+	reason string
 }
 
 // scanIgnores collects ignore directives by comment line.
@@ -364,11 +326,7 @@ func scanIgnores(fset *token.FileSet, f *ast.File) map[int]*ignoreInfo {
 			text := strings.TrimPrefix(c.Text, "//")
 			text = strings.TrimSpace(text)
 			if rest, ok := strings.CutPrefix(text, ignoreDirective); ok {
-				out[fset.Position(c.Pos()).Line] = &ignoreInfo{
-					reason: strings.TrimSpace(rest),
-					pos:    c.Pos(),
-					end:    c.End(),
-				}
+				out[fset.Position(c.Pos()).Line] = &ignoreInfo{reason: strings.TrimSpace(rest)}
 			}
 		}
 	}
@@ -379,21 +337,11 @@ func scanIgnores(fset *token.FileSet, f *ast.File) map[int]*ignoreInfo {
 // reports reason-less and stale directives, and returns findings in
 // position order.
 func Run(m *Module, analyzers []*Analyzer) []Finding {
-	fs, _ := RunTimed(m, analyzers)
-	return fs
-}
-
-// RunTimed is Run, additionally reporting each analyzer's wall time
-// (for BENCH_conflint.json).
-func RunTimed(m *Module, analyzers []*Analyzer) ([]Finding, map[string]time.Duration) {
-	walls := make(map[string]time.Duration, len(analyzers))
 	var raw []Finding
 	for _, a := range analyzers {
-		t0 := time.Now()
 		raw = append(raw, a.Run(m)...)
-		walls[a.Name] = time.Since(t0)
 	}
-	return finishRun(m, raw, analyzers), walls
+	return finishRun(m, raw, analyzers)
 }
 
 // coversAllRules reports whether the selected analyzers include every
@@ -413,7 +361,7 @@ func coversAllRules(analyzers []*Analyzer) bool {
 }
 
 // finishRun applies ignore directives, reports bare and stale
-// directives, fills structural attribution, and sorts.
+// directives, and sorts.
 func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, f := range raw {
@@ -448,15 +396,11 @@ func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 					out = append(out, Finding{
 						Rule: "ignore", File: file.Path, Line: line, Col: 1,
 						Message: "conflint:ignore suppresses nothing: no rule reports a finding on this line or the line below",
-						Hint:    "delete the stale directive (conflint -fix does), or restore the code it was written for",
-						Fixes:   []TextEdit{m.deleteCommentEdit(file, info.pos, info.end)},
+						Hint:    "delete the stale directive, or restore the code it was written for",
 					})
 				}
 			}
 		}
-	}
-	for i := range out {
-		out[i].Package, out[i].Symbol = m.symbolAt(out[i].File, out[i].Line)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -475,59 +419,6 @@ func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 		return a.Message < b.Message
 	})
 	return out
-}
-
-// symbolAt locates a source line structurally: the import path of its
-// package and the top-level declaration enclosing it ("Engine.Run",
-// "dedupe", "Lab" — "" for file-level positions). This is the baseline
-// key, stable under reformatting and unrelated edits.
-func (m *Module) symbolAt(path string, line int) (pkg, symbol string) {
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if f.Path != path {
-				continue
-			}
-			for _, d := range f.AST.Decls {
-				start := m.Fset.Position(d.Pos()).Line
-				end := m.Fset.Position(d.End()).Line
-				// A declaration's doc comment (where annotations live)
-				// belongs to the declaration.
-				switch dd := d.(type) {
-				case *ast.FuncDecl:
-					if dd.Doc != nil {
-						start = m.Fset.Position(dd.Doc.Pos()).Line
-					}
-				case *ast.GenDecl:
-					if dd.Doc != nil {
-						start = m.Fset.Position(dd.Doc.Pos()).Line
-					}
-				}
-				if line < start || line > end {
-					continue
-				}
-				switch dd := d.(type) {
-				case *ast.FuncDecl:
-					name := dd.Name.Name
-					if dd.Recv != nil && len(dd.Recv.List) > 0 {
-						if rn := baseTypeName(dd.Recv.List[0].Type); rn != "" {
-							name = rn + "." + name
-						}
-					}
-					return p.ImportPath, name
-				case *ast.GenDecl:
-					for _, spec := range dd.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok &&
-							m.Fset.Position(ts.Pos()).Line <= line && line <= m.Fset.Position(ts.End()).Line {
-							return p.ImportPath, ts.Name.Name
-						}
-					}
-					return p.ImportPath, ""
-				}
-			}
-			return p.ImportPath, ""
-		}
-	}
-	return "", ""
 }
 
 // ignoreAt returns the directive covering the given line (a directive
@@ -559,9 +450,10 @@ func (m *Module) fileOf(path string) *File {
 	return nil
 }
 
-// RenderText prints findings for humans; with hints, each finding is
-// followed by the offending source line and a suggested edit.
-func RenderText(m *Module, fs []Finding, hints bool) string {
+// RenderText prints each finding as `file:line:col: [rule] message`
+// (path relative to the module root), followed by its witness steps and
+// its `fix:` hint.
+func RenderText(m *Module, fs []Finding) string {
 	var b strings.Builder
 	for _, f := range fs {
 		rel := f.File
@@ -572,32 +464,9 @@ func RenderText(m *Module, fs []Finding, hints bool) string {
 		for _, w := range f.Witness {
 			fmt.Fprintf(&b, "    %s\n", w)
 		}
-		if hints {
-			if file := m.fileOf(f.File); file != nil {
-				if src := strings.TrimRight(file.SourceLine(f.Line), " \t"); src != "" {
-					fmt.Fprintf(&b, "        %s\n", strings.TrimLeft(src, " \t"))
-				}
-			}
-			if f.Hint != "" {
-				fmt.Fprintf(&b, "        fix: %s\n", f.Hint)
-			}
+		if f.Hint != "" {
+			fmt.Fprintf(&b, "        fix: %s\n", f.Hint)
 		}
 	}
 	return b.String()
-}
-
-// RenderJSON prints findings as a JSON array (paths relative to root).
-func RenderJSON(m *Module, fs []Finding) (string, error) {
-	rel := make([]Finding, len(fs))
-	for i, f := range fs {
-		rel[i] = f
-		if r, err := filepath.Rel(m.Root, f.File); err == nil {
-			rel[i].File = r
-		}
-	}
-	data, err := json.MarshalIndent(rel, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(data) + "\n", nil
 }

@@ -25,7 +25,11 @@ func loadWants(t *testing.T, m *Module) []*wantSpec {
 	var out []*wantSpec
 	for _, p := range m.Pkgs {
 		for _, f := range p.Files {
-			for i, line := range f.lines {
+			src, err := os.ReadFile(f.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
 				sm := wantRe.FindStringSubmatch(line)
 				if sm == nil {
 					continue
@@ -129,7 +133,8 @@ func TestByNames(t *testing.T) {
 	}
 }
 
-// TestRenderers smoke-tests the two output formats on a fixture run.
+// TestRenderers pins the one output format on a fixture run: the
+// position line with a module-relative path, and the fix: hint.
 func TestRenderers(t *testing.T) {
 	m, err := LoadFixture(filepath.Join("testdata", "src", "errcheck"))
 	if err != nil {
@@ -139,15 +144,53 @@ func TestRenderers(t *testing.T) {
 	if len(findings) == 0 {
 		t.Fatal("errcheck fixture produced no findings")
 	}
-	text := RenderText(m, findings, true)
-	if !strings.Contains(text, "[errcheck]") || !strings.Contains(text, "fix: ") {
-		t.Errorf("hints rendering missing pieces:\n%s", text)
+	text := RenderText(m, findings)
+	if !strings.HasPrefix(text, "errcheck.go:15:2: [errcheck] ") || !strings.Contains(text, "        fix: ") {
+		t.Errorf("text rendering missing pieces:\n%s", text)
 	}
-	j, err := RenderJSON(m, findings)
+	if strings.Contains(text, m.Root) {
+		t.Errorf("text rendering should print module-relative paths:\n%s", text)
+	}
+}
+
+// TestStaleIgnore pins the stale-directive contract: a reasoned
+// directive that suppresses a finding is silent, one that suppresses
+// nothing is a finding — but only when the full rule set runs, since a
+// subset cannot know what the directive was written for.
+func TestStaleIgnore(t *testing.T) {
+	const src = `package stale
+
+import "os"
+
+func touch() {
+	_ = os.Remove("x") // conflint:ignore best-effort cleanup of a scratch file
+}
+
+// conflint:ignore written for code that moved away
+func quiet() {}
+`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "stale.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := LoadFixture(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(j, `"rule": "errcheck"`) || strings.Contains(j, m.Root) {
-		t.Errorf("JSON rendering wrong (want relative paths, errcheck rule):\n%s", j)
+	findings := Run(m, All())
+	if len(findings) != 1 || findings[0].Rule != "ignore" || findings[0].Line != 9 ||
+		!strings.Contains(findings[0].Message, "suppresses nothing") {
+		t.Fatalf("want exactly the stale-ignore finding at line 9, got %v", findings)
+	}
+
+	// Under a rule subset the gate is off: no stale reporting (and the
+	// used directive still suppresses).
+	m2, err := LoadFixture(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub := Run(m2, []*Analyzer{ErrCheck()}); len(sub) != 0 {
+		t.Fatalf("subset run should report nothing, got %v", sub)
 	}
 }

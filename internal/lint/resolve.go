@@ -586,19 +586,3 @@ func returnsError(sig *ast.FuncType) bool {
 	id, ok := last.Type.(*ast.Ident)
 	return ok && id.Name == "error"
 }
-
-// resultCount returns the number of results in a signature.
-func resultCount(sig *ast.FuncType) int {
-	if sig == nil || sig.Results == nil {
-		return 0
-	}
-	n := 0
-	for _, fld := range sig.Results.List {
-		c := len(fld.Names)
-		if c == 0 {
-			c = 1
-		}
-		n += c
-	}
-	return n
-}

@@ -299,7 +299,7 @@ func (sp *spState) summarize(key string) bool {
 func shutdownPathModule(m *Module) []Finding {
 	sp := &spState{m: m, blocks: make(map[string]*blockInfo)}
 	g := m.Graph()
-	m.fixpoint("shutdownpath", g.Keys(), sp.summarize)
+	m.fixpoint(g.Keys(), sp.summarize)
 
 	var out []Finding
 	fset := m.Fset
