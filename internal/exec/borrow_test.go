@@ -158,6 +158,104 @@ func TestBorrowedRowsAreClonedByRetainers(t *testing.T) {
 	}
 }
 
+// TestHashJoinKeepsEveryColumnReadAbove pins the read set a hash join
+// keeps and copies: in each plan a column of a lower hash join's input is
+// read by exactly one operator above that join — an aggregate's group or
+// argument, an upper hash join's build or probe key, an index join's bind
+// or residual equality, a projection, or a root that returns whole flat
+// rows — and the rows must be the ones a join that kept every column
+// returns. u row j is (j%50, j) and t row k is (k, k%10, 'a'+k%5), so
+// a.k = b.k pairs u row j with t row j%50, and v is unique.
+func TestHashJoinKeepsEveryColumnReadAbove(t *testing.T) {
+	w := newWorld(t, conf.IndexDef{Table: "t", Columns: []string{"k"}})
+	const (
+		tK, tG = 0, 1 // columns of t
+		uK, uV = 0, 1 // columns of u
+	)
+	letter := func(k int64) val.Value { return val.String(string(rune('a' + k%5))) }
+	rows := func(f func(j int64) val.Row) []val.Row {
+		var out []val.Row
+		for j := int64(0); j < 300; j++ {
+			out = append(out, f(j))
+		}
+		return out
+	}
+	// lower is u b (build) ⋈ t a (probe) on b.k = a.k, or with the sides
+	// swapped; a is query table 0 and b table 1 throughout.
+	lower := func(off func(int, int) int, uBuilds bool) *plan.HashJoin {
+		if uBuilds {
+			return &plan.HashJoin{Build: w.seqScan(1, "u"), Probe: w.seqScan(0, "t"),
+				BuildKeys: []int{off(1, uK)}, ProbeKeys: []int{off(0, tK)}}
+		}
+		return &plan.HashJoin{Build: w.seqScan(0, "t"), Probe: w.seqScan(1, "u"),
+			BuildKeys: []int{off(0, tK)}, ProbeKeys: []int{off(1, uK)}}
+	}
+
+	// Each g meets k ∈ {g, g+10, …, g+40}, each k six times, and one letter.
+	agg := w.handPlan(t, `SELECT a.g, COUNT(*), COUNT(DISTINCT a.s) FROM t a, u b WHERE a.k = b.k GROUP BY a.g`,
+		func(off func(int, int) int) plan.Node { return lower(off, false) })
+	var aggWant []val.Row
+	for g := int64(0); g < 10; g++ {
+		aggWant = append(aggWant, val.Row{val.Int(g), val.Int(30), val.Int(1)})
+	}
+
+	const threeSQL = `SELECT a.g, c.k FROM t a, u b, u c WHERE a.k = b.k AND b.v = c.v`
+	threeWant := rows(func(j int64) val.Row { return val.Row{val.Int(j % 10), val.Int(j % 50)} })
+	upperBuild := w.handPlan(t, threeSQL, func(off func(int, int) int) plan.Node {
+		return &plan.HashJoin{Build: lower(off, true), Probe: w.seqScan(2, "u"),
+			BuildKeys: []int{off(1, uV)}, ProbeKeys: []int{off(2, uV)}}
+	})
+	upperProbe := w.handPlan(t, threeSQL, func(off func(int, int) int) plan.Node {
+		return &plan.HashJoin{Build: w.seqScan(2, "u"), Probe: lower(off, true),
+			BuildKeys: []int{off(2, uV)}, ProbeKeys: []int{off(1, uV)}}
+	})
+
+	bind := w.handPlan(t, `SELECT a.g, d.g FROM t a, u b, t d WHERE a.k = b.k AND b.v = d.k`,
+		func(off func(int, int) int) plan.Node { return w.indexJoinT(lower(off, true), 2, off(1, uV)) })
+	bindWant := rows(func(j int64) val.Row { return val.Row{val.Int(j % 10), val.Int(j % 10)} })
+
+	// a.g = d.g always holds (d.g = j%10 = a.g), so only a dropped a.g
+	// can make the residual equality reject a row.
+	postEq := w.handPlan(t, `SELECT a.k, d.k FROM t a, u b, t d WHERE a.k = b.k AND b.v = d.k AND a.g = d.g`,
+		func(off func(int, int) int) plan.Node {
+			ij := w.indexJoinT(lower(off, false), 2, off(1, uV))
+			ij.PostEq = []plan.EqPair{{A: off(0, tG), B: off(2, tG)}}
+			return ij
+		})
+	postEqWant := rows(func(j int64) val.Row { return val.Row{val.Int(j % 50), val.Int(j)} })
+
+	const twoSQL = `SELECT a.s, b.v FROM t a, u b WHERE a.k = b.k`
+	project := w.handPlan(t, twoSQL, func(off func(int, int) int) plan.Node { return lower(off, true) })
+	projectWant := rows(func(j int64) val.Row { return val.Row{letter(j % 50), val.Int(j)} })
+
+	flat := w.handPlan(t, twoSQL, func(off func(int, int) int) plan.Node { return lower(off, true) })
+	flat.Root = flat.Root.(*plan.Project).Input
+	flatWant := rows(func(j int64) val.Row {
+		k := j % 50
+		return val.Row{val.Int(k), val.Int(k % 10), letter(k), val.Int(k), val.Int(j)}
+	})
+
+	for _, c := range []struct {
+		name string
+		p    *plan.Plan
+		want []val.Row
+	}{
+		{"group and aggregate", agg, aggWant},
+		{"upper build key", upperBuild, threeWant},
+		{"upper probe key", upperProbe, threeWant},
+		{"index-join bind", bind, bindWant},
+		{"index-join residual equality", postEq, postEqWant},
+		{"projection", project, projectWant},
+		{"flat-row root", flat, flatWant},
+	} {
+		res, err := exec.Run(c.p, &exec.Ctx{Model: w.phys.Model})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkMultiset(t, c.name, res.Rows, c.want)
+	}
+}
+
 // TestAllocationsDoNotGrowWithRowsLookedAt is the executor's allocation
 // budget: what Run allocates is a function of what it keeps (build rows,
 // groups, result rows), not of the tuples it looks at. Each plan runs
@@ -165,7 +263,7 @@ func TestBorrowedRowsAreClonedByRetainers(t *testing.T) {
 // the same at both sizes, so the allocation counts must be too.
 func TestAllocationsDoNotGrowWithRowsLookedAt(t *testing.T) {
 	const (
-		slack      = 8  // today the two sizes allocate exactly the same (967); room for runtime noise, not for rows
+		slack      = 8  // today the two sizes allocate exactly the same (136, 54, 82, 181); room for runtime noise, not for rows
 		scanBudget = 16 // executor, scratch rows, result: 5 today
 	)
 	allocs := func(tRows int, text string, join func(w *world, off func(int, int) int) plan.Node) float64 {
@@ -185,16 +283,38 @@ func TestAllocationsDoNotGrowWithRowsLookedAt(t *testing.T) {
 			BuildKeys: []int{off(1, 0)}, ProbeKeys: []int{off(0, 1)},
 		}
 	}
-	const joinAggSQL = `SELECT t.g, COUNT(*), COUNT(DISTINCT t.s), MIN(u.v) FROM t, u WHERE t.g = u.k GROUP BY t.g`
-	small, large := allocs(2000, joinAggSQL, joinAgg), allocs(8000, joinAggSQL, joinAgg)
-	if large > small+slack {
-		t.Errorf("hash join → hash agg: %.0f allocations at 2000 probe rows, %.0f at 8000 — they grow with the probe side", small, large)
+	scanT := func(w *world, off func(int, int) int) plan.Node { return w.seqScan(0, "t") }
+	// The build side is u a ⋈ u b, four columns wide; every t row again
+	// probes 6 of its rows.
+	wideBuild := func(w *world, off func(int, int) int) plan.Node {
+		return &plan.HashJoin{
+			Build: &plan.HashJoin{
+				Build: w.seqScan(1, "u"), Probe: w.seqScan(2, "u"),
+				BuildKeys: []int{off(1, 1)}, ProbeKeys: []int{off(2, 1)},
+			},
+			Probe:     w.seqScan(0, "t"),
+			BuildKeys: []int{off(1, 0)}, ProbeKeys: []int{off(0, 1)},
+		}
+	}
+	for _, c := range []struct {
+		name, sql string
+		join      func(w *world, off func(int, int) int) plan.Node
+	}{
+		{"hash join → hash agg", `SELECT t.g, COUNT(*), COUNT(DISTINCT t.s), MIN(u.v) FROM t, u WHERE t.g = u.k GROUP BY t.g`, joinAgg},
+		{"COUNT(DISTINCT) over an int column", `SELECT s, COUNT(DISTINCT g) FROM t GROUP BY s`, scanT},
+		{"COUNT(DISTINCT) over a string column", `SELECT g, COUNT(DISTINCT s) FROM t GROUP BY g`, scanT},
+		{"hash join with a wide build side", `SELECT t.g, COUNT(*), MIN(b.v) FROM t, u a, u b WHERE t.g = a.k AND a.v = b.v GROUP BY t.g`, wideBuild},
+	} {
+		small, large := allocs(2000, c.sql, c.join), allocs(8000, c.sql, c.join)
+		if large > small+slack {
+			t.Errorf("%s: %.0f allocations at 2000 rows of t, %.0f at 8000 — they grow with the tuples looked at", c.name, small, large)
+		}
 	}
 
 	rejectAll := func(w *world, off func(int, int) int) plan.Node {
 		return w.seqScan(0, "t", plan.Filter{Offset: off(0, 0), Op: "<", Value: val.Int(0)})
 	}
-	small, large = allocs(2000, `SELECT k FROM t WHERE k < 0`, rejectAll), allocs(8000, `SELECT k FROM t WHERE k < 0`, rejectAll)
+	small, large := allocs(2000, `SELECT k FROM t WHERE k < 0`, rejectAll), allocs(8000, `SELECT k FROM t WHERE k < 0`, rejectAll)
 	if large > small || small > scanBudget {
 		t.Errorf("filtered scan that rejects every row: %.0f allocations over 2000 rows, %.0f over 8000 — want O(1)", small, large)
 	}

@@ -38,7 +38,7 @@ type Ctx struct {
 	// Preset, when non-nil, supplies the IN-subquery sets instead of
 	// computing them from the plan — the sharded execution path computes
 	// each set once on the coordinator (over the full tables, so HAVING
-	// COUNT(*) predicates see global counts) and injects the values into
+	// COUNT(*) predicates see global counts) and injects the sets into
 	// every partition's execution. Must hold exactly one entry per
 	// plan.InSets, in order; the set computation is not billed here (the
 	// coordinator billed it once).
@@ -48,9 +48,12 @@ type Ctx struct {
 }
 
 // InSetValues is the materialized value list of one IN-subquery set, in
-// the deterministic (ascending) probe order ComputeInSets produces.
+// the deterministic (ascending) probe order ComputeInSets produces, with
+// the set itself: every partition reads that one set, none rebuilds it.
+// Only ComputeInSets makes a usable one.
 type InSetValues struct {
 	Vals []val.Value
+	set  *inSet
 }
 
 // Seconds returns the simulated time consumed so far.
@@ -79,38 +82,32 @@ type Result struct {
 // inSet is a computed IN-subquery set: the membership test plus the
 // ordered values (for set-driven index probes).
 type inSet struct {
-	keys map[string]bool
+	valueSet
 	vals []val.Value
-	buf  []byte // key of the value being tested or added
-}
-
-func (s *inSet) contains(v val.Value) bool {
-	s.buf = val.AppendKey(s.buf[:0], v)
-	return s.keys[string(s.buf)]
 }
 
 // add inserts v unless it is already a member.
 func (s *inSet) add(v val.Value) {
-	if !s.contains(v) {
-		s.keys[string(s.buf)] = true
+	if s.valueSet.add(v) {
 		s.vals = append(s.vals, v)
 	}
 }
 
 // executor is one execution of one plan by one goroutine. Everything an
-// operator reuses across tuples — its scratch row, its key buffer, an
-// inSet's buf — is created by that operator's run* call or by buildSets,
-// so it belongs to this executor alone: the sharded path runs one
-// executor per partition goroutine and none of it is shared between them.
+// operator reuses across tuples — its scratch row, its tables — is
+// created by that operator's run* call, so it belongs to this executor
+// alone; the sharded path runs one executor per partition goroutine, and
+// all they share is the injected IN-sets, which they only read.
 type executor struct {
 	ctx  *Ctx
 	p    *plan.Plan
 	sets []*inSet
+	live []bool // readSet(p): the offsets a hash join keeps and copies
 }
 
 // Run executes the plan and returns its result.
 func Run(p *plan.Plan, ctx *Ctx) (*Result, error) {
-	e := &executor{ctx: ctx, p: p}
+	e := &executor{ctx: ctx, p: p, live: readSet(p)}
 	if err := e.buildSets(); err != nil {
 		return nil, err
 	}
@@ -184,14 +181,8 @@ func (e *executor) buildSets() error {
 		if len(e.ctx.Preset) != len(e.p.InSets) {
 			return fmt.Errorf("exec: %d preset IN-sets for a plan with %d", len(e.ctx.Preset), len(e.p.InSets))
 		}
-		for i := range e.ctx.Preset {
-			vals := e.ctx.Preset[i].Vals
-			set := &inSet{keys: make(map[string]bool, len(vals)), vals: vals}
-			for _, v := range vals {
-				set.buf = val.AppendKey(set.buf[:0], v)
-				set.keys[string(set.buf)] = true
-			}
-			e.sets = append(e.sets, set)
+		for _, ps := range e.ctx.Preset {
+			e.sets = append(e.sets, ps.set)
 		}
 		return nil
 	}
@@ -206,8 +197,8 @@ func (e *executor) buildSets() error {
 }
 
 // ComputeInSets evaluates the plan's IN-subquery sets, billing the work
-// to ctx, and returns the value lists for injection into other
-// executions via Ctx.Preset. The sharded path calls this once on the
+// to ctx, and returns the sets for injection into other executions via
+// Ctx.Preset. The sharded path calls this once on the
 // coordinator so every partition tests membership against the same
 // globally-computed sets.
 func ComputeInSets(p *plan.Plan, ctx *Ctx) ([]InSetValues, error) {
@@ -218,14 +209,14 @@ func ComputeInSets(p *plan.Plan, ctx *Ctx) ([]InSetValues, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = InSetValues{Vals: set.vals}
+		out[i] = InSetValues{Vals: set.vals, set: set}
 	}
 	return out, nil
 }
 
 // computeInSet evaluates one IN-subquery set.
 func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
-	set := &inSet{keys: make(map[string]bool)}
+	set := &inSet{}
 	p := is.Pred
 
 	if is.Index != nil {
@@ -267,11 +258,7 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 	}
 
 	// Sequential scan plus hash aggregation.
-	counts := make(map[string]*struct {
-		v val.Value
-		n int64
-	})
-	var key []byte
+	var counts valueMap[int64]
 	var scanErr error
 	is.Info.Heap.Scan(&e.ctx.Meter, func(_ storage.RowID, r val.Row) bool {
 		if err := e.ctx.check(); err != nil {
@@ -288,32 +275,25 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 			}
 		}
 		e.ctx.Meter.CPUOps++
-		key = val.AppendKey(key[:0], v)
-		if c := counts[string(key)]; c != nil {
-			c.n++
-		} else {
-			counts[string(key)] = &struct {
-				v val.Value
-				n int64
-			}{v, 1}
-		}
+		n, _ := counts.get(v)
+		counts.set(v, n+1)
 		return true
 	})
 	if scanErr != nil {
 		return nil, scanErr
 	}
 	// Spill accounting for the aggregation hash table.
-	bytes := int64(len(counts)) * 24
+	bytes := int64(counts.len()) * 24
 	if float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
 		pg := cost.PagesForBytes(bytes)
 		e.ctx.Meter.WritePage += pg
 		e.ctx.Meter.SeqPages += pg
 	}
-	for _, c := range counts {
-		if p.Having == nil || cmpHaving(c.n, p.Having) {
-			set.add(c.v)
+	counts.each(func(v val.Value, n int64) {
+		if p.Having == nil || cmpHaving(n, p.Having) {
+			set.add(v)
 		}
-	}
+	})
 	// Keep probe order deterministic.
 	sort.Slice(set.vals, func(i, j int) bool { return val.Compare(set.vals[i], set.vals[j]) < 0 })
 	return set, nil

@@ -16,8 +16,8 @@ import (
 //
 // A row handed to out is borrowed: it is the operator's one scratch row,
 // valid until out returns and overwritten by the next tuple. Whoever
-// keeps a row clones it — the hash join's build side and the result
-// collector (collect) are the only retainers.
+// keeps a row copies it — the hash join's build side (its live values)
+// and the result collector (collect) are the only retainers.
 func (e *executor) runNode(n plan.Node, out func(val.Row) error) error {
 	switch n := n.(type) {
 	case *plan.SeqScan:
@@ -61,6 +61,73 @@ func tabsOf(n plan.Node) []int {
 		return tabsOf(n.Input)
 	}
 	return nil
+}
+
+// readSet returns the flat offsets some operator reads from a row its
+// input produced, or every offset when the root hands whole flat rows to
+// the caller; hash joins keep and copy only these. DESIGN §6a says why
+// filters are not among them.
+func readSet(p *plan.Plan) []bool {
+	live := make([]bool, p.Layout.Width)
+	mark := func(offs ...int) {
+		for _, o := range offs {
+			live[o] = true
+		}
+	}
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		switch n := n.(type) {
+		case *plan.HashJoin:
+			mark(n.BuildKeys...)
+			mark(n.ProbeKeys...)
+			walk(n.Build)
+			walk(n.Probe)
+		case *plan.IndexJoin:
+			for _, b := range n.Binds {
+				if b.Const == nil {
+					mark(b.OuterOffset)
+				}
+			}
+			for _, pe := range n.PostEq {
+				mark(pe.A, pe.B)
+			}
+			walk(n.Outer)
+		case *plan.HashAgg:
+			mark(n.Groups...)
+			for _, a := range n.Aggs {
+				if a.Kind != sql.AggCountStar {
+					mark(a.Offset)
+				}
+			}
+			walk(n.Input)
+		case *plan.Project:
+			mark(n.Offsets...)
+			walk(n.Input)
+		}
+	}
+	switch p.Root.(type) {
+	case *plan.HashAgg, *plan.Project:
+		walk(p.Root)
+	default:
+		for o := range live {
+			live[o] = true
+		}
+	}
+	return live
+}
+
+// liveIn returns the read-set offsets of the segments n populates.
+func (e *executor) liveIn(n plan.Node) []int {
+	var offs []int
+	l := e.p.Layout
+	for _, t := range tabsOf(n) {
+		for o := l.Base[t]; o < l.Base[t]+len(e.p.Query.Tables[t].Table.Columns); o++ {
+			if e.live[o] {
+				offs = append(offs, o)
+			}
+		}
+	}
+	return offs
 }
 
 // passes evaluates pushed-down filters and IN filters on a flat row.
@@ -315,21 +382,32 @@ func (e *executor) runViewScan(n *plan.ViewScan, out func(val.Row) error) error 
 }
 
 func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error {
-	buildTabs := tabsOf(n.Build)
-	var key []byte // reused per tuple; empty for a cross join: one bucket
+	buildLive, probeLive := e.liveIn(n.Build), e.liveIn(n.Probe)
+	w := len(buildLive)
 
-	// Build phase: the table keeps its input rows, so it clones them.
-	table := make(map[string][]val.Row)
-	var buildRows int64
+	// Build phase: the table keeps each input row's live values. A cross
+	// join has no keys: all its rows share one, empty key.
+	keys := &keyTable{width: len(n.BuildKeys), heads: map[uint64]int{}}
+	var link []int       // build row → its key id, then → the next row of that key, plus one
+	var vals []val.Value // build row i's live values are vals[i*w : (i+1)*w]
 	err := e.runNode(n.Build, func(r val.Row) error {
 		e.ctx.Meter.CPUOps++
-		buildRows++
-		key = appendKey(key[:0], r, n.BuildKeys)
-		table[string(key)] = append(table[string(key)], r.Clone())
+		link = append(grow(link, 1), keys.insert(r, n.BuildKeys))
+		vals = grow(vals, w)
+		for _, o := range buildLive {
+			vals = append(vals, r[o])
+		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	// Chain each key's rows in build order, so a probe emits its matches
+	// in the order they were built; first[k] is key k's first row plus one.
+	first := make([]int, len(keys.chain))
+	for i := len(link) - 1; i >= 0; i-- {
+		k := link[i]
+		link[i], first[k] = first[k], i+1
 	}
 
 	// Probe phase.
@@ -341,14 +419,17 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		key = appendKey(key[:0], r, n.ProbeKeys)
-		matches := table[string(key)]
-		if len(matches) == 0 {
+		k := keys.find(r, n.ProbeKeys)
+		if k < 0 {
 			return nil
 		}
-		copy(merged, r)
-		for _, b := range matches {
-			copySegments(merged, b, buildTabs, e.p.Layout)
+		for _, o := range probeLive {
+			merged[o] = r[o]
+		}
+		for i := first[k] - 1; i >= 0; i = link[i] - 1 {
+			for j, o := range buildLive {
+				merged[o] = vals[i*w+j]
+			}
 			if len(n.BuildKeys) == 0 {
 				e.ctx.Meter.CPUOps++ // cross-product work
 			}
@@ -363,7 +444,7 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 	}
 
 	// Spill accounting, mirroring the optimizer's rule with actual counts.
-	buildBytes := buildRows * int64(n.BuildWidth)
+	buildBytes := int64(len(link)) * int64(n.BuildWidth)
 	if float64(buildBytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
 		probeBytes := probeRows * int64(n.BuildWidth)
 		pg := cost.PagesForBytes(buildBytes) + cost.PagesForBytes(probeBytes)
@@ -371,28 +452,6 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 		e.ctx.Meter.SeqPages += pg
 	}
 	return nil
-}
-
-// appendKey appends the key encoding of r's values at offsets to dst —
-// Row.Project(offsets).Key() without the two allocations.
-func appendKey(dst []byte, r val.Row, offsets []int) []byte {
-	for _, o := range offsets {
-		dst = val.AppendKey(dst, r[o])
-	}
-	return dst
-}
-
-// copySegments copies the table segments of src for the given ordinals
-// into dst.
-func copySegments(dst, src val.Row, tabs []int, l plan.Layout) {
-	for _, t := range tabs {
-		lo := l.Base[t]
-		hi := l.Width
-		if t+1 < len(l.Base) {
-			hi = l.Base[t+1]
-		}
-		copy(dst[lo:hi], src[lo:hi])
-	}
 }
 
 func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) error {
@@ -464,72 +523,58 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 	return err
 }
 
-// aggState accumulates one group.
-type aggState struct {
-	groupVals val.Row
-	counts    []int64
-	sums      []float64
-	mins      []val.Value
-	maxs      []val.Value
-	distinct  []map[string]bool
+// aggSlot accumulates one aggregate of one group.
+type aggSlot struct {
+	count    int64
+	sum      float64
+	min, max val.Value
+	distinct valueSet // COUNT(DISTINCT) only
 }
 
-// newAggState returns the empty state of a group of n.
-func newAggState(n *plan.HashAgg, groupVals val.Row) *aggState {
-	return &aggState{
-		groupVals: groupVals,
-		counts:    make([]int64, len(n.Aggs)),
-		sums:      make([]float64, len(n.Aggs)),
-		mins:      make([]val.Value, len(n.Aggs)),
-		maxs:      make([]val.Value, len(n.Aggs)),
-		distinct:  make([]map[string]bool, len(n.Aggs)),
-	}
+// aggState is one group: its GROUP BY values and one slot per aggregate.
+type aggState struct {
+	groupVals val.Row
+	slots     []aggSlot
 }
 
 // accumulateAgg runs the aggregate's input and accumulates group states
 // without finishing them: runHashAgg finishes them at once, RunPartial
-// hands them to MergePartials open. Group and DISTINCT keys are encoded
-// into one reused buffer; a tuple of a group already seen allocates
-// nothing.
-func (e *executor) accumulateAgg(n *plan.HashAgg) (map[string]*aggState, error) {
-	groups := make(map[string]*aggState)
-	var key []byte
+// hands them to MergePartials open. It returns the groups in first-seen
+// order; a tuple whose group and DISTINCT value were seen allocates nothing.
+func (e *executor) accumulateAgg(n *plan.HashAgg) ([]aggState, error) {
+	keys := &keyTable{width: len(n.Groups), heads: map[uint64]int{}}
+	na := len(n.Aggs)
+	var slots []aggSlot // group id's slots are slots[id*na : (id+1)*na]
 	err := e.runNode(n.Input, func(r val.Row) error {
 		e.ctx.Meter.CPUOps++
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		key = appendKey(key[:0], r, n.Groups)
-		st := groups[string(key)]
-		if st == nil {
-			st = newAggState(n, r.Project(n.Groups))
-			groups[string(key)] = st
+		id := keys.insert(r, n.Groups)
+		if len(slots) == id*na { // a new group; slots only grows, so its spare capacity is zero
+			slots = grow(slots, na)[:len(slots)+na]
 		}
+		st := slots[id*na : (id+1)*na]
 		for i, a := range n.Aggs {
+			s := &st[i]
 			if a.Kind == sql.AggCountStar {
-				st.counts[i]++
+				s.count++
 				continue
 			}
 			v := r[a.Offset]
 			if v.IsNull() {
 				continue
 			}
-			st.counts[i]++
-			st.sums[i] += v.AsFloat()
-			if st.counts[i] == 1 || val.Compare(v, st.mins[i]) < 0 {
-				st.mins[i] = v
+			s.count++
+			s.sum += v.AsFloat()
+			if s.count == 1 || val.Compare(v, s.min) < 0 {
+				s.min = v
 			}
-			if st.counts[i] == 1 || val.Compare(v, st.maxs[i]) > 0 {
-				st.maxs[i] = v
+			if s.count == 1 || val.Compare(v, s.max) > 0 {
+				s.max = v
 			}
 			if a.Kind == sql.AggCountDistinct {
-				if st.distinct[i] == nil {
-					st.distinct[i] = make(map[string]bool)
-				}
-				key = val.AppendKey(key[:0], v)
-				if !st.distinct[i][string(key)] { // an assignment allocates the string even when present
-					st.distinct[i][string(key)] = true
-				}
+				s.distinct.add(v)
 				e.ctx.Meter.CPUOps++
 			}
 		}
@@ -539,6 +584,10 @@ func (e *executor) accumulateAgg(n *plan.HashAgg) (map[string]*aggState, error) 
 		return nil, err
 	}
 
+	ng, groups := len(n.Groups), make([]aggState, len(keys.chain))
+	for id := range groups {
+		groups[id] = aggState{groupVals: keys.vals[id*ng : (id+1)*ng : (id+1)*ng], slots: slots[id*na : (id+1)*na : (id+1)*na]}
+	}
 	// Spill accounting over the group count.
 	bytes := int64(len(groups)) * int64(n.GroupWidth)
 	if n.GroupWidth > 0 && float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
@@ -564,38 +613,38 @@ func (e *executor) runHashAgg(n *plan.HashAgg, out func(val.Row) error) error {
 }
 
 // finishGroup writes a group's [group values..., agg values...] into dst.
-func finishGroup(dst val.Row, n *plan.HashAgg, st *aggState) val.Row {
+func finishGroup(dst val.Row, n *plan.HashAgg, st aggState) val.Row {
 	copy(dst, st.groupVals)
 	for i, a := range n.Aggs {
-		dst[len(n.Groups)+i] = finishAgg(a.Kind, st, i)
+		dst[len(n.Groups)+i] = finishAgg(a.Kind, &st.slots[i])
 	}
 	return dst
 }
 
-// finishAgg produces the final value of aggregate i for a group.
-func finishAgg(kind sql.AggKind, st *aggState, i int) val.Value {
+// finishAgg produces the final value of one aggregate of a group.
+func finishAgg(kind sql.AggKind, s *aggSlot) val.Value {
 	switch kind {
 	case sql.AggCountStar, sql.AggCountCol:
-		return val.Int(st.counts[i])
+		return val.Int(s.count)
 	case sql.AggCountDistinct:
-		return val.Int(int64(len(st.distinct[i])))
+		return val.Int(int64(s.distinct.len()))
 	case sql.AggSum:
-		return val.Float(st.sums[i])
+		return val.Float(s.sum)
 	case sql.AggMin:
-		if st.counts[i] == 0 {
+		if s.count == 0 {
 			return val.Null()
 		}
-		return st.mins[i]
+		return s.min
 	case sql.AggMax:
-		if st.counts[i] == 0 {
+		if s.count == 0 {
 			return val.Null()
 		}
-		return st.maxs[i]
+		return s.max
 	case sql.AggAvg:
-		if st.counts[i] == 0 {
+		if s.count == 0 {
 			return val.Null()
 		}
-		return val.Float(st.sums[i] / float64(st.counts[i]))
+		return val.Float(s.sum / float64(s.count))
 	}
 	return val.Null()
 }

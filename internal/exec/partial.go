@@ -26,8 +26,6 @@
 package exec
 
 import (
-	"sort"
-
 	"repro/internal/plan"
 	"repro/internal/val"
 )
@@ -36,9 +34,9 @@ import (
 // It is produced by RunPartial and consumed by MergePartials; the zero
 // value is not meaningful.
 type Partial struct {
-	agg    bool
-	rows   []val.Row            // non-aggregate: operator output rows (unsorted)
-	groups map[string]*aggState // aggregate: per-group partial states
+	rows   []val.Row  // non-aggregate: operator output rows (unsorted)
+	groups []aggState // aggregate: per-group partial states
+	keys   []string   // keys[i] is groups[i].groupVals.Key(), the cross-partition match
 }
 
 // RunPartial executes the plan over this partition's data and returns a
@@ -49,7 +47,7 @@ type Partial struct {
 // returned for concatenation. Billing (including hash-table spill
 // accounting over this partition's group count) mirrors Run.
 func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
-	e := &executor{ctx: ctx, p: p}
+	e := &executor{ctx: ctx, p: p, live: readSet(p)}
 	if err := e.buildSets(); err != nil {
 		return nil, err
 	}
@@ -66,30 +64,21 @@ func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Partial{agg: true, groups: groups}, nil
+	keys := make([]string, len(groups))
+	for i, st := range groups {
+		keys[i] = st.groupVals.Key()
+	}
+	return &Partial{groups: groups, keys: keys}, nil
 }
 
 // cloneAggState deep-copies one group's partial state (distinct sets
 // included) so folding can proceed without mutating the source partial:
 // MergePartials treats its inputs as read-only.
-func cloneAggState(src *aggState) *aggState {
-	dst := &aggState{
-		groupVals: src.groupVals,
-		counts:    append([]int64(nil), src.counts...),
-		sums:      append([]float64(nil), src.sums...),
-		mins:      append([]val.Value(nil), src.mins...),
-		maxs:      append([]val.Value(nil), src.maxs...),
-		distinct:  make([]map[string]bool, len(src.distinct)),
-	}
-	for i, set := range src.distinct {
-		if set == nil {
-			continue
-		}
-		d := make(map[string]bool, len(set))
-		for k := range set {
-			d[k] = true
-		}
-		dst.distinct[i] = d
+func cloneAggState(src aggState) aggState {
+	dst := aggState{groupVals: src.groupVals, slots: append([]aggSlot(nil), src.slots...)}
+	for i := range dst.slots {
+		dst.slots[i].distinct = valueSet{}
+		dst.slots[i].distinct.union(&src.slots[i].distinct)
 	}
 	return dst
 }
@@ -98,29 +87,21 @@ func cloneAggState(src *aggState) *aggState {
 // place; src is only read. Partitions are folded in partition-index
 // order, which fixes the float-sum association; everything else is
 // order-insensitive.
-func mergeAggState(dst, src *aggState) {
-	for i := range dst.counts {
-		first := dst.counts[i] == 0
-		dst.counts[i] += src.counts[i]
-		dst.sums[i] += src.sums[i]
-		if src.counts[i] > 0 {
-			if first || val.Compare(src.mins[i], dst.mins[i]) < 0 {
-				dst.mins[i] = src.mins[i]
+func mergeAggState(dst, src aggState) {
+	for i := range dst.slots {
+		d, s := &dst.slots[i], &src.slots[i]
+		first := d.count == 0
+		d.count += s.count
+		d.sum += s.sum
+		if s.count > 0 {
+			if first || val.Compare(s.min, d.min) < 0 {
+				d.min = s.min
 			}
-			if first || val.Compare(src.maxs[i], dst.maxs[i]) > 0 {
-				dst.maxs[i] = src.maxs[i]
-			}
-		}
-		if src.distinct[i] != nil {
-			// Copy-on-adopt: never alias src's set into dst, where a later
-			// partition's fold would mutate it through dst.
-			if dst.distinct[i] == nil {
-				dst.distinct[i] = make(map[string]bool, len(src.distinct[i]))
-			}
-			for k := range src.distinct[i] {
-				dst.distinct[i][k] = true
+			if first || val.Compare(s.max, d.max) > 0 {
+				d.max = s.max
 			}
 		}
+		d.distinct.union(&s.distinct)
 	}
 }
 
@@ -151,34 +132,32 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 		// Fold every partition's states group-by-group. A group's first
 		// occurrence (lowest partition index) is the fold seed, and later
 		// partitions fold in index order, so per-group results are
-		// deterministic regardless of map iteration order.
-		merged := make(map[string]*aggState)
-		cloned := make(map[string]bool)
-		keys := make([]string, 0, 64)
+		// deterministic.
+		at := make(map[string]int) // group key → index in merged
+		var merged []aggState
+		var cloned []bool // merged[i] is a copy this merge owns
 		for _, part := range parts {
-			for k, st := range part.groups {
+			for i, st := range part.groups {
 				e.ctx.Meter.CPUOps++
-				cur := merged[k]
-				if cur == nil {
-					merged[k] = st
-					keys = append(keys, k)
+				j, ok := at[part.keys[i]]
+				if !ok {
+					at[part.keys[i]] = len(merged)
+					merged = append(merged, st)
+					cloned = append(cloned, false)
 					continue
 				}
-				if !cloned[k] {
-					cur = cloneAggState(cur)
-					merged[k] = cur
-					cloned[k] = true
+				if !cloned[j] {
+					merged[j], cloned[j] = cloneAggState(merged[j]), true
 				}
-				mergeAggState(cur, st)
+				mergeAggState(merged[j], st)
 			}
 			if err := e.ctx.check(); err != nil {
 				return nil, err
 			}
 		}
-		sort.Strings(keys) // deterministic finish order (cosmetic: the final sort below decides output order)
 		agg := p.Root.(*plan.HashAgg)
-		for _, k := range keys {
-			raw = append(raw, finishGroup(make(val.Row, len(agg.Groups)+len(agg.Aggs)), agg, merged[k]))
+		for _, st := range merged {
+			raw = append(raw, finishGroup(make(val.Row, len(agg.Groups)+len(agg.Aggs)), agg, st))
 		}
 	} else {
 		for _, part := range parts {
