@@ -1,7 +1,7 @@
 // Command gatewayd serves the multi-tenant query gateway: SQL over
 // HTTP/JSON from many concurrent clients, with API-key authentication,
-// per-tenant capability checks, bounded admission queues and per-tenant
-// goal tuning over one engine (see internal/gateway).
+// per-tenant capability checks, bounded admission and per-tenant goal
+// tuning over one engine (see internal/gateway).
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //
 // On SIGINT/SIGTERM the daemon drains: admission closes (new queries get
 // 503 draining), every accepted query completes and lands its audit
-// record, the pumps and tuner stop, and only then does the listener
+// record, the tuner and autoscaler stop, and only then does the listener
 // close — no accepted query is ever dropped by a shutdown.
 package main
 
@@ -132,7 +132,7 @@ func run(configPath, addr, auditPath string, drainTimeout time.Duration, ov over
 }
 
 // shutdown runs the ordered drain: gateway first (admission closed,
-// in-flight queries completed and audited, pumps and tuner joined),
+// in-flight queries completed and audited, tuner and autoscaler joined),
 // listener last.
 func shutdown(g *gateway.Gateway, srv *http.Server, drainTimeout time.Duration) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)

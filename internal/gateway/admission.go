@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -8,72 +10,78 @@ import (
 	"repro/internal/sql"
 )
 
-// job is one admitted query riding a tenant queue: parsed and authorized
-// by the handler, executed by a pump, answered over reply.
-type job struct {
-	seq     int64
-	tenant  *tenantState
-	family  string
-	sqlText string
-	q       *sql.Query
+// errClientGone: the request context ended while the query waited.
+var errClientGone = errors.New("gateway: client gone before the query ran")
 
-	// reply carries the execution outcome back to the waiting handler.
-	// Buffered: the pump never blocks on a slow (or gone) client.
-	reply chan jobResult
-}
-
-type jobResult struct {
-	res *exec.Result
-	m   engine.Measure
-	err error
-}
-
-// pump drains one tenant's admission queue. Each tenant runs
-// MaxConcurrency pumps, so the queue's fan-out is the tenant's
-// concurrency cap; the global gate bounds engine load across tenants.
-// Pumps exit when Shutdown closes the queue after the drain completes.
-func (g *Gateway) pump(t *tenantState) {
-	defer g.pumpWG.Done()
-	for j := range t.queue {
-		res, m, err := g.execute(j)
-		g.finish(j, res, m, err)
+// admit takes an admission slot for a parsed, authorized query, or
+// returns a rejection reason. The drain ticket is taken with the slot
+// under the accept lock — Shutdown flips draining under the write lock,
+// so every ticket is either counted by the drain wait or never issued;
+// there is no window where an accepted query can be dropped.
+func (g *Gateway) admit(t *tenantState, family string) string {
+	g.acceptMu.RLock()
+	defer g.acceptMu.RUnlock()
+	if g.draining {
+		return ReasonDraining
+	}
+	select {
+	case t.slots <- struct{}{}:
+		g.drainWG.Add(1)
+		t.noteAdmitted(family)
+		return ""
+	default:
+		return ReasonQueueFull
 	}
 }
 
-// execute runs one job under a gate slot. An executor panic becomes an
-// ordinary execution error: the slot and the inflight count are released
-// on the way out, and finish audits the 500 and returns the drain ticket.
-func (g *Gateway) execute(j *job) (res *exec.Result, m engine.Measure, err error) {
-	g.gate <- struct{}{} // conflint:ignore bounded semaphore acquire: gate capacity is the global concurrency cap and every slot is released below
-	g.inflight.Add(1)
+// execute runs one admitted query on the calling goroutine under a
+// tenant run slot (blocked senders wake in arrival order, so FIFO), then
+// a gate slot. It returns holding the run slot, which finish releases
+// after the audit record, or holding nothing with errClientGone if ctx
+// ended during either wait. A panic becomes an execution error.
+func (g *Gateway) execute(ctx context.Context, t *tenantState, q *sql.Query) (res *exec.Result, m engine.Measure, err error) {
+	select {
+	case t.run <- struct{}{}:
+	case <-ctx.Done():
+		return nil, engine.Measure{}, errClientGone
+	}
+	select {
+	case g.gate <- struct{}{}:
+	case <-ctx.Done():
+		<-t.run
+		return nil, engine.Measure{}, errClientGone
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			res, m, err = nil, engine.Measure{}, fmt.Errorf("gateway: query panicked: %v", r)
 		}
-		g.inflight.Add(-1)
-		<-g.gate // the slot acquired above: never blocks
+		<-g.gate
 	}()
-	return g.run(j.q, g.cfg.TimeoutSeconds)
+	return g.run(q, g.cfg.TimeoutSeconds)
 }
 
 // finish closes out one admitted query: audit record first, then the
-// tenant's accounting, then the tuner nudge, then the reply, and the
-// drain ticket last — so by the time Shutdown's drain wait returns,
-// every accepted query has its completion on the audit log (the
-// zero-dropped-after-accept contract).
-func (g *Gateway) finish(j *job, res *exec.Result, m engine.Measure, err error) {
+// tenant's accounting, the tuner nudge, the autoscaler, the run and
+// admission slots, and the drain ticket last — so once Shutdown's drain
+// wait returns, every accepted query's completion is on the audit log
+// (the zero-dropped-after-accept contract). Client-gone counts as errored.
+func (g *Gateway) finish(t *tenantState, seq int64, family, sqlText string, res *exec.Result, m engine.Measure, err error) {
 	rec := AuditRecord{
-		Seq:      j.seq,
-		Tenant:   j.tenant.cfg.Name,
-		Family:   j.family,
+		Seq:      seq,
+		Tenant:   t.cfg.Name,
+		Family:   family,
 		Decision: DecisionAccept,
 		Status:   200,
-		SQLHash:  hashSQL(j.sqlText),
+		SQLHash:  hashSQL(sqlText),
 	}
-	if err != nil {
+	switch {
+	case err == errClientGone:
+		rec.Status = 499 // nginx's "client closed request"
+		rec.Reason = ReasonClientGone
+	case err != nil:
 		rec.Status = 500
 		rec.Reason = "execution-error"
-	} else {
+	default:
 		rec.SimSeconds = m.Seconds
 		rec.TimedOut = m.TimedOut
 		if res != nil {
@@ -81,8 +89,7 @@ func (g *Gateway) finish(j *job, res *exec.Result, m engine.Measure, err error) 
 		}
 	}
 	g.audit.add(rec)
-	violated := j.tenant.noteCompleted(j.sqlText, m.Seconds, m.TimedOut, err != nil)
-	if violated {
+	if t.noteCompleted(sqlText, m.Seconds, m.TimedOut, err != nil) {
 		if tn := g.tunerP.Load(); tn != nil {
 			tn.signal()
 		}
@@ -90,36 +97,9 @@ func (g *Gateway) finish(j *job, res *exec.Result, m engine.Measure, err error) 
 	if as := g.autoP.Load(); as != nil {
 		as.observe(m.Seconds, m.TimedOut, err != nil)
 	}
-	j.reply <- jobResult{res: res, m: m, err: err} // conflint:ignore reply is buffered (cap 1) with exactly one send per job, so this never blocks
+	if err != errClientGone {
+		<-t.run
+	}
+	<-t.slots
 	g.drainWG.Done()
-}
-
-// admit places a parsed, authorized query on its tenant's queue. It
-// returns the job to wait on, or a rejection reason. The drain ticket is
-// taken under the accept lock — Shutdown flips draining under the write
-// lock, so every ticket is either counted by the drain wait or never
-// issued; there is no window where an accepted query can be dropped.
-func (g *Gateway) admit(t *tenantState, seq int64, family, sqlText string, q *sql.Query) (*job, string) {
-	j := &job{
-		seq:     seq,
-		tenant:  t,
-		family:  family,
-		sqlText: sqlText,
-		q:       q,
-		reply:   make(chan jobResult, 1),
-	}
-	g.acceptMu.RLock()
-	defer g.acceptMu.RUnlock()
-	if g.draining {
-		return nil, ReasonDraining
-	}
-	g.drainWG.Add(1)
-	select {
-	case t.queue <- j:
-		t.noteAdmitted(family)
-		return j, ""
-	default:
-		g.drainWG.Done()
-		return nil, ReasonQueueFull
-	}
 }

@@ -10,7 +10,8 @@ import (
 
 // Rejection reasons. Every request the gateway turns away carries
 // exactly one of these in its audit record and JSON error body; the
-// redflag suite pins each to its HTTP status.
+// redflag suite pins each to its HTTP status. ReasonClientGone is the
+// exception: an accepted query whose client left before it ran.
 const (
 	ReasonDraining     = "draining"             // 503: shutdown in progress
 	ReasonNotReady     = "not-ready"            // 503: catalog still loading
@@ -21,6 +22,7 @@ const (
 	ReasonMalformedSQL = "malformed-sql"        // 400: SELECT fails to parse/analyze
 	ReasonCapability   = "capability-violation" // 403: family or relation not granted
 	ReasonQueueFull    = "queue-full"           // 429: tenant queue/concurrency saturated
+	ReasonClientGone   = "client-gone"          // 499: client left while the query waited
 )
 
 // Decisions.

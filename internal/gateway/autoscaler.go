@@ -152,11 +152,13 @@ func (as *autoscaler) drain() {
 	}
 }
 
-// queueDepth sums the tenants' admission queue backlogs.
+// queueDepth sums the tenants' backlogs: queries admitted but not yet
+// holding a run slot.
 func (g *Gateway) queueDepth() float64 {
 	var depth int
 	for _, name := range g.tenantOrder {
-		depth += len(g.tenants[name].queue)
+		t := g.tenants[name]
+		depth += len(t.slots) - len(t.run)
 	}
 	return float64(depth)
 }

@@ -95,11 +95,11 @@ type TenantConfig struct {
 	// the request is rejected with 403 capability-violation.
 	Relations []string `json:"relations,omitempty"`
 
-	// MaxQueue bounds this tenant's admission queue; an arriving query
-	// that finds it full is rejected with 429 + Retry-After.
+	// MaxQueue bounds this tenant's admitted queries waiting to run; an
+	// arrival past it is rejected with 429 + Retry-After.
 	MaxQueue int `json:"max_queue"`
 	// MaxConcurrency is the number of this tenant's queries executing at
-	// once (the tenant's pump count).
+	// once (the capacity of its run semaphore).
 	MaxConcurrency int `json:"max_concurrency"`
 	// MaxRows caps rows echoed in responses (the full row count is
 	// always reported).

@@ -7,12 +7,12 @@
 // with a structured audit record for every accepted or rejected query.
 // Authentication is a static API-key → tenant map; authorization checks
 // the tenant's granted query families and relation allowlist and
-// enforces read-only SQL; admission is a bounded per-tenant queue
-// (backpressure via 429 + Retry-After) drained by per-tenant pumps under
-// a global in-flight cap. Each tenant carries its own goal curve G(x)
-// and sliding-window observer, so a violating tenant nudges the tuner
-// into a recommender run and an incremental engine transition while
-// traffic keeps flowing.
+// enforces read-only SQL; admission is a bounded per-tenant slot count
+// (429 + Retry-After when full), then the handler runs the query under
+// tenant and global concurrency caps unless its client leaves first.
+// Each tenant carries its own goal curve G(x) and sliding-window
+// observer, so a violating tenant nudges the tuner into a recommender
+// run and an incremental engine transition while traffic keeps flowing.
 //
 // All query timing is simulated seconds from the engine's cost meters;
 // wall-clock never enters an audit record or goal ledger, which is what
@@ -81,10 +81,9 @@ type Gateway struct {
 	mux         *http.ServeMux
 	audit       *auditor
 
-	// gate is the global in-flight cap: pumps hold a slot while a query
-	// executes, bounding engine load across all tenants.
+	// gate is the global in-flight cap: a handler holds a slot while its
+	// query executes, bounding engine load across all tenants.
 	gate     chan struct{}
-	inflight atomic.Int64
 	accepted atomic.Int64
 	rejected atomic.Int64
 
@@ -101,7 +100,6 @@ type Gateway struct {
 	acceptMu sync.RWMutex
 	draining bool // conflint:guardedby acceptMu
 	drainWG  sync.WaitGroup
-	pumpWG   sync.WaitGroup
 
 	shutdown1 sync.Once
 	// shutdownErr is written only inside shutdown1.Do and read after it
@@ -187,7 +185,7 @@ func New(opts Options) (*Gateway, error) {
 }
 
 // load builds the backend and — unless shutdown already began — starts
-// the pumps and tuner and flips readiness.
+// the tuner and autoscaler and flips readiness.
 func (g *Gateway) load(build func(Config) (*Backend, error)) {
 	defer close(g.readyCh)
 	b, err := build(g.cfg)
@@ -231,14 +229,6 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 		as := newAutoscaler(g, b.Cluster)
 		g.autoP.Store(as)
 		as.start()
-	}
-	for _, name := range g.tenantOrder {
-		t := g.tenants[name]
-		for i := 0; i < t.cfg.MaxConcurrency; i++ {
-			g.pumpWG.Add(1)
-			// conflint:worker lifecycle=queue per-tenant pump; exits when Shutdown closes the queue, joined via pumpWG
-			go g.pump(t)
-		}
 	}
 }
 
@@ -418,38 +408,41 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, reason := g.admit(t, req.Seq, req.Family, req.SQL, q)
-	if reason != "" {
+	if reason := g.admit(t, req.Family); reason != "" {
 		g.reject(w, t, req.Seq, req.Family, reason, "")
 		return
 	}
 	g.accepted.Add(1)
-	out := <-j.reply
-	if out.err != nil {
+	res, m, err := g.execute(r.Context(), t, q)
+	g.finish(t, req.Seq, req.Family, req.SQL, res, m, err)
+	if err == errClientGone {
+		return // nobody is reading; the audit record is the outcome
+	}
+	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		// conflint:ignore best-effort response write; the client owns the socket
-		json.NewEncoder(w).Encode(map[string]string{"error": "execution-error", "detail": out.err.Error()})
+		json.NewEncoder(w).Encode(map[string]string{"error": "execution-error", "detail": err.Error()})
 		return
 	}
 	resp := queryResponse{
-		Seq:        j.seq,
+		Seq:        req.Seq,
 		Tenant:     t.cfg.Name,
-		Family:     j.family,
-		SimSeconds: out.m.Seconds,
-		TimedOut:   out.m.TimedOut,
+		Family:     req.Family,
+		SimSeconds: m.Seconds,
+		TimedOut:   m.TimedOut,
 	}
-	if out.res != nil {
-		resp.RowCount = len(out.res.Rows)
-		resp.Cols = out.res.Cols
-		n := len(out.res.Rows)
+	if res != nil {
+		resp.RowCount = len(res.Rows)
+		resp.Cols = res.Cols
+		n := len(res.Rows)
 		if n > t.cfg.MaxRows {
 			n = t.cfg.MaxRows
 		}
 		resp.Rows = make([][]string, 0, n)
 		for i := 0; i < n; i++ {
-			row := make([]string, 0, len(out.res.Rows[i]))
-			for _, v := range out.res.Rows[i] {
+			row := make([]string, 0, len(res.Rows[i]))
+			for _, v := range res.Rows[i] {
 				row = append(row, v.String())
 			}
 			resp.Rows = append(resp.Rows, row)
@@ -537,9 +530,9 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // Shutdown drains and stops: close admission, wait for every accepted
 // query to complete (each leaves its audit record before the drain
-// ticket returns — the zero-dropped-after-accept contract), stop the
-// pumps, then join the tuner so no Transition is abandoned mid-build.
-// Only after Shutdown returns should the caller close its listener.
+// ticket returns — the zero-dropped-after-accept contract), then join
+// the tuner and autoscaler so no Transition or reshard is abandoned
+// mid-build. Only then should the caller close its listener.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.shutdown1.Do(func() {
 		g.acceptMu.Lock()
@@ -558,23 +551,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 			return
 		case <-drained:
 		}
-
-		for _, name := range g.tenantOrder {
-			close(g.tenants[name].queue)
-		}
-		pumps := make(chan struct{})
-		// conflint:worker lifecycle=external shutdown pump waiter; bounded by Shutdown's ctx select, signals pumps and exits
-		go func() {
-			g.pumpWG.Wait()
-			close(pumps)
-		}()
-		select {
-		case <-ctx.Done():
-			g.shutdownErr = ctx.Err()
-			return
-		case <-pumps:
-		}
-
 		if tn := g.tunerP.Load(); tn != nil {
 			tn.stop()
 		}

@@ -49,7 +49,7 @@ type ShardSnapshot struct {
 func (g *Gateway) Stats() Snapshot {
 	s := Snapshot{
 		Ready:    g.Ready(),
-		Inflight: g.inflight.Load(),
+		Inflight: int64(len(g.gate)),
 		Accepted: g.accepted.Load(),
 		Rejected: g.rejected.Load(),
 	}

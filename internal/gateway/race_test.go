@@ -45,7 +45,7 @@ func TestStress32Goroutines(t *testing.T) {
 				}
 			}
 			// Interleave scrapes with traffic: the metrics and stats
-			// paths read the same guarded state the pumps write.
+			// paths read the same guarded state the handlers write.
 			for _, ep := range []string{"/metrics", "/v1/stats", "/readyz"} {
 				resp, err := http.Get(ts.URL + ep)
 				if err != nil {

@@ -142,8 +142,8 @@ func TestRedflagOversizedBody(t *testing.T) {
 
 // TestRedflagQueueFullBackpressure constructs queue saturation
 // deterministically: the test occupies the global gate so the tenant's
-// single pump blocks mid-dequeue, fills the depth-1 queue, and the next
-// arrival must bounce with 429 + Retry-After.
+// one running query parks there, a second waits for the run slot, and
+// the next arrival must bounce with 429 + Retry-After.
 func TestRedflagQueueFullBackpressure(t *testing.T) {
 	tight := TenantConfig{
 		Name: "tight", APIKey: "tight-key", Families: []string{"NREF2J"},
@@ -154,7 +154,7 @@ func TestRedflagQueueFullBackpressure(t *testing.T) {
 	g, ts := newTestGateway(t, cfg)
 	sqlText := poolQuery(t, ts.URL, "tight-key", "NREF2J", 0)
 
-	// Occupy the global gate: the pump can dequeue but not execute.
+	// Occupy the global gate: a query can take its run slot but not execute.
 	g.gate <- struct{}{}
 	type res struct {
 		status int
@@ -166,19 +166,13 @@ func TestRedflagQueueFullBackpressure(t *testing.T) {
 		results <- res{status, body}
 	}
 	go post(0)
-	// Wait until the pump holds query 0 (queue drained, pump parked at
-	// the gate), then fill the queue with query 1.
-	waitUntil(t, func() bool {
-		st := g.tenants["tight"]
-		st.mu.Lock()
-		admitted := st.admitted
-		st.mu.Unlock()
-		return admitted == 1 && len(st.queue) == 0
-	})
+	// Wait until query 0 holds the run slot (parked at the gate), then
+	// fill the queue with query 1.
+	waitUntil(t, func() bool { return len(g.tenants["tight"].run) == 1 })
 	go post(1)
-	waitUntil(t, func() bool { return len(g.tenants["tight"].queue) == 1 })
+	waitUntil(t, func() bool { return g.queueDepth() == 1 })
 
-	// Queue full, pump busy: the third arrival must bounce.
+	// Queue full, run slot busy: the third arrival must bounce.
 	status, body, hdr := postQuery(t, ts.URL, "tight-key", 2, "NREF2J", sqlText)
 	expectReject(t, g, status, body, http.StatusTooManyRequests, ReasonQueueFull, "tight")
 	if hdr.Get("Retry-After") == "" {
@@ -265,27 +259,23 @@ func TestRedflagExecutorPanic(t *testing.T) {
 	g, ts := newTestGateway(t, testConfig())
 	alpha := g.tenants["alpha"]
 	// A nil analyzed query makes the optimizer dereference nil.
-	j, reason := g.admit(alpha, 41, "NREF2J", "SELECT poison", nil)
-	if reason != "" {
+	if reason := g.admit(alpha, "NREF2J"); reason != "" {
 		t.Fatalf("admit rejected: %s", reason)
 	}
-	select {
-	case out := <-j.reply:
-		if out.err == nil {
-			t.Fatal("a panicking query must reply with an execution error")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no reply: the pump died holding the job")
+	res, m, err := g.execute(context.Background(), alpha, nil)
+	if err == nil {
+		t.Fatal("a panicking query must return an execution error")
 	}
+	g.finish(alpha, 41, "NREF2J", "SELECT poison", res, m, err)
 	rec := lastAudit(t, g, func(r AuditRecord) bool { return r.Seq == 41 && r.Tenant == "alpha" })
 	if rec.Status != http.StatusInternalServerError || rec.Reason != "execution-error" || rec.Decision != DecisionAccept {
 		t.Errorf("audit record %+v, want an accepted 500 execution-error", rec)
 	}
-	if n := g.inflight.Load(); n != 0 {
-		t.Errorf("inflight %d after the panic, want 0", n)
-	}
 	if n := len(g.gate); n != 0 {
 		t.Errorf("%d gate slots still held after the panic", n)
+	}
+	if n := len(alpha.run) + len(alpha.slots); n != 0 {
+		t.Errorf("%d tenant slots still held after the panic", n)
 	}
 
 	sqlText := poolQuery(t, ts.URL, "alpha-key", "NREF2J", 0)

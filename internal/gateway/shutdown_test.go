@@ -1,7 +1,7 @@
 // Shutdown ordering: admission closes, every accepted query completes
-// and lands its audit record, pumps and tuner stop — and only then may
-// the listener close. The invariant under test: zero accepted queries
-// dropped by a drain.
+// and lands its audit record, the tuner and autoscaler stop — and only
+// then may the listener close. The invariant under test: zero accepted
+// queries dropped by a drain.
 package gateway
 
 import (
@@ -102,13 +102,15 @@ func TestShutdownDrainsAcceptedQueries(t *testing.T) {
 
 // TestShutdownBeforeLoadCompletes exercises the loader/drain race: a
 // shutdown that begins while the catalog is still loading must win —
-// the loader may not start pumps afterwards, and the gateway must never
-// report ready.
+// the loader may not start the tuner afterwards, and the gateway must
+// never report ready.
 func TestShutdownBeforeLoadCompletes(t *testing.T) {
 	release := make(chan struct{})
 	shared := sharedBackend(t)
+	cfg := testConfig()
+	cfg.Tuning = true
 	g, err := New(Options{
-		Config: testConfig(),
+		Config: cfg,
 		BackendFunc: func(Config) (*Backend, error) {
 			<-release
 			return shared, nil
@@ -129,5 +131,7 @@ func TestShutdownBeforeLoadCompletes(t *testing.T) {
 	if g.Ready() {
 		t.Error("gateway reports ready after a pre-load shutdown")
 	}
-	g.pumpWG.Wait() // no pumps may have started; this must not hang
+	if g.tunerP.Load() != nil {
+		t.Error("the loader started the tuner after a pre-load shutdown")
+	}
 }

@@ -11,8 +11,8 @@ import (
 // queries the tuner recommends over.
 const recentSQLCap = 64
 
-// tenantState is one tenant's runtime: the admission queue its pumps
-// drain, cumulative goal accounting, the sliding observation window, and
+// tenantState is one tenant's runtime: the two admission semaphores,
+// cumulative goal accounting, the sliding observation window, and
 // counters for the observability surface.
 //
 // Cumulative goal accounting is deliberately order-insensitive: goalMet
@@ -25,9 +25,9 @@ type tenantState struct {
 	allow    map[string]bool // relation allowlist; nil = all
 	families map[string]bool
 
-	// queue is the admission queue: handlers enqueue (or 429 when
-	// full), pumps drain. Closed by Shutdown after the drain completes.
-	queue chan *job
+	// slots counts admitted queries (cap MaxQueue + MaxConcurrency; full
+	// → 429), run the running ones (cap MaxConcurrency).
+	slots, run chan struct{}
 
 	mu        sync.Mutex
 	admitted  int64            // conflint:guardedby mu
@@ -53,7 +53,8 @@ func newTenantState(cfg TenantConfig) *tenantState {
 		goal:      cfg.goalOf(),
 		allow:     cfg.allowSet(),
 		families:  cfg.familySet(),
-		queue:     make(chan *job, cfg.MaxQueue),
+		slots:     make(chan struct{}, cfg.MaxQueue+cfg.MaxConcurrency),
+		run:       make(chan struct{}, cfg.MaxConcurrency),
 		rejected:  make(map[string]int64),
 		goalMet:   make([]int64, len(cfg.goalOf().Steps)),
 		mix:       make(map[string]int64),
@@ -63,7 +64,7 @@ func newTenantState(cfg TenantConfig) *tenantState {
 	}
 }
 
-// noteAdmitted counts an accepted query at enqueue time.
+// noteAdmitted counts an accepted query at admission time.
 func (t *tenantState) noteAdmitted(family string) {
 	t.mu.Lock()
 	t.admitted++

@@ -10,7 +10,7 @@ import (
 )
 
 // tuner is the gateway's autonomic loop: when any tenant's sliding
-// window violates its goal, the pump nudges the tuner, which recommends
+// window violates its goal, finish nudges the tuner, which recommends
 // a configuration over the union of all tenants' recent queries and
 // applies it with the engine's incremental Transition — while traffic
 // keeps flowing on the engine's concurrent read path (the same

@@ -8,7 +8,7 @@ import (
 )
 
 // TestTunerRetunesUnderLoad drives one tenant past a full window under a
-// goal no configuration can meet, so the pump nudges the tuner while the
+// goal no configuration can meet, so finish nudges the tuner while the
 // tenant keeps querying. The retune must publish its configuration
 // without error, must not change what a query returns, and Shutdown must
 // join it and leave nothing in flight. The engine is the test's own: it
