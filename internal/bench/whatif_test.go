@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/recommender"
+	"repro/internal/sql"
 )
 
 // whatifFamilies are the determinism harness's five family cells (see
@@ -84,6 +85,8 @@ func TestEstimateWithMatchesCombined(t *testing.T) {
 		Columns: append([]string{}, base.Indexes[0].Columns...),
 	}}}
 	w := e.NewWhatIf()
+	rbase := mustResolve(t, w, base)
+	empty := mustResolve(t, w, conf.Configuration{})
 	for _, sqlText := range l.Workload("A", "NREF2J").SQLs()[:6] {
 		q, err := e.AnalyzeSQL(sqlText)
 		if err != nil {
@@ -93,20 +96,195 @@ func TestEstimateWithMatchesCombined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dup, err := w.EstimateWith(q, base, delta)
+		dup, err := w.EstimateWith(q, rbase, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, dup) {
 			t.Errorf("duplicate delta changed the estimate for %q", sqlText)
 		}
-		inc, err := w.EstimateWith(q, conf.Configuration{}, base)
+		inc, err := w.EstimateWith(q, empty, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, inc) {
 			t.Errorf("delta-only incremental estimate differs from Estimate for %q", sqlText)
 		}
+	}
+}
+
+func mustResolve(t *testing.T, w *engine.WhatIf, c conf.Configuration) *engine.Resolved {
+	t.Helper()
+	r, err := w.Resolve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// trial is one greedy trial: a System C engine in P, a SkTH3J query, the
+// current configuration and the candidate deltas X — a single index the
+// configuration lacks, and a bundle of a view over the query's first join
+// with an index on that view.
+type trial struct {
+	e      *engine.Engine
+	q      *sql.Query
+	cur    conf.Configuration
+	deltas map[string]conf.Configuration
+}
+
+func newTrial(t *testing.T) trial {
+	t.Helper()
+	l := tinyLab()
+	db := dbOfFamily("SkTH3J")
+	if err := l.ApplyNamed("C", db, "P"); err != nil {
+		t.Fatal(err)
+	}
+	tr := trial{e: l.Engine("C", db)}
+	var err error
+	if tr.q, err = tr.e.AnalyzeSQL(l.Workload("C", "SkTH3J").SQLs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	tr.cur = engine.PConfiguration(tr.e)
+
+	j := tr.q.Joins[0]
+	ta, tb := tr.q.Tables[j.L.Tab].Table, tr.q.Tables[j.R.Tab].Table
+	ca, cb := ta.Columns[j.L.Col].Name, tb.Columns[j.R.Col].Name
+	view := conf.ViewDef{
+		Name: "mv_trial",
+		SQL: fmt.Sprintf("SELECT a.%s, b.%s FROM %s a, %s b WHERE a.%s = b.%s",
+			ca, cb, ta.Name, tb.Name, ca, cb),
+		BaseTables: []string{ta.Name, tb.Name},
+	}
+	var newIx conf.IndexDef
+	for _, qt := range tr.q.Tables {
+		for _, c := range qt.Table.IndexableColumns() {
+			if d := (conf.IndexDef{Table: qt.Table.Name, Columns: []string{c}}); newIx.Table == "" && !tr.cur.HasIndex(d) {
+				newIx = d
+			}
+		}
+	}
+	if newIx.Table == "" {
+		t.Fatal("every single-column index is already in P")
+	}
+	tr.deltas = map[string]conf.Configuration{
+		"index": {Indexes: []conf.IndexDef{newIx}},
+		"view+index": {
+			Views:   []conf.ViewDef{view},
+			Indexes: []conf.IndexDef{{Table: view.Name, Columns: []string{"c0"}}},
+		},
+	}
+	return tr
+}
+
+// TestTrialAndMergedBaseShareOneEntry pins the estimate key's order. A
+// greedy round's trial (cur, X) and the next round's base cur+X must share
+// one cache entry: the second estimate is a hit with an equal measure.
+// The view-plus-index bundle is the case a key with the base's indexes
+// before the delta's views would miss.
+func TestTrialAndMergedBaseShareOneEntry(t *testing.T) {
+	tr := newTrial(t)
+	for name, x := range tr.deltas {
+		w := tr.e.NewWhatIf()
+		trial, err := w.EstimateWith(tr.q, mustResolve(t, w, tr.cur), x)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		merged := tr.cur.Clone()
+		merged.Views = append(merged.Views, x.Views...)
+		merged.Indexes = append(merged.Indexes, x.Indexes...)
+		rmerged := mustResolve(t, w, merged)
+		_, before := engine.WhatIfCounters()
+		got, err := w.EstimateWith(tr.q, rmerged, conf.Configuration{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, after := engine.WhatIfCounters(); after != before+1 {
+			t.Errorf("%s: the merged base missed the trial's cache entry", name)
+		}
+		if got != trial {
+			t.Errorf("%s: merged base estimates %v, the trial %v", name, got.Seconds, trial.Seconds)
+		}
+	}
+}
+
+// TestStaleResolvedHandle resolves a configuration, moves the engine to a
+// new one, and uses the old handle: it must answer as a fresh session
+// does. A handle used with another session is an error.
+func TestStaleResolvedHandle(t *testing.T) {
+	l := tinyLab()
+	db := dbOfFamily("NREF2J")
+	if err := l.ApplyNamed("A", db, "P"); err != nil {
+		t.Fatal(err)
+	}
+	e := l.Engine("A", db)
+	hypo := engine.OneColumnConfiguration(e)
+	w := e.NewWhatIf()
+	rh := mustResolve(t, w, hypo)
+	var qs []*sql.Query
+	var before []engine.Measure
+	for _, sqlText := range l.Workload("A", "NREF2J").SQLs()[:6] {
+		q, err := e.AnalyzeSQL(sqlText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := w.EstimateWith(q, rh, conf.Configuration{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, before = append(qs, q), append(before, m)
+	}
+	if err := l.ApplyNamed("A", db, "1C"); err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i, q := range qs {
+		got, err := w.EstimateWith(q, rh, conf.Configuration{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.NewWhatIf().Estimate(q, hypo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("query %d: stale handle estimates %v, a fresh session %v", i, got.Seconds, want.Seconds)
+		}
+		moved = moved || want != before[i]
+	}
+	if !moved {
+		t.Error("the transition moved no estimate: the test proves nothing")
+	}
+	if _, err := e.NewWhatIf().EstimateWith(qs[0], rh, conf.Configuration{}); err == nil {
+		t.Error("another session accepted the handle")
+	}
+}
+
+// TestEstimateHitAllocatesNothing: once an estimate is cached, asking for
+// it again — through a resolved base plus either delta, or through
+// Estimate — allocates nothing.
+func TestEstimateHitAllocatesNothing(t *testing.T) {
+	tr := newTrial(t)
+	w := tr.e.NewWhatIf()
+	rcur := mustResolve(t, w, tr.cur)
+	for name, x := range tr.deltas {
+		hit := func() {
+			if _, err := w.EstimateWith(tr.q, rcur, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hit() // the miss
+		if n := testing.AllocsPerRun(20, hit); n != 0 {
+			t.Errorf("EstimateWith, %s delta: a hit allocates %v times", name, n)
+		}
+	}
+	hit := func() {
+		if _, err := w.Estimate(tr.q, tr.cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, hit); n != 0 {
+		t.Errorf("Estimate: a hit allocates %v times", n)
 	}
 }
 

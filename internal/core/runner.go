@@ -143,16 +143,21 @@ func (r Runner) WhatIfWorkload(e *engine.Engine, queries []string, hypo conf.Con
 // the controller keeps one session alive across retunes so the estimate
 // cache filled by the recommender search is still warm when the
 // controller predicts the winning configuration's cost. The session's
-// engine must be the one the queries are analyzed against.
+// engine must be the one the queries are analyzed against. The
+// configuration is resolved once and every query estimated against it.
 func (r Runner) WhatIfSessionWorkload(w *engine.WhatIf, queries []string, hypo conf.Configuration) ([]Measure, error) {
 	e := w.Engine()
+	rh, err := w.Resolve(hypo)
+	if err != nil {
+		return nil, fmt.Errorf("core: what-if: %w", err)
+	}
 	out := make([]Measure, len(queries))
-	err := r.Each(len(queries), func(i int) error {
+	err = r.Each(len(queries), func(i int) error {
 		q, err := e.AnalyzeSQL(queries[i])
 		if err != nil {
 			return fmt.Errorf("core: analyzing %q: %w", queries[i], err)
 		}
-		m, err := w.Estimate(q, hypo)
+		m, err := w.EstimateWith(q, rh, conf.Configuration{})
 		if err != nil {
 			return fmt.Errorf("core: what-if %q: %w", queries[i], err)
 		}

@@ -388,6 +388,7 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 
 	ix := &plan.IndexInfo{
 		Def:            d,
+		Name:           d.Name(),
 		Cols:           cols,
 		Tree:           tree,
 		Height:         tree.Height(),

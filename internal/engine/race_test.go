@@ -3,6 +3,9 @@ package engine
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/conf"
+	"repro/internal/sql"
 )
 
 // TestConcurrentReadersWithWriter hammers the engine's read path — Run,
@@ -134,6 +137,50 @@ func TestConcurrentWhatIfSharedSession(t *testing.T) {
 		}
 		if results[g] != want.Seconds {
 			t.Errorf("goroutine %d: estimate %v, want %v", g, results[g], want.Seconds)
+		}
+	}
+
+	// Eight goroutines share one resolved handle, filling its per-query
+	// memo concurrently, and must agree with Estimate on every query.
+	qs := make([]*sql.Query, len(testQueries))
+	wants := make([]Measure, len(testQueries))
+	for i, sqlText := range testQueries {
+		if qs[i], err = e.AnalyzeSQL(sqlText); err != nil {
+			t.Fatal(err)
+		}
+		if wants[i], err = w.Estimate(qs[i], hypo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rh, err := w.Resolve(hypo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sharers = 8
+	got := make([][]Measure, sharers)
+	errs = make([]error, sharers)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([]Measure, len(qs))
+			for k := range qs {
+				i := (g + k) % len(qs)
+				if got[g][i], errs[g] = w.EstimateWith(qs[i], rh, conf.Configuration{}); errs[g] != nil {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			if got[g][i] != wants[i] {
+				t.Errorf("sharer %d, query %d: estimate %v, want %v", g, i, got[g][i].Seconds, wants[i].Seconds)
+			}
 		}
 	}
 }

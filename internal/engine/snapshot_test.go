@@ -134,7 +134,7 @@ func TestNoStaleEstimateAcrossSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := e.NewWhatIf()
-	slow, err := w.lookup(q, hypo.Views, hypo.Indexes, nil, nil)
+	slow, err := w.lookup(q, nil, hypo)
 	if err != nil || slow.hit {
 		t.Fatalf("cold lookup: hit=%v err=%v", slow.hit, err)
 	}

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,11 +55,15 @@ func ResetWhatIfCounters() {
 // inner loop:
 //
 //   - derivation caches hold hypothetical index/view descriptions per
-//     definition, and resolution caches hold the actual-or-derived
-//     description per definition, so a search evaluating hundreds of
-//     candidates pays each derivation and catalog lookup once;
+//     definition, and the intern tables give each distinct structure one
+//     entry — a session-unique id plus its actual-or-derived description —
+//     so a search evaluating hundreds of candidates pays each derivation
+//     and catalog lookup once;
+//   - a configuration resolved once (Resolve) keeps its entries, and
+//     remembers per query which of them are relevant, so an estimate
+//     against it resolves only its delta;
 //   - estimates themselves are cached under a relevance key: the query's
-//     fingerprint plus only the structures on relations the query can
+//     id plus the ids of only the structures on relations the query can
 //     touch, so candidate configurations differing in irrelevant
 //     structures share one optimizer invocation.
 //
@@ -74,26 +81,45 @@ type WhatIf struct {
 	caching bool
 
 	// mu guards the caches. The values the maps hold (*plan.IndexInfo,
-	// *plan.ViewInfo) are immutable once published, so estimators keep
-	// using them after releasing mu.
+	// *plan.ViewInfo, interned entries) are immutable once published, so
+	// estimators keep using them after releasing mu.
 	mu     sync.Mutex
 	pinned *snapshot // conflint:guardedby mu (the engine snapshot the caches belong to)
 
-	indexCache map[string]*plan.IndexInfo     // conflint:guardedby mu
-	viewCache  map[string]*plan.ViewInfo      // conflint:guardedby mu
-	resIndex   map[ixKey][]resolvedIndex      // conflint:guardedby mu (actual-or-hypo, bucketed by ixKey)
-	resView    map[string]*plan.ViewInfo      // conflint:guardedby mu (actual-or-hypo, by lower name)
-	queries    map[*sql.Query]*queryRelevance // conflint:guardedby mu
-	estimates  map[string]estEntry            // conflint:guardedby mu
+	indexCache  map[string]*plan.IndexInfo     // conflint:guardedby mu
+	viewCache   map[string]*plan.ViewInfo      // conflint:guardedby mu
+	ixEntries   map[ixKey][]*ixEntry           // conflint:guardedby mu (interned, bucketed by ixKey)
+	viewByName  map[string]*viewEntry          // conflint:guardedby mu (interned, by lower name)
+	queries     map[*sql.Query]*queryRelevance // conflint:guardedby mu
+	queryByText map[string]*queryRelevance     // conflint:guardedby mu (one fingerprint per SQL text)
+	estimates   map[string]estEntry            // conflint:guardedby mu
+	lastID      uint32                         // conflint:guardedby mu (ids are never reused)
+	key         []byte                         // conflint:guardedby mu (the probe key, rebuilt per lookup)
+	scratch     Resolved                       // conflint:guardedby mu (Estimate's one-shot base)
+	scratchRel  relevance                      // conflint:guardedby mu (scratch's relevant subset)
 }
 
-// queryRelevance is a query's once-computed fingerprint: its canonical
-// SQL text and the set of relations whose physical structures can
-// influence its plan — the FROM-list tables plus the tables of its
+// queryRelevance is a query's once-computed fingerprint: its id, its
+// canonical SQL text and the set of relations whose physical structures
+// can influence its plan — the FROM-list tables plus the tables of its
 // IN-subqueries (planInSets consults indexes on those).
 type queryRelevance struct {
+	id     uint32
 	sql    string
 	tables map[string]bool
+}
+
+// covers reports whether every defining table of the view is one of the
+// query's relevant tables — view matching requires an unambiguous mapping
+// of all defining tables into the query, so an uncovered view can never
+// produce a candidate.
+func (fp *queryRelevance) covers(v *viewEntry) bool {
+	for _, t := range v.tables {
+		if !fp.tables[t] {
+			return false
+		}
+	}
+	return true
 }
 
 // estEntry is one cached estimation result.
@@ -102,19 +128,28 @@ type estEntry struct {
 	meter   cost.Meter
 }
 
-// resolvedIndex is one memoized actual-or-derived index description with
-// its definition name computed once — the name is the index's cache-key
-// component, and rebuilding it per estimate showed up in profiles.
-type resolvedIndex struct {
-	def  conf.IndexDef
-	name string
-	ix   *plan.IndexInfo
+// viewEntry is one interned view: its id, lower-case name, lower-case
+// defining tables and actual-or-derived description. Views are interned by
+// name (first definition wins), matching the derivation cache.
+type viewEntry struct {
+	id     uint32
+	rel    string
+	tables []string
+	vi     *plan.ViewInfo
 }
 
-// ixKey buckets interned index resolutions. Equal definitions always
-// land in the same bucket, and the bucket scan stays short even under
-// System A's permutation generator, which produces hundreds of
-// distinct defs per table but spreads them across first columns.
+// ixEntry is one interned index: its id, lower-case relation and
+// actual-or-derived description. Equal definitions share one entry.
+type ixEntry struct {
+	id  uint32
+	rel string
+	ix  *plan.IndexInfo
+}
+
+// ixKey buckets interned indexes. Equal definitions always land in the
+// same bucket, and the bucket scan stays short even under System A's
+// permutation generator, which produces hundreds of distinct defs per
+// table but spreads them across first columns.
 type ixKey struct {
 	table string
 	n     int
@@ -129,12 +164,44 @@ func keyOf(d conf.IndexDef) ixKey {
 	return k
 }
 
+// Resolved is a configuration resolved once by a session, for repeated
+// estimation through EstimateWith: a search that prices many candidates
+// against one base resolves the base once and pays per trial only for the
+// candidate's delta. A handle may be shared by concurrent estimators. It
+// stays valid across engine changes — a handle whose snapshot the session
+// has left is re-resolved from its configuration on next use — but only
+// with the session that made it.
+type Resolved struct {
+	w    *WhatIf
+	conf conf.Configuration
+
+	// Guarded by the session's mu.
+	snap    *snapshot // the snapshot the entries were resolved under
+	views   []*viewEntry
+	indexes []*ixEntry
+	memo    map[uint32]*relevance // by query id; nil on the session's scratch
+}
+
+// relevance is the subset of a resolved base that can influence one
+// query's plan (see lookup for the rule), in configuration order.
+type relevance struct {
+	views   []*viewEntry
+	indexes []*ixEntry
+	// orphans are the base's indexes on a relation that is neither a
+	// query table nor a view of the base: a delta view of that name makes
+	// one relevant.
+	orphans []*ixEntry
+}
+
+var errForeignHandle = errors.New("engine: what-if: resolved configuration belongs to another session")
+
 // NewWhatIf opens a what-if session against the current configuration.
 func (e *Engine) NewWhatIf() *WhatIf {
 	return &WhatIf{
-		e:       e,
-		caching: !e.DisableWhatIfCache,
-		queries: make(map[*sql.Query]*queryRelevance),
+		e:           e,
+		caching:     !e.DisableWhatIfCache,
+		queries:     make(map[*sql.Query]*queryRelevance),
+		queryByText: make(map[string]*queryRelevance),
 	}
 }
 
@@ -151,7 +218,7 @@ func (e *Engine) AnalyzeSQL(sqlText string) (*sql.Query, error) {
 }
 
 // pinLocked returns the engine's published snapshot, first flushing the
-// derivation, resolution and estimate caches if they were filled under
+// derivation, intern and estimate caches if they were filled under
 // another one (invalidation on RUNSTATS, transitions and loads). Query
 // fingerprints survive: they depend only on the query text. The caller
 // holds w.mu.
@@ -160,11 +227,29 @@ func (w *WhatIf) pinLocked() *snapshot {
 		w.pinned = s
 		w.indexCache = make(map[string]*plan.IndexInfo)
 		w.viewCache = make(map[string]*plan.ViewInfo)
-		w.resIndex = make(map[ixKey][]resolvedIndex)
-		w.resView = make(map[string]*plan.ViewInfo)
+		w.ixEntries = make(map[ixKey][]*ixEntry)
+		w.viewByName = make(map[string]*viewEntry)
 		w.estimates = make(map[string]estEntry)
 	}
 	return w.pinned
+}
+
+// Resolve resolves every definition of the configuration once, so that
+// derivation errors surface here, and returns the handle EstimateWith
+// prices deltas against.
+func (w *WhatIf) Resolve(c conf.Configuration) (*Resolved, error) {
+	r := &Resolved{w: w, conf: c.Clone()}
+	if !w.caching {
+		return r, nil
+	}
+	r.memo = make(map[uint32]*relevance)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.pinLocked()
+	if err := w.resolveLocked(r, r.conf); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Estimate returns H(q, Ch, Ca) for the hypothetical configuration.
@@ -173,21 +258,24 @@ func (w *WhatIf) Estimate(q *sql.Query, hypo conf.Configuration) (Measure, error
 	if !w.caching {
 		return w.estimateUncached(q, hypo)
 	}
-	return w.estimate(q, hypo.Views, hypo.Indexes, nil, nil)
+	return w.estimate(q, nil, hypo)
 }
 
 // EstimateWith returns H(q, base+delta, Ca) without materializing the
-// combined configuration — the delta path the greedy search's
-// base-plus-one-candidate trials take. The result is identical to
-// Estimate against candidate.applyTo(base): delta views whose name base
-// already holds and delta indexes base already defines are skipped,
-// mirroring Configuration.HasView/AddIndex deduplication.
-func (w *WhatIf) EstimateWith(q *sql.Query, base, delta conf.Configuration) (Measure, error) {
+// combined configuration — the path the greedy search's base-plus-one-
+// candidate trials take. The result is identical to Estimate against
+// candidate.applyTo(base): delta views whose name base already holds and
+// delta indexes base already defines are skipped, mirroring
+// Configuration.HasView/AddIndex deduplication.
+func (w *WhatIf) EstimateWith(q *sql.Query, base *Resolved, delta conf.Configuration) (Measure, error) {
 	whatifCalls.Add(1)
-	if !w.caching {
-		return w.estimateUncached(q, combineConfig(base, delta))
+	if base.w != w {
+		return Measure{}, errForeignHandle
 	}
-	return w.estimate(q, base.Views, base.Indexes, delta.Views, delta.Indexes)
+	if !w.caching {
+		return w.estimateUncached(q, combineConfig(base.conf, delta))
+	}
+	return w.estimate(q, base, delta)
 }
 
 // estimateUncached is the pre-cache code path, kept verbatim as the
@@ -204,25 +292,11 @@ func (w *WhatIf) estimateUncached(q *sql.Query, hypo conf.Configuration) (Measur
 	return Measure{SQL: q.SQL(), Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
 }
 
-// estimate is the relevance-keyed fast path. The hypothetical
-// configuration arrives as base plus an optional delta. Every definition
-// is resolved (memoized per snapshot) so derivation errors surface exactly
-// as on the uncached path; the estimate is then keyed by the query
-// fingerprint plus only the relevant structures:
-//
-//   - a view is relevant iff every table of its defining query is among
-//     the query's relevant tables — view matching requires an unambiguous
-//     mapping of all defining tables into the query, so an excluded view
-//     can never produce a candidate;
-//   - an index is relevant iff its relation is a relevant table or a
-//     relevant view — the optimizer consults IndexesOn only for FROM
-//     tables, IN-subquery tables and matched views.
-//
-// Two candidate configurations that agree on the relevant subset
-// therefore share one cache entry and one optimizer invocation.
-func (w *WhatIf) estimate(q *sql.Query, baseViews []conf.ViewDef, baseIx []conf.IndexDef,
-	deltaViews []conf.ViewDef, deltaIx []conf.IndexDef) (Measure, error) {
-	c, err := w.lookup(q, baseViews, baseIx, deltaViews, deltaIx)
+// estimate is the relevance-keyed fast path: probe the cache, and on a
+// miss optimize. A nil base means cfg is the whole configuration
+// (Estimate); otherwise cfg is the delta over base.
+func (w *WhatIf) estimate(q *sql.Query, base *Resolved, cfg conf.Configuration) (Measure, error) {
+	c, err := w.lookup(q, base, cfg)
 	if err != nil {
 		return Measure{}, err
 	}
@@ -248,9 +322,8 @@ func (w *WhatIf) fill(q *sql.Query, c candidate) (Measure, error) {
 		Mem:     w.e.Profile.MemBytes,
 		Model:   w.e.Model,
 	}
-	for _, ix := range c.indexes {
-		rel := strings.ToLower(ix.Def.Table)
-		phys.Indexes[rel] = append(phys.Indexes[rel], ix)
+	for _, x := range c.indexes {
+		phys.Indexes[x.rel] = append(phys.Indexes[x.rel], x.ix)
 	}
 	for _, list := range phys.Indexes {
 		plan.SortIndexes(list)
@@ -271,6 +344,7 @@ func (w *WhatIf) fill(q *sql.Query, c candidate) (Measure, error) {
 
 // candidate is what lookup resolves one estimate request to: the cache
 // key and either the cached entry or the material to optimize against.
+// key, views and indexes are filled only on a miss.
 type candidate struct {
 	snap    *snapshot // the snapshot everything below was resolved under
 	sql     string
@@ -278,140 +352,214 @@ type candidate struct {
 	hit     bool
 	ent     estEntry
 	views   []*plan.ViewInfo
-	indexes []*plan.IndexInfo
+	indexes []*ixEntry
 }
 
 // lookup is the part of estimate that runs under w.mu: pin the engine
-// snapshot, resolve every definition, build the relevance key and probe
-// the estimate cache.
-func (w *WhatIf) lookup(q *sql.Query, baseViews []conf.ViewDef, baseIx []conf.IndexDef,
-	deltaViews []conf.ViewDef, deltaIx []conf.IndexDef) (candidate, error) {
+// snapshot, bring the base up to it, resolve the delta, build the
+// relevance key and probe the estimate cache. A delta entry the base or
+// an earlier delta entry already holds is dropped — interned entries make
+// that a pointer comparison. Of the rest, only the relevant enter the key:
+//
+//   - a view is relevant iff it is covered by the query's relevant tables;
+//   - an index is relevant iff its relation is a relevant table or a
+//     relevant view — the optimizer consults IndexesOn only for FROM
+//     tables, IN-subquery tables and matched views.
+//
+// The key is the query id, then the relevant view ids (base, then delta),
+// then the relevant index ids (base, then delta): the order the views and
+// indexes of candidate.applyTo(base) have, so a greedy round's trial
+// (cur, X) and the next round's (cur+X, ∅) share one entry. phys.Views
+// order decides equal-cost ties, so it is part of the key by construction.
+// Two candidate configurations that agree on the relevant subset share
+// one cache entry and one optimizer invocation.
+func (w *WhatIf) lookup(q *sql.Query, base *Resolved, cfg conf.Configuration) (candidate, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	c := candidate{snap: w.pinLocked()}
+	var delta conf.Configuration
+	if base == nil {
+		// Estimate: cfg is the whole configuration, resolved afresh into
+		// the session's scratch handle, which keeps no memo.
+		base = &w.scratch
+		if err := w.resolveLocked(base, cfg); err != nil {
+			return c, err
+		}
+	} else {
+		delta = cfg
+		if base.snap != c.snap {
+			if err := w.resolveLocked(base, base.conf); err != nil {
+				return c, err
+			}
+		}
+	}
 	fp := w.relevanceLocked(q)
 	c.sql = fp.sql
+	rel := w.relevantLocked(base, fp)
 
-	var key strings.Builder
-	key.Grow(len(fp.sql) + 24*(len(baseViews)+len(deltaViews)+len(baseIx)+len(deltaIx)))
-	key.WriteString(fp.sql)
+	// Delta views, then delta indexes: resolve, drop duplicates, keep the
+	// relevant. Deltas are a candidate's one or two structures, so the
+	// fixed arrays keep them off the heap.
+	var dvBuf [4]*viewEntry
+	dv := dvBuf[:0]
+	for _, vd := range delta.Views {
+		v, err := w.internView(vd)
+		if err != nil {
+			return c, err
+		}
+		if !slices.Contains(base.views, v) && !slices.Contains(dv, v) {
+			dv = append(dv, v)
+		}
+	}
+	dv = slices.DeleteFunc(dv, func(v *viewEntry) bool { return !fp.covers(v) })
+	var diBuf [4]*ixEntry
+	di := diBuf[:0]
+	for _, d := range delta.Indexes {
+		x, err := w.internIndex(d)
+		if err != nil {
+			return c, err
+		}
+		if !slices.Contains(base.indexes, x) && !slices.Contains(di, x) {
+			di = append(di, x)
+		}
+	}
+	relevant := func(x *ixEntry) bool {
+		return fp.tables[x.rel] || named(rel.views, x.rel) || named(dv, x.rel)
+	}
+	di = slices.DeleteFunc(di, func(x *ixEntry) bool { return !relevant(x) })
+	baseIx := rel.indexes
+	for _, x := range rel.orphans {
+		if named(dv, x.rel) {
+			baseIx = slices.DeleteFunc(slices.Clone(base.indexes), func(x *ixEntry) bool { return !relevant(x) })
+			break
+		}
+	}
 
-	// Views first (indexes on views resolve against them); base before
-	// delta, in configuration order — phys.Views order decides equal-cost
-	// ties, so it is part of the key by construction.
-	c.views = make([]*plan.ViewInfo, 0, len(baseViews)+len(deltaViews))
-	relNames := make(map[string]bool, len(baseViews)+len(deltaViews))
-	for _, vd := range baseViews {
-		if err := w.noteView(vd, fp, &c.views, relNames, &key); err != nil {
-			return c, err
+	key := binary.LittleEndian.AppendUint32(w.key[:0], fp.id)
+	for _, vs := range [2][]*viewEntry{rel.views, dv} {
+		for _, v := range vs {
+			key = binary.LittleEndian.AppendUint32(key, v.id)
 		}
 	}
-	for i, vd := range deltaViews {
-		if viewNamed(baseViews, vd.Name) || viewNamed(deltaViews[:i], vd.Name) {
-			continue
-		}
-		if err := w.noteView(vd, fp, &c.views, relNames, &key); err != nil {
-			return c, err
+	for _, xs := range [2][]*ixEntry{baseIx, di} {
+		for _, x := range xs {
+			key = binary.LittleEndian.AppendUint32(key, x.id)
 		}
 	}
-	c.indexes = make([]*plan.IndexInfo, 0, len(baseIx)+len(deltaIx))
-	for _, d := range baseIx {
-		if err := w.noteIndex(d, fp, relNames, &c.indexes, &key); err != nil {
-			return c, err
+	w.key = key
+	if c.ent, c.hit = w.estimates[string(key)]; c.hit {
+		return c, nil
+	}
+	c.key = string(key)
+	c.views = make([]*plan.ViewInfo, 0, len(rel.views)+len(dv))
+	for _, vs := range [2][]*viewEntry{rel.views, dv} {
+		for _, v := range vs {
+			c.views = append(c.views, v.vi)
 		}
 	}
-	for i, d := range deltaIx {
-		if indexDefined(baseIx, d) || indexDefined(deltaIx[:i], d) {
-			continue
-		}
-		if err := w.noteIndex(d, fp, relNames, &c.indexes, &key); err != nil {
-			return c, err
-		}
-	}
-	c.key = key.String()
-	c.ent, c.hit = w.estimates[c.key]
+	c.indexes = slices.Concat(baseIx, di)
 	return c, nil
 }
 
+// named reports whether one of the views has the lower-case name rel.
+func named(views []*viewEntry, rel string) bool {
+	for _, v := range views {
+		if v.rel == rel {
+			return true
+		}
+	}
+	return false
+}
+
+// resolveLocked (re)interns every definition of c into the handle under
+// the pinned snapshot and forgets the handle's per-query memo. The caller
+// holds w.mu.
+func (w *WhatIf) resolveLocked(r *Resolved, c conf.Configuration) error {
+	r.snap = nil
+	r.views, r.indexes = r.views[:0], r.indexes[:0]
+	clear(r.memo)
+	for _, vd := range c.Views {
+		v, err := w.internView(vd)
+		if err != nil {
+			return err
+		}
+		r.views = append(r.views, v)
+	}
+	for _, d := range c.Indexes {
+		x, err := w.internIndex(d)
+		if err != nil {
+			return err
+		}
+		r.indexes = append(r.indexes, x)
+	}
+	r.snap = w.pinned
+	return nil
+}
+
+// relevantLocked returns the subset of the resolved base relevant to the
+// query, from the handle's memo when it has one. The session's scratch
+// handle has none: its subset is rebuilt in scratchRel on every call.
+// The caller holds w.mu.
+func (w *WhatIf) relevantLocked(r *Resolved, fp *queryRelevance) *relevance {
+	if m, ok := r.memo[fp.id]; ok {
+		return m
+	}
+	m := &w.scratchRel
+	if r.memo != nil {
+		m = new(relevance)
+		r.memo[fp.id] = m
+	}
+	m.views, m.indexes, m.orphans = m.views[:0], m.indexes[:0], m.orphans[:0]
+	for _, v := range r.views {
+		if fp.covers(v) {
+			m.views = append(m.views, v)
+		}
+	}
+	for _, x := range r.indexes {
+		switch {
+		case fp.tables[x.rel] || named(m.views, x.rel):
+			m.indexes = append(m.indexes, x)
+		case !named(r.views, x.rel):
+			m.orphans = append(m.orphans, x)
+		}
+	}
+	return m
+}
+
 // relevanceLocked returns the memoized fingerprint of an analyzed query.
-// Caller holds w.mu exclusively.
+// Queries with the same SQL text share one fingerprint and so one id,
+// which lets a search over re-analyzed queries (the warm pass) hit the
+// entries of an earlier one. Caller holds w.mu exclusively.
 func (w *WhatIf) relevanceLocked(q *sql.Query) *queryRelevance {
 	if fp, ok := w.queries[q]; ok {
 		return fp
 	}
-	fp := &queryRelevance{
-		sql:    q.SQL(),
-		tables: make(map[string]bool, len(q.Tables)+len(q.Ins)),
-	}
-	for _, t := range q.Tables {
-		fp.tables[strings.ToLower(t.Table.Name)] = true
-	}
-	for _, p := range q.Ins {
-		fp.tables[strings.ToLower(p.SubTable.Name)] = true
+	text := q.SQL()
+	fp, ok := w.queryByText[text]
+	if !ok {
+		fp = &queryRelevance{
+			id:     w.nextIDLocked(),
+			sql:    text,
+			tables: make(map[string]bool, len(q.Tables)+len(q.Ins)),
+		}
+		for _, t := range q.Tables {
+			fp.tables[strings.ToLower(t.Table.Name)] = true
+		}
+		for _, p := range q.Ins {
+			fp.tables[strings.ToLower(p.SubTable.Name)] = true
+		}
+		w.queryByText[text] = fp
 	}
 	w.queries[q] = fp
 	return fp
 }
 
-// noteView resolves one view of the hypothetical configuration and, when
-// relevant to the query, records it for assembly and in the cache key.
-// Resolution is keyed by name (first definition wins), matching the
-// derivation cache's semantics, so the name alone identifies the
-// description within a snapshot.
-func (w *WhatIf) noteView(vd conf.ViewDef, fp *queryRelevance,
-	relViews *[]*plan.ViewInfo, relNames map[string]bool, key *strings.Builder) error {
-	vi, err := w.resolveView(vd)
-	if err != nil {
-		return err
-	}
-	for _, t := range vi.Query.Tables {
-		if !fp.tables[strings.ToLower(t.Table.Name)] {
-			return nil // a defining table is absent: the view can never match
-		}
-	}
-	*relViews = append(*relViews, vi)
-	relNames[strings.ToLower(vd.Name)] = true
-	key.WriteByte(0)
-	key.WriteString(strings.ToLower(vd.Name))
-	return nil
-}
-
-// noteIndex resolves one index definition and, when its relation is
-// relevant, records it for assembly and in the cache key.
-func (w *WhatIf) noteIndex(d conf.IndexDef, fp *queryRelevance, relNames map[string]bool,
-	relIx *[]*plan.IndexInfo, key *strings.Builder) error {
-	ix, name, err := w.resolveIndex(d)
-	if err != nil {
-		return err
-	}
-	rel := strings.ToLower(d.Table)
-	if !fp.tables[rel] && !relNames[rel] {
-		return nil
-	}
-	*relIx = append(*relIx, ix)
-	key.WriteByte(1)
-	key.WriteString(name)
-	return nil
-}
-
-// viewNamed reports whether the slice holds a view of the given name.
-func viewNamed(views []conf.ViewDef, name string) bool {
-	for _, v := range views {
-		if strings.EqualFold(v.Name, name) {
-			return true
-		}
-	}
-	return false
-}
-
-// indexDefined reports whether the slice holds an equal index definition.
-func indexDefined(ixs []conf.IndexDef, d conf.IndexDef) bool {
-	for _, e := range ixs {
-		if e.Equal(d) {
-			return true
-		}
-	}
-	return false
+// nextIDLocked hands out a session-unique id; queries, views and indexes
+// draw from one sequence, so an id names one kind of thing. The caller
+// holds w.mu.
+func (w *WhatIf) nextIDLocked() uint32 {
+	w.lastID++
+	return w.lastID
 }
 
 // combineConfig materializes base+delta with applyTo's deduplication
@@ -429,48 +577,49 @@ func combineConfig(base, delta conf.Configuration) conf.Configuration {
 	return out
 }
 
-// resolveView returns the actual or derived description of a view,
-// memoized per snapshot under its lower-case name.
-func (w *WhatIf) resolveView(vd conf.ViewDef) (*plan.ViewInfo, error) {
-	key := strings.ToLower(vd.Name)
-	if v, ok := w.resView[key]; ok {
+// internView returns the view's entry under the pinned snapshot,
+// resolving its actual or derived description on first sight. The caller
+// holds w.mu.
+func (w *WhatIf) internView(vd conf.ViewDef) (*viewEntry, error) {
+	name := strings.ToLower(vd.Name)
+	if v, ok := w.viewByName[name]; ok {
 		return v, nil
 	}
-	v := w.pinned.findView(vd.Name)
-	if v == nil {
+	vi := w.pinned.findView(vd.Name)
+	if vi == nil {
 		var err error
-		v, err = w.hypoViewLocked(vd)
-		if err != nil {
+		if vi, err = w.hypoViewLocked(vd); err != nil {
 			return nil, err
 		}
 	}
-	w.resView[key] = v
+	v := &viewEntry{id: w.nextIDLocked(), rel: name, vi: vi, tables: make([]string, len(vi.Query.Tables))}
+	for i, t := range vi.Query.Tables {
+		v.tables[i] = strings.ToLower(t.Table.Name)
+	}
+	w.viewByName[name] = v
 	return v, nil
 }
 
-// resolveIndex returns the actual or derived description of an index
-// and its definition name (the index's cache-key component), memoized
-// per snapshot. Entries are interned in small buckets and matched by
-// Equal — equal definitions share one description and one name, so the
-// allocation-heavy Name construction happens once per definition.
-func (w *WhatIf) resolveIndex(d conf.IndexDef) (*plan.IndexInfo, string, error) {
-	rel := keyOf(d)
-	for _, r := range w.resIndex[rel] {
-		if r.def.Equal(d) {
-			return r.ix, r.name, nil
+// internIndex returns the index's entry under the pinned snapshot,
+// resolving its actual or derived description on first sight; equal
+// definitions share one entry. The caller holds w.mu.
+func (w *WhatIf) internIndex(d conf.IndexDef) (*ixEntry, error) {
+	k := keyOf(d)
+	for _, x := range w.ixEntries[k] {
+		if x.ix.Def.Equal(d) {
+			return x, nil
 		}
 	}
 	ix := w.pinned.findIndex(d)
 	if ix == nil {
 		var err error
-		ix, err = w.hypoIndexLocked(d)
-		if err != nil {
-			return nil, "", err
+		if ix, err = w.hypoIndexLocked(d); err != nil {
+			return nil, err
 		}
 	}
-	r := resolvedIndex{def: d, name: d.Name(), ix: ix}
-	w.resIndex[rel] = append(w.resIndex[rel], r)
-	return ix, r.name, nil
+	x := &ixEntry{id: w.nextIDLocked(), rel: k.table, ix: ix}
+	w.ixEntries[k] = append(w.ixEntries[k], x)
+	return x, nil
 }
 
 // EstimateSize returns the estimated full-scale bytes of the
@@ -593,6 +742,7 @@ func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
 	}
 	ix := &plan.IndexInfo{
 		Def:          d,
+		Name:         key,
 		Cols:         cols,
 		Hypothetical: true,
 		KeyNDV:       ndv,

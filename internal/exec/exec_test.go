@@ -105,7 +105,7 @@ func newWorldRows(t *testing.T, tRows int, indexes ...conf.IndexDef) *world {
 			ndvs[i] = ndv // upper bound; fine for tests
 		}
 		phys.Indexes[key] = append(phys.Indexes[key], &plan.IndexInfo{
-			Def: d, Cols: cols, Tree: tree, KeyNDV: ndvs,
+			Def: d, Name: d.Name(), Cols: cols, Tree: tree, KeyNDV: ndvs,
 			Height: tree.Height(), LeafPages: tree.LeafPages(),
 			EntriesPerLeaf: tree.EntriesPerLeafPage(), Bytes: tree.Bytes(),
 		})

@@ -445,9 +445,11 @@ func (s *search) indexJoinCands(outer cand, outerMask uint32, t2 int, lcols, rco
 	out := make([]cand, 0, len(ixs))
 	sels := s.sels[t2]
 	ins := s.ins[t2]
+	consumedSel := make([]bool, len(sels))
+	consumedJoin := make([]bool, len(lcols))
 	for _, ix := range ixs {
-		consumedSel := make(map[int]bool)
-		consumedJoin := make(map[int]bool)
+		clear(consumedSel)
+		clear(consumedJoin)
 		binds := make([]plan.KeyBind, 0, len(ix.Cols))
 		joinBinds := 0
 		for _, col := range ix.Cols {

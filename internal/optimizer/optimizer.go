@@ -522,7 +522,7 @@ func (s *search) joinPredsBetween(m1, m2 uint32) (left, right []sql.QCol) {
 // fallback.
 func sortedIndexes(ixs []*plan.IndexInfo) []*plan.IndexInfo {
 	for i := 1; i < len(ixs); i++ {
-		if strings.Compare(ixs[i-1].Def.Name(), ixs[i].Def.Name()) > 0 {
+		if ixs[i-1].Name > ixs[i].Name {
 			out := append([]*plan.IndexInfo(nil), ixs...)
 			plan.SortIndexes(out)
 			return out

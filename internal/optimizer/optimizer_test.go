@@ -57,7 +57,7 @@ func buildIndex(h *storage.Heap, d conf.IndexDef) *plan.IndexInfo {
 		prev = append(prev[:0], k...)
 	}
 	return &plan.IndexInfo{
-		Def: d, Cols: cols, Tree: tree,
+		Def: d, Name: d.Name(), Cols: cols, Tree: tree,
 		KeyNDV:         ndv,
 		Height:         tree.Height(),
 		LeafPages:      tree.LeafPages(),
@@ -277,6 +277,7 @@ func TestHypotheticalPenaltyIncreasesEstimate(t *testing.T) {
 	info := f.phys.Tables["big"]
 	hypo := &plan.IndexInfo{
 		Def:          conf.IndexDef{Table: "big", Columns: []string{"b"}},
+		Name:         "ix_big_b",
 		Cols:         []int{1},
 		Hypothetical: true,
 		KeyNDV:       []int64{100},

@@ -34,7 +34,10 @@ type TableInfo struct {
 // IndexInfo describes an index, actual or hypothetical, over a base table
 // or a materialized view.
 type IndexInfo struct {
-	Def  conf.IndexDef
+	Def conf.IndexDef
+	// Name is Def.Name(), rendered once by whoever builds the description:
+	// it is the index's sort key, compared on every optimization.
+	Name string
 	Cols []int // key column offsets within the indexed relation's schema
 
 	// Tree is the built index; nil when Hypothetical.
@@ -122,15 +125,13 @@ func (p *Physical) IndexesAt(t int, name string) []*IndexInfo {
 	return p.IndexesOn(name)
 }
 
-// SortIndexes orders an index list by definition name in place. Builders
-// of Physical descriptions (the engine, the what-if assembler) call it
-// once per relation list so that the optimizer's deterministic iteration
-// order is established at construction instead of being re-sorted into a
-// fresh copy on every access.
+// SortIndexes orders an index list by name in place. Builders of Physical
+// descriptions (the engine, the what-if assembler) call it once per
+// relation list so that the optimizer's deterministic iteration order is
+// established at construction instead of being re-sorted into a fresh
+// copy on every access.
 func SortIndexes(ixs []*IndexInfo) {
-	sort.Slice(ixs, func(a, b int) bool {
-		return strings.Compare(ixs[a].Def.Name(), ixs[b].Def.Name()) < 0
-	})
+	sort.Slice(ixs, func(a, b int) bool { return ixs[a].Name < ixs[b].Name })
 }
 
 // Layout maps (table ordinal, column offset) pairs of a query to offsets

@@ -56,7 +56,7 @@ func TestFilterEval(t *testing.T) {
 
 func TestDescribeAndExplainCoverAllNodes(t *testing.T) {
 	info := &TableInfo{Table: catalog.NREF().Table("protein")}
-	ix := &IndexInfo{Def: conf.IndexDef{Table: "protein", Columns: []string{"length"}}, Cols: []int{4}}
+	ix := &IndexInfo{Def: conf.IndexDef{Table: "protein", Columns: []string{"length"}}, Name: "ix_protein_length", Cols: []int{4}}
 	nodes := []Node{
 		&SeqScan{Info: info},
 		&IndexScan{Info: info, Index: ix, Covering: true},

@@ -250,12 +250,18 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	if w == nil {
 		w = r.e.NewWhatIf()
 	}
+	// The starting configuration is resolved once: the baseline and every
+	// solo trial pay only for their own delta.
+	rbase, err := w.Resolve(base)
+	if err != nil {
+		return conf.Configuration{}, err
+	}
 
 	// Baseline cost per query in the starting configuration, fanned over
 	// the pool into an index-addressed slice.
 	baseCost := make([]float64, len(qs))
-	err := r.run.Each(len(qs), func(i int) error {
-		m, err := w.Estimate(qs[i], base)
+	err = r.run.Each(len(qs), func(i int) error {
+		m, err := w.EstimateWith(qs[i], rbase, conf.Configuration{})
 		if err != nil {
 			return err
 		}
@@ -283,7 +289,7 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	err = r.run.Each(len(jobs), func(k int) error {
 		j := jobs[k]
 		delta := conf.Configuration{Indexes: j.c.indexes, Views: j.c.views}
-		m, err := w.EstimateWith(qs[j.qi], base, delta)
+		m, err := w.EstimateWith(qs[j.qi], rbase, delta)
 		if err != nil {
 			return err
 		}
@@ -474,11 +480,15 @@ func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sq
 
 // greedyRound evaluates one round's feasible candidates (work, indexes
 // into cands) against the current configuration, writing each outcome
-// into results[k]. Trials go through the what-if delta path: the base
-// configuration's structures resolve once in the session and each
-// candidate only contributes its own delta.
+// into results[k]. Trials go through the what-if delta path: the current
+// configuration is resolved once per round and each candidate only
+// contributes its own delta.
 func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs []*sql.Query,
 	cost []float64, cands []*candidate, affected [][]int, work []int, results []roundResult) error {
+	rcur, err := w.Resolve(cur)
+	if err != nil {
+		return err
+	}
 	return r.run.Each(len(work), func(k int) error {
 		ci := work[k]
 		c := cands[ci]
@@ -486,7 +496,7 @@ func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs [
 		gain := 0.0
 		costs := make([]queryCost, 0, len(affected[ci]))
 		for _, qi := range affected[ci] {
-			m, err := w.EstimateWith(qs[qi], cur, delta)
+			m, err := w.EstimateWith(qs[qi], rcur, delta)
 			if err != nil {
 				return err
 			}

@@ -3,7 +3,9 @@
 #
 #   make perf-compare BASE=<rev>      (= bash scripts/perf-compare.sh <rev>)
 #
-# Checks BASE out as a git worktree under .bench_build/, then runs ten
+# Clones this repository into .bench_build/perf-compare-base (a shared
+# clone: it borrows this checkout's objects), checks BASE out there
+# detached, removes the clone on exit, and in between runs ten
 # interleaved pairs per workload (odd pairs run the base first, even
 # pairs the change first; pair N uses seed N on both sides), each one
 #
@@ -35,9 +37,10 @@ mkdir -p .bench_build
 tree=".bench_build/perf-compare-base"
 rows=".bench_build/perf-compare.rows"
 
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach "$tree" "$base" >/dev/null
-trap 'git worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+git clone --quiet --shared "$root" "$tree"
+git -C "$tree" checkout --quiet --detach "$(git rev-parse --verify "$base^{commit}")"
+trap 'rm -rf "$tree"' EXIT
 : >"$rows"
 
 workloads="$(awk '/"workloads"/ {on=1} /"end_to_end"/ {on=0}
