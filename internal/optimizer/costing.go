@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/plan"
@@ -122,12 +123,8 @@ func (s *search) covers(t int, ix *plan.IndexInfo) bool {
 	if s.opts.NoIndexOnly {
 		return false
 	}
-	keySet := make(map[int]bool, len(ix.Cols))
-	for _, c := range ix.Cols {
-		keySet[c] = true
-	}
-	for c := range s.needed[t] {
-		if !keySet[c] {
+	for _, c := range s.needed[t] {
+		if !slices.Contains(ix.Cols, c) {
 			return false
 		}
 	}
@@ -138,10 +135,9 @@ func (s *search) covers(t int, ix *plan.IndexInfo) bool {
 // ordinal t: sequential scan, index scan on a constant prefix/range, a
 // covering full-index scan, or an IN-set-driven index probe.
 func (s *search) bestAccessPath(t int) (cand, error) {
-	name := s.q.Tables[t].Table.Name
-	info := s.phys.TableAt(t, name)
+	info := s.infos[t]
 	if info == nil {
-		return cand{}, errNoTable(name)
+		return cand{}, errNoTable(s.q.Tables[t].Table.Name)
 	}
 	rows := float64(info.Stats.Rows)
 	sels := s.sels[t]
@@ -156,29 +152,25 @@ func (s *search) bestAccessPath(t int) (cand, error) {
 		inSelAll *= s.inSel[ii]
 	}
 
-	// Sequential scan baseline.
-	seq := &plan.SeqScan{Tab: t, Info: info}
-	for _, p := range sels {
-		seq.Filters = append(seq.Filters, plan.Filter{Offset: s.layout.Base[t] + p.Col.Col, Op: p.Op, Value: p.Value})
-	}
-	for _, ii := range ins {
-		seq.Ins = append(seq.Ins, plan.InFilter{Offset: s.layout.Offset(s.q.Ins[ii].Col), SetID: ii})
-	}
-	seq.Est = plan.Est{Rows: rows * filterSel * inSelAll}
-	seq.Est.Meter.SeqPages = info.Heap.Pages()
-	seq.Est.Meter.Rows = info.Stats.Rows
-	seq.Est.Meter.CPUOps = info.Stats.Rows * int64(len(sels)+len(ins))
-	seq.Est.Seconds = s.phys.Model.Seconds(&seq.Est.Meter)
-	best := cand{node: seq, est: seq.Est}
+	// Sequential scan baseline, built only if no index access beats it.
+	best := cand{est: plan.Est{Rows: rows * filterSel * inSelAll}}
+	best.est.Meter.SeqPages = info.Heap.Pages()
+	best.est.Meter.Rows = info.Stats.Rows
+	best.est.Meter.CPUOps = info.Stats.Rows * int64(len(sels)+len(ins))
+	best.est.Seconds = s.phys.Model.Seconds(&best.est.Meter)
 
-	for _, ix := range sortedIndexes(s.phys.IndexesAt(t, name)) {
-		if c, ok := s.indexScanCand(t, info, ix, sels, ins); ok && c.est.Seconds < best.est.Seconds {
+	for _, ix := range s.ixs[t] {
+		if c, ok := s.indexScanCand(t, ix, best.est.Seconds); ok {
 			best = c
 		}
-		for _, c := range s.inDrivenCands(t, info, ix, sels, ins) {
-			if c.est.Seconds < best.est.Seconds {
-				best = c
-			}
+		if c, ok := s.inDrivenCands(t, ix, best.est.Seconds); ok {
+			best = c
+		}
+	}
+	if best.node == nil {
+		best.node = &plan.SeqScan{
+			Tab: t, Info: info,
+			Filters: s.filters(t, nil, len(sels)), Ins: s.inFilters(t, -1), Est: best.est,
 		}
 	}
 	return best, nil
@@ -191,17 +183,46 @@ func (e noTableError) Error() string {
 	return "optimizer: table " + string(e) + " has no physical storage"
 }
 
-// indexScanCand builds the candidate for scanning the table through an
-// index bound by constant predicates.
-func (s *search) indexScanCand(t int, info *plan.TableInfo, ix *plan.IndexInfo, sels []sql.SelPred, ins []int) (cand, bool) {
-	rows := float64(info.Stats.Rows)
-	consumed := make(map[int]bool)
-	eqVals := make([]val.Value, 0, len(ix.Cols))
-	k := 0
+// filters builds the pushed-down filters of the n selections on table t
+// that used does not mark (a nil used marks none).
+func (s *search) filters(t int, used []bool, n int) []plan.Filter {
+	if n == 0 {
+		return nil
+	}
+	out := make([]plan.Filter, 0, n)
+	for i, p := range s.sels[t] {
+		if used == nil || !used[i] {
+			out = append(out, plan.Filter{Offset: s.layout.Base[t] + p.Col.Col, Op: p.Op, Value: p.Value})
+		}
+	}
+	return out
+}
+
+// inFilters builds the IN filters of table t, leaving out set skip (-1
+// leaves out none).
+func (s *search) inFilters(t, skip int) []plan.InFilter {
+	var out []plan.InFilter
+	for _, ii := range s.ins[t] {
+		if ii != skip {
+			out = append(out, plan.InFilter{Offset: s.layout.Offset(s.q.Ins[ii].Col), SetID: ii})
+		}
+	}
+	return out
+}
+
+// indexScanCand prices scanning table t through an index bound by
+// constant predicates, and builds the scan only if it costs less than
+// bound.
+func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, bool) {
+	info := s.infos[t]
+	sels, ins := s.sels[t], s.ins[t]
+	used := s.usedSel[:len(sels)]
+	clear(used)
+	eq := s.binds[:0] // the selections bound to the key prefix, in key order
 	for _, col := range ix.Cols {
 		found := -1
 		for i, p := range sels {
-			if !consumed[i] && p.Col.Col == col && p.Op == "=" {
+			if !used[i] && p.Col.Col == col && p.Op == "=" {
 				found = i
 				break
 			}
@@ -209,27 +230,28 @@ func (s *search) indexScanCand(t int, info *plan.TableInfo, ix *plan.IndexInfo, 
 		if found < 0 {
 			break
 		}
-		consumed[found] = true
-		eqVals = append(eqVals, sels[found].Value)
-		k++
+		used[found] = true
+		eq = append(eq, found)
 	}
-	var rng *plan.RangeBound
+	s.binds = eq
+	k := len(eq)
+	rng := -1
 	rangeSel := 1.0
 	if k < len(ix.Cols) {
 		for i, p := range sels {
-			if consumed[i] || p.Col.Col != ix.Cols[k] {
+			if used[i] || p.Col.Col != ix.Cols[k] {
 				continue
 			}
 			if p.Op == "<" || p.Op == "<=" || p.Op == ">" || p.Op == ">=" {
-				consumed[i] = true
-				rng = &plan.RangeBound{Op: p.Op, Value: p.Value}
+				used[i] = true
+				rng = i
 				rangeSel = info.Stats.RangeSelectivity(p.Col.Col, p.Op, p.Value)
 				break
 			}
 		}
 	}
 	covering := s.covers(t, ix)
-	if k == 0 && rng == nil && !covering {
+	if k == 0 && rng < 0 && !covering {
 		return cand{}, false
 	}
 	// Hypothetical indexes cannot be executed; they may only appear in
@@ -237,109 +259,110 @@ func (s *search) indexScanCand(t int, info *plan.TableInfo, ix *plan.IndexInfo, 
 	// candidate is still valid. Actual execution requires Tree != nil
 	// (guaranteed because engines never run plans from what-if calls).
 	match := s.indexMatchRows(info, ix, k, 1) * rangeSel
-	if k == 0 && rng == nil {
-		match = rows // full covering leaf scan
-	}
-
-	node := &plan.IndexScan{
-		Tab: t, Info: info, Index: ix,
-		EqVals: eqVals, Range: rng, DriveInSet: -1, Covering: covering,
+	if k == 0 && rng < 0 {
+		match = float64(info.Stats.Rows) // full covering leaf scan
 	}
 	// Residual predicate columns are always evaluable: they are "needed"
 	// columns, and covering indexes contain every needed column by
 	// definition of covers().
-	resSel := 1.0
+	resSel, nRes := 1.0, 0
 	for i, p := range sels {
-		if consumed[i] {
-			continue
+		if !used[i] {
+			resSel *= s.selOf(info, p)
+			nRes++
 		}
-		node.Filters = append(node.Filters, plan.Filter{Offset: s.layout.Base[t] + p.Col.Col, Op: p.Op, Value: p.Value})
-		resSel *= s.selOf(info, p)
 	}
 	inSelAll := 1.0
 	for _, ii := range ins {
-		node.Ins = append(node.Ins, plan.InFilter{Offset: s.layout.Offset(s.q.Ins[ii].Col), SetID: ii})
 		inSelAll *= s.inSel[ii]
 	}
-	node.Est = plan.Est{Rows: match * resSel * inSelAll}
-	node.Est.Meter, node.RidSort = s.indexAccessMeter(info, ix, 1, match, covering, false, true)
-	node.Est.Meter.CPUOps += ceilI(match) * int64(len(node.Filters)+len(node.Ins))
-	node.Est.Seconds = s.phys.Model.Seconds(&node.Est.Meter)
-	return cand{node: node, est: node.Est}, true
-}
-
-func indexHasCol(ix *plan.IndexInfo, col int) bool {
-	for _, c := range ix.Cols {
-		if c == col {
-			return true
-		}
+	est := plan.Est{Rows: match * resSel * inSelAll}
+	var ridSort bool
+	est.Meter, ridSort = s.indexAccessMeter(info, ix, 1, match, covering, false, true)
+	est.Meter.CPUOps += ceilI(match) * int64(nRes+len(ins))
+	est.Seconds = s.phys.Model.Seconds(&est.Meter)
+	if est.Seconds >= bound {
+		return cand{}, false
 	}
-	return false
+	node := &plan.IndexScan{
+		Tab: t, Info: info, Index: ix,
+		EqVals: make([]val.Value, k), DriveInSet: -1, Covering: covering, RidSort: ridSort,
+		Filters: s.filters(t, used, nRes), Ins: s.inFilters(t, -1), Est: est,
+	}
+	for i, si := range eq {
+		node.EqVals[i] = sels[si].Value
+	}
+	if rng >= 0 {
+		node.Range = &plan.RangeBound{Op: sels[rng].Op, Value: sels[rng].Value}
+	}
+	return cand{node: node, est: est}, true
 }
 
-// inDrivenCands builds candidates that drive the index with the values of
-// an IN-subquery set: one index probe per set value.
-func (s *search) inDrivenCands(t int, info *plan.TableInfo, ix *plan.IndexInfo, sels []sql.SelPred, ins []int) []cand {
-	out := make([]cand, 0, len(ins))
+// inDrivenCands prices driving the index with the values of each
+// IN-subquery set on its first key column (one index probe per set
+// value), and builds the cheapest that costs less than bound.
+func (s *search) inDrivenCands(t int, ix *plan.IndexInfo, bound float64) (best cand, ok bool) {
+	info := s.infos[t]
+	sels, ins := s.sels[t], s.ins[t]
 	for _, ii := range ins {
-		p := s.q.Ins[ii]
-		if p.Col.Col != ix.Cols[0] {
+		if s.q.Ins[ii].Col.Col != ix.Cols[0] {
 			continue
 		}
 		setSize := s.insets[ii].Est.Rows
 		match := s.indexMatchRows(info, ix, 1, setSize)
 		covering := s.covers(t, ix)
-		node := &plan.IndexScan{
-			Tab: t, Info: info, Index: ix,
-			DriveInSet: ii, Covering: covering,
-		}
 		resSel := 1.0
-		for _, pp := range sels {
-			node.Filters = append(node.Filters, plan.Filter{Offset: s.layout.Base[t] + pp.Col.Col, Op: pp.Op, Value: pp.Value})
-			resSel *= s.selOf(info, pp)
+		for _, p := range sels {
+			resSel *= s.selOf(info, p)
 		}
 		inSelAll := 1.0
 		for _, jj := range ins {
-			if jj == ii {
-				continue
+			if jj != ii {
+				inSelAll *= s.inSel[jj]
 			}
-			node.Ins = append(node.Ins, plan.InFilter{Offset: s.layout.Offset(s.q.Ins[jj].Col), SetID: jj})
-			inSelAll *= s.inSel[jj]
 		}
-		node.Est = plan.Est{Rows: match * resSel * inSelAll}
-		node.Est.Meter, node.RidSort = s.indexAccessMeter(info, ix, setSize, match, covering, true, true)
-		node.Est.Meter.CPUOps += ceilI(match) * int64(len(node.Filters)+len(node.Ins)+1)
-		node.Est.Seconds = s.phys.Model.Seconds(&node.Est.Meter)
-		out = append(out, cand{node: node, est: node.Est})
+		est := plan.Est{Rows: match * resSel * inSelAll}
+		var ridSort bool
+		est.Meter, ridSort = s.indexAccessMeter(info, ix, setSize, match, covering, true, true)
+		// Every selection, the other IN sets, and the probe itself.
+		est.Meter.CPUOps += ceilI(match) * int64(len(sels)+len(ins))
+		est.Seconds = s.phys.Model.Seconds(&est.Meter)
+		if est.Seconds >= bound {
+			continue
+		}
+		node := &plan.IndexScan{
+			Tab: t, Info: info, Index: ix,
+			DriveInSet: ii, Covering: covering, RidSort: ridSort,
+			Filters: s.filters(t, nil, len(sels)), Ins: s.inFilters(t, ii), Est: est,
+		}
+		best, ok, bound = cand{node: node, est: est}, true, est.Seconds
 	}
-	return out
+	return best, ok
 }
 
 // combine tries every split of mask into two disjoint covered subsets and
 // keeps the cheapest join.
-func (s *search) combine(best map[uint32]cand, mask uint32) {
+func (s *search) combine(mask uint32) {
 	for s1 := (mask - 1) & mask; s1 > 0; s1 = (s1 - 1) & mask {
 		s2 := mask ^ s1
-		c1, ok1 := best[s1]
-		c2, ok2 := best[s2]
-		if !ok1 || !ok2 {
+		c1, c2 := &s.best[s1], &s.best[s2]
+		if c1.node == nil || c2.node == nil {
 			continue
 		}
 		lcols, rcols := s.joinPredsBetween(s1, s2)
 		if s1 > s2 { // each unordered split once for hash joins
-			if c, ok := s.hashJoinCand(c1, c2, s1, s2, lcols, rcols); ok {
-				s.consider(best, mask, c)
+			if c, ok := s.hashJoinCand(c1, c2, s1, s2, lcols, rcols, s.bound(mask)); ok {
+				s.best[mask] = c
 			}
 			if popcount(s1) == 1 && popcount(s2) == 1 && len(lcols) == 1 {
-				for _, c := range s.mergeJoinCands(trailingTable(s1), trailingTable(s2), lcols[0], rcols[0]) {
-					s.consider(best, mask, c)
+				if c, ok := s.mergeJoinCands(trailingTable(s1), trailingTable(s2), lcols[0], rcols[0], s.bound(mask)); ok {
+					s.best[mask] = c
 				}
 			}
 		}
 		if popcount(s2) == 1 && len(lcols) > 0 {
-			t2 := trailingTable(s2)
-			for _, c := range s.indexJoinCands(c1, s1, t2, lcols, rcols) {
-				s.consider(best, mask, c)
+			if c, ok := s.indexJoinCands(c1, trailingTable(s2), lcols, rcols, s.bound(mask)); ok {
+				s.best[mask] = c
 			}
 		}
 	}
@@ -360,7 +383,7 @@ func trailingTable(mask uint32) int {
 func (s *search) joinKeyNDV(cols []sql.QCol) float64 {
 	ndv := 1.0
 	for i, c := range cols {
-		info := s.phys.TableAt(c.Tab, s.q.Tables[c.Tab].Table.Name)
+		info := s.infos[c.Tab]
 		n := 10.0
 		if info != nil && info.Stats != nil {
 			n = float64(info.Stats.Cols[c.Col].NDV)
@@ -377,7 +400,9 @@ func (s *search) joinKeyNDV(cols []sql.QCol) float64 {
 	return ndv
 }
 
-func (s *search) hashJoinCand(c1, c2 cand, m1, m2 uint32, lcols, rcols []sql.QCol) (cand, bool) {
+// hashJoinCand prices joining c1 and c2 through a hash table on the
+// smaller side, and builds the join only if it costs less than bound.
+func (s *search) hashJoinCand(c1, c2 *cand, m1, m2 uint32, lcols, rcols []sql.QCol, bound float64) (cand, bool) {
 	r1, r2 := c1.est.Rows, c2.est.Rows
 	var rowsOut float64
 	if len(lcols) == 0 {
@@ -400,13 +425,6 @@ func (s *search) hashJoinCand(c1, c2 cand, m1, m2 uint32, lcols, rcols []sql.QCo
 		bMask, pMask = m2, m1
 		bKeys, pKeys = rcols, lcols
 	}
-	_ = pMask
-	buildOffsets := make([]int, len(bKeys))
-	probeOffsets := make([]int, len(pKeys))
-	for i := range bKeys {
-		buildOffsets[i] = s.layout.Offset(bKeys[i])
-		probeOffsets[i] = s.layout.Offset(pKeys[i])
-	}
 	width := s.rowWidthOf(bMask)
 
 	est := plan.Est{Rows: rowsOut}
@@ -425,59 +443,58 @@ func (s *search) hashJoinCand(c1, c2 cand, m1, m2 uint32, lcols, rcols []sql.QCo
 		est.Meter.SeqPages += pg
 	}
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
+	if est.Seconds >= bound {
+		return cand{}, false
+	}
 
 	node := &plan.HashJoin{
 		Build: build.node, Probe: probe.node,
-		BuildKeys: buildOffsets, ProbeKeys: probeOffsets,
+		BuildKeys: make([]int, len(bKeys)), ProbeKeys: make([]int, len(pKeys)),
 		BuildWidth: width, Est: est,
+	}
+	for i := range bKeys {
+		node.BuildKeys[i] = s.layout.Offset(bKeys[i])
+		node.ProbeKeys[i] = s.layout.Offset(pKeys[i])
 	}
 	return cand{node: node, est: est}, true
 }
 
-// indexJoinCands builds index-nested-loop candidates joining the outer
-// subplan to inner table t2 through each usable index.
-func (s *search) indexJoinCands(outer cand, outerMask uint32, t2 int, lcols, rcols []sql.QCol) []cand {
-	info := s.phys.TableAt(t2, s.q.Tables[t2].Table.Name)
-	if info == nil {
-		return nil
-	}
-	ixs := sortedIndexes(s.phys.IndexesAt(t2, info.Table.Name))
-	out := make([]cand, 0, len(ixs))
-	sels := s.sels[t2]
-	ins := s.ins[t2]
-	consumedSel := make([]bool, len(sels))
-	consumedJoin := make([]bool, len(lcols))
-	for _, ix := range ixs {
-		clear(consumedSel)
-		clear(consumedJoin)
-		binds := make([]plan.KeyBind, 0, len(ix.Cols))
+// indexJoinCands prices index-nested-loop joins of the outer subplan to
+// inner table t2 through each index a join predicate binds, and builds the
+// cheapest that costs less than bound.
+func (s *search) indexJoinCands(outer *cand, t2 int, lcols, rcols []sql.QCol, bound float64) (best cand, ok bool) {
+	info := s.infos[t2]
+	sels, ins := s.sels[t2], s.ins[t2]
+	usedSel, usedJoin := s.usedSel[:len(sels)], s.usedJoin[:len(lcols)]
+	for _, ix := range s.ixs[t2] {
+		clear(usedSel)
+		clear(usedJoin)
+		binds := s.binds[:0]
 		joinBinds := 0
 		for _, col := range ix.Cols {
-			bound := false
+			n := len(binds)
 			for i, p := range sels {
-				if !consumedSel[i] && p.Col.Col == col && p.Op == "=" {
-					v := p.Value
-					binds = append(binds, plan.KeyBind{Const: &v})
-					consumedSel[i] = true
-					bound = true
+				if !usedSel[i] && p.Col.Col == col && p.Op == "=" {
+					usedSel[i] = true
+					binds = append(binds, i)
 					break
 				}
 			}
-			if !bound {
+			if len(binds) == n {
 				for i := range lcols {
-					if !consumedJoin[i] && rcols[i].Tab == t2 && rcols[i].Col == col {
-						binds = append(binds, plan.KeyBind{OuterOffset: s.layout.Offset(lcols[i])})
-						consumedJoin[i] = true
+					if !usedJoin[i] && rcols[i].Tab == t2 && rcols[i].Col == col {
+						usedJoin[i] = true
+						binds = append(binds, ^i)
 						joinBinds++
-						bound = true
 						break
 					}
 				}
 			}
-			if !bound {
+			if len(binds) == n {
 				break
 			}
 		}
+		s.binds = binds
 		if joinBinds == 0 {
 			continue
 		}
@@ -488,35 +505,26 @@ func (s *search) indexJoinCands(outer cand, outerMask uint32, t2 int, lcols, rco
 		probes := outer.est.Rows
 		totalMatch := probes * perProbe
 
-		node := &plan.IndexJoin{
-			Outer: outer.node, Tab: t2, Info: info, Index: ix,
-			Binds: binds, Covering: covering,
-		}
 		// Residual join predicates (columns are needed, hence present even
 		// under a covering index).
-		postSel := 1.0
+		postSel, nPost := 1.0, 0
 		for i := range lcols {
-			if consumedJoin[i] {
-				continue
+			if !usedJoin[i] {
+				nd := math.Max(s.joinKeyNDV(lcols[i:i+1]), s.joinKeyNDV(rcols[i:i+1]))
+				postSel /= math.Max(nd, 1)
+				nPost++
 			}
-			node.PostEq = append(node.PostEq, plan.EqPair{
-				A: s.layout.Offset(lcols[i]), B: s.layout.Offset(rcols[i]),
-			})
-			nd := math.Max(s.joinKeyNDV(lcols[i:i+1]), s.joinKeyNDV(rcols[i:i+1]))
-			postSel /= math.Max(nd, 1)
 		}
 		// Residual selections.
-		resSel := 1.0
+		resSel, nRes := 1.0, 0
 		for i, p := range sels {
-			if consumedSel[i] {
-				continue
+			if !usedSel[i] {
+				resSel *= s.selOf(info, p)
+				nRes++
 			}
-			node.Filters = append(node.Filters, plan.Filter{Offset: s.layout.Base[t2] + p.Col.Col, Op: p.Op, Value: p.Value})
-			resSel *= s.selOf(info, p)
 		}
 		inSelAll := 1.0
 		for _, ii := range ins {
-			node.Ins = append(node.Ins, plan.InFilter{Offset: s.layout.Offset(s.q.Ins[ii].Col), SetID: ii})
 			inSelAll *= s.inSel[ii]
 		}
 
@@ -525,10 +533,37 @@ func (s *search) indexJoinCands(outer cand, outerMask uint32, t2 int, lcols, rco
 		am, _ := s.indexAccessMeter(info, ix, probes, totalMatch, covering, true, false)
 		est.Meter.Add(am)
 		est.Meter.CPUOps += ceilI(probes) * 2
-		est.Meter.CPUOps += ceilI(totalMatch) * int64(len(node.Filters)+len(node.Ins)+len(node.PostEq))
+		est.Meter.CPUOps += ceilI(totalMatch) * int64(nRes+len(ins)+nPost)
 		est.Seconds = s.phys.Model.Seconds(&est.Meter)
-		node.Est = est
-		out = append(out, cand{node: node, est: est})
+		if est.Seconds >= bound {
+			continue
+		}
+
+		node := &plan.IndexJoin{
+			Outer: outer.node, Tab: t2, Info: info, Index: ix,
+			Binds: make([]plan.KeyBind, k), Covering: covering,
+			Filters: s.filters(t2, usedSel, nRes), Ins: s.inFilters(t2, -1), Est: est,
+		}
+		consts := make([]val.Value, 0, k-joinBinds)
+		for i, ref := range binds {
+			if ref >= 0 {
+				consts = append(consts, sels[ref].Value)
+				node.Binds[i].Const = &consts[len(consts)-1]
+			} else {
+				node.Binds[i].OuterOffset = s.layout.Offset(lcols[^ref])
+			}
+		}
+		if nPost > 0 {
+			node.PostEq = make([]plan.EqPair, 0, nPost)
+			for i := range lcols {
+				if !usedJoin[i] {
+					node.PostEq = append(node.PostEq, plan.EqPair{
+						A: s.layout.Offset(lcols[i]), B: s.layout.Offset(rcols[i]),
+					})
+				}
+			}
+		}
+		best, ok, bound = cand{node: node, est: est}, true, est.Seconds
 	}
-	return out
+	return best, ok
 }

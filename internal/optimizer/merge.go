@@ -3,37 +3,72 @@ package optimizer
 import (
 	"math"
 
+	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
-// mergeJoinCands builds merge-join candidates for a single equality join
-// between two leaf tables, one per pair of indexes led by the join
-// columns. The join runs entirely over the ordered index leaves;
-// key-level predicates (constants and IN sets on the join column) are
-// applied before any heap fetch, and non-covered sides fetch only the
-// surviving rows, rid-sorted.
-func (s *search) mergeJoinCands(t1, t2 int, lc, rc sql.QCol) []cand {
-	info1 := s.phys.TableAt(t1, s.q.Tables[t1].Table.Name)
-	info2 := s.phys.TableAt(t2, s.q.Tables[t2].Table.Name)
-	if info1 == nil || info2 == nil {
-		return nil
+// mergeSide is what one input of a merge join costs before its index is
+// chosen. Its predicates split into key-level (on the join column) and
+// post (everything else) by column alone, so every index pair shares the
+// split.
+type mergeSide struct {
+	t, joinCol int
+	info       *plan.TableInfo
+	rows       float64 // the table's rows
+	filtered   float64 // rows that pass the key-level predicates
+	postSel    float64
+	nKey       int // key-level predicates, selections and IN sets together
+	nPost      int // post predicates, likewise
+}
+
+func (s *search) mergeSideOf(c sql.QCol) mergeSide {
+	m := mergeSide{t: c.Tab, joinCol: c.Col, info: s.infos[c.Tab], postSel: 1}
+	keySel := 1.0
+	for _, p := range s.sels[c.Tab] {
+		if p.Col.Col == c.Col {
+			keySel *= s.selOf(m.info, p)
+			m.nKey++
+		} else {
+			m.postSel *= s.selOf(m.info, p)
+			m.nPost++
+		}
 	}
+	for _, ii := range s.ins[c.Tab] {
+		if s.q.Ins[ii].Col.Col == c.Col {
+			keySel *= s.inSel[ii]
+			m.nKey++
+		} else {
+			m.postSel *= s.inSel[ii]
+			m.nPost++
+		}
+	}
+	m.rows = float64(m.info.Stats.Rows)
+	m.filtered = m.rows * keySel
+	return m
+}
+
+// mergeJoinCands prices merge joins for a single equality join between two
+// leaf tables, one per pair of indexes led by the join columns, and builds
+// the cheapest that costs less than bound. The join runs entirely over the
+// ordered index leaves; key-level predicates (constants and IN sets on the
+// join column) are applied before any heap fetch, and non-covered sides
+// fetch only the surviving rows, rid-sorted.
+func (s *search) mergeJoinCands(t1, t2 int, lc, rc sql.QCol, bound float64) (best cand, ok bool) {
 	// joinPredsBetween may orient (lc, rc) either way; normalize to t1/t2.
 	if lc.Tab != t1 {
 		lc, rc = rc, lc
 	}
 	if lc.Tab != t1 || rc.Tab != t2 {
-		return nil
+		return cand{}, false
 	}
-
-	ixs1 := sortedIndexes(s.phys.IndexesAt(t1, info1.Table.Name))
-	out := make([]cand, 0, len(ixs1))
-	for _, ix1 := range ixs1 {
+	var a, b mergeSide // priced at the first index pair
+	var ndv float64
+	for _, ix1 := range s.ixs[t1] {
 		if ix1.Cols[0] != lc.Col {
 			continue
 		}
-		for _, ix2 := range sortedIndexes(s.phys.IndexesAt(t2, info2.Table.Name)) {
+		for _, ix2 := range s.ixs[t2] {
 			if ix2.Cols[0] != rc.Col {
 				continue
 			}
@@ -41,101 +76,91 @@ func (s *search) mergeJoinCands(t1, t2 int, lc, rc sql.QCol) []cand {
 				(ix1.Hypothetical || ix2.Hypothetical) {
 				continue
 			}
-			if c, ok := s.mergeJoinCand(t1, t2, lc, rc, info1, info2, ix1, ix2); ok {
-				out = append(out, c)
+			if a.info == nil {
+				a, b = s.mergeSideOf(lc), s.mergeSideOf(rc)
+				ndv = math.Max(s.joinKeyNDV([]sql.QCol{lc}), s.joinKeyNDV([]sql.QCol{rc}))
+			}
+			if c, won := s.mergeJoinCand(&a, &b, ix1, ix2, ndv, bound); won {
+				best, ok, bound = c, true, c.est.Seconds
 			}
 		}
 	}
-	return out
+	return best, ok
 }
 
-// buildMergeSide splits the table's predicates into key-level (on the join
-// column) and post (everything else), estimating the key-level
-// selectivity.
-func (s *search) buildMergeSide(t int, joinCol int, info *plan.TableInfo, ix *plan.IndexInfo) (plan.MergeSide, float64, float64) {
-	side := plan.MergeSide{Tab: t, Info: info, Index: ix, Covering: s.covers(t, ix)}
-	keySel, postSel := 1.0, 1.0
-	for _, p := range s.sels[t] {
-		if p.Col.Col == joinCol {
-			side.KeyPreds = append(side.KeyPreds, plan.KeyPred{Op: p.Op, Value: p.Value})
-			keySel *= s.selOf(info, p)
-		} else {
-			side.PostFilters = append(side.PostFilters, plan.Filter{
-				Offset: s.layout.Base[t] + p.Col.Col, Op: p.Op, Value: p.Value,
-			})
-			postSel *= s.selOf(info, p)
-		}
-	}
-	for _, ii := range s.ins[t] {
-		p := s.q.Ins[ii]
-		if p.Col.Col == joinCol {
-			side.KeyIns = append(side.KeyIns, plan.KeyIn{SetID: ii})
-			keySel *= s.inSel[ii]
-		} else {
-			side.PostIns = append(side.PostIns, plan.InFilter{
-				Offset: s.layout.Offset(p.Col), SetID: ii,
-			})
-			postSel *= s.inSel[ii]
-		}
-	}
-	return side, keySel, postSel
-}
-
-func (s *search) mergeJoinCand(t1, t2 int, lc, rc sql.QCol,
-	info1, info2 *plan.TableInfo, ix1, ix2 *plan.IndexInfo) (cand, bool) {
-
-	side1, keySel1, postSel1 := s.buildMergeSide(t1, lc.Col, info1, ix1)
-	side2, keySel2, postSel2 := s.buildMergeSide(t2, rc.Col, info2, ix2)
-
-	rows1 := float64(info1.Stats.Rows)
-	rows2 := float64(info2.Stats.Rows)
-	f1 := rows1 * keySel1
-	f2 := rows2 * keySel2
-	ndv := math.Max(s.joinKeyNDV([]sql.QCol{lc}), s.joinKeyNDV([]sql.QCol{rc}))
-	pairs := f1 * f2 / math.Max(ndv, 1)
+func (s *search) mergeJoinCand(a, b *mergeSide, ix1, ix2 *plan.IndexInfo, ndv, bound float64) (cand, bool) {
 	// What-if conservatism: derived statistics cannot promise tight key
 	// runs, so hypothetical merge joins are assumed to pair up more rows.
-	if (ix1.Hypothetical || ix2.Hypothetical) && !s.opts.HypoIdeal {
+	hypo := (ix1.Hypothetical || ix2.Hypothetical) && !s.opts.HypoIdeal
+	pairs := a.filtered * b.filtered / math.Max(ndv, 1)
+	if hypo {
 		pairs *= s.opts.hypoPenalty()
-		if pairs > f1*f2 {
-			pairs = f1 * f2
+		if pairs > a.filtered*b.filtered {
+			pairs = a.filtered * b.filtered
 		}
 	}
-
-	node := &plan.MergeJoin{L: side1, R: side2}
-	est := plan.Est{Rows: pairs * postSel1 * postSel2}
+	est := plan.Est{Rows: pairs * a.postSel * b.postSel}
 
 	// Leaf scans of both indexes.
 	est.Meter.FixedRand = int64(ix1.Height + ix2.Height)
 	est.Meter.SeqPages = ix1.LeafPages + ix2.LeafPages
-	est.Meter.Rows = info1.Stats.Rows + info2.Stats.Rows
-	est.Meter.CPUOps = int64(rows1)*int64(1+len(side1.KeyPreds)+len(side1.KeyIns)) +
-		int64(rows2)*int64(1+len(side2.KeyPreds)+len(side2.KeyIns))
+	est.Meter.Rows = a.info.Stats.Rows + b.info.Stats.Rows
+	est.Meter.CPUOps = int64(a.rows)*int64(1+a.nKey) + int64(b.rows)*int64(1+b.nKey)
 
 	// Fetches of surviving rows, rid-sorted, per non-covered side.
-	for i, side := range []*plan.MergeSide{&node.L, &node.R} {
-		if side.Covering {
-			continue
-		}
-		info := info1
-		filtered := f1
-		if i == 1 {
-			info = info2
-			filtered = f2
-		}
-		fetch := math.Min(pairs, filtered)
-		pages := float64(info.Heap.Pages())
-		touched := cardenas(fetch, pages)
-		if (ix1.Hypothetical || ix2.Hypothetical) && !s.opts.HypoIdeal {
-			touched = math.Min(fetch, pages)
-		}
-		est.Meter.SeqPages += ceilI(touched)
-		est.Meter.CPUOps += ceilI(fetch * math.Log2(math.Max(fetch, 2)))
+	cov1, cov2 := s.covers(a.t, ix1), s.covers(b.t, ix2)
+	if !cov1 {
+		a.billFetch(&est.Meter, pairs, hypo)
+	}
+	if !cov2 {
+		b.billFetch(&est.Meter, pairs, hypo)
 	}
 	// Pair assembly and post-predicate work.
-	est.Meter.CPUOps += ceilI(pairs) * int64(1+len(side1.PostFilters)+len(side1.PostIns)+
-		len(side2.PostFilters)+len(side2.PostIns))
+	est.Meter.CPUOps += ceilI(pairs) * int64(1+a.nPost+b.nPost)
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
-	node.Est = est
+	if est.Seconds >= bound {
+		return cand{}, false
+	}
+	node := &plan.MergeJoin{L: s.buildMergeSide(a, ix1, cov1), R: s.buildMergeSide(b, ix2, cov2), Est: est}
 	return cand{node: node, est: est}, true
+}
+
+// billFetch bills the side's rid-sorted heap fetches of the rows that pass
+// its key-level predicates and pair up.
+func (m *mergeSide) billFetch(meter *cost.Meter, pairs float64, hypo bool) {
+	fetch := math.Min(pairs, m.filtered)
+	pages := float64(m.info.Heap.Pages())
+	touched := cardenas(fetch, pages)
+	if hypo {
+		touched = math.Min(fetch, pages)
+	}
+	meter.SeqPages += ceilI(touched)
+	meter.CPUOps += ceilI(fetch * math.Log2(math.Max(fetch, 2)))
+}
+
+// buildMergeSide builds a winning merge join's input: the side's
+// predicates on the join column apply to keys, the others after the row
+// is formed.
+func (s *search) buildMergeSide(m *mergeSide, ix *plan.IndexInfo, covering bool) plan.MergeSide {
+	side := plan.MergeSide{Tab: m.t, Info: m.info, Index: ix, Covering: covering}
+	for _, p := range s.sels[m.t] {
+		if p.Col.Col == m.joinCol {
+			side.KeyPreds = append(side.KeyPreds, plan.KeyPred{Op: p.Op, Value: p.Value})
+		} else {
+			side.PostFilters = append(side.PostFilters, plan.Filter{
+				Offset: s.layout.Base[m.t] + p.Col.Col, Op: p.Op, Value: p.Value,
+			})
+		}
+	}
+	for _, ii := range s.ins[m.t] {
+		p := s.q.Ins[ii]
+		if p.Col.Col == m.joinCol {
+			side.KeyIns = append(side.KeyIns, plan.KeyIn{SetID: ii})
+		} else {
+			side.PostIns = append(side.PostIns, plan.InFilter{
+				Offset: s.layout.Offset(p.Col), SetID: ii,
+			})
+		}
+	}
+	return side
 }

@@ -12,6 +12,14 @@
 //     description contains hypothetical indexes whose statistics were
 //     derived rather than measured (the what-if path used by recommenders).
 //
+// The search prices every candidate before it builds one. A candidate's
+// estimate is computed in scratch the search owns, and its plan node, key
+// bindings and filter lists are allocated only if it costs strictly less
+// than the best plan found so far for its table set, the rule that picked
+// winners when every candidate was built. So the plans are the same, and a
+// what-if call pays allocations only for the candidates that win
+// (DESIGN §11).
+//
 // Options carries the profile knobs that differentiate the simulated
 // commercial systems (paper Systems A, B and C).
 package optimizer
@@ -19,6 +27,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/plan"
@@ -71,6 +80,9 @@ type cand struct {
 	est  plan.Est
 }
 
+// search is one Optimize call. It belongs to one goroutine, which is what
+// lets it reuse its scratch from one candidate to the next; a winner
+// copies out everything its node keeps.
 type search struct {
 	phys   *plan.Physical
 	q      *sql.Query
@@ -86,9 +98,25 @@ type search struct {
 	sels [][]sql.SelPred
 	ins  [][]int // indexes into q.Ins
 
-	// needed[t] is the set of column offsets of table t referenced
+	// infos[t] and ixs[t] are query table t's storage and its name-sorted
+	// indexes, resolved once per search.
+	infos []*plan.TableInfo
+	ixs   [][]*plan.IndexInfo
+
+	// needed[t] lists, ascending, the column offsets of table t referenced
 	// anywhere in the query (for covering-index checks).
-	needed []map[int]bool
+	needed [][]int
+
+	// best[mask] is the cheapest subplan found so far for the table set
+	// mask; a nil node means none yet.
+	best []cand
+
+	// Scratch for pricing a candidate before building it.
+	usedSel      []bool     // selections the candidate consumes as key bindings
+	usedJoin     []bool     // join predicates an index join consumes as key bindings
+	binds        []int      // per bound key column: selection i as i, join predicate i as ^i
+	lcols, rcols []sql.QCol // joinPredsBetween's result
+	viewSels     []viewSel  // the selections a matched view filters
 }
 
 func (s *search) run() (*plan.Plan, error) {
@@ -99,13 +127,23 @@ func (s *search) run() (*plan.Plan, error) {
 	if n > 12 {
 		return nil, fmt.Errorf("optimizer: too many tables (%d)", n)
 	}
+	s.infos = make([]*plan.TableInfo, n)
+	s.ixs = make([][]*plan.IndexInfo, n)
+	for t, qt := range s.q.Tables {
+		s.infos[t] = s.phys.TableAt(t, qt.Table.Name)
+		s.ixs[t] = sortedIndexes(s.phys.IndexesAt(t, qt.Table.Name))
+	}
+	s.usedSel = make([]bool, len(s.q.Sels))
+	s.usedJoin = make([]bool, len(s.q.Joins))
+	s.lcols = make([]sql.QCol, 0, len(s.q.Joins))
+	s.rcols = make([]sql.QCol, 0, len(s.q.Joins))
 	s.partitionPredicates()
 	s.computeNeeded()
 	if err := s.planInSets(); err != nil {
 		return nil, err
 	}
 
-	best := make(map[uint32]cand)
+	s.best = make([]cand, 1<<uint(n))
 
 	// Single-table access paths.
 	for t := 0; t < n; t++ {
@@ -113,26 +151,26 @@ func (s *search) run() (*plan.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.consider(best, 1<<uint(t), c)
+		s.best[1<<uint(t)] = c
 	}
 
 	// Materialized-view seeds (may cover multiple tables).
 	if !s.opts.NoViews {
-		for _, vc := range s.viewCandidates() {
-			s.consider(best, vc.mask, vc.cand)
+		for _, v := range s.phys.Views {
+			s.matchView(v)
 		}
 	}
 
 	// DP over subsets.
-	full := uint32(1<<uint(n)) - 1
+	full := uint32(len(s.best) - 1)
 	for mask := uint32(1); mask <= full; mask++ {
-		if _, ok := best[mask]; ok && popcount(mask) == 1 {
+		if s.best[mask].node != nil && popcount(mask) == 1 {
 			continue
 		}
-		s.combine(best, mask)
+		s.combine(mask)
 	}
-	root, ok := best[full]
-	if !ok {
+	root := s.best[full]
+	if root.node == nil {
 		return nil, fmt.Errorf("optimizer: no plan for %d tables", n)
 	}
 
@@ -152,11 +190,14 @@ func (s *search) run() (*plan.Plan, error) {
 	}, nil
 }
 
-// consider keeps the cheaper candidate for the mask.
-func (s *search) consider(best map[uint32]cand, mask uint32, c cand) {
-	if cur, ok := best[mask]; !ok || c.est.Seconds < cur.est.Seconds {
-		best[mask] = c
+// bound is what a candidate for the table set mask must cost less than to
+// win: the best plan's seconds so far, or +Inf while the set has none.
+// Strictly less, so a tie keeps the plan found first.
+func (s *search) bound(mask uint32) float64 {
+	if s.best[mask].node == nil {
+		return math.Inf(1)
 	}
+	return s.best[mask].est.Seconds
 }
 
 func popcount(x uint32) int {
@@ -183,12 +224,8 @@ func (s *search) partitionPredicates() {
 
 // computeNeeded collects, per table, every column the query references.
 func (s *search) computeNeeded() {
-	n := len(s.q.Tables)
-	s.needed = make([]map[int]bool, n)
-	for i := range s.needed {
-		s.needed[i] = make(map[int]bool)
-	}
-	add := func(c sql.QCol) { s.needed[c.Tab][c.Col] = true }
+	s.needed = make([][]int, len(s.q.Tables))
+	add := func(c sql.QCol) { s.needed[c.Tab] = append(s.needed[c.Tab], c.Col) }
 	for _, j := range s.q.Joins {
 		add(j.L)
 		add(j.R)
@@ -211,6 +248,10 @@ func (s *search) computeNeeded() {
 		if o.Kind == sql.OutCol {
 			add(o.Col)
 		}
+	}
+	for t, cols := range s.needed {
+		slices.Sort(cols)
+		s.needed[t] = slices.Compact(cols)
 	}
 }
 
@@ -398,24 +439,6 @@ func tailFraction(op string, k, avg float64) float64 {
 	return 0.3
 }
 
-func cmpInt(a int64, op string, b int64) bool {
-	switch op {
-	case "=":
-		return a == b
-	case "<>":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
-}
-
 // finalize wraps the join tree with aggregation or projection.
 func (s *search) finalize(root cand) (plan.Node, plan.Est) {
 	q := s.q
@@ -434,7 +457,7 @@ func (s *search) finalize(root cand) (plan.Node, plan.Est) {
 	var groupNDV float64 = 1
 	for i, g := range q.GroupBy {
 		groups[i] = s.layout.Offset(g)
-		info := s.phys.TableAt(g.Tab, q.Tables[g.Tab].Table.Name)
+		info := s.infos[g.Tab]
 		nd := 10.0
 		if info != nil && info.Stats != nil {
 			nd = float64(info.Stats.Cols[g.Col].NDV)
@@ -494,8 +517,10 @@ func pagesFor(bytes int64) int64 {
 	return (bytes + 4095) / 4096
 }
 
-// joinPredsBetween returns the join predicates with one side in each mask.
+// joinPredsBetween returns the join predicates with one side in each mask,
+// in the search's scratch: they hold until its next call.
 func (s *search) joinPredsBetween(m1, m2 uint32) (left, right []sql.QCol) {
+	left, right = s.lcols[:0], s.rcols[:0]
 	for _, j := range s.q.Joins {
 		lIn1 := m1&(1<<uint(j.L.Tab)) != 0
 		rIn2 := m2&(1<<uint(j.R.Tab)) != 0

@@ -374,3 +374,45 @@ func TestTailFraction(t *testing.T) {
 		}
 	}
 }
+
+// TestLosingCandidatesAllocateNothing: an index that never wins costs an
+// Optimize call its pricing and nothing more. The search builds no node,
+// bind list or filter list for a candidate that loses.
+func TestLosingCandidatesAllocateNothing(t *testing.T) {
+	f := newFixture(t, conf.IndexDef{Table: "big", Columns: []string{"b"}})
+	stmt, err := sql.ParseSelect(`SELECT s.y, COUNT(*) FROM small s, big g
+		WHERE s.x = g.b AND s.y = 3 GROUP BY s.y`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sql.Analyze(f.schema, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimize := func() *plan.Plan {
+		p, err := Optimize(f.phys, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want := optimize().Explain()
+	counts := []float64{testing.AllocsPerRun(20, func() { optimize() })}
+	losers := [][]string{{"c"}, {"a"}, {"c", "a"}, {"a", "c"}, {"c", "b"}, {"a", "b"}, {"payload"}, {"payload", "a"}}
+	for i, cols := range losers {
+		ix := buildIndex(f.phys.Tables["big"].Heap, conf.IndexDef{Table: "big", Columns: cols})
+		ix.Tree, ix.Hypothetical = nil, true
+		f.phys.Indexes["big"] = append(f.phys.Indexes["big"], ix)
+		if i%4 == 3 {
+			plan.SortIndexes(f.phys.Indexes["big"])
+			if got := optimize().Explain(); got != want {
+				t.Fatalf("an added index won:\n%s\nwant:\n%s", got, want)
+			}
+			counts = append(counts, testing.AllocsPerRun(20, func() { optimize() }))
+		}
+	}
+	t.Logf("allocations with 0, 4 and 8 losing indexes: %v", counts)
+	if counts[2] > counts[0]+2 {
+		t.Errorf("eight losing indexes took Optimize from %v to %v allocations", counts[0], counts[2])
+	}
+}

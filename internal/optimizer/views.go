@@ -1,20 +1,23 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
+	"repro/internal/val"
 )
 
-// viewCand is a materialized-view access covering a subset of query tables.
-type viewCand struct {
-	mask uint32
-	cand cand
+// viewSel is a selection on a table a view covers, with the view column
+// that holds the selected column.
+type viewSel struct {
+	viewCol int
+	pred    sql.SelPred
 }
 
-// viewCandidates matches each materialized view against the query and
-// returns ViewScan candidates. A view matches when:
+// matchView offers a materialized view as a ViewScan over the query tables
+// it covers. A view matches when:
 //
 //   - every base table of the view appears exactly once in the query (views
 //     are skipped for self-joined table names, where the mapping would be
@@ -24,17 +27,10 @@ type viewCand struct {
 //     implied by the view (otherwise the view would lose a constraint);
 //   - every query-needed column of the covered tables is present in the
 //     view's projection.
-func (s *search) viewCandidates() []viewCand {
-	out := make([]viewCand, 0, len(s.phys.Views))
-	for _, v := range s.phys.Views {
-		if c, ok := s.matchView(v); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
+//
+// The view's sequential scan and its index scans are priced first; the
+// cheapest is built only if it beats the best plan for the covered tables.
+func (s *search) matchView(v *plan.ViewInfo) {
 	// Map view defining-query table ordinals to query table ordinals.
 	tabMap := make([]int, len(v.Query.Tables))
 	var mask uint32
@@ -43,13 +39,13 @@ func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
 		for qi, qt := range s.q.Tables {
 			if strings.EqualFold(qt.Table.Name, vt.Table.Name) {
 				if found >= 0 {
-					return viewCand{}, false // ambiguous (self-join)
+					return // ambiguous (self-join)
 				}
 				found = qi
 			}
 		}
 		if found < 0 {
-			return viewCand{}, false
+			return
 		}
 		tabMap[vi] = found
 		mask |= 1 << uint(found)
@@ -70,7 +66,7 @@ func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
 			}
 		}
 		if !ok {
-			return viewCand{}, false
+			return
 		}
 	}
 	for _, qj := range s.q.Joins {
@@ -87,114 +83,64 @@ func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
 			}
 		}
 		if !ok {
-			return viewCand{}, false
+			return
 		}
 	}
 
 	// Column coverage: every needed column of covered tables must be a
 	// view output column.
-	viewColOf := make(map[sql.QCol]int) // query col -> view column ordinal
-	for i, src := range v.OutSrc {
-		viewColOf[mapCol(src)] = i
-	}
 	for qi := range s.q.Tables {
 		if mask&(1<<uint(qi)) == 0 {
 			continue
 		}
-		for c := range s.needed[qi] {
-			if _, ok := viewColOf[sql.QCol{Tab: qi, Col: c}]; !ok {
-				return viewCand{}, false
+		for _, c := range s.needed[qi] {
+			if viewColOf(v, tabMap, sql.QCol{Tab: qi, Col: c}) < 0 {
+				return
 			}
-		}
-	}
-
-	// Build the ViewScan: map view columns to flat offsets.
-	node := &plan.ViewScan{View: v}
-	for qi := range s.q.Tables {
-		if mask&(1<<uint(qi)) != 0 {
-			node.Tabs = append(node.Tabs, qi)
-		}
-	}
-	node.ColOffsets = make([]int, len(v.OutSrc))
-	for i, src := range v.OutSrc {
-		qc := mapCol(src)
-		if s.needed[qc.Tab][qc.Col] {
-			node.ColOffsets[i] = s.layout.Offset(qc)
-		} else {
-			node.ColOffsets[i] = -1
 		}
 	}
 
 	// Predicates on covered tables.
 	rows := float64(v.Stats.Rows)
-	filterSel := 1.0
-	type selBind struct {
-		viewCol int
-		pred    sql.SelPred
-	}
-	selBinds := make([]selBind, 0, len(s.q.Sels))
+	filterSel, inSelAll := 1.0, 1.0
+	nIns := 0
+	sels := s.viewSels[:0]
 	for qi := range s.q.Tables {
 		if mask&(1<<uint(qi)) == 0 {
 			continue
 		}
 		for _, p := range s.sels[qi] {
-			vc := viewColOf[sql.QCol{Tab: qi, Col: p.Col.Col}]
-			selBinds = append(selBinds, selBind{viewCol: vc, pred: p})
+			vc := viewColOf(v, tabMap, p.Col)
+			sels = append(sels, viewSel{viewCol: vc, pred: p})
 			sel := v.Stats.Selectivity(vc, p.Op, p.Value)
 			if sel <= 0 {
 				sel = 0.5 / maxF(1, rows)
 			}
 			filterSel *= sel
-			node.Filters = append(node.Filters, plan.Filter{
-				Offset: s.layout.Offset(p.Col), Op: p.Op, Value: p.Value,
-			})
 		}
 		for _, ii := range s.ins[qi] {
-			node.Ins = append(node.Ins, plan.InFilter{
-				Offset: s.layout.Offset(s.q.Ins[ii].Col), SetID: ii,
-			})
 			filterSel *= s.inSel[ii]
+			inSelAll *= s.inSel[ii]
+			nIns++
 		}
 	}
+	s.viewSels = sels
+	nFilters := int64(len(sels) + nIns)
 
 	// Candidate 1: sequential scan of the view.
-	seqEst := plan.Est{Rows: rows * filterSel}
-	seqEst.Meter.SeqPages = viewPages(v)
-	seqEst.Meter.Rows = v.Stats.Rows
-	seqEst.Meter.CPUOps = v.Stats.Rows * int64(len(node.Filters)+len(node.Ins))
-	seqEst.Seconds = s.phys.Model.Seconds(&seqEst.Meter)
-	node.Est = seqEst
-	best := cand{node: node, est: seqEst}
+	best := plan.Est{Rows: rows * filterSel}
+	best.Meter.SeqPages = viewPages(v)
+	best.Meter.Rows = v.Stats.Rows
+	best.Meter.CPUOps = v.Stats.Rows * nFilters
+	best.Seconds = s.phys.Model.Seconds(&best.Meter)
+	var bestIx *plan.IndexInfo // nil: the sequential scan
 
 	// Candidate 2: index scans over the view via constant-equality
 	// prefixes.
 	for _, ix := range sortedIndexes(s.phys.IndexesOn(v.Def.Name)) {
-		clone := *node
-		eqVals := make([]plan.Filter, 0, len(ix.Cols))
-		k := 0
-		consumed := make(map[int]bool)
-		for _, col := range ix.Cols {
-			found := -1
-			for i, sb := range selBinds {
-				if !consumed[i] && sb.viewCol == col && sb.pred.Op == "=" {
-					found = i
-					break
-				}
-			}
-			if found < 0 {
-				break
-			}
-			consumed[found] = true
-			eqVals = append(eqVals, plan.Filter{Value: selBinds[found].pred.Value})
-			k++
-		}
+		k := len(s.viewPrefix(ix, sels))
 		if k == 0 {
 			continue
-		}
-		clone.Index = ix
-		clone.EqVals = nil
-		for _, f := range eqVals {
-			clone.EqVals = append(clone.EqVals, f.Value)
 		}
 		ndv := float64(ix.KeyNDV[k-1])
 		if ndv < 1 {
@@ -208,8 +154,8 @@ func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
 			}
 		}
 		resSel := 1.0
-		for i, sb := range selBinds {
-			if consumed[i] {
+		for i, sb := range sels {
+			if s.usedSel[i] {
 				continue
 			}
 			sel := v.Stats.Selectivity(sb.viewCol, sb.pred.Op, sb.pred.Value)
@@ -217,15 +163,6 @@ func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
 				sel = 0.5 / maxF(1, rows)
 			}
 			resSel *= sel
-		}
-		inSelAll := 1.0
-		for qi := range s.q.Tables {
-			if mask&(1<<uint(qi)) == 0 {
-				continue
-			}
-			for _, ii := range s.ins[qi] {
-				inSelAll *= s.inSel[ii]
-			}
 		}
 		est := plan.Est{Rows: match * resSel * inSelAll}
 		est.Meter.FixedRand = int64(ix.Height) + 1
@@ -240,15 +177,84 @@ func (s *search) matchView(v *plan.ViewInfo) (viewCand, bool) {
 		}
 		est.Meter.RandPages += ceilI(fetch)
 		est.Meter.Rows = ceilI(match)
-		est.Meter.CPUOps = ceilI(match) * int64(len(clone.Filters)+len(clone.Ins))
+		est.Meter.CPUOps = ceilI(match) * nFilters
 		est.Seconds = s.phys.Model.Seconds(&est.Meter)
-		clone.Est = est
-		if est.Seconds < best.est.Seconds {
-			cl := clone
-			best = cand{node: &cl, est: est}
+		if est.Seconds < best.Seconds {
+			best, bestIx = est, ix
 		}
 	}
-	return viewCand{mask: mask, cand: best}, true
+	if best.Seconds >= s.bound(mask) {
+		return
+	}
+
+	// Build the winner, mapping view columns to flat offsets.
+	node := &plan.ViewScan{View: v, Index: bestIx, ColOffsets: make([]int, len(v.OutSrc)), Est: best}
+	for qi := range s.q.Tables {
+		if mask&(1<<uint(qi)) == 0 {
+			continue
+		}
+		node.Tabs = append(node.Tabs, qi)
+		for _, p := range s.sels[qi] {
+			node.Filters = append(node.Filters, plan.Filter{
+				Offset: s.layout.Offset(p.Col), Op: p.Op, Value: p.Value,
+			})
+		}
+		for _, ii := range s.ins[qi] {
+			node.Ins = append(node.Ins, plan.InFilter{
+				Offset: s.layout.Offset(s.q.Ins[ii].Col), SetID: ii,
+			})
+		}
+	}
+	for i, src := range v.OutSrc {
+		node.ColOffsets[i] = -1
+		if qc := mapCol(src); slices.Contains(s.needed[qc.Tab], qc.Col) {
+			node.ColOffsets[i] = s.layout.Offset(qc)
+		}
+	}
+	if bestIx != nil {
+		eq := s.viewPrefix(bestIx, sels)
+		node.EqVals = make([]val.Value, len(eq))
+		for i, si := range eq {
+			node.EqVals[i] = sels[si].pred.Value
+		}
+	}
+	s.best[mask] = cand{node: node, est: best}
+}
+
+// viewPrefix binds the longest prefix of the view index's key it can to
+// equality selections, marks them in s.usedSel, and returns their
+// ordinals in key order.
+func (s *search) viewPrefix(ix *plan.IndexInfo, sels []viewSel) []int {
+	used := s.usedSel[:len(sels)]
+	clear(used)
+	eq := s.binds[:0]
+	for _, col := range ix.Cols {
+		found := -1
+		for i, sb := range sels {
+			if !used[i] && sb.viewCol == col && sb.pred.Op == "=" {
+				found = i
+				break
+			}
+		}
+		if found < 0 {
+			break
+		}
+		used[found] = true
+		eq = append(eq, found)
+	}
+	s.binds = eq
+	return eq
+}
+
+// viewColOf returns the view column that outputs query column qc (the last
+// one, should the view output it twice), or -1.
+func viewColOf(v *plan.ViewInfo, tabMap []int, qc sql.QCol) int {
+	for i := len(v.OutSrc) - 1; i >= 0; i-- {
+		if src := v.OutSrc[i]; tabMap[src.Tab] == qc.Tab && src.Col == qc.Col {
+			return i
+		}
+	}
+	return -1
 }
 
 // viewPages returns the view's page count, from the heap when the view is

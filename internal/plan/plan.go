@@ -11,7 +11,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/btree"
@@ -131,7 +131,7 @@ func (p *Physical) IndexesAt(t int, name string) []*IndexInfo {
 // established at construction instead of being re-sorted into a fresh
 // copy on every access.
 func SortIndexes(ixs []*IndexInfo) {
-	sort.Slice(ixs, func(a, b int) bool { return ixs[a].Name < ixs[b].Name })
+	slices.SortFunc(ixs, func(a, b *IndexInfo) int { return strings.Compare(a.Name, b.Name) })
 }
 
 // Layout maps (table ordinal, column offset) pairs of a query to offsets
