@@ -11,6 +11,12 @@
 // leaf, range scans follow the leaf chain), and it exposes a size model
 // (Height, LeafPages) that the cost model uses to bill index traversals
 // and leaf scans in simulated time.
+//
+// A tree is built either entry by entry (New, then Insert) or in one pass
+// from entries already in (key, payload) order (Build). Build fills leaves
+// to the 70% that LeafPages models, which reproduces the height an
+// insertion-built tree over the same entries reaches; later Inserts work
+// on either kind of tree.
 package btree
 
 import (
@@ -24,6 +30,10 @@ import (
 // and of children in an internal node. 64 keeps the height realistic
 // (3-4 levels for millions of keys) while staying cache-friendly.
 const order = 64
+
+// buildFill is the entries per leaf Build aims for: the 70% fill the size
+// model assumes.
+const buildFill = order * 70 / 100
 
 type leaf struct {
 	keys []val.Row
@@ -58,6 +68,52 @@ func New(unique bool) *Tree {
 	return &Tree{root: &leaf{}, height: 1, unique: unique}
 }
 
+// Build returns a non-unique tree holding the given entries, which must
+// already be sorted by (key, rid) and be of equal length. The tree keeps
+// both slices: the caller must not modify them afterwards.
+//
+// Leaves hold buildFill entries on average, spread evenly and linked;
+// each inner level packs at most order children per node, spread evenly,
+// with the first key of every child after the first as its separator.
+// Nodes are capacity-clipped windows of the shared slices, so a later
+// Insert into a full node copies instead of writing into its neighbour.
+func Build(keys []val.Row, rids []int64) *Tree {
+	n := len(keys)
+	t := &Tree{height: 1, size: int64(n)}
+	for _, k := range keys {
+		t.keyWidth += int64(k.Width())
+	}
+	if n <= order {
+		t.root = &leaf{keys: keys[:n:n], rids: rids[:n:n]}
+		return t
+	}
+	level := make([]node, (n+buildFill-1)/buildFill)
+	mins := make([]val.Row, len(level)) // smallest key under each node
+	var prev *leaf
+	for i := range level {
+		lo, hi := i*n/len(level), (i+1)*n/len(level)
+		lf := &leaf{keys: keys[lo:hi:hi], rids: rids[lo:hi:hi]}
+		if prev != nil {
+			prev.next = lf
+		}
+		prev, level[i], mins[i] = lf, lf, keys[lo]
+	}
+	for len(level) > 1 {
+		m := len(level)
+		up := make([]node, (m+order-1)/order)
+		upMins := make([]val.Row, len(up))
+		for i := range up {
+			lo, hi := i*m/len(up), (i+1)*m/len(up)
+			up[i] = &inner{seps: mins[lo+1 : hi : hi], children: level[lo:hi:hi]}
+			upMins[i] = mins[lo]
+		}
+		level, mins = up, upMins
+		t.height++
+	}
+	t.root = level[0]
+	return t
+}
+
 // Len returns the number of entries.
 func (t *Tree) Len() int64 { return t.size }
 
@@ -74,7 +130,8 @@ func (t *Tree) entryWidth() int64 {
 }
 
 // LeafPages returns the modeled number of leaf pages, assuming 70% page
-// fill (the steady-state fill factor of a B+-tree built by insertion).
+// fill: the steady-state fill of a B+-tree built by random insertion, and
+// the fill Build packs its leaves to.
 func (t *Tree) LeafPages() int64 {
 	bytes := t.size * t.entryWidth()
 	fill := int64(cost.PageSize) * 70 / 100

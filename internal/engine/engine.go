@@ -14,9 +14,11 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -320,9 +322,6 @@ func (e *Engine) applyConfig(next *snapshot, c conf.Configuration) (BuildReport,
 	}, nil
 }
 
-// BaseBytes returns the full-scale size of the base tables.
-func (e *Engine) BaseBytes() int64 { return e.baseBytes(e.cur.Load()) }
-
 func (e *Engine) baseBytes(s *snapshot) int64 {
 	var b int64
 	for _, ti := range s.phys.Tables {
@@ -365,8 +364,9 @@ func (s *snapshot) relation(name string) (*catalog.Table, *storage.Heap, error) 
 }
 
 // buildIndex constructs a B+-tree for the definition and measures its
-// (sort-based) build cost: one scan of the relation, a sort of the
-// entries, and a sequential write of the leaves.
+// sort-based build cost: one scan of the relation, a sort of the entries,
+// and a sequential write of the leaves — the same scan, sort and leaf
+// build fillTree performs.
 func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost.Meter, error) {
 	tab, heap, err := s.relation(d.Table)
 	if err != nil {
@@ -381,11 +381,7 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 		cols[i] = ci
 	}
 
-	tree, err := fillTree(heap, cols)
-	if err != nil {
-		return nil, cost.Meter{}, err
-	}
-
+	tree, keyNDV := fillTree(heap, cols)
 	ix := &plan.IndexInfo{
 		Def:            d,
 		Name:           d.Name(),
@@ -395,7 +391,7 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 		LeafPages:      tree.LeafPages(),
 		EntriesPerLeaf: tree.EntriesPerLeafPage(),
 		Bytes:          int64(float64(tree.Bytes()) / e.ScaleFactor),
-		KeyNDV:         measureKeyNDV(tree, len(cols)),
+		KeyNDV:         keyNDV,
 	}
 
 	n := float64(tree.Len())
@@ -408,42 +404,68 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 	return ix, m, nil
 }
 
-// fillTree indexes every row of the heap on the given columns, in heap
-// order.
-func fillTree(heap *storage.Heap, cols []int) (*btree.Tree, error) {
-	tree := btree.New(false) // PK uniqueness is enforced by generators
-	var err error
-	heap.Scan(nil, func(id storage.RowID, r val.Row) bool {
-		err = tree.Insert(r.Project(cols), int64(id))
-		return err == nil
-	})
-	return tree, err
+// indexEntry is one (key, rid) pair of an index under construction.
+type indexEntry struct {
+	key val.Row
+	rid int64
 }
 
-// measureKeyNDV walks the tree in key order counting distinct prefixes of
-// every length — the exact statistics a built index provides and a
-// hypothetical one can only approximate.
-func measureKeyNDV(tree *btree.Tree, width int) []int64 {
-	ndv := make([]int64, width)
-	prev := make(val.Row, 0, width)
-	it := tree.Scan()
-	for {
-		k, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		changed := len(prev) == 0
-		for i := 0; i < width; i++ {
-			if !changed && val.Compare(prev[i], k[i]) != 0 {
-				changed = true
+// fillTree indexes every row of the heap on the given columns and counts
+// the distinct values of every key prefix — the exact statistics a built
+// index provides and a hypothetical one can only approximate.
+//
+// Keys are projected into one flat array, sorted once by (key, rid) and
+// handed to btree.Build. Rids break key ties, so the order is the one
+// inserting the rows in heap order produces. Each key column is compared
+// with val.CompareAs of its kind when all its values share one, and with
+// val.Compare when they do not.
+func fillTree(heap *storage.Heap, cols []int) (*btree.Tree, []int64) {
+	w := len(cols)
+	flat := make([]val.Value, 0, int(heap.NumRows())*w)
+	entries := make([]indexEntry, 0, heap.NumRows())
+	kinds := make([]val.Kind, w)
+	heap.Scan(nil, func(id storage.RowID, r val.Row) bool {
+		for i, c := range cols {
+			v := r[c]
+			switch {
+			case len(entries) == 0:
+				kinds[i] = v.K
+			case kinds[i] != v.K:
+				kinds[i] = val.KindNull // mixed: CompareAs falls back to Compare
 			}
-			if changed {
-				ndv[i]++
-			}
+			flat = append(flat, v)
 		}
-		prev = append(prev[:0], k...)
+		entries = append(entries, indexEntry{key: flat[len(flat)-w : len(flat) : len(flat)], rid: int64(id)})
+		return true
+	})
+
+	cmps := make([]func(a, b val.Value) int, w)
+	for i, k := range kinds {
+		cmps[i] = val.CompareAs(k)
 	}
-	return ndv
+	slices.SortFunc(entries, func(a, b indexEntry) int {
+		for i, c := range cmps {
+			if r := c(a.key[i], b.key[i]); r != 0 {
+				return r
+			}
+		}
+		return cmp.Compare(a.rid, b.rid)
+	})
+
+	keys := make([]val.Row, len(entries))
+	rids := make([]int64, len(entries))
+	ndv := make([]int64, w)
+	for j, en := range entries {
+		keys[j], rids[j] = en.key, en.rid
+		i := 0 // the first column at which this key differs from the last
+		for j > 0 && i < w && cmps[i](keys[j-1][i], en.key[i]) == 0 {
+			i++
+		}
+		for ; i < w; i++ {
+			ndv[i]++
+		}
+	}
+	return btree.Build(keys, rids), ndv
 }
 
 // buildView materializes the view by executing its defining query and

@@ -85,11 +85,6 @@ func New(coord *engine.Engine, spec Spec, pool int) (*Cluster, error) {
 	return c, nil
 }
 
-// Coordinator returns the full-data engine behind the cluster — the
-// estimation and recommendation surface (E, H and goal reports are
-// topology-invariant: they are always computed against the full data).
-func (c *Cluster) Coordinator() *engine.Engine { return c.coord }
-
 // snapshot hands out the current topology generation and pool width.
 func (c *Cluster) snapshot() (*topology, int) { return c.top.Load(), c.Pool() }
 

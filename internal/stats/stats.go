@@ -12,7 +12,9 @@
 package stats
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
@@ -29,27 +31,6 @@ const histBuckets = 32
 type ValueCount struct {
 	Value val.Value
 	Count int64
-}
-
-// byValue and byCountDesc are named sort orders for ValueCounts. The
-// per-column loop in Collect sorts once per column; named sort.Interface
-// implementations keep it free of per-iteration comparator closures.
-type byValue []ValueCount
-
-func (s byValue) Len() int           { return len(s) }
-func (s byValue) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
-func (s byValue) Less(a, b int) bool { return val.Compare(s[a].Value, s[b].Value) < 0 }
-
-// byCountDesc ranks most-frequent first, ties by value order.
-type byCountDesc []ValueCount
-
-func (s byCountDesc) Len() int      { return len(s) }
-func (s byCountDesc) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
-func (s byCountDesc) Less(a, b int) bool {
-	if s[a].Count != s[b].Count {
-		return s[a].Count > s[b].Count
-	}
-	return val.Compare(s[a].Value, s[b].Value) < 0
 }
 
 // Bucket is one equi-depth histogram bucket: values v with
@@ -87,22 +68,28 @@ func Collect(h *storage.Heap) *TableStats {
 	ncols := len(h.Table.Columns)
 	ts := &TableStats{Rows: h.NumRows(), Pages: h.Pages(), Cols: make([]ColumnStats, ncols)}
 
-	counts := make([]map[string]*ValueCount, ncols)
+	counts := make([]valueCounts, ncols)
 	for i := range counts {
-		counts[i] = make(map[string]*ValueCount)
+		counts[i] = valueCounts{ints: map[int64]int64{}, strs: map[string]int64{}, other: map[string]*ValueCount{}}
 	}
 	var key []byte
 	h.Scan(nil, func(_ storage.RowID, r val.Row) bool {
 		for i, v := range r {
-			if v.IsNull() {
+			c := &counts[i]
+			switch v.K {
+			case val.KindNull:
 				ts.Cols[i].Nulls++
-				continue
-			}
-			key = val.AppendKey(key[:0], v)
-			if vc := counts[i][string(key)]; vc != nil {
-				vc.Count++
-			} else {
-				counts[i][string(key)] = &ValueCount{Value: v, Count: 1}
+			case val.KindInt:
+				c.ints[v.I]++
+			case val.KindString:
+				c.strs[v.Str]++
+			default:
+				key = val.AppendKey(key[:0], v)
+				if vc := c.other[string(key)]; vc != nil {
+					vc.Count++
+				} else {
+					c.other[string(key)] = &ValueCount{Value: v, Count: 1}
+				}
 			}
 		}
 		return true
@@ -110,33 +97,98 @@ func Collect(h *storage.Heap) *TableStats {
 
 	for i := range ts.Cols {
 		cs := &ts.Cols[i]
-		vcs := make([]ValueCount, 0, len(counts[i]))
-		for _, vc := range counts[i] {
-			vcs = append(vcs, *vc)
-		}
+		vcs := counts[i].sorted()
 		cs.NDV = int64(len(vcs))
 		if len(vcs) == 0 {
 			continue
 		}
-		// Min/Max and histogram need value order.
-		sort.Sort(byValue(vcs))
 		cs.Min = vcs[0].Value
 		cs.Max = vcs[len(vcs)-1].Value
 		cs.Hist = buildEquiDepth(vcs)
-
-		// MCV: top-maxMCV by frequency.
-		byFreq := append([]ValueCount(nil), vcs...)
-		sort.Sort(byCountDesc(byFreq))
-		n := maxMCV
-		if n > len(byFreq) {
-			n = len(byFreq)
-		}
-		cs.MCV = byFreq[:n:n]
+		cs.MCV = topByCount(vcs)
 		for _, vc := range cs.MCV {
 			cs.mcvTotal += vc.Count
 		}
 	}
 	return ts
+}
+
+// valueCounts tallies one column's non-null values. Ints and strings are
+// counted in maps keyed by the value itself; floats, and a value of any
+// other kind, by their AppendKey bytes. Either way two values are one
+// value exactly when their AppendKey bytes are equal.
+type valueCounts struct {
+	ints  map[int64]int64
+	strs  map[string]int64
+	other map[string]*ValueCount
+}
+
+// sorted returns the column's distinct values in value order. A column of
+// ints or of strings alone sorts its map keys natively, which is Compare's
+// order on one kind; any other column sorts with compareTotal.
+func (c *valueCounts) sorted() []ValueCount {
+	n := len(c.ints) + len(c.strs) + len(c.other)
+	switch n {
+	case len(c.ints):
+		return sortedCounts(c.ints, val.Int)
+	case len(c.strs):
+		return sortedCounts(c.strs, val.String)
+	}
+	vcs := make([]ValueCount, 0, n)
+	for v, cnt := range c.ints {
+		vcs = append(vcs, ValueCount{Value: val.Int(v), Count: cnt})
+	}
+	for v, cnt := range c.strs {
+		vcs = append(vcs, ValueCount{Value: val.String(v), Count: cnt})
+	}
+	for _, vc := range c.other {
+		vcs = append(vcs, *vc)
+	}
+	slices.SortFunc(vcs, func(a, b ValueCount) int { return compareTotal(a.Value, b.Value) })
+	return vcs
+}
+
+// sortedCounts lists a typed count map in ascending key order.
+func sortedCounts[K int64 | string](m map[K]int64, value func(K) val.Value) []ValueCount {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	vcs := make([]ValueCount, len(keys))
+	for i, k := range keys {
+		vcs[i] = ValueCount{Value: value(k), Count: m[k]}
+	}
+	return vcs
+}
+
+// compareTotal is val.Compare with its ties between distinct values — Int
+// 1 and Float 1.0, or -0 and +0 — broken by their AppendKey bytes, so that
+// a column's distinct values have exactly one order.
+func compareTotal(a, b val.Value) int {
+	if c := val.Compare(a, b); c != 0 {
+		return c
+	}
+	return bytes.Compare(val.AppendKey(nil, a), val.AppendKey(nil, b))
+}
+
+// topByCount selects the maxMCV most frequent of the value-ordered vcs,
+// most frequent first. A later value never displaces an equal count, so
+// ties stay in value order.
+func topByCount(vcs []ValueCount) []ValueCount {
+	top := make([]ValueCount, 0, min(maxMCV, len(vcs)))
+	for _, vc := range vcs {
+		if len(top) == maxMCV && vc.Count <= top[maxMCV-1].Count {
+			continue
+		}
+		j := sort.Search(len(top), func(k int) bool { return top[k].Count < vc.Count })
+		if len(top) < maxMCV {
+			top = append(top, ValueCount{})
+		}
+		copy(top[j+1:], top[j:len(top)-1])
+		top[j] = vc
+	}
+	return top
 }
 
 // buildEquiDepth partitions the sorted (value, count) list into buckets of

@@ -1,10 +1,15 @@
 package stats
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/datagen"
 	"repro/internal/storage"
 	"repro/internal/val"
 )
@@ -204,5 +209,224 @@ func TestEmptyTable(t *testing.T) {
 	}
 	if ndv := ts.CompositeNDV([]int{0, 1}); ndv != 1 {
 		t.Fatalf("composite NDV on empty table = %d", ndv)
+	}
+}
+
+// referenceCollect is Collect as it was before the typed counting: every
+// value keyed by its AppendKey bytes, sorted by value with sort.Sort and
+// then copied and sorted again by count. TestCollectMatchesReference holds
+// Collect to its output.
+func referenceCollect(h *storage.Heap) *TableStats {
+	ncols := len(h.Table.Columns)
+	ts := &TableStats{Rows: h.NumRows(), Pages: h.Pages(), Cols: make([]ColumnStats, ncols)}
+
+	counts := make([]map[string]*ValueCount, ncols)
+	for i := range counts {
+		counts[i] = make(map[string]*ValueCount)
+	}
+	var key []byte
+	h.Scan(nil, func(_ storage.RowID, r val.Row) bool {
+		for i, v := range r {
+			if v.IsNull() {
+				ts.Cols[i].Nulls++
+				continue
+			}
+			key = val.AppendKey(key[:0], v)
+			if vc := counts[i][string(key)]; vc != nil {
+				vc.Count++
+			} else {
+				counts[i][string(key)] = &ValueCount{Value: v, Count: 1}
+			}
+		}
+		return true
+	})
+
+	for i := range ts.Cols {
+		cs := &ts.Cols[i]
+		vcs := make([]ValueCount, 0, len(counts[i]))
+		for _, vc := range counts[i] {
+			vcs = append(vcs, *vc)
+		}
+		cs.NDV = int64(len(vcs))
+		if len(vcs) == 0 {
+			continue
+		}
+		sort.Sort(byValue(vcs))
+		cs.Min = vcs[0].Value
+		cs.Max = vcs[len(vcs)-1].Value
+		cs.Hist = buildEquiDepth(vcs)
+
+		byFreq := append([]ValueCount(nil), vcs...)
+		sort.Sort(byCountDesc(byFreq))
+		n := maxMCV
+		if n > len(byFreq) {
+			n = len(byFreq)
+		}
+		cs.MCV = byFreq[:n:n]
+		for _, vc := range cs.MCV {
+			cs.mcvTotal += vc.Count
+		}
+	}
+	return ts
+}
+
+type byValue []ValueCount
+
+func (s byValue) Len() int           { return len(s) }
+func (s byValue) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
+func (s byValue) Less(a, b int) bool { return val.Compare(s[a].Value, s[b].Value) < 0 }
+
+// byCountDesc ranks most-frequent first, ties by value order.
+type byCountDesc []ValueCount
+
+func (s byCountDesc) Len() int      { return len(s) }
+func (s byCountDesc) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
+func (s byCountDesc) Less(a, b int) bool {
+	if s[a].Count != s[b].Count {
+		return s[a].Count > s[b].Count
+	}
+	return val.Compare(s[a].Value, s[b].Value) < 0
+}
+
+// heapLoader collects generated rows into one heap per table.
+type heapLoader struct {
+	schema *catalog.Schema
+	heaps  map[string]*storage.Heap
+	order  []string
+}
+
+func (l *heapLoader) Load(table string, rows []val.Row) error {
+	h := l.heaps[table]
+	if h == nil {
+		t := l.schema.Table(table)
+		if t == nil {
+			return fmt.Errorf("unknown table %s", table)
+		}
+		h = storage.NewHeap(t)
+		l.heaps[table] = h
+		l.order = append(l.order, table)
+	}
+	for _, r := range rows {
+		if _, err := h.Insert(nil, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// generated returns every table of the NREF, SkTH and UnTH databases at
+// scale 0.0002, seed 42, named "<db>/<table>".
+func generated(t *testing.T) map[string]*storage.Heap {
+	t.Helper()
+	const sf, seed = 0.0002, 42
+	out := map[string]*storage.Heap{}
+	for _, db := range []struct {
+		name   string
+		schema *catalog.Schema
+		gen    func(datagen.Loader) error
+	}{
+		{"NREF", catalog.NREF(), func(l datagen.Loader) error {
+			return datagen.GenerateNREF(l, datagen.NREFOptions{ScaleFactor: sf, Seed: seed})
+		}},
+		{"SkTH", catalog.TPCH(), func(l datagen.Loader) error {
+			return datagen.GenerateTPCH(l, datagen.TPCHOptions{ScaleFactor: sf, Seed: seed, Skew: true, ZipfS: 1})
+		}},
+		{"UnTH", catalog.TPCH(), func(l datagen.Loader) error {
+			return datagen.GenerateTPCH(l, datagen.TPCHOptions{ScaleFactor: sf, Seed: seed})
+		}},
+	} {
+		l := &heapLoader{schema: db.schema, heaps: map[string]*storage.Heap{}}
+		if err := db.gen(l); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range l.order {
+			out[db.name+"/"+name] = l.heaps[name]
+		}
+	}
+	return out
+}
+
+// edgeHeap holds the values a generator never produces: NULLs, MinInt64,
+// the empty string, strings with 0x00 bytes and a float column.
+func edgeHeap(t *testing.T) *storage.Heap {
+	t.Helper()
+	tab := catalog.MustTable("edge",
+		[]catalog.Column{
+			{Name: "i", Type: catalog.TypeInt},
+			{Name: "s", Type: catalog.TypeString, AvgWidth: 4},
+			{Name: "f", Type: catalog.TypeFloat},
+			{Name: "n", Type: catalog.TypeInt},
+		},
+		nil,
+	)
+	ints := []val.Value{val.Null(), val.Int(math.MinInt64), val.Int(math.MaxInt64), val.Int(0), val.Int(-1), val.Int(7)}
+	strs := []val.Value{val.Null(), val.String(""), val.String("a"), val.String("a\x00"), val.String("a\x00b"), val.String("\x00"), val.String("b")}
+	floats := []val.Value{val.Null(), val.Float(-2.5), val.Float(0.125), val.Float(1e300), val.Float(math.Inf(-1)), val.Float(3)}
+	h := storage.NewHeap(tab)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		r := val.Row{ints[rng.Intn(len(ints))], strs[rng.Intn(len(strs))], floats[rng.Intn(len(floats))], val.Null()}
+		if i%3 == 0 {
+			r[0] = val.Int(int64(i)) // a long tail beyond the MCV list
+		}
+		if _, err := h.Insert(nil, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+// TestCollectMatchesReference pins Collect's whole output — MCV lists,
+// histograms and the MCV total included — to referenceCollect's, on every
+// generated table and on edge-case values.
+func TestCollectMatchesReference(t *testing.T) {
+	heaps := generated(t)
+	heaps["edge"] = edgeHeap(t)
+	for name, h := range heaps {
+		if got, want := Collect(h), referenceCollect(h); !reflect.DeepEqual(got, want) {
+			for i := range want.Cols {
+				if !reflect.DeepEqual(got.Cols[i], want.Cols[i]) {
+					t.Errorf("%s column %s: Collect = %+v\nreference = %+v", name, h.Table.Columns[i].Name, got.Cols[i], want.Cols[i])
+				}
+			}
+			if got.Rows != want.Rows || got.Pages != want.Pages {
+				t.Errorf("%s: rows/pages %d/%d, reference %d/%d", name, got.Rows, got.Pages, want.Rows, want.Pages)
+			}
+		}
+	}
+}
+
+// TestCollectOrderIsTotal runs Collect over a column whose distinct values
+// tie under val.Compare (Int 1 and Float 1.0, -0 and +0): their order, and
+// so MIN, MAX, the histogram and the MCV ties, must not follow map
+// iteration order.
+func TestCollectOrderIsTotal(t *testing.T) {
+	tab := catalog.MustTable("ties", []catalog.Column{{Name: "x", Type: catalog.TypeFloat}}, nil)
+	h := storage.NewHeap(tab)
+	for i := 0; i < 400; i++ {
+		var v val.Value
+		switch i % 4 {
+		case 0:
+			v = val.Int(1)
+		case 1:
+			v = val.Float(1)
+		case 2:
+			v = val.Float(math.Copysign(0, -1))
+		default:
+			v = val.Float(0)
+		}
+		if _, err := h.Insert(nil, val.Row{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rendered, not DeepEqual: == cannot tell -0 from +0.
+	first := fmt.Sprintf("%+v", *Collect(h))
+	if ndv := Collect(h).Cols[0].NDV; ndv != 4 {
+		t.Fatalf("NDV = %d, want 4", ndv)
+	}
+	for i := 0; i < 20; i++ {
+		if got := fmt.Sprintf("%+v", *Collect(h)); got != first {
+			t.Fatalf("run %d: Collect = %s, first run %s", i, got, first)
+		}
 	}
 }

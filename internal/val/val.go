@@ -8,6 +8,7 @@
 package val
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -137,6 +138,21 @@ func Compare(a, b Value) int {
 	}
 	// Same kind, non-numeric: strings.
 	return strings.Compare(a.Str, b.Str)
+}
+
+// CompareAs returns Compare specialised to values that are all of kind k:
+// a direct comparison of I for KindInt and of Str for KindString, which is
+// exactly Compare's order on those values without its kind dispatch. For
+// any other k (NULL, floats, or a caller's marker for mixed kinds) it
+// returns Compare itself.
+func CompareAs(k Kind) func(a, b Value) int {
+	switch k {
+	case KindInt:
+		return func(a, b Value) int { return cmp.Compare(a.I, b.I) }
+	case KindString:
+		return func(a, b Value) int { return strings.Compare(a.Str, b.Str) }
+	}
+	return Compare
 }
 
 // Equal reports whether a and b compare equal.

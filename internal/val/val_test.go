@@ -266,3 +266,24 @@ func TestAppendKeyMatchesRowKey(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareAsMatchesCompare holds the typed comparators to Compare on
+// values of their kind, extremes included.
+func TestCompareAsMatchesCompare(t *testing.T) {
+	ints := []Value{Int(math.MinInt64), Int(-1), Int(0), Int(1), Int(math.MaxInt64)}
+	strs := []Value{String(""), String("\x00"), String("a"), String("a\x00"), String("ab"), String("b")}
+	floats := []Value{Float(math.Inf(-1)), Float(-1.5), Float(0), Float(2), Int(2)}
+	for _, c := range []struct {
+		k    Kind
+		vals []Value
+	}{{KindInt, ints}, {KindString, strs}, {KindFloat, floats}, {KindNull, append([]Value{Null()}, ints...)}} {
+		cmp := CompareAs(c.k)
+		for _, a := range c.vals {
+			for _, b := range c.vals {
+				if got, want := cmp(a, b), Compare(a, b); got != want {
+					t.Errorf("CompareAs(%v)(%v, %v) = %d, Compare = %d", c.k, a, b, got, want)
+				}
+			}
+		}
+	}
+}
