@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/sql/ -fuzz=FuzzParse -fuzztime=30s
 	$(GO) test ./internal/exec/ -fuzz=FuzzKeyIdentity -fuzztime=30s
 	$(GO) test ./internal/btree/ -fuzz=FuzzBuild -fuzztime=30s
+	$(GO) test ./internal/lint/ -fuzz=FuzzResolve -fuzztime=30s
 
 # make perf-compare BASE=<rev>: this checkout against <rev> on the
 # wall-clock benchmark — ten interleaved pairs per workload, each

@@ -1,20 +1,23 @@
-// The interprocedural summary substrate for shutdownpath and pure. It
-// layers two things on the call graph:
+// The one way the interprocedural rules (lockorder, goleak, shutdownpath,
+// pure) compute a transitive per-function summary. It layers two things
+// on the call graph:
 //
 //   - reverse edges (Callers), so a changed function summary can requeue
 //     exactly the functions whose own summaries depend on it;
 //   - a deterministic worklist fixpoint driver: functions are recomputed
 //     in sorted-key order, and re-enqueued dependents keep that order.
 //
-// Summaries must be monotone over a finite lattice (a blocking fact never
-// un-blocks; an effect, once in a summary, stays), so the fixpoint
-// terminates and — because both the initial queue and every re-enqueue
-// are ordered — it terminates in the same state with findings in the
-// same order on every run.
+// Summaries must be monotone over a finite lattice (a lock class, once
+// acquired, stays; a blocking fact only moves to an earlier position; an
+// effect, once in a summary, stays), so the fixpoint terminates and —
+// because both the initial queue and every re-enqueue are ordered — it
+// terminates in the same state with findings in the same order on every
+// run. No rule memoizes a recursive walk of its own: a memo filled
+// mid-recursion caches a partial answer, and which answer depends on
+// which caller asked first.
 //
-// Witness steps (stepf) reuse lockorder's vocabulary, so every
-// interprocedural finding prints how the violation happens, not just
-// where.
+// Witness steps (stepf) share one vocabulary, so every interprocedural
+// finding prints how the violation happens, not just where.
 package lint
 
 import (
@@ -33,25 +36,17 @@ func (m *Module) Callers() map[string][]string {
 	rev := make(map[string]map[string]bool)
 	for _, key := range g.Keys() {
 		for _, cs := range g.Node(key).Out {
-			set := rev[cs.Callee]
-			if set == nil {
-				set = make(map[string]bool)
-				rev[cs.Callee] = set
+			if rev[cs.Callee] == nil {
+				rev[cs.Callee] = make(map[string]bool)
 			}
-			set[cs.Caller] = true
+			rev[cs.Callee][cs.Caller] = true
 		}
 	}
-	out := make(map[string][]string, len(rev))
+	m.callers = make(map[string][]string, len(rev))
 	for callee, set := range rev {
-		callers := make([]string, 0, len(set))
-		for c := range set {
-			callers = append(callers, c)
-		}
-		sort.Strings(callers)
-		out[callee] = callers
+		m.callers[callee] = sortedKeys(set)
 	}
-	m.callers = out
-	return out
+	return m.callers
 }
 
 // fixpoint drives a summary computation to stability: recompute(key) is
@@ -59,22 +54,11 @@ func (m *Module) Callers() map[string][]string {
 // key's callers are re-enqueued (in order, each at most once per round).
 func (m *Module) fixpoint(keys []string, recompute func(key string) bool) {
 	callers := m.Callers()
-	queue := append([]string(nil), keys...)
-	sort.Strings(queue)
-	queued := make(map[string]bool, len(queue))
-	for _, k := range queue {
+	queued := make(map[string]bool, len(keys)) // key -> pending in the next batch
+	for _, k := range keys {
 		queued[k] = true
 	}
-	known := make(map[string]bool, len(queue))
-	for _, k := range queue {
-		known[k] = true
-	}
-	enqueue := func(k string) {
-		if known[k] && !queued[k] {
-			queued[k] = true
-			queue = append(queue, k)
-		}
-	}
+	queue := sortedKeys(queued)
 	for len(queue) > 0 {
 		// Drain in sorted batches: the pending set is ordered, processed,
 		// and re-enqueues accumulate into the next ordered batch. This
@@ -90,10 +74,23 @@ func (m *Module) fixpoint(keys []string, recompute func(key string) bool) {
 				continue
 			}
 			for _, c := range callers[k] {
-				enqueue(c)
+				if pending, known := queued[c]; known && !pending {
+					queued[c] = true
+					queue = append(queue, c)
+				}
 			}
 		}
 	}
+}
+
+// sortedKeys returns a map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // stepf renders one witness step with a module-relative position.

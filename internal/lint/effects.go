@@ -149,10 +149,7 @@ func buildEffects(m *Module) *effectState {
 			}
 		}
 	}
-	for key := range inDomain {
-		es.domain = append(es.domain, key)
-	}
-	sort.Strings(es.domain)
+	es.domain = sortedKeys(inDomain)
 
 	// Direct effects, then the bottom-up fixpoint.
 	for _, key := range es.domain {
@@ -228,25 +225,6 @@ var stdlibEffects = map[string]bool{
 	"sync/atomic.Int32.Add": true, "sync/atomic.Int32.Store": true,
 	"sync/atomic.Uint64.Add": true, "sync/atomic.Uint64.Store": true,
 	"sync/atomic.Bool.Store": true, "sync/atomic.Value.Store": true,
-}
-
-// stdlibCallKey resolves a call to its stdlib table key ("" when the
-// call is module-internal or unresolvable).
-func stdlibCallKey(m *Module, fd *funcDecl, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(fd.file, base.Name); imp != "" {
-			return imp + "." + sel.Sel.Name
-		}
-	}
-	recv := m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X)
-	if key := m.NamedKey(recv); key != "" && !strings.HasPrefix(key, m.Path+"/") && !strings.HasPrefix(key, m.Path+".") {
-		return key + "." + sel.Sel.Name
-	}
-	return ""
 }
 
 // rootRef is the outcome of classifying an expression's root: what the

@@ -34,7 +34,9 @@ func ErrCheck() *Analyzer {
 // stdlibReturnsError lists stdlib calls whose last result is an error,
 // keyed "importPath.Func" for functions and "importPath.Type.Method" for
 // methods. Curated to what the module uses; unlisted stdlib calls are not
-// findings (conservative).
+// findings (conservative), which is also what allows discarding the
+// results of the fmt print family and of strings.Builder and
+// bytes.Buffer writes.
 var stdlibReturnsError = map[string]bool{
 	"os.WriteFile": true, "os.MkdirAll": true, "os.Mkdir": true,
 	"os.Remove": true, "os.RemoveAll": true, "os.Rename": true,
@@ -47,40 +49,26 @@ var stdlibReturnsError = map[string]bool{
 	"encoding/json.Unmarshal":      true,
 	"encoding/csv.Writer.Write":    true, "encoding/csv.Writer.WriteAll": true,
 	"bufio.Writer.Flush": true,
-	"io.Copy":            true,
-	"strconv.ParseFloat": true, "strconv.ParseInt": true,
+	"io.Copy":            true, "io.WriteString": true, "io.Writer.Write": true,
+	"net/http.ResponseWriter.Write": true,
+	"strconv.ParseFloat":            true, "strconv.ParseInt": true,
 	"strconv.ParseUint": true, "strconv.ParseBool": true, "strconv.Atoi": true,
 	"time.Parse": true,
-}
-
-// errDiscardAllowed lists calls whose error is ignorable by convention:
-// the fmt print family, and the never-failing Write* methods of
-// strings.Builder and bytes.Buffer.
-var errDiscardAllowedFuncs = map[string]bool{
-	"fmt.Print": true, "fmt.Printf": true, "fmt.Println": true,
-	"fmt.Fprint": true, "fmt.Fprintf": true, "fmt.Fprintln": true,
-}
-
-var errDiscardAllowedRecvs = map[string]bool{
-	"strings.Builder": true,
-	"bytes.Buffer":    true,
 }
 
 func checkErrors(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		for _, fn := range fileFuncs(f) {
-			out = append(out, checkErrorsFunc(p, f, fn)...)
+			out = append(out, checkErrorsFunc(&funcDecl{pkg: p, file: f, decl: fn})...)
 		}
 	}
 	return out
 }
 
-func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
-	m := p.Mod
-	fset := m.Fset
+func checkErrorsFunc(fd *funcDecl) []Finding {
+	fset := fd.pkg.Mod.Fset
 	var out []Finding
-
 	flag := func(at ast.Node, msg, hint string) {
 		pos := fset.Position(at.Pos())
 		out = append(out, Finding{
@@ -88,146 +76,63 @@ func checkErrorsFunc(p *Package, f *File, fn *ast.FuncDecl) []Finding {
 			Message: msg, Hint: hint,
 		})
 	}
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ExprStmt:
-			call, ok := s.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, drops := callDropsError(m, p, f, fn, call); drops {
+			if call, ok := s.X.(*ast.CallExpr); ok && dropsError(fd, call) {
 				flag(call,
-					fmt.Sprintf("result of %s is an error and this statement discards it", name),
+					fmt.Sprintf("result of %s is an error and this statement discards it", exprString(fset, call.Fun)),
 					"handle the error, or discard explicitly with `_ = ... // conflint:ignore <reason>`")
 			}
 		case *ast.GoStmt:
-			if name, drops := callDropsError(m, p, f, fn, s.Call); drops {
+			if dropsError(fd, s.Call) {
 				flag(s.Call,
-					fmt.Sprintf("go %s drops its error: the goroutine dies silently when it fails", name),
+					fmt.Sprintf("go %s drops its error: the goroutine dies silently when it fails", exprString(fset, s.Call.Fun)),
 					"wrap in `go func() { if err := ...; err != nil { log / signal } }()`")
 			}
 		case *ast.DeferStmt:
-			if name, drops := callDropsError(m, p, f, fn, s.Call); drops {
+			if dropsError(fd, s.Call) {
 				flag(s.Call,
-					fmt.Sprintf("defer %s drops its error", name),
+					fmt.Sprintf("defer %s drops its error", exprString(fset, s.Call.Fun)),
 					"defer a closure that checks the error, or discard explicitly with a conflint:ignore reason")
 			}
 		case *ast.AssignStmt:
-			out = append(out, checkBlankErrors(m, p, f, fn, s)...)
+			blank := func(i int) bool {
+				id, ok := s.Lhs[i].(*ast.Ident)
+				return ok && id.Name == "_"
+			}
+			// x, _ := call(): one multi-valued call feeding all LHS names.
+			if last := len(s.Lhs) - 1; len(s.Rhs) == 1 && last > 0 && blank(last) {
+				if call, ok := s.Rhs[0].(*ast.CallExpr); ok && dropsError(fd, call) {
+					flag(s.Lhs[last],
+						fmt.Sprintf("blank identifier discards the error from %s", exprString(fset, call.Fun)),
+						"name the error and handle it; a deliberate discard needs `// conflint:ignore <reason>`")
+				}
+			}
+			// _ = call() pairs.
+			for i := range s.Lhs {
+				if len(s.Rhs) != len(s.Lhs) || !blank(i) {
+					continue
+				}
+				if call, ok := s.Rhs[i].(*ast.CallExpr); ok && dropsError(fd, call) {
+					flag(s.Lhs[i],
+						fmt.Sprintf("`_ = %s` discards an error without a conflint:ignore reason", exprString(fset, call.Fun)),
+						"handle the error or append `// conflint:ignore <reason>` to the discard")
+				}
+			}
 		}
 		return true
 	})
 	return out
 }
 
-// callDropsError reports whether evaluating call as a statement throws an
-// error away, with a printable name for the callee.
-func callDropsError(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) (string, bool) {
-	name := exprString(m.Fset, call.Fun)
-	if allowedDiscard(m, p, f, fn, call) {
-		return name, false
-	}
-	ret, known := callReturnsError(m, p, f, fn, call)
-	return name, known && ret
-}
-
-// allowedDiscard reports whether the call is on the conventional
-// never-matters list.
-func allowedDiscard(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			return errDiscardAllowedFuncs[imp+"."+sel.Sel.Name]
-		}
-	}
-	recv := m.TypeOf(p, f, fn, sel.X)
-	return errDiscardAllowedRecvs[m.NamedKey(recv)]
-}
-
-// callReturnsError resolves whether a call's last result is an error.
-// known=false means the callee could not be resolved at all.
-func callReturnsError(m *Module, p *Package, f *File, fn *ast.FuncDecl, call *ast.CallExpr) (ret, known bool) {
-	r := &resolver{m: m, pkg: p, file: f, fn: fn}
+// dropsError reports whether a call's last result is an error: module
+// signatures resolve through the parsed source, stdlib calls through the
+// curated table.
+func dropsError(fd *funcDecl, call *ast.CallExpr) bool {
+	r := &resolver{m: fd.pkg.Mod, pkg: fd.pkg, file: fd.file, fn: fd.decl}
 	if sig, _, _ := r.signatureOf(call); sig != nil {
-		return returnsError(sig), true
+		return returnsError(sig)
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false, false
-	}
-	if base, ok := sel.X.(*ast.Ident); ok {
-		if imp := importPathOf(f, base.Name); imp != "" {
-			return stdlibReturnsError[imp+"."+sel.Sel.Name], true
-		}
-	}
-	recv := m.TypeOf(p, f, fn, sel.X)
-	if key := m.NamedKey(recv); key != "" {
-		return stdlibReturnsError[key+"."+sel.Sel.Name], true
-	}
-	return false, false
-}
-
-// checkBlankErrors flags `_` assignment positions that receive an error:
-// both `x, _ := call()` (multi-result call) and `_ = call()`.
-func checkBlankErrors(m *Module, p *Package, f *File, fn *ast.FuncDecl, s *ast.AssignStmt) []Finding {
-	fset := m.Fset
-	var out []Finding
-
-	blankAt := func(i int) bool {
-		id, ok := s.Lhs[i].(*ast.Ident)
-		return ok && id.Name == "_"
-	}
-
-	// x, _ := call(): one multi-valued call feeding all LHS names.
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		call, ok := s.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return nil
-		}
-		last := len(s.Lhs) - 1
-		if !blankAt(last) {
-			return nil
-		}
-		if allowedDiscard(m, p, f, fn, call) {
-			return nil
-		}
-		if ret, known := callReturnsError(m, p, f, fn, call); known && ret {
-			pos := fset.Position(s.Lhs[last].Pos())
-			out = append(out, Finding{
-				Rule: "errcheck", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: fmt.Sprintf("blank identifier discards the error from %s", exprString(fset, call.Fun)),
-				Hint:    "name the error and handle it; a deliberate discard needs `// conflint:ignore <reason>`",
-			})
-		}
-		return out
-	}
-
-	// _ = call() pairs.
-	if len(s.Rhs) == len(s.Lhs) {
-		for i := range s.Lhs {
-			if !blankAt(i) {
-				continue
-			}
-			call, ok := s.Rhs[i].(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if allowedDiscard(m, p, f, fn, call) {
-				continue
-			}
-			if ret, known := callReturnsError(m, p, f, fn, call); known && ret {
-				pos := fset.Position(s.Lhs[i].Pos())
-				out = append(out, Finding{
-					Rule: "errcheck", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Message: fmt.Sprintf("`_ = %s` discards an error without a conflint:ignore reason", exprString(fset, call.Fun)),
-					Hint:    "handle the error or append `// conflint:ignore <reason>` to the discard",
-				})
-			}
-		}
-	}
-	return out
+	return stdlibReturnsError[stdlibCallKey(r.m, fd, call)]
 }

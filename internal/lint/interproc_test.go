@@ -168,3 +168,108 @@ func FuzzResolve(f *testing.F) {
 		Run(m, All())
 	})
 }
+
+// loadSource writes src as the only file of a fixture package in a temp
+// directory and loads it.
+func loadSource(t *testing.T, src string) *Module {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "src.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadFixture(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestGoLeakOrderIndependent: A's goroutine calls spin and then wrap,
+// which calls spin too; B spawns wrap. Both spawns leak whichever of A
+// and B is declared first — a summary must not depend on which spawn
+// site asked for it first.
+func TestGoLeakOrderIndependent(t *testing.T) {
+	const helpers = `
+func spin() {
+	for {
+	}
+}
+
+func wrap() { spin() }
+`
+	const a = `
+func A() {
+	go func() {
+		spin()
+		wrap()
+	}()
+}
+`
+	const b = `
+func B() {
+	go wrap()
+}
+`
+	for name, body := range map[string]string{"A first": a + b, "B first": b + a} {
+		t.Run(name, func(t *testing.T) {
+			m := loadSource(t, "package p\n"+helpers+body)
+			fs := Run(m, []*Analyzer{GoLeak()})
+			if len(fs) != 2 {
+				t.Fatalf("want both spawns reported, got %d: %v", len(fs), fs)
+			}
+			for _, f := range fs {
+				if !strings.Contains(f.Message, "it calls fixture.spin, which it loops forever") {
+					t.Errorf("want the leak traced to spin, got %s", f)
+				}
+			}
+		})
+	}
+}
+
+// TestLockOrderOrderIndependent: f acquires a, f and g call each other,
+// AB nests a then b, and BG holds b while calling g — an a -> b -> a
+// cycle. Adding an unrelated caller of f (Aa, which sorts before both)
+// must not hide it.
+func TestLockOrderOrderIndependent(t *testing.T) {
+	const src = `package p
+
+import "sync"
+
+type S struct {
+	a sync.Mutex
+	b sync.Mutex
+}
+
+func (s *S) f(n int) {
+	s.a.Lock()
+	s.a.Unlock()
+	if n > 0 {
+		s.g(n - 1)
+	}
+}
+
+func (s *S) g(n int) { s.f(n) }
+
+func (s *S) AB() {
+	s.a.Lock()
+	defer s.a.Unlock()
+	s.b.Lock()
+	defer s.b.Unlock()
+}
+
+func (s *S) BG() {
+	s.b.Lock()
+	defer s.b.Unlock()
+	s.g(1)
+}
+`
+	for name, extra := range map[string]string{"without Aa": "", "with Aa": "\nfunc (s *S) Aa() { s.f(1) }\n"} {
+		t.Run(name, func(t *testing.T) {
+			fs := Run(loadSource(t, src+extra), []*Analyzer{LockOrder()})
+			if len(fs) != 1 || !strings.Contains(fs[0].Message, "fixture.S.a -> fixture.S.b -> fixture.S.a") {
+				t.Fatalf("want the a -> b -> a cycle, got %v", fs)
+			}
+			wantWitness(t, fs[0], "fixture.S.BG calls fixture.S.g", "fixture.S.g calls fixture.S.f", "fixture.S.f acquires fixture.S.a")
+		})
+	}
+}

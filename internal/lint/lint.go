@@ -14,6 +14,10 @@
 // every reported finding is worth reading, at the price of a few
 // undetectable corner cases (documented per analyzer).
 //
+// The four interprocedural rules (lockorder, goleak, shutdownpath, pure)
+// share one call graph (callgraph.go) and one way to compute a transitive
+// per-function summary: the worklist fixpoint in dataflow.go.
+//
 // Findings can be suppressed line-by-line with
 //
 //	// conflint:ignore <reason>
@@ -60,9 +64,11 @@ func (f Finding) String() string {
 type File struct {
 	Path string // absolute path
 	AST  *ast.File
-	// ignores maps a directive's own line number to the directive. A
-	// directive suppresses findings on its line and the line below.
-	ignores map[int]*ignoreInfo
+	// ignores and workers map a directive's own line to its text after
+	// the token; a directive covers its own line and the line below.
+	ignores, workers map[int]string
+	// used marks the ignore directives that suppressed a finding.
+	used map[int]bool
 	// parents maps every AST node to its parent, built on demand.
 	parents map[ast.Node]ast.Node
 }
@@ -106,24 +112,7 @@ type Module struct {
 	idx     *index              // lazy resolution indexes (resolve.go)
 	graph   *CallGraph          // lazy module-wide call graph (callgraph.go)
 	callers map[string][]string // lazy reverse call-graph edges (dataflow.go)
-	// usedIgnores is "path:line" of every ignore directive that actually
-	// suppressed a finding this run. Most suppression happens in
-	// finishRun, but shutdownpath consumes directives at source level
-	// during its module pass and records them here.
-	usedIgnores map[string]bool
-}
-
-// noteIgnoreUsed records that the directive at path:line suppressed a
-// finding (stale-ignore detection reads the set in finishRun).
-func (m *Module) noteIgnoreUsed(path string, line int) {
-	if m.usedIgnores == nil {
-		m.usedIgnores = make(map[string]bool)
-	}
-	m.usedIgnores[fmt.Sprintf("%s:%d", path, line)] = true
-}
-
-func (m *Module) ignoreUsed(path string, line int) bool {
-	return m.usedIgnores[fmt.Sprintf("%s:%d", path, line)]
+	goFacts map[string]*goFacts // lazy goroutine summaries (goroutines.go)
 }
 
 // Analyzer is one conflint rule: a pass over the whole module. Rules
@@ -283,7 +272,11 @@ func (m *Module) loadDir(dir, importPath string) (*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		pkg.Files = append(pkg.Files, &File{Path: path, AST: f, ignores: scanIgnores(m.Fset, f)})
+		pkg.Files = append(pkg.Files, &File{
+			Path: path, AST: f, used: make(map[int]bool),
+			ignores: directives(m.Fset, f, ignoreDirective),
+			workers: directives(m.Fset, f, workerDirective),
+		})
 		if pkg.Name == "" {
 			pkg.Name = f.Name.Name
 		}
@@ -312,25 +305,41 @@ func modulePath(gomod string) (string, error) {
 
 const ignoreDirective = "conflint:ignore"
 
-// ignoreInfo is one conflint:ignore directive: its reason (empty for a
-// bare directive).
-type ignoreInfo struct {
-	reason string
-}
-
-// scanIgnores collects ignore directives by comment line.
-func scanIgnores(fset *token.FileSet, f *ast.File) map[int]*ignoreInfo {
-	out := make(map[int]*ignoreInfo)
+// directives collects one directive's comments: comment line -> the
+// trimmed text after the token (a bare directive's text is empty).
+func directives(fset *token.FileSet, f *ast.File, tok string) map[int]string {
+	out := make(map[int]string)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if rest, ok := strings.CutPrefix(text, ignoreDirective); ok {
-				out[fset.Position(c.Pos()).Line] = &ignoreInfo{reason: strings.TrimSpace(rest)}
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			if rest, ok := strings.CutPrefix(text, tok); ok {
+				out[fset.Position(c.Pos()).Line] = strings.TrimSpace(rest)
 			}
 		}
 	}
 	return out
+}
+
+// covering returns the directive covering a line — on the line itself or
+// the one directly above — with the directive's own line.
+func covering(dirs map[int]string, line int) (string, int, bool) {
+	for _, l := range []int{line, line - 1} {
+		if text, ok := dirs[l]; ok {
+			return text, l, true
+		}
+	}
+	return "", 0, false
+}
+
+// ignored reports whether a reasoned conflint:ignore covers pos in f,
+// marking it used. The goroutine rules exempt a blocking op at its
+// source, before finishRun's suppression pass.
+func (m *Module) ignored(f *File, pos token.Pos) bool {
+	reason, line, ok := covering(f.ignores, m.Fset.Position(pos).Line)
+	if ok && reason != "" {
+		f.used[line] = true
+	}
+	return ok && reason != ""
 }
 
 // Run executes the analyzers over the module, applies ignore directives,
@@ -365,12 +374,14 @@ func coversAllRules(analyzers []*Analyzer) bool {
 func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, f := range raw {
-		if info, dline, ok := m.ignoreAt(f.File, f.Line); ok {
-			m.noteIgnoreUsed(f.File, dline)
-			if info.reason != "" {
-				continue
+		if file := m.fileOf(f.File); file != nil {
+			if reason, line, ok := covering(file.ignores, f.Line); ok {
+				file.used[line] = true
+				if reason != "" {
+					continue
+				}
+				// Fall through: a bare directive suppresses nothing.
 			}
-			// Fall through: a bare directive suppresses nothing.
 		}
 		out = append(out, f)
 	}
@@ -383,8 +394,7 @@ func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 			}
 			sort.Ints(lines)
 			for _, line := range lines {
-				info := file.ignores[line]
-				if info.reason == "" {
+				if file.ignores[line] == "" {
 					out = append(out, Finding{
 						Rule: "ignore", File: file.Path, Line: line, Col: 1,
 						Message: "conflint:ignore needs a reason (// conflint:ignore <why this is safe>)",
@@ -392,7 +402,7 @@ func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 					})
 					continue
 				}
-				if staleCheck && !m.ignoreUsed(file.Path, line) {
+				if staleCheck && !file.used[line] {
 					out = append(out, Finding{
 						Rule: "ignore", File: file.Path, Line: line, Col: 1,
 						Message: "conflint:ignore suppresses nothing: no rule reports a finding on this line or the line below",
@@ -419,23 +429,6 @@ func finishRun(m *Module, raw []Finding, analyzers []*Analyzer) []Finding {
 		return a.Message < b.Message
 	})
 	return out
-}
-
-// ignoreAt returns the directive covering the given line (a directive
-// covers its own line and the one directly below it), along with the
-// directive's own line number.
-func (m *Module) ignoreAt(path string, line int) (*ignoreInfo, int, bool) {
-	f := m.fileOf(path)
-	if f == nil {
-		return nil, 0, false
-	}
-	if info, ok := f.ignores[line]; ok {
-		return info, line, true
-	}
-	if info, ok := f.ignores[line-1]; ok {
-		return info, line - 1, true
-	}
-	return nil, 0, false
 }
 
 // fileOf returns the loaded file for a path, if any.

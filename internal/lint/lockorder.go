@@ -83,28 +83,58 @@ type orderEdge struct {
 // lockOrderModule builds the lock-ordering graph and reports cycles.
 func lockOrderModule(m *Module) []Finding {
 	g := m.Graph()
-	trans := &transAcqState{m: m, memo: make(map[string]map[string][]pathStep), active: make(map[string]bool)}
+	// acq is each function's transitive summary: every class it may
+	// acquire, directly or through callees, with one witness path each.
+	acq := make(map[string]map[string][]pathStep)
+	intervals := make(map[string][]heldInterval)
+	for _, key := range g.Keys() {
+		fd := g.Node(key).Fn
+		if fd == nil || fd.decl.Body == nil {
+			continue
+		}
+		events := m.lockEvents(fd)
+		own := make(map[string][]pathStep)
+		for _, ev := range events {
+			if ev.acquire && ev.class != "" && own[ev.class] == nil {
+				own[ev.class] = []pathStep{{fn: key, pos: ev.pos, class: ev.class}}
+			}
+		}
+		acq[key] = own
+		intervals[key] = lockIntervals(events, fd.decl.Body.End())
+	}
+	// Classes only ever join a summary, and a witness is fixed when its
+	// class joins, so the fixpoint ends in the same state on every run.
+	m.fixpoint(g.Keys(), func(key string) bool {
+		own, changed := acq[key], false
+		if own == nil {
+			return false
+		}
+		for _, cs := range g.Node(key).Out {
+			if cs.Go {
+				continue
+			}
+			sub := acq[cs.Callee]
+			for _, c := range sortedKeys(sub) {
+				if own[c] == nil {
+					own[c] = append([]pathStep{{fn: key, pos: cs.Pos, callee: cs.Callee}}, sub[c]...)
+					changed = true
+				}
+			}
+		}
+		return changed
+	})
 
 	edges := make(map[string]*orderEdge) // "from\x00to" -> first witness
 	addEdge := func(e *orderEdge) {
-		k := e.from + "\x00" + e.to
-		if _, ok := edges[k]; !ok {
+		if k := e.from + "\x00" + e.to; edges[k] == nil {
 			edges[k] = e
 		}
 	}
 	for _, key := range g.Keys() {
-		node := g.Node(key)
-		if node.Fn == nil || node.Fn.decl.Body == nil {
-			continue
-		}
-		intervals := m.lockIntervals(node.Fn)
 		// Intra-function nesting: an acquisition inside a held interval.
-		for _, outer := range intervals {
-			for _, inner := range intervals {
-				if outer.class == inner.class {
-					continue
-				}
-				if outer.start < inner.start && inner.start < outer.end {
+		for _, outer := range intervals[key] {
+			for _, inner := range intervals[key] {
+				if outer.class != inner.class && outer.start < inner.start && inner.start < outer.end {
 					addEdge(&orderEdge{
 						from: outer.class, to: inner.class, holder: key, fromPos: outer.start,
 						steps: []pathStep{{fn: key, pos: inner.start, class: inner.class}},
@@ -114,87 +144,26 @@ func lockOrderModule(m *Module) []Finding {
 		}
 		// Interprocedural nesting: a call made while holding, where the
 		// callee transitively acquires.
-		for _, cs := range node.Out {
+		for _, cs := range g.Node(key).Out {
 			if cs.Go {
 				continue
 			}
-			acq := trans.of(cs.Callee)
-			if len(acq) == 0 {
-				continue
-			}
-			var classes []string
-			for c := range acq {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, outer := range intervals {
+			sub := acq[cs.Callee]
+			classes := sortedKeys(sub)
+			for _, outer := range intervals[key] {
 				if outer.start >= cs.Pos || cs.Pos >= outer.end {
 					continue
 				}
 				for _, c := range classes {
-					if c == outer.class {
-						continue
+					if c != outer.class {
+						steps := append([]pathStep{{fn: key, pos: cs.Pos, callee: cs.Callee}}, sub[c]...)
+						addEdge(&orderEdge{from: outer.class, to: c, holder: key, fromPos: outer.start, steps: steps})
 					}
-					steps := append([]pathStep{{fn: key, pos: cs.Pos, callee: cs.Callee}}, acq[c]...)
-					addEdge(&orderEdge{from: outer.class, to: c, holder: key, fromPos: outer.start, steps: steps})
 				}
 			}
 		}
 	}
 	return m.lockOrderCycles(edges)
-}
-
-// transAcqState memoizes, per function, every lock class the function
-// may acquire (directly or through callees) with one witness path each.
-type transAcqState struct {
-	m      *Module
-	memo   map[string]map[string][]pathStep
-	active map[string]bool
-}
-
-// of returns class -> witness path for a function key.
-func (t *transAcqState) of(key string) map[string][]pathStep {
-	if got, ok := t.memo[key]; ok {
-		return got
-	}
-	if t.active[key] {
-		return nil // recursion: the cycle adds no new classes
-	}
-	t.active[key] = true
-	defer delete(t.active, key)
-
-	out := make(map[string][]pathStep)
-	node := t.m.Graph().Node(key)
-	if node == nil || node.Fn == nil || node.Fn.decl.Body == nil {
-		t.memo[key] = out
-		return out
-	}
-	for _, ev := range t.m.lockEvents(node.Fn) {
-		if !ev.acquire || ev.class == "" {
-			continue
-		}
-		if _, ok := out[ev.class]; !ok {
-			out[ev.class] = []pathStep{{fn: key, pos: ev.pos, class: ev.class}}
-		}
-	}
-	for _, cs := range node.Out {
-		if cs.Go {
-			continue
-		}
-		sub := t.of(cs.Callee)
-		var classes []string
-		for c := range sub {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			if _, ok := out[c]; !ok {
-				out[c] = append([]pathStep{{fn: key, pos: cs.Pos, callee: cs.Callee}}, sub[c]...)
-			}
-		}
-	}
-	t.memo[key] = out
-	return out
 }
 
 // lockEvents scans a function body for lock operations in source order,
@@ -241,10 +210,8 @@ func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
 
 // lockIntervals pairs each acquisition with its release: the next
 // unconsumed same-target, same-flavor release after it. A deferred (or
-// missing) release holds the class to the end of the body.
-func (m *Module) lockIntervals(fd *funcDecl) []heldInterval {
-	events := m.lockEvents(fd)
-	end := fd.decl.Body.End()
+// missing) release holds the class until end, the end of the body.
+func lockIntervals(events []*lockEvent, end token.Pos) []heldInterval {
 	var out []heldInterval
 	for i, ev := range events {
 		if !ev.acquire || ev.class == "" {
@@ -344,11 +311,7 @@ func (m *Module) lockOrderCycles(edges map[string]*orderEdge) []Finding {
 		byPair[e.from+"\x00"+e.to] = e
 		nodeSet[e.from], nodeSet[e.to] = true, true
 	}
-	var nodes []string
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
+	nodes := sortedKeys(nodeSet)
 	for _, n := range nodes {
 		sort.Strings(adj[n])
 	}

@@ -147,6 +147,28 @@ func importPathOf(f *File, name string) string {
 	return ""
 }
 
+// stdlibCallKey is the one selector-to-stdlib resolver: it names a call's
+// target the way the stdlib tables are keyed ("importPath.Func",
+// "importPath.Type.Method"), or "" when the call is unresolvable or into
+// the module — module callees resolve through the call graph instead.
+func stdlibCallKey(m *Module, fd *funcDecl, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	key := ""
+	if base, ok := sel.X.(*ast.Ident); ok {
+		key = importPathOf(fd.file, base.Name)
+	}
+	if key == "" {
+		key = m.NamedKey(m.TypeOf(fd.pkg, fd.file, fd.decl, sel.X))
+	}
+	if key == "" || key == m.Path || strings.HasPrefix(key, m.Path+"/") || strings.HasPrefix(key, m.Path+".") {
+		return ""
+	}
+	return key + "." + sel.Sel.Name
+}
+
 // exprString renders an expression compactly ("e.mu", "w.e.mu") for
 // matching lock/unlock pairs.
 func exprString(fset *token.FileSet, e ast.Expr) string {
@@ -319,23 +341,26 @@ func (r *resolver) localDecl(body *ast.BlockStmt, name string) Type {
 				return false
 			}
 		case *ast.RangeStmt:
-			base := r.m.Underlying(r.typeOf(s.X))
-			match := func(e ast.Expr, t ast.Expr) {
-				if id, ok := e.(*ast.Ident); ok && id.Name == name && t != nil {
-					found = Type{Expr: t, Pkg: base.Pkg, File: base.File}
-				}
+			named := func(e ast.Expr) bool {
+				id, ok := e.(*ast.Ident)
+				return ok && id.Name == name
 			}
+			// Resolve the ranged expression only for a range that declares
+			// the name: each level of a definition chain would otherwise
+			// resolve every range in the body.
+			if !named(s.Key) && !named(s.Value) {
+				return true
+			}
+			base := r.m.Underlying(r.typeOf(s.X))
 			switch bt := base.Expr.(type) {
 			case *ast.MapType:
-				if s.Key != nil {
-					match(s.Key, bt.Key)
-				}
-				if s.Value != nil {
-					match(s.Value, bt.Value)
+				found = Type{Expr: bt.Value, Pkg: base.Pkg, File: base.File}
+				if named(s.Key) {
+					found.Expr = bt.Key
 				}
 			case *ast.ArrayType:
-				if s.Value != nil {
-					match(s.Value, bt.Elt)
+				if named(s.Value) {
+					found = Type{Expr: bt.Elt, Pkg: base.Pkg, File: base.File}
 				}
 			}
 		}

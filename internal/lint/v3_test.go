@@ -56,7 +56,7 @@ func TestShutdownPathWitness(t *testing.T) {
 // scratch many times and requires the exact same findings in the exact
 // same order every time.
 func TestFixpointDeterminism(t *testing.T) {
-	for _, fixture := range []string{"pure", "shutdownpath", "lockorder"} {
+	for _, fixture := range []string{"pure", "shutdownpath", "lockorder", "goleak"} {
 		dir := filepath.Join("testdata", "src", fixture)
 		var first []Finding
 		for i := 0; i < 10; i++ {
