@@ -234,10 +234,10 @@ func run(opts autopilot.Options, addr string, compare bool, outFile string) erro
 		table += "\n== autopilot vs static baseline ==\n\n" + cmp
 	}
 
-	snap := ap.Metrics().Snapshot()
+	m := ap.Metrics()
 	fmt.Printf("autopilotd: %d windows, %d queries, %d retunes (%d structures built, %d dropped) in %.1fs wall\n",
-		snap.WindowsCompleted, snap.QueriesServed, snap.RetunesApplied,
-		snap.StructuresBuilt, snap.StructuresDropped, wall)
+		m.WindowsCompleted.Load(), m.QueriesServed.Load(), m.RetunesApplied.Load(),
+		m.StructuresBuilt.Load(), m.StructuresDropped.Load(), wall)
 
 	if outFile != "" {
 		if err := os.WriteFile(outFile, []byte(table), 0o644); err != nil {

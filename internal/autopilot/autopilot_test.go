@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,19 +54,19 @@ func TestDriftRecovery(t *testing.T) {
 			final, preDrift, RenderTable(reports, retunes))
 	}
 
-	m := ap.Metrics().Snapshot()
+	m := ap.Metrics()
 	wantQueries := int64(opts.Windows * opts.WindowSize)
-	if m.QueriesServed != wantQueries {
-		t.Errorf("metrics served %d queries, want %d", m.QueriesServed, wantQueries)
+	if got := m.QueriesServed.Load(); got != wantQueries {
+		t.Errorf("metrics served %d queries, want %d", got, wantQueries)
 	}
-	if m.WindowsCompleted != int64(opts.Windows) {
-		t.Errorf("metrics windows = %d, want %d", m.WindowsCompleted, opts.Windows)
+	if got := m.WindowsCompleted.Load(); got != int64(opts.Windows) {
+		t.Errorf("metrics windows = %d, want %d", got, opts.Windows)
 	}
-	if m.RetunesApplied < 1 {
+	if m.RetunesApplied.Load() < 1 {
 		t.Error("metrics recorded no applied retunes")
 	}
-	if m.RetunesInFlight != 0 {
-		t.Errorf("retunes still in flight after Run: %d", m.RetunesInFlight)
+	if got := m.RetunesInFlight.Load(); got != 0 {
+		t.Errorf("retunes still in flight after Run: %d", got)
 	}
 }
 
@@ -228,11 +230,15 @@ func TestControllerConsider(t *testing.T) {
 	}
 }
 
+// promName is a label-free metric name; the autopilot's samples carry
+// no labels.
+var promName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+
 func TestMetricsHandler(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveQuery(core.Measure{Seconds: 1})
 	m.ObserveQuery(core.Measure{Seconds: 2, TimedOut: true})
-	m.ObserveWindow(WindowReport{Window: 0, Config: "P", Queries: 2, P95: 2, Satisfied: false, Satisfaction: 0.5})
+	m.ObserveWindow(WindowReport{Window: 0, Config: "P", Queries: 2, P95: 2, P99: math.Inf(1), Satisfied: false, Satisfaction: 0.5})
 
 	h := m.Handler()
 	rec := httptest.NewRecorder()
@@ -242,14 +248,26 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		"autopilot_queries_served_total 2",
+		"# TYPE autopilot_queries_served_total counter\nautopilot_queries_served_total 2\n",
 		"autopilot_query_timeouts_total 1",
 		"autopilot_windows_completed_total 1",
 		"autopilot_goal_violations_total 1",
+		"autopilot_window_p95_seconds 2",
+		"autopilot_window_p99_seconds -1",
 		"autopilot_window_goal_satisfaction 0.5",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
+		}
+	}
+	// Every non-comment line is a sample in the text-format grammar.
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		name, v, ok := strings.Cut(line, " ")
+		if _, err := strconv.ParseFloat(v, 64); !ok || err != nil || !promName.MatchString(name) {
+			t.Errorf("unparseable exposition line %q", line)
 		}
 	}
 

@@ -2,8 +2,6 @@ package autopilot
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -13,9 +11,9 @@ import (
 )
 
 // Metrics is the autopilot's observability surface: lock-free counters
-// updated from the worker pool as queries complete, plus a mutex-guarded
-// snapshot of the most recent window report. It backs both the periodic
-// text report and the daemon's /metrics and /healthz endpoints.
+// updated from the worker pool as queries complete, plus the most recent
+// window report under a mutex. It backs both the periodic text report
+// and the daemon's /metrics and /healthz endpoints.
 type Metrics struct {
 	start time.Time
 
@@ -31,9 +29,8 @@ type Metrics struct {
 	StructuresDropped atomic.Int64
 	RetuneWallMS      atomic.Int64
 
-	mu       sync.Mutex
-	last     WindowReport // conflint:guardedby mu
-	haveLast bool         // conflint:guardedby mu
+	mu   sync.Mutex
+	last *WindowReport // conflint:guardedby mu (nil before the first window)
 }
 
 // NewMetrics starts the uptime clock.
@@ -57,91 +54,8 @@ func (m *Metrics) ObserveWindow(rep WindowReport) {
 		m.GoalViolations.Add(1)
 	}
 	m.mu.Lock()
-	m.last = rep
-	m.haveLast = true
+	m.last = &rep
 	m.mu.Unlock()
-}
-
-// Snapshot is a point-in-time copy of every metric, for reports and the
-// perf-trajectory JSON.
-type Snapshot struct {
-	UptimeSeconds     float64    `json:"uptime_seconds"`
-	QueriesServed     int64      `json:"queries_served"`
-	Timeouts          int64      `json:"timeouts"`
-	WindowsCompleted  int64      `json:"windows_completed"`
-	GoalViolations    int64      `json:"goal_violations"`
-	RetunesApplied    int64      `json:"retunes_applied"`
-	RetuneErrors      int64      `json:"retune_errors"`
-	RetunesInFlight   int64      `json:"retunes_in_flight"`
-	StructuresBuilt   int64      `json:"structures_built"`
-	StructuresDropped int64      `json:"structures_dropped"`
-	RetuneWallMS      int64      `json:"retune_wall_ms"`
-	LastWindow        *WindowRow `json:"last_window,omitempty"`
-}
-
-// WindowRow is the JSON-safe view of a window report (infinite quantiles
-// are clamped to -1, meaning "beyond timeout").
-type WindowRow struct {
-	Window       int     `json:"window"`
-	Config       string  `json:"config"`
-	Queries      int     `json:"queries"`
-	P50          float64 `json:"p50_seconds"`
-	P95          float64 `json:"p95_seconds"`
-	P99          float64 `json:"p99_seconds"`
-	MeanSeconds  float64 `json:"mean_seconds"`
-	Timeouts     int     `json:"timeouts"`
-	EAMedian     float64 `json:"ea_ratio_p50"`
-	EAP90        float64 `json:"ea_ratio_p90"`
-	Satisfied    bool    `json:"goal_satisfied"`
-	Satisfaction float64 `json:"goal_satisfaction"`
-}
-
-func finite(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return -1
-	}
-	return x
-}
-
-func rowOf(rep WindowReport) *WindowRow {
-	return &WindowRow{
-		Window:       rep.Window,
-		Config:       rep.Config,
-		Queries:      rep.Queries,
-		P50:          finite(rep.P50),
-		P95:          finite(rep.P95),
-		P99:          finite(rep.P99),
-		MeanSeconds:  finite(rep.MeanSeconds),
-		Timeouts:     rep.Timeouts,
-		EAMedian:     rep.EAMedian,
-		EAP90:        rep.EAP90,
-		Satisfied:    rep.Satisfied,
-		Satisfaction: rep.Satisfaction,
-	}
-}
-
-// Snapshot copies the current metric values.
-func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		// conflint:ignore uptime is wall-clock observability; Snapshot consumers never render it into deterministic artifacts
-		UptimeSeconds:     time.Since(m.start).Seconds(),
-		QueriesServed:     m.QueriesServed.Load(),
-		Timeouts:          m.Timeouts.Load(),
-		WindowsCompleted:  m.WindowsCompleted.Load(),
-		GoalViolations:    m.GoalViolations.Load(),
-		RetunesApplied:    m.RetunesApplied.Load(),
-		RetuneErrors:      m.RetuneErrors.Load(),
-		RetunesInFlight:   m.RetunesInFlight.Load(),
-		StructuresBuilt:   m.StructuresBuilt.Load(),
-		StructuresDropped: m.StructuresDropped.Load(),
-		RetuneWallMS:      m.RetuneWallMS.Load(),
-	}
-	m.mu.Lock()
-	if m.haveLast {
-		s.LastWindow = rowOf(m.last)
-	}
-	m.mu.Unlock()
-	return s
 }
 
 // Handler serves /metrics (Prometheus text exposition) and /healthz
@@ -153,46 +67,59 @@ func (m *Metrics) Handler() http.Handler {
 	return mux
 }
 
+// uptime is the wall-clock seconds since NewMetrics.
+func (m *Metrics) uptime() float64 {
+	// conflint:ignore uptime is wall-clock observability; it feeds /metrics and /healthz, never a rendered report
+	return time.Since(m.start).Seconds()
+}
+
 func (m *Metrics) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	s := m.Snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "autopilot_uptime_seconds %g\n", s.UptimeSeconds)
-	fmt.Fprintf(w, "autopilot_queries_served_total %d\n", s.QueriesServed)
-	fmt.Fprintf(w, "autopilot_query_timeouts_total %d\n", s.Timeouts)
-	fmt.Fprintf(w, "autopilot_windows_completed_total %d\n", s.WindowsCompleted)
-	fmt.Fprintf(w, "autopilot_goal_violations_total %d\n", s.GoalViolations)
-	fmt.Fprintf(w, "autopilot_retunes_applied_total %d\n", s.RetunesApplied)
-	fmt.Fprintf(w, "autopilot_retune_errors_total %d\n", s.RetuneErrors)
-	fmt.Fprintf(w, "autopilot_retunes_in_flight %d\n", s.RetunesInFlight)
-	fmt.Fprintf(w, "autopilot_structures_built_total %d\n", s.StructuresBuilt)
-	fmt.Fprintf(w, "autopilot_structures_dropped_total %d\n", s.StructuresDropped)
-	fmt.Fprintf(w, "autopilot_retune_wall_ms_total %d\n", s.RetuneWallMS)
-	if lw := s.LastWindow; lw != nil {
-		fmt.Fprintf(w, "autopilot_window_index %d\n", lw.Window)
-		fmt.Fprintf(w, "autopilot_window_p50_seconds %g\n", lw.P50)
-		fmt.Fprintf(w, "autopilot_window_p95_seconds %g\n", lw.P95)
-		fmt.Fprintf(w, "autopilot_window_p99_seconds %g\n", lw.P99)
-		fmt.Fprintf(w, "autopilot_window_mean_seconds %g\n", lw.MeanSeconds)
-		fmt.Fprintf(w, "autopilot_window_ea_ratio_p50 %g\n", lw.EAMedian)
-		fmt.Fprintf(w, "autopilot_window_ea_ratio_p90 %g\n", lw.EAP90)
-		sat := 0
+	var p core.Prom
+	one := func(name, typ, help string, v float64) {
+		p.Family(name, typ, help)
+		p.Sample(name, v)
+	}
+	count := func(name, help string, c *atomic.Int64) { one(name, "counter", help, float64(c.Load())) }
+	one("autopilot_uptime_seconds", "gauge", "Wall-clock seconds since the daemon started.", m.uptime())
+	count("autopilot_queries_served_total", "Queries executed.", &m.QueriesServed)
+	count("autopilot_query_timeouts_total", "Queries that hit the timeout.", &m.Timeouts)
+	count("autopilot_windows_completed_total", "Workload windows graded.", &m.WindowsCompleted)
+	count("autopilot_goal_violations_total", "Windows that missed the goal.", &m.GoalViolations)
+	count("autopilot_retunes_applied_total", "Configuration transitions applied.", &m.RetunesApplied)
+	count("autopilot_retune_errors_total", "Retunes that failed to recommend or to apply.", &m.RetuneErrors)
+	one("autopilot_retunes_in_flight", "gauge", "Retunes building right now.", float64(m.RetunesInFlight.Load()))
+	count("autopilot_structures_built_total", "Indexes and views built by retunes.", &m.StructuresBuilt)
+	count("autopilot_structures_dropped_total", "Indexes and views dropped by retunes.", &m.StructuresDropped)
+	count("autopilot_retune_wall_ms_total", "Wall-clock milliseconds spent retuning.", &m.RetuneWallMS)
+	m.mu.Lock()
+	lw := m.last
+	m.mu.Unlock()
+	if lw != nil {
+		sat := 0.0
 		if lw.Satisfied {
 			sat = 1
 		}
-		fmt.Fprintf(w, "autopilot_window_goal_satisfied %d\n", sat)
-		fmt.Fprintf(w, "autopilot_window_goal_satisfaction %g\n", lw.Satisfaction)
+		one("autopilot_window_index", "gauge", "Index of the last graded window.", float64(lw.Window))
+		one("autopilot_window_p50_seconds", "gauge", "Last window's median simulated latency (-1 when among timeouts).", core.FiniteOrNeg(lw.P50))
+		one("autopilot_window_p95_seconds", "gauge", "Last window's p95 simulated latency (-1 when among timeouts).", core.FiniteOrNeg(lw.P95))
+		one("autopilot_window_p99_seconds", "gauge", "Last window's p99 simulated latency (-1 when among timeouts).", core.FiniteOrNeg(lw.P99))
+		one("autopilot_window_mean_seconds", "gauge", "Last window's mean simulated latency (-1 when infinite).", core.FiniteOrNeg(lw.MeanSeconds))
+		one("autopilot_window_ea_ratio_p50", "gauge", "Last window's median estimated/actual cost ratio.", lw.EAMedian)
+		one("autopilot_window_ea_ratio_p90", "gauge", "Last window's p90 estimated/actual cost ratio.", lw.EAP90)
+		one("autopilot_window_goal_satisfied", "gauge", "1 when the last window met the goal.", sat)
+		one("autopilot_window_goal_satisfaction", "gauge", "Last window's goal satisfaction level in [0,1].", lw.Satisfaction)
 	}
+	p.Serve(w)
 }
 
 func (m *Metrics) serveHealth(w http.ResponseWriter, _ *http.Request) {
-	s := m.Snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	// conflint:ignore best-effort write to a health-check client that may have disconnected; nothing to do with the error
 	json.NewEncoder(w).Encode(map[string]any{
 		"status":            "ok",
-		"uptime_seconds":    s.UptimeSeconds,
-		"windows_completed": s.WindowsCompleted,
-		"queries_served":    s.QueriesServed,
-		"retunes_in_flight": s.RetunesInFlight,
+		"uptime_seconds":    m.uptime(),
+		"windows_completed": m.WindowsCompleted.Load(),
+		"queries_served":    m.QueriesServed.Load(),
+		"retunes_in_flight": m.RetunesInFlight.Load(),
 	})
 }

@@ -91,7 +91,7 @@ func (g *Gateway) finish(t *tenantState, seq int64, family, sqlText string, res 
 	g.audit.add(rec)
 	if t.noteCompleted(sqlText, m.Seconds, m.TimedOut, err != nil) {
 		if tn := g.tunerP.Load(); tn != nil {
-			tn.signal()
+			tn.w.signal()
 		}
 	}
 	if as := g.autoP.Load(); as != nil {

@@ -3,7 +3,6 @@ package gateway
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -113,36 +112,6 @@ func (a *auditor) snapshot() []AuditRecord {
 
 // Records returns every retained audit record in arrival order.
 func (g *Gateway) AuditRecords() []AuditRecord { return g.audit.snapshot() }
-
-// AuditDumpTenant renders one tenant's audit log as JSON lines, ordered
-// by client sequence number (arrival order as tiebreak). For a seeded
-// schedule with unique sequence numbers the bytes are identical across
-// runs and across any server/client parallelism.
-func (g *Gateway) AuditDumpTenant(tenant string) []byte {
-	recs := g.audit.snapshot()
-	kept := recs[:0]
-	for _, r := range recs {
-		if r.Tenant == tenant {
-			kept = append(kept, r)
-		}
-	}
-	sort.SliceStable(kept, func(i, j int) bool {
-		if kept[i].Seq != kept[j].Seq {
-			return kept[i].Seq < kept[j].Seq
-		}
-		return kept[i].arrival < kept[j].arrival
-	})
-	var out []byte
-	for i := range kept {
-		data, err := json.Marshal(&kept[i])
-		if err != nil {
-			continue
-		}
-		out = append(out, data...)
-		out = append(out, '\n')
-	}
-	return out
-}
 
 // hashSQL fingerprints a query text with FNV-1a.
 func hashSQL(s string) string {

@@ -17,9 +17,7 @@ import (
 // configured bounds. In dry-run mode every proposal is audited but
 // nothing mutates.
 //
-// The worker mirrors the tuner's shape: one goroutine serializes scale
-// actions, windows arriving mid-action coalesce into at most one
-// pending evaluation.
+// One worker goroutine serializes scale actions, as in the tuner.
 type autoscaler struct {
 	g    *Gateway
 	cl   *shard.Cluster
@@ -35,11 +33,7 @@ type autoscaler struct {
 
 	windows atomic.Int64 // windows evaluated
 
-	// trigger wakes the worker; capacity 1 so bursts of window closes
-	// collapse into one drain of the pending list.
-	trigger chan struct{}
-	done    chan struct{}
-	stop1   sync.Once
+	w *worker // bursts of window closes collapse into one drain of pending
 }
 
 func newAutoscaler(g *Gateway, cl *shard.Cluster) *autoscaler {
@@ -58,29 +52,19 @@ func newAutoscaler(g *Gateway, cl *shard.Cluster) *autoscaler {
 		},
 		upd:     upd,
 		entries: make([]core.Measure, 0, g.cfg.AutoscaleWindow),
-		trigger: make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		w:       newWorker(),
 	}
 }
 
 // start launches the scale worker.
 func (as *autoscaler) start() {
-	// conflint:worker lifecycle=trigger autoscale loop; autoscaler.stop closes trigger and waits on done
+	// conflint:worker lifecycle=trigger autoscale loop; worker.stop closes trigger and waits on done
 	go func() {
-		defer close(as.done)
-		for range as.trigger {
+		defer close(as.w.done)
+		for range as.w.trigger {
 			as.drain()
 		}
 	}()
-}
-
-// stop ends the loop and waits out an in-flight reshard — a reshard
-// builds the next topology beside the serving one, and Shutdown must not
-// return until it has swapped in or failed (the same shutdown-ordering
-// contract as the tuner's Transition).
-func (as *autoscaler) stop() {
-	as.stop1.Do(func() { close(as.trigger) })
-	<-as.done
 }
 
 // observe folds one completion into the accumulating window; on the
@@ -101,10 +85,7 @@ func (as *autoscaler) observe(seconds float64, timedOut, errored bool) {
 	w := as.closeWindowLocked()
 	as.pending = append(as.pending, w)
 	as.mu.Unlock()
-	select {
-	case as.trigger <- struct{}{}:
-	default:
-	}
+	as.w.signal()
 }
 
 // closeWindowLocked grades the filled window into the record the

@@ -6,9 +6,12 @@
 package gateway
 
 import (
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -199,4 +202,58 @@ func TestGoalLevelMatchesCFCSatisfaction(t *testing.T) {
 	if got != want {
 		t.Errorf("goal level %v, want %v (CFC reference)", got, want)
 	}
+}
+
+// AuditDumpTenant renders one tenant's audit log as JSON lines, ordered
+// by client sequence number (arrival order as tiebreak). For a seeded
+// schedule with unique sequence numbers the bytes are identical across
+// runs and across any server/client parallelism.
+func (g *Gateway) AuditDumpTenant(tenant string) []byte {
+	recs := g.audit.snapshot()
+	kept := recs[:0]
+	for _, r := range recs {
+		if r.Tenant == tenant {
+			kept = append(kept, r)
+		}
+	}
+	sort.SliceStable(kept, func(i, j int) bool {
+		if kept[i].Seq != kept[j].Seq {
+			return kept[i].Seq < kept[j].Seq
+		}
+		return kept[i].arrival < kept[j].arrival
+	})
+	var out []byte
+	for i := range kept {
+		data, err := json.Marshal(&kept[i])
+		if err != nil {
+			continue
+		}
+		out = append(out, data...)
+		out = append(out, '\n')
+	}
+	return out
+}
+
+// GoalReport renders the deterministic per-tenant goal ledger: for a
+// seeded schedule it is byte-identical across runs and parallelism (the
+// numbers derive from order-insensitive cumulative counters). Reasons
+// and tenants iterate in sorted/config order.
+func (g *Gateway) GoalReport() string {
+	var b strings.Builder
+	b.WriteString("tenant  admitted  completed  timeouts  rejected  goal_level\n")
+	for _, name := range g.tenantOrder {
+		t := g.tenants[name].snapshot()
+		reasons := sortedKeys(t.Rejected)
+		var nrej int64
+		for _, reason := range reasons {
+			nrej += t.Rejected[reason]
+		}
+		b.WriteString(t.Tenant + "  " + strconv.FormatInt(t.Admitted, 10) + "  " +
+			strconv.FormatInt(t.Completed, 10) + "  " + strconv.FormatInt(t.Timeouts, 10) + "  " +
+			strconv.FormatInt(nrej, 10) + "  " + strconv.FormatFloat(t.GoalLevel, 'f', 4, 64) + "\n")
+		for _, reason := range reasons {
+			b.WriteString("  " + t.Tenant + ".rejected." + reason + " = " + strconv.FormatInt(t.Rejected[reason], 10) + "\n")
+		}
+	}
+	return b.String()
 }

@@ -552,10 +552,10 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		case <-drained:
 		}
 		if tn := g.tunerP.Load(); tn != nil {
-			tn.stop()
+			tn.w.stop()
 		}
 		if as := g.autoP.Load(); as != nil {
-			as.stop()
+			as.w.stop()
 		}
 	})
 	return g.shutdownErr

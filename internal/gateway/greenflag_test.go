@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -202,5 +204,50 @@ func TestGreenflagMetricsAndStats(t *testing.T) {
 	s := g.Stats()
 	if len(s.Tenants) != 3 || s.Tenants[0].Tenant != "alpha" {
 		t.Errorf("stats tenants %+v", s.Tenants)
+	}
+}
+
+// promLine is the text-format grammar of one sample line: a metric
+// name, optional labels whose values escape exactly backslash, double
+// quote and newline, and a value.
+var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (\S+)$`)
+
+// TestMetricsEscapeTenantNames: Validate accepts any tenant name, so the
+// exposition must escape one that carries a quote and a backslash.
+func TestMetricsEscapeTenantNames(t *testing.T) {
+	cfg := testConfig(append(threeTenants(),
+		TenantConfig{Name: `a"b\c`, APIKey: "odd-key", Families: []string{"NREF2J"}, MaxQueue: 4, MaxConcurrency: 1, Window: 8})...)
+	_, ts := newTestGateway(t, cfg)
+	if status, _, _ := postQuery(t, ts.URL, "odd-key", 1, "NREF2J", "SELEC nonsense"); status != http.StatusBadRequest {
+		t.Fatalf("malformed query: status %d, want 400", status)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read metrics: %v", err)
+	}
+	text := string(data)
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		if m := promLine.FindStringSubmatch(line); m == nil {
+			t.Errorf("unparseable exposition line %q", line)
+		} else if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Errorf("line %q: value %v", line, err)
+		}
+	}
+	for _, want := range []string{
+		`gateway_tenant_admitted_total{tenant="a\"b\\c"} 0`,
+		`gateway_tenant_rejected_total{tenant="a\"b\\c",reason="malformed-sql"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q in:\n%s", want, text)
+		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/core"
 )
 
 // Snapshot is the gateway-wide observability record: global counters
@@ -83,13 +83,7 @@ func (g *Gateway) Stats() Snapshot {
 			sh.Autoscale = true
 			sh.AutoscaleDryRun = as.upd.DryRun
 			sh.AutoscaleWindows = as.windows.Load()
-			audit := as.upd.Audit()
-			if len(audit) > 0 {
-				sh.AutoscaleActions = make(map[string]int64, 4)
-				for _, rec := range audit {
-					sh.AutoscaleActions[rec.Action]++
-				}
-			}
+			sh.AutoscaleActions = as.upd.Actions()
 		}
 		s.Sharding = sh
 	}
@@ -112,138 +106,64 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // in config order and reason keys are sorted, so scrapes are stable.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s := g.Stats()
-	var b strings.Builder
-	gauge := func(name string, v float64) {
-		b.WriteString(name)
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		b.WriteByte('\n')
+	var p core.Prom
+	one := func(name, typ, help string, v float64) {
+		p.Family(name, typ, help)
+		p.Sample(name, v)
 	}
-	b.WriteString("# HELP gateway_ready 1 once the catalog is loaded and the gateway accepts queries.\n# TYPE gateway_ready gauge\n")
-	gauge("gateway_ready", boolGauge(s.Ready))
-	b.WriteString("# HELP gateway_inflight Queries executing on the engine right now.\n# TYPE gateway_inflight gauge\n")
-	gauge("gateway_inflight", float64(s.Inflight))
-	b.WriteString("# HELP gateway_accepted_total Queries admitted across all tenants.\n# TYPE gateway_accepted_total counter\n")
-	gauge("gateway_accepted_total", float64(s.Accepted))
-	b.WriteString("# HELP gateway_rejected_total Requests rejected across all tenants and stages.\n# TYPE gateway_rejected_total counter\n")
-	gauge("gateway_rejected_total", float64(s.Rejected))
-	b.WriteString("# HELP gateway_retunes_total Goal-triggered configuration transitions applied.\n# TYPE gateway_retunes_total counter\n")
-	gauge("gateway_retunes_total", float64(s.Retunes))
-	b.WriteString("# HELP gateway_retune_errors_total Retunes that failed to recommend or to apply a configuration.\n# TYPE gateway_retune_errors_total counter\n")
-	gauge("gateway_retune_errors_total", float64(s.RetuneErrs))
-	if s.Sharding != nil {
-		b.WriteString("# HELP gateway_shards Current shard count.\n# TYPE gateway_shards gauge\n")
-		gauge("gateway_shards", float64(s.Sharding.Shards))
-		b.WriteString("# HELP gateway_shard_pool Current partition worker-pool width.\n# TYPE gateway_shard_pool gauge\n")
-		gauge("gateway_shard_pool", float64(s.Sharding.Pool))
-		b.WriteString("# HELP gateway_reshards_total Live topology changes applied.\n# TYPE gateway_reshards_total counter\n")
-		gauge("gateway_reshards_total", float64(s.Sharding.Reshards))
-		b.WriteString("# HELP gateway_autoscale_actions_total Autoscaler audit records by action.\n# TYPE gateway_autoscale_actions_total counter\n")
-		actions := make([]string, 0, len(s.Sharding.AutoscaleActions))
-		for a := range s.Sharding.AutoscaleActions {
-			actions = append(actions, a)
-		}
-		sort.Strings(actions)
-		for _, a := range actions {
-			gauge("gateway_autoscale_actions_total{action=\""+a+"\"}", float64(s.Sharding.AutoscaleActions[a]))
+	ready := 0.0
+	if s.Ready {
+		ready = 1
+	}
+	one("gateway_ready", "gauge", "1 once the catalog is loaded and the gateway accepts queries.", ready)
+	one("gateway_inflight", "gauge", "Queries executing on the engine right now.", float64(s.Inflight))
+	one("gateway_accepted_total", "counter", "Queries admitted across all tenants.", float64(s.Accepted))
+	one("gateway_rejected_total", "counter", "Requests rejected across all tenants and stages.", float64(s.Rejected))
+	one("gateway_retunes_total", "counter", "Goal-triggered configuration transitions applied.", float64(s.Retunes))
+	one("gateway_retune_errors_total", "counter", "Retunes that failed to recommend or to apply a configuration.", float64(s.RetuneErrs))
+	if sh := s.Sharding; sh != nil {
+		one("gateway_shards", "gauge", "Current shard count.", float64(sh.Shards))
+		one("gateway_shard_pool", "gauge", "Current partition worker-pool width.", float64(sh.Pool))
+		one("gateway_reshards_total", "counter", "Live topology changes applied.", float64(sh.Reshards))
+		p.Family("gateway_autoscale_actions_total", "counter", "Autoscaler audit records by action.")
+		for _, a := range sortedKeys(sh.AutoscaleActions) {
+			p.Sample("gateway_autoscale_actions_total", float64(sh.AutoscaleActions[a]), "action", a)
 		}
 	}
-
-	b.WriteString("# HELP gateway_tenant_admitted_total Queries admitted per tenant.\n# TYPE gateway_tenant_admitted_total counter\n")
-	for _, t := range s.Tenants {
-		gauge("gateway_tenant_admitted_total{tenant=\""+t.Tenant+"\"}", float64(t.Admitted))
-	}
-	b.WriteString("# HELP gateway_tenant_completed_total Queries completed per tenant.\n# TYPE gateway_tenant_completed_total counter\n")
-	for _, t := range s.Tenants {
-		gauge("gateway_tenant_completed_total{tenant=\""+t.Tenant+"\"}", float64(t.Completed))
-	}
-	b.WriteString("# HELP gateway_tenant_rejected_total Rejections per tenant by reason.\n# TYPE gateway_tenant_rejected_total counter\n")
-	for _, t := range s.Tenants {
-		reasons := make([]string, 0, len(t.Rejected))
-		for reason := range t.Rejected {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
-		for _, reason := range reasons {
-			gauge("gateway_tenant_rejected_total{tenant=\""+t.Tenant+"\",reason=\""+reason+"\"}", float64(t.Rejected[reason]))
+	perTenant := func(name, typ, help string, v func(TenantSnapshot) float64) {
+		p.Family(name, typ, help)
+		for _, t := range s.Tenants {
+			p.Sample(name, v(t), "tenant", t.Tenant)
 		}
 	}
-	b.WriteString("# HELP gateway_tenant_goal_level Cumulative goal satisfaction level in [0,1].\n# TYPE gateway_tenant_goal_level gauge\n")
+	perTenant("gateway_tenant_admitted_total", "counter", "Queries admitted per tenant.",
+		func(t TenantSnapshot) float64 { return float64(t.Admitted) })
+	perTenant("gateway_tenant_completed_total", "counter", "Queries completed per tenant.",
+		func(t TenantSnapshot) float64 { return float64(t.Completed) })
+	p.Family("gateway_tenant_rejected_total", "counter", "Rejections per tenant by reason.")
 	for _, t := range s.Tenants {
-		gauge("gateway_tenant_goal_level{tenant=\""+t.Tenant+"\"}", t.GoalLevel)
+		for _, reason := range sortedKeys(t.Rejected) {
+			p.Sample("gateway_tenant_rejected_total", float64(t.Rejected[reason]), "tenant", t.Tenant, "reason", reason)
+		}
 	}
-	b.WriteString("# HELP gateway_tenant_window_goal_level Sliding-window goal satisfaction level in [0,1].\n# TYPE gateway_tenant_window_goal_level gauge\n")
-	for _, t := range s.Tenants {
-		gauge("gateway_tenant_window_goal_level{tenant=\""+t.Tenant+"\"}", t.WindowGoalLevel)
-	}
-	b.WriteString("# HELP gateway_tenant_window_p50_seconds Sliding-window median simulated latency (-1 when among timeouts).\n# TYPE gateway_tenant_window_p50_seconds gauge\n")
-	for _, t := range s.Tenants {
-		gauge("gateway_tenant_window_p50_seconds{tenant=\""+t.Tenant+"\"}", t.WindowP50)
-	}
-	b.WriteString("# HELP gateway_tenant_window_p95_seconds Sliding-window p95 simulated latency (-1 when among timeouts).\n# TYPE gateway_tenant_window_p95_seconds gauge\n")
-	for _, t := range s.Tenants {
-		gauge("gateway_tenant_window_p95_seconds{tenant=\""+t.Tenant+"\"}", t.WindowP95)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	// conflint:ignore best-effort response write; the client owns the socket
-	w.Write([]byte(b.String()))
+	perTenant("gateway_tenant_goal_level", "gauge", "Cumulative goal satisfaction level in [0,1].",
+		func(t TenantSnapshot) float64 { return t.GoalLevel })
+	perTenant("gateway_tenant_window_goal_level", "gauge", "Sliding-window goal satisfaction level in [0,1].",
+		func(t TenantSnapshot) float64 { return t.WindowGoalLevel })
+	perTenant("gateway_tenant_window_p50_seconds", "gauge", "Sliding-window median simulated latency (-1 when among timeouts).",
+		func(t TenantSnapshot) float64 { return t.WindowP50 })
+	perTenant("gateway_tenant_window_p95_seconds", "gauge", "Sliding-window p95 simulated latency (-1 when among timeouts).",
+		func(t TenantSnapshot) float64 { return t.WindowP95 })
+	p.Serve(w)
 }
 
-// GoalReport renders the deterministic per-tenant goal ledger: for a
-// seeded schedule it is byte-identical across runs and parallelism (the
-// numbers derive from order-insensitive cumulative counters). Reasons
-// and tenants iterate in sorted/config order.
-func (g *Gateway) GoalReport() string {
-	var b strings.Builder
-	b.WriteString("tenant  admitted  completed  timeouts  rejected  goal_level\n")
-	for _, name := range g.tenantOrder {
-		t := g.tenants[name].snapshot()
-		var nrej int64
-		reasons := make([]string, 0, len(t.Rejected))
-		for reason := range t.Rejected {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
-		for _, reason := range reasons {
-			nrej += t.Rejected[reason]
-		}
-		b.WriteString(t.Tenant)
-		b.WriteString("  ")
-		b.WriteString(strconv.FormatInt(t.Admitted, 10))
-		b.WriteString("  ")
-		b.WriteString(strconv.FormatInt(t.Completed, 10))
-		b.WriteString("  ")
-		b.WriteString(strconv.FormatInt(t.Timeouts, 10))
-		b.WriteString("  ")
-		b.WriteString(strconv.FormatInt(nrej, 10))
-		b.WriteString("  ")
-		b.WriteString(strconv.FormatFloat(t.GoalLevel, 'f', 4, 64))
-		b.WriteByte('\n')
-		for _, reason := range reasons {
-			b.WriteString("  ")
-			b.WriteString(t.Tenant)
-			b.WriteString(".rejected.")
-			b.WriteString(reason)
-			b.WriteString(" = ")
-			b.WriteString(strconv.FormatInt(t.Rejected[reason], 10))
-			b.WriteByte('\n')
-		}
+// sortedKeys returns a count map's keys in sorted order, so renders of
+// the same counters are byte-identical.
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return b.String()
-}
-
-func boolGauge(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// finiteOrNeg clamps the CFC's +Inf timeout quantiles to -1 for JSON and
-// metrics surfaces.
-func finiteOrNeg(x float64) float64 {
-	if x > 1e17 {
-		return -1
-	}
-	return x
+	sort.Strings(keys)
+	return keys
 }

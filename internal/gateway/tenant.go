@@ -222,8 +222,8 @@ func (t *tenantState) snapshot() TenantSnapshot {
 		if len(t.window) == t.cfg.Window {
 			s.WindowGoalLevel = t.goal.Satisfaction(cfc)
 		}
-		s.WindowP50 = finiteOrNeg(cfc.Quantile(0.50))
-		s.WindowP95 = finiteOrNeg(cfc.Quantile(0.95))
+		s.WindowP50 = core.FiniteOrNeg(cfc.Quantile(0.50))
+		s.WindowP95 = core.FiniteOrNeg(cfc.Quantile(0.95))
 	}
 	return s
 }

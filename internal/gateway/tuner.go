@@ -16,19 +16,13 @@ import (
 // keeps flowing on the engine's concurrent read path (the same
 // serve-while-retuning posture as the autopilot daemon).
 //
-// One tuner goroutine serializes retunes; nudges arriving mid-retune
-// coalesce into at most one pending trigger.
+// One worker goroutine serializes retunes.
 type tuner struct {
 	g      *Gateway
 	recCfg recommender.Config
 	whatif *engine.WhatIf
 	budget int64
-
-	// trigger wakes the worker. Capacity 1: sends are non-blocking, so a
-	// burst of violations collapses into one retune.
-	trigger chan struct{}
-	done    chan struct{}
-	stop1   sync.Once
+	w      *worker
 
 	applied atomic.Int64
 	failed  atomic.Int64
@@ -37,43 +31,55 @@ type tuner struct {
 	lastErr atomic.Pointer[string]
 }
 
+// worker is the tuner's and the autoscaler's coalescing trigger: with
+// capacity 1, signals arriving mid-run collapse into one more run. Each
+// owner spawns its own `for range w.trigger` loop, so conflint still
+// sees the body it runs as a static call.
+type worker struct {
+	trigger chan struct{}
+	done    chan struct{}
+	stop1   sync.Once
+}
+
+func newWorker() *worker {
+	return &worker{trigger: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// signal asks for one more run without blocking the hot path.
+func (w *worker) signal() {
+	select {
+	case w.trigger <- struct{}{}:
+	default:
+	}
+}
+
+// stop ends the loop and waits for the in-flight run: a Transition or
+// reshard must publish or fail before Shutdown returns (the ordering
+// contract shared with autopilotd). Repeated calls return.
+func (w *worker) stop() {
+	w.stop1.Do(func() { close(w.trigger) })
+	<-w.done
+}
+
 func newTuner(g *Gateway, recCfg recommender.Config, whatif *engine.WhatIf, budget int64) *tuner {
 	return &tuner{
-		g:       g,
-		recCfg:  recCfg,
-		whatif:  whatif,
-		budget:  budget,
-		trigger: make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		g:      g,
+		recCfg: recCfg,
+		whatif: whatif,
+		budget: budget,
+		w:      newWorker(),
 	}
 }
 
 // start launches the retune loop.
 func (tn *tuner) start() {
-	// conflint:worker lifecycle=trigger retune loop; tuner.stop closes trigger and waits on done
+	// conflint:worker lifecycle=trigger retune loop; worker.stop closes trigger and waits on done
 	go func() {
-		defer close(tn.done)
-		for range tn.trigger {
+		defer close(tn.w.done)
+		for range tn.w.trigger {
 			tn.retune()
 		}
 	}()
-}
-
-// signal nudges the tuner without blocking the hot path.
-func (tn *tuner) signal() {
-	select {
-	case tn.trigger <- struct{}{}:
-	default:
-	}
-}
-
-// stop ends the loop and waits for an in-flight retune to finish — a
-// Transition builds the next engine snapshot beside the serving one, and
-// Shutdown must not return until it has published or failed (the
-// shutdown-ordering contract shared with autopilotd).
-func (tn *tuner) stop() {
-	tn.stop1.Do(func() { close(tn.trigger) })
-	<-tn.done
 }
 
 // retune recommends over the union of every tenant's recent distinct

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -81,4 +82,47 @@ func TestFailedRetuneKeepsItsReason(t *testing.T) {
 	if s.Retunes != 0 || s.RetuneErrs != 1 || s.RetuneLastError == "" {
 		t.Errorf("retunes %d, retune errors %d, last error %q; want 0, 1 and a reason", s.Retunes, s.RetuneErrs, s.RetuneLastError)
 	}
+}
+
+// TestWorkerCoalescesAndStops pins the coalescing worker the tuner and
+// the autoscaler share: a burst of signals while a run is blocked yields
+// exactly one further run, stop waits for the run in flight, and a
+// second stop returns.
+func TestWorkerCoalescesAndStops(t *testing.T) {
+	w := newWorker()
+	entered := make(chan struct{}, 4)
+	release := make(chan struct{})
+	var runs atomic.Int64
+	go func() {
+		defer close(w.done)
+		for range w.trigger {
+			runs.Add(1)
+			entered <- struct{}{}
+			<-release
+		}
+	}()
+	w.signal()
+	<-entered
+	for i := 0; i < 100; i++ {
+		w.signal()
+	}
+	release <- struct{}{}
+	<-entered
+
+	stopped := make(chan struct{})
+	go func() {
+		w.stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("stop returned while a run was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-stopped
+	if n := runs.Load(); n != 2 {
+		t.Errorf("%d runs, want 2: the burst must coalesce into one", n)
+	}
+	w.stop()
 }

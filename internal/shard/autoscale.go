@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 )
@@ -260,7 +261,9 @@ type AuditRecord struct {
 // Updater owns the side-effecting half of the autoscaler: it takes
 // recommendations, enforces Bounds, and either applies them to the
 // target cluster or — in DryRun mode — only records what it would have
-// done. Every recommendation produces exactly one audit record.
+// done. Every recommendation produces exactly one audit record; the
+// trail keeps the most recent auditKeep of them, and per-action counts
+// cover all.
 type Updater struct {
 	Bounds Bounds
 	DryRun bool
@@ -274,10 +277,15 @@ type Updater struct {
 	Cooldown int
 
 	mu         sync.Mutex
-	audit      []AuditRecord // conflint:guardedby mu
-	lastAction int           // conflint:guardedby mu (window of the most recent action)
-	hasAction  bool          // conflint:guardedby mu
+	audit      []AuditRecord    // conflint:guardedby mu (the last auditKeep records)
+	actions    map[string]int64 // conflint:guardedby mu (records by Action, all time)
+	lastAction int              // conflint:guardedby mu (window of the most recent action)
+	hasAction  bool             // conflint:guardedby mu
 }
+
+// auditKeep bounds the audit trail: a long-running autoscaler audits
+// every window, and only the recent ones explain its current state.
+const auditKeep = 256
 
 // NewUpdater builds an updater for a cluster.
 func NewUpdater(target *Cluster, bounds Bounds, dryRun bool) *Updater {
@@ -319,7 +327,14 @@ func (u *Updater) Apply(rec Recommendation) AuditRecord {
 			u.lastAction, u.hasAction = rec.Window, true
 		}
 	}
+	if len(u.audit) == auditKeep {
+		u.audit = append(u.audit[:0], u.audit[1:]...)
+	}
 	u.audit = append(u.audit, out)
+	if u.actions == nil {
+		u.actions = make(map[string]int64, 4)
+	}
+	u.actions[out.Action]++
 	return out
 }
 
@@ -338,11 +353,20 @@ func (u *Updater) applyProposal(p *Proposal) error {
 	return nil
 }
 
-// Audit returns a copy of the audit trail.
+// Audit returns a copy of the audit trail's most recent records, oldest
+// first.
 func (u *Updater) Audit() []AuditRecord {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	out := make([]AuditRecord, len(u.audit))
 	copy(out, u.audit)
 	return out
+}
+
+// Actions returns a copy of the per-action record counts (nil before
+// the first record).
+func (u *Updater) Actions() map[string]int64 {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return maps.Clone(u.actions)
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -362,5 +363,37 @@ func TestUpdaterApplies(t *testing.T) {
 	}
 	if render(before) != render(after) {
 		t.Error("result changed across an applied scale action")
+	}
+}
+
+// TestUpdaterAuditBounded: a long-running updater keeps only its most
+// recent audit records, while the per-action counts still cover every
+// window it was handed.
+func TestUpdaterAuditBounded(t *testing.T) {
+	u := NewUpdater(nil, Bounds{MinShards: 1, MaxShards: 4, MinPool: 1, MaxPool: 16}, true)
+	u.Cooldown = 1
+	n := 2*auditKeep + 3
+	want := map[string]int64{}
+	for w := 1; w <= n; w++ {
+		rec := Recommendation{Window: w}
+		if w%3 != 0 {
+			rec.Proposal = &Proposal{Rule: "scale-out-goal", FromShards: 2, ToShards: 4 * (1 + w%5/4), FromPool: 4, ToPool: 4}
+		}
+		want[u.Apply(rec).Action]++
+	}
+	if len(want) != 4 {
+		t.Fatalf("sequence exercised %v; want holds, dry-runs, cooldowns and refusals", want)
+	}
+	audit := u.Audit()
+	if len(audit) != auditKeep {
+		t.Fatalf("%d audit records after %d windows, want the last %d", len(audit), n, auditKeep)
+	}
+	for i, a := range audit {
+		if want := n - auditKeep + 1 + i; a.Window != want {
+			t.Fatalf("audit %d is window %d, want %d (oldest first, most recent kept)", i, a.Window, want)
+		}
+	}
+	if got := u.Actions(); !maps.Equal(got, want) {
+		t.Errorf("Actions() = %v, want %v", got, want)
 	}
 }

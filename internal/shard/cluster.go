@@ -460,46 +460,6 @@ func (c *Cluster) PartitionPhysical(i int) (*plan.Physical, error) {
 	return top.shards[i].Physical(), nil
 }
 
-// EstimateSharded optimizes a query once per partition — against the
-// same hybrid physical descriptions (native partitions, exchange
-// buckets, broadcast coordinator tables) RunAnalyzed executes with — and
-// returns the per-partition optimizer estimates. This is the what-if
-// surface for partition statistics: the coordinator's estimate answers
-// "what would this cost unsharded", EstimateSharded answers "what does
-// each partition think it will pay". A 1-shard topology returns the
-// coordinator's single estimate.
-func (c *Cluster) EstimateSharded(sqlText string) ([]engine.Measure, error) {
-	q, err := c.coord.AnalyzeSQL(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	top, _ := c.snapshot()
-	if top == nil || len(top.shards) == 0 {
-		m, err := c.coord.Estimate(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		return []engine.Measure{m}, nil
-	}
-	coordPhys := c.coord.Physical()
-	placements, _ := planPlacements(q, coordPhys, top.spec)
-	shardOpts := c.coord.Profile.Opts
-	shardOpts.NoViews = true
-	out := make([]engine.Measure, len(top.shards))
-	for i := range top.shards {
-		hybrid, err := top.shardPhysical(coordPhys, q, placements, i)
-		if err != nil {
-			return nil, err
-		}
-		p, err := optimizer.Optimize(hybrid, q, shardOpts)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = engine.Measure{SQL: sqlText, Seconds: p.Est.Seconds, Meter: p.Est.Meter}
-	}
-	return out, nil
-}
-
 // planUsesView reports whether any operator in the tree reads a
 // materialized view.
 func planUsesView(n plan.Node) bool {

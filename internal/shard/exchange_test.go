@@ -187,9 +187,8 @@ func TestExchangeBuckets(t *testing.T) {
 
 // TestPartitionStatsSurface pins the what-if surface over partition
 // statistics: PartitionPhysical exposes per-partition cardinalities that
-// sum to the coordinator's, EstimateSharded costs one optimizer pass per
-// partition, and the coordinator's own estimates — the recommendation
-// input — do not move when the topology does.
+// sum to the coordinator's, and the coordinator's own estimates — the
+// recommendation input — do not move when the topology does.
 func TestPartitionStatsSurface(t *testing.T) {
 	coord := testCoord(t)
 	q := clusterQueries[1]
@@ -226,21 +225,6 @@ func TestPartitionStatsSurface(t *testing.T) {
 		t.Error("PartitionPhysical(-1) succeeded, want error")
 	}
 
-	for _, sqlText := range []string{clusterQueries[1], clusterQueries[4]} {
-		ms, err := cl.EstimateSharded(sqlText)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ms) != 4 {
-			t.Fatalf("EstimateSharded returned %d measures, want 4", len(ms))
-		}
-		for i, m := range ms {
-			if m.Seconds <= 0 {
-				t.Errorf("partition %d estimate is %v seconds, want > 0", i, m.Seconds)
-			}
-		}
-	}
-
 	// Estimates (and therefore recommendations) are topology-invariant:
 	// they always read the coordinator's full data.
 	if err := cl.Reshard(8); err != nil {
@@ -268,13 +252,6 @@ func TestPartitionStatsSurface(t *testing.T) {
 	}
 	if _, err := cl1.PartitionPhysical(1); err == nil {
 		t.Error("PartitionPhysical(1) on a 1-shard topology succeeded, want error")
-	}
-	ms, err := cl1.EstimateSharded(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 || ms[0].Seconds != base.Seconds {
-		t.Errorf("1-shard EstimateSharded = %+v, want the coordinator estimate (%v s)", ms, base.Seconds)
 	}
 }
 
