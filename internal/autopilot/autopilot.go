@@ -13,8 +13,9 @@
 //     schedule that shifts the mix over time (stream.go)
 //   - observer   — per-window CFC quantiles, goal verdicts and
 //     estimate-vs-actual ratios (observer.go)
-//   - controller — detects mix shifts and goal violations, recommends,
-//     predicts and applies transitions (controller.go)
+//   - recommender.Loop — decides on mix shifts and goal violations,
+//     recommends and predicts; Run applies its configurations with
+//     Transition (retune, below)
 //   - Metrics    — atomic counters + /metrics and /healthz handlers
 //     (metrics.go)
 //
@@ -28,6 +29,7 @@ package autopilot
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -122,11 +124,14 @@ type Autopilot struct {
 	stream   *Stream
 	runner   core.Runner
 	estR     core.Runner // no OnMeasure hook: estimates are not traffic
-	ctrl     *controller
+	loop     *recommender.Loop
 	metrics  *Metrics
 	famOrder []string
 
 	curName string
+	// epoch numbers the retunes; it is assigned on the loop goroutine, so
+	// configuration names do not depend on goroutine scheduling.
+	epoch int
 }
 
 // New loads the engine and family pools through a bench.Lab (the PR 1
@@ -152,13 +157,6 @@ func New(opts Options) (*Autopilot, error) {
 			return nil, fmt.Errorf("autopilot: families span databases %s and %s; one engine serves one database", db, d)
 		}
 	}
-	var recCfg recommender.Config
-	if opts.Recommender != "1C" {
-		if recCfg, err = recommender.System(opts.Recommender); err != nil {
-			return nil, err
-		}
-	}
-
 	lab := bench.NewLab(opts.Scale, opts.Seed)
 	lab.WorkloadSize = opts.PoolSize
 	lab.Parallelism = opts.Parallelism
@@ -194,7 +192,11 @@ func New(opts Options) (*Autopilot, error) {
 	}
 
 	eng := lab.Engine(opts.System, db)
-	budget := lab.Budget(opts.System, db)
+	loop, err := recommender.NewLoop(eng, opts.Recommender, lab.Budget(opts.System, db), opts.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	loop.Threshold, loop.Timeout = opts.MixShiftThreshold, opts.Timeout
 
 	stream, err := newStream(opts.Seed+1, pools, shares, drifted, driftAt)
 	if err != nil {
@@ -208,20 +210,10 @@ func New(opts Options) (*Autopilot, error) {
 		stream:   stream,
 		runner:   core.Runner{Parallelism: opts.Parallelism, OnMeasure: metrics.ObserveQuery},
 		estR:     core.Runner{Parallelism: opts.Parallelism},
+		loop:     loop,
 		metrics:  metrics,
 		famOrder: famOrder,
 		curName:  "P",
-	}
-	a.ctrl = &controller{
-		eng:       eng,
-		runner:    a.estR,
-		budget:    budget,
-		profile:   opts.Recommender,
-		recCfg:    recCfg,
-		timeout:   opts.Timeout,
-		threshold: opts.MixShiftThreshold,
-		whatif:    eng.NewWhatIf(),
-		metrics:   metrics,
 	}
 	return a, nil
 }
@@ -237,10 +229,22 @@ func (a *Autopilot) Metrics() *Metrics { return a.metrics }
 // with window w+1's traffic and is joined before window w+2, so a
 // transition overlaps exactly one window of queries and every later
 // window runs fully under the new configuration.
-func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []RetuneRecord, err error) {
+func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []recommender.RetuneRecord, err error) {
 	obs := &observer{goal: a.opts.Goal, timeout: a.opts.Timeout, famOrder: a.famOrder}
 	reports = make([]WindowReport, 0, a.opts.Windows)
-	retunes = make([]RetuneRecord, 0, a.opts.Windows)
+	retunes = make([]recommender.RetuneRecord, 0, a.opts.Windows)
+
+	// join waits for a retune and logs its record; if the retune applied,
+	// its configuration is now the current one.
+	join := func(job *retuneJob) bool {
+		<-job.done
+		retunes = append(retunes, job.rec)
+		if job.rec.Err != "" {
+			return false
+		}
+		a.curName = job.rec.Name
+		return true
+	}
 
 	streamPos := 0
 	if a.opts.Warmup {
@@ -249,31 +253,19 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 			return nil, nil, err
 		}
 		streamPos++
-		job := a.ctrl.launch(-1, "warmup", sqlsOf(qs), countMix(qs, a.famOrder))
-		<-job.done
-		retunes = append(retunes, job.rec)
-		if job.rec.Err == "" {
-			a.curName = job.rec.Name
-		}
+		join(a.launch(-1, "warmup", sqlsOf(qs), countMix(qs, a.famOrder)))
 	}
 
 	var pending *retuneJob
-	// joinPending drains the in-flight retune, if any. It runs before
-	// every return: a retune goroutine may be mid-Transition, and exiting
-	// before it has published or failed would drop its retune record on
-	// the floor (the shutdown-ordering contract shared with the gateway).
-	joinPending := func() {
-		if pending == nil {
-			return
+	// The in-flight retune, if any, is joined before every return: a
+	// retune goroutine may be mid-Transition, and exiting before it has
+	// published or failed would drop its retune record on the floor (the
+	// shutdown-ordering contract shared with the gateway).
+	defer func() {
+		if pending != nil {
+			join(pending)
 		}
-		<-pending.done
-		retunes = append(retunes, pending.rec)
-		if pending.rec.Err == "" {
-			a.curName = pending.rec.Name
-		}
-		pending = nil
-	}
-	defer joinPending()
+	}()
 
 	// firstFull tracks the window that will be the first served entirely
 	// by the most recently applied configuration (-1 = none awaited).
@@ -305,13 +297,9 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 		if pending != nil {
 			// The overlapped retune ran concurrently with this window's
 			// traffic; join it before observing.
-			<-pending.done
-			retunes = append(retunes, pending.rec)
-			if pending.rec.Err == "" {
-				a.curName = pending.rec.Name
+			if join(pending) {
 				cfgLabel = startCfg + "→" + pending.rec.Name
-				firstFull = w + 1
-				lastPredicted = pending.rec.PredictedMean
+				firstFull, lastPredicted = w+1, pending.rec.PredictedMean
 			}
 			pending = nil
 		}
@@ -323,16 +311,12 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 		}
 
 		if !a.opts.Static {
-			if d := a.ctrl.consider(rep); d.Retune {
-				rep.Trigger = d.Reason
-				job := a.ctrl.launch(w, d.Reason, sqls, rep.Mix)
+			if reason := a.loop.Decide(familyMix(rep.Mix), !rep.Satisfied); reason != "" {
+				rep.Trigger = reason
+				job := a.launch(w, reason, sqls, rep.Mix)
 				if a.opts.Sync {
-					<-job.done
-					retunes = append(retunes, job.rec)
-					if job.rec.Err == "" {
-						a.curName = job.rec.Name
-						firstFull = w + 1
-						lastPredicted = job.rec.PredictedMean
+					if join(job) {
+						firstFull, lastPredicted = w+1, job.rec.PredictedMean
 					}
 				} else {
 					pending = job
@@ -345,6 +329,68 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 	}
 
 	return reports, retunes, nil
+}
+
+// retuneJob is one in-flight retune.
+type retuneJob struct {
+	done chan struct{}
+	rec  recommender.RetuneRecord
+}
+
+// launch starts a retune for the window's queries and family mix. Call
+// only from the loop goroutine, and only with no other job in flight.
+// The retune runs off the loop goroutine in overlapped mode: the loop's
+// search and prediction read through its what-if session (lock-free
+// against the published snapshot) and Transition publishes the next
+// snapshot atomically, so traffic and tuning interleave safely. The
+// loop's next Decide runs only after the job is joined.
+func (a *Autopilot) launch(window int, reason string, sqls []string, mix []FamilyCount) *retuneJob {
+	a.epoch++
+	job := &retuneJob{done: make(chan struct{})}
+	a.metrics.RetunesInFlight.Add(1)
+	go a.retune(job, window, fmt.Sprintf("R%d", a.epoch), reason, sqls, familyMix(mix))
+	return job
+}
+
+// retune runs the loop's recommend and predict, applies the result with
+// Transition and closes the job with its record.
+func (a *Autopilot) retune(job *retuneJob, window int, name, reason string, sqls []string, mix map[string]int) {
+	defer close(job.done)
+	// conflint:ignore WallMS is wall-clock observability for the operator; it is excluded from all rendered reports
+	start := time.Now()
+	cfg, rec := a.loop.Retune(reason, mix, sqls)
+	rec.Window, rec.Name = window, name
+	if rec.Err == "" {
+		cfg.Name = name
+		if rep, err := a.eng.Transition(cfg); err != nil {
+			rec.Err = err.Error()
+		} else {
+			rec.Built, rec.Kept, rec.Dropped = rep.Built, rep.Kept, rep.Dropped
+			rec.BuildSeconds = rep.BuildSeconds
+		}
+	}
+	// conflint:ignore WallMS is wall-clock observability for the operator; it is excluded from all rendered reports
+	rec.WallMS = time.Since(start).Milliseconds()
+	m := a.metrics
+	m.RetunesInFlight.Add(-1)
+	m.RetuneWallMS.Add(rec.WallMS)
+	if rec.Err == "" {
+		m.RetunesApplied.Add(1)
+		m.StructuresBuilt.Add(int64(rec.Built))
+		m.StructuresDropped.Add(int64(rec.Dropped))
+	} else {
+		m.RetuneErrors.Add(1)
+	}
+	job.rec = rec
+}
+
+// familyMix is a window's family mix as the loop's counts by key.
+func familyMix(mix []FamilyCount) map[string]int {
+	out := make(map[string]int, len(mix))
+	for _, fc := range mix {
+		out[fc.Family] = fc.Count
+	}
+	return out
 }
 
 func sqlsOf(qs []workload.Query) []string {

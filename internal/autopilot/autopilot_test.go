@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/recommender"
 	"repro/internal/workload"
 )
 
@@ -31,7 +34,7 @@ func TestDriftRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var driftRetune *RetuneRecord
+	var driftRetune *recommender.RetuneRecord
 	for i := range retunes {
 		if strings.Contains(retunes[i].Reason, "mix-shift") {
 			driftRetune = &retunes[i]
@@ -200,33 +203,55 @@ func TestObserverWindowReport(t *testing.T) {
 	}
 }
 
+// TestControllerConsider is the retune rule as the autopilot applies it:
+// a window's family mix and goal verdict go to the shared loop's Decide,
+// and a retune records the mix it tuned for.
 func TestControllerConsider(t *testing.T) {
-	c := &controller{threshold: 0.25}
-	mk := func(x, y int, sat bool) WindowReport {
-		return WindowReport{
-			Mix:       []FamilyCount{{Family: "X", Count: x}, {Family: "Y", Count: y}},
-			Satisfied: sat,
+	l, err := recommender.NewLoop(engine.New(catalog.NewSchema("empty"), 1, engine.SystemB()), "1C", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Threshold = 0.25
+	mix := func(counts ...int) []FamilyCount {
+		out := make([]FamilyCount, len(counts))
+		for i, n := range counts {
+			out[i] = FamilyCount{Family: string(rune('X' + i)), Count: n}
+		}
+		return out
+	}
+	tune := func(m []FamilyCount) {
+		if _, rec := l.Retune("warmup", familyMix(m), nil); rec.Err != "" {
+			t.Fatalf("retune: %s", rec.Err)
 		}
 	}
-	// Before any tune: only a goal violation triggers (cold start).
-	if d := c.consider(mk(9, 1, true)); d.Retune {
-		t.Errorf("satisfied cold start should not retune: %+v", d)
-	}
-	if d := c.consider(mk(9, 1, false)); !d.Retune || d.Reason != "goal-violation" {
-		t.Errorf("violated cold start: %+v", d)
-	}
-	// After tuning for 90:10, the same mix no longer triggers on
-	// violation alone (already tried), but a flip does.
-	c.lastTuneMix = []float64{0.9, 0.1}
-	c.tunedThisMix = true
-	if d := c.consider(mk(9, 1, false)); d.Retune {
-		t.Errorf("retuning the already-tuned mix churns: %+v", d)
-	}
-	if d := c.consider(mk(1, 9, true)); !d.Retune || d.Reason != "mix-shift" {
-		t.Errorf("flip while satisfied: %+v", d)
-	}
-	if d := c.consider(mk(1, 9, false)); !d.Retune || d.Reason != "mix-shift+goal-violation" {
-		t.Errorf("flip while violated: %+v", d)
+	for _, c := range []struct {
+		what     string
+		tuneFor  []FamilyCount // retune for this mix first (nil = keep state)
+		mix      []FamilyCount
+		violated bool
+		want     string // "" = no retune
+	}{
+		{what: "satisfied cold start", mix: mix(9, 1)},
+		{what: "violated cold start", mix: mix(9, 1), violated: true, want: "goal-violation"},
+		// After tuning for 90:10, a violation alone no longer retunes
+		// (already tried), but a flip does.
+		{what: "violation on the tuned mix", tuneFor: mix(9, 1), mix: mix(9, 1), violated: true},
+		{what: "flip while satisfied", mix: mix(1, 9), want: "mix-shift"},
+		{what: "flip while violated", mix: mix(1, 9), violated: true, want: "mix-shift+goal-violation"},
+		// Any retune counts as tuned: a violation on a mix within the
+		// threshold of the tuned one is the same problem again.
+		{what: "violation on a nearby mix", tuneFor: mix(3, 1), mix: mix(5, 3), violated: true},
+		{what: "a shift of exactly the threshold", mix: mix(1, 1), violated: true},
+		// A family the tuned mix lacked carries its whole share as moved.
+		{what: "a new family", mix: mix(6, 1, 3), want: "mix-shift"},
+		{what: "retuned for the new mix", tuneFor: mix(6, 1, 3), mix: mix(6, 1, 3), violated: true},
+	} {
+		if c.tuneFor != nil {
+			tune(c.tuneFor)
+		}
+		if got := l.Decide(familyMix(c.mix), c.violated); got != c.want {
+			t.Errorf("%s: retune reason %q, want %q", c.what, got, c.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/recommender"
 )
 
 // tinyOpts is the shared bounded drift scenario: warmup tune, two-family
@@ -39,7 +40,7 @@ func tinyOpts(parallelism int, sync bool) Options {
 	}
 }
 
-func runBounded(t *testing.T, opts Options) ([]WindowReport, []RetuneRecord) {
+func runBounded(t *testing.T, opts Options) ([]WindowReport, []recommender.RetuneRecord) {
 	t.Helper()
 	ap, err := New(opts)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/recommender"
 	"repro/internal/workload"
 )
 
@@ -99,22 +100,6 @@ func countMix(qs []workload.Query, famOrder []string) []FamilyCount {
 	return out
 }
 
-// proportions converts a mix to normalized shares in famOrder.
-func proportions(mix []FamilyCount) []float64 {
-	total := 0
-	for _, fc := range mix {
-		total += fc.Count
-	}
-	out := make([]float64, len(mix))
-	if total == 0 {
-		return out
-	}
-	for i, fc := range mix {
-		out[i] = float64(fc.Count) / float64(total)
-	}
-	return out
-}
-
 // quantile reads the p-quantile of an ascending slice (0 when empty).
 func quantile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
@@ -159,11 +144,11 @@ func fmtMix(mix []FamilyCount) string {
 // artifact. Retune records appear under the window whose report
 // triggered them. Wall-clock fields are deliberately omitted: the table
 // must be byte-identical for a given seed at any parallelism.
-func RenderTable(reports []WindowReport, retunes []RetuneRecord) string {
+func RenderTable(reports []WindowReport, retunes []recommender.RetuneRecord) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-4s %-8s %-24s %4s %8s %8s %8s %4s %7s %5s %5s  %s\n",
 		"win", "config", "mix", "n", "p50", "p95", "p99", "t/o", "E/A q50", "goal", "level", "trigger")
-	byWindow := make(map[int][]RetuneRecord)
+	byWindow := make(map[int][]recommender.RetuneRecord)
 	for _, r := range retunes {
 		byWindow[r.Window] = append(byWindow[r.Window], r)
 	}
@@ -189,7 +174,7 @@ func RenderTable(reports []WindowReport, retunes []RetuneRecord) string {
 	return b.String()
 }
 
-func renderRetune(r RetuneRecord) string {
+func renderRetune(r recommender.RetuneRecord) string {
 	if r.Err != "" {
 		return fmt.Sprintf("     ↳ retune [%s] failed: %s\n", r.Reason, r.Err)
 	}

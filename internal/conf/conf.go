@@ -130,6 +130,20 @@ func (c Configuration) View(name string) *ViewDef {
 	return nil
 }
 
+// SameStructures reports whether two configurations hold the same
+// indexes and views, whatever their names: a transition from one to the
+// other builds and drops nothing.
+func (c Configuration) SameStructures(o Configuration) bool {
+	same := len(c.Indexes) == len(o.Indexes) && len(c.Views) == len(o.Views)
+	for _, d := range c.Indexes {
+		same = same && o.HasIndex(d)
+	}
+	for _, v := range c.Views {
+		same = same && o.View(v.Name) != nil && o.View(v.Name).SQL == v.SQL
+	}
+	return same
+}
+
 // WidthCounts returns, per table, the number of indexes of each key width
 // (1..maxWidth columns; wider indexes are counted in the last bucket).
 // Auto (primary key) indexes are excluded: the paper's Tables 2 and 3

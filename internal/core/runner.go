@@ -140,9 +140,9 @@ func (r Runner) WhatIfWorkload(e *engine.Engine, queries []string, hypo conf.Con
 }
 
 // WhatIfSessionWorkload is WhatIfWorkload against a caller-owned session:
-// the controller keeps one session alive across retunes so the estimate
-// cache filled by the recommender search is still warm when the
-// controller predicts the winning configuration's cost. The session's
+// the retune loop keeps one session alive across retunes so the estimate
+// cache filled by the recommender search is still warm when the loop
+// predicts the winning configuration's cost. The session's
 // engine must be the one the queries are analyzed against. The
 // configuration is resolved once and every query estimated against it.
 func (r Runner) WhatIfSessionWorkload(w *engine.WhatIf, queries []string, hypo conf.Configuration) ([]Measure, error) {

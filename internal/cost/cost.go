@@ -47,9 +47,6 @@ func (m *Meter) Add(o Meter) {
 	m.FixedSeq += o.FixedSeq
 }
 
-// Reset zeroes all counters.
-func (m *Meter) Reset() { *m = Meter{} }
-
 func (m *Meter) String() string {
 	return fmt.Sprintf("seq=%d rand=%d write=%d rows=%d cpu=%d fixedRand=%d fixedSeq=%d",
 		m.SeqPages, m.RandPages, m.WritePage, m.Rows, m.CPUOps, m.FixedRand, m.FixedSeq)

@@ -98,3 +98,6 @@ func TestDesktop2005Ordering(t *testing.T) {
 		t.Error("per-row cost should exceed per-op cost")
 	}
 }
+
+// Reset zeroes all counters.
+func (m *Meter) Reset() { *m = Meter{} }

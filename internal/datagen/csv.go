@@ -2,11 +2,8 @@ package datagen
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
-	"strconv"
 
-	"repro/internal/catalog"
 	"repro/internal/storage"
 	"repro/internal/val"
 )
@@ -38,69 +35,4 @@ func WriteCSV(w io.Writer, h *storage.Heap) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV loads CSV rows (with a header, which is validated against the
-// table's column names) into the loader.
-func ReadCSV(r io.Reader, t *catalog.Table, into Loader) error {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("datagen: reading CSV header: %w", err)
-	}
-	if len(header) != len(t.Columns) {
-		return fmt.Errorf("datagen: CSV has %d columns, table %s has %d",
-			len(header), t.Name, len(t.Columns))
-	}
-	var rows []val.Row
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		row := make(val.Row, len(rec))
-		for i, f := range rec {
-			v, err := parseValue(t.Columns[i].Type, f)
-			if err != nil {
-				return fmt.Errorf("datagen: column %s: %w", t.Columns[i].Name, err)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-		if len(rows) == 10000 {
-			if err := into.Load(t.Name, rows); err != nil {
-				return err
-			}
-			rows = rows[:0]
-		}
-	}
-	if len(rows) > 0 {
-		return into.Load(t.Name, rows)
-	}
-	return nil
-}
-
-func parseValue(ty catalog.Type, field string) (val.Value, error) {
-	if field == "NULL" {
-		return val.Null(), nil
-	}
-	switch ty {
-	case catalog.TypeInt:
-		i, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return val.Value{}, err
-		}
-		return val.Int(i), nil
-	case catalog.TypeFloat:
-		f, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			return val.Value{}, err
-		}
-		return val.Float(f), nil
-	default:
-		return val.String(field), nil
-	}
 }

@@ -70,8 +70,8 @@ func ResetWhatIfCounters() {
 // The session pins the engine snapshot its caches were derived from and
 // flushes them when the engine has published another (ApplyConfig,
 // Transition, Load, InsertRows, CollectStats, NoteTopologyChange), so a
-// session may outlive configuration changes — the autopilot controller
-// keeps one across retunes. A session may be shared by concurrent
+// session may outlive configuration changes — the retune loop
+// (recommender.Loop) keeps one across retunes. A session may be shared by concurrent
 // estimators: mu guards the caches, the optimizer runs outside it, and no
 // estimation entry point takes an engine lock.
 type WhatIf struct {

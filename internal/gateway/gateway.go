@@ -204,9 +204,9 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 			b = &nb
 		}
 	}
-	var recCfg recommender.Config
+	var loop *recommender.Loop
 	if err == nil && g.cfg.Tuning {
-		recCfg, err = recommender.System(g.cfg.System)
+		loop, err = recommender.NewLoop(b.Engine, g.cfg.System, b.Budget, 1)
 	}
 	if err != nil {
 		g.loadMu.Lock()
@@ -221,7 +221,7 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 	}
 	g.backend.Store(b)
 	if g.cfg.Tuning {
-		tn := newTuner(g, recCfg, b.Engine.NewWhatIf(), b.Budget)
+		tn := newTuner(g, loop)
 		g.tunerP.Store(tn)
 		tn.start()
 	}
@@ -346,14 +346,30 @@ func (g *Gateway) reject(w http.ResponseWriter, t *tenantState, seq int64, famil
 	if reason == ReasonQueueFull {
 		w.Header().Set("Retry-After", "1")
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	body := map[string]string{"error": reason}
 	if detail != "" {
 		body["detail"] = detail
 	}
+	respond(w, status, body)
+}
+
+// respond writes one response — a string body as text, any other as
+// JSON — best effort: the client owns the socket, so a failed write has
+// nobody to report to.
+func respond(w http.ResponseWriter, status int, body any) {
+	text, isText := body.(string)
+	out := []byte(text)
+	if !isText {
+		w.Header().Set("Content-Type", "application/json")
+		var err error
+		if out, err = json.Marshal(body); err != nil {
+			status, out = http.StatusInternalServerError, []byte(`{"error":"encoding"}`)
+		}
+		out = append(out, '\n')
+	}
+	w.WriteHeader(status)
 	// conflint:ignore best-effort response write; the client owns the socket
-	json.NewEncoder(w).Encode(body)
+	w.Write(out)
 }
 
 // handleQuery is the request pipeline: authenticate, bound and decode
@@ -419,10 +435,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return // nobody is reading; the audit record is the outcome
 	}
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		// conflint:ignore best-effort response write; the client owns the socket
-		json.NewEncoder(w).Encode(map[string]string{"error": "execution-error", "detail": err.Error()})
+		respond(w, http.StatusInternalServerError, map[string]string{"error": "execution-error", "detail": err.Error()})
 		return
 	}
 	resp := queryResponse{
@@ -448,9 +461,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Rows = append(resp.Rows, row)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	// conflint:ignore best-effort response write; the client owns the socket
-	json.NewEncoder(w).Encode(resp)
+	respond(w, http.StatusOK, resp)
 }
 
 // deniedRelation returns the first relation the query touches outside
@@ -500,32 +511,26 @@ func (g *Gateway) handlePool(w http.ResponseWriter, r *http.Request) {
 		g.reject(w, t, -1, family, ReasonCapability, fmt.Sprintf("family %q is not granted to tenant %q", family, t.cfg.Name))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	// conflint:ignore best-effort response write; the client owns the socket
-	json.NewEncoder(w).Encode(map[string]any{"family": family, "queries": b.Pools[family]})
+	respond(w, http.StatusOK, map[string]any{"family": family, "queries": b.Pools[family]})
 }
 
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if g.Ready() {
-		// conflint:ignore best-effort response write; the client owns the socket
-		io.WriteString(w, "ok\n")
+		respond(w, http.StatusOK, "ok\n")
 		return
 	}
 	g.loadMu.Lock()
 	loadErr := g.loadErr
 	g.loadMu.Unlock()
-	w.WriteHeader(http.StatusServiceUnavailable)
 	msg := g.notReadyReason()
 	if loadErr != nil {
 		msg = "load failed: " + loadErr.Error()
 	}
-	// conflint:ignore best-effort response write; the client owns the socket
-	io.WriteString(w, msg+"\n")
+	respond(w, http.StatusServiceUnavailable, msg+"\n")
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// conflint:ignore best-effort response write; the client owns the socket
-	io.WriteString(w, "ok\n")
+	respond(w, http.StatusOK, "ok\n")
 }
 
 // Shutdown drains and stops: close admission, wait for every accepted

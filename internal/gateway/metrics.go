@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 
@@ -18,8 +17,11 @@ type Snapshot struct {
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
 
-	Retunes    int64 `json:"retunes"`
-	RetuneErrs int64 `json:"retune_errors,omitempty"`
+	Retunes int64 `json:"retunes"`
+	// RetunesUnchanged counts searches whose recommendation had the
+	// serving configuration's structures, so nothing was applied.
+	RetunesUnchanged int64 `json:"retunes_unchanged,omitempty"`
+	RetuneErrs       int64 `json:"retune_errors,omitempty"`
 	// RetuneLastError is why the most recent failed retune failed.
 	RetuneLastError string           `json:"retune_last_error,omitempty"`
 	AuditKept       int64            `json:"audit_records"`
@@ -58,6 +60,7 @@ func (g *Gateway) Stats() Snapshot {
 	g.acceptMu.RUnlock()
 	if tn := g.tunerP.Load(); tn != nil {
 		s.Retunes = tn.applied.Load()
+		s.RetunesUnchanged = tn.unchanged.Load()
 		s.RetuneErrs = tn.failed.Load()
 		if e := tn.lastErr.Load(); e != nil {
 			s.RetuneLastError = *e
@@ -95,11 +98,7 @@ func (g *Gateway) Stats() Snapshot {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// conflint:ignore best-effort response write; the client owns the socket
-	enc.Encode(g.Stats())
+	respond(w, http.StatusOK, g.Stats())
 }
 
 // handleMetrics renders the Prometheus text exposition. Tenants iterate
@@ -120,6 +119,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	one("gateway_accepted_total", "counter", "Queries admitted across all tenants.", float64(s.Accepted))
 	one("gateway_rejected_total", "counter", "Requests rejected across all tenants and stages.", float64(s.Rejected))
 	one("gateway_retunes_total", "counter", "Goal-triggered configuration transitions applied.", float64(s.Retunes))
+	one("gateway_retunes_unchanged_total", "counter", "Retunes whose recommendation equalled the serving configuration: counted, not applied.", float64(s.RetunesUnchanged))
 	one("gateway_retune_errors_total", "counter", "Retunes that failed to recommend or to apply a configuration.", float64(s.RetuneErrs))
 	if sh := s.Sharding; sh != nil {
 		one("gateway_shards", "gauge", "Current shard count.", float64(sh.Shards))

@@ -1,7 +1,7 @@
 package gateway
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -155,15 +155,11 @@ func (t *tenantState) goalLevelLocked() float64 {
 	return float64(met) / float64(len(t.goal.Steps))
 }
 
-// recentQueries copies the distinct recent query texts, sorted (the
-// tuner wants the workload's support in a deterministic order).
+// recentQueries copies the distinct recent query texts.
 func (t *tenantState) recentQueries() []string {
 	t.mu.Lock()
-	out := make([]string, len(t.recentSQL))
-	copy(out, t.recentSQL)
-	t.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer t.mu.Unlock()
+	return slices.Clone(t.recentSQL)
 }
 
 // TenantSnapshot is the per-tenant observability record served by

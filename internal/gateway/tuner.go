@@ -1,31 +1,24 @@
 package gateway
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/engine"
 	"repro/internal/recommender"
 )
 
-// tuner is the gateway's autonomic loop: when any tenant's sliding
-// window violates its goal, finish nudges the tuner, which recommends
-// a configuration over the union of all tenants' recent queries and
-// applies it with the engine's incremental Transition — while traffic
-// keeps flowing on the engine's concurrent read path (the same
-// serve-while-retuning posture as the autopilot daemon).
-//
-// One worker goroutine serializes retunes.
+// tuner is the gateway's owner of the shared retune loop: when any
+// tenant's sliding window violates its goal, finish nudges the tuner,
+// which runs the loop over all tenants' recent queries and applies new
+// structures with an incremental Transition while traffic keeps flowing
+// (the autopilot daemon's serve-while-retuning posture). One worker
+// goroutine serializes retunes.
 type tuner struct {
-	g      *Gateway
-	recCfg recommender.Config
-	whatif *engine.WhatIf
-	budget int64
-	w      *worker
+	g    *Gateway
+	loop *recommender.Loop
+	w    *worker
 
-	applied atomic.Int64
-	failed  atomic.Int64
+	applied, unchanged, failed atomic.Int64
 	// lastErr is the most recent failed retune's reason (nil until one
 	// fails), served as retune_last_error in /v1/stats.
 	lastErr atomic.Pointer[string]
@@ -61,14 +54,8 @@ func (w *worker) stop() {
 	<-w.done
 }
 
-func newTuner(g *Gateway, recCfg recommender.Config, whatif *engine.WhatIf, budget int64) *tuner {
-	return &tuner{
-		g:      g,
-		recCfg: recCfg,
-		whatif: whatif,
-		budget: budget,
-		w:      newWorker(),
-	}
+func newTuner(g *Gateway, loop *recommender.Loop) *tuner {
+	return &tuner{g: g, loop: loop, w: newWorker()}
 }
 
 // start launches the retune loop.
@@ -82,34 +69,38 @@ func (tn *tuner) start() {
 	}()
 }
 
-// retune recommends over the union of every tenant's recent distinct
-// queries (all tenants share one engine, so the configuration must serve
-// the blended workload) and applies the result incrementally.
+// retune runs the loop over the union of every tenant's recent distinct
+// queries: all tenants share one engine, so the configuration must serve
+// the blended workload, and that set of texts is the mix the loop
+// compares with the one it last tuned for. Every nudge is a violation,
+// so a set already tuned for ends here, before any search. A
+// recommendation with the serving configuration's structures is counted,
+// not applied: its Transition would build and drop nothing.
 func (tn *tuner) retune() {
-	sqls := make([]string, 0, recentSQLCap)
-	seen := make(map[string]bool, recentSQLCap)
+	mix := make(map[string]int)
+	var sqls []string
 	for _, name := range tn.g.tenantOrder {
 		for _, s := range tn.g.tenants[name].recentQueries() {
-			if !seen[s] {
-				seen[s] = true
-				sqls = append(sqls, s)
-			}
+			mix[s] = 1
+			sqls = append(sqls, s)
 		}
 	}
-	if len(sqls) == 0 {
+	reason := tn.loop.Decide(mix, true)
+	if reason == "" || len(mix) == 0 {
 		return
 	}
-	cfg, err := recommender.New(tn.g.eng(), tn.recCfg).
-		Parallel(1).
-		UseSession(tn.whatif).
-		Recommend(sqls, tn.budget)
-	if err != nil {
-		tn.fail(fmt.Errorf("recommend: %w", err))
+	cfg, rec := tn.loop.Retune(reason, mix, sqls)
+	if rec.Err != "" {
+		tn.fail("recommend: " + rec.Err)
+		return
+	}
+	if cfg.SameStructures(tn.g.eng().Current()) {
+		tn.unchanged.Add(1)
 		return
 	}
 	cfg.Name = "gw-retune"
 	if err := tn.g.transition(cfg); err != nil {
-		tn.fail(fmt.Errorf("transition: %w", err))
+		tn.fail("transition: " + err.Error())
 		return
 	}
 	tn.applied.Add(1)
@@ -117,8 +108,7 @@ func (tn *tuner) retune() {
 
 // fail keeps a failed retune's reason, then counts it — in that order,
 // so a reader that sees the count sees a reason.
-func (tn *tuner) fail(err error) {
-	msg := err.Error()
+func (tn *tuner) fail(msg string) {
 	tn.lastErr.Store(&msg)
 	tn.failed.Add(1)
 }

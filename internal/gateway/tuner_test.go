@@ -3,9 +3,14 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/recommender"
 )
 
 // TestTunerRetunesUnderLoad drives one tenant past a full window under a
@@ -64,9 +69,95 @@ func TestTunerRetunesUnderLoad(t *testing.T) {
 	}
 }
 
+// TestTunerSearchesEachSQLSetOnce holds TestTunerRetunesUnderLoad's
+// tenant under its unmeetable goal for 300 queries over pool indices
+// 0–19, which are 12 distinct texts. Every full window nudges the tuner,
+// but it may search only once per distinct set of recent texts, and no
+// retune may apply a Transition that builds and drops nothing. Tuning is
+// off, and the test calls retune itself at each nudge finish would send
+// (every Window completions), so each retune's effect is seen alone.
+func TestTunerSearchesEachSQLSetOnce(t *testing.T) {
+	const window = 4
+	cfg := testConfig(TenantConfig{
+		Name: "alpha", APIKey: "alpha-key", Families: []string{"NREF2J"},
+		MaxQueue: 32, MaxConcurrency: 2, Window: window,
+		Goal: "0.000000001:1.0",
+	})
+	b, err := BuildBackend(backendConfig())
+	if err != nil {
+		t.Fatalf("build backend: %v", err)
+	}
+	g, ts := newTestGatewayOn(t, cfg, b)
+	loop, err := recommender.NewLoop(b.Engine, "B", b.Budget, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := newTuner(g, loop)
+
+	texts := make([]string, 20)
+	for i := range texts {
+		texts[i] = poolQuery(t, ts.URL, "alpha-key", "NREF2J", i)
+	}
+	// No index serves a scan of every column, so once the pool's texts
+	// are tuned for, adding this one changes the set but not the
+	// recommendation: the last nudge must end unchanged, not applied.
+	texts = append(texts, "SELECT nref_id, p_name, last_updated, sequence, length FROM protein")
+	structures := func() string {
+		cur := b.Engine.Current()
+		var s []string
+		for _, d := range cur.Indexes {
+			s = append(s, d.String())
+		}
+		for _, v := range cur.Views {
+			s = append(s, v.String())
+		}
+		sort.Strings(s)
+		return strings.Join(s, "\n")
+	}
+	searched := make(map[string]bool)
+	empty := 0
+	for i := 0; i < 300+window; i++ {
+		text := texts[i%20]
+		if i >= 300 {
+			text = texts[20]
+		}
+		if st, body, _ := postQuery(t, ts.URL, "alpha-key", int64(i), "NREF2J", text); st != 200 {
+			t.Fatalf("query %d: status %d body %v", i, st, body)
+		}
+		if (i+1)%window != 0 {
+			continue
+		}
+		set := g.tenants["alpha"].recentQueries()
+		sort.Strings(set)
+		key := strings.Join(set, "\n")
+		calls, _ := engine.WhatIfCounters()
+		before, applied := structures(), tn.applied.Load()
+		tn.retune()
+		if now, _ := engine.WhatIfCounters(); now > calls {
+			if searched[key] {
+				t.Errorf("query %d: a second search for a set of %d texts already tuned for", i, len(set))
+			}
+			searched[key] = true
+		}
+		if tn.applied.Load() > applied && structures() == before {
+			empty++
+		}
+	}
+	applied, unchanged, failed := tn.applied.Load(), tn.unchanged.Load(), tn.failed.Load()
+	t.Logf("%d searches: %d applied, %d unchanged, %d failed", len(searched), applied, unchanged, failed)
+	if empty != 0 {
+		t.Errorf("%d Transitions built and dropped nothing", empty)
+	}
+	if applied < 1 || unchanged != 1 || failed != 0 || applied+unchanged != int64(len(searched)) {
+		t.Errorf("want at least one applied, the full scan's set unchanged, none failed, and one outcome per search")
+	}
+}
+
 // TestFailedRetuneKeepsItsReason: a retune that cannot recommend is
 // counted and its reason is served in the stats — an operator seeing
-// retune_errors climb must be able to tell why without a debugger.
+// retune_errors climb must be able to tell why without a debugger. The
+// failed set counts as tuned for: a nudge on the same set would fail
+// the same way, so it ends before any search.
 func TestFailedRetuneKeepsItsReason(t *testing.T) {
 	cfg := testConfig(TenantConfig{Name: "alpha", APIKey: "alpha-key", Families: []string{"NREF2J"}})
 	cfg.Tuning = true
@@ -76,11 +167,14 @@ func TestFailedRetuneKeepsItsReason(t *testing.T) {
 	ten.mu.Lock()
 	ten.recentSQL = append(ten.recentSQL, "SELECT FROM WHERE")
 	ten.mu.Unlock()
-	g.tunerP.Load().retune()
+	for range 2 {
+		g.tunerP.Load().retune()
+	}
 
 	s := g.Stats()
-	if s.Retunes != 0 || s.RetuneErrs != 1 || s.RetuneLastError == "" {
-		t.Errorf("retunes %d, retune errors %d, last error %q; want 0, 1 and a reason", s.Retunes, s.RetuneErrs, s.RetuneLastError)
+	if s.Retunes != 0 || s.RetunesUnchanged != 0 || s.RetuneErrs != 1 || !strings.HasPrefix(s.RetuneLastError, "recommend: ") {
+		t.Errorf("retunes %d, unchanged %d, retune errors %d, last error %q; want 0, 0, 1 and a recommend reason",
+			s.Retunes, s.RetunesUnchanged, s.RetuneErrs, s.RetuneLastError)
 	}
 }
 

@@ -89,12 +89,12 @@ var killTable = []killRow{
 			"sends on w.trigger with no lifecycle guard at internal/gateway/tuner.go"}},
 	{"D2", [][3]string{{"internal/gateway/metrics.go", "\tsort.Strings(keys)\n", ""}},
 		"determinism", []string{"map iteration collects into a slice that sortedKeys never sorts"}},
-	{"P1", [][3]string{{"internal/autopilot/controller.go",
-		"\tcase violated && !c.tunedThisMix:\n",
-		"\tcase violated && !c.tunedThisMix:\n\t\tc.tunedThisMix = true\n"}},
+	{"P1", [][3]string{{"internal/recommender/loop.go",
+		"\tcase violated && l.tuned == nil:\n",
+		"\tcase violated && l.tuned == nil:\n\t\tl.tuned = shares(mix)\n"}},
 		"pure", []string{
-			"internal/autopilot.controller.consider is declared conflint:pure but has a side effect: writes c.tunedThisMix",
-			"internal/autopilot.controller.consider writes c.tunedThisMix"}},
+			"internal/recommender.Loop.Decide is declared conflint:pure but has a side effect: writes l.tuned",
+			"internal/recommender.Loop.Decide writes l.tuned"}},
 }
 
 // TestKillTable re-seeds each only-this-rule row of the kill table into

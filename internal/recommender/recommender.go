@@ -204,8 +204,8 @@ func (r *Recommender) Parallel(n int) *Recommender {
 
 // UseSession makes the search estimate through an existing what-if
 // session instead of opening its own, so a long-lived caller (the
-// autopilot controller) shares one estimate cache across retunes and
-// with its own predictions. The session must belong to the same engine.
+// retune loop) shares one estimate cache across retunes and with its
+// own predictions. The session must belong to the same engine.
 func (r *Recommender) UseSession(w *engine.WhatIf) *Recommender {
 	r.session = w
 	return r
