@@ -51,6 +51,7 @@ bench-smoke:
 fuzz:
 	$(GO) test ./internal/sql/ -fuzz=FuzzParse -fuzztime=30s
 	$(GO) test ./internal/exec/ -fuzz=FuzzKeyIdentity -fuzztime=30s
+	$(GO) test ./internal/exec/ -fuzz=FuzzFusedAggregate -fuzztime=30s
 	$(GO) test ./internal/btree/ -fuzz=FuzzBuild -fuzztime=30s
 	$(GO) test ./internal/lint/ -fuzz=FuzzResolve -fuzztime=30s
 

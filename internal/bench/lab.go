@@ -457,17 +457,3 @@ func generateFamily(family string, e *engine.Engine, opts workload.Options) work
 func datagenNREFInto(e *engine.Engine, l *Lab) error {
 	return datagen.GenerateNREF(e, datagen.NREFOptions{ScaleFactor: l.Scale, Seed: l.Seed})
 }
-
-// ApplyNamed switches an engine to a named configuration ("P", "1C",
-// "R:<family>"); exposed for debugging and example tooling.
-func (l *Lab) ApplyNamed(sys, db, name string) error {
-	cfg, err := l.Config(sys, db, name)
-	if err != nil {
-		return err
-	}
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.apply(sys, db, name, cfg)
-	return nil
-}

@@ -247,3 +247,17 @@ func dumpNode(sb *strings.Builder, n plan.Node, depth int) {
 		fmt.Fprintf(sb, "%T\n", n)
 	}
 }
+
+// ApplyNamed switches an engine to a named configuration ("P", "1C",
+// "R:<family>").
+func (l *Lab) ApplyNamed(sys, db, name string) error {
+	cfg, err := l.Config(sys, db, name)
+	if err != nil {
+		return err
+	}
+	em := l.lockEngine(sys, db)
+	em.Lock()
+	defer em.Unlock()
+	l.apply(sys, db, name, cfg)
+	return nil
+}

@@ -209,13 +209,6 @@ func (s *Schema) Tables() []*Table {
 	return out
 }
 
-// TableNames returns the table names in declaration order.
-func (s *Schema) TableNames() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // DomainColumns returns, for every domain, the (table, column) pairs in it,
 // in schema declaration order. Only indexable columns participate.
 func (s *Schema) DomainColumns() map[string][]ColumnRef {

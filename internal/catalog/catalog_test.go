@@ -143,3 +143,10 @@ func TestIndexableColumns(t *testing.T) {
 		t.Errorf("IndexableColumns = %v", cols)
 	}
 }
+
+// TableNames returns the table names in declaration order.
+func (s *Schema) TableNames() []string {
+	out := make([]string, len(s.order))
+	copy(out, s.order)
+	return out
+}

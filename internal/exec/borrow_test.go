@@ -260,10 +260,12 @@ func TestHashJoinKeepsEveryColumnReadAbove(t *testing.T) {
 // budget: what Run allocates is a function of what it keeps (build rows,
 // groups, result rows), not of the tuples it looks at. Each plan runs
 // over t with 2000 and with 8000 rows; build side, groups and result are
-// the same at both sizes, so the allocation counts must be too.
+// the same at both sizes, so the allocation counts must be too. The two
+// folded joins hold the fold to it: it keeps per-key and per-(group,
+// key) state, never per joined row.
 func TestAllocationsDoNotGrowWithRowsLookedAt(t *testing.T) {
 	const (
-		slack      = 8  // today the two sizes allocate exactly the same (136, 54, 82, 181); room for runtime noise, not for rows
+		slack      = 8  // today the two sizes allocate exactly the same (136, 54, 82, 181, 163, 406); room for runtime noise, not for rows
 		scanBudget = 16 // executor, scratch rows, result: 5 today
 	)
 	allocs := func(tRows int, text string, join func(w *world, off func(int, int) int) plan.Node) float64 {
@@ -304,6 +306,10 @@ func TestAllocationsDoNotGrowWithRowsLookedAt(t *testing.T) {
 		{"COUNT(DISTINCT) over an int column", `SELECT s, COUNT(DISTINCT g) FROM t GROUP BY s`, scanT},
 		{"COUNT(DISTINCT) over a string column", `SELECT g, COUNT(DISTINCT s) FROM t GROUP BY g`, scanT},
 		{"hash join with a wide build side", `SELECT t.g, COUNT(*), MIN(b.v) FROM t, u a, u b WHERE t.g = a.k AND a.v = b.v GROUP BY t.g`, wideBuild},
+		// Folded (DESIGN §6c): joined rows grow 4×, but the (group, key)
+		// pairs are the same 10 and 60 at both sizes.
+		{"folded join, groups on the probe side", `SELECT t.g, COUNT(*), COUNT(DISTINCT t.s), COUNT(DISTINCT u.v) FROM t, u WHERE t.g = u.k GROUP BY t.g`, joinAgg},
+		{"folded join, groups on the build side", `SELECT u.v, COUNT(*), COUNT(DISTINCT t.s) FROM t, u WHERE t.g = u.k GROUP BY u.v`, joinAgg},
 	} {
 		small, large := allocs(2000, c.sql, c.join), allocs(8000, c.sql, c.join)
 		if large > small+slack {

@@ -103,15 +103,27 @@ type executor struct {
 	p    *plan.Plan
 	sets []*inSet
 	live []bool // readSet(p): the offsets a hash join keeps and copies
+
+	// enumerate makes every HashAgg enumerate its input rows, even where
+	// it could fold a join's chains (foldable). Only tests set it: the
+	// enumerating path is the fold's reference.
+	enumerate bool
+}
+
+func newExecutor(p *plan.Plan, ctx *Ctx) *executor {
+	return &executor{ctx: ctx, p: p, live: readSet(p)}
 }
 
 // Run executes the plan and returns its result.
 func Run(p *plan.Plan, ctx *Ctx) (*Result, error) {
-	e := &executor{ctx: ctx, p: p, live: readSet(p)}
+	return newExecutor(p, ctx).run()
+}
+
+func (e *executor) run() (*Result, error) {
 	if err := e.buildSets(); err != nil {
 		return nil, err
 	}
-	raw, err := e.collect(p.Root)
+	raw, err := e.collect(e.p.Root)
 	if err != nil {
 		return nil, err
 	}

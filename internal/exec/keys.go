@@ -2,6 +2,7 @@ package exec
 
 import (
 	"hash/maphash"
+	"maps"
 	"math"
 	"slices"
 
@@ -76,8 +77,10 @@ type valueMap[V any] struct {
 	hasNull bool
 }
 
-// valueSet is a valueMap used as a set (DISTINCT, IN).
-type valueSet = valueMap[struct{}]
+// valueSet is a set of values under that identity (DISTINCT, IN). Its
+// maps are a valueMap's with empty values, so get, contains, len and
+// each are valueMap's.
+type valueSet struct{ valueMap[struct{}] }
 
 func (m *valueMap[V]) get(v val.Value) (x V, ok bool) {
 	switch v.K {
@@ -113,13 +116,31 @@ func put[K comparable, V any](m *map[K]V, k K, x V) {
 	(*m)[k] = x
 }
 
-// add inserts v, mapped to V's zero value, and reports whether it was new.
-func (m *valueMap[V]) add(v val.Value) (added bool) {
-	if added = !m.contains(v); added {
-		var zero V
-		m.set(v, zero)
+// add inserts v and reports whether it was new: one map assignment, and
+// the map's length says whether it grew. (Go grows a full 8-entry map
+// on any assignment, a member's too, so a set that stops at exactly 8
+// members allocates once more than a lookup first would.)
+func (s *valueSet) add(v val.Value) bool {
+	switch v.K {
+	case val.KindInt:
+		return putNew(&s.ints, v.I)
+	case val.KindFloat:
+		return putNew(&s.floats, floatKey(v.F))
+	case val.KindString:
+		return putNew(&s.strs, v.Str)
 	}
+	added := !s.hasNull
+	s.hasNull = true
 	return added
+}
+
+func putNew[K comparable](m *map[K]struct{}, k K) bool {
+	if *m == nil {
+		*m = make(map[K]struct{})
+	}
+	n := len(*m)
+	(*m)[k] = struct{}{}
+	return len(*m) > n
 }
 
 func (m *valueMap[V]) contains(v val.Value) bool {
@@ -151,9 +172,22 @@ func (m *valueMap[V]) each(f func(val.Value, V)) {
 	}
 }
 
-// union adds every member of o to m.
-func (m *valueMap[V]) union(o *valueMap[V]) {
-	o.each(func(v val.Value, _ V) { m.add(v) })
+// union adds every member of o to s, map by map.
+func (s *valueSet) union(o *valueSet) {
+	putAll(&s.ints, o.ints)
+	putAll(&s.floats, o.floats)
+	putAll(&s.strs, o.strs)
+	s.hasNull = s.hasNull || o.hasNull
+}
+
+func putAll[K comparable](m *map[K]struct{}, o map[K]struct{}) {
+	if len(o) == 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(map[K]struct{}, len(o))
+	}
+	maps.Copy(*m, o)
 }
 
 // keyTable numbers the distinct keys it is shown 0, 1, 2, … in

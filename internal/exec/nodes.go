@@ -381,36 +381,65 @@ func (e *executor) runViewScan(n *plan.ViewScan, out func(val.Row) error) error 
 	return innerErr
 }
 
-func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error {
-	buildLive, probeLive := e.liveIn(n.Build), e.liveIn(n.Probe)
-	w := len(buildLive)
+// hashTable is a hash join's build side: its rows' live values, chained
+// by key in build order. A cross join has no keys: all its rows share
+// one, empty key.
+type hashTable struct {
+	keys  *keyTable
+	live  []int       // the flat offsets a build row keeps (liveIn(n.Build))
+	vals  []val.Value // build row i's live values are vals[i*len(live) : (i+1)*len(live)]
+	first []int       // key id → its first build row, plus one
+	link  []int       // build row → the next row of its key, plus one
+}
 
-	// Build phase: the table keeps each input row's live values. A cross
-	// join has no keys: all its rows share one, empty key.
-	keys := &keyTable{width: len(n.BuildKeys), heads: map[uint64]int{}}
-	var link []int       // build row → its key id, then → the next row of that key, plus one
-	var vals []val.Value // build row i's live values are vals[i*w : (i+1)*w]
+// row returns build row i's live values.
+func (h *hashTable) row(i int) val.Row {
+	w := len(h.live)
+	return h.vals[i*w : (i+1)*w]
+}
+
+// position returns flat offset o's position in a build row's live values.
+func (h *hashTable) position(o int) int {
+	for i, l := range h.live {
+		if l == o {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("exec: offset %d is not live on the build side", o))
+}
+
+// buildHash runs n's build side into a hashTable.
+func (e *executor) buildHash(n *plan.HashJoin) (*hashTable, error) {
+	h := &hashTable{keys: &keyTable{width: len(n.BuildKeys), heads: map[uint64]int{}}, live: e.liveIn(n.Build)}
+	// link holds each build row's key id until the rows are chained.
 	err := e.runNode(n.Build, func(r val.Row) error {
 		e.ctx.Meter.CPUOps++
-		link = append(grow(link, 1), keys.insert(r, n.BuildKeys))
-		vals = grow(vals, w)
-		for _, o := range buildLive {
-			vals = append(vals, r[o])
+		h.link = append(grow(h.link, 1), h.keys.insert(r, n.BuildKeys))
+		h.vals = grow(h.vals, len(h.live))
+		for _, o := range h.live {
+			h.vals = append(h.vals, r[o])
 		}
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	// Chain each key's rows in build order, so a probe meets its matches
+	// in the order they were built.
+	h.first = make([]int, len(h.keys.chain))
+	for i := len(h.link) - 1; i >= 0; i-- {
+		k := h.link[i]
+		h.link[i], h.first[k] = h.first[k], i+1
+	}
+	return h, nil
+}
+
+func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error {
+	h, err := e.buildHash(n)
+	if err != nil {
 		return err
 	}
-	// Chain each key's rows in build order, so a probe emits its matches
-	// in the order they were built; first[k] is key k's first row plus one.
-	first := make([]int, len(keys.chain))
-	for i := len(link) - 1; i >= 0; i-- {
-		k := link[i]
-		link[i], first[k] = first[k], i+1
-	}
-
-	// Probe phase.
+	probeLive := e.liveIn(n.Probe)
 	merged := make(val.Row, e.p.Layout.Width)
 	var probeRows int64
 	err = e.runNode(n.Probe, func(r val.Row) error {
@@ -419,16 +448,16 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 		if err := e.ctx.check(); err != nil {
 			return err
 		}
-		k := keys.find(r, n.ProbeKeys)
+		k := h.keys.find(r, n.ProbeKeys)
 		if k < 0 {
 			return nil
 		}
 		for _, o := range probeLive {
 			merged[o] = r[o]
 		}
-		for i := first[k] - 1; i >= 0; i = link[i] - 1 {
-			for j, o := range buildLive {
-				merged[o] = vals[i*w+j]
+		for i := h.first[k] - 1; i >= 0; i = h.link[i] - 1 {
+			for j, o := range h.live {
+				merged[o] = h.vals[i*len(h.live)+j]
 			}
 			if len(n.BuildKeys) == 0 {
 				e.ctx.Meter.CPUOps++ // cross-product work
@@ -442,16 +471,20 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 	if err != nil {
 		return err
 	}
+	e.joinSpill(n, len(h.link), probeRows)
+	return nil
+}
 
-	// Spill accounting, mirroring the optimizer's rule with actual counts.
-	buildBytes := int64(len(link)) * int64(n.BuildWidth)
+// joinSpill bills a hash join's spill, mirroring the optimizer's rule
+// with actual counts.
+func (e *executor) joinSpill(n *plan.HashJoin, buildRows int, probeRows int64) {
+	buildBytes := int64(buildRows) * int64(n.BuildWidth)
 	if float64(buildBytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
 		probeBytes := probeRows * int64(n.BuildWidth)
 		pg := cost.PagesForBytes(buildBytes) + cost.PagesForBytes(probeBytes)
 		e.ctx.Meter.WritePage += pg
 		e.ctx.Meter.SeqPages += pg
 	}
-	return nil
 }
 
 func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) error {
@@ -523,12 +556,15 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 	return err
 }
 
-// aggSlot accumulates one aggregate of one group.
+// aggSlot accumulates one aggregate of one group. Each kind uses only
+// its own fields and leaves the rest zero: COUNT(*) and COUNT(col) use
+// count, COUNT(DISTINCT) distinct, SUM and AVG count and sum, MIN min and
+// MAX max (NULL, the zero Value, until a value arrives).
 type aggSlot struct {
 	count    int64
 	sum      float64
 	min, max val.Value
-	distinct valueSet // COUNT(DISTINCT) only
+	distinct valueSet
 }
 
 // aggState is one group: its GROUP BY values and one slot per aggregate.
@@ -537,56 +573,55 @@ type aggState struct {
 	slots     []aggSlot
 }
 
+// aggTable is a HashAgg's groups, numbered in first-seen order, with
+// na slots each.
+type aggTable struct {
+	keys  keyTable
+	na    int
+	slots []aggSlot // group id's slots are slots[id*na : (id+1)*na]
+}
+
+// group returns the id of r's group at offs, adding the group if new.
+func (t *aggTable) group(r val.Row, offs []int) int {
+	id := t.keys.insert(r, offs)
+	if len(t.slots) == id*t.na { // a new group; slots only grows, so its spare capacity is zero
+		t.slots = grow(t.slots, t.na)[:len(t.slots)+t.na]
+	}
+	return id
+}
+
+// slotsOf returns group id's slots.
+func (t *aggTable) slotsOf(id int) []aggSlot { return t.slots[id*t.na : (id+1)*t.na] }
+
 // accumulateAgg runs the aggregate's input and accumulates group states
 // without finishing them: runHashAgg finishes them at once, RunPartial
 // hands them to MergePartials open. It returns the groups in first-seen
-// order; a tuple whose group and DISTINCT value were seen allocates nothing.
+// order. Over a keyed HashJoin whose aggregates are all counts it folds
+// the join's chains instead of enumerating joined rows (foldJoin,
+// DESIGN §6c); otherwise each input row updates its group's slots, and a
+// row whose group and DISTINCT values were seen allocates nothing.
 func (e *executor) accumulateAgg(n *plan.HashAgg) ([]aggState, error) {
-	keys := &keyTable{width: len(n.Groups), heads: map[uint64]int{}}
-	na := len(n.Aggs)
-	var slots []aggSlot // group id's slots are slots[id*na : (id+1)*na]
-	err := e.runNode(n.Input, func(r val.Row) error {
-		e.ctx.Meter.CPUOps++
-		if err := e.ctx.check(); err != nil {
-			return err
-		}
-		id := keys.insert(r, n.Groups)
-		if len(slots) == id*na { // a new group; slots only grows, so its spare capacity is zero
-			slots = grow(slots, na)[:len(slots)+na]
-		}
-		st := slots[id*na : (id+1)*na]
-		for i, a := range n.Aggs {
-			s := &st[i]
-			if a.Kind == sql.AggCountStar {
-				s.count++
-				continue
+	t := &aggTable{keys: keyTable{width: len(n.Groups), heads: map[uint64]int{}}, na: len(n.Aggs)}
+	var err error
+	if j, groupsOnBuild, ok := e.foldable(n); ok {
+		err = e.foldJoin(n, j, groupsOnBuild, t)
+	} else {
+		err = e.runNode(n.Input, func(r val.Row) error {
+			e.ctx.Meter.CPUOps++
+			if err := e.ctx.check(); err != nil {
+				return err
 			}
-			v := r[a.Offset]
-			if v.IsNull() {
-				continue
-			}
-			s.count++
-			s.sum += v.AsFloat()
-			if s.count == 1 || val.Compare(v, s.min) < 0 {
-				s.min = v
-			}
-			if s.count == 1 || val.Compare(v, s.max) > 0 {
-				s.max = v
-			}
-			if a.Kind == sql.AggCountDistinct {
-				s.distinct.add(v)
-				e.ctx.Meter.CPUOps++
-			}
-		}
-		return nil
-	})
+			e.accumulate(t.slotsOf(t.group(r, n.Groups)), n.Aggs, r)
+			return nil
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
 
-	ng, groups := len(n.Groups), make([]aggState, len(keys.chain))
+	ng, na, groups := len(n.Groups), t.na, make([]aggState, len(t.keys.chain))
 	for id := range groups {
-		groups[id] = aggState{groupVals: keys.vals[id*ng : (id+1)*ng : (id+1)*ng], slots: slots[id*na : (id+1)*na : (id+1)*na]}
+		groups[id] = aggState{groupVals: t.keys.vals[id*ng : (id+1)*ng : (id+1)*ng], slots: t.slots[id*na : (id+1)*na : (id+1)*na]}
 	}
 	// Spill accounting over the group count.
 	bytes := int64(len(groups)) * int64(n.GroupWidth)
@@ -596,6 +631,40 @@ func (e *executor) accumulateAgg(n *plan.HashAgg) ([]aggState, error) {
 		e.ctx.Meter.SeqPages += pg
 	}
 	return groups, nil
+}
+
+// accumulate folds one input row into its group's slots, each aggregate
+// updating only its own kind's fields.
+func (e *executor) accumulate(st []aggSlot, aggs []plan.AggSpec, r val.Row) {
+	for i, a := range aggs {
+		s := &st[i]
+		if a.Kind == sql.AggCountStar {
+			s.count++
+			continue
+		}
+		v := r[a.Offset]
+		if v.IsNull() {
+			continue
+		}
+		switch a.Kind {
+		case sql.AggCountCol:
+			s.count++
+		case sql.AggCountDistinct:
+			s.distinct.add(v)
+			e.ctx.Meter.CPUOps++
+		case sql.AggSum, sql.AggAvg:
+			s.count++
+			s.sum += v.AsFloat()
+		case sql.AggMin:
+			if s.min.IsNull() || val.Compare(v, s.min) < 0 {
+				s.min = v
+			}
+		case sql.AggMax:
+			if s.max.IsNull() || val.Compare(v, s.max) > 0 {
+				s.max = v
+			}
+		}
+	}
 }
 
 func (e *executor) runHashAgg(n *plan.HashAgg, out func(val.Row) error) error {
@@ -631,14 +700,8 @@ func finishAgg(kind sql.AggKind, s *aggSlot) val.Value {
 	case sql.AggSum:
 		return val.Float(s.sum)
 	case sql.AggMin:
-		if s.count == 0 {
-			return val.Null()
-		}
 		return s.min
 	case sql.AggMax:
-		if s.count == 0 {
-			return val.Null()
-		}
 		return s.max
 	case sql.AggAvg:
 		if s.count == 0 {

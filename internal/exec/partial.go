@@ -27,6 +27,7 @@ package exec
 
 import (
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/val"
 )
 
@@ -47,13 +48,16 @@ type Partial struct {
 // returned for concatenation. Billing (including hash-table spill
 // accounting over this partition's group count) mirrors Run.
 func RunPartial(p *plan.Plan, ctx *Ctx) (*Partial, error) {
-	e := &executor{ctx: ctx, p: p, live: readSet(p)}
+	return newExecutor(p, ctx).runPartial()
+}
+
+func (e *executor) runPartial() (*Partial, error) {
 	if err := e.buildSets(); err != nil {
 		return nil, err
 	}
-	root, ok := p.Root.(*plan.HashAgg)
+	root, ok := e.p.Root.(*plan.HashAgg)
 	if !ok {
-		raw, err := e.collect(p.Root)
+		raw, err := e.collect(e.p.Root)
 		if err != nil {
 			return nil, err
 		}
@@ -84,24 +88,29 @@ func cloneAggState(src aggState) aggState {
 }
 
 // mergeAggState folds src (one partition's state for a group) into dst in
-// place; src is only read. Partitions are folded in partition-index
-// order, which fixes the float-sum association; everything else is
-// order-insensitive.
-func mergeAggState(dst, src aggState) {
-	for i := range dst.slots {
+// place; src is only read. Each aggregate reads only its own kind's
+// fields (aggSlot). Partitions are folded in partition-index order, which
+// fixes the float-sum association; everything else is order-insensitive.
+func mergeAggState(aggs []plan.AggSpec, dst, src aggState) {
+	for i, a := range aggs {
 		d, s := &dst.slots[i], &src.slots[i]
-		first := d.count == 0
-		d.count += s.count
-		d.sum += s.sum
-		if s.count > 0 {
-			if first || val.Compare(s.min, d.min) < 0 {
+		switch a.Kind {
+		case sql.AggCountStar, sql.AggCountCol:
+			d.count += s.count
+		case sql.AggCountDistinct:
+			d.distinct.union(&s.distinct)
+		case sql.AggSum, sql.AggAvg:
+			d.count += s.count
+			d.sum += s.sum
+		case sql.AggMin:
+			if !s.min.IsNull() && (d.min.IsNull() || val.Compare(s.min, d.min) < 0) {
 				d.min = s.min
 			}
-			if first || val.Compare(s.max, d.max) > 0 {
+		case sql.AggMax:
+			if !s.max.IsNull() && (d.max.IsNull() || val.Compare(s.max, d.max) > 0) {
 				d.max = s.max
 			}
 		}
-		d.distinct.union(&s.distinct)
 	}
 }
 
@@ -133,6 +142,7 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 		// occurrence (lowest partition index) is the fold seed, and later
 		// partitions fold in index order, so per-group results are
 		// deterministic.
+		agg := p.Root.(*plan.HashAgg)
 		at := make(map[string]int) // group key → index in merged
 		var merged []aggState
 		var cloned []bool // merged[i] is a copy this merge owns
@@ -149,13 +159,12 @@ func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 				if !cloned[j] {
 					merged[j], cloned[j] = cloneAggState(merged[j]), true
 				}
-				mergeAggState(merged[j], st)
+				mergeAggState(agg.Aggs, merged[j], st)
 			}
 			if err := e.ctx.check(); err != nil {
 				return nil, err
 			}
 		}
-		agg := p.Root.(*plan.HashAgg)
 		for _, st := range merged {
 			raw = append(raw, finishGroup(make(val.Row, len(agg.Groups)+len(agg.Aggs)), agg, st))
 		}

@@ -99,20 +99,6 @@ func (a *auditor) add(rec AuditRecord) {
 	a.mu.Unlock()
 }
 
-// snapshot copies the ring in arrival order.
-func (a *auditor) snapshot() []AuditRecord {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]AuditRecord, 0, len(a.records))
-	for i := 0; i < len(a.records); i++ {
-		out = append(out, a.records[(a.head+i)%len(a.records)])
-	}
-	return out
-}
-
-// Records returns every retained audit record in arrival order.
-func (g *Gateway) AuditRecords() []AuditRecord { return g.audit.snapshot() }
-
 // hashSQL fingerprints a query text with FNV-1a.
 func hashSQL(s string) string {
 	const (

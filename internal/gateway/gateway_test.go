@@ -183,3 +183,17 @@ func lastAudit(t *testing.T, g *Gateway, match func(AuditRecord) bool) AuditReco
 	t.Fatalf("no matching audit record among %d", len(recs))
 	return AuditRecord{}
 }
+
+// snapshot copies the ring in arrival order.
+func (a *auditor) snapshot() []AuditRecord {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make([]AuditRecord, 0, len(a.records))
+	for i := 0; i < len(a.records); i++ {
+		out = append(out, a.records[(a.head+i)%len(a.records)])
+	}
+	return out
+}
+
+// AuditRecords returns every retained audit record in arrival order.
+func (g *Gateway) AuditRecords() []AuditRecord { return g.audit.snapshot() }

@@ -239,21 +239,6 @@ func LoadModule(root string) (*Module, error) {
 	return m, nil
 }
 
-// LoadFixture parses a single directory as a one-package module (the
-// fixture tests' entry point).
-func LoadFixture(dir string) (*Module, error) {
-	m := &Module{Root: dir, Path: "fixture", Fset: token.NewFileSet()}
-	pkg, err := m.loadDir(dir, "fixture")
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	m.Pkgs = []*Package{pkg}
-	return m, nil
-}
-
 // loadDir parses the non-test Go files of one directory, returning nil
 // when there are none.
 func (m *Module) loadDir(dir, importPath string) (*Package, error) {

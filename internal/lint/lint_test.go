@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -193,4 +195,19 @@ func quiet() {}
 	if sub := Run(m2, []*Analyzer{ErrCheck()}); len(sub) != 0 {
 		t.Fatalf("subset run should report nothing, got %v", sub)
 	}
+}
+
+// LoadFixture parses a single directory as a one-package module (the
+// fixture tests' entry point).
+func LoadFixture(dir string) (*Module, error) {
+	m := &Module{Root: dir, Path: "fixture", Fset: token.NewFileSet()}
+	pkg, err := m.loadDir(dir, "fixture")
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	m.Pkgs = []*Package{pkg}
+	return m, nil
 }

@@ -353,16 +353,6 @@ func (u *Updater) applyProposal(p *Proposal) error {
 	return nil
 }
 
-// Audit returns a copy of the audit trail's most recent records, oldest
-// first.
-func (u *Updater) Audit() []AuditRecord {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	out := make([]AuditRecord, len(u.audit))
-	copy(out, u.audit)
-	return out
-}
-
 // Actions returns a copy of the per-action record counts (nil before
 // the first record).
 func (u *Updater) Actions() map[string]int64 {

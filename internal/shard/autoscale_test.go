@@ -397,3 +397,13 @@ func TestUpdaterAuditBounded(t *testing.T) {
 		t.Errorf("Actions() = %v, want %v", got, want)
 	}
 }
+
+// Audit returns a copy of the audit trail's most recent records, oldest
+// first.
+func (u *Updater) Audit() []AuditRecord {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	out := make([]AuditRecord, len(u.audit))
+	copy(out, u.audit)
+	return out
+}
