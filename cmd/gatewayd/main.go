@@ -7,6 +7,10 @@
 //
 //	gatewayd -config tenants.json [-addr :8080] [-audit audit.jsonl]
 //
+// Everything else — sharding and the autoscaler included ("shards",
+// "shard_mode", "autoscale", "autoscale_dry_run") — is set in the config
+// file.
+//
 // On SIGINT/SIGTERM the daemon drains: admission closes (new queries get
 // 503 draining), every accepted query completes and lands its audit
 // record, the tuner and autoscaler stop, and only then does the listener
@@ -32,10 +36,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	auditPath := flag.String("audit", "", "append audit records as JSON lines to this file")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight queries on shutdown")
-	shards := flag.Int("shards", -1, "override the config's shard count (0/1 = unsharded)")
-	shardMode := flag.String("shard-mode", "", "override the partitioning mode (hash or range)")
-	autoscale := flag.Bool("autoscale", false, "enable the elastic autoscaler regardless of the config")
-	dryRun := flag.Bool("autoscale-dry-run", false, "audit autoscale proposals without applying them")
 	flag.Parse()
 
 	if *configPath == "" {
@@ -43,43 +43,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	ov := overrides{shards: *shards, shardMode: *shardMode, autoscale: *autoscale, dryRun: *dryRun}
-	if err := run(*configPath, *addr, *auditPath, *drainTimeout, ov); err != nil {
+	if err := run(*configPath, *addr, *auditPath, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "gatewayd:", err)
 		os.Exit(1)
 	}
 }
 
-// overrides are command-line toggles layered over the config file.
-type overrides struct {
-	shards    int
-	shardMode string
-	autoscale bool
-	dryRun    bool
-}
-
-func (ov overrides) apply(cfg *gateway.Config) error {
-	if ov.shards >= 0 {
-		cfg.Shards = ov.shards
-	}
-	if ov.shardMode != "" {
-		cfg.ShardMode = ov.shardMode
-	}
-	if ov.autoscale {
-		cfg.Autoscale = true
-	}
-	if ov.dryRun {
-		cfg.AutoscaleDryRun = true
-	}
-	return cfg.Normalize()
-}
-
-func run(configPath, addr, auditPath string, drainTimeout time.Duration, ov overrides) error {
+func run(configPath, addr, auditPath string, drainTimeout time.Duration) error {
 	cfg, err := gateway.LoadConfig(configPath)
 	if err != nil {
-		return err
-	}
-	if err := ov.apply(&cfg); err != nil {
 		return err
 	}
 	opts := gateway.Options{Config: cfg}

@@ -118,6 +118,16 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 	return e
 }
 
+// Fork returns a new engine serving e's published snapshot. Snapshots are
+// immutable and mutators replace what they change (see mutate), so the
+// two share every heap and structure and neither sees the other's later
+// changes.
+func (e *Engine) Fork() *Engine {
+	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache}
+	f.cur.Store(e.cur.Load())
+	return f
+}
+
 // mutate runs one state change under the writer mutex: fn edits a copy of
 // the published snapshot (copy-on-write — it must replace, never modify,
 // anything the copy still shares) and the copy is published only if fn
@@ -232,12 +242,6 @@ func (s *snapshot) stats(table string) *stats.TableStats {
 // Current returns the active configuration.
 func (e *Engine) Current() conf.Configuration { return e.cur.Load().config }
 
-// Views returns the materialized views of the active configuration.
-func (e *Engine) Views() []*plan.ViewInfo { return e.cur.Load().phys.Views }
-
-// Indexes returns the built indexes on a relation.
-func (e *Engine) Indexes(rel string) []*plan.IndexInfo { return e.cur.Load().phys.IndexesOn(rel) }
-
 // BuildReport summarizes applying a configuration (paper Table 1).
 type BuildReport struct {
 	Config conf.Configuration
@@ -257,69 +261,6 @@ type BuildReport struct {
 	// the "index churn" an online tuner pays per transition. ApplyConfig
 	// always rebuilds, so Kept is zero there; Transition reuses overlap.
 	Built, Kept, Dropped int
-}
-
-// ApplyConfig drops the previous configuration's structures and builds the
-// new configuration's indexes and materialized views, returning size and
-// build-time figures. On error the previous configuration keeps serving.
-func (e *Engine) ApplyConfig(c conf.Configuration) (BuildReport, error) {
-	var rep BuildReport
-	err := e.mutate(func(next *snapshot) (err error) {
-		rep, err = e.applyConfig(next, c)
-		return err
-	})
-	return rep, err
-}
-
-func (e *Engine) applyConfig(next *snapshot, c conf.Configuration) (BuildReport, error) {
-	next.collectStats(false)
-	phys := next.phys
-	dropped := len(phys.Views)
-	for _, list := range phys.Indexes {
-		dropped += len(list)
-	}
-	phys.Indexes = make(map[string][]*plan.IndexInfo)
-	phys.Views = nil
-	next.config = c.Clone()
-
-	var meter, viewMeter cost.Meter
-	var extraBytes int64
-
-	// Views first: view indexes may reference them.
-	for _, vd := range c.Views {
-		vi, m, err := e.buildView(next, vd)
-		if err != nil {
-			return BuildReport{}, fmt.Errorf("engine: building %s: %w", vd.Name, err)
-		}
-		meter.Add(m)
-		viewMeter.Add(m)
-		phys.Views = append(phys.Views, vi)
-		extraBytes += int64(float64(vi.Heap.Bytes()) / e.ScaleFactor)
-	}
-
-	for _, d := range c.Indexes {
-		ix, m, err := e.buildIndex(next, d)
-		if err != nil {
-			return BuildReport{}, fmt.Errorf("engine: building %s: %w", d.Name(), err)
-		}
-		meter.Add(m)
-		key := strings.ToLower(d.Table)
-		phys.Indexes[key] = append(phys.Indexes[key], ix)
-		extraBytes += ix.Bytes
-	}
-	for _, list := range phys.Indexes {
-		plan.SortIndexes(list)
-	}
-
-	return BuildReport{
-		Config:       next.config,
-		IndexBytes:   extraBytes,
-		Bytes:        e.baseBytes(next) + extraBytes,
-		BuildSeconds: e.Model.Seconds(&meter),
-		ViewSeconds:  e.Model.Seconds(&viewMeter),
-		Built:        len(c.Views) + len(c.Indexes),
-		Dropped:      dropped,
-	}, nil
 }
 
 func (e *Engine) baseBytes(s *snapshot) int64 {

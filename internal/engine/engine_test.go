@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/conf"
 	"repro/internal/datagen"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/val"
 )
@@ -402,3 +403,9 @@ func TestEstimateTransition(t *testing.T) {
 		t.Errorf("no-op ET = %v", et0)
 	}
 }
+
+// Views returns the materialized views of the active configuration.
+func (e *Engine) Views() []*plan.ViewInfo { return e.cur.Load().phys.Views }
+
+// Indexes returns the built indexes on a relation.
+func (e *Engine) Indexes(rel string) []*plan.IndexInfo { return e.cur.Load().phys.IndexesOn(rel) }

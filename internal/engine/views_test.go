@@ -163,3 +163,48 @@ func TestViewNotMatchedWhenColumnsMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRebuiltViewIsPricedAndRebuilt: a target view with the serving view's
+// name but different SQL is a build for Transition and for
+// EstimateTransition alike, and an index on it is rebuilt with it — the
+// kept index would cover the old view's rows.
+func TestRebuiltViewIsPricedAndRebuilt(t *testing.T) {
+	e := tpchEngine(t)
+	onView := conf.IndexDef{Table: "mv_ord_li", Columns: []string{"c0"}}
+	serving := PConfiguration(e)
+	serving.Views = append(serving.Views, ordersLineitemView())
+	serving.AddIndex(onView)
+	if _, err := e.ApplyConfig(serving); err != nil {
+		t.Fatal(err)
+	}
+	w := e.NewWhatIf()
+	if et, err := w.EstimateTransition(serving); err != nil || et != 0 {
+		t.Fatalf("ET to the serving configuration = %v, %v; want 0", et, err)
+	}
+
+	target := PConfiguration(e)
+	v := ordersLineitemView()
+	v.SQL = "SELECT a.o_orderdate, a.o_orderpriority, b.l_quantity " +
+		"FROM orders a, lineitem b WHERE a.o_orderkey = b.l_orderkey"
+	target.Views = append(target.Views, v)
+	target.AddIndex(onView)
+	et, err := w.EstimateTransition(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if et <= 0 {
+		t.Errorf("ET = %v for a view whose SQL changed; want a priced build", et)
+	}
+	rep, err := e.Transition(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := len(PConfiguration(e).Indexes); rep.Built != 2 || rep.Kept != p {
+		t.Errorf("Built %d, Kept %d; want the view and its index built, the %d P indexes kept", rep.Built, rep.Kept, p)
+	}
+	vi := e.Views()[0]
+	ix := e.Indexes("mv_ord_li")[0]
+	if ndv := vi.Stats.Cols[0].NDV; ix.KeyNDV[0] != ndv {
+		t.Errorf("index on the rebuilt view has %d distinct keys, its column %d", ix.KeyNDV[0], ndv)
+	}
+}

@@ -59,6 +59,9 @@ type AuditRecord struct {
 	arrival int64 // monotonic arrival index; sort tiebreak, not serialized
 }
 
+// auditCap bounds the in-memory audit ring.
+const auditCap = 1 << 16
+
 // auditor stores records in a bounded ring and optionally streams them
 // as JSON lines to a sink (gatewayd's -audit file).
 type auditor struct {
@@ -67,15 +70,11 @@ type auditor struct {
 	next    int64         // conflint:guardedby mu (arrival counter)
 	dropped int64         // conflint:guardedby mu (overwritten by the ring)
 	head    int           // conflint:guardedby mu (ring start once wrapped)
-	cap     int
-	sink    io.Writer // conflint:guardedby mu
+	sink    io.Writer     // conflint:guardedby mu
 }
 
-func newAuditor(capacity int, sink io.Writer) *auditor {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &auditor{cap: capacity, sink: sink, records: make([]AuditRecord, 0, capacity)}
+func newAuditor(sink io.Writer) *auditor {
+	return &auditor{sink: sink, records: make([]AuditRecord, 0, auditCap)}
 }
 
 // add appends one record, streaming it to the sink if configured.
@@ -83,11 +82,11 @@ func (a *auditor) add(rec AuditRecord) {
 	a.mu.Lock()
 	rec.arrival = a.next
 	a.next++
-	if len(a.records) < a.cap {
+	if len(a.records) < auditCap {
 		a.records = append(a.records, rec)
 	} else {
 		a.records[a.head] = rec
-		a.head = (a.head + 1) % a.cap
+		a.head = (a.head + 1) % auditCap
 		a.dropped++
 	}
 	if a.sink != nil {

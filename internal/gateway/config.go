@@ -318,8 +318,8 @@ func (t *TenantConfig) familySet() map[string]bool {
 	return out
 }
 
-// Normalize re-applies defaults and validation after programmatic edits
-// (gatewayd's flag overrides edit a loaded config).
+// Normalize applies defaults and validation, as LoadConfig does: a
+// caller that builds or edits a Config in code calls it before use.
 func (c *Config) Normalize() error {
 	c.setDefaults()
 	_, err := c.Validate()
@@ -336,8 +336,7 @@ func LoadConfig(path string) (Config, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return Config{}, fmt.Errorf("gateway: %s: %w", path, err)
 	}
-	c.setDefaults()
-	if _, err := c.Validate(); err != nil {
+	if err := c.Normalize(); err != nil {
 		return Config{}, err
 	}
 	return c, nil

@@ -67,8 +67,6 @@ type Options struct {
 	// AuditSink, when non-nil, receives every audit record as a JSON
 	// line in arrival order.
 	AuditSink io.Writer
-	// AuditCap bounds the in-memory audit ring (default 65536).
-	AuditCap int
 }
 
 // Gateway is one multi-tenant HTTP front over one engine.
@@ -152,7 +150,7 @@ func New(opts Options) (*Gateway, error) {
 		tenants: make(map[string]*tenantState, len(cfg.Tenants)),
 		byKey:   make(map[string]*tenantState, len(cfg.Tenants)),
 		gate:    make(chan struct{}, cfg.GlobalInflight),
-		audit:   newAuditor(opts.AuditCap, opts.AuditSink),
+		audit:   newAuditor(opts.AuditSink),
 		readyCh: make(chan struct{}),
 	}
 	g.tenantOrder = make([]string, 0, len(cfg.Tenants))

@@ -39,12 +39,12 @@ type tenantState struct {
 	goalMet   []int64          // conflint:guardedby mu (per goal step: completed with s <= X)
 	mix       map[string]int64 // conflint:guardedby mu (by family)
 
-	window     []core.Measure // conflint:guardedby mu (ring of recent completions)
-	windowPos  int            // conflint:guardedby mu
-	recentSQL  []string       // conflint:guardedby mu (ring of recent query texts)
-	recentSet  map[string]bool
-	recentPos  int
-	lastTuneAt int64 // conflint:guardedby mu (completed count at last tuner signal)
+	window     []core.Measure  // conflint:guardedby mu (ring of recent completions)
+	windowPos  int             // conflint:guardedby mu
+	recentSQL  []string        // conflint:guardedby mu (ring of recent query texts)
+	recentSet  map[string]bool // conflint:guardedby mu (members of recentSQL)
+	recentPos  int             // conflint:guardedby mu (next slot once recentSQL is full)
+	lastTuneAt int64           // conflint:guardedby mu (completed count at last tuner signal)
 }
 
 func newTenantState(cfg TenantConfig) *tenantState {

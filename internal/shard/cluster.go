@@ -25,13 +25,13 @@ import (
 //
 // Queries execute partition-parallel over a bounded core.Runner pool and
 // merge deterministically; Reshard swaps in a new partition set live, and
-// Transition propagates configuration changes to every partition.
+// Transition a new configuration.
 //
 // The cluster reconfigures the way the engine does: the topology is an
 // immutable generation behind an atomic pointer, queries load it once and
 // take no lock, and the writers (Reshard, Transition) serialize on
 // reshardMu, build the next generation beside the serving one and swap it
-// in with one Store.
+// in with one Store — or fail and publish nothing.
 type Cluster struct {
 	coord *engine.Engine
 
@@ -85,9 +85,6 @@ func New(coord *engine.Engine, spec Spec, pool int) (*Cluster, error) {
 	return c, nil
 }
 
-// snapshot hands out the current topology generation and pool width.
-func (c *Cluster) snapshot() (*topology, int) { return c.top.Load(), c.Pool() }
-
 // Shards returns the current shard count.
 func (c *Cluster) Shards() int { return c.top.Load().spec.Shards }
 
@@ -113,13 +110,16 @@ func (c *Cluster) Stats() Stats {
 	return c.st
 }
 
-// buildTopology constructs one immutable topology generation for a spec.
+// buildTopology constructs one immutable topology generation for a spec
+// over the coordinator's current design.
 func (c *Cluster) buildTopology(spec Spec) (*topology, error) {
+	coord := c.coord.Physical()
 	shards, err := c.buildShards(spec)
 	if err != nil {
 		return nil, err
 	}
-	return &topology{spec: spec, shards: shards}, nil
+	ex := &exchangeCache{buckets: make(map[exKey][]*plan.TableInfo)}
+	return &topology{spec: spec, coord: coord, shards: shards, ex: ex}, nil
 }
 
 // buildShards constructs the partition engines for a spec: partition
@@ -225,42 +225,48 @@ func (c *Cluster) Reshard(n int) error {
 	return nil
 }
 
-// Transition applies a configuration change to the coordinator and every
-// partition (base-table structures only on partitions, built in parallel
-// over the pool). The returned report is the coordinator's, with
+// transitionPartition transitions one partition's fork. It is a variable
+// so that tests can fail a partition's build.
+var transitionPartition = (*engine.Engine).Transition
+
+// Transition moves the cluster to the target configuration as Reshard
+// moves it to a new shard count: it builds the next generation beside
+// the serving one and swaps it in with one Store. Each partition is
+// forked from its published snapshot and transitioned to the target's
+// base-table structures over the pool; the coordinator transitions last,
+// so a failed partition build leaves it and every partition on the
+// previous configuration. The returned report is the coordinator's, with
 // BuildSeconds restated as the sharded transition cost: views are global
 // (coordinator-only), index builds run partition-parallel, so the
 // cluster pays the view time plus the slowest partition's build.
-// Exchange buckets hold base rows only and carry no indexes, so a
-// configuration change never invalidates them.
 func (c *Cluster) Transition(target conf.Configuration) (engine.BuildReport, error) {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
+	cur, pool := c.top.Load(), c.Pool()
+	next := &topology{spec: cur.spec, shards: make([]*engine.Engine, len(cur.shards)), ex: cur.ex}
+	cfg := baseOnly(c.coord.Schema, target)
+	reps := make([]engine.BuildReport, len(cur.shards))
+	runner := core.Runner{Parallelism: pool}
+	if err := runner.Each(len(cur.shards), func(i int) (err error) {
+		next.shards[i] = cur.shards[i].Fork()
+		reps[i], err = transitionPartition(next.shards[i], cfg)
+		return err
+	}); err != nil {
+		return engine.BuildReport{}, err
+	}
 	rep, err := c.coord.Transition(target)
 	if err != nil {
 		return rep, err
 	}
-	top, pool := c.snapshot()
-	if top == nil || len(top.shards) == 0 {
-		return rep, nil
-	}
-	cfg := baseOnly(c.coord.Schema, target)
-	reps := make([]engine.BuildReport, len(top.shards))
-	runner := core.Runner{Parallelism: pool}
-	if err := runner.Each(len(top.shards), func(i int) error {
-		r, terr := top.shards[i].Transition(cfg)
-		reps[i] = r
-		return terr
-	}); err != nil {
-		return rep, err
-	}
-	var slowest float64
-	for i := range reps {
-		if reps[i].BuildSeconds > slowest {
-			slowest = reps[i].BuildSeconds
+	next.coord = c.coord.Physical()
+	c.top.Store(next)
+	if len(reps) > 0 {
+		var slowest float64
+		for _, r := range reps {
+			slowest = max(slowest, r.BuildSeconds)
 		}
+		rep.BuildSeconds = rep.ViewSeconds + slowest
 	}
-	rep.BuildSeconds = rep.ViewSeconds + slowest
 	return rep, nil
 }
 
@@ -284,9 +290,8 @@ func (c *Cluster) Run(sqlText string, limitSeconds float64) (*exec.Result, engin
 // back to coordinator-serial execution — identically at every shard
 // count, so results stay byte-identical across topologies.
 func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result, engine.Measure, error) {
-	top, pool := c.snapshot()
-
-	if top == nil || len(top.shards) == 0 {
+	top, pool := c.top.Load(), c.Pool()
+	if len(top.shards) == 0 {
 		res, m, err := c.coord.RunAnalyzed(q, limitSeconds)
 		c.note(m, 0, m.Seconds, false, false)
 		return res, m, err
@@ -294,7 +299,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	nShards := top.spec.Shards
 
 	opts := c.coord.Profile.Opts
-	coordPhys := c.coord.Physical()
+	coordPhys := top.coord
 	coordPlan, err := optimizer.Optimize(coordPhys, q, opts)
 	if err != nil {
 		return nil, engine.Measure{}, err
@@ -334,7 +339,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	meters := make([]exec.Ctx, len(top.shards))
 	runner := core.Runner{Parallelism: pool}
 	err = runner.Each(len(top.shards), func(i int) error {
-		hybrid, herr := top.shardPhysical(coordPhys, q, placements, i)
+		hybrid, herr := top.shardPhysical(q, placements, i)
 		if herr != nil {
 			return herr
 		}
@@ -447,10 +452,10 @@ func (c *Cluster) PredictSeconds(targetShards int) float64 {
 // themselves stay topology-invariant (they are computed on the
 // coordinator's full data).
 func (c *Cluster) PartitionPhysical(i int) (*plan.Physical, error) {
-	top, _ := c.snapshot()
-	if top == nil || len(top.shards) == 0 {
+	top := c.top.Load()
+	if len(top.shards) == 0 {
 		if i == 0 {
-			return c.coord.Physical(), nil
+			return top.coord, nil
 		}
 		return nil, fmt.Errorf("shard: no partition %d in a 1-shard topology", i)
 	}

@@ -60,19 +60,26 @@ type exKey struct {
 	col   int
 }
 
-// topology is one immutable generation of the cluster's partition
-// state: the spec, the partition engines built for it, and the
-// exchange-bucket cache keyed against exactly those shard counts.
-// Queries snapshot a *topology under the cluster's mu and use it
-// lock-free; Reshard publishes a fresh topology, so a query that began
-// against the old generation never joins old partitions with
-// new-generation buckets.
+// topology is one immutable generation of the cluster: the spec, the
+// coordinator's physical design, the partition engines built for both,
+// and the exchange-bucket cache keyed against exactly those shard counts.
+// Queries load a *topology once and use it lock-free, so a query plans,
+// runs and merges under one configuration; Reshard and Transition
+// publish a fresh generation, so a query that began against the old one
+// never joins old partitions with new-generation buckets.
 type topology struct {
 	spec   Spec
-	shards []*engine.Engine // nil for a 1-shard topology
+	coord  *plan.Physical
+	shards []*engine.Engine // empty for a 1-shard topology
+	// ex is shared by the generations Transition derives from this one:
+	// buckets hold base rows only, which no configuration change moves.
+	ex *exchangeCache
+}
 
-	exMu sync.Mutex
-	ex   map[exKey][]*plan.TableInfo // conflint:guardedby exMu
+// exchangeCache holds the buckets built for one shard count.
+type exchangeCache struct {
+	mu      sync.Mutex
+	buckets map[exKey][]*plan.TableInfo // conflint:guardedby mu
 }
 
 // planPlacements assigns a placement to every table ordinal of the
@@ -226,13 +233,13 @@ var noIndexes = []*plan.IndexInfo{}
 // reads and IN-subquery set estimation are global), while per-ordinal
 // overrides bind native placements to the partition engine's tables and
 // indexes and exchange placements to the repartitioned buckets.
-func (tp *topology) shardPhysical(coord *plan.Physical, q *sql.Query, pl []placement, i int) (*plan.Physical, error) {
+func (tp *topology) shardPhysical(q *sql.Query, pl []placement, i int) (*plan.Physical, error) {
 	h := &plan.Physical{
-		Schema:     coord.Schema,
-		Tables:     coord.Tables,
-		Indexes:    coord.Indexes,
-		Mem:        coord.Mem,
-		Model:      coord.Model,
+		Schema:     tp.coord.Schema,
+		Tables:     tp.coord.Tables,
+		Indexes:    tp.coord.Indexes,
+		Mem:        tp.coord.Mem,
+		Model:      tp.coord.Model,
 		TabTables:  make([]*plan.TableInfo, len(q.Tables)),
 		TabIndexes: make([][]*plan.IndexInfo, len(q.Tables)),
 	}
@@ -255,7 +262,7 @@ func (tp *topology) shardPhysical(coord *plan.Physical, q *sql.Query, pl []place
 				h.TabIndexes[o] = noIndexes
 			}
 		case placeExchange:
-			infos, err := tp.exchange(coord, name, p.col)
+			infos, err := tp.exchange(name, p.col)
 			if err != nil {
 				return nil, err
 			}
@@ -272,14 +279,15 @@ func (tp *topology) shardPhysical(coord *plan.Physical, q *sql.Query, pl []place
 // can never pair stale buckets with fresh partitions. Building is
 // wall-clock work only; the simulated cost of an exchange is billed per
 // query through billExchange.
-func (tp *topology) exchange(coord *plan.Physical, name string, col int) ([]*plan.TableInfo, error) {
+func (tp *topology) exchange(name string, col int) ([]*plan.TableInfo, error) {
 	key := exKey{table: strings.ToLower(name), col: col}
-	tp.exMu.Lock()
-	defer tp.exMu.Unlock()
-	if infos, ok := tp.ex[key]; ok {
+	ex := tp.ex
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if infos, ok := ex.buckets[key]; ok {
 		return infos, nil
 	}
-	src := coord.Table(name)
+	src := tp.coord.Table(name)
 	if src == nil {
 		return nil, fmt.Errorf("shard: no coordinator table %s to exchange", name)
 	}
@@ -303,10 +311,7 @@ func (tp *topology) exchange(coord *plan.Physical, name string, col int) ([]*pla
 	for i, h := range heaps {
 		infos[i] = &plan.TableInfo{Table: src.Table, Heap: h, Stats: stats.Collect(h)}
 	}
-	if tp.ex == nil {
-		tp.ex = make(map[exKey][]*plan.TableInfo)
-	}
-	tp.ex[key] = infos
+	ex.buckets[key] = infos
 	return infos, nil
 }
 

@@ -149,11 +149,11 @@ func TestExchangeBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, _ := cl.snapshot()
+	top := cl.top.Load()
 	coordPhys := coord.Physical()
 
 	const col = 1 // taxonomy.taxon_id
-	infos, err := top.exchange(coordPhys, "taxonomy", col)
+	infos, err := top.exchange("taxonomy", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestExchangeBuckets(t *testing.T) {
 		t.Errorf("buckets hold %d rows, coordinator has %d", total, want)
 	}
 
-	again, err := top.exchange(coordPhys, "taxonomy", col)
+	again, err := top.exchange("taxonomy", col)
 	if err != nil {
 		t.Fatal(err)
 	}

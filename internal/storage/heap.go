@@ -43,12 +43,12 @@ func NewHeap(t *catalog.Table) *Heap {
 	return &Heap{Table: t, rowsPerPage: rpp}
 }
 
-// Clone returns a heap over the same rows that can be appended to while
-// h is being read: appends land beyond h's length, which h never reads.
-// Only the most recent clone of a heap may be appended to — the engine's
-// writer mutex keeps that history linear.
+// Clone returns a heap over the same rows that shares no spare capacity
+// with h: its first append copies the rows, so appending to a clone never
+// writes storage another heap reads.
 func (h *Heap) Clone() *Heap {
 	c := *h
+	c.rows = slices.Clip(h.rows)
 	return &c
 }
 
