@@ -12,17 +12,15 @@ import (
 // in an accumulating window; when the window fills it is graded into
 // shard.WindowMetrics (goal level over the window's CFC, mean simulated
 // seconds, queue backlog) and handed — off the hot path — to the shard
-// package's pure Recommender and side-effecting Updater, which may
-// reshard the cluster or resize its worker pool live, within the
-// configured bounds. In dry-run mode every proposal is audited but
-// nothing mutates.
+// package's pure Propose and side-effecting Updater, which may reshard
+// the cluster or resize its worker pool live, within the configured
+// bounds. In dry-run mode every proposal is counted but nothing mutates.
 //
 // One worker goroutine serializes scale actions, as in the tuner.
 type autoscaler struct {
 	g    *Gateway
 	cl   *shard.Cluster
 	goal core.Goal
-	rec  *shard.Recommender
 	upd  *shard.Updater
 
 	mu      sync.Mutex
@@ -37,20 +35,14 @@ type autoscaler struct {
 }
 
 func newAutoscaler(g *Gateway, cl *shard.Cluster) *autoscaler {
-	upd := shard.NewUpdater(cl, shard.Bounds{
-		MinShards: g.cfg.MinShards, MaxShards: g.cfg.MaxShards,
-		MinPool: g.cfg.MinPool, MaxPool: g.cfg.MaxPool,
-	}, g.cfg.AutoscaleDryRun)
-	upd.Cooldown = g.cfg.AutoscaleCooldown
 	return &autoscaler{
 		g:    g,
 		cl:   cl,
-		goal: g.cfg.autoscaleGoalOf(),
-		rec: &shard.Recommender{
-			Rules:   shard.DefaultRules(g.cfg.AutoscaleTarget),
-			Predict: cl.PredictSeconds,
-		},
-		upd:     upd,
+		goal: goalOf(g.cfg.AutoscaleGoal),
+		upd: shard.NewUpdater(cl, shard.Bounds{
+			MinShards: g.cfg.MinShards, MaxShards: g.cfg.MaxShards,
+			MinPool: g.cfg.MinPool, MaxPool: g.cfg.MaxPool,
+		}, g.cfg.AutoscaleCooldown, g.cfg.AutoscaleDryRun),
 		entries: make([]core.Measure, 0, g.cfg.AutoscaleWindow),
 		w:       newWorker(),
 	}
@@ -88,9 +80,9 @@ func (as *autoscaler) observe(seconds float64, timedOut, errored bool) {
 	as.w.signal()
 }
 
-// closeWindowLocked grades the filled window into the record the
-// scaling rules evaluate: mean simulated seconds over the queries that
-// finished, goal level over the window's CFC, and the live queue backlog.
+// closeWindowLocked grades the filled window into the record Propose
+// evaluates: mean simulated seconds over the queries that finished, goal
+// level over the window's CFC, and the queue backlog read now, at close.
 func (as *autoscaler) closeWindowLocked() shard.WindowMetrics {
 	var sum float64
 	n := 0
@@ -128,7 +120,7 @@ func (as *autoscaler) drain() {
 		as.mu.Unlock()
 
 		cur := shard.State{Shards: as.cl.Shards(), Pool: as.cl.Pool()}
-		as.upd.Apply(as.rec.Recommend(cur, w))
+		as.upd.Apply(w.Window, cur, shard.Propose(cur, w, as.g.cfg.AutoscaleTarget))
 		as.windows.Add(1)
 	}
 }

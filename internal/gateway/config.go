@@ -51,16 +51,16 @@ type Config struct {
 	// scaling rules, which may reshard the cluster or resize its pool.
 	// Implies a cluster even when Shards <= 1 (it starts at one shard).
 	Autoscale bool `json:"autoscale,omitempty"`
-	// AutoscaleDryRun audits every proposal without mutating anything.
+	// AutoscaleDryRun counts every proposal without mutating anything.
 	AutoscaleDryRun bool `json:"autoscale_dry_run,omitempty"`
 	// AutoscaleWindow is how many completed queries form one metrics
 	// window.
 	AutoscaleWindow int `json:"autoscale_window,omitempty"`
 	// AutoscaleTarget is the mean-latency target (simulated seconds) the
-	// default scaling rules aim for.
+	// scaling rules in shard.Propose aim for.
 	AutoscaleTarget float64 `json:"autoscale_target,omitempty"`
 	// AutoscaleCooldown is the updater's hysteresis window: after a scale
-	// action, proposals within this many windows are held (audited as
+	// action, proposals within this many windows are held (counted as
 	// "cooldown") instead of applied, damping oscillation while the
 	// cluster settles. Zero disables the cooldown.
 	AutoscaleCooldown int `json:"autoscale_cooldown,omitempty"`
@@ -68,7 +68,7 @@ type Config struct {
 	// core.ParseGoal format; empty means the paper's Example 2 goal.
 	AutoscaleGoal string `json:"autoscale_goal,omitempty"`
 	// MinShards/MaxShards/MinPool/MaxPool bound the autoscaler; a
-	// proposal outside the bounds is refused (audited), never clamped.
+	// proposal outside the bounds is refused (counted), never clamped.
 	// Zero max means unbounded, zero min means 1.
 	MinShards int `json:"min_shards,omitempty"`
 	MaxShards int `json:"max_shards,omitempty"`
@@ -265,35 +265,21 @@ func (c *Config) Validate() (string, error) {
 	return db, nil
 }
 
-// autoscaleGoalOf resolves the autoscaler's grading goal.
-func (c *Config) autoscaleGoalOf() core.Goal {
-	if c.AutoscaleGoal == "" {
-		return core.Example2Goal()
-	}
-	g, err := core.ParseGoal(c.AutoscaleGoal)
-	if err != nil {
-		// Validate rejected this earlier; fall back rather than panic.
-		return core.Example2Goal()
-	}
-	return g
-}
-
-// goalOf resolves a tenant's goal curve.
+// goalOf resolves a goal spec in core.ParseGoal format; empty means the
+// paper's Example 2 goal.
 //
-// conflint:pure — goal resolution runs on the serve path for every
-// admitted query's grading; it must read the tenant config, never
-// rewrite it (per-tenant tuning goes through the config swap).
-func (t *TenantConfig) goalOf() core.Goal {
-	if t.Goal == "" {
+// conflint:pure — goal resolution reads the config, never rewrites it
+// (per-tenant tuning goes through the config swap).
+func goalOf(spec string) core.Goal {
+	if spec == "" {
 		return core.Example2Goal()
 	}
-	g, err := core.ParseGoal(t.Goal)
+	g, err := core.ParseGoal(spec)
 	if err != nil {
 		// Validate rejected this earlier; an unvalidated config falls
 		// back to the paper's goal rather than panicking mid-serve.
 		return core.Example2Goal()
 	}
-	g.Name = t.Name
 	return g
 }
 

@@ -84,7 +84,7 @@ func (g *Gateway) Stats() Snapshot {
 		}
 		if as := g.autoP.Load(); as != nil {
 			sh.Autoscale = true
-			sh.AutoscaleDryRun = as.upd.DryRun
+			sh.AutoscaleDryRun = g.cfg.AutoscaleDryRun
 			sh.AutoscaleWindows = as.windows.Load()
 			sh.AutoscaleActions = as.upd.Actions()
 		}
@@ -125,7 +125,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		one("gateway_shards", "gauge", "Current shard count.", float64(sh.Shards))
 		one("gateway_shard_pool", "gauge", "Current partition worker-pool width.", float64(sh.Pool))
 		one("gateway_reshards_total", "counter", "Live topology changes applied.", float64(sh.Reshards))
-		p.Family("gateway_autoscale_actions_total", "counter", "Autoscaler audit records by action.")
+		p.Family("gateway_autoscale_actions_total", "counter", "Autoscaler windows by action.")
 		for _, a := range sortedKeys(sh.AutoscaleActions) {
 			p.Sample("gateway_autoscale_actions_total", float64(sh.AutoscaleActions[a]), "action", a)
 		}

@@ -48,15 +48,16 @@ type tenantState struct {
 }
 
 func newTenantState(cfg TenantConfig) *tenantState {
+	goal := goalOf(cfg.Goal)
 	return &tenantState{
 		cfg:       cfg,
-		goal:      cfg.goalOf(),
+		goal:      goal,
 		allow:     cfg.allowSet(),
 		families:  cfg.familySet(),
 		slots:     make(chan struct{}, cfg.MaxQueue+cfg.MaxConcurrency),
 		run:       make(chan struct{}, cfg.MaxConcurrency),
 		rejected:  make(map[string]int64),
-		goalMet:   make([]int64, len(cfg.goalOf().Steps)),
+		goalMet:   make([]int64, len(goal.Steps)),
 		mix:       make(map[string]int64),
 		window:    make([]core.Measure, 0, cfg.Window),
 		recentSQL: make([]string, 0, recentSQLCap),

@@ -61,11 +61,11 @@ var killTable = []killRow{
 		"func (c *Cluster) Stats() Stats {\n"}},
 		"lock", []string{"exported method Stats reads guarded field c.st without holding c.statMu"}},
 	{"LO1", [][3]string{{"internal/shard/cluster.go",
-		"\tc.statMu.Lock()\n\tst := c.st\n",
-		"\tc.statMu.Lock()\n\tc.reshardMu.Lock()\n\tc.reshardMu.Unlock()\n\tst := c.st\n"}},
+		"\ttop := c.top.Load()\n",
+		"\tc.statMu.Lock()\n\tc.reshardMu.Lock()\n\ttop := c.top.Load()\n\tc.reshardMu.Unlock()\n\tc.statMu.Unlock()\n"}},
 		"lockorder", []string{
 			"lock-order cycle internal/shard.Cluster.reshardMu -> internal/shard.Cluster.statMu -> internal/shard.Cluster.reshardMu",
-			"internal/shard.Cluster.PredictSeconds acquires internal/shard.Cluster.reshardMu",
+			"internal/shard.Cluster.PartitionPhysical acquires internal/shard.Cluster.reshardMu",
 			"internal/shard.Cluster.Reshard acquires internal/shard.Cluster.statMu"}},
 	{"E1", [][3]string{{"internal/shard/cluster.go",
 		"\t\t\tif err := sh.Load(tp.name, tp.buckets[i]); err != nil {\n\t\t\t\treturn err\n\t\t\t}\n",

@@ -47,20 +47,13 @@ type Cluster struct {
 	st     Stats // conflint:guardedby statMu
 }
 
-// Stats is a snapshot of the cluster's execution counters, the raw
-// material for the autoscaler's Amdahl prediction: SerialSeconds is
-// simulated time that does not shrink with shard count (IN-set
-// computation, merge, serial fallbacks), ParallelWork is the total
-// simulated shard time normalized to one shard (sum over queries of
-// max-shard-seconds × shard count).
+// Stats is a snapshot of the cluster's execution counters.
 type Stats struct {
-	Queries       int64
-	Fallbacks     int64 // queries run coordinator-serial (plans reading materialized views)
-	Exchanges     int64 // queries that repartitioned at least one table via row exchange
-	Timeouts      int64
-	Reshards      int64
-	SerialSeconds float64
-	ParallelWork  float64
+	Queries   int64
+	Fallbacks int64 // queries run coordinator-serial (plans reading materialized views)
+	Exchanges int64 // queries that repartitioned at least one table via row exchange
+	Timeouts  int64
+	Reshards  int64
 }
 
 // New builds a cluster over an already-loaded coordinator engine. The
@@ -293,7 +286,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	top, pool := c.top.Load(), c.Pool()
 	if len(top.shards) == 0 {
 		res, m, err := c.coord.RunAnalyzed(q, limitSeconds)
-		c.note(m, 0, m.Seconds, false, false)
+		c.note(m, false, false)
 		return res, m, err
 	}
 	nShards := top.spec.Shards
@@ -306,7 +299,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	}
 	if planUsesView(coordPlan.Root) {
 		res, m, err := c.coord.RunAnalyzed(q, limitSeconds)
-		c.note(m, 0, m.Seconds, true, false)
+		c.note(m, true, false)
 		return res, m, err
 	}
 	placements, exchanged := planPlacements(q, coordPhys, top.spec)
@@ -320,7 +313,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	if err != nil {
 		if err == exec.ErrTimeout {
 			m := engine.Measure{SQL: sqlText, Seconds: limitSeconds, TimedOut: true, Meter: insetCtx.Meter}
-			c.note(m, 0, 0, false, false)
+			c.note(m, false, false)
 			return nil, m, nil
 		}
 		return nil, engine.Measure{}, err
@@ -362,7 +355,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	if err != nil {
 		if err == exec.ErrTimeout {
 			m := timeoutMeasure(sqlText, limitSeconds, insetCtx, meters)
-			c.note(m, 0, 0, false, false)
+			c.note(m, false, false)
 			return nil, m, nil
 		}
 		return nil, engine.Measure{}, err
@@ -374,7 +367,7 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 	if err != nil {
 		if err == exec.ErrTimeout {
 			m := timeoutMeasure(sqlText, limitSeconds, insetCtx, meters)
-			c.note(m, 0, 0, false, false)
+			c.note(m, false, false)
 			return nil, m, nil
 		}
 		return nil, engine.Measure{}, err
@@ -389,18 +382,17 @@ func (c *Cluster) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result,
 		total.Add(meters[i].Meter)
 	}
 	total.Add(mergeCtx.Meter)
-	serial := insetCtx.Seconds() + mergeCtx.Seconds()
-	m := engine.Measure{SQL: sqlText, Seconds: serial + slowest, Meter: total}
+	m := engine.Measure{SQL: sqlText, Seconds: insetCtx.Seconds() + mergeCtx.Seconds() + slowest, Meter: total}
 	if limitSeconds > 0 && m.Seconds > limitSeconds {
 		m.TimedOut = true
 		m.Seconds = limitSeconds
 	}
-	c.note(m, slowest*float64(nShards), serial, false, len(exchanged) > 0)
+	c.note(m, false, len(exchanged) > 0)
 	return res, m, nil
 }
 
-// note folds one query's cost split into the counters.
-func (c *Cluster) note(m engine.Measure, parallelWork, serialSeconds float64, fallback, exchanged bool) {
+// note folds one query into the counters.
+func (c *Cluster) note(m engine.Measure, fallback, exchanged bool) {
 	c.statMu.Lock()
 	defer c.statMu.Unlock()
 	c.st.Queries++
@@ -413,8 +405,6 @@ func (c *Cluster) note(m engine.Measure, parallelWork, serialSeconds float64, fa
 	if m.TimedOut {
 		c.st.Timeouts++
 	}
-	c.st.SerialSeconds += serialSeconds
-	c.st.ParallelWork += parallelWork
 }
 
 // timeoutMeasure assembles the measure for a hard partition/merge
@@ -426,23 +416,6 @@ func timeoutMeasure(sqlText string, limit float64, insetCtx *exec.Ctx, meters []
 		total.Add(meters[i].Meter)
 	}
 	return engine.Measure{SQL: sqlText, Seconds: limit, TimedOut: true, Meter: total}
-}
-
-// PredictSeconds is the autoscaler's Amdahl model: mean per-query cost
-// at a hypothetical shard count, from the observed serial/parallel work
-// split. Returns 0 until a query has been measured.
-func (c *Cluster) PredictSeconds(targetShards int) float64 {
-	if targetShards < 1 {
-		targetShards = 1
-	}
-	c.statMu.Lock()
-	st := c.st
-	c.statMu.Unlock()
-	if st.Queries == 0 {
-		return 0
-	}
-	q := float64(st.Queries)
-	return st.SerialSeconds/q + st.ParallelWork/q/float64(targetShards)
 }
 
 // PartitionPhysical returns partition i's physical description — its

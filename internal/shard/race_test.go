@@ -17,8 +17,7 @@ func TestClusterRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUpdater(cl, Bounds{MinShards: 1, MaxShards: 8, MinPool: 1, MaxPool: 16}, true)
-	r := &Recommender{Rules: DefaultRules(10), Predict: cl.PredictSeconds}
+	u := NewUpdater(cl, Bounds{MinShards: 1, MaxShards: 8, MinPool: 1, MaxPool: 16}, 0, true)
 
 	// The mix deliberately includes the exchange path: [0] is the
 	// key-mismatched self-alias join (taxonomy⋈taxonomy on lineage) and
@@ -61,12 +60,11 @@ func TestClusterRaceStress(t *testing.T) {
 					cl.SetPool(1 + (g+it)%8)
 					_ = cl.Pool()
 					_ = cl.Stats()
-					_ = cl.PredictSeconds(4)
 				case 3: // dry-run autoscaler traffic
-					rec := r.Recommend(State{Shards: cl.Shards(), Pool: cl.Pool()},
-						WindowMetrics{Window: it, Queries: 20, MeanSeconds: 25, GoalLevel: 0.5})
-					_ = u.Apply(rec)
-					_ = u.Audit()
+					cur := State{Shards: cl.Shards(), Pool: cl.Pool()}
+					next := Propose(cur, WindowMetrics{Window: it, Queries: 20, MeanSeconds: 25, GoalLevel: 0.5}, 10)
+					u.Apply(it, cur, next)
+					_ = u.Actions()
 				default: // concurrent queries
 					q := queries[(g+it)%len(queries)]
 					res, _, err := cl.Run(q, 0)
