@@ -37,8 +37,9 @@ fmtcheck:
 lint:
 	$(GO) run ./cmd/conflint ./...
 
+# BenchmarkFig6 once: the reproduction's bytes/op proxy (EXPERIMENTS.md).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/bench
 
 # The wall-clock benchmark's own tests (a module of its own, so `go test
 # ./...` at the root does not reach it): every workload at 1/20 size with

@@ -1,8 +1,14 @@
 package bench
 
 import (
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // tinyLab builds a fast lab for smoke tests.
@@ -82,8 +88,70 @@ func TestTable1Smoke(t *testing.T) {
 		}
 	}
 	// 1C must be bigger than P in every block.
-	if strings.Count(out, "\n") < 14 {
-		t.Errorf("table1 too short:\n%s", out)
+	for _, c := range []struct{ sys, db string }{{"A", DBNref}, {"B", DBNref}, {"C", DBSkTH}, {"C", DBUnTH}} {
+		p, err := l.BuildReport(c.sys, c.db, "P")
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := l.BuildReport(c.sys, c.db, "1C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Bytes <= p.Bytes {
+			t.Errorf("%s %s: 1C is %d bytes, P %d", c.sys, c.db, one.Bytes, p.Bytes)
+		}
+	}
+}
+
+// TestLabEngineServesP: running a workload under another configuration
+// leaves the engine Engine hands out in P.
+func TestLabEngineServesP(t *testing.T) {
+	l := tinyLab()
+	if _, err := l.Run("A", "NREF2J", "1C"); err != nil {
+		t.Fatal(err)
+	}
+	e := l.Engine("A", DBNref)
+	var got, want []string
+	for _, ixs := range e.Physical().Indexes {
+		for _, ix := range ixs {
+			got = append(got, ix.Name)
+		}
+	}
+	for _, d := range engine.PConfiguration(e).Indexes {
+		want = append(want, d.Name())
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("Engine serves indexes %v after a 1C run, want P's %v", got, want)
+	}
+}
+
+// TestLabConcurrentRuns runs three configurations of one cell at once on
+// one lab: each must measure what a sequential run on a fresh lab does.
+func TestLabConcurrentRuns(t *testing.T) {
+	names := []string{"P", "1C", "R:NREF2J"}
+	l := tinyLab()
+	got := make([][]core.Measure, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, cn := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = l.Run("A", "NREF2J", cn)
+		}()
+	}
+	wg.Wait()
+	seq := tinyLab()
+	for i, cn := range names {
+		want, err := seq.Run("A", "NREF2J", cn)
+		if err != nil || errs[i] != nil {
+			t.Fatalf("%s: sequential error %v, concurrent %v", cn, err, errs[i])
+		}
+		if !reflect.DeepEqual(want, got[i]) {
+			t.Errorf("%s: concurrent measures differ from a sequential lab's", cn)
+		}
 	}
 }
 
@@ -113,5 +181,21 @@ func TestRecommendationCapitulationIsCached(t *testing.T) {
 	_, err2 := l.Recommendation("A", "NREF3J")
 	if (err1 == nil) != (err2 == nil) {
 		t.Errorf("recommendation outcome unstable: %v vs %v", err1, err2)
+	}
+}
+
+// BenchmarkFig6 regenerates Figure 6 (System B on NREF3J) at scale 0.0002
+// with 30-query workloads, loading the lab included: the bytes/op proxy
+// EXPERIMENTS cites for the reproduction's memory. `make bench` runs it
+// once.
+func BenchmarkFig6(b *testing.B) {
+	b.ReportAllocs()
+	l := NewLab(0.0002, 42)
+	l.WorkloadSize = 30
+	exp, _ := Find("fig6")
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.Run(l); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -25,9 +25,6 @@ func TestParallelDeterminism(t *testing.T) {
 	} {
 		db := dbOfFamily(spec.family)
 		fam := l.Workload(spec.sys, spec.family)
-		if err := l.ApplyNamed(spec.sys, db, "P"); err != nil {
-			t.Fatal(err)
-		}
 		e := l.Engine(spec.sys, db)
 
 		base, err := core.RunWorkload(e, fam.SQLs(), Timeout)

@@ -330,18 +330,16 @@ func insertions(l *Lab) (string, error) {
 		}
 		queryGain := cR.TotalLowerBound() - c1.TotalLowerBound()
 
-		e := l.Engine(sys, DBNref)
-		cfgR, err := l.Recommendation(sys, "NREF2J")
+		b1C, err := l.configured(sys, DBNref, "1C")
 		if err != nil {
 			return "", err
 		}
-		em := l.lockEngine(sys, DBNref)
-		em.Lock()
-		l.apply(sys, DBNref, "1C", conf.Configuration{})
-		ins1C := e.InsertCostPerRow("neighboring_seq")
-		l.apply(sys, DBNref, "R:NREF2J", cfgR)
-		insR := e.InsertCostPerRow("neighboring_seq")
-		em.Unlock()
+		bR, err := l.configured(sys, DBNref, "R:NREF2J")
+		if err != nil {
+			return "", err
+		}
+		ins1C := b1C.e.InsertCostPerRow("neighboring_seq")
+		insR := bR.e.InsertCostPerRow("neighboring_seq")
 
 		extra := ins1C - insR
 		if extra <= 0 || queryGain <= 0 {
@@ -365,7 +363,7 @@ func families(l *Lab) (string, error) {
 		{"A", "NREF2J"}, {"A", "NREF3J"}, {"C", "SkTH3J"}, {"C", "SkTH3Js"}, {"C", "UnTH3J"},
 	} {
 		db := dbOfFamily(spec.family)
-		e := l.Engine(spec.sys, db)
+		e := l.pEngine(spec.sys, db)
 		opts := defaultFamilyOptions()
 		full := generateFamily(spec.family, e, opts)
 		sample := l.Workload(spec.sys, spec.family)
@@ -407,7 +405,7 @@ func ablationWhatIf(l *Lab) (string, error) {
 	prof.Name = "B-ideal"
 	prof.Opts.HypoRowPenalty = 1
 	prof.Opts.HypoIdeal = true
-	e := engine.New(l.Engine("B", DBNref).Schema, l.Scale, prof)
+	e := engine.New(l.pEngine("B", DBNref).Schema, l.Scale, prof)
 	must(datagenNREFInto(e, l))
 	e.CollectStats()
 	if _, err := e.ApplyConfig(engine.PConfiguration(e)); err != nil {
@@ -446,21 +444,18 @@ func ablationWhatIf(l *Lab) (string, error) {
 // budget with one under a 4x budget (§3.2.3 reports "unlimited" budgets
 // helped in some but not all cases).
 func ablationBudget(l *Lab) (string, error) {
-	e := l.Engine("B", DBNref)
 	fam := l.Workload("B", "NREF2J")
 	budget := l.Budget("B", DBNref)
-	em := l.lockEngine("B", DBNref)
-	em.Lock()
-	l.apply("B", DBNref, "P", conf.Configuration{})
-	recBig, err := recommender.New(e, recommender.SystemB()).Recommend(fam.SQLs(), budget*4)
+	recBig, err := recommender.New(l.pEngine("B", DBNref), recommender.SystemB()).Recommend(fam.SQLs(), budget*4)
 	if err != nil {
-		em.Unlock()
 		return "", err
 	}
 	recBig.Name = "B NREF2J R (4x budget)"
-	l.apply("B", DBNref, "Rbig:NREF2J", recBig)
+	e := l.Engine("B", DBNref)
+	if _, err := e.ApplyConfig(recBig); err != nil {
+		return "", err
+	}
 	ms, err := l.runner().RunWorkload(e, fam.SQLs(), Timeout)
-	em.Unlock()
 	if err != nil {
 		return "", err
 	}
@@ -486,22 +481,24 @@ func ablationDisk(l *Lab) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("A NREF2J: total lower bound (s) as random pages get cheaper\n\n")
 	fmt.Fprintf(&sb, "  %-22s %12s %12s %8s\n", "random-page cost", "P total", "1C total", "P/1C")
-	e := l.Engine("A", DBNref)
 	fam := l.Workload("A", "NREF2J")
-	// Mutating e.Model requires exclusive use of the engine: hold the
-	// cell lock for the whole sweep (restore runs before the unlock).
-	em := l.lockEngine("A", DBNref)
-	em.Lock()
-	defer em.Unlock()
-	baseModel := e.Model
-	defer func() { e.Model = baseModel }()
+	var engines []*engine.Engine // P, 1C
+	for _, cn := range []string{"P", "1C"} {
+		b, err := l.configured("A", DBNref, cn)
+		if err != nil {
+			return "", err
+		}
+		engines = append(engines, b.e)
+	}
+	baseModel := engines[0].Model
 	for _, div := range []float64{1, 10, 100} {
 		m := baseModel
 		m.RandPageSec = baseModel.RandPageSec / div
-		e.Model = m
 		var totals []float64
-		for _, cn := range []string{"P", "1C"} {
-			l.apply("A", DBNref, cn, conf.Configuration{})
+		for _, shared := range engines {
+			// The cheaper disk goes on a fork: the lab's engines keep theirs.
+			e := shared.Fork()
+			e.Model = m
 			ms, err := l.runner().RunWorkload(e, fam.SQLs(), Timeout)
 			if err != nil {
 				return "", err
@@ -539,10 +536,6 @@ func transitions(l *Lab) (string, error) {
 		{"1C -> P", p},
 		{"P -> 1C", oneC},
 	}
-	em := l.lockEngine("B", DBNref)
-	em.Lock()
-	defer em.Unlock()
-	l.apply("B", DBNref, "P", conf.Configuration{})
 	for _, st := range steps {
 		w := e.NewWhatIf()
 		et, err := w.EstimateTransition(st.to)
@@ -555,10 +548,6 @@ func transitions(l *Lab) (string, error) {
 		}
 		fmt.Fprintf(&sb, "  %-22s %10.1f %10.1f\n", st.name, et/60, rep.BuildSeconds/60)
 	}
-	// Leave the engine in a named state for subsequent experiments.
-	l.mu.Lock()
-	l.current["B:"+DBNref] = "1C"
-	l.mu.Unlock()
 	sb.WriteString("\nIncremental AT is far below rebuilding from scratch when\nconfigurations overlap — the observe/react loop gets cheaper.\n")
 	return sb.String(), nil
 }

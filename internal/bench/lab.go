@@ -23,16 +23,15 @@ const Timeout = core.DefaultTimeout
 
 // Lab is the experimental environment. All state is memoized: engines are
 // loaded once per (system, database), workloads sampled once per family,
-// recommendations computed once, and workload runs cached per
-// configuration.
+// recommendations computed once, each named configuration built once, and
+// workload runs cached per configuration.
 //
-// A Lab is safe for concurrent use. Each (system, database) cell has its
-// own mutex so that the engine's configuration cannot change underneath a
-// running experiment; independent cells proceed concurrently, and the
-// queries within one workload run fan out over the lab's worker pool.
-// Lock ordering: a cell lock is always acquired before l.mu, and l.mu is
-// never held across engine work (data generation, config builds, query
-// runs).
+// A Lab is safe for concurrent use, and it holds configurations, not a
+// switch: each named configuration is built once, from scratch, on its
+// own fork of the cell's loaded P engine, and kept. A built engine is
+// never reconfigured, so experiments on one cell need no lock between
+// them; independent cells load data concurrently, and the queries within
+// one workload run fan out over the lab's worker pool.
 type Lab struct {
 	// Scale is the data scale factor relative to the paper's databases.
 	Scale float64
@@ -51,55 +50,56 @@ type Lab struct {
 	// first workload runs.
 	DisableWhatIfCache bool
 
-	mu        sync.Mutex
-	engMu     map[string]*sync.Mutex        // conflint:guardedby mu (per (system, database) cell)
-	engines   map[string]*engine.Engine     // conflint:guardedby mu
-	workloads map[string]workload.Family    // conflint:guardedby mu
-	recs      map[string]recResult          // conflint:guardedby mu
-	runs      map[string][]core.Measure     // conflint:guardedby mu
-	builds    map[string]engine.BuildReport // conflint:guardedby mu
-	current   map[string]string             // conflint:guardedby mu (engine key -> applied config name)
+	configs   memo[built]              // (system, database, configuration name)
+	workloads memo[workload.Family]    // (database, family)
+	recs      memo[conf.Configuration] // (system, family)
+	runs      memo[[]core.Measure]     // (system, family, configuration name)
 }
 
-type recResult struct {
-	cfg conf.Configuration
-	err error
+// built is one named configuration: the engine serving it and the report
+// of building it from scratch.
+type built struct {
+	e   *engine.Engine
+	rep engine.BuildReport
+}
+
+// memo is a once-per-key cache: the first caller of a key computes its
+// value, and concurrent callers of that key wait for it. Errors are
+// cached with the value.
+type memo[V any] struct {
+	mu    sync.Mutex
+	cells map[string]*memoCell[V] // conflint:guardedby mu
+}
+
+type memoCell[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (m *memo[V]) get(key string, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	c, ok := m.cells[key]
+	if !ok {
+		if m.cells == nil {
+			m.cells = make(map[string]*memoCell[V])
+		}
+		c = new(memoCell[V])
+		m.cells[key] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() { c.v, c.err = compute() })
+	return c.v, c.err
 }
 
 // NewLab creates a lab at the given scale (e.g. 0.001 for 1/1000-scale
 // databases billed at full scale by the simulated clock).
 func NewLab(scale float64, seed int64) *Lab {
-	return &Lab{
-		Scale:        scale,
-		WorkloadSize: 100,
-		Seed:         seed,
-		engMu:        make(map[string]*sync.Mutex),
-		engines:      make(map[string]*engine.Engine),
-		workloads:    make(map[string]workload.Family),
-		recs:         make(map[string]recResult),
-		runs:         make(map[string][]core.Measure),
-		builds:       make(map[string]engine.BuildReport),
-		current:      make(map[string]string),
-	}
+	return &Lab{Scale: scale, WorkloadSize: 100, Seed: seed}
 }
 
 // runner returns the worker pool used for workload fan-out.
 func (l *Lab) runner() core.Runner { return core.Runner{Parallelism: l.Parallelism} }
-
-// lockEngine returns the mutex serializing use of one (system, database)
-// cell. Holding it guarantees the engine's configuration stays fixed for
-// the duration of an experiment step.
-func (l *Lab) lockEngine(sys, db string) *sync.Mutex {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	key := sys + ":" + db
-	m, ok := l.engMu[key]
-	if !ok {
-		m = new(sync.Mutex)
-		l.engMu[key] = m
-	}
-	return m
-}
 
 // Databases and systems.
 const (
@@ -120,26 +120,22 @@ func profileOf(sys string) engine.Profile {
 	panic("bench: unknown system " + sys)
 }
 
-// Engine returns the loaded engine for a (system, database) pair, with
-// statistics collected and the P configuration applied initially.
-func (l *Lab) Engine(sys, db string) *engine.Engine {
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	return l.engine(sys, db)
+// Engine returns a fork of the (system, database) cell's loaded engine,
+// with statistics collected and the P configuration applied. The caller
+// owns the fork: reconfiguring it leaves every engine the lab reads as
+// it was.
+func (l *Lab) Engine(sys, db string) *engine.Engine { return l.pEngine(sys, db).Fork() }
+
+// pEngine returns the cell's engine in P, shared with every experiment.
+func (l *Lab) pEngine(sys, db string) *engine.Engine {
+	b, err := l.configured(sys, db, "P")
+	must(err)
+	return b.e
 }
 
-// engine loads (or returns) the cell's engine. The caller must hold the
-// cell lock; l.mu is taken only around map access so other cells can
-// load their databases concurrently.
-func (l *Lab) engine(sys, db string) *engine.Engine {
-	key := sys + ":" + db
-	l.mu.Lock()
-	e, ok := l.engines[key]
-	l.mu.Unlock()
-	if ok {
-		return e
-	}
+// loadEngine generates the cell's database and collects its statistics.
+func (l *Lab) loadEngine(sys, db string) *engine.Engine {
+	var e *engine.Engine
 	switch db {
 	case DBNref:
 		e = engine.New(catalog.NREF(), l.Scale, profileOf(sys))
@@ -155,13 +151,6 @@ func (l *Lab) engine(sys, db string) *engine.Engine {
 	}
 	e.DisableWhatIfCache = l.DisableWhatIfCache
 	e.CollectStats()
-	rep, err := e.ApplyConfig(engine.PConfiguration(e))
-	must(err)
-	l.mu.Lock()
-	l.current[key] = "P"
-	l.builds[key+":P"] = rep
-	l.engines[key] = e
-	l.mu.Unlock()
 	return e
 }
 
@@ -201,92 +190,51 @@ func dbOfFamily(family string) string {
 // §4.1.1, using estimates as the stratifier).
 func (l *Lab) Workload(sys, family string) workload.Family {
 	db := dbOfFamily(family)
-	key := db + ":" + family
-	l.mu.Lock()
-	f, ok := l.workloads[key]
-	l.mu.Unlock()
-	if ok {
-		return f
-	}
-
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.mu.Lock()
-	f, ok = l.workloads[key]
-	l.mu.Unlock()
-	if ok {
-		return f
-	}
-	e := l.engine(sys, db)
-	l.apply(sys, db, "P", conf.Configuration{})
-	fam := generateFamily(family, e, defaultFamilyOptions())
-	fam = fam.Sample(l.WorkloadSize, func(s string) float64 {
-		m, err := e.Estimate(s)
-		if err != nil {
-			return 0
-		}
-		return m.Seconds
-	}, l.Seed)
-	l.mu.Lock()
-	l.workloads[key] = fam
-	l.mu.Unlock()
+	fam, err := l.workloads.get(db+":"+family, func() (workload.Family, error) {
+		e := l.pEngine(sys, db)
+		fam := generateFamily(family, e, defaultFamilyOptions())
+		return fam.Sample(l.WorkloadSize, func(s string) float64 {
+			m, err := e.Estimate(s)
+			if err != nil {
+				return 0
+			}
+			return m.Seconds
+		}, l.Seed), nil
+	})
+	must(err)
 	return fam
 }
 
 // Budget returns the paper's storage budget: the estimated size difference
-// between 1C and P (§3.2.3). The estimate derives only from base-table
-// statistics, so it needs no cell lock.
+// between 1C and P (§3.2.3).
 func (l *Lab) Budget(sys, db string) int64 {
-	e := l.Engine(sys, db)
-	w := e.NewWhatIf()
-	return w.EstimateSize(engine.OneColumnConfiguration(e))
+	e := l.pEngine(sys, db)
+	return e.NewWhatIf().EstimateSize(engine.OneColumnConfiguration(e))
 }
 
 // Recommendation returns (and caches) the system's recommended
 // configuration for the family, or the recommender's error (System A on
 // NREF3J capitulates; the paper reports no configuration for it).
 func (l *Lab) Recommendation(sys, family string) (conf.Configuration, error) {
-	key := sys + ":" + family
-	l.mu.Lock()
-	if r, ok := l.recs[key]; ok {
-		l.mu.Unlock()
-		return r.cfg, r.err
-	}
-	l.mu.Unlock()
-
-	recCfg, err := recommender.System(sys)
-	if err != nil {
-		return conf.Configuration{}, err
-	}
-	db := dbOfFamily(family)
-	fam := l.Workload(sys, family)
-	e := l.Engine(sys, db)
-	budget := l.Budget(sys, db)
-
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.mu.Lock()
-	if r, ok := l.recs[key]; ok {
-		l.mu.Unlock()
-		return r.cfg, r.err
-	}
-	l.mu.Unlock()
-	l.apply(sys, db, "P", conf.Configuration{})
-	cfg, err := recommender.New(e, recCfg).Parallel(l.Parallelism).Recommend(fam.SQLs(), budget)
-	if err == nil {
-		cfg.Name = fmt.Sprintf("%s %s R", sys, family)
-	}
-	l.mu.Lock()
-	l.recs[key] = recResult{cfg, err}
-	l.mu.Unlock()
-	return cfg, err
+	return l.recs.get(sys+":"+family, func() (conf.Configuration, error) {
+		recCfg, err := recommender.System(sys)
+		if err != nil {
+			return conf.Configuration{}, err
+		}
+		db := dbOfFamily(family)
+		fam := l.Workload(sys, family)
+		budget := l.Budget(sys, db)
+		cfg, err := recommender.New(l.pEngine(sys, db), recCfg).Parallel(l.Parallelism).Recommend(fam.SQLs(), budget)
+		if err == nil {
+			cfg.Name = fmt.Sprintf("%s %s R", sys, family)
+		}
+		return cfg, err
+	})
 }
 
 // Config materializes one of the named configurations for an engine.
 func (l *Lab) Config(sys, db, name string) (conf.Configuration, error) {
-	e := l.Engine(sys, db)
+	e := l.pEngine(sys, db)
 	switch name {
 	case "P":
 		return engine.PConfiguration(e), nil
@@ -300,88 +248,51 @@ func (l *Lab) Config(sys, db, name string) (conf.Configuration, error) {
 	return conf.Configuration{}, fmt.Errorf("bench: unknown configuration %q", name)
 }
 
-// apply switches the engine to the named configuration if needed,
-// recording the build report the first time each configuration is built.
-// The caller must hold the cell lock.
-func (l *Lab) apply(sys, db, name string, cfg conf.Configuration) {
-	key := sys + ":" + db
-	e := l.engine(sys, db)
-	bkey := key + ":" + name
-	l.mu.Lock()
-	cur := l.current[key]
-	l.mu.Unlock()
-	if cur == name {
-		return
-	}
-	if name == "P" {
-		cfg = engine.PConfiguration(e)
-	} else if name == "1C" {
-		cfg = engine.OneColumnConfiguration(e)
-	}
-	rep, err := e.ApplyConfig(cfg)
-	must(err)
-	l.mu.Lock()
-	if _, ok := l.builds[bkey]; !ok {
-		l.builds[bkey] = rep
-	}
-	l.current[key] = name
-	l.mu.Unlock()
+// configured returns the cell's engine under the named configuration,
+// built once, from scratch: P on the freshly loaded engine, any other
+// configuration on its own fork of P. The engine is shared: callers must
+// not reconfigure it.
+func (l *Lab) configured(sys, db, name string) (built, error) {
+	return l.configs.get(sys+":"+db+":"+name, func() (built, error) {
+		var e *engine.Engine
+		var cfg conf.Configuration
+		if name == "P" {
+			e = l.loadEngine(sys, db)
+			cfg = engine.PConfiguration(e)
+		} else {
+			var err error
+			if cfg, err = l.Config(sys, db, name); err != nil {
+				return built{}, err
+			}
+			e = l.pEngine(sys, db).Fork()
+		}
+		rep, err := e.ApplyConfig(cfg)
+		must(err)
+		return built{e, rep}, nil
+	})
 }
 
 // Run executes the family workload under the named configuration,
 // returning cached per-query measures A(q, C). Queries fan out over the
-// lab's worker pool; the cell lock keeps the configuration fixed for the
-// duration of the run.
+// lab's worker pool.
 func (l *Lab) Run(sys, family, configName string) ([]core.Measure, error) {
-	db := dbOfFamily(family)
-	key := strings.Join([]string{sys, family, configName}, ":")
-	l.mu.Lock()
-	ms, ok := l.runs[key]
-	l.mu.Unlock()
-	if ok {
-		return ms, nil
-	}
-
-	cfg, err := l.Config(sys, db, configName)
-	if err != nil {
-		return nil, err
-	}
-	fam := l.Workload(sys, family)
-
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.mu.Lock()
-	ms, ok = l.runs[key]
-	l.mu.Unlock()
-	if ok {
-		return ms, nil
-	}
-	l.apply(sys, db, configName, cfg)
-	ms, err = l.runner().RunWorkload(l.engine(sys, db), fam.SQLs(), Timeout)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.runs[key] = ms
-	l.mu.Unlock()
-	return ms, nil
+	return l.runs.get(sys+":"+family+":"+configName, func() ([]core.Measure, error) {
+		c, err := l.configured(sys, dbOfFamily(family), configName)
+		if err != nil {
+			return nil, err
+		}
+		return l.runner().RunWorkload(c.e, l.Workload(sys, family).SQLs(), Timeout)
+	})
 }
 
-// Estimates returns the optimizer estimates E(q, C) for the family under
-// the named configuration (the engine is switched to it first).
+// Estimates returns the optimizer estimates E(q, C) for the family, taken
+// in the named configuration.
 func (l *Lab) Estimates(sys, family, configName string) ([]core.Measure, error) {
-	db := dbOfFamily(family)
-	cfg, err := l.Config(sys, db, configName)
+	c, err := l.configured(sys, dbOfFamily(family), configName)
 	if err != nil {
 		return nil, err
 	}
-	fam := l.Workload(sys, family)
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.apply(sys, db, configName, cfg)
-	return l.runner().EstimateWorkload(l.engine(sys, db), fam.SQLs())
+	return l.runner().EstimateWorkload(c.e, l.Workload(sys, family).SQLs())
 }
 
 // Hypotheticals returns H(q, Ch, P): what-if estimates for the named
@@ -392,12 +303,7 @@ func (l *Lab) Hypotheticals(sys, family, configName string) ([]core.Measure, err
 	if err != nil {
 		return nil, err
 	}
-	fam := l.Workload(sys, family)
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.apply(sys, db, "P", conf.Configuration{})
-	return l.runner().WhatIfWorkload(l.engine(sys, db), fam.SQLs(), cfg)
+	return l.runner().WhatIfWorkload(l.pEngine(sys, db), l.Workload(sys, family).SQLs(), cfg)
 }
 
 // CFC builds the cumulative frequency curve for a cached or fresh run.
@@ -409,28 +315,11 @@ func (l *Lab) CFC(sys, family, configName string) (core.CFC, error) {
 	return core.NewCFC(ms, Timeout), nil
 }
 
-// BuildReport returns the recorded build report for a configuration,
-// building it if necessary.
+// BuildReport returns the report of building the named configuration from
+// scratch, building it if necessary.
 func (l *Lab) BuildReport(sys, db, name string) (engine.BuildReport, error) {
-	cfg, err := l.Config(sys, db, name)
-	if err != nil {
-		return engine.BuildReport{}, err
-	}
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	bkey := sys + ":" + db + ":" + name
-	l.mu.Lock()
-	rep, ok := l.builds[bkey]
-	l.mu.Unlock()
-	if ok {
-		return rep, nil
-	}
-	l.apply(sys, db, name, cfg)
-	l.mu.Lock()
-	rep = l.builds[bkey]
-	l.mu.Unlock()
-	return rep, nil
+	c, err := l.configured(sys, db, name)
+	return c.rep, err
 }
 
 // defaultFamilyOptions returns the paper's enumeration restrictions.

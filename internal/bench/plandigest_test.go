@@ -102,14 +102,14 @@ func planDump(t *testing.T, l *Lab, sys, family string) []string {
 		t.Fatal(err)
 	}
 	sqls := l.Workload(sys, family).SQLs()
-	e := l.Engine(sys, db)
 	dumps := make([]strings.Builder, len(sqls))
 	for _, cfg := range []string{"P", "R:" + family} {
-		if err := l.ApplyNamed(sys, db, cfg); err != nil {
+		c, err := l.configured(sys, db, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i, s := range sqls {
-			p, err := e.Prepare(s)
+			p, err := c.e.Prepare(s)
 			if err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}
@@ -117,9 +117,7 @@ func planDump(t *testing.T, l *Lab, sys, family string) []string {
 			dumpPlan(&dumps[i], p)
 		}
 	}
-	if err := l.ApplyNamed(sys, db, "P"); err != nil {
-		t.Fatal(err)
-	}
+	e := l.Engine(sys, db)
 	w := e.NewWhatIf()
 	for i, s := range sqls {
 		q, err := e.AnalyzeSQL(s)
@@ -246,18 +244,4 @@ func dumpNode(sb *strings.Builder, n plan.Node, depth int) {
 	default:
 		fmt.Fprintf(sb, "%T\n", n)
 	}
-}
-
-// ApplyNamed switches an engine to a named configuration ("P", "1C",
-// "R:<family>").
-func (l *Lab) ApplyNamed(sys, db, name string) error {
-	cfg, err := l.Config(sys, db, name)
-	if err != nil {
-		return err
-	}
-	em := l.lockEngine(sys, db)
-	em.Lock()
-	defer em.Unlock()
-	l.apply(sys, db, name, cfg)
-	return nil
 }

@@ -33,11 +33,6 @@ func TestWhatIfCacheMatchesUncached(t *testing.T) {
 	r := core.Runner{Parallelism: 1}
 	for _, spec := range whatifFamilies {
 		db := dbOfFamily(spec.family)
-		for _, l := range []*Lab{cached, uncached} {
-			if err := l.ApplyNamed(spec.sys, db, "P"); err != nil {
-				t.Fatal(err)
-			}
-		}
 		sqls := cached.Workload(spec.sys, spec.family).SQLs()
 		ce := cached.Engine(spec.sys, db)
 		ue := uncached.Engine(spec.sys, db)
@@ -72,9 +67,6 @@ func TestWhatIfCacheMatchesUncached(t *testing.T) {
 func TestEstimateWithMatchesCombined(t *testing.T) {
 	l := tinyLab()
 	db := dbOfFamily("NREF2J")
-	if err := l.ApplyNamed("A", db, "P"); err != nil {
-		t.Fatal(err)
-	}
 	e := l.Engine("A", db)
 	base := engine.OneColumnConfiguration(e)
 	if len(base.Indexes) == 0 {
@@ -137,9 +129,6 @@ func newTrial(t *testing.T) trial {
 	t.Helper()
 	l := tinyLab()
 	db := dbOfFamily("SkTH3J")
-	if err := l.ApplyNamed("C", db, "P"); err != nil {
-		t.Fatal(err)
-	}
 	tr := trial{e: l.Engine("C", db)}
 	var err error
 	if tr.q, err = tr.e.AnalyzeSQL(l.Workload("C", "SkTH3J").SQLs()[0]); err != nil {
@@ -214,9 +203,6 @@ func TestTrialAndMergedBaseShareOneEntry(t *testing.T) {
 func TestStaleResolvedHandle(t *testing.T) {
 	l := tinyLab()
 	db := dbOfFamily("NREF2J")
-	if err := l.ApplyNamed("A", db, "P"); err != nil {
-		t.Fatal(err)
-	}
 	e := l.Engine("A", db)
 	hypo := engine.OneColumnConfiguration(e)
 	w := e.NewWhatIf()
@@ -234,7 +220,7 @@ func TestStaleResolvedHandle(t *testing.T) {
 		}
 		qs, before = append(qs, q), append(before, m)
 	}
-	if err := l.ApplyNamed("A", db, "1C"); err != nil {
+	if _, err := e.Transition(hypo); err != nil {
 		t.Fatal(err)
 	}
 	moved := false
@@ -295,9 +281,6 @@ func TestEstimateHitAllocatesNothing(t *testing.T) {
 func TestWhatIfSessionInvalidatesOnTransition(t *testing.T) {
 	l := tinyLab()
 	db := dbOfFamily("NREF2J")
-	if err := l.ApplyNamed("A", db, "P"); err != nil {
-		t.Fatal(err)
-	}
 	e := l.Engine("A", db)
 	sqls := l.Workload("A", "NREF2J").SQLs()[:6]
 	hypo := engine.OneColumnConfiguration(e)
@@ -307,7 +290,7 @@ func TestWhatIfSessionInvalidatesOnTransition(t *testing.T) {
 	if _, err := r.WhatIfSessionWorkload(w, sqls, hypo); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ApplyNamed("A", db, "1C"); err != nil {
+	if _, err := e.Transition(hypo); err != nil {
 		t.Fatal(err)
 	}
 	after, err := r.WhatIfSessionWorkload(w, sqls, hypo)
@@ -337,9 +320,6 @@ func TestRecommendationParallelIdentity(t *testing.T) {
 		sqls := l.Workload(spec.sys, spec.family).SQLs()
 		e := l.Engine(spec.sys, db)
 		budget := l.Budget(spec.sys, db)
-		if err := l.ApplyNamed(spec.sys, db, "P"); err != nil {
-			t.Fatal(err)
-		}
 		recCfg, err := recommender.System(spec.sys)
 		if err != nil {
 			t.Fatal(err)

@@ -56,8 +56,8 @@ type Profile struct {
 // mutators (ApplyConfig, Transition, Load, InsertRows, CollectStats,
 // NoteTopologyChange) serialize on mu, build the next snapshot beside the
 // published one and swap it in with a single Store, or fail and publish
-// nothing. Model is an exported field and is not guarded: callers that
-// reassign it (the disk ablation) must hold exclusive use of the engine.
+// nothing. Model is an exported field and is not guarded: a caller that
+// reassigns it (the disk ablation) does so on a fork of its own.
 type Engine struct { // conflint:ignore mu only serializes mutators: all state is behind the atomic cur, which readers load without it
 	Schema  *catalog.Schema
 	Profile Profile

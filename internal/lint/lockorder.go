@@ -13,7 +13,7 @@
 //     standard may-deadlock abstraction);
 //   - a local variable obtained from a module call that returns a mutex
 //     abstracts to the producing callee, "importPath.Type.Method()"
-//     (bench.Lab.lockEngine() is the per-cell lock class);
+//     (`mu := s.lockFor(key)` is the class "pkg.Store.lockFor()");
 //   - anything else is unresolved and produces no edges (conservative).
 //
 // RLock and Lock acquisitions of one mutex share a class: a read lock
@@ -275,7 +275,7 @@ func (m *Module) lockClass(p *Package, f *File, fn *ast.FuncDecl, target ast.Exp
 }
 
 // producingCall finds the call expression a local name is defined from
-// (`em := l.lockEngine(sys, db)`).
+// (`mu := s.lockFor(key)`).
 func producingCall(body *ast.BlockStmt, name string) *ast.CallExpr {
 	var found *ast.CallExpr
 	ast.Inspect(body, func(n ast.Node) bool {
