@@ -11,7 +11,7 @@
 //
 //   - Stream     — seeded mixture-of-families query source with a drift
 //     schedule that shifts the mix over time (stream.go)
-//   - observer   — per-window CFC quantiles, goal verdicts and
+//   - observe    — each window graded by core.DigestOf, plus its
 //     estimate-vs-actual ratios (observer.go)
 //   - recommender.Loop — decides on mix shifts and goal violations,
 //     recommends and predicts; Run applies its configurations with
@@ -230,7 +230,6 @@ func (a *Autopilot) Metrics() *Metrics { return a.metrics }
 // transition overlaps exactly one window of queries and every later
 // window runs fully under the new configuration.
 func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []recommender.RetuneRecord, err error) {
-	obs := &observer{goal: a.opts.Goal, timeout: a.opts.Timeout, famOrder: a.famOrder}
 	reports = make([]WindowReport, 0, a.opts.Windows)
 	retunes = make([]recommender.RetuneRecord, 0, a.opts.Windows)
 
@@ -304,7 +303,7 @@ func (a *Autopilot) Run(ctx context.Context) (reports []WindowReport, retunes []
 			pending = nil
 		}
 
-		rep := obs.observe(w, cfgLabel, qs, ms, est)
+		rep := a.observe(w, cfgLabel, qs, ms, est)
 		if w == firstFull && rep.MeanSeconds > 0 && lastPredicted > 0 {
 			rep.HypoRatio = lastPredicted / rep.MeanSeconds
 			firstFull = -1

@@ -163,9 +163,8 @@ func TestMixtureValidation(t *testing.T) {
 }
 
 func TestObserverWindowReport(t *testing.T) {
-	obs := &observer{
-		goal:     core.Goal{Name: "g", Steps: []core.GoalStep{{X: 10, Frac: 0.5}}},
-		timeout:  100,
+	a := &Autopilot{
+		opts:     Options{Goal: core.Goal{Name: "g", Steps: []core.GoalStep{{X: 10, Frac: 0.5}}}, Timeout: 100},
 		famOrder: []string{"X", "Y"},
 	}
 	qs := []workload.Query{
@@ -180,7 +179,7 @@ func TestObserverWindowReport(t *testing.T) {
 		{SQL: "a", Seconds: 2}, {SQL: "b", Seconds: 2},
 		{SQL: "c", Seconds: 25}, {SQL: "d", Seconds: 1},
 	}
-	rep := obs.observe(3, "P", qs, ms, est)
+	rep := a.observe(3, "P", qs, ms, est)
 	if rep.Window != 3 || rep.Queries != 4 || rep.Timeouts != 1 {
 		t.Errorf("header fields wrong: %+v", rep)
 	}
@@ -200,6 +199,10 @@ func TestObserverWindowReport(t *testing.T) {
 	// 2 of 4 queries complete under 10s → step met exactly.
 	if !rep.Satisfied || rep.Satisfaction != 1 {
 		t.Errorf("goal verdict = %v/%v, want ok/1", rep.Satisfied, rep.Satisfaction)
+	}
+	// No completed query → no ratio → the E/A quantiles stay 0.
+	if rep := a.observe(4, "P", qs[3:], ms[3:], est[3:]); rep.EAMedian != 0 || rep.EAP90 != 0 {
+		t.Errorf("E/A quantiles with no completion = %v, %v, want 0, 0", rep.EAMedian, rep.EAP90)
 	}
 }
 
@@ -263,7 +266,7 @@ func TestMetricsHandler(t *testing.T) {
 	m := NewMetrics()
 	m.ObserveQuery(core.Measure{Seconds: 1})
 	m.ObserveQuery(core.Measure{Seconds: 2, TimedOut: true})
-	m.ObserveWindow(WindowReport{Window: 0, Config: "P", Queries: 2, P95: 2, P99: math.Inf(1), Satisfied: false, Satisfaction: 0.5})
+	m.ObserveWindow(WindowReport{Window: 0, Config: "P", Digest: core.Digest{Queries: 2, P95: 2, P99: math.Inf(1), Satisfied: false, Satisfaction: 0.5}})
 
 	h := m.Handler()
 	rec := httptest.NewRecorder()

@@ -3,7 +3,6 @@ package autopilot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -17,7 +16,7 @@ type FamilyCount struct {
 	Count  int
 }
 
-// WindowReport is the observer's digest of one window of live traffic:
+// WindowReport is the autopilot's digest of one window of live traffic:
 // the per-window CFC collapsed to its headline quantiles, the goal
 // verdict (boolean and graded), and the estimate-vs-actual ratio
 // quantiles that track how far the optimizer's model has drifted from
@@ -25,21 +24,16 @@ type FamilyCount struct {
 // analysis, taken online). Everything here derives from the simulated
 // clock, so reports are byte-identical across runner parallelism.
 type WindowReport struct {
-	Window  int
-	Config  string
-	Queries int
-	Mix     []FamilyCount
+	Window int
+	Config string
+	Mix    []FamilyCount
 
-	MeanSeconds   float64
-	P50, P95, P99 float64
-	Timeouts      int
+	// Digest grades the window's actual measures against the goal.
+	core.Digest
 
 	// EAMedian and EAP90 are quantiles of E(q,C)/A(q,C) over the
 	// window's completed queries.
 	EAMedian, EAP90 float64
-
-	Satisfied    bool
-	Satisfaction float64
 
 	// Trigger is the controller's decision made on seeing this window
 	// ("" when it left the configuration alone).
@@ -51,39 +45,25 @@ type WindowReport struct {
 	HypoRatio float64
 }
 
-// observer turns raw window traffic into WindowReports.
-type observer struct {
-	goal     core.Goal
-	timeout  float64
-	famOrder []string
-}
-
 // observe digests one window. ms and est are parallel to qs.
-func (o *observer) observe(w int, cfgName string, qs []workload.Query, ms, est []core.Measure) WindowReport {
-	cfc := core.NewCFC(ms, o.timeout)
+func (a *Autopilot) observe(w int, cfgName string, qs []workload.Query, ms, est []core.Measure) WindowReport {
 	rep := WindowReport{
-		Window:       w,
-		Config:       cfgName,
-		Queries:      len(ms),
-		Mix:          countMix(qs, o.famOrder),
-		MeanSeconds:  cfc.Mean(),
-		P50:          cfc.Quantile(0.50),
-		P95:          cfc.Quantile(0.95),
-		P99:          cfc.Quantile(0.99),
-		Timeouts:     cfc.Timeouts(),
-		Satisfied:    o.goal.Satisfied(cfc),
-		Satisfaction: o.goal.Satisfaction(cfc),
+		Window: w,
+		Config: cfgName,
+		Mix:    countMix(qs, a.famOrder),
+		Digest: core.DigestOf(ms, a.opts.Goal, a.opts.Timeout),
 	}
-	ratios := make([]float64, 0, len(ms))
+	ratios := make([]core.Measure, 0, len(ms))
 	for i := range ms {
 		if i >= len(est) || ms[i].TimedOut || ms[i].Seconds <= 0 {
 			continue
 		}
-		ratios = append(ratios, est[i].Seconds/ms[i].Seconds)
+		ratios = append(ratios, core.Measure{Seconds: est[i].Seconds / ms[i].Seconds})
 	}
-	sort.Float64s(ratios)
-	rep.EAMedian = quantile(ratios, 0.50)
-	rep.EAP90 = quantile(ratios, 0.90)
+	if len(ratios) > 0 {
+		ea := core.NewCFC(ratios, 0)
+		rep.EAMedian, rep.EAP90 = ea.Quantile(0.50), ea.Quantile(0.90)
+	}
 	return rep
 }
 
@@ -98,21 +78,6 @@ func countMix(qs []workload.Query, famOrder []string) []FamilyCount {
 		out[i] = FamilyCount{Family: f, Count: counts[f]}
 	}
 	return out
-}
-
-// quantile reads the p-quantile of an ascending slice (0 when empty).
-func quantile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	k := int(math.Ceil(p * float64(len(sorted))))
-	if k <= 0 {
-		k = 1
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[k-1]
 }
 
 // fmtSec renders a simulated-seconds figure at fixed width; timed-out

@@ -31,7 +31,7 @@ type CFC struct {
 
 // NewCFC builds the curve from a workload's measures.
 func NewCFC(ms []Measure, timeout float64) CFC {
-	c := CFC{timeout: timeout, total: len(ms)}
+	c := CFC{sorted: make([]float64, 0, len(ms)), timeout: timeout, total: len(ms)}
 	for _, m := range ms {
 		if m.TimedOut {
 			c.nTimout++
@@ -89,11 +89,15 @@ func (c CFC) Mean() float64 {
 // TotalLowerBound is the §4.3 workload total: completed times summed, with
 // each timed-out query counted at the timeout limit.
 func (c CFC) TotalLowerBound() float64 {
+	return c.finishedTotal() + float64(c.nTimout)*c.timeout
+}
+
+// finishedTotal sums the completed-query times, ascending.
+func (c CFC) finishedTotal() float64 {
 	var s float64
 	for _, t := range c.sorted {
 		s += t
 	}
-	s += float64(c.nTimout) * c.timeout
 	return s
 }
 
@@ -170,6 +174,40 @@ func (g Goal) Satisfaction(c CFC) float64 {
 		}
 	}
 	return float64(met) / float64(len(g.Steps))
+}
+
+// Digest is one set of measures graded once against a goal: the figures
+// every window owner (the autopilot's reports, a gateway tenant's sliding
+// window, the autoscaler's windows) reads. MeanSeconds is CFC.Mean, with
+// timeouts at the limit; FinishedMean is the mean over completed queries
+// only (0 when none completed); a quantile is +Inf where CFC.Quantile is.
+type Digest struct {
+	Queries, Timeouts         int
+	MeanSeconds, FinishedMean float64
+	P50, P95, P99             float64
+	Satisfied                 bool
+	Satisfaction              float64
+}
+
+// DigestOf builds the CFC of ms once and reads every Digest field from it.
+//
+// conflint:pure — grading measures is an observation, like Satisfied.
+func DigestOf(ms []Measure, g Goal, timeout float64) Digest {
+	c := NewCFC(ms, timeout)
+	d := Digest{
+		Queries:      c.N(),
+		Timeouts:     c.Timeouts(),
+		MeanSeconds:  c.Mean(),
+		P50:          c.Quantile(0.50),
+		P95:          c.Quantile(0.95),
+		P99:          c.Quantile(0.99),
+		Satisfied:    g.Satisfied(c),
+		Satisfaction: g.Satisfaction(c),
+	}
+	if n := len(c.sorted); n > 0 {
+		d.FinishedMean = c.finishedTotal() / float64(n)
+	}
+	return d
 }
 
 // Example2Goal is the paper's Example 2: 10% of queries under 10 seconds,

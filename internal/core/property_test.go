@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,8 +64,8 @@ func TestCFCDominanceTransitive(t *testing.T) {
 }
 
 // TestCFCPermutationInvariant checks the curve is a pure function of the
-// multiset of measures: any permutation yields an identical CFC and
-// identical dominance relations — the property that lets the parallel
+// multiset of measures: any permutation yields an identical CFC, digest
+// and dominance relations — the property that lets the parallel
 // runner's order-stable output stand in for the sequential one.
 func TestCFCPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -72,6 +73,8 @@ func TestCFCPermutationInvariant(t *testing.T) {
 	base := randomMeasures(rng, 64, timeout)
 	ref := NewCFC(base, timeout)
 	other := NewCFC(randomMeasures(rng, 64, timeout), timeout)
+	goal := Example2Goal()
+	refDigest := DigestOf(base, goal, timeout)
 	for trial := 0; trial < 20; trial++ {
 		perm := append([]Measure(nil), base...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -82,6 +85,30 @@ func TestCFCPermutationInvariant(t *testing.T) {
 		if ref.Dominates(other) != c.Dominates(other) || other.Dominates(ref) != other.Dominates(c) {
 			t.Fatalf("trial %d: dominance changed under permutation", trial)
 		}
+		if d := DigestOf(perm, goal, timeout); d != refDigest {
+			t.Fatalf("trial %d: permuted digest %+v differs from %+v", trial, d, refDigest)
+		}
+	}
+
+	// Every digest field is the matching CFC or Goal read.
+	want := Digest{
+		Queries:      ref.N(),
+		Timeouts:     ref.Timeouts(),
+		MeanSeconds:  ref.Mean(),
+		FinishedMean: NewCFC(base, 0).TotalLowerBound() / float64(ref.N()-ref.Timeouts()),
+		P50:          ref.Quantile(0.50),
+		P95:          ref.Quantile(0.95),
+		P99:          ref.Quantile(0.99),
+		Satisfied:    goal.Satisfied(ref),
+		Satisfaction: goal.Satisfaction(ref),
+	}
+	if refDigest != want {
+		t.Fatalf("digest %+v, want the CFC/Goal reads %+v", refDigest, want)
+	}
+	empty := DigestOf(nil, goal, timeout)
+	if empty.Queries != 0 || !math.IsInf(empty.P50, 1) || !math.IsInf(empty.P95, 1) || !math.IsInf(empty.P99, 1) ||
+		empty.MeanSeconds != 0 || empty.FinishedMean != 0 {
+		t.Fatalf("empty digest = %+v, want 0 queries, +Inf quantiles, 0 means", empty)
 	}
 }
 

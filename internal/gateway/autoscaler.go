@@ -81,30 +81,20 @@ func (as *autoscaler) observe(seconds float64, timedOut, errored bool) {
 }
 
 // closeWindowLocked grades the filled window into the record Propose
-// evaluates: mean simulated seconds over the queries that finished, goal
-// level over the window's CFC, and the queue backlog read now, at close.
+// evaluates: its digest's query count, mean over the queries that
+// finished and goal level, and the queue backlog read now, at close.
 func (as *autoscaler) closeWindowLocked() shard.WindowMetrics {
-	var sum float64
-	n := 0
-	for _, e := range as.entries {
-		if !e.TimedOut {
-			sum += e.Seconds
-			n++
-		}
-	}
+	d := core.DigestOf(as.entries, as.goal, 0)
 	as.windowN++
-	w := shard.WindowMetrics{
-		Window:     as.windowN,
-		Queries:    len(as.entries),
-		GoalLevel:  as.goal.Satisfaction(core.NewCFC(as.entries, 0)),
-		QueueDepth: as.g.queueDepth(),
-	}
-	if n > 0 {
-		w.MeanSeconds = sum / float64(n)
-	}
 	as.entries = as.entries[:0]
 	as.errored = 0
-	return w
+	return shard.WindowMetrics{
+		Window:      as.windowN,
+		Queries:     d.Queries,
+		MeanSeconds: d.FinishedMean,
+		GoalLevel:   d.Satisfaction,
+		QueueDepth:  as.g.queueDepth(),
+	}
 }
 
 // drain evaluates every pending window in order.

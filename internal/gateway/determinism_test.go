@@ -204,6 +204,50 @@ func TestGoalLevelMatchesCFCSatisfaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotWindowMatchesCFC pins the sliding window /v1/stats serves.
+// Over 2×Window+3 completions, with timeouts and one errored query among
+// them, after every completion the window fields must grade exactly the
+// last Window non-errored measures — so a ring slot that drifts across
+// the wrap-around or the errored query shows — and a window that has not
+// filled yet reports goal level 0.
+func TestSnapshotWindowMatchesCFC(t *testing.T) {
+	const window = 8
+	tc := TenantConfig{Name: "x", APIKey: "k", Families: []string{"NREF2J"}, Goal: "300:0.50,350:0.75", Window: window}
+	cfg := Config{Tenants: []TenantConfig{tc}}
+	cfg.setDefaults()
+	st := newTenantState(cfg.Tenants[0])
+	goal, err := core.ParseGoal(tc.Goal)
+	if err != nil {
+		t.Fatalf("parse goal: %v", err)
+	}
+
+	var kept []core.Measure // the non-errored completions, in order
+	for i := 0; i < 2*window+3; i++ {
+		s, timedOut, errored := float64(i+1)*20, i == 4 || i == 15, i == 9
+		st.noteCompleted("q", s, timedOut, errored)
+		if !errored {
+			kept = append(kept, core.Measure{Seconds: s, TimedOut: timedOut})
+		}
+		snap := st.snapshot()
+		if len(kept) < window {
+			if snap.WindowGoalLevel != 0 {
+				t.Errorf("completion %d: partial window goal level = %v, want 0", i, snap.WindowGoalLevel)
+			}
+			continue
+		}
+		cfc := core.NewCFC(kept[len(kept)-window:], 0)
+		if want := goal.Satisfaction(cfc); snap.WindowGoalLevel != want {
+			t.Errorf("completion %d: WindowGoalLevel = %v, want %v", i, snap.WindowGoalLevel, want)
+		}
+		if want := core.FiniteOrNeg(cfc.Quantile(0.50)); snap.WindowP50 != want {
+			t.Errorf("completion %d: WindowP50 = %v, want %v", i, snap.WindowP50, want)
+		}
+		if want := core.FiniteOrNeg(cfc.Quantile(0.95)); snap.WindowP95 != want {
+			t.Errorf("completion %d: WindowP95 = %v, want %v", i, snap.WindowP95, want)
+		}
+	}
+}
+
 // AuditDumpTenant renders one tenant's audit log as JSON lines, ordered
 // by client sequence number (arrival order as tiebreak). For a seeded
 // schedule with unique sequence numbers the bytes are identical across

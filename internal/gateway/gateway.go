@@ -10,9 +10,10 @@
 // enforces read-only SQL; admission is a bounded per-tenant slot count
 // (429 + Retry-After when full), then the handler runs the query under
 // tenant and global concurrency caps unless its client leaves first.
-// Each tenant carries its own goal curve G(x) and sliding-window
-// observer, so a violating tenant nudges the tuner into a recommender
-// run and an incremental engine transition while traffic keeps flowing.
+// Each tenant carries its own goal curve G(x) and a sliding window
+// graded by core.DigestOf, so a violating tenant nudges the tuner into a
+// recommender run and an incremental engine transition while traffic
+// keeps flowing.
 //
 // All query timing is simulated seconds from the engine's cost meters;
 // wall-clock never enters an audit record or goal ledger, which is what

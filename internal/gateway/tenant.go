@@ -40,7 +40,6 @@ type tenantState struct {
 	mix       map[string]int64 // conflint:guardedby mu (by family)
 
 	window     []core.Measure  // conflint:guardedby mu (ring of recent completions)
-	windowPos  int             // conflint:guardedby mu
 	recentSQL  []string        // conflint:guardedby mu (ring of recent query texts)
 	recentSet  map[string]bool // conflint:guardedby mu (members of recentSQL)
 	recentPos  int             // conflint:guardedby mu (next slot once recentSQL is full)
@@ -102,12 +101,13 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 		}
 	}
 
+	// Once full, the ring's next slot follows from the counters: the
+	// non-errored completions so far, less one, mod Window.
 	m := core.Measure{Seconds: seconds, TimedOut: timedOut}
 	if len(t.window) < t.cfg.Window {
 		t.window = append(t.window, m)
 	} else {
-		t.window[t.windowPos] = m
-		t.windowPos = (t.windowPos + 1) % t.cfg.Window
+		t.window[(t.completed-t.errored-1)%int64(t.cfg.Window)] = m
 	}
 
 	if !t.recentSet[sqlText] {
@@ -127,7 +127,7 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 	if t.completed-t.lastTuneAt < int64(t.cfg.Window) {
 		return false
 	}
-	if t.goal.Satisfaction(core.NewCFC(t.window, 0)) >= 1 {
+	if core.DigestOf(t.window, t.goal, 0).Satisfied {
 		return false
 	}
 	t.lastTuneAt = t.completed
@@ -215,12 +215,11 @@ func (t *tenantState) snapshot() TenantSnapshot {
 		}
 	}
 	if len(t.window) > 0 {
-		cfc := core.NewCFC(t.window, 0)
+		d := core.DigestOf(t.window, t.goal, 0)
 		if len(t.window) == t.cfg.Window {
-			s.WindowGoalLevel = t.goal.Satisfaction(cfc)
+			s.WindowGoalLevel = d.Satisfaction
 		}
-		s.WindowP50 = core.FiniteOrNeg(cfc.Quantile(0.50))
-		s.WindowP95 = core.FiniteOrNeg(cfc.Quantile(0.95))
+		s.WindowP50, s.WindowP95 = core.FiniteOrNeg(d.P50), core.FiniteOrNeg(d.P95)
 	}
 	return s
 }
