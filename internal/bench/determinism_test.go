@@ -27,16 +27,16 @@ func TestParallelDeterminism(t *testing.T) {
 		fam := l.Workload(spec.sys, spec.family)
 		e := l.Engine(spec.sys, db)
 
-		base, err := core.RunWorkload(e, fam.SQLs(), Timeout)
+		base, err := core.Runner{Parallelism: 1}.RunWorkload(e, fam.SQLs(), Timeout)
 		if err != nil {
 			t.Fatalf("%s/%s: sequential run: %v", spec.sys, spec.family, err)
 		}
-		baseEst, err := core.EstimateWorkload(e, fam.SQLs())
+		baseEst, err := core.Runner{Parallelism: 1}.EstimateWorkload(e, fam.SQLs())
 		if err != nil {
 			t.Fatalf("%s/%s: sequential estimate: %v", spec.sys, spec.family, err)
 		}
 		hypo := engine.OneColumnConfiguration(e)
-		baseHypo, err := core.WhatIfWorkload(e, fam.SQLs(), hypo)
+		baseHypo, err := core.Runner{Parallelism: 1}.WhatIfWorkload(e, fam.SQLs(), hypo)
 		if err != nil {
 			t.Fatalf("%s/%s: sequential what-if: %v", spec.sys, spec.family, err)
 		}

@@ -38,7 +38,7 @@ func TestWhatIfCacheMatchesUncached(t *testing.T) {
 		ue := uncached.Engine(spec.sys, db)
 		hypo := engine.OneColumnConfiguration(ce)
 
-		want, err := core.WhatIfWorkload(ue, sqls, hypo)
+		want, err := core.Runner{Parallelism: 1}.WhatIfWorkload(ue, sqls, hypo)
 		if err != nil {
 			t.Fatalf("%s/%s: uncached what-if: %v", spec.sys, spec.family, err)
 		}
@@ -297,7 +297,7 @@ func TestWhatIfSessionInvalidatesOnTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := core.WhatIfWorkload(e, sqls, hypo)
+	fresh, err := core.Runner{Parallelism: 1}.WhatIfWorkload(e, sqls, hypo)
 	if err != nil {
 		t.Fatal(err)
 	}

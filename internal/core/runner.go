@@ -169,18 +169,3 @@ func (r Runner) WhatIfSessionWorkload(w *engine.WhatIf, queries []string, hypo c
 	}
 	return out, nil
 }
-
-// RunWorkload executes the workload sequentially (Runner with one worker).
-func RunWorkload(e *engine.Engine, queries []string, timeout float64) ([]Measure, error) {
-	return Runner{Parallelism: 1}.RunWorkload(e, queries, timeout)
-}
-
-// EstimateWorkload estimates the workload sequentially.
-func EstimateWorkload(e *engine.Engine, queries []string) ([]Measure, error) {
-	return Runner{Parallelism: 1}.EstimateWorkload(e, queries)
-}
-
-// WhatIfWorkload estimates the hypothetical workload sequentially.
-func WhatIfWorkload(e *engine.Engine, queries []string, hypo conf.Configuration) ([]Measure, error) {
-	return Runner{Parallelism: 1}.WhatIfWorkload(e, queries, hypo)
-}

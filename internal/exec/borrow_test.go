@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -323,5 +324,45 @@ func TestAllocationsDoNotGrowWithRowsLookedAt(t *testing.T) {
 	small, large := allocs(2000, `SELECT k FROM t WHERE k < 0`, rejectAll), allocs(8000, `SELECT k FROM t WHERE k < 0`, rejectAll)
 	if large > small || small > scanBudget {
 		t.Errorf("filtered scan that rejects every row: %.0f allocations over 2000 rows, %.0f over 8000 — want O(1)", small, large)
+	}
+}
+
+// TestMergeJoinHoldsRunsNotPairs: a merge join keeps each equal-key run's
+// entries once a side, so what it allocates grows with the entries it
+// matches, not with the pairs it emits. With both sides of a.g = b.g held
+// to g = 0 the join is one run of a tenth of t a side: 200×200 pairs at
+// 2000 rows of t, 800×800 at 8000 — entries grow 4×, pairs 16×. One side
+// is covering, the other fetches its rows.
+func TestMergeJoinHoldsRunsNotPairs(t *testing.T) {
+	bytes := func(tRows int) uint64 {
+		w := newWorldRows(t, tRows, conf.IndexDef{Table: "t", Columns: []string{"g"}})
+		ix, info := w.phys.Indexes["t"][0], w.phys.Tables["t"]
+		zero := []plan.KeyPred{{Op: "=", Value: val.Int(0)}}
+		p := w.handPlan(t, `SELECT COUNT(*) FROM t a, t b WHERE a.g = b.g`, func(func(int, int) int) plan.Node {
+			return &plan.MergeJoin{
+				L: plan.MergeSide{Tab: 0, Info: info, Index: ix, KeyPreds: zero, Covering: true},
+				R: plan.MergeSide{Tab: 1, Info: info, Index: ix, KeyPreds: zero},
+			}
+		})
+		run := func() {
+			res, err := exec.Run(p, &exec.Ctx{Model: w.phys.Model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := int64(tRows / 10); res.Rows[0][0] != val.Int(k*k) {
+				t.Fatalf("%d rows of t: COUNT(*) = %v, want %d", tRows, res.Rows[0][0], k*k)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := bytes(2000), bytes(8000)
+	t.Logf("one k×k run: %d bytes allocated at k = 200, %d at k = 800", small, large)
+	if large > 8*small {
+		t.Errorf("one k×k run: %d bytes allocated at k = 200, %d at k = 800 — they grow with the pairs, not the entries", small, large)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/val"
 )
 
@@ -234,7 +233,11 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 	if is.Index != nil {
 		// Index-only scan: keys arrive sorted, so the HAVING COUNT(*)
 		// test streams on group boundaries.
-		e.ctx.Meter.FixedRand += int64(is.Index.Height)
+		ir, err := e.openIndex(is.Index)
+		if err != nil {
+			return nil, err
+		}
+		defer ir.close()
 		it := is.Index.Tree.Scan()
 		var curKey val.Value
 		var curCount int64
@@ -245,13 +248,12 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 			}
 		}
 		for {
-			k, _, ok := it.Next()
+			k, _, ok, err := ir.next(it)
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				break
-			}
-			e.ctx.Meter.Rows++
-			if err := e.ctx.check(); err != nil {
-				return nil, err
 			}
 			v := k[0]
 			if v.IsNull() {
@@ -265,42 +267,30 @@ func (e *executor) computeInSet(is *plan.InSetPlan) (*inSet, error) {
 			curKey, curCount, haveCur = v, 1, true
 		}
 		flush()
-		e.ctx.Meter.SeqPages += it.Scanned() / is.Index.EntriesPerLeaf
 		return set, nil
 	}
 
 	// Sequential scan plus hash aggregation.
 	var counts valueMap[int64]
-	var scanErr error
-	is.Info.Heap.Scan(&e.ctx.Meter, func(_ storage.RowID, r val.Row) bool {
-		if err := e.ctx.check(); err != nil {
-			scanErr = err
-			return false
-		}
+	err := e.scan(is.Info.Heap, func(r val.Row) error {
 		v := r[p.SubCol]
 		if v.IsNull() {
-			return true
+			return nil
 		}
 		for _, ss := range p.SubSels {
 			if !sql.CompareOp(ss.Op, r[ss.Col], ss.Value) {
-				return true
+				return nil
 			}
 		}
 		e.ctx.Meter.CPUOps++
 		n, _ := counts.get(v)
 		counts.set(v, n+1)
-		return true
+		return nil
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
-	// Spill accounting for the aggregation hash table.
-	bytes := int64(counts.len()) * 24
-	if float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(bytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
+	e.spill(int64(counts.len())*24, 0) // the count table's entries
 	counts.each(func(v val.Value, n int64) {
 		if p.Having == nil || cmpHaving(n, p.Having) {
 			set.add(v)

@@ -151,7 +151,7 @@ func (e *executor) foldJoin(n *plan.HashAgg, j *plan.HashJoin, groupsOnBuild boo
 	if groupsOnBuild {
 		f.finishOnBuild()
 	}
-	e.joinSpill(j, len(h.link), probeRows)
+	e.spill(int64(len(h.link))*int64(j.BuildWidth), probeRows*int64(j.BuildWidth))
 	return nil
 }
 

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
-	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -150,61 +150,22 @@ func (e *executor) passes(r val.Row, filters []plan.Filter, ins []plan.InFilter)
 func (e *executor) runSeqScan(n *plan.SeqScan, out func(val.Row) error) error {
 	base := e.p.Layout.Base[n.Tab]
 	flat := make(val.Row, e.p.Layout.Width)
-	var innerErr error
-	n.Info.Heap.Scan(&e.ctx.Meter, func(_ storage.RowID, r val.Row) bool {
-		if err := e.ctx.check(); err != nil {
-			innerErr = err
-			return false
-		}
+	return e.scan(n.Info.Heap, func(r val.Row) error {
 		copy(flat[base:], r)
 		if !e.passes(flat, n.Filters, n.Ins) {
-			return true
+			return nil
 		}
-		if err := out(flat); err != nil {
-			innerErr = err
-			return false
-		}
-		return true
+		return out(flat)
 	})
-	return innerErr
-}
-
-// emitIndexMatch fills the scan's scratch row for one index entry, either
-// from the key columns (covering) or by fetching the heap row.
-func (e *executor) emitIndexMatch(n *plan.IndexScan, flat val.Row, cur *storage.Cursor,
-	key val.Row, rid int64, out func(val.Row) error) error {
-
-	base := e.p.Layout.Base[n.Tab]
-	if n.Covering {
-		for j, c := range n.Index.Cols {
-			flat[base+c] = key[j]
-		}
-	} else {
-		r, err := cur.Fetch(&e.ctx.Meter, storage.RowID(rid))
-		if err != nil {
-			return err
-		}
-		copy(flat[base:], r)
-	}
-	if !e.passes(flat, n.Filters, n.Ins) {
-		return nil
-	}
-	return out(flat)
 }
 
 func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) error {
-	if n.Index.Tree == nil {
-		return fmt.Errorf("exec: plan uses hypothetical index %s", n.Index.Def.Name())
+	ir, err := e.openIndex(n.Index)
+	if err != nil {
+		return err
 	}
+	defer ir.close()
 	cur := n.Info.Heap.NewCursor()
-	e.ctx.Meter.FixedRand += int64(n.Index.Height)
-
-	var entries int64
-	defer func() {
-		if epl := n.Index.EntriesPerLeaf; epl > 0 {
-			e.ctx.Meter.SeqPages += entries / epl
-		}
-	}()
 
 	// With RidSort the matching rids are gathered first and the heap is
 	// read in page order afterwards (list prefetch); otherwise each match
@@ -214,54 +175,40 @@ func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) erro
 	ridList := make([]storage.RowID, 0, 256)
 	base := e.p.Layout.Base[n.Tab]
 	flat := make(val.Row, e.p.Layout.Width)
-
-	consume := func(it interface {
-		Next() (val.Row, int64, bool)
-	}) error {
-		for {
-			k, rid, ok := it.Next()
-			if !ok {
-				return nil
-			}
-			entries++
-			e.ctx.Meter.Rows++
-			if err := e.ctx.check(); err != nil {
-				return err
-			}
-			if ridSort {
-				ridList = append(ridList, storage.RowID(rid))
-				continue
-			}
-			if err := e.emitIndexMatch(n, flat, cur, k, rid, out); err != nil {
-				return err
-			}
-		}
-	}
-	flushRidList := func() error {
-		if !ridSort {
+	emit := func() error {
+		if !e.passes(flat, n.Filters, n.Ins) {
 			return nil
 		}
-		e.ctx.Meter.CPUOps += int64(len(ridList))
-		var innerErr error
-		err := n.Info.Heap.FetchMany(&e.ctx.Meter, ridList, func(_ storage.RowID, r val.Row) bool {
-			if err := e.ctx.check(); err != nil {
-				innerErr = err
-				return false
+		return out(flat)
+	}
+	emitRow := func(r val.Row) error {
+		copy(flat[base:], r)
+		return emit()
+	}
+	consume := func(it *btree.Iter) error {
+		for {
+			k, rid, ok, err := ir.next(it)
+			if err != nil || !ok {
+				return err
 			}
-			copy(flat[base:], r)
-			if !e.passes(flat, n.Filters, n.Ins) {
-				return true
+			switch {
+			case ridSort:
+				ridList = append(ridList, storage.RowID(rid))
+			case n.Covering:
+				for j, c := range n.Index.Cols {
+					flat[base+c] = k[j]
+				}
+				err = emit()
+			default:
+				var r val.Row
+				if r, err = cur.Fetch(&e.ctx.Meter, storage.RowID(rid)); err == nil {
+					err = emitRow(r)
+				}
 			}
-			if err := out(flat); err != nil {
-				innerErr = err
-				return false
+			if err != nil {
+				return err
 			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
-		return innerErr
 	}
 
 	if n.DriveInSet >= 0 {
@@ -272,52 +219,51 @@ func (e *executor) runIndexScan(n *plan.IndexScan, out func(val.Row) error) erro
 				return err
 			}
 		}
-		return flushRidList()
+	} else if err := consume(e.seek(n)); err != nil {
+		return err
 	}
+	if !ridSort {
+		return nil
+	}
+	e.ctx.Meter.CPUOps += int64(len(ridList))
+	return e.fetch(n.Info.Heap, ridList, emitRow)
+}
 
+// seek opens an index scan's one probe: a range or prefix seek, one
+// FixedRand, or with neither the whole leaf level.
+func (e *executor) seek(n *plan.IndexScan) *btree.Iter {
 	prefix := make(val.Row, len(n.EqVals))
 	copy(prefix, n.EqVals)
-	switch {
-	case n.Range != nil:
-		lo, hi := prefix, prefix
-		loIncl, hiIncl := true, true
-		bound := append(prefix.Clone(), n.Range.Value)
-		switch n.Range.Op {
-		case ">":
-			lo, loIncl = bound, false
-		case ">=":
-			lo = bound
-		case "<":
-			hi, hiIncl = bound, false
-		case "<=":
-			hi = bound
-		}
+	if n.Range == nil {
 		if len(prefix) == 0 {
-			// Pure range: unbound side is nil.
-			if n.Range.Op == ">" || n.Range.Op == ">=" {
-				hi = nil
-			} else {
-				lo = nil
-			}
+			return n.Index.Tree.Scan()
 		}
 		e.ctx.Meter.FixedRand++
-		if err := consume(n.Index.Tree.SeekRange(lo, hi, loIncl, hiIncl)); err != nil {
-			return err
-		}
-		return flushRidList()
-	case len(prefix) > 0:
-		e.ctx.Meter.FixedRand++
-		if err := consume(n.Index.Tree.SeekPrefix(prefix)); err != nil {
-			return err
-		}
-		return flushRidList()
-	default:
-		// Full covering leaf scan.
-		if err := consume(n.Index.Tree.Scan()); err != nil {
-			return err
-		}
-		return flushRidList()
+		return n.Index.Tree.SeekPrefix(prefix)
 	}
+	lo, hi := prefix, prefix
+	loIncl, hiIncl := true, true
+	bound := append(prefix.Clone(), n.Range.Value)
+	switch n.Range.Op {
+	case ">":
+		lo, loIncl = bound, false
+	case ">=":
+		lo = bound
+	case "<":
+		hi, hiIncl = bound, false
+	case "<=":
+		hi = bound
+	}
+	if len(prefix) == 0 {
+		// Pure range: unbound side is nil.
+		if n.Range.Op == ">" || n.Range.Op == ">=" {
+			hi = nil
+		} else {
+			lo = nil
+		}
+	}
+	e.ctx.Meter.FixedRand++
+	return n.Index.Tree.SeekRange(lo, hi, loIncl, hiIncl)
 }
 
 func (e *executor) runViewScan(n *plan.ViewScan, out func(val.Row) error) error {
@@ -334,51 +280,30 @@ func (e *executor) runViewScan(n *plan.ViewScan, out func(val.Row) error) error 
 		return out(flat)
 	}
 
-	if n.Index != nil {
-		if n.Index.Tree == nil {
-			return fmt.Errorf("exec: plan uses hypothetical view index %s", n.Index.Def.Name())
-		}
-		cur := n.View.Heap.NewCursor()
-		e.ctx.Meter.FixedRand += int64(n.Index.Height) + 1
-		it := n.Index.Tree.SeekPrefix(append(val.Row(nil), n.EqVals...))
-		var entries int64
-		for {
-			_, rid, ok := it.Next()
-			if !ok {
-				break
-			}
-			entries++
-			e.ctx.Meter.Rows++
-			if err := e.ctx.check(); err != nil {
-				return err
-			}
-			r, err := cur.Fetch(&e.ctx.Meter, storage.RowID(rid))
-			if err != nil {
-				return err
-			}
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		if epl := n.Index.EntriesPerLeaf; epl > 0 {
-			e.ctx.Meter.SeqPages += entries / epl
-		}
-		return nil
+	if n.Index == nil {
+		return e.scan(n.View.Heap, emit)
 	}
-
-	var innerErr error
-	n.View.Heap.Scan(&e.ctx.Meter, func(_ storage.RowID, r val.Row) bool {
-		if err := e.ctx.check(); err != nil {
-			innerErr = err
-			return false
+	ir, err := e.openIndex(n.Index)
+	if err != nil {
+		return err
+	}
+	defer ir.close()
+	e.ctx.Meter.FixedRand++ // the view's own seek
+	cur := n.View.Heap.NewCursor()
+	it := n.Index.Tree.SeekPrefix(append(val.Row(nil), n.EqVals...))
+	for {
+		_, rid, ok, err := ir.next(it)
+		if err != nil || !ok {
+			return err
+		}
+		r, err := cur.Fetch(&e.ctx.Meter, storage.RowID(rid))
+		if err != nil {
+			return err
 		}
 		if err := emit(r); err != nil {
-			innerErr = err
-			return false
+			return err
 		}
-		return true
-	})
-	return innerErr
+	}
 }
 
 // hashTable is a hash join's build side: its rows' live values, chained
@@ -471,34 +396,22 @@ func (e *executor) runHashJoin(n *plan.HashJoin, out func(val.Row) error) error 
 	if err != nil {
 		return err
 	}
-	e.joinSpill(n, len(h.link), probeRows)
+	e.spill(int64(len(h.link))*int64(n.BuildWidth), probeRows*int64(n.BuildWidth))
 	return nil
 }
 
-// joinSpill bills a hash join's spill, mirroring the optimizer's rule
-// with actual counts.
-func (e *executor) joinSpill(n *plan.HashJoin, buildRows int, probeRows int64) {
-	buildBytes := int64(buildRows) * int64(n.BuildWidth)
-	if float64(buildBytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		probeBytes := probeRows * int64(n.BuildWidth)
-		pg := cost.PagesForBytes(buildBytes) + cost.PagesForBytes(probeBytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
-}
-
 func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) error {
-	if n.Index.Tree == nil {
-		return fmt.Errorf("exec: plan uses hypothetical index %s", n.Index.Def.Name())
+	ir, err := e.openIndex(n.Index)
+	if err != nil {
+		return err
 	}
+	defer ir.close()
 	cur := n.Info.Heap.NewCursor()
-	e.ctx.Meter.FixedRand += int64(n.Index.Height)
 	base := e.p.Layout.Base[n.Tab]
 	merged := make(val.Row, e.p.Layout.Width)
 	key := make(val.Row, len(n.Binds))
 
-	var entries int64
-	err := e.runNode(n.Outer, func(outer val.Row) error {
+	return e.runNode(n.Outer, func(outer val.Row) error {
 		e.ctx.Meter.CPUOps += 2
 		if err := e.ctx.check(); err != nil {
 			return err
@@ -513,13 +426,8 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 		e.ctx.Meter.RandPages++
 		it := n.Index.Tree.SeekPrefix(key)
 		for {
-			k, rid, ok := it.Next()
-			if !ok {
-				return nil
-			}
-			entries++
-			e.ctx.Meter.Rows++
-			if err := e.ctx.check(); err != nil {
+			k, rid, ok, err := ir.next(it)
+			if err != nil || !ok {
 				return err
 			}
 			copy(merged, outer)
@@ -550,10 +458,6 @@ func (e *executor) runIndexJoin(n *plan.IndexJoin, out func(val.Row) error) erro
 			}
 		}
 	})
-	if epl := n.Index.EntriesPerLeaf; epl > 0 {
-		e.ctx.Meter.SeqPages += entries / epl
-	}
-	return err
 }
 
 // aggSlot accumulates one aggregate of one group. Each kind uses only
@@ -623,13 +527,7 @@ func (e *executor) accumulateAgg(n *plan.HashAgg) ([]aggState, error) {
 	for id := range groups {
 		groups[id] = aggState{groupVals: t.keys.vals[id*ng : (id+1)*ng : (id+1)*ng], slots: t.slots[id*na : (id+1)*na : (id+1)*na]}
 	}
-	// Spill accounting over the group count.
-	bytes := int64(len(groups)) * int64(n.GroupWidth)
-	if n.GroupWidth > 0 && float64(bytes)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(bytes)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
+	e.spill(int64(len(groups))*int64(n.GroupWidth), 0)
 	return groups, nil
 }
 
@@ -722,81 +620,136 @@ func (e *executor) runProject(n *plan.Project, out func(val.Row) error) error {
 	})
 }
 
-// keyStream iterates one merge-join side's index leaves, yielding entries
-// whose join-key value passes the side's key-level predicates.
-type keyStream struct {
+// mergeStream is one merge-join side: its index read in key order,
+// stopping on the entries whose join-key value passes the side's
+// key-level predicates, and the matched entries the join keeps.
+type mergeStream struct {
 	e    *executor
 	side *plan.MergeSide
+	read indexRead
 	it   *btree.Iter
 
-	key val.Row
+	key val.Row // the current passing entry, while ok
 	rid int64
 	ok  bool
+
+	rids []int64     // the matched entries, run by run
+	keys []val.Value // covering: their key columns, len(side.Index.Cols) per entry
+	rows []val.Row   // not covering, once fetched: their heap rows
 }
 
-func (e *executor) newKeyStream(side *plan.MergeSide) *keyStream {
-	e.ctx.Meter.FixedRand += int64(side.Index.Height)
-	return &keyStream{e: e, side: side, it: side.Index.Tree.Scan()}
+// openMerge opens one side of a merge join on its index's leaf level.
+func (e *executor) openMerge(side *plan.MergeSide) (*mergeStream, error) {
+	r, err := e.openIndex(side.Index)
+	if err != nil {
+		return nil, err
+	}
+	return &mergeStream{e: e, side: side, read: r, it: side.Index.Tree.Scan()}, nil
 }
 
 // next advances to the next passing entry.
-func (s *keyStream) next() error {
+func (s *mergeStream) next() error {
 	for {
-		k, rid, ok := s.it.Next()
-		if !ok {
-			s.ok = false
-			return nil
-		}
-		s.e.ctx.Meter.Rows++
-		if err := s.e.ctx.check(); err != nil {
+		k, rid, ok, err := s.read.next(s.it)
+		if s.ok = ok; err != nil || !ok {
 			return err
 		}
-		v := k[0]
-		if v.IsNull() {
-			continue
+		if v := k[0]; !v.IsNull() && s.passes(v) {
+			s.key, s.rid = k, rid
+			return nil
 		}
-		pass := true
-		for _, p := range s.side.KeyPreds {
-			s.e.ctx.Meter.CPUOps++
-			if !sql.CompareOp(p.Op, v, p.Value) {
-				pass = false
-				break
-			}
+	}
+}
+
+// passes tests a join-key value against the side's key-level predicates.
+func (s *mergeStream) passes(v val.Value) bool {
+	for _, p := range s.side.KeyPreds {
+		s.e.ctx.Meter.CPUOps++
+		if !sql.CompareOp(p.Op, v, p.Value) {
+			return false
 		}
-		if pass {
-			for _, p := range s.side.KeyIns {
-				s.e.ctx.Meter.CPUOps++
-				if !s.e.sets[p.SetID].contains(v) {
-					pass = false
-					break
-				}
-			}
+	}
+	for _, p := range s.side.KeyIns {
+		s.e.ctx.Meter.CPUOps++
+		if !s.e.sets[p.SetID].contains(v) {
+			return false
 		}
-		if !pass {
-			continue
+	}
+	return true
+}
+
+// takeRun keeps the entries whose key is v, advancing past them.
+func (s *mergeStream) takeRun(v val.Value) error {
+	for s.ok && val.Equal(s.key[0], v) {
+		s.rids = append(s.rids, s.rid)
+		if s.side.Covering {
+			s.keys = append(s.keys, s.key[:len(s.side.Index.Cols)]...)
 		}
-		s.key, s.rid, s.ok = k, rid, true
+		if err := s.next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetch reads a non-covering side's kept heap rows in rid order. An
+// index holds each rid once, so the kept rids are distinct.
+func (s *mergeStream) fetch() error {
+	if s.side.Covering {
 		return nil
 	}
+	ids := make([]storage.RowID, len(s.rids))
+	for i, rid := range s.rids {
+		ids[i] = storage.RowID(rid)
+	}
+	slices.Sort(ids)
+	s.e.ctx.Meter.CPUOps += int64(len(ids))
+	fetched := make([]val.Row, 0, len(ids))
+	if err := s.e.fetch(s.side.Info.Heap, ids, func(r val.Row) error {
+		fetched = append(fetched, r)
+		return nil
+	}); err != nil {
+		return err
+	}
+	s.rows = make([]val.Row, len(s.rids))
+	for i, rid := range s.rids {
+		j, _ := slices.BinarySearch(ids, storage.RowID(rid))
+		s.rows[i] = fetched[j]
+	}
+	return nil
 }
 
-// close bills the leaf pages consumed.
-func (s *keyStream) close() {
-	if epl := s.side.Index.EntriesPerLeaf; epl > 0 {
-		s.e.ctx.Meter.SeqPages += s.it.Scanned() / epl
+// fill writes kept entry i's columns into flat: from its key when
+// covering, else from its heap row.
+func (s *mergeStream) fill(flat val.Row, i int) {
+	base := s.e.p.Layout.Base[s.side.Tab]
+	if !s.side.Covering {
+		copy(flat[base:], s.rows[i])
+		return
+	}
+	w := len(s.side.Index.Cols)
+	for j, c := range s.side.Index.Cols {
+		flat[base+c] = s.keys[i*w+j]
 	}
 }
 
-// runMergeJoin merges the two ordered, key-filtered index streams,
-// collects the surviving (left, right) pairs per equal key run, fetches
-// each non-covered side's surviving rows rid-sorted, and emits the merged
-// flat rows. Covering sides carry their key columns through the pair and
-// never touch the heap.
+// runMergeJoin merges the two ordered, key-filtered index streams and
+// keeps each equal-key run's entries once per side, billing the run's
+// pairs — one CPUOps each and one check per left entry — as it goes.
+// Each non-covered side's kept rows are then fetched rid-sorted, and the
+// merged flat rows are emitted run by run, left-major. Covering sides
+// carry their key columns and never touch the heap.
 func (e *executor) runMergeJoin(n *plan.MergeJoin, out func(val.Row) error) error {
-	ls := e.newKeyStream(&n.L)
-	rs := e.newKeyStream(&n.R)
-	defer ls.close()
-	defer rs.close()
+	ls, err := e.openMerge(&n.L)
+	if err != nil {
+		return err
+	}
+	defer ls.read.close()
+	rs, err := e.openMerge(&n.R)
+	if err != nil {
+		return err
+	}
+	defer rs.read.close()
 	if err := ls.next(); err != nil {
 		return err
 	}
@@ -804,125 +757,63 @@ func (e *executor) runMergeJoin(n *plan.MergeJoin, out func(val.Row) error) erro
 		return err
 	}
 
-	type entry struct {
-		rid int64
-		key val.Row // retained only for covering sides
-	}
-	type pairEnt struct {
-		l, r entry
-	}
-	// Duplicate runs are usually short; starting capacity amortizes the
-	// per-key growth across the whole merge.
-	pairs := make([]pairEnt, 0, 64)
-	lRun := make([]entry, 0, 16)
-	rRun := make([]entry, 0, 16)
-	keep := func(side *plan.MergeSide, key val.Row, rid int64) entry {
-		if side.Covering {
-			return entry{rid: rid, key: key.Clone()}
-		}
-		return entry{rid: rid}
-	}
+	// runEnds[i] is where run i's entries end on each side; each run
+	// starts where the one before it ended.
+	var runEnds [][2]int
 	for ls.ok && rs.ok {
 		c := val.Compare(ls.key[0], rs.key[0])
 		switch {
 		case c < 0:
-			if err := ls.next(); err != nil {
-				return err
-			}
+			err = ls.next()
 		case c > 0:
-			if err := rs.next(); err != nil {
+			err = rs.next()
+		default:
+			v, l0, r0 := ls.key[0], len(ls.rids), len(rs.rids)
+			if err := ls.takeRun(v); err != nil {
 				return err
 			}
-		default:
-			v := ls.key[0]
-			lRun = lRun[:0]
-			for ls.ok && val.Equal(ls.key[0], v) {
-				lRun = append(lRun, keep(&n.L, ls.key, ls.rid))
-				if err := ls.next(); err != nil {
-					return err
-				}
+			if err := rs.takeRun(v); err != nil {
+				return err
 			}
-			rRun = rRun[:0]
-			for rs.ok && val.Equal(rs.key[0], v) {
-				rRun = append(rRun, keep(&n.R, rs.key, rs.rid))
-				if err := rs.next(); err != nil {
-					return err
-				}
-			}
-			for _, l := range lRun {
-				for _, r := range rRun {
-					e.ctx.Meter.CPUOps++
-					pairs = append(pairs, pairEnt{l, r})
-				}
+			for range len(ls.rids) - l0 {
+				e.ctx.Meter.CPUOps += int64(len(rs.rids) - r0)
 				if err := e.ctx.check(); err != nil {
 					return err
 				}
 			}
+			runEnds = append(runEnds, [2]int{len(ls.rids), len(rs.rids)})
 		}
-	}
-
-	// Materialize each non-covered side's surviving rows, rid-sorted.
-	fetchSide := func(side *plan.MergeSide, ridOf func(pairEnt) int64) (map[int64]val.Row, error) {
-		if side.Covering {
-			return nil, nil
-		}
-		uniq := make(map[int64]bool, len(pairs))
-		for _, p := range pairs {
-			uniq[ridOf(p)] = true
-		}
-		ids := make([]storage.RowID, 0, len(uniq))
-		for id := range uniq {
-			ids = append(ids, storage.RowID(id))
-		}
-		e.ctx.Meter.CPUOps += int64(len(ids))
-		rows := make(map[int64]val.Row, len(ids))
-		var innerErr error
-		err := side.Info.Heap.FetchMany(&e.ctx.Meter, ids, func(id storage.RowID, r val.Row) bool {
-			if err := e.ctx.check(); err != nil {
-				innerErr = err
-				return false
-			}
-			rows[int64(id)] = r
-			return true
-		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return rows, innerErr
-	}
-	lRows, err := fetchSide(&n.L, func(p pairEnt) int64 { return p.l.rid })
-	if err != nil {
-		return err
-	}
-	rRows, err := fetchSide(&n.R, func(p pairEnt) int64 { return p.r.rid })
-	if err != nil {
-		return err
 	}
 
-	fill := func(flat val.Row, side *plan.MergeSide, rows map[int64]val.Row, ent entry) {
-		base := e.p.Layout.Base[side.Tab]
-		if side.Covering {
-			for j, c := range side.Index.Cols {
-				flat[base+c] = ent.key[j]
-			}
-			return
-		}
-		copy(flat[base:], rows[ent.rid])
+	if err := ls.fetch(); err != nil {
+		return err
+	}
+	if err := rs.fetch(); err != nil {
+		return err
 	}
 	flat := make(val.Row, e.p.Layout.Width)
-	for _, p := range pairs {
-		if err := e.ctx.check(); err != nil {
-			return err
+	var l0, r0 int
+	for _, end := range runEnds {
+		for i := l0; i < end[0]; i++ {
+			for j := r0; j < end[1]; j++ {
+				if err := e.ctx.check(); err != nil {
+					return err
+				}
+				ls.fill(flat, i)
+				rs.fill(flat, j)
+				if !e.passes(flat, n.L.PostFilters, n.L.PostIns) ||
+					!e.passes(flat, n.R.PostFilters, n.R.PostIns) {
+					continue
+				}
+				if err := out(flat); err != nil {
+					return err
+				}
+			}
 		}
-		fill(flat, &n.L, lRows, p.l)
-		fill(flat, &n.R, rRows, p.r)
-		if !e.passes(flat, n.L.PostFilters, n.L.PostIns) ||
-			!e.passes(flat, n.R.PostFilters, n.R.PostIns) {
-			continue
-		}
-		if err := out(flat); err != nil {
-			return err
-		}
+		l0, r0 = end[0], end[1]
 	}
 	return nil
 }

@@ -222,11 +222,23 @@ func TestSnapshotWindowMatchesCFC(t *testing.T) {
 	}
 
 	var kept []core.Measure // the non-errored completions, in order
+	lastSignal, signals := 0, 0
 	for i := 0; i < 2*window+3; i++ {
 		s, timedOut, errored := float64(i+1)*20, i == 4 || i == 15, i == 9
-		st.noteCompleted("q", s, timedOut, errored)
+		got := st.noteCompleted("q", s, timedOut, errored)
 		if !errored {
 			kept = append(kept, core.Measure{Seconds: s, TimedOut: timedOut})
+		}
+		// The trigger grades the window from step counts; it must signal
+		// exactly when the window, graded whole, would: full, Window
+		// completions since the last signal, and its goal unmet.
+		want := !errored && len(kept) >= window && i+1-lastSignal >= window &&
+			!core.DigestOf(kept[len(kept)-window:], goal, 0).Satisfied
+		if got != want {
+			t.Errorf("completion %d: noteCompleted = %v, want %v", i, got, want)
+		}
+		if want {
+			lastSignal, signals = i+1, signals+1
 		}
 		snap := st.snapshot()
 		if len(kept) < window {
@@ -245,6 +257,30 @@ func TestSnapshotWindowMatchesCFC(t *testing.T) {
 		if want := core.FiniteOrNeg(cfc.Quantile(0.95)); snap.WindowP95 != want {
 			t.Errorf("completion %d: WindowP95 = %v, want %v", i, snap.WindowP95, want)
 		}
+	}
+	if signals == 0 {
+		t.Error("the window never violated its goal: the trigger went untested")
+	}
+}
+
+// TestNoteCompletedAllocatesNothing: a completion into a full window that
+// meets its goal — every completion of a healthy tenant — is graded from
+// the step counts, without building the window's CFC.
+func TestNoteCompletedAllocatesNothing(t *testing.T) {
+	const window = 32
+	tc := TenantConfig{Name: "x", APIKey: "k", Families: []string{"NREF2J"}, Goal: "300:0.50,350:0.75", Window: window}
+	cfg := Config{Tenants: []TenantConfig{tc}}
+	cfg.setDefaults()
+	st := newTenantState(cfg.Tenants[0])
+	for i := 0; i < window; i++ {
+		st.noteCompleted("q", 10, false, false)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if st.noteCompleted("q", 10, false, false) {
+			t.Fatal("a window that meets its goal signalled the tuner")
+		}
+	}); allocs != 0 {
+		t.Errorf("noteCompleted on a full, healthy window: %v allocations, want 0", allocs)
 	}
 }
 

@@ -40,6 +40,7 @@ type tenantState struct {
 	mix       map[string]int64 // conflint:guardedby mu (by family)
 
 	window     []core.Measure  // conflint:guardedby mu (ring of recent completions)
+	windowMet  []int64         // conflint:guardedby mu (goalMet over the window's measures)
 	recentSQL  []string        // conflint:guardedby mu (ring of recent query texts)
 	recentSet  map[string]bool // conflint:guardedby mu (members of recentSQL)
 	recentPos  int             // conflint:guardedby mu (next slot once recentSQL is full)
@@ -57,6 +58,7 @@ func newTenantState(cfg TenantConfig) *tenantState {
 		run:       make(chan struct{}, cfg.MaxConcurrency),
 		rejected:  make(map[string]int64),
 		goalMet:   make([]int64, len(goal.Steps)),
+		windowMet: make([]int64, len(goal.Steps)),
 		mix:       make(map[string]int64),
 		window:    make([]core.Measure, 0, cfg.Window),
 		recentSQL: make([]string, 0, recentSQLCap),
@@ -90,25 +92,24 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 		t.errored++
 		return false
 	}
+	m := core.Measure{Seconds: seconds, TimedOut: timedOut}
 	if timedOut {
 		t.timeouts++
 	} else {
 		t.simTotal += seconds
-		for i, st := range t.goal.Steps {
-			if seconds <= st.X {
-				t.goalMet[i]++
-			}
-		}
 	}
+	t.tally(t.goalMet, m, 1)
 
 	// Once full, the ring's next slot follows from the counters: the
 	// non-errored completions so far, less one, mod Window.
-	m := core.Measure{Seconds: seconds, TimedOut: timedOut}
 	if len(t.window) < t.cfg.Window {
 		t.window = append(t.window, m)
 	} else {
-		t.window[(t.completed-t.errored-1)%int64(t.cfg.Window)] = m
+		slot := &t.window[(t.completed-t.errored-1)%int64(t.cfg.Window)]
+		t.tally(t.windowMet, *slot, -1)
+		*slot = m
 	}
+	t.tally(t.windowMet, m, 1)
 
 	if !t.recentSet[sqlText] {
 		t.recentSet[sqlText] = true
@@ -127,33 +128,47 @@ func (t *tenantState) noteCompleted(sqlText string, seconds float64, timedOut, e
 	if t.completed-t.lastTuneAt < int64(t.cfg.Window) {
 		return false
 	}
-	if core.DigestOf(t.window, t.goal, 0).Satisfied {
+	if goalLevel(t.goal, t.windowMet, int64(len(t.window))) == 1 {
 		return false
 	}
 	t.lastTuneAt = t.completed
 	return true
 }
 
-// goalLevelLocked grades the cumulative run: the fraction of goal steps
-// where at least Frac of all completed queries (timeouts included in
-// the denominator) landed at or under the step edge. This equals
-// core.Goal.Satisfaction over the cumulative CFC, computed from O(steps)
-// counters instead of O(queries) samples.
-func (t *tenantState) goalLevelLocked() float64 {
-	if len(t.goal.Steps) == 0 {
-		return 1
+// tally adds d to met's count of each goal step m completed at or under.
+func (t *tenantState) tally(met []int64, m core.Measure, d int64) {
+	if m.TimedOut {
+		return
 	}
-	denom := t.completed - t.errored
-	if denom == 0 {
-		return 1
-	}
-	met := 0
 	for i, st := range t.goal.Steps {
-		if float64(t.goalMet[i])/float64(denom) >= st.Frac {
-			met++
+		if m.Seconds <= st.X {
+			met[i] += d
 		}
 	}
-	return float64(met) / float64(len(t.goal.Steps))
+}
+
+// goalLevelLocked grades the cumulative run (timeouts included in the
+// denominator).
+func (t *tenantState) goalLevelLocked() float64 {
+	return goalLevel(t.goal, t.goalMet, t.completed-t.errored)
+}
+
+// goalLevel grades n measures of which met[i] completed at or under goal
+// step i's edge: the fraction of steps where at least Frac of them did.
+// For finite times CFC.At(nextAfter(X)) is met[i]/n, so this equals
+// core.Goal.Satisfaction over their CFC, read from O(steps) counters
+// instead of O(measures) samples. No steps, or no measures, grade 1.
+func goalLevel(g core.Goal, met []int64, n int64) float64 {
+	if len(g.Steps) == 0 || n == 0 {
+		return 1
+	}
+	ok := 0
+	for i, st := range g.Steps {
+		if float64(met[i])/float64(n) >= st.Frac {
+			ok++
+		}
+	}
+	return float64(ok) / float64(len(g.Steps))
 }
 
 // recentQueries copies the distinct recent query texts.
@@ -217,7 +232,7 @@ func (t *tenantState) snapshot() TenantSnapshot {
 	if len(t.window) > 0 {
 		d := core.DigestOf(t.window, t.goal, 0)
 		if len(t.window) == t.cfg.Window {
-			s.WindowGoalLevel = d.Satisfaction
+			s.WindowGoalLevel = goalLevel(t.goal, t.windowMet, int64(len(t.window)))
 		}
 		s.WindowP50, s.WindowP95 = core.FiniteOrNeg(d.P50), core.FiniteOrNeg(d.P95)
 	}
