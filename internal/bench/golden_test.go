@@ -16,7 +16,8 @@ const (
 	artifactSeed  = 42
 )
 
-// TestGoldenArtifacts regenerates the checked-in artifacts and requires
+// TestGoldenArtifacts regenerates every registered experiment's checked-in
+// artifact on one Lab, in paper order as cmd/autobench does, and requires
 // byte-identical output, so refactors cannot silently drift the paper's
 // numbers. It runs with the lab's default parallelism — a full-scale
 // determinism check for free. Under -race the full-scale regeneration
@@ -29,13 +30,9 @@ func TestGoldenArtifacts(t *testing.T) {
 		t.Skip("golden regeneration takes ~30s; skipped with -short")
 	}
 	l := NewLab(artifactScale, artifactSeed)
-	for _, id := range []string{"fig1", "table1", "goals", "transitions", "ablation-disk", "insertions"} {
-		id := id
+	for _, exp := range Experiments() {
+		id := exp.ID
 		t.Run(id, func(t *testing.T) {
-			exp, ok := Find(id)
-			if !ok {
-				t.Fatalf("experiment %s not registered", id)
-			}
 			out, err := exp.Run(l)
 			if err != nil {
 				t.Fatal(err)

@@ -9,12 +9,13 @@
 //
 // The tree is a real search structure (lookups walk internal nodes to a
 // leaf, range scans follow the leaf chain), and it exposes a size model
-// (Height, LeafPages) that the cost model uses to bill index traversals
-// and leaf scans in simulated time.
+// (Height, and Shape for built and hypothetical trees alike) that the
+// cost model uses to bill index traversals and leaf scans in simulated
+// time.
 //
 // A tree is built either entry by entry (New, then Insert) or in one pass
 // from entries already in (key, payload) order (Build). Build fills leaves
-// to the 70% that LeafPages models, which reproduces the height an
+// to the 70% that Shape models, which reproduces the height an
 // insertion-built tree over the same entries reaches; later Inserts work
 // on either kind of tree.
 package btree
@@ -31,9 +32,12 @@ import (
 // (3-4 levels for millions of keys) while staying cache-friendly.
 const order = 64
 
-// buildFill is the entries per leaf Build aims for: the 70% fill the size
+// fillPercent is the leaf fill the size model assumes (Shape).
+const fillPercent = 70
+
+// buildFill is the entries per leaf Build aims for: the fill the size
 // model assumes.
-const buildFill = order * 70 / 100
+const buildFill = order * fillPercent / 100
 
 type leaf struct {
 	keys []val.Row
@@ -121,46 +125,51 @@ func (t *Tree) Len() int64 { return t.size }
 // The cost model bills Height random page reads per traversal.
 func (t *Tree) Height() int { return t.height }
 
-// entryWidth returns the average entry width in bytes (key + 8-byte rid).
-func (t *Tree) entryWidth() int64 {
+// Size is a B+-tree's modeled size, the figures the cost model bills
+// index reads and budgets storage with.
+type Size struct {
+	LeafPages      int64 // leaf pages at fillPercent fill
+	EntriesPerLeaf int64 // entries per leaf page: a leaf scan bills one page per this many
+	Bytes          int64 // leaves plus ~1.5% internal-node overhead
+}
+
+// Shape returns the modeled size of a tree of rows entries averaging
+// entryWidth bytes each (key plus 8-byte rid). Leaves are fillPercent
+// full: the steady-state fill of a B+-tree built by random insertion, and
+// the fill Build packs its leaves to. A built tree and a hypothetical
+// one are sized by this one model.
+//
+// conflint:pure — arithmetic shared by the size estimators.
+func Shape(rows, entryWidth int64) Size {
+	fill := int64(cost.PageSize) * fillPercent / 100
+	lp := max((rows*entryWidth+fill-1)/fill, 1)
+	return Size{
+		LeafPages:      lp,
+		EntriesPerLeaf: max(fill/entryWidth, 1),
+		Bytes:          (lp + lp/order + 1) * cost.PageSize,
+	}
+}
+
+// Height returns the modeled height of a tree of s.LeafPages leaves at
+// fan-out order: the height a hypothetical index is billed. A built tree
+// reports its own (Tree.Height).
+//
+// conflint:pure — arithmetic shared by the size estimators.
+func (s Size) Height() int {
+	h := 1
+	for p := s.LeafPages; p > 1; p = (p + order - 1) / order {
+		h++
+	}
+	return h
+}
+
+// Shape returns the tree's modeled size over its average entry width
+// (16 bytes when it is empty).
+func (t *Tree) Shape() Size {
 	if t.size == 0 {
-		return 16
+		return Shape(0, 16)
 	}
-	return t.keyWidth/t.size + 8
-}
-
-// LeafPages returns the modeled number of leaf pages, assuming 70% page
-// fill: the steady-state fill of a B+-tree built by random insertion, and
-// the fill Build packs its leaves to.
-func (t *Tree) LeafPages() int64 {
-	bytes := t.size * t.entryWidth()
-	fill := int64(cost.PageSize) * 70 / 100
-	if fill < 1 {
-		fill = 1
-	}
-	p := (bytes + fill - 1) / fill
-	if p == 0 {
-		p = 1
-	}
-	return p
-}
-
-// Bytes returns the modeled total size of the index (leaves plus ~1.5%
-// internal-node overhead).
-func (t *Tree) Bytes() int64 {
-	lp := t.LeafPages()
-	internal := lp/order + 1
-	return (lp + internal) * cost.PageSize
-}
-
-// EntriesPerLeafPage returns the modeled entries per leaf page, used to
-// bill sequential leaf-page reads during range scans.
-func (t *Tree) EntriesPerLeafPage() int64 {
-	n := (int64(cost.PageSize) * 70 / 100) / t.entryWidth()
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return Shape(t.size, t.keyWidth/t.size+8)
 }
 
 // cmpEntry orders (key, rid) pairs.

@@ -194,12 +194,56 @@ func TestSizeModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.LeafPages() <= 0 || tr.Bytes() <= 0 || tr.EntriesPerLeafPage() <= 0 {
+	sh := tr.Shape()
+	if sh.LeafPages <= 0 || sh.Bytes <= 0 || sh.EntriesPerLeaf <= 0 {
 		t.Error("size model must be positive")
 	}
 	// 10k entries of ~16 bytes at 70% fill of 4KB pages: roughly 56 pages.
-	if lp := tr.LeafPages(); lp < 30 || lp > 120 {
+	if lp := sh.LeafPages; lp < 30 || lp > 120 {
 		t.Errorf("LeafPages = %d, want ~56", lp)
+	}
+}
+
+// TestShape pins the one size model built and hypothetical trees share:
+// leaf pages at 70% fill of a 4 KB page (2 867 bytes), entries per leaf
+// page, bytes with one internal page per 64 leaves plus the root, and the
+// modeled height at fan-out 64.
+func TestShape(t *testing.T) {
+	for _, c := range []struct {
+		rows, width int64
+		want        Size
+		height      int
+	}{
+		{0, 16, Size{LeafPages: 1, EntriesPerLeaf: 179, Bytes: 2 * 4096}, 1},
+		{179, 16, Size{LeafPages: 1, EntriesPerLeaf: 179, Bytes: 2 * 4096}, 1},
+		{180, 16, Size{LeafPages: 2, EntriesPerLeaf: 179, Bytes: 3 * 4096}, 2},
+		{10_000, 16, Size{LeafPages: 56, EntriesPerLeaf: 179, Bytes: 57 * 4096}, 2},
+		{64 * 2867, 1, Size{LeafPages: 64, EntriesPerLeaf: 2867, Bytes: 66 * 4096}, 2},
+		{65 * 2867, 1, Size{LeafPages: 65, EntriesPerLeaf: 2867, Bytes: 67 * 4096}, 3},
+		{1, 4000, Size{LeafPages: 2, EntriesPerLeaf: 1, Bytes: 3 * 4096}, 2},
+	} {
+		got := Shape(c.rows, c.width)
+		if got != c.want || got.Height() != c.height {
+			t.Errorf("Shape(%d, %d) = %+v height %d, want %+v height %d",
+				c.rows, c.width, got, got.Height(), c.want, c.height)
+		}
+	}
+	// A built tree is sized by its entry count and average entry width:
+	// its keys' average Row.Width plus the 8-byte rid.
+	tr := New(false)
+	var keyBytes int64
+	for i := int64(0); i < 1000; i++ {
+		k := val.Row{val.String(string(make([]byte, i%7)))}
+		keyBytes += int64(k.Width())
+		if err := tr.Insert(k, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tr.Shape(), Shape(1000, keyBytes/1000+8); got != want {
+		t.Errorf("Tree.Shape() = %+v, want Shape over its average width %+v", got, want)
+	}
+	if got, want := New(false).Shape(), Shape(0, 16); got != want {
+		t.Errorf("empty Tree.Shape() = %+v, want %+v", got, want)
 	}
 }
 

@@ -58,9 +58,8 @@ func diff(a, b *Iter) string {
 // (every inclusivity, bounded and unbounded) identically.
 func sameEntries(t testing.TB, a, b *Tree, probes []val.Row) {
 	t.Helper()
-	if a.Len() != b.Len() || a.LeafPages() != b.LeafPages() || a.Bytes() != b.Bytes() {
-		t.Fatalf("size model: Len %d/%d LeafPages %d/%d Bytes %d/%d",
-			a.Len(), b.Len(), a.LeafPages(), b.LeafPages(), a.Bytes(), b.Bytes())
+	if a.Len() != b.Len() || a.Shape() != b.Shape() {
+		t.Fatalf("size model: Len %d/%d Shape %+v/%+v", a.Len(), b.Len(), a.Shape(), b.Shape())
 	}
 	if d := diff(a.Scan(), b.Scan()); d != "" {
 		t.Fatalf("Scan differs: %s", d)

@@ -50,8 +50,11 @@ type Column struct {
 	AvgWidth int
 }
 
-// width returns the modeled byte width of the column.
-func (c Column) width() int {
+// Width returns the modeled byte width of the column's values: AvgWidth
+// for a string (16 when it is unset), 8 for an int or a float.
+//
+// conflint:pure — arithmetic shared by the size estimators.
+func (c Column) Width() int {
 	if c.Type == TypeString {
 		if c.AvgWidth > 0 {
 			return c.AvgWidth
@@ -148,7 +151,7 @@ func (t *Table) PrimaryKeyOffsets() []int {
 func (t *Table) RowWidth() int {
 	w := 4 // row header
 	for _, c := range t.Columns {
-		w += c.width()
+		w += c.Width()
 	}
 	return w
 }

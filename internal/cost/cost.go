@@ -97,17 +97,39 @@ func (c Model) WithScale(scale float64) Model {
 // conflint:pure — pricing a meter must not touch the meter: every
 // estimate path (what-if sessions included) prices concurrently.
 func (c Model) Seconds(m *Meter) float64 {
-	s := c.Scale
-	if s == 0 {
-		s = 1
-	}
-	return s*(float64(m.SeqPages)*c.SeqPageSec+
+	return c.scale()*(float64(m.SeqPages)*c.SeqPageSec+
 		float64(m.RandPages)*c.RandPageSec+
 		float64(m.WritePage)*c.WritePageSec+
 		float64(m.Rows)*c.RowSec+
 		float64(m.CPUOps)*c.CPUOpSec) +
 		float64(m.FixedRand)*c.RandPageSec +
 		float64(m.FixedSeq)*c.SeqPageSec
+}
+
+// scale returns the multiplier Seconds and Spill bill scaled work at:
+// Scale, with 0 read as 1.
+//
+// conflint:pure — arithmetic shared by the clock and the spill rule.
+func (c Model) scale() float64 {
+	if c.Scale == 0 {
+		return 1
+	}
+	return c.Scale
+}
+
+// Spill bills a hash structure's spill, the one rule the optimizer's
+// estimates and the executor's actual meters share: when the held bytes,
+// scaled to full size by model, exceed the memory budget mem, the pages
+// of the held and the reread bytes are written once and read back once
+// (a GRACE-style partition pass). A budget of zero or less is no budget:
+// nothing spills. The caller counts its own held and reread bytes.
+func (m *Meter) Spill(model Model, mem, held, reread int64) {
+	if mem <= 0 || float64(held)*model.scale() <= float64(mem) {
+		return
+	}
+	pg := PagesForBytes(held) + PagesForBytes(reread)
+	m.WritePage += pg
+	m.SeqPages += pg
 }
 
 // PageSize is the logical page size, in bytes, used by the storage layer,

@@ -89,6 +89,32 @@ func TestPagesForBytes(t *testing.T) {
 	}
 }
 
+// TestSpill pins the one spill rule the optimizer's estimates and the
+// executor's meters share: held bytes over the budget at full scale
+// (Scale 0 read as 1) write and re-read the pages of the held and the
+// reread bytes; a budget of zero or less never spills.
+func TestSpill(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		scale             float64
+		mem, held, reread int64
+		wantPages         int64
+	}{
+		{"under budget", 1, 10_000, 10_000, 50_000, 0},
+		{"over budget", 1, 10_000, 10_001, 50_000, 3 + 13},
+		{"over once scaled", 1000, 1_000_000, 4097, 0, 2},
+		{"zero scale reads as one", 0, 10_000, 10_001, 0, 3},
+		{"no budget", 1000, 0, 1 << 40, 1 << 40, 0},
+		{"negative budget", 1, -1, 1, 0, 0},
+	} {
+		var m Meter
+		m.Spill(Desktop2005().WithScale(c.scale), c.mem, c.held, c.reread)
+		if want := (Meter{WritePage: c.wantPages, SeqPages: c.wantPages}); m != want {
+			t.Errorf("%s: %+v, want %+v", c.name, m, want)
+		}
+	}
+}
+
 func TestDesktop2005Ordering(t *testing.T) {
 	c := Desktop2005()
 	if !(c.RandPageSec > c.WritePageSec && c.WritePageSec > c.SeqPageSec) {

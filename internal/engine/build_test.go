@@ -119,10 +119,10 @@ func checkBuild(t *testing.T, name string, heap *storage.Heap, cols []int) {
 		}
 		return true
 	})
-	if built.Height() != inserted.Height() || built.Len() != inserted.Len() || built.LeafPages() != inserted.LeafPages() {
-		t.Errorf("%s: Height/Len/LeafPages %d/%d/%d, insertion %d/%d/%d", name,
-			built.Height(), built.Len(), built.LeafPages(),
-			inserted.Height(), inserted.Len(), inserted.LeafPages())
+	if built.Height() != inserted.Height() || built.Len() != inserted.Len() || built.Shape() != inserted.Shape() {
+		t.Errorf("%s: Height/Len/Shape %d/%d/%+v, insertion %d/%d/%+v", name,
+			built.Height(), built.Len(), built.Shape(),
+			inserted.Height(), inserted.Len(), inserted.Shape())
 	}
 	if want := insertionKeyNDV(inserted, len(cols)); !slices.Equal(ndv, want) {
 		t.Errorf("%s: KeyNDV %v, insertion %v", name, ndv, want)

@@ -323,26 +323,32 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 	}
 
 	tree, keyNDV := fillTree(heap, cols)
-	ix := &plan.IndexInfo{
-		Def:            d,
-		Name:           d.Name(),
-		Cols:           cols,
-		Tree:           tree,
-		Height:         tree.Height(),
-		LeafPages:      tree.LeafPages(),
-		EntriesPerLeaf: tree.EntriesPerLeafPage(),
-		Bytes:          int64(float64(tree.Bytes()) / e.ScaleFactor),
-		KeyNDV:         keyNDV,
-	}
+	ix := &plan.IndexInfo{Def: d, Name: d.Name(), Cols: cols, Tree: tree, KeyNDV: keyNDV}
+	e.sizeIndex(ix, tree.Shape(), tree.Height())
+	return ix, indexBuild(heap.Pages(), tree.Len(), ix.LeafPages), nil
+}
 
-	n := float64(tree.Len())
-	var m cost.Meter
-	m.SeqPages = heap.Pages()
-	m.WritePage = tree.LeafPages()
-	if n > 1 {
+// sizeIndex sets ix's size figures from its modeled size sh and its height:
+// the page and height figures stay in the scaled domain the meter bills,
+// Bytes is a full-scale figure (the budget's unit). A built index and a
+// hypothetical one are sized by this one rule.
+func (e *Engine) sizeIndex(ix *plan.IndexInfo, sh btree.Size, height int) {
+	ix.Height = height
+	ix.LeafPages, ix.EntriesPerLeaf = sh.LeafPages, sh.EntriesPerLeaf
+	ix.Bytes = int64(float64(sh.Bytes) / e.ScaleFactor)
+}
+
+// indexBuild is the sort-based build of an index over a relation of rows
+// rows on pages pages into leafPages leaves: one scan, an n·log2 n sort,
+// and a sequential write of the leaves. AT bills it with a built tree's
+// figures and ET with a hypothetical one's.
+func indexBuild(pages, rows, leafPages int64) cost.Meter {
+	m := cost.Meter{SeqPages: pages, WritePage: leafPages}
+	if rows > 1 {
+		n := float64(rows)
 		m.CPUOps = int64(n * math.Log2(n))
 	}
-	return ix, m, nil
+	return m
 }
 
 // indexEntry is one (key, rid) pair of an index under construction.
@@ -432,21 +438,7 @@ func (e *Engine) buildView(s *snapshot, vd conf.ViewDef) (*plan.ViewInfo, cost.M
 		return nil, cost.Meter{}, err
 	}
 
-	// Synthesize the view's schema from its output columns.
-	cols := make([]catalog.Column, len(q.Out))
-	outSrc := make([]sql.QCol, len(q.Out))
-	for i, o := range q.Out {
-		src := q.Tables[o.Col.Tab].Table.Columns[o.Col.Col]
-		cols[i] = catalog.Column{
-			Name:      "c" + strconv.Itoa(i),
-			Type:      src.Type,
-			Domain:    src.Domain,
-			Indexable: src.Indexable,
-			AvgWidth:  src.AvgWidth,
-		}
-		outSrc[i] = o.Col
-	}
-	vt, err := catalog.NewTable(vd.Name, cols, nil)
+	vt, outSrc, err := viewTable(vd.Name, q)
 	if err != nil {
 		return nil, cost.Meter{}, err
 	}
@@ -469,6 +461,28 @@ func (e *Engine) buildView(s *snapshot, vd conf.ViewDef) (*plan.ViewInfo, cost.M
 		OutSrc: outSrc,
 	}
 	return vi, m, nil
+}
+
+// viewTable synthesizes the relation of a projection view from its
+// defining query: output column i becomes column c<i>, typed, domained
+// and sized as its source column, which the returned slice names (the
+// ViewInfo's OutSrc). A materialized view and a hypothetical one share it.
+func viewTable(name string, q *sql.Query) (*catalog.Table, []sql.QCol, error) {
+	cols := make([]catalog.Column, len(q.Out))
+	outSrc := make([]sql.QCol, len(q.Out))
+	for i, o := range q.Out {
+		src := q.Tables[o.Col.Tab].Table.Columns[o.Col.Col]
+		cols[i] = catalog.Column{
+			Name:      "c" + strconv.Itoa(i),
+			Type:      src.Type,
+			Domain:    src.Domain,
+			Indexable: src.Indexable,
+			AvgWidth:  src.AvgWidth,
+		}
+		outSrc[i] = o.Col
+	}
+	t, err := catalog.NewTable(name, cols, nil)
+	return t, outSrc, err
 }
 
 // Physical exposes the current physical design (for the recommenders):

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/conf"
@@ -192,11 +191,7 @@ func (w *WhatIf) EstimateTransition(target conf.Configuration) (float64, error) 
 		} else if vi := w.viewCache[strings.ToLower(d.Table)]; vi != nil {
 			rows, pages = vi.Stats.Rows, vi.Stats.Pages
 		}
-		meter.SeqPages += pages
-		meter.WritePage += ix.LeafPages
-		if rows > 1 {
-			meter.CPUOps += int64(float64(rows) * math.Log2(float64(rows)))
-		}
+		meter.Add(indexBuild(pages, rows, ix.LeafPages))
 	}
 	return w.e.Model.Seconds(&meter), nil
 }

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/conf"
 	"repro/internal/cost"
@@ -650,6 +650,26 @@ func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
 	return total
 }
 
+// DeriveViews derives, in order, the description of every view the
+// pinned snapshot has not built, as an estimate does on first sight of
+// its name, and returns the first derivation error. The session keeps the
+// first derivation of a name, so a caller about to estimate in parallel
+// calls it first: which of two same-named definitions the estimates see
+// is then this order's choice, not the first worker's.
+func (w *WhatIf) DeriveViews(views []conf.ViewDef) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s := w.pinLocked()
+	for _, vd := range views {
+		if s.findView(vd.Name) == nil {
+			if _, err := w.hypoViewLocked(vd); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // physical assembles a hypothetical physical design from scratch — the
 // uncached estimation path.
 func (w *WhatIf) physical(hypo conf.Configuration) (*plan.Physical, error) {
@@ -705,54 +725,22 @@ func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
 		return nil, fmt.Errorf("engine: what-if index on unknown relation %s", d.Table)
 	}
 	cols := make([]int, len(d.Columns))
-	entryWidth := 8 // rid
+	entryWidth := int64(8) // rid
 	for i, cn := range d.Columns {
 		ci := tab.ColumnIndex(cn)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: what-if index: no column %s in %s", cn, d.Table)
 		}
 		cols[i] = ci
-		if tab.Columns[ci].Type == catalog.TypeString {
-			aw := tab.Columns[ci].AvgWidth
-			if aw == 0 {
-				aw = 16
-			}
-			entryWidth += 2 + aw
-		} else {
-			entryWidth += 8
-		}
+		entryWidth += storedWidth(tab.Columns[ci])
 	}
 	ndv := make([]int64, len(cols))
 	for i := range cols {
 		ndv[i] = ts.CompositeNDV(cols[:i+1])
 	}
-	rows := ts.Rows
-	fill := int64(cost.PageSize) * 70 / 100
-	leafPages := (rows*int64(entryWidth) + fill - 1) / fill
-	if leafPages < 1 {
-		leafPages = 1
-	}
-	height := 1
-	for p := leafPages; p > 1; p = (p + 63) / 64 {
-		height++
-	}
-	epl := fill / int64(entryWidth)
-	if epl < 1 {
-		epl = 1
-	}
-	ix := &plan.IndexInfo{
-		Def:          d,
-		Name:         key,
-		Cols:         cols,
-		Hypothetical: true,
-		KeyNDV:       ndv,
-		// Bytes is a full-scale figure (the budget's unit); the page and
-		// height fields stay in the scaled domain the cost meter uses.
-		Bytes:          int64(float64((leafPages+leafPages/64+1)*cost.PageSize) / w.e.ScaleFactor),
-		Height:         height,
-		LeafPages:      leafPages,
-		EntriesPerLeaf: epl,
-	}
+	ix := &plan.IndexInfo{Def: d, Name: key, Cols: cols, Hypothetical: true, KeyNDV: ndv}
+	sh := btree.Shape(ts.Rows, entryWidth)
+	w.e.sizeIndex(ix, sh, sh.Height())
 	w.indexCache[key] = ix
 	return ix, nil
 }
@@ -804,35 +792,18 @@ func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
 		rows = 1
 	}
 
-	cols := make([]catalog.Column, len(q.Out))
-	outSrc := make([]sql.QCol, len(q.Out))
-	cstats := make([]stats.ColumnStats, len(q.Out))
-	width := 4
-	for i, o := range q.Out {
-		src := q.Tables[o.Col.Tab].Table.Columns[o.Col.Col]
-		cols[i] = catalog.Column{
-			Name: "c" + strconv.Itoa(i), Type: src.Type, Domain: src.Domain,
-			Indexable: src.Indexable, AvgWidth: src.AvgWidth,
-		}
-		outSrc[i] = o.Col
-		srcStats := w.pinned.stats(q.Tables[o.Col.Tab].Table.Name)
-		cstats[i] = srcStats.Cols[o.Col.Col]
+	vt, outSrc, err := viewTable(vd.Name, q)
+	if err != nil {
+		return nil, err
+	}
+	cstats := make([]stats.ColumnStats, len(outSrc))
+	width := int64(4) // row header
+	for i, o := range outSrc {
+		cstats[i] = w.pinned.stats(q.Tables[o.Tab].Table.Name).Cols[o.Col]
 		if cstats[i].NDV > int64(rows) {
 			cstats[i].NDV = int64(rows)
 		}
-		if src.Type == catalog.TypeString {
-			aw := src.AvgWidth
-			if aw == 0 {
-				aw = 16
-			}
-			width += 2 + aw
-		} else {
-			width += 8
-		}
-	}
-	vt, err := catalog.NewTable(vd.Name, cols, nil)
-	if err != nil {
-		return nil, err
+		width += storedWidth(vt.Columns[i])
 	}
 	vi := &plan.ViewInfo{
 		Def:   vd,
@@ -840,11 +811,20 @@ func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
 		Table: vt,
 		Stats: &stats.TableStats{
 			Rows:  int64(rows),
-			Pages: cost.PagesForBytes(int64(rows) * int64(width)),
+			Pages: cost.PagesForBytes(int64(rows) * width),
 			Cols:  cstats,
 		},
 		OutSrc: outSrc,
 	}
 	w.viewCache[key] = vi
 	return vi, nil
+}
+
+// storedWidth is a column's modeled width as a what-if estimate stores
+// it: catalog's width, plus a 2-byte length prefix for a string.
+func storedWidth(c catalog.Column) int64 {
+	if c.Type == catalog.TypeString {
+		return int64(c.Width()) + 2
+	}
+	return int64(c.Width())
 }

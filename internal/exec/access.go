@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/btree"
-	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/val"
@@ -83,14 +82,8 @@ func (e *executor) checked(err *error, fn func(val.Row) error) func(storage.RowI
 	}
 }
 
-// spill bills an operator's spill by the optimizer's rule over actual
-// counts: when the held bytes, scaled to full size, exceed the plan's
-// memory budget, the pages of the held and the reread bytes are written
-// and read back.
+// spill bills an operator's spill over actual counts by the optimizer's
+// rule (cost.Meter.Spill) against the plan's memory budget.
 func (e *executor) spill(held, reread int64) {
-	if float64(held)*scaleOf(e.ctx.Model) > float64(memOf(e)) {
-		pg := cost.PagesForBytes(held) + cost.PagesForBytes(reread)
-		e.ctx.Meter.WritePage += pg
-		e.ctx.Meter.SeqPages += pg
-	}
+	e.ctx.Meter.Spill(e.ctx.Model, e.p.Mem, held, reread)
 }

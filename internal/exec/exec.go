@@ -318,19 +318,3 @@ func cmpHaving(n int64, h *sql.Having) bool {
 	}
 	return false
 }
-
-func scaleOf(m cost.Model) float64 {
-	if m.Scale == 0 {
-		return 1
-	}
-	return m.Scale
-}
-
-// memOf returns the full-scale memory budget the plan was costed under;
-// a plan with no recorded budget never spills.
-func memOf(e *executor) int64 {
-	if e.p.Mem > 0 {
-		return e.p.Mem
-	}
-	return 1 << 62
-}

@@ -104,10 +104,11 @@ func newWorldRows(t *testing.T, tRows int, indexes ...conf.IndexDef) *world {
 		for i := range ndvs {
 			ndvs[i] = ndv // upper bound; fine for tests
 		}
+		sh := tree.Shape()
 		phys.Indexes[key] = append(phys.Indexes[key], &plan.IndexInfo{
 			Def: d, Name: d.Name(), Cols: cols, Tree: tree, KeyNDV: ndvs,
-			Height: tree.Height(), LeafPages: tree.LeafPages(),
-			EntriesPerLeaf: tree.EntriesPerLeafPage(), Bytes: tree.Bytes(),
+			Height: tree.Height(), LeafPages: sh.LeafPages,
+			EntriesPerLeaf: sh.EntriesPerLeaf, Bytes: sh.Bytes,
 		})
 	}
 	return &world{schema: schema, phys: phys}

@@ -500,7 +500,8 @@ func (t *aggTable) slotsOf(id int) []aggSlot { return t.slots[id*t.na : (id+1)*t
 // accumulateAgg runs the aggregate's input and accumulates group states
 // without finishing them: runHashAgg finishes them at once, RunPartial
 // hands them to MergePartials open. It returns the groups in first-seen
-// order. Over a keyed HashJoin whose aggregates are all counts it folds
+// order; an aggregate without GROUP BY has its one group even when no
+// row arrives (COUNT 0, the other aggregates NULL). Over a keyed HashJoin whose aggregates are all counts it folds
 // the join's chains instead of enumerating joined rows (foldJoin,
 // DESIGN §6c); otherwise each input row updates its group's slots, and a
 // row whose group and DISTINCT values were seen allocates nothing.
@@ -521,6 +522,9 @@ func (e *executor) accumulateAgg(n *plan.HashAgg) ([]aggState, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if len(n.Groups) == 0 && len(t.keys.chain) == 0 {
+		t.group(nil, nil) // no GROUP BY: one group, even over no input
 	}
 
 	ng, na, groups := len(n.Groups), t.na, make([]aggState, len(t.keys.chain))
@@ -596,6 +600,9 @@ func finishAgg(kind sql.AggKind, s *aggSlot) val.Value {
 	case sql.AggCountDistinct:
 		return val.Int(int64(s.distinct.len()))
 	case sql.AggSum:
+		if s.count == 0 {
+			return val.Null()
+		}
 		return val.Float(s.sum)
 	case sql.AggMin:
 		return s.min

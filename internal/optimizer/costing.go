@@ -434,14 +434,9 @@ func (s *search) hashJoinCand(c1, c2 *cand, m1, m2 uint32, lcols, rcols []sql.QC
 	if len(bKeys) == 0 {
 		est.Meter.CPUOps += ceilI(rowsOut) // nested cross product work
 	}
-	buildBytes := int64(build.est.Rows) * int64(width)
-	if float64(buildBytes)*s.scale() > float64(s.phys.Mem) {
-		// GRACE-style spill: both sides partitioned to disk and re-read.
-		probeBytes := int64(probe.est.Rows) * int64(s.rowWidthOf(pMask))
-		pg := pagesFor(buildBytes) + pagesFor(probeBytes)
-		est.Meter.WritePage += pg
-		est.Meter.SeqPages += pg
-	}
+	// GRACE-style spill: both sides partitioned to disk and re-read.
+	est.Meter.Spill(s.phys.Model, s.phys.Mem, int64(build.est.Rows)*int64(width),
+		int64(probe.est.Rows)*int64(s.rowWidthOf(pMask)))
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
 	if est.Seconds >= bound {
 		return cand{}, false

@@ -292,12 +292,7 @@ func (s *search) planInSets() error {
 			// Hash aggregation over the subquery column.
 			is.Est.Meter.CPUOps = info.Stats.Rows
 			g := info.Stats.Cols[p.SubCol].NDV
-			bytes := g * 24
-			if float64(bytes)*s.scale() > float64(s.phys.Mem) {
-				pg := pagesFor(bytes)
-				is.Est.Meter.WritePage += pg
-				is.Est.Meter.SeqPages += pg
-			}
+			is.Est.Meter.Spill(s.phys.Model, s.phys.Mem, g*24, 0)
 		}
 		setSize, rowFrac := s.estimateInSetSize(p, info)
 		is.Est.Rows = setSize
@@ -485,22 +480,10 @@ func (s *search) finalize(root cand) (plan.Node, plan.Est) {
 	est.Rows = outRows
 	est.Meter.CPUOps += int64(inRows)
 	// Aggregation hash table spill.
-	bytes := int64(outRows) * int64(16+12*len(groups)+12*len(aggs))
-	if float64(bytes)*s.scale() > float64(s.phys.Mem) {
-		pg := pagesFor(bytes)
-		est.Meter.WritePage += pg
-		est.Meter.SeqPages += pg
-	}
+	est.Meter.Spill(s.phys.Model, s.phys.Mem, int64(outRows)*int64(16+12*len(groups)+12*len(aggs)), 0)
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
 	n := &plan.HashAgg{Input: root.node, Groups: groups, Aggs: aggs, Est: est}
 	return n, est
-}
-
-func (s *search) scale() float64 {
-	if s.phys.Model.Scale == 0 {
-		return 1
-	}
-	return s.phys.Model.Scale
 }
 
 func ceilI(f float64) int64 {
@@ -508,13 +491,6 @@ func ceilI(f float64) int64 {
 		return 0
 	}
 	return int64(math.Ceil(f))
-}
-
-func pagesFor(bytes int64) int64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return (bytes + 4095) / 4096
 }
 
 // joinPredsBetween returns the join predicates with one side in each mask,

@@ -56,13 +56,14 @@ func buildIndex(h *storage.Heap, d conf.IndexDef) *plan.IndexInfo {
 		}
 		prev = append(prev[:0], k...)
 	}
+	sh := tree.Shape()
 	return &plan.IndexInfo{
 		Def: d, Name: d.Name(), Cols: cols, Tree: tree,
 		KeyNDV:         ndv,
 		Height:         tree.Height(),
-		LeafPages:      tree.LeafPages(),
-		EntriesPerLeaf: tree.EntriesPerLeafPage(),
-		Bytes:          tree.Bytes(),
+		LeafPages:      sh.LeafPages,
+		EntriesPerLeaf: sh.EntriesPerLeaf,
+		Bytes:          sh.Bytes,
 	}
 }
 

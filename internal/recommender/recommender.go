@@ -285,6 +285,14 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 			jobs = append(jobs, soloJob{qi: i, c: c})
 		}
 	}
+	// Derive every candidate view sequentially, in job order, before the
+	// fan-out, so that of two same-named definitions the session keeps the
+	// first job's whatever order the workers reach them in.
+	for _, j := range jobs {
+		if err := w.DeriveViews(j.c.views); err != nil {
+			return conf.Configuration{}, err
+		}
+	}
 	gains := make([]float64, len(jobs))
 	err = r.run.Each(len(jobs), func(k int) error {
 		j := jobs[k]

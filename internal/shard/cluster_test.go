@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,5 +283,36 @@ func TestReshardLive(t *testing.T) {
 	}
 	if st := cl.Stats(); st.Reshards != 1 {
 		t.Errorf("Reshards = %d, want 1", st.Reshards)
+	}
+}
+
+// TestAggregateWithoutGroupByOverNoRows: an aggregate with no GROUP BY
+// over a join that matches nothing returns its one row — COUNT 0, the
+// other aggregates NULL — on the coordinator and merged from two shards.
+func TestAggregateWithoutGroupByOverNoRows(t *testing.T) {
+	coord := testCoord(t)
+	cl, err := New(coord, Spec{Shards: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT COUNT(*) FROM protein p, source s WHERE p.nref_id = s.nref_id AND p.length < 0`, "[0]"},
+		{`SELECT COUNT(*), SUM(s.p_id), MIN(s.p_id), MAX(p.length), AVG(p.length)
+		  FROM protein p, source s WHERE p.nref_id = s.nref_id AND p.length < 0`, "[0 NULL NULL NULL NULL]"},
+	} {
+		for name, run := range map[string]func(string, float64) (*exec.Result, engine.Measure, error){
+			"coordinator": coord.Run, "2 shards": cl.Run,
+		} {
+			res, _, err := run(c.sql, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Rows) != 1 || fmt.Sprint(res.Rows[0]) != c.want {
+				t.Errorf("%s: %s returned %v, want [%s]", name, c.sql, res.Rows, c.want)
+			}
+		}
+	}
+	if st := cl.Stats(); st.Fallbacks != 0 {
+		t.Errorf("%d coordinator fallbacks, want the shards to answer", st.Fallbacks)
 	}
 }

@@ -97,8 +97,9 @@ func (v Value) Raw() string {
 }
 
 // Compare returns -1, 0 or +1 ordering a before, equal to, or after b.
-// NULL sorts before everything; mixed numeric kinds compare numerically;
-// otherwise values of different kinds order by kind.
+// NULL sorts before everything; mixed numeric kinds compare numerically,
+// with NaN equal to NaN and below every other number; otherwise values
+// of different kinds order by kind.
 func Compare(a, b Value) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
@@ -121,14 +122,9 @@ func Compare(a, b Value) int {
 			}
 			return 0
 		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		// cmp.Compare's float order: NaN equals NaN and sorts below
+		// every other number, so the order is total.
+		return cmp.Compare(a.AsFloat(), b.AsFloat())
 	}
 	if a.K != b.K {
 		if a.K < b.K {
