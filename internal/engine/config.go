@@ -102,12 +102,12 @@ func (e *Engine) InsertRows(table string, rows []val.Row) (Measure, error) {
 			}
 		}
 		// Readers of the published snapshot still walk the old trees, so
-		// each index gets a new one over the grown heap; its size model
-		// stays as built.
+		// each index gets a new one over the grown heap, through the same
+		// memo buildIndex uses; its size model stays as built.
 		grown := make([]*plan.IndexInfo, len(ixs))
 		for i, ix := range ixs {
 			nix := *ix
-			nix.Tree, _ = fillTree(h, ix.Cols)
+			nix.Tree, _ = e.trees.tree(h, ix.Cols)
 			grown[i] = &nix
 		}
 		next.phys.Indexes[name] = grown

@@ -74,8 +74,9 @@ type Engine struct { // conflint:ignore mu only serializes mutators: all state i
 	// the engine is shared.
 	DisableWhatIfCache bool
 
-	mu  sync.Mutex // serializes mutators; readers never take it
-	cur atomic.Pointer[snapshot]
+	mu    sync.Mutex // serializes mutators; readers never take it
+	cur   atomic.Pointer[snapshot]
+	trees *treeMemo // every index build's trees, shared with forks
 }
 
 // snapshot is one published engine state. Nothing reachable from it is
@@ -105,6 +106,7 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 		Profile:     profile,
 		ScaleFactor: scaleFactor,
 		Model:       cost.Desktop2005().WithScale(1 / scaleFactor),
+		trees:       newTreeMemo(),
 	}
 	phys := &plan.Physical{
 		Schema:  schema,
@@ -121,9 +123,10 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 // Fork returns a new engine serving e's published snapshot. Snapshots are
 // immutable and mutators replace what they change (see mutate), so the
 // two share every heap and structure and neither sees the other's later
-// changes.
+// changes. They share one tree memo, so a build either makes over a heap
+// they share is made once.
 func (e *Engine) Fork() *Engine {
-	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache}
+	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache, trees: e.trees}
 	f.cur.Store(e.cur.Load())
 	return f
 }
@@ -307,7 +310,9 @@ func (s *snapshot) relation(name string) (*catalog.Table, *storage.Heap, error) 
 // buildIndex constructs a B+-tree for the definition and measures its
 // sort-based build cost: one scan of the relation, a sort of the entries,
 // and a sequential write of the leaves — the same scan, sort and leaf
-// build fillTree performs.
+// build fillTree performs. The tree comes from the memo when a build over
+// the same heap and columns made it before; AT bills the build all the
+// same, from the tree's shape.
 func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost.Meter, error) {
 	tab, heap, err := s.relation(d.Table)
 	if err != nil {
@@ -322,7 +327,7 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 		cols[i] = ci
 	}
 
-	tree, keyNDV := fillTree(heap, cols)
+	tree, keyNDV := e.trees.tree(heap, cols)
 	ix := &plan.IndexInfo{Def: d, Name: d.Name(), Cols: cols, Tree: tree, KeyNDV: keyNDV}
 	e.sizeIndex(ix, tree.Shape(), tree.Height())
 	return ix, indexBuild(heap.Pages(), tree.Len(), ix.LeafPages), nil

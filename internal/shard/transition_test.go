@@ -2,10 +2,12 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/conf"
 	"repro/internal/engine"
 )
@@ -118,5 +120,78 @@ func TestFailedPartitionBuildKeepsServing(t *testing.T) {
 	}
 	if _, m, err := cl.Run(q, 0); err != nil || m.Seconds != m0.Seconds {
 		t.Errorf("after the failed Transition the query costs %v (err %v), before it %v", m.Seconds, err, m0.Seconds)
+	}
+}
+
+// treesOf returns the trees of an engine's built indexes by name.
+func treesOf(e *engine.Engine) map[string]*btree.Tree {
+	out := make(map[string]*btree.Tree)
+	for _, ixs := range e.Physical().Indexes {
+		for _, ix := range ixs {
+			out[ix.Name] = ix.Tree
+		}
+	}
+	return out
+}
+
+// TestTransitionsShareTrees swings a cluster from 1C to P and back —
+// its partitions transition in parallel over the pool — while two forks
+// of the coordinator make the same swing: the coordinator and the forks
+// share one tree memo, and every partition's generations share its own.
+// Everything ends on the trees 1C was built with. Run under `make race`.
+func TestTransitionsShareTrees(t *testing.T) {
+	coord := testCoord(t)
+	cl, err := New(coord, Spec{Shards: 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneC, p := coord.Current(), engine.PConfiguration(coord)
+	want := treesOf(coord)
+	parts := cl.top.Load().shards
+	wantParts := make([]map[string]*btree.Tree, len(parts))
+	for i, sh := range parts {
+		wantParts[i] = treesOf(sh)
+	}
+	forks := []*engine.Engine{coord.Fork(), coord.Fork()}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, len(forks)+1)
+	swing := func(transition func(conf.Configuration) (engine.BuildReport, error)) {
+		defer wg.Done()
+		for _, cfg := range []conf.Configuration{p, oneC} {
+			if _, err := transition(cfg); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}
+	wg.Add(1 + len(forks))
+	go swing(cl.Transition) // conflint:worker test swing, joined by wg.Wait below
+	for _, f := range forks {
+		go swing(f.Transition) // conflint:worker test swing, joined by wg.Wait below
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	same := func(label string, got, want map[string]*btree.Tree) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d indexes, want %d", label, len(got), len(want))
+		}
+		for name, tree := range want {
+			if got[name] != tree {
+				t.Errorf("%s: %s holds another tree than 1C was built with", label, name)
+			}
+		}
+	}
+	same("coordinator", treesOf(coord), want)
+	for i, f := range forks {
+		same(fmt.Sprintf("fork %d", i), treesOf(f), want)
+	}
+	for i, sh := range cl.top.Load().shards {
+		same(fmt.Sprintf("partition %d", i), treesOf(sh), wantParts[i])
 	}
 }

@@ -11,6 +11,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -31,7 +32,12 @@ type Heap struct {
 
 	rows        []val.Row
 	rowsPerPage int
+	id          uint64
 }
+
+// heapIDs numbers heaps: no two heaps, a clone and its original
+// included, share an ID.
+var heapIDs atomic.Uint64
 
 // NewHeap creates an empty heap for the table. The number of rows per
 // logical page is derived from the table's modeled row width.
@@ -40,17 +46,23 @@ func NewHeap(t *catalog.Table) *Heap {
 	if rpp < 1 {
 		rpp = 1
 	}
-	return &Heap{Table: t, rowsPerPage: rpp}
+	return &Heap{Table: t, rowsPerPage: rpp, id: heapIDs.Add(1)}
 }
 
 // Clone returns a heap over the same rows that shares no spare capacity
 // with h: its first append copies the rows, so appending to a clone never
-// writes storage another heap reads.
+// writes storage another heap reads. The clone has an ID of its own.
 func (h *Heap) Clone() *Heap {
 	c := *h
 	c.rows = slices.Clip(h.rows)
+	c.id = heapIDs.Add(1)
 	return &c
 }
+
+// ID identifies the heap among all heaps in the process, for structures
+// derived from its rows: once nothing appends to a heap, whatever was
+// derived from it under its ID stays valid.
+func (h *Heap) ID() uint64 { return h.id }
 
 // Insert appends a row and returns its RowID. The row must have one value
 // per table column; Insert bills a page write to m when it opens a fresh
