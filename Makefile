@@ -32,7 +32,7 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # conflint enforces the repo's concurrency & determinism invariants at
-# the source level: seven rules, each kept for a seeded bug only it
+# the source level: six rules, each kept for a seeded bug only it
 # catches (DESIGN.md §10). Any finding — a stale ignore included — exits 1.
 lint:
 	$(GO) run ./cmd/conflint ./...

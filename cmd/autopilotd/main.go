@@ -189,7 +189,7 @@ func run(opts autopilot.Options, addr string, compare bool, outFile string) erro
 			return err
 		}
 		srv := &http.Server{Handler: ap.Metrics().Handler()}
-		// conflint:worker lifecycle=external metrics server lives for the whole process; the deferred srv.Shutdown below stops it
+		// conflint:worker metrics server lives for the whole process; the deferred srv.Shutdown below stops it
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "autopilotd: metrics server:", err)

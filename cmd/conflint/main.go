@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("conflint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		rules     = fs.String("rules", "", "comma-separated rule subset (default: all); names: lock, lockorder, errcheck, goleak, shutdownpath, determinism, pure")
+		rules     = fs.String("rules", "", "comma-separated rule subset (default: all); names: "+lint.RuleNames())
 		listRules = fs.Bool("list-rules", false, "print the analyzers and exit")
 	)
 	fs.Usage = func() {

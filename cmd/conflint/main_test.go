@@ -50,7 +50,7 @@ func TestExitCodes(t *testing.T) {
 		stdout []string
 		stderr string
 	}{
-		{"clean", []byte("package p\n\nfunc F() {}\n"), []string{"./..."}, 0, nil, "7 rules, 0 finding(s)"},
+		{"clean", []byte("package p\n\nfunc F() {}\n"), []string{"./..."}, 0, nil, "6 rules, 0 finding(s)"},
 		{"findings", errcheck, nil, 1,
 			[]string{"p.go:15:2: [errcheck] result of mayFail is an error", "        fix: handle the error"}, "5 finding(s)"},
 		{"unknown rule", errcheck, []string{"-rules", "nosuchrule"}, 2, nil, `unknown rule "nosuchrule"`},

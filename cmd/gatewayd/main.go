@@ -73,7 +73,7 @@ func run(configPath, addr, auditPath string, drainTimeout time.Duration) error {
 		return err
 	}
 	srv := &http.Server{Handler: g}
-	// conflint:worker lifecycle=external HTTP listener lives for the whole process; the shutdown sequence below stops it
+	// conflint:worker HTTP listener lives for the whole process; the shutdown sequence below stops it
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "gatewayd: serve:", err)

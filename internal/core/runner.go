@@ -78,10 +78,10 @@ func (r Runner) Each(n int, fn func(i int) error) error {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		jobs <- i // conflint:ignore bounded pool send: w workers drain jobs until close, so Each always returns
+		jobs <- i
 	}
 	close(jobs)
-	wg.Wait() // conflint:ignore bounded join: each worker exits when jobs closes, which the line above guarantees
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -8,7 +8,6 @@ import (
 	"repro/internal/conf"
 	"repro/internal/cost"
 	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/val"
 )
@@ -89,29 +88,13 @@ func (e *Engine) InsertRows(table string, rows []val.Row) (Measure, error) {
 	var seconds float64
 	var meter cost.Meter
 	err := e.mutate(func(next *snapshot) error {
-		h, err := next.growHeap(table)
-		if err != nil {
-			return err
-		}
-		name := strings.ToLower(table)
-		ixs := next.phys.Indexes[name]
-		for _, r := range rows {
-			seconds += e.insertRowCost(h, len(ixs))
-			if _, err := h.Insert(&meter, r); err != nil {
-				return err
+		// Row i lands on a heap that already holds i of the new rows.
+		if ti := next.phys.Table(table); ti != nil {
+			for i := range rows {
+				seconds += e.insertRowCost(ti.Heap, int64(i), len(next.phys.Indexes[strings.ToLower(table)]))
 			}
 		}
-		// Readers of the published snapshot still walk the old trees, so
-		// each index gets a new one over the grown heap, through the same
-		// memo buildIndex uses; its size model stays as built.
-		grown := make([]*plan.IndexInfo, len(ixs))
-		for i, ix := range ixs {
-			nix := *ix
-			nix.Tree, _ = e.trees.tree(h, ix.Cols)
-			grown[i] = &nix
-		}
-		next.phys.Indexes[name] = grown
-		return nil
+		return e.appendRows(next, table, rows, &meter)
 	})
 	if err != nil {
 		return Measure{}, err
@@ -123,12 +106,12 @@ func (e *Engine) InsertRows(table string, rows []val.Row) (Measure, error) {
 	}, nil
 }
 
-// insertRowCost prices one row insertion, unscaled: per-row CPU, the
-// amortized heap page write, and one random leaf touch plus descent
-// comparisons per index.
-func (e *Engine) insertRowCost(h *storage.Heap, numIndexes int) float64 {
+// insertRowCost prices one row insertion into h after pending earlier
+// ones, unscaled: per-row CPU, the amortized heap page write, and one
+// random leaf touch plus descent comparisons per index.
+func (e *Engine) insertRowCost(h *storage.Heap, pending int64, numIndexes int) float64 {
 	perRow := e.Model.RowSec + e.Model.WritePageSec/float64(h.RowsPerPage())
-	full := float64(h.NumRows())/e.ScaleFactor + 2
+	full := float64(h.NumRows()+pending)/e.ScaleFactor + 2
 	perRow += float64(numIndexes) * (e.Model.RandPageSec + math.Log2(full)*e.Model.CPUOpSec)
 	return perRow
 }
@@ -141,5 +124,5 @@ func (e *Engine) InsertCostPerRow(table string) float64 {
 	if ti == nil {
 		return 0
 	}
-	return e.insertRowCost(ti.Heap, len(phys.IndexesOn(table)))
+	return e.insertRowCost(ti.Heap, 0, len(phys.IndexesOn(table)))
 }

@@ -203,18 +203,38 @@ func (e *Engine) Heap(table string) *storage.Heap {
 // Load bulk-inserts rows into a base table without cost accounting
 // (loading is not part of any measured experiment).
 func (e *Engine) Load(table string, rows []val.Row) error {
-	return e.mutate(func(next *snapshot) error {
-		h, err := next.growHeap(table)
-		if err != nil {
+	return e.mutate(func(next *snapshot) error { return e.appendRows(next, table, rows, nil) })
+}
+
+// appendRows is the one append step Load and InsertRows share: it grows
+// the table's heap on next by rows, billing the heap writes to meter
+// (nil bills nothing), and regrows every index on the table. Readers of
+// the published snapshot still walk the old trees, so each index gets a
+// new one over the grown heap, through the same memo buildIndex uses;
+// its size model stays as built.
+func (e *Engine) appendRows(next *snapshot, table string, rows []val.Row, meter *cost.Meter) error {
+	h, err := next.growHeap(table)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if _, err := h.Insert(meter, r); err != nil {
 			return err
 		}
-		for _, r := range rows {
-			if _, err := h.Insert(nil, r); err != nil {
-				return err
-			}
-		}
+	}
+	name := strings.ToLower(table)
+	ixs := next.phys.Indexes[name]
+	if len(ixs) == 0 {
 		return nil
-	})
+	}
+	grown := make([]*plan.IndexInfo, len(ixs))
+	for i, ix := range ixs {
+		nix := *ix
+		nix.Tree, _ = e.trees.tree(h, ix.Cols)
+		grown[i] = &nix
+	}
+	next.phys.Indexes[name] = grown
+	return nil
 }
 
 // CollectStats runs statistics collection on every base table (the

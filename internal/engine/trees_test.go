@@ -309,3 +309,35 @@ func TestForksTransitionConcurrently(t *testing.T) {
 	}
 	sameTrees(t, "second fork", builtIndexes(forks[1]), builtIndexes(forks[0]))
 }
+
+// TestLoadRegrowsIndexes: Load after ApplyConfig grows a table that
+// already has indexes, so every index on it must cover the new row and
+// a point query through one must find it.
+func TestLoadRegrowsIndexes(t *testing.T) {
+	e := testNREF(t, SystemA())
+	if _, err := e.ApplyConfig(PConfiguration(e)); err != nil {
+		t.Fatal(err)
+	}
+	row := e.Heap("protein").Get(0).Clone()
+	row[0] = val.String("NFZZZZZZZZ")
+	if err := e.Load("protein", []val.Row{row}); err != nil {
+		t.Fatal(err)
+	}
+	rows := e.Heap("protein").NumRows()
+	ixs := e.Indexes("protein")
+	if len(ixs) == 0 {
+		t.Fatal("P built no index on protein")
+	}
+	for _, ix := range ixs {
+		if ix.Tree.Len() != rows {
+			t.Errorf("%s holds %d entries over a %d-row heap", ix.Name, ix.Tree.Len(), rows)
+		}
+	}
+	res, _, err := e.Run("SELECT nref_id FROM protein WHERE nref_id = 'NFZZZZZZZZ'", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Errorf("point query on the loaded key returned %d rows, want 1", len(res.Rows))
+	}
+}

@@ -50,7 +50,7 @@ func newAutoscaler(g *Gateway, cl *shard.Cluster) *autoscaler {
 
 // start launches the scale worker.
 func (as *autoscaler) start() {
-	// conflint:worker lifecycle=trigger autoscale loop; worker.stop closes trigger and waits on done
+	// conflint:worker autoscale loop; worker.stop closes trigger and waits on done
 	go func() {
 		defer close(as.w.done)
 		for range as.w.trigger {

@@ -178,7 +178,7 @@ func New(opts Options) (*Gateway, error) {
 	if build == nil {
 		build = BuildBackend
 	}
-	// conflint:worker lifecycle=none background catalog loader; terminates after one build and closes readyCh
+	// conflint:worker background catalog loader; terminates after one build and closes readyCh
 	go g.load(build)
 	return g, nil
 }
@@ -544,7 +544,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		g.acceptMu.Unlock()
 
 		drained := make(chan struct{})
-		// conflint:worker lifecycle=external shutdown drain waiter; bounded by Shutdown's ctx select, signals drained and exits
+		// conflint:worker shutdown drain waiter; bounded by Shutdown's ctx select, signals drained and exits
 		go func() {
 			g.drainWG.Wait()
 			close(drained)

@@ -60,7 +60,7 @@ func newTuner(g *Gateway, loop *recommender.Loop) *tuner {
 
 // start launches the retune loop.
 func (tn *tuner) start() {
-	// conflint:worker lifecycle=trigger retune loop; worker.stop closes trigger and waits on done
+	// conflint:worker retune loop; worker.stop closes trigger and waits on done
 	go func() {
 		defer close(tn.w.done)
 		for range tn.w.trigger {

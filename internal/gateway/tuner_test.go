@@ -179,9 +179,10 @@ func TestFailedRetuneKeepsItsReason(t *testing.T) {
 }
 
 // TestWorkerCoalescesAndStops pins the coalescing worker the tuner and
-// the autoscaler share: a burst of signals while a run is blocked yields
-// exactly one further run, stop waits for the run in flight, and a
-// second stop returns.
+// the autoscaler share: a burst of signals while a run is blocked
+// returns at once (within a 1 s deadline, so a blocking signal fails
+// here in seconds) and yields exactly one further run, stop waits for
+// the run in flight, and a second stop returns.
 func TestWorkerCoalescesAndStops(t *testing.T) {
 	w := newWorker()
 	entered := make(chan struct{}, 4)
@@ -197,8 +198,17 @@ func TestWorkerCoalescesAndStops(t *testing.T) {
 	}()
 	w.signal()
 	<-entered
-	for i := 0; i < 100; i++ {
-		w.signal()
+	burst := make(chan struct{})
+	go func() {
+		for i := 0; i < 100; i++ {
+			w.signal()
+		}
+		close(burst)
+	}()
+	select {
+	case <-burst:
+	case <-time.After(time.Second):
+		t.Fatal("a burst of 100 signals blocked while a run was in flight: signal must never wait")
 	}
 	release <- struct{}{}
 	<-entered

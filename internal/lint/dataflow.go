@@ -1,6 +1,6 @@
-// The one way the interprocedural rules (lockorder, goleak, shutdownpath,
-// pure) compute a transitive per-function summary. It layers two things
-// on the call graph:
+// The one way the interprocedural rules (lock's caller check, lockorder,
+// goleak, pure) compute a transitive per-function summary. It layers two
+// things on the call graph:
 //
 //   - reverse edges (Callers), so a changed function summary can requeue
 //     exactly the functions whose own summaries depend on it;
@@ -8,8 +8,9 @@
 //     in sorted-key order, and re-enqueued dependents keep that order.
 //
 // Summaries must be monotone over a finite lattice (a lock class, once
-// acquired, stays; a blocking fact only moves to an earlier position; an
-// effect, once in a summary, stays), so the fixpoint terminates and —
+// acquired or required, stays; a non-termination reason only moves to an
+// earlier position; an effect, once in a summary, stays), so the fixpoint
+// terminates and —
 // because both the initial queue and every re-enqueue are ordered — it
 // terminates in the same state with findings in the same order on every
 // run. No rule memoizes a recursive walk of its own: a memo filled

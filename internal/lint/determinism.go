@@ -8,28 +8,16 @@
 //  3. map iteration feeding ordered output — Go randomizes range order,
 //     so a report built directly from a map range differs run to run.
 //
-// The rule applies to the packages that produce measurements and reports
-// (core, workload, autopilot, bench, gateway, shard, and the lint fixture
-// packages that opt in by name); engines and daemons may read the clock
-// freely.
+// The rule applies to every package except commands (package main), which
+// own the wall clock, and the linter itself: every library package the
+// goldens execute — the engine included — is under it. Scoping is by
+// package name, so fixture packages are checked like real ones.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 )
-
-// determinismScope lists the package *names* under the rule. Scoping by
-// name rather than import path keeps fixtures honest: a fixture package
-// named `core` is checked exactly like the real one.
-var determinismScope = map[string]bool{
-	"core":      true,
-	"workload":  true,
-	"autopilot": true,
-	"bench":     true,
-	"gateway":   true,
-	"shard":     true,
-}
 
 // bannedRandFuncs are the math/rand package-level entry points that use
 // the global source. Constructors are fine: rand.New(rand.NewSource(seed))
@@ -46,9 +34,9 @@ func bannedRandFunc(name string) bool {
 func Determinism() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "bans wall-clock reads, the global math/rand source, and map iteration feeding ordered output in report-producing packages",
+		Doc:  "bans wall-clock reads, the global math/rand source, and map iteration feeding ordered output in every package but main and lint",
 		Run: perPackage(func(p *Package) []Finding {
-			if !determinismScope[p.Name] {
+			if p.Name == "main" || p.Name == "lint" {
 				return nil
 			}
 			var out []Finding

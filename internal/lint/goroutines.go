@@ -1,5 +1,3 @@
-// The goroutine rules, goleak and shutdownpath, share one summary.
-//
 // goleak: every `go` statement must come with an argument for why the
 // goroutine does not outlive its work. A spawn site passes if any of
 // these hold, checked in order:
@@ -17,41 +15,21 @@
 //     or return, no range over a channel, no empty select, no blocking
 //     stdlib serve loop — transitively through resolved callees.
 //
-// shutdownpath sharpens "terminates" to "terminates promptly on
-// shutdown". Every conflint:worker declares its lifecycle:
-//
-//	// conflint:worker lifecycle=<chan> <reason>   stops when <chan> closes
-//	// conflint:worker lifecycle=none <reason>     never blocks at all
-//	// conflint:worker lifecycle=external <reason> stopped by an external
-//	                                               mechanism (http server
-//	                                               Shutdown, process exit)
-//
-// For lifecycle=<chan>, every blocking operation reachable from the
-// worker body must be guarded by the lifecycle channel: ranging over it,
-// receiving from it, or selecting with a case that receives from it (or
-// with a default). An unguarded block — a bare send, a receive from some
-// other channel, a default-less select with no lifecycle case, a
-// WaitGroup.Wait, a blocking stdlib serve loop — would keep the worker
-// alive after shutdown closes its channel. A blocking operation under a
-// reasoned conflint:ignore is exempt at its source, and every transitive
-// report through it disappears with it.
-//
-// Both rules read one per-function summary, computed by one body walk
+// The rule reads one per-function summary, computed by one body walk
 // and driven to a fixpoint over the call graph (m.fixpoint): the first
-// unguarded blocking op with its witness chain, the first reason the
-// function may not terminate, lifecycle evidence, and WaitGroup.Done.
-// Nested go statements and function literals are skipped — what another
-// goroutine or a closure does is judged where it is spawned or called —
-// except that a Done called directly in a closure still pairs. Unresolvable callees
-// and spawn targets are assumed to terminate without blocking
-// (conservative toward silence, like the rest of the suite).
+// reason the function may not terminate, lifecycle evidence, and
+// WaitGroup.Done. Nested go statements and function literals are
+// skipped — what another goroutine or a closure does is judged where it
+// is spawned or called — except that a Done called directly in a
+// closure still pairs. Unresolvable callees and spawn targets are
+// assumed to terminate (conservative toward silence, like the rest of
+// the suite).
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 const workerDirective = "conflint:worker"
@@ -62,50 +40,6 @@ func GoLeak() *Analyzer {
 		Name: "goleak",
 		Doc:  "every go statement must terminate, be WaitGroup-paired, follow a lifecycle channel, or carry conflint:worker <reason>",
 		Run:  goLeakModule,
-	}
-}
-
-// ShutdownPath returns the worker shutdown-path analyzer.
-func ShutdownPath() *Analyzer {
-	return &Analyzer{
-		Name: "shutdownpath",
-		Doc:  "every conflint:worker must declare lifecycle=<chan>|none|external, and all its blocking ops must be guarded by that lifecycle",
-		Run:  shutdownPathModule,
-	}
-}
-
-// worker is one parsed conflint:worker directive.
-type worker struct {
-	lifecycle string // channel name, "none", "external", or "" (undeclared)
-	reason    string // the human reason, lifecycle token stripped
-}
-
-func parseWorker(text string) worker {
-	if fields := strings.Fields(text); len(fields) > 0 {
-		if lc, ok := strings.CutPrefix(fields[0], "lifecycle="); ok {
-			return worker{lifecycle: lc, reason: strings.Join(fields[1:], " ")}
-		}
-	}
-	return worker{reason: text}
-}
-
-// eachSpawn calls visit for every go statement in the module with the
-// conflint:worker directive covering it (annotated is false when none
-// does, and a bare directive annotates nothing).
-func (m *Module) eachSpawn(visit func(fd *funcDecl, g *ast.GoStmt, w worker, annotated bool)) {
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			for _, fn := range fileFuncs(f) {
-				fd := &funcDecl{pkg: p, file: f, decl: fn}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if g, ok := n.(*ast.GoStmt); ok {
-						text, _, ok := covering(f.workers, m.Fset.Position(g.Pos()).Line)
-						visit(fd, g, parseWorker(text), ok && text != "")
-					}
-					return true
-				})
-			}
-		}
 	}
 }
 
@@ -125,6 +59,7 @@ func (m *Module) spawned(fd *funcDecl, g *ast.GoStmt) (*funcDecl, *ast.BlockStmt
 
 func goLeakModule(m *Module) []Finding {
 	var out []Finding
+	m.goSummaries()
 	for _, p := range m.Pkgs {
 		for _, f := range p.Files {
 			for line, text := range f.workers {
@@ -136,26 +71,39 @@ func goLeakModule(m *Module) []Finding {
 					})
 				}
 			}
+			for _, fn := range fileFuncs(f) {
+				fd := &funcDecl{pkg: p, file: f, decl: fn}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						out = append(out, m.checkSpawn(fd, g)...)
+					}
+					return true
+				})
+			}
 		}
 	}
-	m.goSummaries()
-	m.eachSpawn(func(fd *funcDecl, g *ast.GoStmt, _ worker, annotated bool) {
-		wfd, body := m.spawned(fd, g)
-		if annotated || body == nil {
-			return
-		}
-		facts := m.scan(wfd, body, "", nil)
-		if facts.done && waitGroupPaired(m, fd, g) || facts.lifecycle || facts.nonterm == nil {
-			return
-		}
-		pos := m.Fset.Position(g.Pos())
-		out = append(out, Finding{
-			Rule: "goleak", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-			Message: fmt.Sprintf("goroutine may leak: %s, and it is neither WaitGroup-paired nor tied to a lifecycle channel", facts.nonterm.why),
-			Hint:    "bound it (WaitGroup Add/Done/Wait), give it a stop channel or context select, or annotate `// conflint:worker <reason>` if it is deliberately long-lived",
-		})
-	})
 	return out
+}
+
+// checkSpawn judges one go statement (see the file comment).
+func (m *Module) checkSpawn(fd *funcDecl, g *ast.GoStmt) []Finding {
+	pos := m.Fset.Position(g.Pos())
+	if text, _, ok := covering(fd.file.workers, pos.Line); ok && text != "" {
+		return nil
+	}
+	wfd, body := m.spawned(fd, g)
+	if body == nil {
+		return nil
+	}
+	facts := m.scan(wfd, body)
+	if facts.done && waitGroupPaired(m, fd, g) || facts.lifecycle || facts.nonterm == nil {
+		return nil
+	}
+	return []Finding{{
+		Rule: "goleak", File: pos.Filename, Line: pos.Line, Col: pos.Column,
+		Message: fmt.Sprintf("goroutine may leak: %s, and it is neither WaitGroup-paired nor tied to a lifecycle channel", facts.nonterm.why),
+		Hint:    "bound it (WaitGroup Add/Done/Wait), give it a stop channel or context select, or annotate `// conflint:worker <reason>` if it is deliberately long-lived",
+	}}
 }
 
 // waitGroupPaired reports whether the spawner calls Add before the spawn
@@ -183,65 +131,10 @@ func waitGroupPaired(m *Module, fd *funcDecl, g *ast.GoStmt) bool {
 	return false
 }
 
-// shutdownPathModule checks every annotated worker spawn site: the
-// directive must declare a lifecycle and a reason, and for channel
-// lifecycles every blocking op reachable from the body must be guarded.
-func shutdownPathModule(m *Module) []Finding {
-	m.goSummaries()
-	var out []Finding
-	m.eachSpawn(func(fd *funcDecl, g *ast.GoStmt, w worker, annotated bool) {
-		if !annotated {
-			return // a bare directive is goleak's finding
-		}
-		pos := m.Fset.Position(g.Pos())
-		if w.lifecycle == "" {
-			out = append(out, Finding{
-				Rule: "shutdownpath", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: "conflint:worker must declare its shutdown mechanism: lifecycle=<chan> (stops when the channel closes), lifecycle=none (never blocks), or lifecycle=external (stopped externally)",
-				Hint:    "name the channel the worker's blocking ops are guarded by, e.g. // conflint:worker lifecycle=trigger <reason>",
-			})
-			return
-		}
-		if w.reason == "" {
-			out = append(out, Finding{
-				Rule: "shutdownpath", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: "conflint:worker needs a reason beyond the lifecycle token (// conflint:worker lifecycle=... <why this worker exists>)",
-				Hint:    "state what the worker does and who stops it",
-			})
-		}
-		wfd, body := m.spawned(fd, g)
-		if w.lifecycle == "external" || body == nil {
-			return // shutdown is somebody else's contract, or unresolvable
-		}
-		m.scan(wfd, body, w.lifecycle, func(r *reason) {
-			p := m.Fset.Position(r.pos)
-			witness := append([]string{m.stepf(g.Pos(), "worker spawned (lifecycle=%s)", w.lifecycle)}, r.steps...)
-			out = append(out, Finding{
-				Rule: "shutdownpath", File: p.Filename, Line: p.Line, Col: p.Column,
-				Message: fmt.Sprintf("worker (lifecycle=%s) %s: on shutdown it would hang here instead of draining promptly", w.lifecycle, r.why),
-				Hint:    "guard the operation with a select on the lifecycle channel, move it off the worker, or conflint:ignore with a boundedness argument",
-				Witness: clip(witness),
-			})
-		})
-	})
-	return out
-}
-
-// reason is one fact of a goroutine summary: where it happens, why, and
-// (for blocking ops) the witness chain reaching it.
+// reason is why a body may not terminate, and where.
 type reason struct {
-	pos   token.Pos
-	why   string
-	steps []string
-}
-
-const maxBlockSteps = 8
-
-func clip(steps []string) []string {
-	if len(steps) > maxBlockSteps {
-		return steps[:maxBlockSteps]
-	}
-	return steps
+	pos token.Pos
+	why string
 }
 
 // earlier reports whether r should replace cur: the first reason in
@@ -252,7 +145,6 @@ func earlier(r, cur *reason) bool {
 
 // goFacts is one body's goroutine summary.
 type goFacts struct {
-	block     *reason // first unguarded blocking op
 	nonterm   *reason // first reason the body may not terminate
 	lifecycle bool    // selects on a receive, or receives from Done()
 	done      bool    // calls sync.WaitGroup.Done
@@ -272,16 +164,13 @@ func (m *Module) goSummaries() map[string]*goFacts {
 		if fd == nil || fd.decl.Body == nil {
 			return false
 		}
-		next := m.scan(fd, fd.decl.Body, "", nil)
+		next := m.scan(fd, fd.decl.Body)
 		cur := m.goFacts[key]
 		if cur == nil {
 			cur = &goFacts{}
 			m.goFacts[key] = cur
 		}
 		changed := false
-		if earlier(next.block, cur.block) {
-			cur.block, changed = next.block, true
-		}
 		if earlier(next.nonterm, cur.nonterm) {
 			cur.nonterm, changed = next.nonterm, true
 		}
@@ -296,33 +185,13 @@ func (m *Module) goSummaries() map[string]*goFacts {
 	return m.goFacts
 }
 
-// scan walks one body under a lifecycle ("", "none" and "external" guard
-// nothing) and returns its summary, reading callees' from goSummaries.
-// hit, when set, sees every unguarded blocking op.
-func (m *Module) scan(fd *funcDecl, body ast.Node, lifecycle string, hit func(*reason)) goFacts {
-	guard := lifecycle
-	if guard == "none" || guard == "external" {
-		guard = ""
-	}
+// scan walks one body and returns its summary, reading callees' from
+// goSummaries.
+func (m *Module) scan(fd *funcDecl, body ast.Node) goFacts {
 	var facts goFacts
 	nonterm := func(pos token.Pos, format string, args ...any) {
 		if r := (&reason{pos: pos, why: fmt.Sprintf(format, args...)}); earlier(r, facts.nonterm) {
 			facts.nonterm = r
-		}
-	}
-	block := func(pos token.Pos, why string, steps ...string) {
-		if m.ignored(fd.file, pos) {
-			return
-		}
-		r := &reason{pos: pos, why: why, steps: steps}
-		if len(steps) == 0 {
-			r.steps = []string{m.stepf(pos, "%s", why)}
-		}
-		if earlier(r, facts.block) {
-			facts.block = r
-		}
-		if hit != nil {
-			hit(r)
 		}
 	}
 	var walk func(n ast.Node) bool
@@ -335,7 +204,7 @@ func (m *Module) scan(fd *funcDecl, body ast.Node, lifecycle string, hit func(*r
 			// one (`defer func() { ...; wg.Done() }()`) still pairs.
 			ast.Inspect(s.Body, func(n ast.Node) bool {
 				call, isCall := n.(*ast.CallExpr)
-				facts.done = facts.done || isCall && lastSelName(call) == "Done" && stdlibCallKey(m, fd, call) == "sync.WaitGroup.Done"
+				facts.done = facts.done || isCall && selName(call) == "Done" && stdlibCallKey(m, fd, call) == "sync.WaitGroup.Done"
 				_, isGo := n.(*ast.GoStmt)
 				return !isGo
 			})
@@ -344,36 +213,19 @@ func (m *Module) scan(fd *funcDecl, body ast.Node, lifecycle string, hit func(*r
 			if len(s.Body.List) == 0 {
 				nonterm(s.Pos(), "it blocks forever on an empty select{}")
 			}
-			hasDefault, guarded := false, false
+			// The comm operations belong to the select; only the clause
+			// bodies are walked.
 			for _, cl := range s.Body.List {
 				cc := cl.(*ast.CommClause)
-				ch, recv := commRecv(cc)
-				hasDefault = hasDefault || cc.Comm == nil
-				facts.lifecycle = facts.lifecycle || recv
-				guarded = guarded || recv && guard != "" && lastSelName(ch) == guard
-			}
-			if !hasDefault && !guarded {
-				block(s.Pos(), describeSelect(guard))
-			}
-			// The comm operations belong to the select; only the clause
-			// bodies can block on their own.
-			for _, cl := range s.Body.List {
-				for _, st := range cl.(*ast.CommClause).Body {
+				facts.lifecycle = facts.lifecycle || commRecv(cc)
+				for _, st := range cc.Body {
 					ast.Inspect(st, walk)
 				}
 			}
 			return false
-		case *ast.SendStmt:
-			block(s.Arrow, fmt.Sprintf("sends on %s with no lifecycle guard", exprString(m.Fset, s.Chan)))
 		case *ast.UnaryExpr:
-			if s.Op != token.ARROW {
-				break
-			}
-			if _, isCall := s.X.(*ast.CallExpr); isCall && lastSelName(s.X) == "Done" {
+			if call, isCall := s.X.(*ast.CallExpr); isCall && s.Op == token.ARROW && selName(call) == "Done" {
 				facts.lifecycle = true
-			}
-			if guard == "" || lastSelName(s.X) != guard {
-				block(s.OpPos, fmt.Sprintf("receives from %s with no lifecycle guard", exprString(m.Fset, s.X)))
 			}
 		case *ast.ForStmt:
 			if s.Cond == nil && !hasBreakOrReturn(s.Body) {
@@ -381,14 +233,10 @@ func (m *Module) scan(fd *funcDecl, body ast.Node, lifecycle string, hit func(*r
 			}
 		case *ast.RangeStmt:
 			if _, isChan := m.Underlying(m.TypeOf(fd.pkg, fd.file, fd.decl, s.X)).Expr.(*ast.ChanType); isChan {
-				x := exprString(m.Fset, s.X)
-				nonterm(s.Pos(), "it ranges over channel %s, which never ends unless the channel is closed", x)
-				if guard == "" || lastSelName(s.X) != guard {
-					block(s.Pos(), fmt.Sprintf("ranges over channel %s, which is not the lifecycle channel", x))
-				}
+				nonterm(s.Pos(), "it ranges over channel %s, which never ends unless the channel is closed", exprString(m.Fset, s.X))
 			}
 		case *ast.CallExpr:
-			m.scanCall(fd, s, &facts, nonterm, block)
+			m.scanCall(fd, s, &facts, nonterm)
 		}
 		return true
 	}
@@ -408,23 +256,15 @@ var blockingStdlib = map[string]string{
 }
 
 // scanCall folds one call into a body's summary: blocking stdlib serve
-// loops, WaitGroup.Wait and Done, and resolved module callees.
-func (m *Module) scanCall(fd *funcDecl, call *ast.CallExpr, facts *goFacts,
-	nonterm func(token.Pos, string, ...any), block func(token.Pos, string, ...string)) {
+// loops, WaitGroup.Done, and resolved module callees.
+func (m *Module) scanCall(fd *funcDecl, call *ast.CallExpr, facts *goFacts, nonterm func(token.Pos, string, ...any)) {
 	pos := call.Pos()
 	sk := stdlibCallKey(m, fd, call)
 	if name, ok := blockingStdlib[sk]; ok {
 		nonterm(pos, "it blocks in %s until shutdown", name)
-		block(pos, fmt.Sprintf("blocks in %s until an external shutdown", name), m.stepf(pos, "blocks in %s", name))
 		return
 	}
-	switch sk {
-	case "sync.WaitGroup.Done":
-		facts.done = true
-	case "sync.WaitGroup.Wait":
-		wg := exprString(m.Fset, call.Fun.(*ast.SelectorExpr).X)
-		block(pos, fmt.Sprintf("waits on %s with no lifecycle guard", wg), m.stepf(pos, "waits on %s", wg))
-	}
+	facts.done = facts.done || sk == "sync.WaitGroup.Done"
 	key := m.calleeKey(fd.pkg, fd.file, fd.decl, call)
 	sub := m.goFacts[key]
 	if sub == nil {
@@ -435,14 +275,11 @@ func (m *Module) scanCall(fd *funcDecl, call *ast.CallExpr, facts *goFacts,
 	if sub.nonterm != nil {
 		nonterm(pos, "it calls %s, which %s", m.shortKey(key), sub.nonterm.why)
 	}
-	if sub.block != nil {
-		block(pos, sub.block.why, clip(append([]string{m.stepf(pos, "calls %s", m.shortKey(key))}, sub.block.steps...))...)
-	}
 }
 
-// commRecv returns the channel a select clause receives from; ok is
-// false for sends and the default clause.
-func commRecv(cc *ast.CommClause) (ch ast.Expr, ok bool) {
+// commRecv reports whether a select clause receives (sends and the
+// default clause do not).
+func commRecv(cc *ast.CommClause) bool {
 	var e ast.Expr
 	switch c := cc.Comm.(type) {
 	case *ast.ExprStmt:
@@ -452,38 +289,17 @@ func commRecv(cc *ast.CommClause) (ch ast.Expr, ok bool) {
 			e = c.Rhs[0]
 		}
 	}
-	if u, isRecv := e.(*ast.UnaryExpr); isRecv && u.Op == token.ARROW {
-		return u.X, true
-	}
-	return nil, false
+	u, isRecv := e.(*ast.UnaryExpr)
+	return isRecv && u.Op == token.ARROW
 }
 
-// lastSelName returns the final name of an expression ("as.trigger" ->
-// "trigger"), the currency lifecycle channels are matched in: the
-// spawner writes `lifecycle=trigger` and both `as.trigger` in a literal
-// body and `w.trigger` in a named worker method match it.
-func lastSelName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.ParenExpr:
-		return lastSelName(e.X)
-	case *ast.CallExpr:
-		// <-ctx.Done(): match on the method name.
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-			return sel.Sel.Name
-		}
+// selName returns the method name of a selector call ("ctx.Done()" ->
+// "Done"), or "".
+func selName(call *ast.CallExpr) string {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
 	}
 	return ""
-}
-
-func describeSelect(guard string) string {
-	if guard == "" {
-		return "blocks in a select with no default case"
-	}
-	return fmt.Sprintf("blocks in a select with no default and no case receiving from lifecycle channel %s", guard)
 }
 
 // hasBreakOrReturn reports whether a loop body can exit: any break or

@@ -273,3 +273,42 @@ func (s *S) BG() {
 		})
 	}
 }
+
+// TestLockCallerHolds: note writes t.n without t.mu, so whoever calls it
+// must hold the mutex. bump, an unexported method of the same type,
+// inherits the need; Good takes the mutex with defer and is silent;
+// orphan has no caller and is not judged. Bad, on another type, calls
+// bump bare and is reported with the chain down to the write.
+func TestLockCallerHolds(t *testing.T) {
+	const src = `package p
+
+import "sync"
+
+type T struct {
+	mu sync.Mutex
+	n  int // conflint:guardedby mu
+}
+
+func (t *T) note() { t.n++ }
+
+func (t *T) bump() { t.note() }
+
+func (t *T) orphan() { t.n = 0 }
+
+func (t *T) Good() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.bump()
+}
+
+type U struct{ t *T }
+`
+	if fs := Run(loadSource(t, src), []*Analyzer{LockCheck()}); len(fs) != 0 {
+		t.Fatalf("callers that hold the mutex must be silent, got %v", fs)
+	}
+	fs := Run(loadSource(t, src+"\nfunc (u *U) Bad() { u.t.bump() }\n"), []*Analyzer{LockCheck()})
+	if len(fs) != 1 || !strings.Contains(fs[0].Message, "fixture.U.Bad calls fixture.T.bump, which needs fixture.T.mu held, and never acquires it") {
+		t.Fatalf("want Bad reported for calling bump without T.mu, got %v", fs)
+	}
+	wantWitness(t, fs[0], "fixture.U.Bad calls fixture.T.bump", "fixture.T.bump calls fixture.T.note", "fixture.T.note writes t.n unlocked")
+}

@@ -1,10 +1,10 @@
 // Package lint implements conflint, the repository's own static-analysis
 // suite. It enforces, at the source level, the invariants no faster gate
 // (vet, the tests, the race detector) catches: lock discipline and lock
-// ordering, goroutine termination and prompt shutdown, the determinism of
-// report-producing packages, declared purity, and the absence of silently
-// dropped errors. DESIGN.md §10 holds the measured table of what each
-// rule catches that nothing else does.
+// ordering, goroutine termination, the determinism of every library
+// package, declared purity, and the absence of silently dropped errors.
+// DESIGN.md §10 holds the measured table of what each rule catches that
+// nothing else does.
 //
 // The suite is stdlib-only: packages are parsed with go/parser and
 // analyzed syntactically with a lightweight name-resolution layer
@@ -14,8 +14,9 @@
 // every reported finding is worth reading, at the price of a few
 // undetectable corner cases (documented per analyzer).
 //
-// The four interprocedural rules (lockorder, goleak, shutdownpath, pure)
-// share one call graph (callgraph.go) and one way to compute a transitive
+// The interprocedural rules (lock's caller check, lockorder, goleak,
+// pure) share one call graph (callgraph.go), one lock-event scan per
+// function (lockorder.go), and one way to compute a transitive
 // per-function summary: the worklist fixpoint in dataflow.go.
 //
 // Findings can be suppressed line-by-line with
@@ -109,10 +110,11 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	idx     *index              // lazy resolution indexes (resolve.go)
-	graph   *CallGraph          // lazy module-wide call graph (callgraph.go)
-	callers map[string][]string // lazy reverse call-graph edges (dataflow.go)
-	goFacts map[string]*goFacts // lazy goroutine summaries (goroutines.go)
+	idx     *index                         // lazy resolution indexes (resolve.go)
+	graph   *CallGraph                     // lazy module-wide call graph (callgraph.go)
+	callers map[string][]string            // lazy reverse call-graph edges (dataflow.go)
+	goFacts map[string]*goFacts            // lazy goroutine summaries (goroutines.go)
+	lockEv  map[*ast.FuncDecl][]*lockEvent // lazy lock events (lockorder.go)
 }
 
 // Analyzer is one conflint rule: a pass over the whole module. Rules
@@ -141,7 +143,6 @@ func All() []*Analyzer {
 		LockOrder(),
 		ErrCheck(),
 		GoLeak(),
-		ShutdownPath(),
 		Determinism(),
 		Pure(),
 	}
@@ -163,11 +164,11 @@ func ByNames(csv string) ([]*Analyzer, error) {
 	for _, n := range strings.Split(csv, ",") {
 		n = strings.TrimSpace(n)
 		if n == "" {
-			return nil, fmt.Errorf("empty rule name in %q (have: %s)", csv, ruleNames())
+			return nil, fmt.Errorf("empty rule name in %q (have: %s)", csv, RuleNames())
 		}
 		a, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("unknown rule %q (have: %s)", n, ruleNames())
+			return nil, fmt.Errorf("unknown rule %q (have: %s)", n, RuleNames())
 		}
 		if seen[n] {
 			return nil, fmt.Errorf("duplicate rule %q in %q", n, csv)
@@ -178,7 +179,8 @@ func ByNames(csv string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-func ruleNames() string {
+// RuleNames lists every registered rule, comma-separated, in All order.
+func RuleNames() string {
 	var ns []string
 	for _, a := range All() {
 		ns = append(ns, a.Name)
@@ -314,17 +316,6 @@ func covering(dirs map[int]string, line int) (string, int, bool) {
 		}
 	}
 	return "", 0, false
-}
-
-// ignored reports whether a reasoned conflint:ignore covers pos in f,
-// marking it used. The goroutine rules exempt a blocking op at its
-// source, before finishRun's suppression pass.
-func (m *Module) ignored(f *File, pos token.Pos) bool {
-	reason, line, ok := covering(f.ignores, m.Fset.Position(pos).Line)
-	if ok && reason != "" {
-		f.used[line] = true
-	}
-	return ok && reason != ""
 }
 
 // Run executes the analyzers over the module, applies ignore directives,

@@ -121,8 +121,8 @@ func TestByNames(t *testing.T) {
 		t.Error("ByNames(nosuchrule) should fail")
 	}
 	all, err := ByNames("")
-	if err != nil || len(all) != 7 {
-		t.Errorf("ByNames(\"\") = %d analyzers, err %v; want 7", len(all), err)
+	if err != nil || len(all) != 6 {
+		t.Errorf("ByNames(\"\") = %d analyzers, err %v; want 6", len(all), err)
 	}
 	if _, err := ByNames("lock,lock"); err == nil || !strings.Contains(err.Error(), "duplicate rule") {
 		t.Errorf("ByNames(lock,lock) = %v; want duplicate-rule error", err)
@@ -130,8 +130,8 @@ func TestByNames(t *testing.T) {
 	if _, err := ByNames("lock,,errcheck"); err == nil || !strings.Contains(err.Error(), "empty rule name") {
 		t.Errorf("ByNames(lock,,errcheck) = %v; want empty-name error", err)
 	}
-	if _, err := ByNames("nosuchrule"); err == nil || !strings.Contains(err.Error(), "shutdownpath") {
-		t.Errorf("ByNames(nosuchrule) = %v; want error listing known rules (incl. shutdownpath)", err)
+	if _, err := ByNames("nosuchrule"); err == nil || !strings.Contains(err.Error(), "determinism") {
+		t.Errorf("ByNames(nosuchrule) = %v; want error listing known rules (incl. determinism)", err)
 	}
 }
 

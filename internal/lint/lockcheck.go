@@ -16,17 +16,27 @@
 //     undocumented invariant — both findings);
 //  2. an exported method that touches a guarded field must acquire the
 //     guarding mutex in its body — the writer side (Lock) for writes, at
-//     least the reader side (RLock) for reads. Unexported methods are
-//     exempt by convention: they document "caller holds mu";
+//     least the reader side (RLock) for reads;
 //  3. every Lock/RLock acquisition must be released in the same function,
 //     by defer or by a plain call — a lock that escapes a function is a
-//     deadlock waiting for an early return.
+//     deadlock waiting for an early return;
+//  4. an unexported method that writes a guarded field without acquiring
+//     its mutex documents "caller holds mu", and the callers are held to
+//     it: every resolved caller must acquire that mutex class somewhere
+//     in its body, unless it is itself an unexported method of the same
+//     type, which then inherits the requirement (a fixpoint over the
+//     call graph). A method with no resolved caller is not judged. Reads
+//     are left out: an unlocked read after a join (WaitGroup.Wait, a
+//     closed channel) is race-free and common — the benchmark's
+//     retuner.stop and transitionMS read their results that way.
 //
-// The analysis is per-function and flow-insensitive: it checks that the
-// right acquisitions exist somewhere in the method body, not that they
-// dominate every access. That catches the realistic failure (a new
-// exported method that forgets locking entirely, or takes RLock and then
-// writes) without a dataflow engine.
+// The analysis is flow-insensitive: it checks that the right
+// acquisitions exist somewhere in the function body, not that they
+// dominate every access or call. That catches the realistic failure (a
+// new method that forgets locking entirely, or takes RLock and then
+// writes) without a dataflow engine. All four rules read the lock events
+// lockorder scans (lockEvents): rules 2 and 3 match them by target
+// expression ("e.mu"), rule 4 by lock class.
 package lint
 
 import (
@@ -42,62 +52,79 @@ const guardedByDirective = "conflint:guardedby"
 func LockCheck() *Analyzer {
 	return &Analyzer{
 		Name: "lock",
-		Doc:  "guarded fields (conflint:guardedby) must be accessed under their mutex in exported methods; every Lock has a same-function release",
-		Run:  perPackage(checkLocks),
+		Doc:  "guarded fields (conflint:guardedby) must be accessed under their mutex in exported methods and by the callers of unexported ones; every Lock has a same-function release",
+		Run:  lockModule,
 	}
-}
-
-// mutexField is one sync.Mutex / sync.RWMutex struct field.
-type mutexField struct {
-	name   string
-	rw     bool // sync.RWMutex
-	fldPos token.Pos
 }
 
 // guardedStruct is one annotated (or annotation-missing) struct.
 type guardedStruct struct {
 	name    string
-	mutexes []mutexField
+	mutexes map[string]bool // sync.Mutex / sync.RWMutex field names
 	// guards maps field name -> guarding mutex field name.
 	guards map[string]string
+	plain  bool // has a named field that is neither a mutex nor guarded
 	pos    token.Pos
-	file   *File
 }
 
-func checkLocks(p *Package) []Finding {
-	m := p.Mod
-	fset := m.Fset
+func lockModule(m *Module) []Finding {
 	var out []Finding
-
-	structs := make(map[string]*guardedStruct) // by bare type name
-	for _, f := range p.Files {
-		for _, d := range f.AST.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
+	// needs maps an unexported method to the lock classes its callers
+	// must hold, each with the witness that realizes the need.
+	needs := make(map[string]map[string][]string)
+	for _, p := range m.Pkgs {
+		structs := make(map[string]*guardedStruct) // by bare type name
+		for _, f := range p.Files {
+			for _, d := range f.AST.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							if gs := scanStruct(f, ts.Name.Name, st); gs != nil {
+								structs[gs.name] = gs
+							}
+						}
+					}
+				}
 			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
+		}
+		out = append(out, checkAnnotations(m.Fset, structs)...)
+		// Rules 2 and 3 over every function, and rule 4's seeds.
+		for _, f := range p.Files {
+			for _, fn := range fileFuncs(f) {
+				fd := &funcDecl{pkg: p, file: f, decl: fn}
+				events := m.lockEvents(fd)
+				out = append(out, checkLockPairing(m.Fset, fn, events)...)
+				gs := receiverStruct(structs, fn)
+				if gs == nil {
 					continue
 				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
+				if fn.Name.IsExported() {
+					out = append(out, checkGuardedAccess(m.Fset, f, fn, gs, events)...)
 					continue
 				}
-				gs := scanStruct(f, ts.Name.Name, st)
-				if gs != nil {
-					structs[gs.name] = gs
+				key := funcKey(p, fn)
+				for _, acc := range guardedAccesses(f, fn, gs) {
+					if class := p.ImportPath + "." + gs.name + "." + gs.guards[acc.field]; acc.write && !acquires(events, class) {
+						addNeed(needs, key, class, []string{m.stepf(acc.pos, "%s writes %s unlocked", m.shortKey(key), exprString(m.Fset, acc.sel))})
+					}
 				}
 			}
 		}
 	}
+	return append(out, m.checkCallers(needs)...)
+}
 
-	// Rule 1: a mutex-bearing struct with other fields must say what the
-	// mutex guards.
+// checkAnnotations enforces rule 1: a mutex-bearing struct with other
+// fields must say what the mutex guards, with a mutex it has.
+func checkAnnotations(fset *token.FileSet, structs map[string]*guardedStruct) []Finding {
+	var out []Finding
 	for _, gs := range structs {
-		if len(gs.guards) == 0 && structHasPlainFields(gs) {
-			pos := fset.Position(gs.pos)
+		pos := fset.Position(gs.pos)
+		if len(gs.guards) == 0 && gs.plain {
 			out = append(out, Finding{
 				Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
 				Message: fmt.Sprintf("struct %s has a mutex but no conflint:guardedby annotations: the lock protocol is not machine-checkable", gs.name),
@@ -105,8 +132,7 @@ func checkLocks(p *Package) []Finding {
 			})
 		}
 		for field, mu := range gs.guards {
-			if !hasMutex(gs, mu) {
-				pos := fset.Position(gs.pos)
+			if !gs.mutexes[mu] {
 				out = append(out, Finding{
 					Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
 					Message: fmt.Sprintf("field %s.%s is guardedby %q, but the struct has no such mutex field", gs.name, field, mu),
@@ -114,17 +140,79 @@ func checkLocks(p *Package) []Finding {
 			}
 		}
 	}
+	return out
+}
 
-	// Rules 2 and 3 over every function.
-	for _, f := range p.Files {
-		for _, fn := range fileFuncs(f) {
-			out = append(out, checkLockPairing(fset, f, fn)...)
-			gs := receiverStruct(structs, fn)
-			if gs == nil || !fn.Name.IsExported() {
-				continue
-			}
-			out = append(out, checkGuardedAccess(fset, f, fn, gs)...)
+// acquires reports whether a function's lock events acquire a class.
+func acquires(events []*lockEvent, class string) bool {
+	for _, ev := range events {
+		if ev.acquire && ev.class == class {
+			return true
 		}
+	}
+	return false
+}
+
+// addNeed records that key's callers must hold class, with its witness,
+// unless that is already recorded; it reports whether it recorded.
+func addNeed(needs map[string]map[string][]string, key, class string, steps []string) bool {
+	if needs[key][class] != nil {
+		return false
+	}
+	if needs[key] == nil {
+		needs[key] = make(map[string][]string)
+	}
+	needs[key][class] = steps
+	return true
+}
+
+// checkCallers enforces rule 4. It drives the needs to a fixpoint — an
+// unexported method of the class's own type that calls a needy callee
+// without acquiring the class inherits the need, with the call prepended
+// to the witness — then reports every other caller that calls a needy
+// function without acquiring the class it needs.
+func (m *Module) checkCallers(needs map[string]map[string][]string) []Finding {
+	g := m.Graph()
+	inherits := func(key, class string) bool {
+		fd := g.Node(key).Fn
+		return fd != nil && fd.decl.Recv != nil && !fd.decl.Name.IsExported() &&
+			strings.HasPrefix(class, fd.pkg.ImportPath+"."+baseTypeName(fd.decl.Recv.List[0].Type)+".")
+	}
+	// unmet visits each call site of key whose callee needs a class that
+	// key neither acquires nor needs itself, with the witness from the
+	// call down to the unlocked write.
+	unmet := func(key string, visit func(cs *CallSite, class string, steps []string)) {
+		fd := g.Node(key).Fn
+		if fd == nil || fd.decl.Body == nil {
+			return
+		}
+		for _, cs := range g.Node(key).Out {
+			sub := needs[cs.Callee]
+			for _, class := range sortedKeys(sub) {
+				if needs[key][class] == nil && !acquires(m.lockEvents(fd), class) {
+					visit(cs, class, append([]string{m.stepf(cs.Pos, "%s calls %s", m.shortKey(key), m.shortKey(cs.Callee))}, sub[class]...))
+				}
+			}
+		}
+	}
+	m.fixpoint(g.Keys(), func(key string) bool {
+		changed := false
+		unmet(key, func(_ *CallSite, class string, steps []string) {
+			changed = inherits(key, class) && addNeed(needs, key, class, steps) || changed
+		})
+		return changed
+	})
+	var out []Finding
+	for _, key := range g.Keys() {
+		unmet(key, func(cs *CallSite, class string, steps []string) {
+			pos := m.Fset.Position(cs.Pos)
+			out = append(out, Finding{
+				Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
+				Message: fmt.Sprintf("%s calls %s, which needs %s held, and never acquires it", m.shortKey(key), m.shortKey(cs.Callee), m.shortKey(class)),
+				Hint:    fmt.Sprintf("acquire %s around the call, or take it inside the callee", m.shortKey(class)),
+				Witness: steps,
+			})
+		})
 	}
 	return out
 }
@@ -132,20 +220,19 @@ func checkLocks(p *Package) []Finding {
 // scanStruct collects mutex fields and guardedby annotations; returns nil
 // when the struct has no mutex fields.
 func scanStruct(f *File, name string, st *ast.StructType) *guardedStruct {
-	gs := &guardedStruct{name: name, guards: make(map[string]string), pos: st.Pos(), file: f}
+	gs := &guardedStruct{name: name, mutexes: make(map[string]bool), guards: make(map[string]string), pos: st.Pos()}
 	for _, fld := range st.Fields.List {
-		if rw, ok := mutexType(f, fld.Type); ok {
-			for _, n := range fld.Names {
-				gs.mutexes = append(gs.mutexes, mutexField{name: n.Name, rw: rw, fldPos: n.Pos()})
-			}
-			continue
-		}
+		_, isMu := mutexType(f, fld.Type)
 		mu := guardAnnotation(fld)
-		if mu == "" {
-			continue
-		}
 		for _, n := range fld.Names {
-			gs.guards[n.Name] = mu
+			switch {
+			case isMu:
+				gs.mutexes[n.Name] = true
+			case mu != "":
+				gs.guards[n.Name] = mu
+			default:
+				gs.plain = true
+			}
 		}
 	}
 	if len(gs.mutexes) == 0 {
@@ -193,43 +280,6 @@ func guardAnnotation(fld *ast.Field) string {
 	return ""
 }
 
-func hasMutex(gs *guardedStruct, name string) bool {
-	for _, mu := range gs.mutexes {
-		if mu.name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// structHasPlainFields reports whether the struct has any non-mutex,
-// non-annotated field — the case where missing annotations matter.
-func structHasPlainFields(gs *guardedStruct) bool {
-	st, ok := gs.file.astStruct(gs.pos)
-	if !ok {
-		return false
-	}
-	n := 0
-	for _, fld := range st.Fields.List {
-		n += len(fld.Names)
-	}
-	return n > len(gs.mutexes)
-}
-
-// astStruct finds the struct type node at a position (helper for
-// structHasPlainFields).
-func (f *File) astStruct(pos token.Pos) (*ast.StructType, bool) {
-	var found *ast.StructType
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		if st, ok := n.(*ast.StructType); ok && st.Pos() == pos {
-			found = st
-			return false
-		}
-		return true
-	})
-	return found, found != nil
-}
-
 // receiverStruct maps a method to its receiver's guarded struct.
 func receiverStruct(structs map[string]*guardedStruct, fn *ast.FuncDecl) *guardedStruct {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
@@ -238,103 +288,60 @@ func receiverStruct(structs map[string]*guardedStruct, fn *ast.FuncDecl) *guarde
 	return structs[baseTypeName(fn.Recv.List[0].Type)]
 }
 
-// lockOps describes the acquisitions and releases present in a function,
-// keyed by the rendered mutex expression ("e.mu", "em").
-type lockOps struct {
-	lock, rlock, unlock, runlock map[string]token.Pos
-}
-
-func scanLockOps(fset *token.FileSet, body *ast.BlockStmt) lockOps {
-	ops := lockOps{
-		lock: map[string]token.Pos{}, rlock: map[string]token.Pos{},
-		unlock: map[string]token.Pos{}, runlock: map[string]token.Pos{},
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 0 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		target := exprString(fset, sel.X)
-		switch sel.Sel.Name {
-		case "Lock":
-			ops.lock[target] = call.Pos()
-		case "RLock":
-			ops.rlock[target] = call.Pos()
-		case "Unlock":
-			ops.unlock[target] = call.Pos()
-		case "RUnlock":
-			ops.runlock[target] = call.Pos()
-		}
-		return true
-	})
-	return ops
-}
-
 // checkLockPairing enforces rule 3: every acquisition has a same-function
-// release of the matching flavor.
-func checkLockPairing(fset *token.FileSet, f *File, fn *ast.FuncDecl) []Finding {
-	ops := scanLockOps(fset, fn.Body)
-	var out []Finding
-	for target, at := range ops.lock {
-		if _, ok := ops.unlock[target]; !ok {
-			pos := fset.Position(at)
-			out = append(out, Finding{
-				Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: fmt.Sprintf("%s.Lock() without %s.Unlock() in %s: the lock escapes the function", target, target, fn.Name.Name),
-				Hint:    fmt.Sprintf("add `defer %s.Unlock()` right after the acquisition", target),
-			})
+// release of the matching flavor on the same target.
+func checkLockPairing(fset *token.FileSet, fn *ast.FuncDecl, events []*lockEvent) []Finding {
+	released := make(map[lockEvent]bool)
+	for _, ev := range events {
+		if !ev.acquire {
+			released[lockEvent{rlock: ev.rlock, target: ev.target}] = true
 		}
 	}
-	for target, at := range ops.rlock {
-		if _, ok := ops.runlock[target]; !ok {
-			pos := fset.Position(at)
-			out = append(out, Finding{
-				Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: fmt.Sprintf("%s.RLock() without %s.RUnlock() in %s: the read lock escapes the function", target, target, fn.Name.Name),
-				Hint:    fmt.Sprintf("add `defer %s.RUnlock()` right after the acquisition", target),
-			})
+	var out []Finding
+	for _, ev := range events {
+		k := lockEvent{rlock: ev.rlock, target: ev.target}
+		if !ev.acquire || released[k] {
+			continue
 		}
+		released[k] = true // one finding per target and flavor
+		acq, rel, what := "Lock", "Unlock", "lock"
+		if ev.rlock {
+			acq, rel, what = "RLock", "RUnlock", "read lock"
+		}
+		pos := fset.Position(ev.pos)
+		out = append(out, Finding{
+			Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
+			Message: fmt.Sprintf("%s.%s() without %s.%s() in %s: the %s escapes the function", ev.target, acq, ev.target, rel, fn.Name.Name, what),
+			Hint:    fmt.Sprintf("add `defer %s.%s()` right after the acquisition", ev.target, rel),
+		})
 	}
 	return out
 }
 
 // fieldAccess is one use of a guarded field inside a method body.
 type fieldAccess struct {
+	sel   *ast.SelectorExpr // recv.field
 	field string
 	write bool
 	pos   token.Pos
 }
 
 // checkGuardedAccess enforces rule 2 on one exported method.
-func checkGuardedAccess(fset *token.FileSet, f *File, fn *ast.FuncDecl, gs *guardedStruct) []Finding {
-	recvName := ""
-	if names := fn.Recv.List[0].Names; len(names) > 0 {
-		recvName = names[0].Name
-	}
-	if recvName == "" || recvName == "_" {
-		return nil
-	}
-	accesses := guardedAccesses(f, fn, recvName, gs)
-	if len(accesses) == 0 {
-		return nil
-	}
-	ops := scanLockOps(fset, fn.Body)
+func checkGuardedAccess(fset *token.FileSet, f *File, fn *ast.FuncDecl, gs *guardedStruct, events []*lockEvent) []Finding {
 	var out []Finding
-	for _, acc := range accesses {
-		mu := gs.guards[acc.field]
-		target := recvName + "." + mu
-		_, hasL := ops.lock[target]
-		_, hasRL := ops.rlock[target]
+	for _, acc := range guardedAccesses(f, fn, gs) {
+		target := exprString(fset, acc.sel.X) + "." + gs.guards[acc.field]
+		hasL, hasRL := false, false
+		for _, ev := range events {
+			hasL = hasL || ev.acquire && !ev.rlock && ev.target == target
+			hasRL = hasRL || ev.acquire && ev.rlock && ev.target == target
+		}
 		pos := fset.Position(acc.pos)
 		switch {
 		case acc.write && !hasL:
-			msg := fmt.Sprintf("exported method %s writes guarded field %s.%s without holding %s.Lock()", fn.Name.Name, recvName, acc.field, target)
+			msg := fmt.Sprintf("exported method %s writes guarded field %s without holding %s.Lock()", fn.Name.Name, exprString(fset, acc.sel), target)
 			if hasRL {
-				msg = fmt.Sprintf("exported method %s writes guarded field %s.%s under %s.RLock(): writers need the exclusive side", fn.Name.Name, recvName, acc.field, target)
+				msg = fmt.Sprintf("exported method %s writes guarded field %s under %s.RLock(): writers need the exclusive side", fn.Name.Name, exprString(fset, acc.sel), target)
 			}
 			out = append(out, Finding{
 				Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
@@ -344,7 +351,7 @@ func checkGuardedAccess(fset *token.FileSet, f *File, fn *ast.FuncDecl, gs *guar
 		case !acc.write && !hasL && !hasRL:
 			out = append(out, Finding{
 				Rule: "lock", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Message: fmt.Sprintf("exported method %s reads guarded field %s.%s without holding %s", fn.Name.Name, recvName, acc.field, target),
+				Message: fmt.Sprintf("exported method %s reads guarded field %s without holding %s", fn.Name.Name, exprString(fset, acc.sel), target),
 				Hint:    fmt.Sprintf("acquire %s.RLock() (with defer %s.RUnlock()) before the read", target, target),
 			})
 		}
@@ -352,24 +359,26 @@ func checkGuardedAccess(fset *token.FileSet, f *File, fn *ast.FuncDecl, gs *guar
 	return out
 }
 
-// guardedAccesses finds recv.field uses of guarded fields, classifying
-// writes: assignment LHS (including recv.f[k] = v), ++/--, and &recv.f
-// aliasing.
-func guardedAccesses(f *File, fn *ast.FuncDecl, recvName string, gs *guardedStruct) []fieldAccess {
+// guardedAccesses finds a method's recv.field uses of guarded fields,
+// classifying writes: assignment LHS (including recv.f[k] = v), ++/--,
+// and &recv.f aliasing.
+func guardedAccesses(f *File, fn *ast.FuncDecl, gs *guardedStruct) []fieldAccess {
+	names := fn.Recv.List[0].Names
+	if len(names) == 0 || names[0].Name == "_" {
+		return nil
+	}
 	var out []fieldAccess
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		base, ok := sel.X.(*ast.Ident)
-		if !ok || base.Name != recvName {
+		if base, ok := sel.X.(*ast.Ident); !ok || base.Name != names[0].Name {
 			return true
 		}
-		if _, guarded := gs.guards[sel.Sel.Name]; !guarded {
-			return true
+		if _, guarded := gs.guards[sel.Sel.Name]; guarded {
+			out = append(out, fieldAccess{sel: sel, field: sel.Sel.Name, write: isWriteContext(f, sel), pos: sel.Pos()})
 		}
-		out = append(out, fieldAccess{field: sel.Sel.Name, write: isWriteContext(f, sel), pos: sel.Pos()})
 		return true
 	})
 	return out

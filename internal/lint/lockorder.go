@@ -51,7 +51,6 @@ type lockEvent struct {
 	class    string // resolved lock class, "" when unresolvable
 	pos      token.Pos
 	deferred bool
-	consumed bool
 }
 
 // heldInterval is one span of a function body during which a lock class
@@ -166,9 +165,16 @@ func lockOrderModule(m *Module) []Finding {
 	return m.lockOrderCycles(edges)
 }
 
-// lockEvents scans a function body for lock operations in source order,
-// resolving each target to its class.
+// lockEvents returns (scanning once per module) a function body's lock
+// operations in source order, each target resolved to its class. lock,
+// lockorder and pure all read this one scan.
 func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
+	if evs, ok := m.lockEv[fd.decl]; ok {
+		return evs
+	}
+	if m.lockEv == nil {
+		m.lockEv = make(map[*ast.FuncDecl][]*lockEvent)
+	}
 	fn, f, p := fd.decl, fd.file, fd.pkg
 	deferred := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -205,6 +211,7 @@ func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	m.lockEv[fn] = out
 	return out
 }
 
@@ -213,16 +220,18 @@ func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
 // missing) release holds the class until end, the end of the body.
 func lockIntervals(events []*lockEvent, end token.Pos) []heldInterval {
 	var out []heldInterval
+	consumed := make([]bool, len(events))
 	for i, ev := range events {
 		if !ev.acquire || ev.class == "" {
 			continue
 		}
 		iv := heldInterval{class: ev.class, start: ev.pos, end: end}
-		for _, rel := range events[i+1:] {
-			if rel.acquire || rel.consumed || rel.rlock != ev.rlock || rel.target != ev.target {
+		for j := i + 1; j < len(events); j++ {
+			rel := events[j]
+			if rel.acquire || consumed[j] || rel.rlock != ev.rlock || rel.target != ev.target {
 				continue
 			}
-			rel.consumed = true
+			consumed[j] = true
 			if !rel.deferred {
 				iv.end = rel.pos
 			}

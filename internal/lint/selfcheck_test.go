@@ -72,23 +72,26 @@ var killTable = []killRow{
 		"\t\t\tsh.Load(tp.name, tp.buckets[i])\n"}},
 		"errcheck", []string{"result of sh.Load is an error and this statement discards it"}},
 	{"G1", [][3]string{{"internal/gateway/tuner.go",
-		"\t// conflint:worker lifecycle=trigger retune loop; worker.stop closes trigger and waits on done\n", ""}},
+		"\t// conflint:worker retune loop; worker.stop closes trigger and waits on done\n", ""}},
 		"goleak", []string{"goroutine may leak: it ranges over channel tn.w.trigger"}},
-	{"SP2", [][3]string{
-		{"internal/gateway/tuner.go",
-			"func (w *worker) signal() {\n\tselect {\n\tcase w.trigger <- struct{}{}:\n\tdefault:\n\t}\n}",
-			"func (w *worker) signal() {\n\tw.trigger <- struct{}{}\n}"},
-		{"internal/gateway/autoscaler.go",
-			"\t\tas.windows.Add(1)\n",
-			"\t\tas.windows.Add(1)\n\t\tas.g.tunerP.Load().w.signal()\n"}},
-		"shutdownpath", []string{
-			"worker (lifecycle=trigger) sends on w.trigger with no lifecycle guard",
-			"worker spawned (lifecycle=trigger) at internal/gateway/autoscaler.go",
-			"calls internal/gateway.autoscaler.drain",
-			"calls internal/gateway.worker.signal",
-			"sends on w.trigger with no lifecycle guard at internal/gateway/tuner.go"}},
-	{"D2", [][3]string{{"internal/gateway/metrics.go", "\tsort.Strings(keys)\n", ""}},
+	{"L2", [][3]string{{"internal/gateway/tenant.go",
+		"func (t *tenantState) noteAdmitted(family string) {\n\tt.mu.Lock()\n\tt.admitted++\n\tt.mix[family]++\n\tt.mu.Unlock()\n}",
+		"func (t *tenantState) noteAdmitted(family string) {\n\tt.admitted++\n\tt.mix[family]++\n}"}},
+		"lock", []string{
+			"internal/gateway.Gateway.admit calls internal/gateway.tenantState.noteAdmitted, which needs internal/gateway.tenantState.mu held",
+			"internal/gateway.Gateway.admit calls internal/gateway.tenantState.noteAdmitted at internal/gateway/admission.go",
+			"internal/gateway.tenantState.noteAdmitted writes t.admitted unlocked at internal/gateway/tenant.go"}},
+	{"D2", [][3]string{
+		{"internal/gateway/metrics.go", "\t\"sort\"\n", ""},
+		{"internal/gateway/metrics.go", "\tsort.Strings(keys)\n", ""}},
 		"determinism", []string{"map iteration collects into a slice that sortedKeys never sorts"}},
+	{"DT2", [][3]string{
+		{"internal/engine/transition.go", "\t\"strings\"\n\n", "\t\"strings\"\n\t\"time\"\n\n"},
+		{"internal/engine/transition.go",
+			"(BuildReport, error) {\n\tnext.collectStats(false)\n",
+			"(rep BuildReport, err error) {\n\tstart := time.Now()\n\tdefer func() { rep.BuildSeconds += time.Since(start).Seconds() }()\n\tnext.collectStats(false)\n"},
+		{"internal/engine/transition.go", "\trep := BuildReport{Dropped:", "\trep = BuildReport{Dropped:"}},
+		"determinism", []string{"time.Since in package engine"}},
 	{"P1", [][3]string{{"internal/recommender/loop.go",
 		"\tcase violated && l.tuned == nil:\n",
 		"\tcase violated && l.tuned == nil:\n\t\tl.tuned = shares(mix)\n"}},

@@ -37,26 +37,11 @@ func wantWitness(t *testing.T, f Finding, fragments ...string) {
 	}
 }
 
-// TestShutdownPathWitness pins the transitive chain: spawn site, the
-// call into the helper, and the blocking op inside it.
-func TestShutdownPathWitness(t *testing.T) {
-	m, err := LoadFixture(filepath.Join("testdata", "src", "shutdownpath"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := Run(m, All())
-	f := findingWith(t, fs, "ranges over channel jobs")
-	wantWitness(t, f,
-		"worker spawned (lifecycle=trigger)",
-		"calls",
-		"ranges over channel jobs")
-}
-
 // TestFixpointDeterminism re-runs the interprocedural analyzers from
 // scratch many times and requires the exact same findings in the exact
 // same order every time.
 func TestFixpointDeterminism(t *testing.T) {
-	for _, fixture := range []string{"pure", "shutdownpath", "lockorder", "goleak"} {
+	for _, fixture := range []string{"pure", "lockorder", "goleak"} {
 		dir := filepath.Join("testdata", "src", fixture)
 		var first []Finding
 		for i := 0; i < 10; i++ {
