@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/exec/ -fuzz=FuzzMergeJoin -fuzztime=30s
 	$(GO) test ./internal/btree/ -fuzz=FuzzBuild -fuzztime=30s
 	$(GO) test ./internal/lint/ -fuzz=FuzzResolve -fuzztime=30s
+	$(GO) test ./internal/optimizer/ -fuzz=FuzzEstimateMatchesOptimize -fuzztime=30s
 
 # make perf-compare BASE=<rev>: this checkout against <rev> on the
 # wall-clock benchmark — ten interleaved pairs per workload, each

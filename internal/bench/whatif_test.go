@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/conf"
@@ -271,6 +272,67 @@ func TestEstimateHitAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, hit); n != 0 {
 		t.Errorf("Estimate: a hit allocates %v times", n)
+	}
+}
+
+// TestEstimateMissAllocatesOnlyItsEntry: a miss whose structures the
+// session has already interned allocates its cache key and its share of
+// the cache's growth, and nothing else: the physical description is
+// assembled in the session's reused scratch and the optimizer searches in
+// pooled scratch without building a plan. Each delta kind of the trial is
+// extended by one two-column index on a query table per miss, so every
+// estimate is a new key.
+func TestEstimateMissAllocatesOnlyItsEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	tr := newTrial(t)
+	var extra []conf.IndexDef
+	for _, qt := range tr.q.Tables {
+		cols := qt.Table.IndexableColumns()
+		for _, a := range cols {
+			for _, b := range cols {
+				if d := (conf.IndexDef{Table: qt.Table.Name, Columns: []string{a, b}}); a != b && !tr.cur.HasIndex(d) {
+					extra = append(extra, d)
+				}
+			}
+		}
+	}
+	if len(extra) < 8 {
+		t.Fatalf("only %d extra indexes", len(extra))
+	}
+	for name, x := range tr.deltas {
+		w := tr.e.NewWhatIf()
+		rcur := mustResolve(t, w, tr.cur)
+		all := x.Clone()
+		deltas := make([]conf.Configuration, len(extra))
+		for i, d := range extra {
+			deltas[i] = x.Clone()
+			deltas[i].Indexes = append(deltas[i].Indexes, d)
+			all.Indexes = append(all.Indexes, d)
+		}
+		mustResolve(t, w, all) // interns every structure the misses use
+		miss := func(d conf.Configuration) {
+			if _, err := w.EstimateWith(tr.q, rcur, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		miss(deltas[0]) // warms the session's miss scratch and the optimizer's pool
+		_, hits := engine.WhatIfCounters()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, d := range deltas[1:] {
+			miss(d)
+		}
+		runtime.ReadMemStats(&after)
+		if _, now := engine.WhatIfCounters(); now != hits {
+			t.Fatalf("%s: %d of %d estimates hit", name, now-hits, len(deltas)-1)
+		}
+		perMiss := float64(after.Mallocs-before.Mallocs) / float64(len(deltas)-1)
+		t.Logf("%s delta: %.2f allocations per miss over %d misses", name, perMiss, len(deltas)-1)
+		if perMiss > 1.5 {
+			t.Errorf("%s delta: a miss allocates %.2f times; its key and entry take 1 and the cache's growth", name, perMiss)
+		}
 	}
 }
 

@@ -95,6 +95,8 @@ type WhatIf struct {
 	estimates   map[string]estEntry            // conflint:guardedby mu
 	lastID      uint32                         // conflint:guardedby mu (ids are never reused)
 	key         []byte                         // conflint:guardedby mu (the probe key, rebuilt per lookup)
+	orphaned    []*ixEntry                     // conflint:guardedby mu (lookup's base indexes when a delta view adopts an orphan)
+	spare       []*missScratch                 // conflint:guardedby mu (idle miss scratch, reset)
 	scratch     Resolved                       // conflint:guardedby mu (Estimate's one-shot base)
 	scratchRel  relevance                      // conflint:guardedby mu (scratch's relevant subset)
 }
@@ -309,50 +311,92 @@ func (w *WhatIf) estimate(q *sql.Query, base *Resolved, cfg conf.Configuration) 
 
 // fill is the miss path: assemble the candidate physical incrementally —
 // the snapshot lookup pinned supplies the tables; only the relevant
-// structures are attached — optimize, and cache the result. Per-relation
-// lists are name-sorted here, once, so the optimizer's sortedIndexes
-// takes its no-copy path. The optimizer runs outside w.mu: workers racing
-// on the same key duplicate the optimization but store identical results.
+// structures are attached — estimate, and cache the result. It assembles
+// in the miss scratch lookup handed it, which goes back to the session
+// once the entry is stored, so a miss allocates only its cache key and
+// entry. The optimizer runs outside w.mu: workers racing on the same key
+// duplicate the optimization but store identical results.
 func (w *WhatIf) fill(q *sql.Query, c candidate) (Measure, error) {
-	phys := &plan.Physical{
-		Schema:  w.e.Schema,
-		Tables:  c.snap.phys.Tables,
-		Views:   c.views,
-		Indexes: make(map[string][]*plan.IndexInfo, len(c.indexes)),
-		Mem:     w.e.Profile.MemBytes,
-		Model:   w.e.Model,
+	est, err := optimizer.Estimate(c.miss.physical(w.e, c.snap), q, w.e.Profile.Opts)
+	c.miss.reset()
+	w.mu.Lock()
+	w.spare = append(w.spare, c.miss)
+	// An estimate derived from a snapshot the session has since left must
+	// not land in the flushed cache.
+	if err == nil && w.pinned == c.snap {
+		w.estimates[c.key] = estEntry{seconds: est.Seconds, meter: est.Meter}
 	}
-	for _, x := range c.indexes {
-		phys.Indexes[x.rel] = append(phys.Indexes[x.rel], x.ix)
-	}
-	for _, list := range phys.Indexes {
-		plan.SortIndexes(list)
-	}
-	p, err := optimizer.Optimize(phys, q, w.e.Profile.Opts)
+	w.mu.Unlock()
 	if err != nil {
 		return Measure{}, err
 	}
-	w.mu.Lock()
-	// An estimate derived from a snapshot the session has since left must
-	// not land in the flushed cache.
-	if w.pinned == c.snap {
-		w.estimates[c.key] = estEntry{seconds: p.Est.Seconds, meter: p.Est.Meter}
-	}
-	w.mu.Unlock()
-	return Measure{SQL: c.sql, Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
+	return Measure{SQL: c.sql, Seconds: est.Seconds, Meter: est.Meter}, nil
 }
 
 // candidate is what lookup resolves one estimate request to: the cache
 // key and either the cached entry or the material to optimize against.
-// key, views and indexes are filled only on a miss.
+// key and miss are filled only on a miss.
 type candidate struct {
-	snap    *snapshot // the snapshot everything below was resolved under
-	sql     string
-	key     string
-	hit     bool
-	ent     estEntry
-	views   []*plan.ViewInfo
+	snap *snapshot // the snapshot everything below was resolved under
+	sql  string
+	key  string
+	hit  bool
+	ent  estEntry
+	miss *missScratch
+}
+
+// missScratch is the material of one miss: the relevant indexes, and the
+// physical description assembled from them and the relevant views, which
+// lookup puts in phys.Views. A session keeps the idle ones (WhatIf.spare),
+// emptied of every description and snapshot they referenced, and reuses
+// their arrays and map.
+type missScratch struct {
 	indexes []*ixEntry
+	phys    plan.Physical
+	// rels[i] is a relation the indexes are on, lists[i] its indexes.
+	rels  []string
+	lists [][]*plan.IndexInfo
+}
+
+// physical completes the description: the snapshot's tables, and the
+// indexes, each relation's list name-sorted once so the optimizer's
+// sortedIndexes takes its no-copy path.
+func (m *missScratch) physical(e *Engine, snap *snapshot) *plan.Physical {
+	for _, x := range m.indexes {
+		i := slices.Index(m.rels, x.rel)
+		if i < 0 {
+			i = len(m.rels)
+			m.rels = append(m.rels, x.rel)
+			if len(m.lists) == i {
+				m.lists = append(m.lists, nil)
+			}
+		}
+		m.lists[i] = append(m.lists[i], x.ix)
+	}
+	if m.phys.Indexes == nil {
+		m.phys.Indexes = make(map[string][]*plan.IndexInfo)
+	}
+	for i, rel := range m.rels {
+		plan.SortIndexes(m.lists[i])
+		m.phys.Indexes[rel] = m.lists[i]
+	}
+	m.phys.Schema, m.phys.Tables = e.Schema, snap.phys.Tables
+	m.phys.Mem, m.phys.Model = e.Profile.MemBytes, e.Model
+	return &m.phys
+}
+
+// reset empties the scratch for its next miss, keeping its arrays.
+func (m *missScratch) reset() {
+	clear(m.indexes)
+	for i := range m.rels {
+		clear(m.lists[i])
+		m.lists[i] = m.lists[i][:0]
+	}
+	clear(m.rels)
+	m.indexes, m.rels = m.indexes[:0], m.rels[:0]
+	clear(m.phys.Views)
+	clear(m.phys.Indexes)
+	m.phys = plan.Physical{Views: m.phys.Views[:0], Indexes: m.phys.Indexes}
 }
 
 // lookup is the part of estimate that runs under w.mu: pin the engine
@@ -430,7 +474,8 @@ func (w *WhatIf) lookup(q *sql.Query, base *Resolved, cfg conf.Configuration) (c
 	baseIx := rel.indexes
 	for _, x := range rel.orphans {
 		if named(dv, x.rel) {
-			baseIx = slices.DeleteFunc(slices.Clone(base.indexes), func(x *ixEntry) bool { return !relevant(x) })
+			w.orphaned = slices.DeleteFunc(append(w.orphaned[:0], base.indexes...), func(x *ixEntry) bool { return !relevant(x) })
+			baseIx = w.orphaned
 			break
 		}
 	}
@@ -451,13 +496,17 @@ func (w *WhatIf) lookup(q *sql.Query, base *Resolved, cfg conf.Configuration) (c
 		return c, nil
 	}
 	c.key = string(key)
-	c.views = make([]*plan.ViewInfo, 0, len(rel.views)+len(dv))
+	if n := len(w.spare); n > 0 {
+		c.miss, w.spare = w.spare[n-1], w.spare[:n-1]
+	} else {
+		c.miss = new(missScratch)
+	}
 	for _, vs := range [2][]*viewEntry{rel.views, dv} {
 		for _, v := range vs {
-			c.views = append(c.views, v.vi)
+			c.miss.phys.Views = append(c.miss.phys.Views, v.vi)
 		}
 	}
-	c.indexes = slices.Concat(baseIx, di)
+	c.miss.indexes = append(append(c.miss.indexes, baseIx...), di...)
 	return c, nil
 }
 

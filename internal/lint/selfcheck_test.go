@@ -1,8 +1,12 @@
 package lint
 
 import (
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,9 +105,10 @@ var killTable = []killRow{
 }
 
 // TestKillTable re-seeds each only-this-rule row of the kill table into
-// a copy of the module's sources and requires the row's rule to fire
-// with its witness: a rule that stops catching its row has stopped
-// earning its place.
+// a copy of the module's sources and requires the seeded packages to
+// build and the row's rule to fire with its witness: a rule that stops
+// catching its row has stopped earning its place, and a seed the compiler
+// rejects is a row no rule needs.
 func TestKillTable(t *testing.T) {
 	root, dir := repoRoot(t), t.TempDir()
 	// Copy what LoadModule reads: go.mod and the non-test Go files.
@@ -151,6 +156,7 @@ func TestKillTable(t *testing.T) {
 					}
 				})
 			}
+			buildSeeded(t, root, dir, row.edits)
 			m, err := LoadModule(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -168,5 +174,33 @@ func TestKillTable(t *testing.T) {
 			}
 			t.Errorf("%s: no [%s] finding containing %q; got:\n%s", row.id, row.rule, row.want, RenderText(m, fs))
 		})
+	}
+}
+
+// buildSeeded builds the packages a row's edits touch, with the seeded
+// files from dir laid over the module at root (go build -overlay), so the
+// build cache serves every package the seed leaves alone.
+func buildSeeded(t *testing.T, root, dir string, edits [][3]string) {
+	t.Helper()
+	replace := map[string]string{}
+	var pkgs []string
+	for _, e := range edits {
+		replace[filepath.Join(root, e[0])] = filepath.Join(dir, e[0])
+		if pkg := "./" + filepath.ToSlash(filepath.Dir(e[0])); !slices.Contains(pkgs, pkg) {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	overlay, err := json.Marshal(map[string]any{"Replace": replace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "overlay.json")
+	if err := os.WriteFile(path, overlay, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), append([]string{"build", "-overlay", path}, pkgs...)...)
+	cmd.Dir = root
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("the seeded %s does not build: %v\n%s", strings.Join(pkgs, " "), err, out)
 	}
 }

@@ -152,8 +152,8 @@ func (s *search) bestAccessPath(t int) (cand, error) {
 		inSelAll *= s.inSel[ii]
 	}
 
-	// Sequential scan baseline, built only if no index access beats it.
-	best := cand{est: plan.Est{Rows: rows * filterSel * inSelAll}}
+	// Sequential scan baseline.
+	best := cand{est: plan.Est{Rows: rows * filterSel * inSelAll}, ch: choice{kind: seqScan}}
 	best.est.Meter.SeqPages = info.Heap.Pages()
 	best.est.Meter.Rows = info.Stats.Rows
 	best.est.Meter.CPUOps = info.Stats.Rows * int64(len(sels)+len(ins))
@@ -167,13 +167,14 @@ func (s *search) bestAccessPath(t int) (cand, error) {
 			best = c
 		}
 	}
-	if best.node == nil {
-		best.node = &plan.SeqScan{
-			Tab: t, Info: info,
-			Filters: s.filters(t, nil, len(sels)), Ins: s.inFilters(t, -1), Est: best.est,
-		}
-	}
 	return best, nil
+}
+
+func (s *search) buildSeqScan(t int, est plan.Est) plan.Node {
+	return &plan.SeqScan{
+		Tab: t, Info: s.infos[t],
+		Filters: s.filters(t, nil, len(s.sels[t])), Ins: s.inFilters(t, -1), Est: est,
+	}
 }
 
 type noTableError string
@@ -210,15 +211,26 @@ func (s *search) inFilters(t, skip int) []plan.InFilter {
 	return out
 }
 
-// indexScanCand prices scanning table t through an index bound by
-// constant predicates, and builds the scan only if it costs less than
-// bound.
-func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, bool) {
-	info := s.infos[t]
-	sels, ins := s.sels[t], s.ins[t]
+// unused counts the predicates used does not mark.
+func unused(used []bool) int {
+	n := 0
+	for _, u := range used {
+		if !u {
+			n++
+		}
+	}
+	return n
+}
+
+// bindIndexScan binds the index's key prefix to equality selections on
+// table t and the next key column to a range selection, marking both in
+// s.usedSel. It returns the bound selections in key order, in the
+// search's scratch, and the range selection (-1 if none).
+func (s *search) bindIndexScan(t int, ix *plan.IndexInfo) (eq []int, rng int) {
+	sels := s.sels[t]
 	used := s.usedSel[:len(sels)]
 	clear(used)
-	eq := s.binds[:0] // the selections bound to the key prefix, in key order
+	eq = s.binds[:0]
 	for _, col := range ix.Cols {
 		found := -1
 		for i, p := range sels {
@@ -234,10 +246,8 @@ func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, 
 		eq = append(eq, found)
 	}
 	s.binds = eq
-	k := len(eq)
-	rng := -1
-	rangeSel := 1.0
-	if k < len(ix.Cols) {
+	rng = -1
+	if k := len(eq); k < len(ix.Cols) {
 		for i, p := range sels {
 			if used[i] || p.Col.Col != ix.Cols[k] {
 				continue
@@ -245,10 +255,25 @@ func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, 
 			if p.Op == "<" || p.Op == "<=" || p.Op == ">" || p.Op == ">=" {
 				used[i] = true
 				rng = i
-				rangeSel = info.Stats.RangeSelectivity(p.Col.Col, p.Op, p.Value)
 				break
 			}
 		}
+	}
+	return eq, rng
+}
+
+// indexScanCand prices scanning table t through an index bound by
+// constant predicates, and returns it if it costs less than bound.
+func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, bool) {
+	info := s.infos[t]
+	sels, ins := s.sels[t], s.ins[t]
+	eq, rng := s.bindIndexScan(t, ix)
+	used := s.usedSel[:len(sels)]
+	k := len(eq)
+	rangeSel := 1.0
+	if rng >= 0 {
+		p := sels[rng]
+		rangeSel = info.Stats.RangeSelectivity(p.Col.Col, p.Op, p.Value)
 	}
 	covering := s.covers(t, ix)
 	if k == 0 && rng < 0 && !covering {
@@ -284,10 +309,17 @@ func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, 
 	if est.Seconds >= bound {
 		return cand{}, false
 	}
+	return cand{est: est, ch: choice{kind: indexScan, ix: ix, ridSort: ridSort}}, true
+}
+
+func (s *search) buildIndexScan(t int, ch choice, est plan.Est) plan.Node {
+	sels := s.sels[t]
+	eq, rng := s.bindIndexScan(t, ch.ix)
+	used := s.usedSel[:len(sels)]
 	node := &plan.IndexScan{
-		Tab: t, Info: info, Index: ix,
-		EqVals: make([]val.Value, k), DriveInSet: -1, Covering: covering, RidSort: ridSort,
-		Filters: s.filters(t, used, nRes), Ins: s.inFilters(t, -1), Est: est,
+		Tab: t, Info: s.infos[t], Index: ch.ix,
+		EqVals: make([]val.Value, len(eq)), DriveInSet: -1, Covering: s.covers(t, ch.ix), RidSort: ch.ridSort,
+		Filters: s.filters(t, used, unused(used)), Ins: s.inFilters(t, -1), Est: est,
 	}
 	for i, si := range eq {
 		node.EqVals[i] = sels[si].Value
@@ -295,12 +327,12 @@ func (s *search) indexScanCand(t int, ix *plan.IndexInfo, bound float64) (cand, 
 	if rng >= 0 {
 		node.Range = &plan.RangeBound{Op: sels[rng].Op, Value: sels[rng].Value}
 	}
-	return cand{node: node, est: est}, true
+	return node
 }
 
 // inDrivenCands prices driving the index with the values of each
 // IN-subquery set on its first key column (one index probe per set
-// value), and builds the cheapest that costs less than bound.
+// value), and returns the cheapest that costs less than bound.
 func (s *search) inDrivenCands(t int, ix *plan.IndexInfo, bound float64) (best cand, ok bool) {
 	info := s.infos[t]
 	sels, ins := s.sels[t], s.ins[t]
@@ -330,14 +362,17 @@ func (s *search) inDrivenCands(t int, ix *plan.IndexInfo, bound float64) (best c
 		if est.Seconds >= bound {
 			continue
 		}
-		node := &plan.IndexScan{
-			Tab: t, Info: info, Index: ix,
-			DriveInSet: ii, Covering: covering, RidSort: ridSort,
-			Filters: s.filters(t, nil, len(sels)), Ins: s.inFilters(t, ii), Est: est,
-		}
-		best, ok, bound = cand{node: node, est: est}, true, est.Seconds
+		best, ok, bound = cand{est: est, ch: choice{kind: inDriven, ix: ix, set: ii, ridSort: ridSort}}, true, est.Seconds
 	}
 	return best, ok
+}
+
+func (s *search) buildInDriven(t int, ch choice, est plan.Est) plan.Node {
+	return &plan.IndexScan{
+		Tab: t, Info: s.infos[t], Index: ch.ix,
+		DriveInSet: ch.set, Covering: s.covers(t, ch.ix), RidSort: ch.ridSort,
+		Filters: s.filters(t, nil, len(s.sels[t])), Ins: s.inFilters(t, ch.set), Est: est,
+	}
 }
 
 // combine tries every split of mask into two disjoint covered subsets and
@@ -346,7 +381,7 @@ func (s *search) combine(mask uint32) {
 	for s1 := (mask - 1) & mask; s1 > 0; s1 = (s1 - 1) & mask {
 		s2 := mask ^ s1
 		c1, c2 := &s.best[s1], &s.best[s2]
-		if c1.node == nil || c2.node == nil {
+		if c1.ch.kind == noPlan || c2.ch.kind == noPlan {
 			continue
 		}
 		lcols, rcols := s.joinPredsBetween(s1, s2)
@@ -355,13 +390,13 @@ func (s *search) combine(mask uint32) {
 				s.best[mask] = c
 			}
 			if popcount(s1) == 1 && popcount(s2) == 1 && len(lcols) == 1 {
-				if c, ok := s.mergeJoinCands(trailingTable(s1), trailingTable(s2), lcols[0], rcols[0], s.bound(mask)); ok {
+				if c, ok := s.mergeJoinCands(s1, s2, lcols[0], rcols[0], s.bound(mask)); ok {
 					s.best[mask] = c
 				}
 			}
 		}
 		if popcount(s2) == 1 && len(lcols) > 0 {
-			if c, ok := s.indexJoinCands(c1, trailingTable(s2), lcols, rcols, s.bound(mask)); ok {
+			if c, ok := s.indexJoinCands(c1, s1, s2, lcols, rcols, s.bound(mask)); ok {
 				s.best[mask] = c
 			}
 		}
@@ -401,7 +436,7 @@ func (s *search) joinKeyNDV(cols []sql.QCol) float64 {
 }
 
 // hashJoinCand prices joining c1 and c2 through a hash table on the
-// smaller side, and builds the join only if it costs less than bound.
+// smaller side, and returns the join if it costs less than bound.
 func (s *search) hashJoinCand(c1, c2 *cand, m1, m2 uint32, lcols, rcols []sql.QCol, bound float64) (cand, bool) {
 	r1, r2 := c1.est.Rows, c2.est.Rows
 	var rowsOut float64
@@ -419,77 +454,93 @@ func (s *search) hashJoinCand(c1, c2 *cand, m1, m2 uint32, lcols, rcols []sql.QC
 	// Build on the smaller side.
 	build, probe := c1, c2
 	bMask, pMask := m1, m2
-	bKeys, pKeys := lcols, rcols
 	if r2 < r1 {
 		build, probe = c2, c1
 		bMask, pMask = m2, m1
-		bKeys, pKeys = rcols, lcols
 	}
-	width := s.rowWidthOf(bMask)
 
 	est := plan.Est{Rows: rowsOut}
 	est.Meter.Add(build.est.Meter)
 	est.Meter.Add(probe.est.Meter)
 	est.Meter.CPUOps += ceilI(build.est.Rows) + ceilI(probe.est.Rows)
-	if len(bKeys) == 0 {
+	if len(lcols) == 0 {
 		est.Meter.CPUOps += ceilI(rowsOut) // nested cross product work
 	}
 	// GRACE-style spill: both sides partitioned to disk and re-read.
-	est.Meter.Spill(s.phys.Model, s.phys.Mem, int64(build.est.Rows)*int64(width),
+	est.Meter.Spill(s.phys.Model, s.phys.Mem, int64(build.est.Rows)*int64(s.rowWidthOf(bMask)),
 		int64(probe.est.Rows)*int64(s.rowWidthOf(pMask)))
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
 	if est.Seconds >= bound {
 		return cand{}, false
 	}
+	return cand{est: est, ch: choice{kind: hashJoin, left: bMask, right: pMask}}, true
+}
 
+// buildHashJoin builds both sides, then keys them: joinPredsBetween of
+// (build, probe) orients every predicate build side first.
+func (s *search) buildHashJoin(ch choice, est plan.Est) plan.Node {
+	build, probe := s.build(ch.left), s.build(ch.right)
+	bKeys, pKeys := s.joinPredsBetween(ch.left, ch.right)
 	node := &plan.HashJoin{
-		Build: build.node, Probe: probe.node,
+		Build: build, Probe: probe,
 		BuildKeys: make([]int, len(bKeys)), ProbeKeys: make([]int, len(pKeys)),
-		BuildWidth: width, Est: est,
+		BuildWidth: s.rowWidthOf(ch.left), Est: est,
 	}
 	for i := range bKeys {
 		node.BuildKeys[i] = s.layout.Offset(bKeys[i])
 		node.ProbeKeys[i] = s.layout.Offset(pKeys[i])
 	}
-	return cand{node: node, est: est}, true
+	return node
 }
 
-// indexJoinCands prices index-nested-loop joins of the outer subplan to
-// inner table t2 through each index a join predicate binds, and builds the
-// cheapest that costs less than bound.
-func (s *search) indexJoinCands(outer *cand, t2 int, lcols, rcols []sql.QCol, bound float64) (best cand, ok bool) {
+// bindIndexJoin binds each key column of an index on inner table t2 to an
+// equality selection or, failing that, a join predicate, until a column
+// binds neither, marking what it binds in s.usedSel and s.usedJoin. It
+// returns the bindings in key order, in the search's scratch, and how
+// many are join predicates.
+func (s *search) bindIndexJoin(t2 int, ix *plan.IndexInfo, lcols, rcols []sql.QCol) (binds []int, joinBinds int) {
+	sels := s.sels[t2]
+	usedSel, usedJoin := s.usedSel[:len(sels)], s.usedJoin[:len(lcols)]
+	clear(usedSel)
+	clear(usedJoin)
+	binds = s.binds[:0]
+	for _, col := range ix.Cols {
+		n := len(binds)
+		for i, p := range sels {
+			if !usedSel[i] && p.Col.Col == col && p.Op == "=" {
+				usedSel[i] = true
+				binds = append(binds, i)
+				break
+			}
+		}
+		if len(binds) == n {
+			for i := range lcols {
+				if !usedJoin[i] && rcols[i].Tab == t2 && rcols[i].Col == col {
+					usedJoin[i] = true
+					binds = append(binds, ^i)
+					joinBinds++
+					break
+				}
+			}
+		}
+		if len(binds) == n {
+			break
+		}
+	}
+	s.binds = binds
+	return binds, joinBinds
+}
+
+// indexJoinCands prices index-nested-loop joins of the outer subplan (the
+// set m1) to the inner table of m2 through each index a join predicate
+// binds, and returns the cheapest that costs less than bound.
+func (s *search) indexJoinCands(outer *cand, m1, m2 uint32, lcols, rcols []sql.QCol, bound float64) (best cand, ok bool) {
+	t2 := trailingTable(m2)
 	info := s.infos[t2]
 	sels, ins := s.sels[t2], s.ins[t2]
 	usedSel, usedJoin := s.usedSel[:len(sels)], s.usedJoin[:len(lcols)]
 	for _, ix := range s.ixs[t2] {
-		clear(usedSel)
-		clear(usedJoin)
-		binds := s.binds[:0]
-		joinBinds := 0
-		for _, col := range ix.Cols {
-			n := len(binds)
-			for i, p := range sels {
-				if !usedSel[i] && p.Col.Col == col && p.Op == "=" {
-					usedSel[i] = true
-					binds = append(binds, i)
-					break
-				}
-			}
-			if len(binds) == n {
-				for i := range lcols {
-					if !usedJoin[i] && rcols[i].Tab == t2 && rcols[i].Col == col {
-						usedJoin[i] = true
-						binds = append(binds, ^i)
-						joinBinds++
-						break
-					}
-				}
-			}
-			if len(binds) == n {
-				break
-			}
-		}
-		s.binds = binds
+		binds, joinBinds := s.bindIndexJoin(t2, ix, lcols, rcols)
 		if joinBinds == 0 {
 			continue
 		}
@@ -533,32 +584,44 @@ func (s *search) indexJoinCands(outer *cand, t2 int, lcols, rcols []sql.QCol, bo
 		if est.Seconds >= bound {
 			continue
 		}
-
-		node := &plan.IndexJoin{
-			Outer: outer.node, Tab: t2, Info: info, Index: ix,
-			Binds: make([]plan.KeyBind, k), Covering: covering,
-			Filters: s.filters(t2, usedSel, nRes), Ins: s.inFilters(t2, -1), Est: est,
-		}
-		consts := make([]val.Value, 0, k-joinBinds)
-		for i, ref := range binds {
-			if ref >= 0 {
-				consts = append(consts, sels[ref].Value)
-				node.Binds[i].Const = &consts[len(consts)-1]
-			} else {
-				node.Binds[i].OuterOffset = s.layout.Offset(lcols[^ref])
-			}
-		}
-		if nPost > 0 {
-			node.PostEq = make([]plan.EqPair, 0, nPost)
-			for i := range lcols {
-				if !usedJoin[i] {
-					node.PostEq = append(node.PostEq, plan.EqPair{
-						A: s.layout.Offset(lcols[i]), B: s.layout.Offset(rcols[i]),
-					})
-				}
-			}
-		}
-		best, ok, bound = cand{node: node, est: est}, true, est.Seconds
+		best, ok, bound = cand{est: est, ch: choice{kind: indexJoin, left: m1, right: m2, ix: ix}}, true, est.Seconds
 	}
 	return best, ok
+}
+
+// buildIndexJoin builds the outer side, then binds the index as the
+// search priced it.
+func (s *search) buildIndexJoin(ch choice, est plan.Est) plan.Node {
+	outer := s.build(ch.left)
+	t2 := trailingTable(ch.right)
+	sels := s.sels[t2]
+	lcols, rcols := s.joinPredsBetween(ch.left, ch.right)
+	binds, joinBinds := s.bindIndexJoin(t2, ch.ix, lcols, rcols)
+	usedSel, usedJoin := s.usedSel[:len(sels)], s.usedJoin[:len(lcols)]
+	k := len(binds)
+	node := &plan.IndexJoin{
+		Outer: outer, Tab: t2, Info: s.infos[t2], Index: ch.ix,
+		Binds: make([]plan.KeyBind, k), Covering: s.covers(t2, ch.ix),
+		Filters: s.filters(t2, usedSel, unused(usedSel)), Ins: s.inFilters(t2, -1), Est: est,
+	}
+	consts := make([]val.Value, 0, k-joinBinds)
+	for i, ref := range binds {
+		if ref >= 0 {
+			consts = append(consts, sels[ref].Value)
+			node.Binds[i].Const = &consts[len(consts)-1]
+		} else {
+			node.Binds[i].OuterOffset = s.layout.Offset(lcols[^ref])
+		}
+	}
+	if nPost := unused(usedJoin); nPost > 0 {
+		node.PostEq = make([]plan.EqPair, 0, nPost)
+		for i := range lcols {
+			if !usedJoin[i] {
+				node.PostEq = append(node.PostEq, plan.EqPair{
+					A: s.layout.Offset(lcols[i]), B: s.layout.Offset(rcols[i]),
+				})
+			}
+		}
+	}
+	return node
 }

@@ -48,13 +48,14 @@ func (s *search) mergeSideOf(c sql.QCol) mergeSide {
 	return m
 }
 
-// mergeJoinCands prices merge joins for a single equality join between two
-// leaf tables, one per pair of indexes led by the join columns, and builds
-// the cheapest that costs less than bound. The join runs entirely over the
-// ordered index leaves; key-level predicates (constants and IN sets on the
-// join column) are applied before any heap fetch, and non-covered sides
-// fetch only the surviving rows, rid-sorted.
-func (s *search) mergeJoinCands(t1, t2 int, lc, rc sql.QCol, bound float64) (best cand, ok bool) {
+// mergeJoinCands prices merge joins for a single equality join between the
+// leaf tables of m1 and m2, one per pair of indexes led by the join
+// columns, and returns the cheapest that costs less than bound. The join
+// runs entirely over the ordered index leaves; key-level predicates
+// (constants and IN sets on the join column) are applied before any heap
+// fetch, and non-covered sides fetch only the surviving rows, rid-sorted.
+func (s *search) mergeJoinCands(m1, m2 uint32, lc, rc sql.QCol, bound float64) (best cand, ok bool) {
+	t1, t2 := trailingTable(m1), trailingTable(m2)
 	// joinPredsBetween may orient (lc, rc) either way; normalize to t1/t2.
 	if lc.Tab != t1 {
 		lc, rc = rc, lc
@@ -80,15 +81,16 @@ func (s *search) mergeJoinCands(t1, t2 int, lc, rc sql.QCol, bound float64) (bes
 				a, b = s.mergeSideOf(lc), s.mergeSideOf(rc)
 				ndv = math.Max(s.joinKeyNDV([]sql.QCol{lc}), s.joinKeyNDV([]sql.QCol{rc}))
 			}
-			if c, won := s.mergeJoinCand(&a, &b, ix1, ix2, ndv, bound); won {
-				best, ok, bound = c, true, c.est.Seconds
+			if est, won := s.mergeJoinEst(&a, &b, ix1, ix2, ndv, bound); won {
+				best = cand{est: est, ch: choice{kind: mergeJoin, left: m1, right: m2, ix: ix1, ix2: ix2}}
+				ok, bound = true, est.Seconds
 			}
 		}
 	}
 	return best, ok
 }
 
-func (s *search) mergeJoinCand(a, b *mergeSide, ix1, ix2 *plan.IndexInfo, ndv, bound float64) (cand, bool) {
+func (s *search) mergeJoinEst(a, b *mergeSide, ix1, ix2 *plan.IndexInfo, ndv, bound float64) (plan.Est, bool) {
 	// What-if conservatism: derived statistics cannot promise tight key
 	// runs, so hypothetical merge joins are assumed to pair up more rows.
 	hypo := (ix1.Hypothetical || ix2.Hypothetical) && !s.opts.HypoIdeal
@@ -108,21 +110,24 @@ func (s *search) mergeJoinCand(a, b *mergeSide, ix1, ix2 *plan.IndexInfo, ndv, b
 	est.Meter.CPUOps = int64(a.rows)*int64(1+a.nKey) + int64(b.rows)*int64(1+b.nKey)
 
 	// Fetches of surviving rows, rid-sorted, per non-covered side.
-	cov1, cov2 := s.covers(a.t, ix1), s.covers(b.t, ix2)
-	if !cov1 {
+	if !s.covers(a.t, ix1) {
 		a.billFetch(&est.Meter, pairs, hypo)
 	}
-	if !cov2 {
+	if !s.covers(b.t, ix2) {
 		b.billFetch(&est.Meter, pairs, hypo)
 	}
 	// Pair assembly and post-predicate work.
 	est.Meter.CPUOps += ceilI(pairs) * int64(1+a.nPost+b.nPost)
 	est.Seconds = s.phys.Model.Seconds(&est.Meter)
-	if est.Seconds >= bound {
-		return cand{}, false
-	}
-	node := &plan.MergeJoin{L: s.buildMergeSide(a, ix1, cov1), R: s.buildMergeSide(b, ix2, cov2), Est: est}
-	return cand{node: node, est: est}, true
+	return est, est.Seconds < bound
+}
+
+// buildMergeJoin builds both leaf sides. The split's one join predicate,
+// oriented left to right, names the join columns.
+func (s *search) buildMergeJoin(ch choice, est plan.Est) plan.Node {
+	lcols, rcols := s.joinPredsBetween(ch.left, ch.right)
+	a, b := s.mergeSideOf(lcols[0]), s.mergeSideOf(rcols[0])
+	return &plan.MergeJoin{L: s.buildMergeSide(&a, ch.ix), R: s.buildMergeSide(&b, ch.ix2), Est: est}
 }
 
 // billFetch bills the side's rid-sorted heap fetches of the rows that pass
@@ -141,8 +146,8 @@ func (m *mergeSide) billFetch(meter *cost.Meter, pairs float64, hypo bool) {
 // buildMergeSide builds a winning merge join's input: the side's
 // predicates on the join column apply to keys, the others after the row
 // is formed.
-func (s *search) buildMergeSide(m *mergeSide, ix *plan.IndexInfo, covering bool) plan.MergeSide {
-	side := plan.MergeSide{Tab: m.t, Info: m.info, Index: ix, Covering: covering}
+func (s *search) buildMergeSide(m *mergeSide, ix *plan.IndexInfo) plan.MergeSide {
+	side := plan.MergeSide{Tab: m.t, Info: m.info, Index: ix, Covering: s.covers(m.t, ix)}
 	for _, p := range s.sels[m.t] {
 		if p.Col.Col == m.joinCol {
 			side.KeyPreds = append(side.KeyPreds, plan.KeyPred{Op: p.Op, Value: p.Value})

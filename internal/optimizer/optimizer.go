@@ -12,13 +12,21 @@
 //     description contains hypothetical indexes whose statistics were
 //     derived rather than measured (the what-if path used by recommenders).
 //
-// The search prices every candidate before it builds one. A candidate's
-// estimate is computed in scratch the search owns, and its plan node, key
-// bindings and filter lists are allocated only if it costs strictly less
-// than the best plan found so far for its table set, the rule that picked
-// winners when every candidate was built. So the plans are the same, and a
-// what-if call pays allocations only for the candidates that win
-// (DESIGN §11).
+// There is one search, with two ends. The search prices every candidate
+// in scratch it owns and keeps, per table set, the estimate of the
+// cheapest candidate so far and a choice record of how to build it: the
+// kind, the split, the table's index, the IN set or the view. It builds no
+// plan node. Optimize is the search followed by a build of the winning
+// tree alone, each kind re-running its binding code for the recorded
+// choice; Estimate is the search without the build. A candidate replaces
+// the incumbent only if it costs strictly less, and candidates are priced
+// in a fixed order, so both ends see the same winner and Estimate returns
+// Optimize's plan estimate bit for bit (DESIGN §11).
+//
+// Search scratch is pooled: a call takes one, and puts it back after
+// dropping every reference to the call's physical design and query.
+// Optimize copies out everything its plan keeps, so a plan never shares
+// an array with scratch a later search reuses.
 //
 // Options carries the profile knobs that differentiate the simulated
 // commercial systems (paper Systems A, B and C).
@@ -29,6 +37,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -68,25 +77,94 @@ func (o Options) hypoPenalty() float64 {
 }
 
 // Optimize picks the cheapest plan for the analyzed query under the given
-// physical design.
+// physical design: the search, then a build of the winning tree.
 func Optimize(phys *plan.Physical, q *sql.Query, opts Options) (*plan.Plan, error) {
-	o := &search{phys: phys, q: q, opts: opts, layout: plan.NewLayout(q)}
-	return o.run()
+	s := searches.Get().(*search)
+	defer s.release()
+	return s.optimize(phys, q, opts)
 }
 
-// cand is a candidate subplan covering a set of tables.
+// Estimate returns the estimate of the plan Optimize picks, bit for bit,
+// from the same search without building the plan: what a what-if estimate
+// needs. With the scratch pool warm it allocates nothing.
+func Estimate(phys *plan.Physical, q *sql.Query, opts Options) (plan.Est, error) {
+	s := searches.Get().(*search)
+	defer s.release()
+	if err := s.run(phys, q, opts); err != nil {
+		return plan.Est{}, err
+	}
+	return s.total(s.finalEst(s.best[len(s.best)-1].est)), nil
+}
+
+// searches holds idle search scratch. A search goes back only after
+// release has dropped its references to the caller's physical design and
+// query, so an idle scratch pins no snapshot.
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// optimize is Optimize on the given scratch.
+func (s *search) optimize(phys *plan.Physical, q *sql.Query, opts Options) (*plan.Plan, error) {
+	if err := s.run(phys, q, opts); err != nil {
+		return nil, err
+	}
+	full := uint32(len(s.best) - 1)
+	est := s.finalEst(s.best[full].est)
+	s.layout = plan.NewLayout(q)
+	p := &plan.Plan{
+		Query:  q,
+		Layout: s.layout,
+		Root:   s.finalNode(s.build(full), est),
+		Mem:    phys.Mem,
+		Est:    s.total(est),
+	}
+	if len(s.insets) > 0 {
+		p.InSets = slices.Clone(s.insets)
+	}
+	return p, nil
+}
+
+// kind is the operator a winning candidate builds.
+type kind uint8
+
+const (
+	noPlan    kind = iota // the table set has no plan yet
+	seqScan               // the set's one table, sequentially
+	indexScan             // ix bound by constant predicates
+	inDriven              // ix probed with the values of IN set `set`
+	hashJoin              // build side left, probe side right
+	mergeJoin             // left's table through ix, right's through ix2
+	indexJoin             // outer left, inner table right through ix
+	viewScan              // view, through ix or sequentially
+)
+
+// choice records how a winning candidate is built: its kind and the inputs
+// its binding code takes, nothing that code derives from them. Building
+// re-runs that code, so keys, filters and PostEq come from one function.
+type choice struct {
+	kind        kind
+	ridSort     bool   // indexScan, inDriven: the fetch strategy priced
+	left, right uint32 // the two table sets a join combines
+	set         int    // inDriven: the IN set
+	ix, ix2     *plan.IndexInfo
+	view        *plan.ViewInfo
+}
+
+// cand is a candidate subplan covering a set of tables: its estimate and
+// how to build it.
 type cand struct {
-	node plan.Node
-	est  plan.Est
+	est plan.Est
+	ch  choice
 }
 
-// search is one Optimize call. It belongs to one goroutine, which is what
-// lets it reuse its scratch from one candidate to the next; a winner
-// copies out everything its node keeps.
+// search is one search's scratch. A search belongs to one goroutine, which
+// is what lets it reuse its scratch from one candidate to the next and,
+// through the pool, from one call to the next; a built plan copies out
+// everything it keeps.
 type search struct {
-	phys   *plan.Physical
-	q      *sql.Query
-	opts   Options
+	phys *plan.Physical
+	q    *sql.Query
+	opts Options
+	// layout is the plan's, made when a search builds one: pricing never
+	// reads it.
 	layout plan.Layout
 
 	insets []plan.InSetPlan
@@ -108,7 +186,7 @@ type search struct {
 	needed [][]int
 
 	// best[mask] is the cheapest subplan found so far for the table set
-	// mask; a nil node means none yet.
+	// mask.
 	best []cand
 
 	// Scratch for pricing a candidate before building it.
@@ -117,39 +195,41 @@ type search struct {
 	binds        []int      // per bound key column: selection i as i, join predicate i as ^i
 	lcols, rcols []sql.QCol // joinPredsBetween's result
 	viewSels     []viewSel  // the selections a matched view filters
+	tabMap       []int      // a matched view's table ordinals in the query
 }
 
-func (s *search) run() (*plan.Plan, error) {
-	n := len(s.q.Tables)
+// run is the search: it leaves the cheapest candidate for every table set
+// in s.best, the full set's last.
+func (s *search) run(phys *plan.Physical, q *sql.Query, opts Options) error {
+	n := len(q.Tables)
 	if n == 0 {
-		return nil, fmt.Errorf("optimizer: query has no tables")
+		return fmt.Errorf("optimizer: query has no tables")
 	}
 	if n > 12 {
-		return nil, fmt.Errorf("optimizer: too many tables (%d)", n)
+		return fmt.Errorf("optimizer: too many tables (%d)", n)
 	}
-	s.infos = make([]*plan.TableInfo, n)
-	s.ixs = make([][]*plan.IndexInfo, n)
-	for t, qt := range s.q.Tables {
-		s.infos[t] = s.phys.TableAt(t, qt.Table.Name)
-		s.ixs[t] = sortedIndexes(s.phys.IndexesAt(t, qt.Table.Name))
+	s.phys, s.q, s.opts = phys, q, opts
+	s.infos = resize(s.infos, n)
+	s.ixs = resize(s.ixs, n)
+	for t, qt := range q.Tables {
+		s.infos[t] = phys.TableAt(t, qt.Table.Name)
+		s.ixs[t] = sortedIndexes(phys.IndexesAt(t, qt.Table.Name))
 	}
-	s.usedSel = make([]bool, len(s.q.Sels))
-	s.usedJoin = make([]bool, len(s.q.Joins))
-	s.lcols = make([]sql.QCol, 0, len(s.q.Joins))
-	s.rcols = make([]sql.QCol, 0, len(s.q.Joins))
+	s.usedSel = resize(s.usedSel, len(q.Sels))
+	s.usedJoin = resize(s.usedJoin, len(q.Joins))
 	s.partitionPredicates()
 	s.computeNeeded()
 	if err := s.planInSets(); err != nil {
-		return nil, err
+		return err
 	}
 
-	s.best = make([]cand, 1<<uint(n))
+	s.best = resize(s.best, 1<<uint(n))
 
 	// Single-table access paths.
 	for t := 0; t < n; t++ {
 		c, err := s.bestAccessPath(t)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.best[1<<uint(t)] = c
 	}
@@ -164,40 +244,91 @@ func (s *search) run() (*plan.Plan, error) {
 	// DP over subsets.
 	full := uint32(len(s.best) - 1)
 	for mask := uint32(1); mask <= full; mask++ {
-		if s.best[mask].node != nil && popcount(mask) == 1 {
+		if s.best[mask].ch.kind != noPlan && popcount(mask) == 1 {
 			continue
 		}
 		s.combine(mask)
 	}
-	root := s.best[full]
-	if root.node == nil {
-		return nil, fmt.Errorf("optimizer: no plan for %d tables", n)
+	if s.best[full].ch.kind == noPlan {
+		return fmt.Errorf("optimizer: no plan for %d tables", n)
 	}
+	return nil
+}
 
-	top, topEst := s.finalize(root)
-	total := topEst
-	for _, is := range s.insets {
-		total.Meter.Add(is.Est.Meter)
+// release drops the scratch's references to the caller's physical design
+// and query — the storage, indexes, views and values they reach — and
+// returns it to the pool.
+func (s *search) release() {
+	s.phys, s.q, s.layout = nil, nil, plan.Layout{}
+	clear(s.infos)
+	clear(s.ixs)
+	clear(s.best)
+	clear(s.insets)
+	for _, ps := range s.sels {
+		clear(ps)
 	}
-	total.Seconds = s.phys.Model.Seconds(&total.Meter)
-	return &plan.Plan{
-		Query:  s.q,
-		Layout: s.layout,
-		Root:   top,
-		InSets: s.insets,
-		Mem:    s.phys.Mem,
-		Est:    total,
-	}, nil
+	clear(s.viewSels)
+	searches.Put(s)
+}
+
+// resize returns xs with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
+}
+
+// regroup returns xss with length n and every group empty, keeping each
+// group's array.
+func regroup[T any](xss [][]T, n int) [][]T {
+	if cap(xss) < n {
+		grown := make([][]T, n)
+		copy(grown, xss[:cap(xss)])
+		xss = grown
+	}
+	xss = xss[:n]
+	for i := range xss {
+		xss[i] = xss[i][:0]
+	}
+	return xss
 }
 
 // bound is what a candidate for the table set mask must cost less than to
 // win: the best plan's seconds so far, or +Inf while the set has none.
 // Strictly less, so a tie keeps the plan found first.
 func (s *search) bound(mask uint32) float64 {
-	if s.best[mask].node == nil {
+	if s.best[mask].ch.kind == noPlan {
 		return math.Inf(1)
 	}
 	return s.best[mask].est.Seconds
+}
+
+// build materializes the winning plan for the table set mask, children
+// first. Every set it reaches is final: the DP runs masks ascending, and a
+// view seed is placed before it.
+func (s *search) build(mask uint32) plan.Node {
+	c := &s.best[mask]
+	switch c.ch.kind {
+	case seqScan:
+		return s.buildSeqScan(trailingTable(mask), c.est)
+	case indexScan:
+		return s.buildIndexScan(trailingTable(mask), c.ch, c.est)
+	case inDriven:
+		return s.buildInDriven(trailingTable(mask), c.ch, c.est)
+	case hashJoin:
+		return s.buildHashJoin(c.ch, c.est)
+	case mergeJoin:
+		return s.buildMergeJoin(c.ch, c.est)
+	case indexJoin:
+		return s.buildIndexJoin(c.ch, c.est)
+	case viewScan:
+		return s.buildViewScan(c.ch, c.est)
+	}
+	panic(fmt.Sprintf("optimizer: no plan for table set %b", mask))
 }
 
 func popcount(x uint32) int {
@@ -212,11 +343,11 @@ func popcount(x uint32) int {
 // partitionPredicates splits selections and IN predicates by table.
 func (s *search) partitionPredicates() {
 	n := len(s.q.Tables)
-	s.sels = make([][]sql.SelPred, n)
+	s.sels = regroup(s.sels, n)
 	for _, p := range s.q.Sels {
 		s.sels[p.Col.Tab] = append(s.sels[p.Col.Tab], p)
 	}
-	s.ins = make([][]int, n)
+	s.ins = regroup(s.ins, n)
 	for i, p := range s.q.Ins {
 		s.ins[p.Col.Tab] = append(s.ins[p.Col.Tab], i)
 	}
@@ -224,7 +355,7 @@ func (s *search) partitionPredicates() {
 
 // computeNeeded collects, per table, every column the query references.
 func (s *search) computeNeeded() {
-	s.needed = make([][]int, len(s.q.Tables))
+	s.needed = regroup(s.needed, len(s.q.Tables))
 	add := func(c sql.QCol) { s.needed[c.Tab] = append(s.needed[c.Tab], c.Col) }
 	for _, j := range s.q.Joins {
 		add(j.L)
@@ -258,6 +389,7 @@ func (s *search) computeNeeded() {
 // planInSets chooses how each IN-subquery set is computed and estimates
 // its size and cost.
 func (s *search) planInSets() error {
+	s.insets, s.inSel = s.insets[:0], s.inSel[:0]
 	for _, p := range s.q.Ins {
 		info := s.phys.Table(p.SubTable.Name)
 		if info == nil {
@@ -434,24 +566,17 @@ func tailFraction(op string, k, avg float64) float64 {
 	return 0.3
 }
 
-// finalize wraps the join tree with aggregation or projection.
-func (s *search) finalize(root cand) (plan.Node, plan.Est) {
+// finalEst is the estimate of the operator that tops the join tree whose
+// estimate is root: a projection, or a hash aggregation and its spill.
+func (s *search) finalEst(root plan.Est) plan.Est {
 	q := s.q
+	est := root
 	if len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
-		// Plain projection.
-		offsets := make([]int, len(q.Out))
-		for i, o := range q.Out {
-			offsets[i] = s.layout.Offset(o.Col)
-		}
-		est := root.est
 		est.Seconds = s.phys.Model.Seconds(&est.Meter)
-		n := &plan.Project{Input: root.node, Offsets: offsets, Est: est}
-		return n, est
+		return est
 	}
-	groups := make([]int, len(q.GroupBy))
 	var groupNDV float64 = 1
 	for i, g := range q.GroupBy {
-		groups[i] = s.layout.Offset(g)
 		info := s.infos[g.Tab]
 		nd := 10.0
 		if info != nil && info.Stats != nil {
@@ -463,6 +588,33 @@ func (s *search) finalize(root cand) (plan.Node, plan.Est) {
 			groupNDV *= math.Sqrt(nd)
 		}
 	}
+	inRows := root.Rows
+	outRows := math.Min(inRows, groupNDV)
+	if outRows < 1 {
+		outRows = 1
+	}
+	est.Rows = outRows
+	est.Meter.CPUOps += int64(inRows)
+	// Aggregation hash table spill.
+	est.Meter.Spill(s.phys.Model, s.phys.Mem, int64(outRows)*int64(16+12*len(q.GroupBy)+12*len(q.Aggs)), 0)
+	est.Seconds = s.phys.Model.Seconds(&est.Meter)
+	return est
+}
+
+// finalNode builds the operator finalEst priced over the built join tree.
+func (s *search) finalNode(input plan.Node, est plan.Est) plan.Node {
+	q := s.q
+	if len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
+		offsets := make([]int, len(q.Out))
+		for i, o := range q.Out {
+			offsets[i] = s.layout.Offset(o.Col)
+		}
+		return &plan.Project{Input: input, Offsets: offsets, Est: est}
+	}
+	groups := make([]int, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		groups[i] = s.layout.Offset(g)
+	}
 	aggs := make([]plan.AggSpec, len(q.Aggs))
 	for i, a := range q.Aggs {
 		spec := plan.AggSpec{Kind: a.Kind}
@@ -471,19 +623,17 @@ func (s *search) finalize(root cand) (plan.Node, plan.Est) {
 		}
 		aggs[i] = spec
 	}
-	est := root.est
-	inRows := root.est.Rows
-	outRows := math.Min(inRows, groupNDV)
-	if outRows < 1 {
-		outRows = 1
+	return &plan.HashAgg{Input: input, Groups: groups, Aggs: aggs, Est: est}
+}
+
+// total adds the IN sets' work to the top operator's estimate: the
+// estimate of the whole plan.
+func (s *search) total(top plan.Est) plan.Est {
+	for _, is := range s.insets {
+		top.Meter.Add(is.Est.Meter)
 	}
-	est.Rows = outRows
-	est.Meter.CPUOps += int64(inRows)
-	// Aggregation hash table spill.
-	est.Meter.Spill(s.phys.Model, s.phys.Mem, int64(outRows)*int64(16+12*len(groups)+12*len(aggs)), 0)
-	est.Seconds = s.phys.Model.Seconds(&est.Meter)
-	n := &plan.HashAgg{Input: root.node, Groups: groups, Aggs: aggs, Est: est}
-	return n, est
+	top.Seconds = s.phys.Model.Seconds(&top.Meter)
+	return top
 }
 
 func ceilI(f float64) int64 {
@@ -511,6 +661,7 @@ func (s *search) joinPredsBetween(m1, m2 uint32) (left, right []sql.QCol) {
 			right = append(right, j.L)
 		}
 	}
+	s.lcols, s.rcols = left, right
 	return left, right
 }
 

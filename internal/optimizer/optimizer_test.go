@@ -67,7 +67,7 @@ func buildIndex(h *storage.Heap, d conf.IndexDef) *plan.IndexInfo {
 	}
 }
 
-func newFixture(t *testing.T, indexes ...conf.IndexDef) *fixture {
+func newFixture(t testing.TB, indexes ...conf.IndexDef) *fixture {
 	t.Helper()
 	schema := catalog.NewSchema("fx")
 	big := catalog.MustTable("big", []catalog.Column{

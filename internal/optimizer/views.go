@@ -17,102 +17,29 @@ type viewSel struct {
 }
 
 // matchView offers a materialized view as a ViewScan over the query tables
-// it covers. A view matches when:
-//
-//   - every base table of the view appears exactly once in the query (views
-//     are skipped for self-joined table names, where the mapping would be
-//     ambiguous);
-//   - every join predicate of the view's defining query appears in the
-//     query, and every query join predicate local to the covered tables is
-//     implied by the view (otherwise the view would lose a constraint);
-//   - every query-needed column of the covered tables is present in the
-//     view's projection.
-//
-// The view's sequential scan and its index scans are priced first; the
-// cheapest is built only if it beats the best plan for the covered tables.
+// it covers (see bindView for when it matches). The view's sequential scan
+// and its index scans are priced first; the cheapest is kept only if it
+// beats the best plan for the covered tables.
 func (s *search) matchView(v *plan.ViewInfo) {
-	// Map view defining-query table ordinals to query table ordinals.
-	tabMap := make([]int, len(v.Query.Tables))
-	var mask uint32
-	for vi, vt := range v.Query.Tables {
-		found := -1
-		for qi, qt := range s.q.Tables {
-			if strings.EqualFold(qt.Table.Name, vt.Table.Name) {
-				if found >= 0 {
-					return // ambiguous (self-join)
-				}
-				found = qi
-			}
-		}
-		if found < 0 {
-			return
-		}
-		tabMap[vi] = found
-		mask |= 1 << uint(found)
+	mask, ok := s.bindView(v)
+	if !ok {
+		return
 	}
-
-	// Join-predicate containment, both directions.
-	mapCol := func(c sql.QCol) sql.QCol { return sql.QCol{Tab: tabMap[c.Tab], Col: c.Col} }
-	joinEq := func(a, b sql.JoinPred) bool {
-		return (a.L == b.L && a.R == b.R) || (a.L == b.R && a.R == b.L)
-	}
-	for _, vj := range v.Query.Joins {
-		mapped := sql.JoinPred{L: mapCol(vj.L), R: mapCol(vj.R)}
-		ok := false
-		for _, qj := range s.q.Joins {
-			if joinEq(mapped, qj) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return
-		}
-	}
-	for _, qj := range s.q.Joins {
-		inL := mask&(1<<uint(qj.L.Tab)) != 0
-		inR := mask&(1<<uint(qj.R.Tab)) != 0
-		if !inL || !inR {
-			continue
-		}
-		ok := false
-		for _, vj := range v.Query.Joins {
-			if joinEq(sql.JoinPred{L: mapCol(vj.L), R: mapCol(vj.R)}, qj) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return
-		}
-	}
-
-	// Column coverage: every needed column of covered tables must be a
-	// view output column.
-	for qi := range s.q.Tables {
-		if mask&(1<<uint(qi)) == 0 {
-			continue
-		}
-		for _, c := range s.needed[qi] {
-			if viewColOf(v, tabMap, sql.QCol{Tab: qi, Col: c}) < 0 {
-				return
-			}
-		}
-	}
+	sels := s.viewSels
 
 	// Predicates on covered tables.
 	rows := float64(v.Stats.Rows)
 	filterSel, inSelAll := 1.0, 1.0
 	nIns := 0
-	sels := s.viewSels[:0]
+	next := 0 // sels holds each covered table's selections in turn
 	for qi := range s.q.Tables {
 		if mask&(1<<uint(qi)) == 0 {
 			continue
 		}
-		for _, p := range s.sels[qi] {
-			vc := viewColOf(v, tabMap, p.Col)
-			sels = append(sels, viewSel{viewCol: vc, pred: p})
-			sel := v.Stats.Selectivity(vc, p.Op, p.Value)
+		for range s.sels[qi] {
+			sb := sels[next]
+			next++
+			sel := v.Stats.Selectivity(sb.viewCol, sb.pred.Op, sb.pred.Value)
 			if sel <= 0 {
 				sel = 0.5 / maxF(1, rows)
 			}
@@ -124,7 +51,6 @@ func (s *search) matchView(v *plan.ViewInfo) {
 			nIns++
 		}
 	}
-	s.viewSels = sels
 	nFilters := int64(len(sels) + nIns)
 
 	// Candidate 1: sequential scan of the view.
@@ -186,9 +112,100 @@ func (s *search) matchView(v *plan.ViewInfo) {
 	if best.Seconds >= s.bound(mask) {
 		return
 	}
+	s.best[mask] = cand{est: best, ch: choice{kind: viewScan, view: v, ix: bestIx}}
+}
 
-	// Build the winner, mapping view columns to flat offsets.
-	node := &plan.ViewScan{View: v, Index: bestIx, ColOffsets: make([]int, len(v.OutSrc)), Est: best}
+// bindView decides whether the view matches the query and, if it does,
+// returns the query tables it covers, with s.tabMap mapping the view's
+// defining-query tables to them and s.viewSels holding the selections on
+// them, table by table. A view matches when:
+//
+//   - every base table of the view appears exactly once in the query (views
+//     are skipped for self-joined table names, where the mapping would be
+//     ambiguous);
+//   - every join predicate of the view's defining query appears in the
+//     query, and every query join predicate local to the covered tables is
+//     implied by the view (otherwise the view would lose a constraint);
+//   - every query-needed column of the covered tables is present in the
+//     view's projection.
+func (s *search) bindView(v *plan.ViewInfo) (mask uint32, ok bool) {
+	// Map view defining-query table ordinals to query table ordinals.
+	s.tabMap = resize(s.tabMap, len(v.Query.Tables))
+	for vi, vt := range v.Query.Tables {
+		found := -1
+		for qi, qt := range s.q.Tables {
+			if strings.EqualFold(qt.Table.Name, vt.Table.Name) {
+				if found >= 0 {
+					return 0, false // ambiguous (self-join)
+				}
+				found = qi
+			}
+		}
+		if found < 0 {
+			return 0, false
+		}
+		s.tabMap[vi] = found
+		mask |= 1 << uint(found)
+	}
+
+	// Join-predicate containment, both directions.
+	for _, vj := range v.Query.Joins {
+		if !slices.ContainsFunc(s.q.Joins, func(qj sql.JoinPred) bool { return s.viewJoinIs(vj, qj) }) {
+			return 0, false
+		}
+	}
+	for _, qj := range s.q.Joins {
+		inL := mask&(1<<uint(qj.L.Tab)) != 0
+		inR := mask&(1<<uint(qj.R.Tab)) != 0
+		if !inL || !inR {
+			continue
+		}
+		if !slices.ContainsFunc(v.Query.Joins, func(vj sql.JoinPred) bool { return s.viewJoinIs(vj, qj) }) {
+			return 0, false
+		}
+	}
+
+	// Column coverage: every needed column of covered tables must be a
+	// view output column.
+	for qi := range s.q.Tables {
+		if mask&(1<<uint(qi)) == 0 {
+			continue
+		}
+		for _, c := range s.needed[qi] {
+			if viewColOf(v, s.tabMap, sql.QCol{Tab: qi, Col: c}) < 0 {
+				return 0, false
+			}
+		}
+	}
+
+	sels := s.viewSels[:0]
+	for qi := range s.q.Tables {
+		if mask&(1<<uint(qi)) == 0 {
+			continue
+		}
+		for _, p := range s.sels[qi] {
+			sels = append(sels, viewSel{viewCol: viewColOf(v, s.tabMap, p.Col), pred: p})
+		}
+	}
+	s.viewSels = sels
+	return mask, true
+}
+
+// mapCol maps a column of the bound view's defining query to the query.
+func (s *search) mapCol(c sql.QCol) sql.QCol { return sql.QCol{Tab: s.tabMap[c.Tab], Col: c.Col} }
+
+// viewJoinIs reports whether the bound view's join predicate vj, mapped to
+// the query, is the query's join predicate qj, either way round.
+func (s *search) viewJoinIs(vj, qj sql.JoinPred) bool {
+	l, r := s.mapCol(vj.L), s.mapCol(vj.R)
+	return (l == qj.L && r == qj.R) || (l == qj.R && r == qj.L)
+}
+
+// buildViewScan re-binds the view and maps its columns to flat offsets.
+func (s *search) buildViewScan(ch choice, est plan.Est) plan.Node {
+	v := ch.view
+	mask, _ := s.bindView(v)
+	node := &plan.ViewScan{View: v, Index: ch.ix, ColOffsets: make([]int, len(v.OutSrc)), Est: est}
 	for qi := range s.q.Tables {
 		if mask&(1<<uint(qi)) == 0 {
 			continue
@@ -207,18 +224,18 @@ func (s *search) matchView(v *plan.ViewInfo) {
 	}
 	for i, src := range v.OutSrc {
 		node.ColOffsets[i] = -1
-		if qc := mapCol(src); slices.Contains(s.needed[qc.Tab], qc.Col) {
+		if qc := s.mapCol(src); slices.Contains(s.needed[qc.Tab], qc.Col) {
 			node.ColOffsets[i] = s.layout.Offset(qc)
 		}
 	}
-	if bestIx != nil {
-		eq := s.viewPrefix(bestIx, sels)
+	if ch.ix != nil {
+		eq := s.viewPrefix(ch.ix, s.viewSels)
 		node.EqVals = make([]val.Value, len(eq))
 		for i, si := range eq {
-			node.EqVals[i] = sels[si].pred.Value
+			node.EqVals[i] = s.viewSels[si].pred.Value
 		}
 	}
-	s.best[mask] = cand{node: node, est: best}
+	return node
 }
 
 // viewPrefix binds the longest prefix of the view index's key it can to
