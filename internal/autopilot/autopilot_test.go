@@ -236,6 +236,7 @@ func TestControllerConsider(t *testing.T) {
 	}{
 		{what: "satisfied cold start", mix: mix(9, 1)},
 		{what: "violated cold start", mix: mix(9, 1), violated: true, want: "goal-violation"},
+		{what: "violated cold start, asked again", mix: mix(9, 1), violated: true, want: "goal-violation"},
 		// After tuning for 90:10, a violation alone no longer retunes
 		// (already tried), but a flip does.
 		{what: "violation on the tuned mix", tuneFor: mix(9, 1), mix: mix(9, 1), violated: true},

@@ -137,9 +137,8 @@ type Size struct {
 // entryWidth bytes each (key plus 8-byte rid). Leaves are fillPercent
 // full: the steady-state fill of a B+-tree built by random insertion, and
 // the fill Build packs its leaves to. A built tree and a hypothetical
-// one are sized by this one model.
-//
-// conflint:pure — arithmetic shared by the size estimators.
+// one are sized by this one model. It is arithmetic on values, shared by
+// the size estimators.
 func Shape(rows, entryWidth int64) Size {
 	fill := int64(cost.PageSize) * fillPercent / 100
 	lp := max((rows*entryWidth+fill-1)/fill, 1)
@@ -152,9 +151,8 @@ func Shape(rows, entryWidth int64) Size {
 
 // Height returns the modeled height of a tree of s.LeafPages leaves at
 // fan-out order: the height a hypothetical index is billed. A built tree
-// reports its own (Tree.Height).
-//
-// conflint:pure — arithmetic shared by the size estimators.
+// reports its own (Tree.Height). Arithmetic on a value receiver, shared
+// by the size estimators.
 func (s Size) Height() int {
 	h := 1
 	for p := s.LeafPages; p > 1; p = (p + order - 1) / order {

@@ -53,7 +53,7 @@ type Column struct {
 // Width returns the modeled byte width of the column's values: AvgWidth
 // for a string (16 when it is unset), 8 for an int or a float.
 //
-// conflint:pure — arithmetic shared by the size estimators.
+// Arithmetic on a value receiver, shared by the size estimators.
 func (c Column) Width() int {
 	if c.Type == TypeString {
 		if c.AvgWidth > 0 {

@@ -145,8 +145,9 @@ type GoalStep struct {
 // may jump inside the step, so the binding point is X itself (approached
 // from the right).
 //
-// conflint:pure — goal checking is an observation; tuners call it from
-// read paths and must be able to do so without locking or mutation.
+// Goal checking is an observation that leaves c unchanged; tuners call
+// it from read paths and must be able to do so without locking or
+// mutation. TestCFCPermutationInvariant pins this.
 func (g Goal) Satisfied(c CFC) bool {
 	for _, st := range g.Steps {
 		if c.At(nextAfter(st.X)) < st.Frac {
@@ -161,8 +162,8 @@ func (g Goal) Satisfied(c CFC) bool {
 // tracks this level per window: it degrades stepwise as a configuration
 // ages and recovers after a successful retune.
 //
-// conflint:pure — same contract as Satisfied: grading a curve against a
-// goal is effect-free by definition.
+// Same contract as Satisfied: grading a curve against a goal is
+// effect-free by definition, and the same test pins it.
 func (g Goal) Satisfaction(c CFC) float64 {
 	if len(g.Steps) == 0 {
 		return 1
@@ -191,7 +192,8 @@ type Digest struct {
 
 // DigestOf builds the CFC of ms once and reads every Digest field from it.
 //
-// conflint:pure — grading measures is an observation, like Satisfied.
+// Grading measures is an observation, like Satisfied: ms is left as it
+// was (TestCFCPermutationInvariant).
 func DigestOf(ms []Measure, g Goal, timeout float64) Digest {
 	c := NewCFC(ms, timeout)
 	d := Digest{

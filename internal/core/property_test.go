@@ -85,8 +85,12 @@ func TestCFCPermutationInvariant(t *testing.T) {
 		if ref.Dominates(other) != c.Dominates(other) || other.Dominates(ref) != other.Dominates(c) {
 			t.Fatalf("trial %d: dominance changed under permutation", trial)
 		}
+		permBefore := append([]Measure(nil), perm...)
 		if d := DigestOf(perm, goal, timeout); d != refDigest {
 			t.Fatalf("trial %d: permuted digest %+v differs from %+v", trial, d, refDigest)
+		}
+		if !reflect.DeepEqual(perm, permBefore) {
+			t.Fatalf("trial %d: DigestOf changed its measures", trial)
 		}
 	}
 
@@ -104,6 +108,11 @@ func TestCFCPermutationInvariant(t *testing.T) {
 	}
 	if refDigest != want {
 		t.Fatalf("digest %+v, want the CFC/Goal reads %+v", refDigest, want)
+	}
+	// Grading is an observation: the CFC shares its backing array with
+	// every copy, so a write through it would reach the caller's curve.
+	if !reflect.DeepEqual(ref, NewCFC(base, timeout)) {
+		t.Fatal("Satisfied or Satisfaction changed the CFC it graded")
 	}
 	empty := DigestOf(nil, goal, timeout)
 	if empty.Queries != 0 || !math.IsInf(empty.P50, 1) || !math.IsInf(empty.P95, 1) || !math.IsInf(empty.P99, 1) ||

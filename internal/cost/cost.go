@@ -94,8 +94,8 @@ func (c Model) WithScale(scale float64) Model {
 
 // Seconds returns the simulated elapsed seconds for the metered work.
 //
-// conflint:pure — pricing a meter must not touch the meter: every
-// estimate path (what-if sessions included) prices concurrently.
+// Pricing a meter must not touch the meter: every estimate path (what-if
+// sessions included) prices concurrently. TestSecondsScaling pins this.
 func (c Model) Seconds(m *Meter) float64 {
 	return c.scale()*(float64(m.SeqPages)*c.SeqPageSec+
 		float64(m.RandPages)*c.RandPageSec+
@@ -109,7 +109,7 @@ func (c Model) Seconds(m *Meter) float64 {
 // scale returns the multiplier Seconds and Spill bill scaled work at:
 // Scale, with 0 read as 1.
 //
-// conflint:pure — arithmetic shared by the clock and the spill rule.
+// Arithmetic on a value receiver, shared by the clock and the spill rule.
 func (c Model) scale() float64 {
 	if c.Scale == 0 {
 		return 1
@@ -136,9 +136,8 @@ func (m *Meter) Spill(model Model, mem, held, reread int64) {
 // index size model and the spill heuristics.
 const PageSize = 4096
 
-// PagesForBytes returns the number of PageSize pages needed for n bytes.
-//
-// conflint:pure — arithmetic shared by the size estimators.
+// PagesForBytes returns the number of PageSize pages needed for n bytes:
+// arithmetic shared by the size estimators.
 func PagesForBytes(n int64) int64 {
 	if n <= 0 {
 		return 0

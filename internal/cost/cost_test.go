@@ -7,11 +7,17 @@ import (
 
 func TestSecondsScaling(t *testing.T) {
 	m := Meter{SeqPages: 100, RandPages: 10, WritePage: 5, Rows: 1000, CPUOps: 500}
+	before := m
 	base := Desktop2005()
 	s1 := base.Seconds(&m)
 	s10 := base.WithScale(10).Seconds(&m)
 	if s10 < s1*9.9 || s10 > s1*10.1 {
 		t.Errorf("scaled seconds %v, want ~10x %v", s10, s1)
+	}
+	// Pricing reads the meter: estimate paths price shared meters
+	// concurrently.
+	if m != before {
+		t.Errorf("Seconds changed its meter: %+v, was %+v", m, before)
 	}
 }
 

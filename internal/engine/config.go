@@ -47,9 +47,8 @@ func OneColumnConfiguration(e *Engine) conf.Configuration {
 // materialized views; its what-if estimator is moderately conservative.
 func SystemA() Profile {
 	return Profile{
-		Name:     "A",
-		Opts:     optimizer.Options{HypoRowPenalty: 4, NoViews: true},
-		MemBytes: 256 << 20,
+		Name: "A",
+		Opts: optimizer.Options{HypoRowPenalty: 4, NoViews: true},
 	}
 }
 
@@ -58,9 +57,8 @@ func SystemA() Profile {
 // (this is the system whose estimate curves appear in Figure 10).
 func SystemB() Profile {
 	return Profile{
-		Name:     "B",
-		Opts:     optimizer.Options{HypoRowPenalty: 10, NoViews: true, HypoNoMergeJoin: true},
-		MemBytes: 256 << 20,
+		Name: "B",
+		Opts: optimizer.Options{HypoRowPenalty: 10, NoViews: true, HypoNoMergeJoin: true},
 	}
 }
 
@@ -68,9 +66,8 @@ func SystemB() Profile {
 // materialized views and indexes on them, with moderate conservatism.
 func SystemC() Profile {
 	return Profile{
-		Name:     "C",
-		Opts:     optimizer.Options{HypoRowPenalty: 4},
-		MemBytes: 256 << 20,
+		Name: "C",
+		Opts: optimizer.Options{HypoRowPenalty: 4},
 	}
 }
 

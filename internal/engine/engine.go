@@ -43,10 +43,11 @@ type Profile struct {
 	Name string
 	// Opts is the optimizer profile, including the what-if conservatism.
 	Opts optimizer.Options
-	// MemBytes is the full-scale memory budget for hash operations
-	// (2005 desktops: ~256 MB of working memory).
-	MemBytes int64
 }
+
+// memBytes is the full-scale memory budget for hash operations, the same
+// on every profile (2005 desktops: ~256 MB of working memory).
+const memBytes = 256 << 20
 
 // Engine is one database instance under one configuration.
 //
@@ -142,7 +143,7 @@ func (e *Engine) mutate(fn func(next *snapshot) error) error {
 	phys := *cur.phys
 	phys.Tables = maps.Clone(phys.Tables)
 	phys.Indexes = maps.Clone(phys.Indexes)
-	phys.Mem, phys.Model = e.Profile.MemBytes, e.Model
+	phys.Mem, phys.Model = memBytes, e.Model
 	next := &snapshot{config: cur.config, phys: &phys, ready: true}
 	if err := fn(next); err != nil {
 		return err
@@ -520,7 +521,7 @@ func (e *Engine) Physical() *plan.Physical { return e.snap().phys }
 // between queries without reconfiguring.
 func (e *Engine) livePhysical(s *snapshot) *plan.Physical {
 	phys := *s.phys
-	phys.Mem, phys.Model = e.Profile.MemBytes, e.Model
+	phys.Mem, phys.Model = memBytes, e.Model
 	return &phys
 }
 

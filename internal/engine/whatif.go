@@ -381,7 +381,7 @@ func (m *missScratch) physical(e *Engine, snap *snapshot) *plan.Physical {
 		m.phys.Indexes[rel] = m.lists[i]
 	}
 	m.phys.Schema, m.phys.Tables = e.Schema, snap.phys.Tables
-	m.phys.Mem, m.phys.Model = e.Profile.MemBytes, e.Model
+	m.phys.Mem, m.phys.Model = memBytes, e.Model
 	return &m.phys
 }
 

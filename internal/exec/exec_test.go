@@ -317,11 +317,10 @@ func TestOrderByExecution(t *testing.T) {
 }
 
 // TestMergePartialsLeavesInputsIntact pins the contract MergePartials
-// declares (conflint:pure, which cannot see through the fresh executor):
-// the partials are observed, not consumed. Two partitions carrying the
-// same groups are merged twice — the second merge must equal the first —
-// and each partial merged alone afterwards must still equal the
-// single-partition run, i.e. its group states were never folded into.
+// declares: the partials are observed, not consumed. Two partitions
+// carrying the same groups are merged twice — the second merge must equal
+// the first — and each partial merged alone afterwards must still equal
+// the single-partition run, i.e. its group states were never folded into.
 func TestMergePartialsLeavesInputsIntact(t *testing.T) {
 	w := newWorld(t)
 	stmt, err := sql.ParseSelect(`SELECT g, COUNT(*), SUM(k), MIN(k), MAX(k), COUNT(DISTINCT s)

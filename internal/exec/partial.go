@@ -125,11 +125,12 @@ func mergeAggState(aggs []plan.AggSpec, dst, src aggState) {
 // — single-partition groups are adopted without copying), so the same
 // partials can be merged again or inspected afterwards.
 //
-// conflint:pure — the merge is the topology-invariance keystone: it
-// must observe the partials, not consume them, so shard counts can
-// change between (and even during, for audit re-merges) executions.
-// Billing to ctx through the fresh executor is the contract's sanctioned
-// exception: a merge prices its own work like every operator.
+// The merge leaves its partials as it found them: it is the
+// topology-invariance keystone, so it must observe the partials, not
+// consume them, and shard counts can change between (and even during,
+// for audit re-merges) executions. Billing to ctx through the fresh
+// executor is the one sanctioned write: a merge prices its own work like
+// every operator. TestMergePartialsLeavesInputsIntact pins this.
 func MergePartials(p *plan.Plan, parts []*Partial, ctx *Ctx) (*Result, error) {
 	e := &executor{ctx: ctx, p: p}
 	total := 0

@@ -186,6 +186,19 @@ func (c *Config) Validate() (string, error) {
 	if c.GlobalInflight < 1 {
 		return "", fmt.Errorf("gateway: global_inflight must be positive, got %d", c.GlobalInflight)
 	}
+	if c.Scale < 0 {
+		return "", fmt.Errorf("gateway: scale must not be negative, got %v", c.Scale)
+	}
+	if c.Pool < 0 {
+		return "", fmt.Errorf("gateway: pool must not be negative, got %d", c.Pool)
+	}
+	if c.TimeoutSeconds < 0 {
+		return "", fmt.Errorf("gateway: timeout_seconds must not be negative, got %v", c.TimeoutSeconds)
+	}
+	// http.MaxBytesReader reads a negative limit as 0: every body refused.
+	if c.MaxBodyBytes < 0 {
+		return "", fmt.Errorf("gateway: max_body_bytes must not be negative, got %d", c.MaxBodyBytes)
+	}
 	if c.Shards < 0 {
 		return "", fmt.Errorf("gateway: shards must be non-negative, got %d", c.Shards)
 	}
@@ -268,8 +281,8 @@ func (c *Config) Validate() (string, error) {
 // goalOf resolves a goal spec in core.ParseGoal format; empty means the
 // paper's Example 2 goal.
 //
-// conflint:pure — goal resolution reads the config, never rewrites it
-// (per-tenant tuning goes through the config swap).
+// Goal resolution takes the spec by value: it reads the config, never
+// rewrites it (per-tenant tuning goes through the config swap).
 func goalOf(spec string) core.Goal {
 	if spec == "" {
 		return core.Example2Goal()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,3 +198,30 @@ func (a *auditor) snapshot() []AuditRecord {
 
 // AuditRecords returns every retained audit record in arrival order.
 func (g *Gateway) AuditRecords() []AuditRecord { return g.audit.snapshot() }
+
+// TestValidateRejects is the config's outer edge: each row breaks one
+// field of an otherwise valid config, and Normalize (defaults, then
+// Validate, as LoadConfig runs them) must refuse it by name.
+func TestValidateRejects(t *testing.T) {
+	if cfg := testConfig(); cfg.Normalize() != nil {
+		t.Fatal("the unedited config does not normalize")
+	}
+	for _, c := range []struct {
+		what string
+		edit func(c *Config)
+		want string
+	}{
+		{"negative scale", func(c *Config) { c.Scale = -1 }, "scale must not be negative"},
+		{"negative pool", func(c *Config) { c.Pool = -3 }, "pool must not be negative"},
+		{"negative timeout", func(c *Config) { c.TimeoutSeconds = -5 }, "timeout_seconds must not be negative"},
+		{"negative body limit", func(c *Config) { c.MaxBodyBytes = -1 }, "max_body_bytes must not be negative"},
+		{"negative shards", func(c *Config) { c.Shards = -1 }, "shards must be non-negative"},
+	} {
+		cfg := testConfig()
+		c.edit(&cfg)
+		err := cfg.Normalize()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Normalize = %v, want an error naming %q", c.what, err, c.want)
+		}
+	}
+}

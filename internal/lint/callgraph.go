@@ -1,5 +1,5 @@
 // The module-wide call graph: the substrate for the interprocedural
-// analyzers (lock, lockorder, goleak, pure). It is built from go/ast plus
+// analyzers (lock, lockorder, goleak). It is built from go/ast plus
 // the lightweight resolver — no go/types — so edges exist only where the
 // callee is statically resolvable inside the module: direct calls to
 // package functions, cross-package calls through an import, and method
@@ -26,9 +26,8 @@ type CallSite struct {
 	Callee string
 	// Pos is the call's position in the caller.
 	Pos token.Pos
-	// Go and Defer mark `go f()` and `defer f()` call sites.
-	Go    bool
-	Defer bool
+	// Go marks a `go f()` call site.
+	Go bool
 }
 
 // CGNode is one function in the call graph.
@@ -106,15 +105,11 @@ func funcKey(p *Package, fn *ast.FuncDecl) string {
 // context unless spawned, and spawned literals are additionally analyzed
 // at their go sites).
 func (m *Module) resolveCalls(p *Package, f *File, fn *ast.FuncDecl, key string) []*CallSite {
-	// Mark calls that are the operand of go/defer statements.
+	// Mark calls that are the operand of go statements.
 	goCalls := make(map[*ast.CallExpr]bool)
-	deferCalls := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.GoStmt:
+		if s, ok := n.(*ast.GoStmt); ok {
 			goCalls[s.Call] = true
-		case *ast.DeferStmt:
-			deferCalls[s.Call] = true
 		}
 		return true
 	})
@@ -130,7 +125,7 @@ func (m *Module) resolveCalls(p *Package, f *File, fn *ast.FuncDecl, key string)
 		}
 		out = append(out, &CallSite{
 			Caller: key, Callee: callee, Pos: call.Pos(),
-			Go: goCalls[call], Defer: deferCalls[call],
+			Go: goCalls[call],
 		})
 		return true
 	})

@@ -1,5 +1,5 @@
 // The one way the interprocedural rules (lock's caller check, lockorder,
-// goleak, pure) compute a transitive per-function summary. It layers two
+// goleak) compute a transitive per-function summary. It layers two
 // things on the call graph:
 //
 //   - reverse edges (Callers), so a changed function summary can requeue
@@ -9,13 +9,12 @@
 //
 // Summaries must be monotone over a finite lattice (a lock class, once
 // acquired or required, stays; a non-termination reason only moves to an
-// earlier position; an effect, once in a summary, stays), so the fixpoint
-// terminates and —
-// because both the initial queue and every re-enqueue are ordered — it
-// terminates in the same state with findings in the same order on every
-// run. No rule memoizes a recursive walk of its own: a memo filled
-// mid-recursion caches a partial answer, and which answer depends on
-// which caller asked first.
+// earlier position), so the fixpoint terminates and — because both the
+// initial queue and every re-enqueue are ordered — it terminates in the
+// same state with findings in the same order on every run. No rule
+// memoizes a recursive walk of its own: a memo filled mid-recursion
+// caches a partial answer, and which answer depends on which caller asked
+// first.
 //
 // Witness steps (stepf) share one vocabulary, so every interprocedural
 // finding prints how the violation happens, not just where.

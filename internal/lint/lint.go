@@ -2,7 +2,7 @@
 // suite. It enforces, at the source level, the invariants no faster gate
 // (vet, the tests, the race detector) catches: lock discipline and lock
 // ordering, goroutine termination, the determinism of every library
-// package, declared purity, and the absence of silently dropped errors.
+// package, and the absence of silently dropped errors.
 // DESIGN.md §10 holds the measured table of what each rule catches that
 // nothing else does.
 //
@@ -14,10 +14,10 @@
 // every reported finding is worth reading, at the price of a few
 // undetectable corner cases (documented per analyzer).
 //
-// The interprocedural rules (lock's caller check, lockorder, goleak,
-// pure) share one call graph (callgraph.go), one lock-event scan per
-// function (lockorder.go), and one way to compute a transitive
-// per-function summary: the worklist fixpoint in dataflow.go.
+// The interprocedural rules (lock's caller check, lockorder, goleak)
+// share one call graph (callgraph.go), one lock-event scan per function
+// (lockorder.go), and one way to compute a transitive per-function
+// summary: the worklist fixpoint in dataflow.go.
 //
 // Findings can be suppressed line-by-line with
 //
@@ -144,7 +144,6 @@ func All() []*Analyzer {
 		ErrCheck(),
 		GoLeak(),
 		Determinism(),
-		Pure(),
 	}
 }
 

@@ -121,8 +121,8 @@ func TestByNames(t *testing.T) {
 		t.Error("ByNames(nosuchrule) should fail")
 	}
 	all, err := ByNames("")
-	if err != nil || len(all) != 6 {
-		t.Errorf("ByNames(\"\") = %d analyzers, err %v; want 6", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Errorf("ByNames(\"\") = %d analyzers, err %v; want 5", len(all), err)
 	}
 	if _, err := ByNames("lock,lock"); err == nil || !strings.Contains(err.Error(), "duplicate rule") {
 		t.Errorf("ByNames(lock,lock) = %v; want duplicate-rule error", err)

@@ -166,8 +166,8 @@ func lockOrderModule(m *Module) []Finding {
 }
 
 // lockEvents returns (scanning once per module) a function body's lock
-// operations in source order, each target resolved to its class. lock,
-// lockorder and pure all read this one scan.
+// operations in source order, each target resolved to its class. lock
+// and lockorder both read this one scan.
 func (m *Module) lockEvents(fd *funcDecl) []*lockEvent {
 	if evs, ok := m.lockEv[fd.decl]; ok {
 		return evs

@@ -96,12 +96,6 @@ var killTable = []killRow{
 			"(rep BuildReport, err error) {\n\tstart := time.Now()\n\tdefer func() { rep.BuildSeconds += time.Since(start).Seconds() }()\n\tnext.collectStats(false)\n"},
 		{"internal/engine/transition.go", "\trep := BuildReport{Dropped:", "\trep = BuildReport{Dropped:"}},
 		"determinism", []string{"time.Since in package engine"}},
-	{"P1", [][3]string{{"internal/recommender/loop.go",
-		"\tcase violated && l.tuned == nil:\n",
-		"\tcase violated && l.tuned == nil:\n\t\tl.tuned = shares(mix)\n"}},
-		"pure", []string{
-			"internal/recommender.Loop.Decide is declared conflint:pure but has a side effect: writes l.tuned",
-			"internal/recommender.Loop.Decide writes l.tuned"}},
 }
 
 // TestKillTable re-seeds each only-this-rule row of the kill table into

@@ -58,9 +58,11 @@ func relevantColumns(q *sql.Query) []colSets {
 
 // generate builds the per-query candidate list for the profile.
 //
-// conflint:pure — candidate generation is the search's enumeration
-// phase: it may read the profile but must build only fresh candidates
-// (scoring, which locks the engine via what-if, lives in greedy).
+// Candidate generation is the search's enumeration phase and changes
+// nothing: it may read the profile and q but must build only fresh
+// candidates (scoring, which locks the engine via what-if, lives in
+// greedy). TestSystemCBuildsOnTPCH calls it twice on one query and
+// requires equal candidates and an unchanged q.SQL().
 func (r *Recommender) generate(q *sql.Query) []*candidate {
 	sets := relevantColumns(q)
 	seen := make(map[string]bool)
@@ -125,7 +127,7 @@ func (r *Recommender) generate(q *sql.Query) []*candidate {
 // variant keyed on the pair's selection columns (paper Table 3: System C
 // recommended views over Lineitem ⋈ Partsupp with indexes on them).
 //
-// conflint:pure — same enumeration-phase contract as generate.
+// Same enumeration-phase contract as generate, pinned by the same test.
 func (r *Recommender) viewCandidates(q *sql.Query, sets []colSets) []*candidate {
 	// Skip self-joined queries: view matching would be ambiguous.
 	namesSeen := make(map[string]bool)

@@ -83,9 +83,10 @@ func NewLoop(eng *engine.Engine, profile string, budget int64, parallelism int) 
 // retune: once the loop has tuned, retrying the same problem would
 // churn structures for nothing.
 //
-// conflint:pure — the propose/apply split: deciding is an observation,
-// and only Retune records a mix as tuned for. A Decide that mutated the
-// loop could skew every later decision.
+// Decide changes nothing — the propose/apply split: deciding is an
+// observation, and only Retune records a mix as tuned for. A Decide that
+// mutated the loop could skew every later decision; TestControllerConsider
+// asks it twice on a cold start and requires the same answer.
 func (l *Loop) Decide(mix map[string]int, violated bool) string {
 	shifted := l.tuned != nil && halfL1(shares(mix), l.tuned) > l.Threshold
 	switch {

@@ -2,6 +2,7 @@ package recommender
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -247,8 +248,17 @@ func TestSystemCBuildsOnTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Enumeration changes nothing: asked again on the same query, it
+	// proposes the same candidates, and the query is left as it was.
+	sqlBefore := q0.SQL()
+	r := New(e, SystemC())
+	views := r.viewCandidates(q0, relevantColumns(q0))
+	if again := r.viewCandidates(q0, relevantColumns(q0)); !reflect.DeepEqual(views, again) {
+		t.Errorf("viewCandidates differs on a second call:\n%v\nvs\n%v", views, again)
+	}
+	cands := r.generate(q0)
 	hasViewCand := false
-	for _, c := range New(e, SystemC()).generate(q0) {
+	for _, c := range cands {
 		if len(c.views) > 0 {
 			hasViewCand = true
 			break
@@ -256,5 +266,11 @@ func TestSystemCBuildsOnTPCH(t *testing.T) {
 	}
 	if !hasViewCand {
 		t.Error("System C generated no view candidates")
+	}
+	if again := r.generate(q0); !reflect.DeepEqual(cands, again) {
+		t.Errorf("generate differs on a second call:\n%v\nvs\n%v", cands, again)
+	}
+	if got := q0.SQL(); got != sqlBefore {
+		t.Errorf("candidate generation changed the query:\n%s\nwas\n%s", got, sqlBefore)
 	}
 }

@@ -47,8 +47,9 @@ type State struct {
 // condition is calm. The Queries guards hold a rule off on a window too
 // small to decide on. It returns cur when nothing fires.
 //
-// conflint:pure — the autoscaler's propose/apply split: proposing a
-// scale change must never mutate cluster state (only Updater.Apply may).
+// Propose takes and returns values — the autoscaler's propose/apply
+// split: proposing a scale change must never mutate cluster state (only
+// Updater.Apply may).
 func Propose(cur State, w WindowMetrics, targetSeconds float64) State {
 	full := w.Queries >= 8
 	rules := [...]struct {
