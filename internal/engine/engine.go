@@ -77,7 +77,7 @@ type Engine struct { // conflint:ignore mu only serializes mutators: all state i
 
 	mu    sync.Mutex // serializes mutators; readers never take it
 	cur   atomic.Pointer[snapshot]
-	trees *treeMemo // every index build's trees, shared with forks
+	built *memo // every index build's trees and view build's views, shared with forks
 }
 
 // snapshot is one published engine state. Nothing reachable from it is
@@ -107,7 +107,7 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 		Profile:     profile,
 		ScaleFactor: scaleFactor,
 		Model:       cost.Desktop2005().WithScale(1 / scaleFactor),
-		trees:       newTreeMemo(),
+		built:       newMemo(),
 	}
 	phys := &plan.Physical{
 		Schema:  schema,
@@ -124,10 +124,10 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 // Fork returns a new engine serving e's published snapshot. Snapshots are
 // immutable and mutators replace what they change (see mutate), so the
 // two share every heap and structure and neither sees the other's later
-// changes. They share one tree memo, so a build either makes over a heap
-// they share is made once.
+// changes. They share one memo of built structures, so a tree or view
+// either builds over heaps they share is built once.
 func (e *Engine) Fork() *Engine {
-	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache, trees: e.trees}
+	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache, built: e.built}
 	f.cur.Store(e.cur.Load())
 	return f
 }
@@ -231,7 +231,7 @@ func (e *Engine) appendRows(next *snapshot, table string, rows []val.Row, meter 
 	grown := make([]*plan.IndexInfo, len(ixs))
 	for i, ix := range ixs {
 		nix := *ix
-		nix.Tree, _ = e.trees.tree(h, ix.Cols)
+		nix.Tree, _ = e.built.tree(h, ix.Cols)
 		grown[i] = &nix
 	}
 	next.phys.Indexes[name] = grown
@@ -348,7 +348,7 @@ func (e *Engine) buildIndex(s *snapshot, d conf.IndexDef) (*plan.IndexInfo, cost
 		cols[i] = ci
 	}
 
-	tree, keyNDV := e.trees.tree(heap, cols)
+	tree, keyNDV := e.built.tree(heap, cols)
 	ix := &plan.IndexInfo{Def: d, Name: d.Name(), Cols: cols, Tree: tree, KeyNDV: keyNDV}
 	e.sizeIndex(ix, tree.Shape(), tree.Height())
 	return ix, indexBuild(heap.Pages(), tree.Len(), ix.LeafPages), nil
@@ -442,7 +442,9 @@ func fillTree(heap *storage.Heap, cols []int) (*btree.Tree, []int64) {
 }
 
 // buildView materializes the view by executing its defining query and
-// collecting statistics over the result.
+// collecting statistics over the result. The view and its build meter
+// come from the memo when a build with the same inputs (viewKey) made
+// them before; AT bills the build all the same, from the recorded meter.
 func (e *Engine) buildView(s *snapshot, vd conf.ViewDef) (*plan.ViewInfo, cost.Meter, error) {
 	q, err := e.AnalyzeSQL(vd.SQL)
 	if err != nil {
@@ -451,7 +453,58 @@ func (e *Engine) buildView(s *snapshot, vd conf.ViewDef) (*plan.ViewInfo, cost.M
 	if len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
 		return nil, cost.Meter{}, fmt.Errorf("view %s: only projection views are supported", vd.Name)
 	}
+	key, heaps, pins := e.viewKey(s, vd, q)
+	return e.built.view(key, heaps, pins, func() (*plan.ViewInfo, cost.Meter, error) {
+		return e.materialize(s, vd, q)
+	})
+}
 
+// viewKey names everything a view build reads, so that two builds under
+// one key plan the same query, execute it over the same rows and record
+// the same meter: the definition; the engine's cost model (the memory
+// budget is the constant memBytes); and, for every table the defining
+// query reads, its heap's ID, its statistics and the indexes on it. The
+// build plans against the snapshot's indexes, which for Transition are
+// the serving configuration's, since views are built before the target's
+// index list is swapped in.
+//
+// Statistics are named by address, because a grown heap keeps its
+// predecessor's until the next CollectStats; the entry pins them (see
+// memo). An index is named by every field but its tree: the indexes of a
+// snapshot are over the snapshot's heaps, and a tree is a function of its
+// heap and key columns (see memo.tree). It returns the defining tables'
+// heaps, whose collection drops the entry, and the statistics to pin.
+func (e *Engine) viewKey(s *snapshot, vd conf.ViewDef, q *sql.Query) (string, []*storage.Heap, []*stats.TableStats) {
+	names := make([]string, 0, len(q.Tables)+len(q.Ins))
+	for _, t := range q.Tables {
+		names = append(names, strings.ToLower(t.Table.Name))
+	}
+	for _, in := range q.Ins {
+		names = append(names, strings.ToLower(in.SubTable.Name))
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "view %q %q %q %v", vd.Name, vd.SQL, vd.BaseTables, e.Model)
+	heaps := make([]*storage.Heap, 0, len(names))
+	pins := make([]*stats.TableStats, 0, len(names))
+	for _, name := range names {
+		ti := s.phys.Tables[name]
+		fmt.Fprintf(&b, "|%s %d %p", name, ti.Heap.ID(), ti.Stats)
+		for _, ix := range s.phys.Indexes[name] {
+			named := *ix
+			named.Tree = nil
+			fmt.Fprintf(&b, " %#v", named)
+		}
+		heaps, pins = append(heaps, ti.Heap), append(pins, ti.Stats)
+	}
+	return b.String(), heaps, pins
+}
+
+// materialize runs the view's defining query q and writes the result
+// into a new heap, returning the view and the build's meter.
+func (e *Engine) materialize(s *snapshot, vd conf.ViewDef, q *sql.Query) (*plan.ViewInfo, cost.Meter, error) {
 	// Plan against the base configuration (no secondary structures are
 	// assumed during the build).
 	p, err := optimizer.Optimize(s.phys, q, optimizer.Options{NoViews: true})

@@ -239,7 +239,7 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	evals := 0
 	for i, q := range qs {
 		perQuery[i] = r.generate(q)
-		evals += r.evalUnits(q)
+		evals += r.evalUnits(q, perQuery[i])
 	}
 	if r.cfg.EvalLimit > 0 && evals > r.cfg.EvalLimit {
 		return conf.Configuration{}, fmt.Errorf("%w (%d evaluations > %d)",
@@ -405,6 +405,8 @@ type queryCost struct {
 
 // roundResult is one candidate's outcome in a greedy round: its total
 // gain over the affected queries and the per-query costs that improved.
+// A work slot's costs array is reused round after round: greedy applies
+// the winner's costs before the next round overwrites them.
 type roundResult struct {
 	gain  float64
 	costs []queryCost
@@ -502,7 +504,7 @@ func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs [
 		c := cands[ci]
 		delta := conf.Configuration{Indexes: c.indexes, Views: c.views}
 		gain := 0.0
-		costs := make([]queryCost, 0, len(affected[ci]))
+		costs := results[k].costs[:0] // the slot's array from earlier rounds
 		for _, qi := range affected[ci] {
 			m, err := w.EstimateWith(qs[qi], rcur, delta)
 			if err != nil {
@@ -518,14 +520,16 @@ func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs [
 	})
 }
 
-// evalUnits sizes the candidate space for one query. Permuting profiles
-// (System A) consider combinations of one index per table instance, so
-// their space is the product of the per-alias permutation counts — the
-// multiplicative blowup that makes self-joining three-table workloads
-// (NREF3J) exceed the limit while two-table workloads stay under it.
-func (r *Recommender) evalUnits(q *sql.Query) int {
+// evalUnits sizes the candidate space for one query, whose generated
+// candidates are cands. Permuting profiles (System A) consider
+// combinations of one index per table instance, so their space is the
+// product of the per-alias permutation counts — the multiplicative blowup
+// that makes self-joining three-table workloads (NREF3J) exceed the limit
+// while two-table workloads stay under it. The others evaluate each
+// candidate once.
+func (r *Recommender) evalUnits(q *sql.Query, cands []*candidate) int {
 	if !r.cfg.Permute {
-		return len(r.generate(q))
+		return len(cands)
 	}
 	sets := relevantColumns(q)
 	units := 1

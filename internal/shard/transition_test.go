@@ -134,11 +134,13 @@ func treesOf(e *engine.Engine) map[string]*btree.Tree {
 	return out
 }
 
-// TestTransitionsShareTrees swings a cluster from 1C to P and back —
-// its partitions transition in parallel over the pool — while two forks
-// of the coordinator make the same swing: the coordinator and the forks
-// share one tree memo, and every partition's generations share its own.
-// Everything ends on the trees 1C was built with. Run under `make race`.
+// TestTransitionsShareTrees swings a cluster from 1C to P and on to 1C
+// with a view and an index on it — its partitions transition in parallel
+// over the pool — while two forks of the coordinator make the same swing:
+// the coordinator and the forks share one memo, so they hold one view
+// heap and one tree over it, and every partition's generations share
+// their own memo. Everything ends on the trees 1C was built with. Run
+// under `make race`.
 func TestTransitionsShareTrees(t *testing.T) {
 	coord := testCoord(t)
 	cl, err := New(coord, Spec{Shards: 2}, 2)
@@ -146,6 +148,13 @@ func TestTransitionsShareTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneC, p := coord.Current(), engine.PConfiguration(coord)
+	withView := oneC.Clone()
+	withView.Views = append(withView.Views, conf.ViewDef{
+		Name:       "mv_tax_src",
+		SQL:        "SELECT t.nref_id, t.lineage, s.p_name FROM taxonomy t, source s WHERE t.nref_id = s.nref_id",
+		BaseTables: []string{"taxonomy", "source"},
+	})
+	withView.AddIndex(conf.IndexDef{Table: "mv_tax_src", Columns: []string{"c1"}})
 	want := treesOf(coord)
 	parts := cl.top.Load().shards
 	wantParts := make([]map[string]*btree.Tree, len(parts))
@@ -158,7 +167,7 @@ func TestTransitionsShareTrees(t *testing.T) {
 	errc := make(chan error, len(forks)+1)
 	swing := func(transition func(conf.Configuration) (engine.BuildReport, error)) {
 		defer wg.Done()
-		for _, cfg := range []conf.Configuration{p, oneC} {
+		for _, cfg := range []conf.Configuration{p, withView} {
 			if _, err := transition(cfg); err != nil {
 				errc <- err
 				return
@@ -183,13 +192,28 @@ func TestTransitionsShareTrees(t *testing.T) {
 		}
 		for name, tree := range want {
 			if got[name] != tree {
-				t.Errorf("%s: %s holds another tree than 1C was built with", label, name)
+				t.Errorf("%s: %s holds another tree than the coordinator's", label, name)
 			}
 		}
 	}
-	same("coordinator", treesOf(coord), want)
+	withViewTrees := treesOf(coord)
+	if len(withViewTrees) != len(want)+1 {
+		t.Fatalf("coordinator: %d indexes, want 1C's %d and the one on the view", len(withViewTrees), len(want))
+	}
+	for name, tree := range want {
+		if withViewTrees[name] != tree {
+			t.Errorf("coordinator: %s holds another tree than 1C was built with", name)
+		}
+	}
+	views := coord.Physical().Views
+	if len(views) != 1 {
+		t.Fatalf("the coordinator serves %d views, want 1", len(views))
+	}
 	for i, f := range forks {
-		same(fmt.Sprintf("fork %d", i), treesOf(f), want)
+		same(fmt.Sprintf("fork %d", i), treesOf(f), withViewTrees)
+		if fv := f.Physical().Views; len(fv) != 1 || fv[0].Heap != views[0].Heap {
+			t.Errorf("fork %d does not serve the coordinator's view heap", i)
+		}
 	}
 	for i, sh := range cl.top.Load().shards {
 		same(fmt.Sprintf("partition %d", i), treesOf(sh), wantParts[i])
