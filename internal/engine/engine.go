@@ -75,9 +75,10 @@ type Engine struct { // conflint:ignore mu only serializes mutators: all state i
 	// the engine is shared.
 	DisableWhatIfCache bool
 
-	mu    sync.Mutex // serializes mutators; readers never take it
-	cur   atomic.Pointer[snapshot]
-	built *memo // every index build's trees and view build's views, shared with forks
+	mu       sync.Mutex // serializes mutators; readers never take it
+	cur      atomic.Pointer[snapshot]
+	built    *memo      // every index build's trees and view build's views, shared with forks
+	analyses *queryMemo // the one analysis of each SQL text, shared with forks
 }
 
 // snapshot is one published engine state. Nothing reachable from it is
@@ -108,6 +109,7 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 		ScaleFactor: scaleFactor,
 		Model:       cost.Desktop2005().WithScale(1 / scaleFactor),
 		built:       newMemo(),
+		analyses:    newQueryMemo(),
 	}
 	phys := &plan.Physical{
 		Schema:  schema,
@@ -125,9 +127,10 @@ func New(schema *catalog.Schema, scaleFactor float64, profile Profile) *Engine {
 // immutable and mutators replace what they change (see mutate), so the
 // two share every heap and structure and neither sees the other's later
 // changes. They share one memo of built structures, so a tree or view
-// either builds over heaps they share is built once.
+// either builds over heaps they share is built once, and one memo of
+// analyzed queries, so a text either analyzes is analyzed once.
 func (e *Engine) Fork() *Engine {
-	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache, built: e.built}
+	f := &Engine{Schema: e.Schema, Profile: e.Profile, ScaleFactor: e.ScaleFactor, Model: e.Model, DisableWhatIfCache: e.DisableWhatIfCache, built: e.built, analyses: e.analyses}
 	f.cur.Store(e.cur.Load())
 	return f
 }
@@ -240,9 +243,19 @@ func (e *Engine) appendRows(next *snapshot, table string, rows []val.Row, meter 
 
 // CollectStats runs statistics collection on every base table (the
 // paper directs systems to collect statistics before recommending and
-// before running queries, §3.2.3).
+// before running queries, §3.2.3). The memo drops the views built under
+// the statistics it replaces.
 func (e *Engine) CollectStats() {
-	e.publish(func(next *snapshot) { next.collectStats(true) })
+	var replaced []*stats.TableStats
+	e.publish(func(next *snapshot) {
+		for _, ti := range next.phys.Tables {
+			if ti.Stats != nil {
+				replaced = append(replaced, ti.Stats)
+			}
+		}
+		next.collectStats(true)
+	})
+	e.built.unpin(replaced)
 }
 
 // NoteTopologyChange records an estimate-moving change that happened

@@ -30,11 +30,9 @@ import (
 // alive and no dead heap's structures stay behind. A view entry does hold
 // the view's own heap, so the trees of indexes on a reused view are the
 // ones built over it before. It also holds the statistics its key names
-// (see Engine.viewKey): once CollectStats replaces them no key names them
-// again, so the entry is never hit again, yet it keeps its view heap and
-// the old statistics until LRU eviction drops it — or the finalizer, if
-// a heap it reads goes first. Pinned statistics are not counted against
-// the bound.
+// (see Engine.viewKey), and goes when CollectStats replaces them (unpin):
+// no key names them again. A fork that still serves the replaced
+// statistics builds the view again on its next transition to it.
 //
 // The bound: built trees and view heaps total at most twice the modeled
 // bytes of the trees the reference configuration 1C builds over the live
@@ -90,7 +88,7 @@ func newMemo() *memo {
 // running fillTree only when the memo does not hold them. Concurrent
 // callers for one pair share one build.
 func (m *memo) tree(heap *storage.Heap, cols []int) (*btree.Tree, []int64) {
-	t, build := m.claim(fmt.Sprint(cols), []*storage.Heap{heap})
+	t, build := m.claim(fmt.Sprint(cols), []*storage.Heap{heap}, nil)
 	if build {
 		t.tree, t.ndv = fillTree(heap, cols)
 		t.bytes = t.tree.Shape().Bytes
@@ -108,9 +106,8 @@ func (m *memo) tree(heap *storage.Heap, cols []int) (*btree.Tree, []int64) {
 // failed build is not kept.
 func (m *memo) view(key string, heaps []*storage.Heap, pins []*stats.TableStats,
 	build func() (*plan.ViewInfo, cost.Meter, error)) (*plan.ViewInfo, cost.Meter, error) {
-	v, mine := m.claim(key, heaps)
+	v, mine := m.claim(key, heaps, pins)
 	if mine {
-		v.pins = pins
 		if v.view, v.meter, v.err = build(); v.err == nil {
 			v.bytes = v.view.Heap.Bytes()
 		}
@@ -122,11 +119,11 @@ func (m *memo) view(key string, heaps []*storage.Heap, pins []*stats.TableStats,
 }
 
 // claim returns the entry listed under key on the heaps, adding an
-// unbuilt one when there is none, and reports whether the caller must
-// build it. A heap's first entry records the heap and sets the finalizer
-// that forgets it; every engine sharing the heap shares this memo, so no
-// other finalizer is set on it.
-func (m *memo) claim(key string, heaps []*storage.Heap) (*memoEntry, bool) {
+// unbuilt one that pins the statistics when there is none, and reports
+// whether the caller must build it. A heap's first entry records the
+// heap and sets the finalizer that forgets it; every engine sharing the
+// heap shares this memo, so no other finalizer is set on it.
+func (m *memo) claim(key string, heaps []*storage.Heap, pins []*stats.TableStats) (*memoEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ids := make([]uint64, len(heaps))
@@ -146,7 +143,7 @@ func (m *memo) claim(key string, heaps []*storage.Heap) (*memoEntry, bool) {
 		}
 		return en, false
 	}
-	en := &memoEntry{key: key, heaps: ids, done: make(chan struct{})}
+	en := &memoEntry{key: key, heaps: ids, done: make(chan struct{}), pins: pins}
 	for _, id := range ids {
 		m.heaps[id].entries[key] = en
 	}
@@ -202,6 +199,27 @@ func (m *memo) forget(id uint64) {
 	for _, en := range he.entries {
 		m.unlist(en)
 	}
+	m.pruneLocked()
+}
+
+// unpin drops the views whose key names any of the statistics, which
+// CollectStats has replaced, built or still building.
+func (m *memo) unpin(replaced []*stats.TableStats) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, he := range m.heaps {
+		for _, en := range he.entries {
+			if slices.ContainsFunc(en.pins, func(ts *stats.TableStats) bool { return slices.Contains(replaced, ts) }) {
+				m.unlist(en)
+			}
+		}
+	}
+	m.pruneLocked()
+}
+
+// pruneLocked takes the unlisted entries out of order and the bytes.
+// The caller holds m.mu.
+func (m *memo) pruneLocked() {
 	m.order = slices.DeleteFunc(m.order, func(en *memoEntry) bool {
 		if !en.dropped {
 			return false

@@ -71,9 +71,15 @@ func ResetWhatIfCounters() {
 // flushes them when the engine has published another (ApplyConfig,
 // Transition, Load, InsertRows, CollectStats, NoteTopologyChange), so a
 // session may outlive configuration changes — the retune loop
-// (recommender.Loop) keeps one across retunes. A session may be shared by concurrent
-// estimators: mu guards the caches, the optimizer runs outside it, and no
-// estimation entry point takes an engine lock.
+// (recommender.Loop) keeps one across retunes. Its per-query state is
+// one fingerprint per analyzed query under the pinned snapshot, over the
+// engine's one analysis of each text (AnalyzeSQL): a session that is
+// given the same texts again holds no more than the distinct texts, and
+// one that never sees another snapshot flushes its fingerprints and
+// estimates when they outgrow the memo of analyzed queries. A session
+// may be shared by concurrent estimators: mu guards the caches, the
+// optimizer runs outside it, and no estimation entry point takes an
+// engine lock.
 type WhatIf struct {
 	e *Engine
 	// caching is fixed at session creation from the engine's
@@ -86,29 +92,26 @@ type WhatIf struct {
 	mu     sync.Mutex
 	pinned *snapshot // conflint:guardedby mu (the engine snapshot the caches belong to)
 
-	indexCache  map[string]*plan.IndexInfo     // conflint:guardedby mu
-	viewCache   map[string]*plan.ViewInfo      // conflint:guardedby mu
-	ixEntries   map[ixKey][]*ixEntry           // conflint:guardedby mu (interned, bucketed by ixKey)
-	viewByName  map[string]*viewEntry          // conflint:guardedby mu (interned, by lower name)
-	queries     map[*sql.Query]*queryRelevance // conflint:guardedby mu
-	queryByText map[string]*queryRelevance     // conflint:guardedby mu (one fingerprint per SQL text)
-	estimates   map[string]estEntry            // conflint:guardedby mu
-	lastID      uint32                         // conflint:guardedby mu (ids are never reused)
-	key         []byte                         // conflint:guardedby mu (the probe key, rebuilt per lookup)
-	orphaned    []*ixEntry                     // conflint:guardedby mu (lookup's base indexes when a delta view adopts an orphan)
-	spare       []*missScratch                 // conflint:guardedby mu (idle miss scratch, reset)
-	scratch     Resolved                       // conflint:guardedby mu (Estimate's one-shot base)
-	scratchRel  relevance                      // conflint:guardedby mu (scratch's relevant subset)
+	indexCache map[string]*plan.IndexInfo     // conflint:guardedby mu
+	viewCache  map[string]*plan.ViewInfo      // conflint:guardedby mu
+	ixEntries  map[ixKey][]*ixEntry           // conflint:guardedby mu (interned, bucketed by ixKey)
+	viewByName map[string]*viewEntry          // conflint:guardedby mu (interned, by lower name)
+	queries    map[*sql.Query]*queryRelevance // conflint:guardedby mu (flushed with the estimates)
+	estimates  map[string]estEntry            // conflint:guardedby mu
+	lastID     uint32                         // conflint:guardedby mu (ids are never reused)
+	key        []byte                         // conflint:guardedby mu (the probe key, rebuilt per lookup)
+	orphaned   []*ixEntry                     // conflint:guardedby mu (lookup's base indexes when a delta view adopts an orphan)
+	spare      []*missScratch                 // conflint:guardedby mu (idle miss scratch, reset)
+	scratch    Resolved                       // conflint:guardedby mu (Estimate's one-shot base)
+	scratchRel relevance                      // conflint:guardedby mu (scratch's relevant subset)
 }
 
-// queryRelevance is a query's once-computed fingerprint: its id, its
-// canonical SQL text and the set of relations whose physical structures
-// can influence its plan — the FROM-list tables plus the tables of its
-// IN-subqueries (planInSets consults indexes on those).
+// queryRelevance is a query's fingerprint in the session: the id its
+// estimate keys start with, and the query's analysis, which carries its
+// canonical text and relevant tables.
 type queryRelevance struct {
-	id     uint32
-	sql    string
-	tables map[string]bool
+	id uint32
+	*analyzed
 }
 
 // covers reports whether every defining table of the view is one of the
@@ -199,31 +202,18 @@ var errForeignHandle = errors.New("engine: what-if: resolved configuration belon
 
 // NewWhatIf opens a what-if session against the current configuration.
 func (e *Engine) NewWhatIf() *WhatIf {
-	return &WhatIf{
-		e:           e,
-		caching:     !e.DisableWhatIfCache,
-		queries:     make(map[*sql.Query]*queryRelevance),
-		queryByText: make(map[string]*queryRelevance),
-	}
+	return &WhatIf{e: e, caching: !e.DisableWhatIfCache}
 }
 
 // Engine returns the engine the session estimates against.
 func (w *WhatIf) Engine() *Engine { return w.e }
 
-// AnalyzeSQL parses and analyzes a query once for repeated estimation.
-func (e *Engine) AnalyzeSQL(sqlText string) (*sql.Query, error) {
-	stmt, err := sql.ParseSelect(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return sql.Analyze(e.Schema, stmt)
-}
-
 // pinLocked returns the engine's published snapshot, first flushing the
-// derivation, intern and estimate caches if they were filled under
-// another one (invalidation on RUNSTATS, transitions and loads). Query
-// fingerprints survive: they depend only on the query text. The caller
-// holds w.mu.
+// derivation, intern and estimate caches and the query fingerprints if
+// they were filled under another one (invalidation on RUNSTATS,
+// transitions and loads). The fingerprints go with the estimates: every
+// key that names their ids is flushed, and a query asked about again
+// gets a new id from the engine's analysis of it. The caller holds w.mu.
 func (w *WhatIf) pinLocked() *snapshot {
 	if s := w.e.snap(); w.pinned != s {
 		w.pinned = s
@@ -231,9 +221,16 @@ func (w *WhatIf) pinLocked() *snapshot {
 		w.viewCache = make(map[string]*plan.ViewInfo)
 		w.ixEntries = make(map[ixKey][]*ixEntry)
 		w.viewByName = make(map[string]*viewEntry)
-		w.estimates = make(map[string]estEntry)
+		w.flushQueriesLocked()
 	}
 	return w.pinned
+}
+
+// flushQueriesLocked drops the query fingerprints and the estimates
+// keyed on their ids. The caller holds w.mu.
+func (w *WhatIf) flushQueriesLocked() {
+	w.queries = make(map[*sql.Query]*queryRelevance)
+	w.estimates = make(map[string]estEntry)
 }
 
 // Resolve resolves every definition of the configuration once, so that
@@ -575,30 +572,27 @@ func (w *WhatIf) relevantLocked(r *Resolved, fp *queryRelevance) *relevance {
 	return m
 }
 
-// relevanceLocked returns the memoized fingerprint of an analyzed query.
-// Queries with the same SQL text share one fingerprint and so one id,
-// which lets a search over re-analyzed queries (the warm pass) hit the
-// entries of an earlier one. Caller holds w.mu exclusively.
+// relevanceLocked returns the query's fingerprint, adding one on first
+// sight under the pinned snapshot. Its analysis is the engine's memoized
+// one, so the queries AnalyzeSQL hands out for one text share one
+// fingerprint and one id — a search over the same texts again (the warm
+// pass) hits the entries of an earlier one — and only a query analyzed
+// elsewhere, or evicted from the memo since, is fingerprinted here. A
+// session that has fingerprinted as many queries as the memo holds texts
+// starts over: it is being given ever new queries under one snapshot.
+// Caller holds w.mu exclusively.
 func (w *WhatIf) relevanceLocked(q *sql.Query) *queryRelevance {
 	if fp, ok := w.queries[q]; ok {
 		return fp
 	}
-	text := q.SQL()
-	fp, ok := w.queryByText[text]
-	if !ok {
-		fp = &queryRelevance{
-			id:     w.nextIDLocked(),
-			sql:    text,
-			tables: make(map[string]bool, len(q.Tables)+len(q.Ins)),
-		}
-		for _, t := range q.Tables {
-			fp.tables[strings.ToLower(t.Table.Name)] = true
-		}
-		for _, p := range q.Ins {
-			fp.tables[strings.ToLower(p.SubTable.Name)] = true
-		}
-		w.queryByText[text] = fp
+	a := w.e.analyses.of(q)
+	if a == nil {
+		a = newAnalyzed("", q)
 	}
+	if len(w.queries) >= analyzedCap {
+		w.flushQueriesLocked()
+	}
+	fp := &queryRelevance{id: w.nextIDLocked(), analyzed: a}
 	w.queries[q] = fp
 	return fp
 }

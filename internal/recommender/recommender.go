@@ -223,7 +223,8 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	base := r.e.Current().Clone()
 	base.Name = r.cfg.Name + " R"
 
-	// Analyze the workload once.
+	// The workload's queries: the engine analyzes each text once and
+	// hands the same query back to every later search.
 	qs := make([]*sql.Query, len(queries))
 	for i, text := range queries {
 		q, err := r.e.AnalyzeSQL(text)
