@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/btree/ -fuzz=FuzzBuild -fuzztime=30s
 	$(GO) test ./internal/lint/ -fuzz=FuzzResolve -fuzztime=30s
 	$(GO) test ./internal/optimizer/ -fuzz=FuzzEstimateMatchesOptimize -fuzztime=30s
+	$(GO) test ./internal/core/ -fuzz=FuzzParseGoal -fuzztime=30s
 
 # make perf-compare BASE=<rev>: this checkout against <rev> on the
 # wall-clock benchmark — ten interleaved pairs per workload, each

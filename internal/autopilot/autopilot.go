@@ -140,6 +140,15 @@ type Autopilot struct {
 // retained: once traffic starts, the autopilot owns the engine's
 // configuration lifecycle.
 func New(opts Options) (*Autopilot, error) {
+	// Zero means the default; a negative or NaN value would load a
+	// degenerate database or, as a timeout, switch the per-query limit
+	// off. Written so that NaN fails too.
+	if !(opts.Scale >= 0) {
+		return nil, fmt.Errorf("autopilot: scale must be >= 0, got %v", opts.Scale)
+	}
+	if !(opts.Timeout >= 0) {
+		return nil, fmt.Errorf("autopilot: timeout must be >= 0, got %v", opts.Timeout)
+	}
 	opts.setDefaults()
 	if len(opts.Families) == 0 {
 		return nil, fmt.Errorf("autopilot: no families configured")
@@ -192,7 +201,7 @@ func New(opts Options) (*Autopilot, error) {
 	}
 
 	eng := lab.Engine(opts.System, db)
-	loop, err := recommender.NewLoop(eng, opts.Recommender, lab.Budget(opts.System, db), opts.Parallelism)
+	loop, err := recommender.NewLoop(eng, opts.Recommender, lab.Budget(opts.System, db))
 	if err != nil {
 		return nil, err
 	}

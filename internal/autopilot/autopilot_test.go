@@ -210,7 +210,7 @@ func TestObserverWindowReport(t *testing.T) {
 // a window's family mix and goal verdict go to the shared loop's Decide,
 // and a retune records the mix it tuned for.
 func TestControllerConsider(t *testing.T) {
-	l, err := recommender.NewLoop(engine.New(catalog.NewSchema("empty"), 1, engine.SystemB()), "1C", 0, 1)
+	l, err := recommender.NewLoop(engine.New(catalog.NewSchema("empty"), 1, engine.SystemB()), "1C", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +319,27 @@ func TestMetricsHandler(t *testing.T) {
 
 // TestOptionsValidation covers the assembly errors a daemon flag typo
 // would hit.
+// TestNegativeOptionsRejected: a negative or NaN scale or timeout is an
+// error, as the gateway's configuration treats a negative one, not a run
+// on a degenerate database or without a per-query limit.
+func TestNegativeOptionsRejected(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		edit func(o *Options)
+		want string
+	}{
+		{"negative scale", func(o *Options) { o.Scale = -1 }, "scale must be >= 0"},
+		{"negative timeout", func(o *Options) { o.Timeout = -5 }, "timeout must be >= 0"},
+		{"NaN timeout", func(o *Options) { o.Timeout = math.NaN() }, "timeout must be >= 0"},
+	} {
+		opts := Options{Families: []FamilyShare{{Family: "NREF2J", Weight: 1}}}
+		c.edit(&opts)
+		if _, err := New(opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New = %v, want an error naming %q", c.what, err, c.want)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("no families should fail")

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 )
 
 // TestParallelDeterminism proves the tentpole property: the parallel
@@ -35,11 +34,6 @@ func TestParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: sequential estimate: %v", spec.sys, spec.family, err)
 		}
-		hypo := engine.OneColumnConfiguration(e)
-		baseHypo, err := core.Runner{Parallelism: 1}.WhatIfWorkload(e, fam.SQLs(), hypo)
-		if err != nil {
-			t.Fatalf("%s/%s: sequential what-if: %v", spec.sys, spec.family, err)
-		}
 		baseCFC := core.NewCFC(base, Timeout)
 
 		for _, n := range []int{1, 4, 16} {
@@ -57,13 +51,6 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(baseEst, gotEst) {
 				t.Errorf("%s/%s: parallel(%d) estimates differ from sequential", spec.sys, spec.family, n)
-			}
-			gotHypo, err := r.WhatIfWorkload(e, fam.SQLs(), hypo)
-			if err != nil {
-				t.Fatalf("%s/%s: parallel(%d) what-if: %v", spec.sys, spec.family, n, err)
-			}
-			if !reflect.DeepEqual(baseHypo, gotHypo) {
-				t.Errorf("%s/%s: parallel(%d) what-ifs differ from sequential", spec.sys, spec.family, n)
 			}
 
 			gotCFC := core.NewCFC(got, Timeout)

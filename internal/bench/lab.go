@@ -42,7 +42,8 @@ type Lab struct {
 	// Parallelism bounds the per-workload query fan-out: 0 means
 	// GOMAXPROCS, 1 runs queries sequentially. Results are identical
 	// either way (the simulated clock is per-query). Recommendation
-	// searches fan out with the same bound.
+	// searches and what-if passes run sequentially, each on a session of
+	// its own.
 	Parallelism int
 
 	// DisableWhatIfCache turns off the what-if estimate cache on every
@@ -224,7 +225,7 @@ func (l *Lab) Recommendation(sys, family string) (conf.Configuration, error) {
 		db := dbOfFamily(family)
 		fam := l.Workload(sys, family)
 		budget := l.Budget(sys, db)
-		cfg, err := recommender.New(l.pEngine(sys, db), recCfg).Parallel(l.Parallelism).Recommend(fam.SQLs(), budget)
+		cfg, err := recommender.New(l.pEngine(sys, db), recCfg).Recommend(fam.SQLs(), budget)
 		if err == nil {
 			cfg.Name = fmt.Sprintf("%s %s R", sys, family)
 		}
@@ -303,7 +304,7 @@ func (l *Lab) Hypotheticals(sys, family, configName string) ([]core.Measure, err
 	if err != nil {
 		return nil, err
 	}
-	return l.runner().WhatIfWorkload(l.pEngine(sys, db), l.Workload(sys, family).SQLs(), cfg)
+	return core.WhatIfWorkload(l.pEngine(sys, db).NewWhatIf(), l.Workload(sys, family).SQLs(), cfg)
 }
 
 // CFC builds the cumulative frequency curve for a cached or fresh run.

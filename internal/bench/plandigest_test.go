@@ -59,8 +59,7 @@ var planDigests = map[string]string{
 // plan: every node field of every plan the advise cases build, and every
 // estimate their what-if sessions return, renders to the digests above.
 // The lab is the advise benchmark's: scale 0.0002, seed 42, 50-query
-// pools. Recommendations run sequentially (ROADMAP item 1: parallel ones
-// may differ).
+// pools.
 func TestPlanDigests(t *testing.T) {
 	l := NewLab(0.0002, 42)
 	l.WorkloadSize = 50

@@ -9,7 +9,6 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/recommender"
 	"repro/internal/sql"
 )
 
@@ -31,7 +30,6 @@ func TestWhatIfCacheMatchesUncached(t *testing.T) {
 	cached := tinyLab()
 	uncached := tinyLab()
 	uncached.DisableWhatIfCache = true
-	r := core.Runner{Parallelism: 1}
 	for _, spec := range whatifFamilies {
 		db := dbOfFamily(spec.family)
 		sqls := cached.Workload(spec.sys, spec.family).SQLs()
@@ -39,19 +37,19 @@ func TestWhatIfCacheMatchesUncached(t *testing.T) {
 		ue := uncached.Engine(spec.sys, db)
 		hypo := engine.OneColumnConfiguration(ce)
 
-		want, err := core.Runner{Parallelism: 1}.WhatIfWorkload(ue, sqls, hypo)
+		want, err := core.WhatIfWorkload(ue.NewWhatIf(), sqls, hypo)
 		if err != nil {
 			t.Fatalf("%s/%s: uncached what-if: %v", spec.sys, spec.family, err)
 		}
 		w := ce.NewWhatIf()
-		cold, err := r.WhatIfSessionWorkload(w, sqls, hypo)
+		cold, err := core.WhatIfWorkload(w, sqls, hypo)
 		if err != nil {
 			t.Fatalf("%s/%s: cached what-if: %v", spec.sys, spec.family, err)
 		}
 		if !reflect.DeepEqual(want, cold) {
 			t.Errorf("%s/%s: cold cached estimates differ from uncached", spec.sys, spec.family)
 		}
-		warm, err := r.WhatIfSessionWorkload(w, sqls, hypo)
+		warm, err := core.WhatIfWorkload(w, sqls, hypo)
 		if err != nil {
 			t.Fatalf("%s/%s: warm what-if: %v", spec.sys, spec.family, err)
 		}
@@ -346,56 +344,24 @@ func TestWhatIfSessionInvalidatesOnTransition(t *testing.T) {
 	e := l.Engine("A", db)
 	sqls := l.Workload("A", "NREF2J").SQLs()[:6]
 	hypo := engine.OneColumnConfiguration(e)
-	r := core.Runner{Parallelism: 1}
 
 	w := e.NewWhatIf()
-	if _, err := r.WhatIfSessionWorkload(w, sqls, hypo); err != nil {
+	if _, err := core.WhatIfWorkload(w, sqls, hypo); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Transition(hypo); err != nil {
 		t.Fatal(err)
 	}
-	after, err := r.WhatIfSessionWorkload(w, sqls, hypo)
+	after, err := core.WhatIfWorkload(w, sqls, hypo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := core.Runner{Parallelism: 1}.WhatIfWorkload(e, sqls, hypo)
+	fresh, err := core.WhatIfWorkload(e.NewWhatIf(), sqls, hypo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fresh, after) {
 		t.Error("session estimates after Transition differ from a fresh session")
-	}
-}
-
-// TestRecommendationParallelIdentity extends the determinism harness to
-// the recommender: for each system's search strategy the recommended
-// configuration must be byte-identical at every pool size.
-func TestRecommendationParallelIdentity(t *testing.T) {
-	l := tinyLab()
-	for _, spec := range []struct{ sys, family string }{
-		{"A", "NREF2J"},
-		{"B", "NREF3J"},
-		{"C", "SkTH3J"},
-	} {
-		db := dbOfFamily(spec.family)
-		sqls := l.Workload(spec.sys, spec.family).SQLs()
-		e := l.Engine(spec.sys, db)
-		budget := l.Budget(spec.sys, db)
-		recCfg, err := recommender.System(spec.sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, baseErr := recommender.New(e, recCfg).Parallel(1).Recommend(sqls, budget)
-		for _, n := range []int{4, 16} {
-			got, err := recommender.New(e, recCfg).Parallel(n).Recommend(sqls, budget)
-			if fmt.Sprint(err) != fmt.Sprint(baseErr) {
-				t.Fatalf("%s/%s: parallel(%d) error %v, sequential %v", spec.sys, spec.family, n, err, baseErr)
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s/%s: parallel(%d) recommendation differs from sequential", spec.sys, spec.family, n)
-			}
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -10,7 +11,8 @@ import (
 // "10:0.10,60:0.50,1800:0.90": each comma-separated SECONDS:FRACTION
 // pair declares G(x) = FRACTION from x = SECONDS on. It is the textual
 // goal format shared by autopilotd's -goal flag and the gateway's
-// per-tenant configuration.
+// per-tenant configuration, so it comes from outside the program: NaN
+// and infinite values are rejected in either field.
 func ParseGoal(spec string) (Goal, error) {
 	g := Goal{Name: "custom"}
 	for _, part := range strings.Split(spec, ",") {
@@ -30,8 +32,10 @@ func ParseGoal(spec string) (Goal, error) {
 		if err != nil {
 			return Goal{}, err
 		}
-		if x < 0 || f <= 0 || f > 1 {
-			return Goal{}, fmt.Errorf("goal step %q: want SECONDS >= 0 and FRACTION in (0,1]", part)
+		// Written so that NaN fails too: a NaN fraction is a step no curve
+		// can miss (every comparison with it is false).
+		if !(x >= 0 && !math.IsInf(x, 1) && f > 0 && f <= 1) {
+			return Goal{}, fmt.Errorf("goal step %q: want finite SECONDS >= 0 and FRACTION in (0,1]", part)
 		}
 		g.Steps = append(g.Steps, GoalStep{X: x, Frac: f})
 	}

@@ -29,8 +29,7 @@ type Runner struct {
 	// completed query from the worker that ran it, as it completes —
 	// the hook live dashboards and daemons count traffic with. It must
 	// be safe for concurrent use and must not block; it has no effect
-	// on the returned measures. Estimate and what-if passes do not
-	// report.
+	// on the returned measures. Estimate passes do not report.
 	OnMeasure func(Measure)
 }
 
@@ -45,10 +44,10 @@ func (r Runner) workers() int {
 // Each runs fn(i) for i in [0, n) on the pool. Every index is processed
 // exactly once; on error the lowest-index error is returned, so the
 // reported failure is the one the sequential path would hit first. This
-// is the primitive the recommender's candidate-evaluation loops fan out
-// through: callers write results into index i of a pre-sized slice and
-// reduce sequentially afterwards, which keeps the outcome byte-identical
-// at any parallelism.
+// is the primitive query execution and estimation fan out through:
+// callers write results into index i of a pre-sized slice and reduce
+// sequentially afterwards, which keeps the outcome byte-identical at any
+// parallelism.
 func (r Runner) Each(n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -130,42 +129,30 @@ func (r Runner) EstimateWorkload(e *engine.Engine, queries []string) ([]Measure,
 	return out, nil
 }
 
-// WhatIfWorkload returns the hypothetical estimates H(q, Ch, Ca) for the
-// configuration Ch evaluated from the engine's current configuration.
-// One what-if session is shared by all workers, so the per-structure
-// statistics derivation is paid once; the session's caches are
-// internally synchronized.
-func (r Runner) WhatIfWorkload(e *engine.Engine, queries []string, hypo conf.Configuration) ([]Measure, error) {
-	return r.WhatIfSessionWorkload(e.NewWhatIf(), queries, hypo)
-}
-
-// WhatIfSessionWorkload is WhatIfWorkload against a caller-owned session:
-// the retune loop keeps one session alive across retunes so the estimate
-// cache filled by the recommender search is still warm when the loop
-// predicts the winning configuration's cost. The session's
-// engine must be the one the queries are analyzed against. The
-// configuration is resolved once and every query estimated against it.
-func (r Runner) WhatIfSessionWorkload(w *engine.WhatIf, queries []string, hypo conf.Configuration) ([]Measure, error) {
+// WhatIfWorkload returns, in workload order, the hypothetical estimates
+// H(q, Ch, Ca) for the configuration Ch seen from the engine's current
+// configuration, priced on the caller's what-if session. The
+// configuration is resolved once and every query estimated against it,
+// so the per-structure statistics derivation is paid once; a long-lived
+// session (the retune loop's) also finds the estimates its recommender
+// search cached.
+func WhatIfWorkload(w *engine.WhatIf, queries []string, hypo conf.Configuration) ([]Measure, error) {
 	e := w.Engine()
 	rh, err := w.Resolve(hypo)
 	if err != nil {
 		return nil, fmt.Errorf("core: what-if: %w", err)
 	}
 	out := make([]Measure, len(queries))
-	err = r.Each(len(queries), func(i int) error {
-		q, err := e.AnalyzeSQL(queries[i])
+	for i, text := range queries {
+		q, err := e.AnalyzeSQL(text)
 		if err != nil {
-			return fmt.Errorf("core: analyzing %q: %w", queries[i], err)
+			return nil, fmt.Errorf("core: analyzing %q: %w", text, err)
 		}
 		m, err := w.EstimateWith(q, rh, conf.Configuration{})
 		if err != nil {
-			return fmt.Errorf("core: what-if %q: %w", queries[i], err)
+			return nil, fmt.Errorf("core: what-if %q: %w", text, err)
 		}
-		out[i] = Measure{SQL: queries[i], Seconds: m.Seconds}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out[i] = Measure{SQL: text, Seconds: m.Seconds}
 	}
 	return out, nil
 }

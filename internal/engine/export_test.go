@@ -4,11 +4,8 @@ package engine
 // fingerprints, and the texts its engine's memo of analyzed queries
 // holds.
 func QueryState(w *WhatIf) (fingerprints, texts int) {
-	w.mu.Lock()
-	fingerprints = len(w.queries)
-	w.mu.Unlock()
 	m := w.e.analyses
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return fingerprints, m.lru.Len()
+	return len(w.queries), m.lru.Len()
 }

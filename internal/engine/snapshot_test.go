@@ -119,49 +119,3 @@ func TestSnapshotIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestNoStaleEstimateAcrossSnapshots: an estimate whose lookup ran under
-// one snapshot and whose optimizer call finished after the session moved
-// to the next must not land in the session's flushed cache.
-func TestNoStaleEstimateAcrossSnapshots(t *testing.T) {
-	e := testNREF(t, SystemA())
-	if _, err := e.ApplyConfig(PConfiguration(e)); err != nil {
-		t.Fatal(err)
-	}
-	hypo := OneColumnConfiguration(e)
-	q, err := e.AnalyzeSQL(selectiveQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := e.NewWhatIf()
-	slow, err := w.lookup(q, nil, hypo)
-	if err != nil || slow.hit {
-		t.Fatalf("cold lookup: hit=%v err=%v", slow.hit, err)
-	}
-	// The engine moves on (1C's indexes become actual, so H changes) and
-	// another estimator carries the session along.
-	if _, err := e.Transition(hypo); err != nil {
-		t.Fatal(err)
-	}
-	other, err := e.AnalyzeSQL(example1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Estimate(other, hypo); err != nil {
-		t.Fatal(err)
-	}
-	stale, err := w.fill(q, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e.NewWhatIf().Estimate(q, hypo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale == want {
-		t.Fatal("the transition did not move the estimate: the test proves nothing")
-	}
-	if got, err := w.Estimate(q, hypo); err != nil || got != want {
-		t.Errorf("session answers %v (err %v), a fresh session %v", got.Seconds, err, want.Seconds)
-	}
-}

@@ -155,16 +155,14 @@ func (e *Engine) transition(next *snapshot, target conf.Configuration) (BuildRep
 // (one relation scan, a sort, and a sequential leaf write per new index;
 // a scan of the defining tables plus the result write per new view).
 func (w *WhatIf) EstimateTransition(target conf.Configuration) (float64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	s := w.pinLocked()
+	s := w.pin()
 	ch := planChange(s, target)
 	var meter cost.Meter
 	for i, vd := range target.Views {
 		if ch.views[i] != nil {
 			continue
 		}
-		vi, err := w.hypoViewLocked(vd)
+		vi, err := w.hypoView(vd)
 		if err != nil {
 			return 0, err
 		}
@@ -181,7 +179,7 @@ func (w *WhatIf) EstimateTransition(target conf.Configuration) (float64, error) 
 		if ch.indexes[i] != nil {
 			continue
 		}
-		ix, err := w.hypoIndexLocked(d)
+		ix, err := w.hypoIndex(d)
 		if err != nil {
 			return 0, err
 		}

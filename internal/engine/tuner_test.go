@@ -61,7 +61,7 @@ func TestLongLivedSessionStateIsBounded(t *testing.T) {
 	}
 	w := e.NewWhatIf()
 	budget := w.EstimateSize(engine.OneColumnConfiguration(e))
-	rec := recommender.New(e, recommender.SystemB()).Parallel(1).UseSession(w)
+	rec := recommender.New(e, recommender.SystemB()).UseSession(w)
 	var first conf.Configuration
 	var base uint64
 	for i := range 200 {
@@ -69,7 +69,7 @@ func TestLongLivedSessionStateIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (core.Runner{Parallelism: 1}).WhatIfSessionWorkload(w, pool, cfg); err != nil {
+		if _, err := core.WhatIfWorkload(w, pool, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -101,7 +101,7 @@ func TestForksRecommendThroughSharedAnalyses(t *testing.T) {
 	e := nrefInP(t, engine.SystemB())
 	pool := nref2jPool(e, 12)
 	budget := e.NewWhatIf().EstimateSize(engine.OneColumnConfiguration(e))
-	want, err := recommender.New(nrefInP(t, engine.SystemB()), recommender.SystemB()).Parallel(1).Recommend(pool, budget)
+	want, err := recommender.New(nrefInP(t, engine.SystemB()), recommender.SystemB()).Recommend(pool, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestForksRecommendThroughSharedAnalyses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = recommender.New(f, recommender.SystemB()).Parallel(2).Recommend(pool, budget)
+			got[i], errs[i] = recommender.New(f, recommender.SystemB()).Recommend(pool, budget)
 		}()
 	}
 	wg.Add(1)

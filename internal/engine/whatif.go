@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/btree"
@@ -76,34 +75,34 @@ func ResetWhatIfCounters() {
 // engine's one analysis of each text (AnalyzeSQL): a session that is
 // given the same texts again holds no more than the distinct texts, and
 // one that never sees another snapshot flushes its fingerprints and
-// estimates when they outgrow the memo of analyzed queries. A session
-// may be shared by concurrent estimators: mu guards the caches, the
-// optimizer runs outside it, and no estimation entry point takes an
-// engine lock.
+// estimates when they outgrow the memo of analyzed queries.
+//
+// A session has one owner, as AutoAdmin's what-if interface has one
+// tuning tool driving it: it is not safe for concurrent use, and a
+// caller that estimates on several goroutines opens a session for each.
+// The engine is safe to read beside it — no estimation entry point takes
+// an engine lock — and the descriptions a session hands the optimizer
+// are immutable once derived.
 type WhatIf struct {
 	e *Engine
 	// caching is fixed at session creation from the engine's
 	// DisableWhatIfCache.
 	caching bool
 
-	// mu guards the caches. The values the maps hold (*plan.IndexInfo,
-	// *plan.ViewInfo, interned entries) are immutable once published, so
-	// estimators keep using them after releasing mu.
-	mu     sync.Mutex
-	pinned *snapshot // conflint:guardedby mu (the engine snapshot the caches belong to)
+	pinned *snapshot // the engine snapshot the caches belong to
 
-	indexCache map[string]*plan.IndexInfo     // conflint:guardedby mu
-	viewCache  map[string]*plan.ViewInfo      // conflint:guardedby mu
-	ixEntries  map[ixKey][]*ixEntry           // conflint:guardedby mu (interned, bucketed by ixKey)
-	viewByName map[string]*viewEntry          // conflint:guardedby mu (interned, by lower name)
-	queries    map[*sql.Query]*queryRelevance // conflint:guardedby mu (flushed with the estimates)
-	estimates  map[string]estEntry            // conflint:guardedby mu
-	lastID     uint32                         // conflint:guardedby mu (ids are never reused)
-	key        []byte                         // conflint:guardedby mu (the probe key, rebuilt per lookup)
-	orphaned   []*ixEntry                     // conflint:guardedby mu (lookup's base indexes when a delta view adopts an orphan)
-	spare      []*missScratch                 // conflint:guardedby mu (idle miss scratch, reset)
-	scratch    Resolved                       // conflint:guardedby mu (Estimate's one-shot base)
-	scratchRel relevance                      // conflint:guardedby mu (scratch's relevant subset)
+	indexCache map[string]*plan.IndexInfo
+	viewCache  map[string]*plan.ViewInfo
+	ixEntries  map[ixKey][]*ixEntry           // interned, bucketed by ixKey
+	viewByName map[string]*viewEntry          // interned, by lower name
+	queries    map[*sql.Query]*queryRelevance // flushed with the estimates
+	estimates  map[string]estEntry
+	lastID     uint32      // ids are never reused
+	key        []byte      // the probe key, rebuilt per estimate
+	orphaned   []*ixEntry  // estimate's base indexes when a delta view adopts an orphan
+	miss       missScratch // a miss's material, reset after each
+	scratch    Resolved    // Estimate's one-shot base
+	scratchRel relevance   // scratch's relevant subset
 }
 
 // queryRelevance is a query's fingerprint in the session: the id its
@@ -172,15 +171,14 @@ func keyOf(d conf.IndexDef) ixKey {
 // Resolved is a configuration resolved once by a session, for repeated
 // estimation through EstimateWith: a search that prices many candidates
 // against one base resolves the base once and pays per trial only for the
-// candidate's delta. A handle may be shared by concurrent estimators. It
-// stays valid across engine changes — a handle whose snapshot the session
-// has left is re-resolved from its configuration on next use — but only
-// with the session that made it.
+// candidate's delta. It stays valid across engine changes — a handle
+// whose snapshot the session has left is re-resolved from its
+// configuration on next use — but only with the session that made it,
+// and it has that session's owner.
 type Resolved struct {
 	w    *WhatIf
 	conf conf.Configuration
 
-	// Guarded by the session's mu.
 	snap    *snapshot // the snapshot the entries were resolved under
 	views   []*viewEntry
 	indexes []*ixEntry
@@ -188,7 +186,7 @@ type Resolved struct {
 }
 
 // relevance is the subset of a resolved base that can influence one
-// query's plan (see lookup for the rule), in configuration order.
+// query's plan (see estimate for the rule), in configuration order.
 type relevance struct {
 	views   []*viewEntry
 	indexes []*ixEntry
@@ -208,27 +206,27 @@ func (e *Engine) NewWhatIf() *WhatIf {
 // Engine returns the engine the session estimates against.
 func (w *WhatIf) Engine() *Engine { return w.e }
 
-// pinLocked returns the engine's published snapshot, first flushing the
+// pin returns the engine's published snapshot, first flushing the
 // derivation, intern and estimate caches and the query fingerprints if
 // they were filled under another one (invalidation on RUNSTATS,
 // transitions and loads). The fingerprints go with the estimates: every
 // key that names their ids is flushed, and a query asked about again
-// gets a new id from the engine's analysis of it. The caller holds w.mu.
-func (w *WhatIf) pinLocked() *snapshot {
+// gets a new id from the engine's analysis of it.
+func (w *WhatIf) pin() *snapshot {
 	if s := w.e.snap(); w.pinned != s {
 		w.pinned = s
 		w.indexCache = make(map[string]*plan.IndexInfo)
 		w.viewCache = make(map[string]*plan.ViewInfo)
 		w.ixEntries = make(map[ixKey][]*ixEntry)
 		w.viewByName = make(map[string]*viewEntry)
-		w.flushQueriesLocked()
+		w.flushQueries()
 	}
 	return w.pinned
 }
 
-// flushQueriesLocked drops the query fingerprints and the estimates
-// keyed on their ids. The caller holds w.mu.
-func (w *WhatIf) flushQueriesLocked() {
+// flushQueries drops the query fingerprints and the estimates keyed on
+// their ids.
+func (w *WhatIf) flushQueries() {
 	w.queries = make(map[*sql.Query]*queryRelevance)
 	w.estimates = make(map[string]estEntry)
 }
@@ -242,10 +240,8 @@ func (w *WhatIf) Resolve(c conf.Configuration) (*Resolved, error) {
 		return r, nil
 	}
 	r.memo = make(map[uint32]*relevance)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pinLocked()
-	if err := w.resolveLocked(r, r.conf); err != nil {
+	w.pin()
+	if err := w.resolve(r, r.conf); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -291,62 +287,128 @@ func (w *WhatIf) estimateUncached(q *sql.Query, hypo conf.Configuration) (Measur
 	return Measure{SQL: q.SQL(), Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
 }
 
-// estimate is the relevance-keyed fast path: probe the cache, and on a
-// miss optimize. A nil base means cfg is the whole configuration
-// (Estimate); otherwise cfg is the delta over base.
+// estimate is the relevance-keyed fast path. A nil base means cfg is the
+// whole configuration (Estimate); otherwise cfg is the delta over base.
+// It pins the engine snapshot, brings the base up to it, resolves the
+// delta, builds the relevance key and probes the estimate cache. A delta
+// entry the base or an earlier delta entry already holds is dropped —
+// interned entries make that a pointer comparison. Of the rest, only the
+// relevant enter the key:
+//
+//   - a view is relevant iff it is covered by the query's relevant tables;
+//   - an index is relevant iff its relation is a relevant table or a
+//     relevant view — the optimizer consults IndexesOn only for FROM
+//     tables, IN-subquery tables and matched views.
+//
+// The key is the query id, then the relevant view ids (base, then delta),
+// then the relevant index ids (base, then delta): the order the views and
+// indexes of candidate.applyTo(base) have, so a greedy round's trial
+// (cur, X) and the next round's (cur+X, ∅) share one entry. phys.Views
+// order decides equal-cost ties, so it is part of the key by construction.
+// Two candidate configurations that agree on the relevant subset share
+// one cache entry and one optimizer invocation.
+//
+// On a miss the candidate physical is assembled in the session's miss
+// scratch — the pinned snapshot supplies the tables; only the relevant
+// structures are attached — and estimated, so a miss allocates only its
+// cache key and entry.
 func (w *WhatIf) estimate(q *sql.Query, base *Resolved, cfg conf.Configuration) (Measure, error) {
-	c, err := w.lookup(q, base, cfg)
-	if err != nil {
-		return Measure{}, err
+	snap := w.pin()
+	var delta conf.Configuration
+	if base == nil {
+		// Estimate: cfg is the whole configuration, resolved afresh into
+		// the session's scratch handle, which keeps no memo.
+		base = &w.scratch
+		if err := w.resolve(base, cfg); err != nil {
+			return Measure{}, err
+		}
+	} else {
+		delta = cfg
+		if base.snap != snap {
+			if err := w.resolve(base, base.conf); err != nil {
+				return Measure{}, err
+			}
+		}
 	}
-	if c.hit {
+	fp := w.fingerprint(q)
+	rel := w.relevant(base, fp)
+
+	// Delta views, then delta indexes: resolve, drop duplicates, keep the
+	// relevant. Deltas are a candidate's one or two structures, so the
+	// fixed arrays keep them off the heap.
+	var dvBuf [4]*viewEntry
+	dv := dvBuf[:0]
+	for _, vd := range delta.Views {
+		v, err := w.internView(vd)
+		if err != nil {
+			return Measure{}, err
+		}
+		if !slices.Contains(base.views, v) && !slices.Contains(dv, v) {
+			dv = append(dv, v)
+		}
+	}
+	dv = slices.DeleteFunc(dv, func(v *viewEntry) bool { return !fp.covers(v) })
+	var diBuf [4]*ixEntry
+	di := diBuf[:0]
+	for _, d := range delta.Indexes {
+		x, err := w.internIndex(d)
+		if err != nil {
+			return Measure{}, err
+		}
+		if !slices.Contains(base.indexes, x) && !slices.Contains(di, x) {
+			di = append(di, x)
+		}
+	}
+	relevant := func(x *ixEntry) bool {
+		return fp.tables[x.rel] || named(rel.views, x.rel) || named(dv, x.rel)
+	}
+	di = slices.DeleteFunc(di, func(x *ixEntry) bool { return !relevant(x) })
+	baseIx := rel.indexes
+	for _, x := range rel.orphans {
+		if named(dv, x.rel) {
+			w.orphaned = slices.DeleteFunc(append(w.orphaned[:0], base.indexes...), func(x *ixEntry) bool { return !relevant(x) })
+			baseIx = w.orphaned
+			break
+		}
+	}
+
+	key := binary.LittleEndian.AppendUint32(w.key[:0], fp.id)
+	for _, vs := range [2][]*viewEntry{rel.views, dv} {
+		for _, v := range vs {
+			key = binary.LittleEndian.AppendUint32(key, v.id)
+		}
+	}
+	for _, xs := range [2][]*ixEntry{baseIx, di} {
+		for _, x := range xs {
+			key = binary.LittleEndian.AppendUint32(key, x.id)
+		}
+	}
+	w.key = key
+	if ent, ok := w.estimates[string(key)]; ok {
 		whatifHits.Add(1)
-		return Measure{SQL: c.sql, Seconds: c.ent.seconds, Meter: c.ent.meter}, nil
+		return Measure{SQL: fp.sql, Seconds: ent.seconds, Meter: ent.meter}, nil
 	}
-	return w.fill(q, c)
-}
 
-// fill is the miss path: assemble the candidate physical incrementally —
-// the snapshot lookup pinned supplies the tables; only the relevant
-// structures are attached — estimate, and cache the result. It assembles
-// in the miss scratch lookup handed it, which goes back to the session
-// once the entry is stored, so a miss allocates only its cache key and
-// entry. The optimizer runs outside w.mu: workers racing on the same key
-// duplicate the optimization but store identical results.
-func (w *WhatIf) fill(q *sql.Query, c candidate) (Measure, error) {
-	est, err := optimizer.Estimate(c.miss.physical(w.e, c.snap), q, w.e.Profile.Opts)
-	c.miss.reset()
-	w.mu.Lock()
-	w.spare = append(w.spare, c.miss)
-	// An estimate derived from a snapshot the session has since left must
-	// not land in the flushed cache.
-	if err == nil && w.pinned == c.snap {
-		w.estimates[c.key] = estEntry{seconds: est.Seconds, meter: est.Meter}
+	m := &w.miss
+	for _, vs := range [2][]*viewEntry{rel.views, dv} {
+		for _, v := range vs {
+			m.phys.Views = append(m.phys.Views, v.vi)
+		}
 	}
-	w.mu.Unlock()
+	m.indexes = append(append(m.indexes, baseIx...), di...)
+	est, err := optimizer.Estimate(m.physical(w.e, snap), q, w.e.Profile.Opts)
+	m.reset()
 	if err != nil {
 		return Measure{}, err
 	}
-	return Measure{SQL: c.sql, Seconds: est.Seconds, Meter: est.Meter}, nil
-}
-
-// candidate is what lookup resolves one estimate request to: the cache
-// key and either the cached entry or the material to optimize against.
-// key and miss are filled only on a miss.
-type candidate struct {
-	snap *snapshot // the snapshot everything below was resolved under
-	sql  string
-	key  string
-	hit  bool
-	ent  estEntry
-	miss *missScratch
+	w.estimates[string(key)] = estEntry{seconds: est.Seconds, meter: est.Meter}
+	return Measure{SQL: fp.sql, Seconds: est.Seconds, Meter: est.Meter}, nil
 }
 
 // missScratch is the material of one miss: the relevant indexes, and the
 // physical description assembled from them and the relevant views, which
-// lookup puts in phys.Views. A session keeps the idle ones (WhatIf.spare),
-// emptied of every description and snapshot they referenced, and reuses
-// their arrays and map.
+// estimate puts in phys.Views. Between misses it is emptied of every
+// description and snapshot it referenced, and keeps its arrays and map.
 type missScratch struct {
 	indexes []*ixEntry
 	phys    plan.Physical
@@ -396,117 +458,6 @@ func (m *missScratch) reset() {
 	m.phys = plan.Physical{Views: m.phys.Views[:0], Indexes: m.phys.Indexes}
 }
 
-// lookup is the part of estimate that runs under w.mu: pin the engine
-// snapshot, bring the base up to it, resolve the delta, build the
-// relevance key and probe the estimate cache. A delta entry the base or
-// an earlier delta entry already holds is dropped — interned entries make
-// that a pointer comparison. Of the rest, only the relevant enter the key:
-//
-//   - a view is relevant iff it is covered by the query's relevant tables;
-//   - an index is relevant iff its relation is a relevant table or a
-//     relevant view — the optimizer consults IndexesOn only for FROM
-//     tables, IN-subquery tables and matched views.
-//
-// The key is the query id, then the relevant view ids (base, then delta),
-// then the relevant index ids (base, then delta): the order the views and
-// indexes of candidate.applyTo(base) have, so a greedy round's trial
-// (cur, X) and the next round's (cur+X, ∅) share one entry. phys.Views
-// order decides equal-cost ties, so it is part of the key by construction.
-// Two candidate configurations that agree on the relevant subset share
-// one cache entry and one optimizer invocation.
-func (w *WhatIf) lookup(q *sql.Query, base *Resolved, cfg conf.Configuration) (candidate, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	c := candidate{snap: w.pinLocked()}
-	var delta conf.Configuration
-	if base == nil {
-		// Estimate: cfg is the whole configuration, resolved afresh into
-		// the session's scratch handle, which keeps no memo.
-		base = &w.scratch
-		if err := w.resolveLocked(base, cfg); err != nil {
-			return c, err
-		}
-	} else {
-		delta = cfg
-		if base.snap != c.snap {
-			if err := w.resolveLocked(base, base.conf); err != nil {
-				return c, err
-			}
-		}
-	}
-	fp := w.relevanceLocked(q)
-	c.sql = fp.sql
-	rel := w.relevantLocked(base, fp)
-
-	// Delta views, then delta indexes: resolve, drop duplicates, keep the
-	// relevant. Deltas are a candidate's one or two structures, so the
-	// fixed arrays keep them off the heap.
-	var dvBuf [4]*viewEntry
-	dv := dvBuf[:0]
-	for _, vd := range delta.Views {
-		v, err := w.internView(vd)
-		if err != nil {
-			return c, err
-		}
-		if !slices.Contains(base.views, v) && !slices.Contains(dv, v) {
-			dv = append(dv, v)
-		}
-	}
-	dv = slices.DeleteFunc(dv, func(v *viewEntry) bool { return !fp.covers(v) })
-	var diBuf [4]*ixEntry
-	di := diBuf[:0]
-	for _, d := range delta.Indexes {
-		x, err := w.internIndex(d)
-		if err != nil {
-			return c, err
-		}
-		if !slices.Contains(base.indexes, x) && !slices.Contains(di, x) {
-			di = append(di, x)
-		}
-	}
-	relevant := func(x *ixEntry) bool {
-		return fp.tables[x.rel] || named(rel.views, x.rel) || named(dv, x.rel)
-	}
-	di = slices.DeleteFunc(di, func(x *ixEntry) bool { return !relevant(x) })
-	baseIx := rel.indexes
-	for _, x := range rel.orphans {
-		if named(dv, x.rel) {
-			w.orphaned = slices.DeleteFunc(append(w.orphaned[:0], base.indexes...), func(x *ixEntry) bool { return !relevant(x) })
-			baseIx = w.orphaned
-			break
-		}
-	}
-
-	key := binary.LittleEndian.AppendUint32(w.key[:0], fp.id)
-	for _, vs := range [2][]*viewEntry{rel.views, dv} {
-		for _, v := range vs {
-			key = binary.LittleEndian.AppendUint32(key, v.id)
-		}
-	}
-	for _, xs := range [2][]*ixEntry{baseIx, di} {
-		for _, x := range xs {
-			key = binary.LittleEndian.AppendUint32(key, x.id)
-		}
-	}
-	w.key = key
-	if c.ent, c.hit = w.estimates[string(key)]; c.hit {
-		return c, nil
-	}
-	c.key = string(key)
-	if n := len(w.spare); n > 0 {
-		c.miss, w.spare = w.spare[n-1], w.spare[:n-1]
-	} else {
-		c.miss = new(missScratch)
-	}
-	for _, vs := range [2][]*viewEntry{rel.views, dv} {
-		for _, v := range vs {
-			c.miss.phys.Views = append(c.miss.phys.Views, v.vi)
-		}
-	}
-	c.miss.indexes = append(append(c.miss.indexes, baseIx...), di...)
-	return c, nil
-}
-
 // named reports whether one of the views has the lower-case name rel.
 func named(views []*viewEntry, rel string) bool {
 	for _, v := range views {
@@ -517,10 +468,9 @@ func named(views []*viewEntry, rel string) bool {
 	return false
 }
 
-// resolveLocked (re)interns every definition of c into the handle under
-// the pinned snapshot and forgets the handle's per-query memo. The caller
-// holds w.mu.
-func (w *WhatIf) resolveLocked(r *Resolved, c conf.Configuration) error {
+// resolve (re)interns every definition of c into the handle under the
+// pinned snapshot and forgets the handle's per-query memo.
+func (w *WhatIf) resolve(r *Resolved, c conf.Configuration) error {
 	r.snap = nil
 	r.views, r.indexes = r.views[:0], r.indexes[:0]
 	clear(r.memo)
@@ -542,11 +492,10 @@ func (w *WhatIf) resolveLocked(r *Resolved, c conf.Configuration) error {
 	return nil
 }
 
-// relevantLocked returns the subset of the resolved base relevant to the
+// relevant returns the subset of the resolved base relevant to the
 // query, from the handle's memo when it has one. The session's scratch
 // handle has none: its subset is rebuilt in scratchRel on every call.
-// The caller holds w.mu.
-func (w *WhatIf) relevantLocked(r *Resolved, fp *queryRelevance) *relevance {
+func (w *WhatIf) relevant(r *Resolved, fp *queryRelevance) *relevance {
 	if m, ok := r.memo[fp.id]; ok {
 		return m
 	}
@@ -572,16 +521,15 @@ func (w *WhatIf) relevantLocked(r *Resolved, fp *queryRelevance) *relevance {
 	return m
 }
 
-// relevanceLocked returns the query's fingerprint, adding one on first
-// sight under the pinned snapshot. Its analysis is the engine's memoized
-// one, so the queries AnalyzeSQL hands out for one text share one
-// fingerprint and one id — a search over the same texts again (the warm
-// pass) hits the entries of an earlier one — and only a query analyzed
-// elsewhere, or evicted from the memo since, is fingerprinted here. A
-// session that has fingerprinted as many queries as the memo holds texts
-// starts over: it is being given ever new queries under one snapshot.
-// Caller holds w.mu exclusively.
-func (w *WhatIf) relevanceLocked(q *sql.Query) *queryRelevance {
+// fingerprint returns the query's fingerprint, adding one on first sight
+// under the pinned snapshot. Its analysis is the engine's memoized one,
+// so the queries AnalyzeSQL hands out for one text share one fingerprint
+// and one id — a search over the same texts again (the warm pass) hits
+// the entries of an earlier one — and only a query analyzed elsewhere,
+// or evicted from the memo since, is fingerprinted here. A session that
+// has fingerprinted as many queries as the memo holds texts starts over:
+// it is being given ever new queries under one snapshot.
+func (w *WhatIf) fingerprint(q *sql.Query) *queryRelevance {
 	if fp, ok := w.queries[q]; ok {
 		return fp
 	}
@@ -590,17 +538,16 @@ func (w *WhatIf) relevanceLocked(q *sql.Query) *queryRelevance {
 		a = newAnalyzed("", q)
 	}
 	if len(w.queries) >= analyzedCap {
-		w.flushQueriesLocked()
+		w.flushQueries()
 	}
-	fp := &queryRelevance{id: w.nextIDLocked(), analyzed: a}
+	fp := &queryRelevance{id: w.nextID(), analyzed: a}
 	w.queries[q] = fp
 	return fp
 }
 
-// nextIDLocked hands out a session-unique id; queries, views and indexes
-// draw from one sequence, so an id names one kind of thing. The caller
-// holds w.mu.
-func (w *WhatIf) nextIDLocked() uint32 {
+// nextID hands out a session-unique id; queries, views and indexes draw
+// from one sequence, so an id names one kind of thing.
+func (w *WhatIf) nextID() uint32 {
 	w.lastID++
 	return w.lastID
 }
@@ -621,8 +568,7 @@ func combineConfig(base, delta conf.Configuration) conf.Configuration {
 }
 
 // internView returns the view's entry under the pinned snapshot,
-// resolving its actual or derived description on first sight. The caller
-// holds w.mu.
+// resolving its actual or derived description on first sight.
 func (w *WhatIf) internView(vd conf.ViewDef) (*viewEntry, error) {
 	name := strings.ToLower(vd.Name)
 	if v, ok := w.viewByName[name]; ok {
@@ -631,11 +577,11 @@ func (w *WhatIf) internView(vd conf.ViewDef) (*viewEntry, error) {
 	vi := w.pinned.findView(vd.Name)
 	if vi == nil {
 		var err error
-		if vi, err = w.hypoViewLocked(vd); err != nil {
+		if vi, err = w.hypoView(vd); err != nil {
 			return nil, err
 		}
 	}
-	v := &viewEntry{id: w.nextIDLocked(), rel: name, vi: vi, tables: make([]string, len(vi.Query.Tables))}
+	v := &viewEntry{id: w.nextID(), rel: name, vi: vi, tables: make([]string, len(vi.Query.Tables))}
 	for i, t := range vi.Query.Tables {
 		v.tables[i] = strings.ToLower(t.Table.Name)
 	}
@@ -645,7 +591,7 @@ func (w *WhatIf) internView(vd conf.ViewDef) (*viewEntry, error) {
 
 // internIndex returns the index's entry under the pinned snapshot,
 // resolving its actual or derived description on first sight; equal
-// definitions share one entry. The caller holds w.mu.
+// definitions share one entry.
 func (w *WhatIf) internIndex(d conf.IndexDef) (*ixEntry, error) {
 	k := keyOf(d)
 	for _, x := range w.ixEntries[k] {
@@ -656,11 +602,11 @@ func (w *WhatIf) internIndex(d conf.IndexDef) (*ixEntry, error) {
 	ix := w.pinned.findIndex(d)
 	if ix == nil {
 		var err error
-		if ix, err = w.hypoIndexLocked(d); err != nil {
+		if ix, err = w.hypoIndex(d); err != nil {
 			return nil, err
 		}
 	}
-	x := &ixEntry{id: w.nextIDLocked(), rel: k.table, ix: ix}
+	x := &ixEntry{id: w.nextID(), rel: k.table, ix: ix}
 	w.ixEntries[k] = append(w.ixEntries[k], x)
 	return x, nil
 }
@@ -669,12 +615,10 @@ func (w *WhatIf) internIndex(d conf.IndexDef) (*ixEntry, error) {
 // configuration's indexes and views beyond the base data — the measure
 // the storage budget constrains (paper §2.2: ET uses storage).
 func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pinLocked()
+	w.pin()
 	var total int64
 	for _, vd := range hypo.Views {
-		vi, err := w.hypoViewLocked(vd)
+		vi, err := w.hypoView(vd)
 		if err != nil {
 			continue
 		}
@@ -684,7 +628,7 @@ func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
 		if d.Auto {
 			continue // primary-key indexes belong to every configuration
 		}
-		ix, err := w.hypoIndexLocked(d)
+		ix, err := w.hypoIndex(d)
 		if err != nil {
 			continue
 		}
@@ -693,32 +637,10 @@ func (w *WhatIf) EstimateSize(hypo conf.Configuration) int64 {
 	return total
 }
 
-// DeriveViews derives, in order, the description of every view the
-// pinned snapshot has not built, as an estimate does on first sight of
-// its name, and returns the first derivation error. The session keeps the
-// first derivation of a name, so a caller about to estimate in parallel
-// calls it first: which of two same-named definitions the estimates see
-// is then this order's choice, not the first worker's.
-func (w *WhatIf) DeriveViews(views []conf.ViewDef) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	s := w.pinLocked()
-	for _, vd := range views {
-		if s.findView(vd.Name) == nil {
-			if _, err := w.hypoViewLocked(vd); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // physical assembles a hypothetical physical design from scratch — the
 // uncached estimation path.
 func (w *WhatIf) physical(hypo conf.Configuration) (*plan.Physical, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	s := w.pinLocked()
+	s := w.pin()
 	phys := w.e.livePhysical(s) // a copy: the snapshot's own is shared
 	phys.Indexes = make(map[string][]*plan.IndexInfo)
 	phys.Views = make([]*plan.ViewInfo, 0, len(hypo.Views))
@@ -727,7 +649,7 @@ func (w *WhatIf) physical(hypo conf.Configuration) (*plan.Physical, error) {
 		vi := s.findView(vd.Name)
 		if vi == nil {
 			var err error
-			if vi, err = w.hypoViewLocked(vd); err != nil {
+			if vi, err = w.hypoView(vd); err != nil {
 				return nil, err
 			}
 		}
@@ -737,7 +659,7 @@ func (w *WhatIf) physical(hypo conf.Configuration) (*plan.Physical, error) {
 		ix := s.findIndex(d)
 		if ix == nil {
 			var err error
-			if ix, err = w.hypoIndexLocked(d); err != nil {
+			if ix, err = w.hypoIndex(d); err != nil {
 				return nil, err
 			}
 		}
@@ -747,9 +669,9 @@ func (w *WhatIf) physical(hypo conf.Configuration) (*plan.Physical, error) {
 	return phys, nil
 }
 
-// hypoIndexLocked derives (and caches) a hypothetical index description
-// from the statistics of the pinned snapshot. The caller holds w.mu.
-func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
+// hypoIndex derives (and caches) a hypothetical index description
+// from the statistics of the pinned snapshot.
+func (w *WhatIf) hypoIndex(d conf.IndexDef) (*plan.IndexInfo, error) {
 	key := d.Name()
 	if ix, ok := w.indexCache[key]; ok {
 		return ix, nil
@@ -788,11 +710,11 @@ func (w *WhatIf) hypoIndexLocked(d conf.IndexDef) (*plan.IndexInfo, error) {
 	return ix, nil
 }
 
-// hypoViewLocked derives (and caches) a hypothetical materialized view
+// hypoView derives (and caches) a hypothetical materialized view
 // description: the defining query is analyzed, its cardinality estimated
 // with the join formula, and column statistics are borrowed from the base
-// tables. The caller holds w.mu.
-func (w *WhatIf) hypoViewLocked(vd conf.ViewDef) (*plan.ViewInfo, error) {
+// tables.
+func (w *WhatIf) hypoView(vd conf.ViewDef) (*plan.ViewInfo, error) {
 	key := strings.ToLower(vd.Name)
 	if v, ok := w.viewCache[key]; ok {
 		return v, nil

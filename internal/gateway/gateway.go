@@ -205,7 +205,7 @@ func (g *Gateway) load(build func(Config) (*Backend, error)) {
 	}
 	var loop *recommender.Loop
 	if err == nil && g.cfg.Tuning {
-		loop, err = recommender.NewLoop(b.Engine, g.cfg.System, b.Budget, 1)
+		loop, err = recommender.NewLoop(b.Engine, g.cfg.System, b.Budget)
 	}
 	if err != nil {
 		g.loadMu.Lock()

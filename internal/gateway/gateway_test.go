@@ -216,6 +216,7 @@ func TestValidateRejects(t *testing.T) {
 		{"negative timeout", func(c *Config) { c.TimeoutSeconds = -5 }, "timeout_seconds must not be negative"},
 		{"negative body limit", func(c *Config) { c.MaxBodyBytes = -1 }, "max_body_bytes must not be negative"},
 		{"negative shards", func(c *Config) { c.Shards = -1 }, "shards must be non-negative"},
+		{"NaN tenant goal", func(c *Config) { c.Tenants[0].Goal = "10:NaN" }, `goal step "10:NaN"`},
 	} {
 		cfg := testConfig()
 		c.edit(&cfg)

@@ -88,7 +88,7 @@ func TestTunerSearchesEachSQLSetOnce(t *testing.T) {
 		t.Fatalf("build backend: %v", err)
 	}
 	g, ts := newTestGatewayOn(t, cfg, b)
-	loop, err := recommender.NewLoop(b.Engine, "B", b.Budget, 1)
+	loop, err := recommender.NewLoop(b.Engine, "B", b.Budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ type Loop struct {
 
 	eng    *engine.Engine
 	rec    *Recommender // nil: the paper's 1C reference configuration
-	run    core.Runner
 	budget int64
 
-	// whatif is the search's and the prediction's shared session: the
+	// whatif is the one session the search and the prediction share: the
 	// prediction finds the winner's estimates already cached, and the
 	// session flushes itself when a Transition publishes a new snapshot.
 	whatif *engine.WhatIf
@@ -60,16 +59,15 @@ type RetuneRecord struct {
 }
 
 // NewLoop opens a loop over eng. profile is a recommender profile name
-// or "1C"; budget is the storage budget the search recommends under, and
-// parallelism the fan-out of the search and the prediction.
-func NewLoop(eng *engine.Engine, profile string, budget int64, parallelism int) (*Loop, error) {
-	l := &Loop{eng: eng, run: core.Runner{Parallelism: parallelism}, budget: budget, whatif: eng.NewWhatIf()}
+// or "1C"; budget is the storage budget the search recommends under.
+func NewLoop(eng *engine.Engine, profile string, budget int64) (*Loop, error) {
+	l := &Loop{eng: eng, budget: budget, whatif: eng.NewWhatIf()}
 	if profile != "1C" {
 		cfg, err := System(profile)
 		if err != nil {
 			return nil, err
 		}
-		l.rec = New(eng, cfg).Parallel(parallelism).UseSession(l.whatif)
+		l.rec = New(eng, cfg).UseSession(l.whatif)
 	}
 	return l, nil
 }
@@ -121,7 +119,7 @@ func (l *Loop) Retune(reason string, mix map[string]int, sqls []string) (conf.Co
 	}
 	// Predict before the owner applies: the what-if mean under the
 	// candidate, seen from the current configuration.
-	hyp, err := l.run.WhatIfSessionWorkload(l.whatif, sqls, cfg)
+	hyp, err := core.WhatIfWorkload(l.whatif, sqls, cfg)
 	if err != nil {
 		rec.Err = err.Error()
 		return cfg, rec

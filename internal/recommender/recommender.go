@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/conf"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sql"
 )
@@ -178,29 +177,28 @@ func (c *candidate) tables() map[string]bool {
 	return out
 }
 
-// Recommender searches configurations for one engine + profile.
+// Recommender searches configurations for one engine + profile. Its
+// search is one owner of one what-if session: every estimate runs on the
+// calling goroutine, in a fixed order.
 type Recommender struct {
 	e       *engine.Engine
 	cfg     Config
-	run     core.Runner
 	session *engine.WhatIf
 }
 
 // New creates a recommender over the engine (which should be in the P
-// configuration with statistics collected, per §3.2.3). The search runs
-// sequentially unless Parallel raises the fan-out.
+// configuration with statistics collected, per §3.2.3).
 func New(e *engine.Engine, cfg Config) *Recommender {
-	return &Recommender{e: e, cfg: cfg, run: core.Runner{Parallelism: 1}}
+	return &Recommender{e: e, cfg: cfg}
 }
 
-// Parallel sets the candidate-evaluation fan-out (1 = sequential,
-// 0 = GOMAXPROCS) and returns the recommender for chaining. The
-// recommendation is byte-identical at any setting: estimates fan out over
-// index-addressed slices and every selection reduces sequentially.
-func (r *Recommender) Parallel(n int) *Recommender {
-	r.run.Parallelism = n
-	return r
-}
+// Parallel returns the recommender unchanged: the search is sequential.
+//
+// Deprecated: it set a candidate-evaluation fan-out that ran slower at
+// two workers than at one in every phase (DESIGN §11), and is gone. Only
+// the wall-clock benchmark still calls it; ROADMAP item 3 removes those
+// calls and then this method.
+func (r *Recommender) Parallel(int) *Recommender { return r }
 
 // UseSession makes the search estimate through an existing what-if
 // session instead of opening its own, so a long-lived caller (the
@@ -209,12 +207,6 @@ func (r *Recommender) Parallel(n int) *Recommender {
 func (r *Recommender) UseSession(w *engine.WhatIf) *Recommender {
 	r.session = w
 	return r
-}
-
-// soloJob is one (query, candidate) pair of the solo-evaluation fan-out.
-type soloJob struct {
-	qi int
-	c  *candidate
 }
 
 // Recommend returns a configuration for the workload within the storage
@@ -258,67 +250,30 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 		return conf.Configuration{}, err
 	}
 
-	// Baseline cost per query in the starting configuration, fanned over
-	// the pool into an index-addressed slice.
+	// Baseline cost per query in the starting configuration.
 	baseCost := make([]float64, len(qs))
-	err = r.run.Each(len(qs), func(i int) error {
-		m, err := w.EstimateWith(qs[i], rbase, conf.Configuration{})
+	for i, q := range qs {
+		m, err := w.EstimateWith(q, rbase, conf.Configuration{})
 		if err != nil {
-			return err
-		}
-		baseCost[i] = m.Seconds
-		return nil
-	})
-	if err != nil {
-		return conf.Configuration{}, err
-	}
-
-	// Solo evaluation: estimate every (query, candidate) pair in parallel
-	// through the delta path, then reduce per query sequentially so the
-	// TopPerQuery ranking is order-independent of the fan-out.
-	nJobs := 0
-	for i := range perQuery {
-		nJobs += len(perQuery[i])
-	}
-	jobs := make([]soloJob, 0, nJobs)
-	for i := range perQuery {
-		for _, c := range perQuery[i] {
-			jobs = append(jobs, soloJob{qi: i, c: c})
-		}
-	}
-	// Derive every candidate view sequentially, in job order, before the
-	// fan-out, so that of two same-named definitions the session keeps the
-	// first job's whatever order the workers reach them in.
-	for _, j := range jobs {
-		if err := w.DeriveViews(j.c.views); err != nil {
 			return conf.Configuration{}, err
 		}
-	}
-	gains := make([]float64, len(jobs))
-	err = r.run.Each(len(jobs), func(k int) error {
-		j := jobs[k]
-		delta := conf.Configuration{Indexes: j.c.indexes, Views: j.c.views}
-		m, err := w.EstimateWith(qs[j.qi], rbase, delta)
-		if err != nil {
-			return err
-		}
-		gains[k] = baseCost[j.qi] - m.Seconds
-		return nil
-	})
-	if err != nil {
-		return conf.Configuration{}, err
+		baseCost[i] = m.Seconds
 	}
 
-	// Sequential reduction: keep the best TopPerQuery candidates per query.
+	// Solo evaluation: estimate every (query, candidate) pair through the
+	// delta path and keep the best TopPerQuery candidates per query.
 	pool := make(map[string]*candidate)
-	k := 0
-	for i := range qs {
-		ss := make([]scoredCand, 0, len(perQuery[i]))
-		for range perQuery[i] {
-			if g := gains[k]; g > 0 {
-				ss = append(ss, scoredCand{jobs[k].c, g})
+	var ss []scoredCand
+	for i, q := range qs {
+		ss = ss[:0]
+		for _, c := range perQuery[i] {
+			m, err := w.EstimateWith(q, rbase, conf.Configuration{Indexes: c.indexes, Views: c.views})
+			if err != nil {
+				return conf.Configuration{}, err
 			}
-			k++
+			if g := baseCost[i] - m.Seconds; g > 0 {
+				ss = append(ss, scoredCand{c, g})
+			}
 		}
 		sort.Sort(byGainDesc(ss))
 		if len(ss) > r.cfg.TopPerQuery {
@@ -342,13 +297,8 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 		cands = append(cands, c)
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].key < cands[b].key })
-	err = r.run.Each(len(cands), func(i int) error {
-		c := cands[i]
+	for _, c := range cands {
 		c.size = w.EstimateSize(conf.Configuration{Indexes: c.indexes, Views: c.views})
-		return nil
-	})
-	if err != nil {
-		return conf.Configuration{}, err
 	}
 
 	if r.cfg.PerQuery {
@@ -404,21 +354,20 @@ type queryCost struct {
 	seconds float64
 }
 
-// roundResult is one candidate's outcome in a greedy round: its total
-// gain over the affected queries and the per-query costs that improved.
-// A work slot's costs array is reused round after round: greedy applies
-// the winner's costs before the next round overwrites them.
-type roundResult struct {
-	gain  float64
-	costs []queryCost
+// roundBest is a greedy round's winner: the index of the candidate with
+// the best gain density (-1 for none), its total gain over the affected
+// queries and the per-query costs it improved. trial is the array the
+// next candidate's costs gather in; a trial that wins swaps arrays with
+// costs, so the two are reused round after round.
+type roundBest struct {
+	ci           int
+	gain         float64
+	costs, trial []queryCost
 }
 
 // greedy is the workload-level knapsack: each round adds the candidate
 // with the best total-gain-per-byte, re-estimating affected queries, until
 // no candidate clears the minimum-gain bar or the budget is exhausted.
-// Each round evaluates its feasible candidates in parallel and then
-// selects sequentially in candidate order, so the chosen sequence is
-// byte-identical at any parallelism.
 func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sql.Query,
 	baseCost []float64, cands []*candidate, budget int64) (conf.Configuration, error) {
 
@@ -441,15 +390,14 @@ func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sq
 	}
 
 	work := make([]int, 0, len(cands))
-	results := make([]roundResult, len(cands))
+	var best roundBest
 	for round := 0; round < 64; round++ {
 		total := 0.0
 		for _, c := range cost {
 			total += c
 		}
 		// The feasibility filter depends on the evolving configuration and
-		// budget, so it runs sequentially; the surviving candidates then
-		// estimate concurrently.
+		// budget.
 		work = work[:0]
 		for ci, c := range cands {
 			if c.inConfig(cur) || used+c.size > budget {
@@ -463,26 +411,15 @@ func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sq
 		if len(work) == 0 {
 			break
 		}
-		if err := r.greedyRound(w, cur, qs, cost, cands, affected, work, results); err != nil {
+		if err := r.greedyRound(w, cur, qs, cost, cands, affected, work, &best); err != nil {
 			return conf.Configuration{}, err
 		}
-		// Density comparison with deterministic tie-breaks, in candidate
-		// order — exactly the sequential scan's selection.
-		bestGain, bestIdx, bestK := 0.0, -1, -1
-		for k, ci := range work {
-			if results[k].gain <= 0 {
-				continue
-			}
-			if bestIdx < 0 || results[k].gain/float64(cands[ci].size+1) > bestGain/float64(cands[bestIdx].size+1) {
-				bestGain, bestIdx, bestK = results[k].gain, ci, k
-			}
-		}
-		if bestIdx < 0 || bestGain < r.cfg.MinGainFrac*total {
+		if best.ci < 0 || best.gain < r.cfg.MinGainFrac*total {
 			break
 		}
-		cur = cands[bestIdx].applyTo(cur)
-		used += cands[bestIdx].size
-		for _, qc := range results[bestK].costs {
+		cur = cands[best.ci].applyTo(cur)
+		used += cands[best.ci].size
+		for _, qc := range best.costs {
 			cost[qc.qi] = qc.seconds
 		}
 	}
@@ -490,22 +427,23 @@ func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sq
 }
 
 // greedyRound evaluates one round's feasible candidates (work, indexes
-// into cands) against the current configuration, writing each outcome
-// into results[k]. Trials go through the what-if delta path: the current
-// configuration is resolved once per round and each candidate only
-// contributes its own delta.
+// into cands) against the current configuration, in candidate order, and
+// keeps the best in best: the highest gain density, a tie going to the
+// earlier candidate. Trials go through the what-if delta path: the
+// current configuration is resolved once per round and each candidate
+// only contributes its own delta.
 func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs []*sql.Query,
-	cost []float64, cands []*candidate, affected [][]int, work []int, results []roundResult) error {
+	cost []float64, cands []*candidate, affected [][]int, work []int, best *roundBest) error {
 	rcur, err := w.Resolve(cur)
 	if err != nil {
 		return err
 	}
-	return r.run.Each(len(work), func(k int) error {
-		ci := work[k]
+	best.ci, best.gain = -1, 0
+	for _, ci := range work {
 		c := cands[ci]
 		delta := conf.Configuration{Indexes: c.indexes, Views: c.views}
 		gain := 0.0
-		costs := results[k].costs[:0] // the slot's array from earlier rounds
+		best.trial = best.trial[:0]
 		for _, qi := range affected[ci] {
 			m, err := w.EstimateWith(qs[qi], rcur, delta)
 			if err != nil {
@@ -513,12 +451,15 @@ func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs [
 			}
 			if m.Seconds < cost[qi] {
 				gain += cost[qi] - m.Seconds
-				costs = append(costs, queryCost{qi: qi, seconds: m.Seconds})
+				best.trial = append(best.trial, queryCost{qi: qi, seconds: m.Seconds})
 			}
 		}
-		results[k] = roundResult{gain: gain, costs: costs}
-		return nil
-	})
+		if gain > 0 && (best.ci < 0 || gain/float64(c.size+1) > best.gain/float64(cands[best.ci].size+1)) {
+			best.ci, best.gain = ci, gain
+			best.costs, best.trial = best.trial, best.costs
+		}
+	}
+	return nil
 }
 
 // evalUnits sizes the candidate space for one query, whose generated
