@@ -117,7 +117,11 @@ func TestEstimateMatchesOptimize(t *testing.T) {
 			}
 			for j, d := range deltas {
 				check(fmt.Sprintf("delta %d", j), func(w *engine.WhatIf, base *engine.Resolved) (engine.Measure, error) {
-					return w.EstimateWith(q, base, d)
+					h, err := w.Resolve(d)
+					if err != nil {
+						return engine.Measure{}, err
+					}
+					return w.EstimateWith(q, base, h)
 				})
 			}
 		}

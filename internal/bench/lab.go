@@ -15,6 +15,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/recommender"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -188,14 +189,24 @@ func dbOfFamily(family string) string {
 // Workload returns the sampled 100-query workload for the family,
 // stratified by optimizer estimates in the P configuration (the sampling
 // that "preserves the distribution of elapsed times of the larger family",
-// §4.1.1, using estimates as the stratifier).
+// §4.1.1, using estimates as the stratifier). Each text of the family is
+// analyzed and priced outside the engine's memo of analyzed queries: only
+// the sample is asked about again.
 func (l *Lab) Workload(sys, family string) workload.Family {
 	db := dbOfFamily(family)
 	fam, err := l.workloads.get(db+":"+family, func() (workload.Family, error) {
 		e := l.pEngine(sys, db)
 		fam := generateFamily(family, e, defaultFamilyOptions())
 		return fam.Sample(l.WorkloadSize, func(s string) float64 {
-			m, err := e.Estimate(s)
+			stmt, err := sql.ParseSelect(s)
+			if err != nil {
+				return 0
+			}
+			q, err := sql.Analyze(e.Schema, stmt)
+			if err != nil {
+				return 0
+			}
+			m, err := e.EstimateAnalyzed(q)
 			if err != nil {
 				return 0
 			}

@@ -60,9 +60,10 @@ func TestWhatIfCacheMatchesUncached(t *testing.T) {
 }
 
 // TestEstimateWithMatchesCombined checks the incremental base+delta
-// entry point against Estimate on the materialized union, including the
-// dedup rule: a delta that repeats base structures must cost the same
-// as the base alone.
+// entry point, its delta a resolved handle, against Estimate on the
+// materialized union, including the dedup rule: a delta that repeats
+// base structures must cost the same as the base alone, and so must no
+// delta at all.
 func TestEstimateWithMatchesCombined(t *testing.T) {
 	l := tinyLab()
 	db := dbOfFamily("NREF2J")
@@ -77,6 +78,7 @@ func TestEstimateWithMatchesCombined(t *testing.T) {
 	}}}
 	w := e.NewWhatIf()
 	rbase := mustResolve(t, w, base)
+	rdelta := mustResolve(t, w, delta)
 	empty := mustResolve(t, w, conf.Configuration{})
 	for _, sqlText := range l.Workload("A", "NREF2J").SQLs()[:6] {
 		q, err := e.AnalyzeSQL(sqlText)
@@ -87,14 +89,21 @@ func TestEstimateWithMatchesCombined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dup, err := w.EstimateWith(q, rbase, delta)
+		dup, err := w.EstimateWith(q, rbase, rdelta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, dup) {
 			t.Errorf("duplicate delta changed the estimate for %q", sqlText)
 		}
-		inc, err := w.EstimateWith(q, empty, base)
+		none, err := w.EstimateWith(q, rbase, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, none) {
+			t.Errorf("the base alone estimates differently from Estimate for %q", sqlText)
+		}
+		inc, err := w.EstimateWith(q, empty, rbase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +113,7 @@ func TestEstimateWithMatchesCombined(t *testing.T) {
 	}
 }
 
-func mustResolve(t *testing.T, w *engine.WhatIf, c conf.Configuration) *engine.Resolved {
+func mustResolve(t testing.TB, w *engine.WhatIf, c conf.Configuration) *engine.Resolved {
 	t.Helper()
 	r, err := w.Resolve(c)
 	if err != nil {
@@ -124,7 +133,7 @@ type trial struct {
 	deltas map[string]conf.Configuration
 }
 
-func newTrial(t *testing.T) trial {
+func newTrial(t testing.TB) trial {
 	t.Helper()
 	l := tinyLab()
 	db := dbOfFamily("SkTH3J")
@@ -174,7 +183,7 @@ func TestTrialAndMergedBaseShareOneEntry(t *testing.T) {
 	tr := newTrial(t)
 	for name, x := range tr.deltas {
 		w := tr.e.NewWhatIf()
-		trial, err := w.EstimateWith(tr.q, mustResolve(t, w, tr.cur), x)
+		trial, err := w.EstimateWith(tr.q, mustResolve(t, w, tr.cur), mustResolve(t, w, x))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -183,7 +192,7 @@ func TestTrialAndMergedBaseShareOneEntry(t *testing.T) {
 		merged.Indexes = append(merged.Indexes, x.Indexes...)
 		rmerged := mustResolve(t, w, merged)
 		_, before := engine.WhatIfCounters()
-		got, err := w.EstimateWith(tr.q, rmerged, conf.Configuration{})
+		got, err := w.EstimateWith(tr.q, rmerged, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -197,8 +206,9 @@ func TestTrialAndMergedBaseShareOneEntry(t *testing.T) {
 }
 
 // TestStaleResolvedHandle resolves a configuration, moves the engine to a
-// new one, and uses the old handle: it must answer as a fresh session
-// does. A handle used with another session is an error.
+// new one, and uses the old handle, as a base and as a delta over an
+// empty base: both must answer as a fresh session does. A handle used
+// with another session, as either, is an error.
 func TestStaleResolvedHandle(t *testing.T) {
 	l := tinyLab()
 	db := dbOfFamily("NREF2J")
@@ -206,6 +216,8 @@ func TestStaleResolvedHandle(t *testing.T) {
 	hypo := engine.OneColumnConfiguration(e)
 	w := e.NewWhatIf()
 	rh := mustResolve(t, w, hypo)
+	rd := mustResolve(t, w, hypo)
+	empty := mustResolve(t, w, conf.Configuration{})
 	var qs []*sql.Query
 	var before []engine.Measure
 	for _, sqlText := range l.Workload("A", "NREF2J").SQLs()[:6] {
@@ -213,9 +225,12 @@ func TestStaleResolvedHandle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := w.EstimateWith(q, rh, conf.Configuration{})
+		m, err := w.EstimateWith(q, rh, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if d, err := w.EstimateWith(q, empty, rd); err != nil || d != m {
+			t.Fatalf("before the transition, the delta handle estimates %v (%v), the base %v", d.Seconds, err, m.Seconds)
 		}
 		qs, before = append(qs, q), append(before, m)
 	}
@@ -224,7 +239,13 @@ func TestStaleResolvedHandle(t *testing.T) {
 	}
 	moved := false
 	for i, q := range qs {
-		got, err := w.EstimateWith(q, rh, conf.Configuration{})
+		// The delta first: its own re-resolution, not the base's, must
+		// bring it to the new snapshot.
+		asDelta, err := w.EstimateWith(q, empty, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asBase, err := w.EstimateWith(q, rh, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,29 +253,37 @@ func TestStaleResolvedHandle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("query %d: stale handle estimates %v, a fresh session %v", i, got.Seconds, want.Seconds)
+		if asBase != want {
+			t.Errorf("query %d: stale base handle estimates %v, a fresh session %v", i, asBase.Seconds, want.Seconds)
+		}
+		if asDelta != want {
+			t.Errorf("query %d: stale delta handle estimates %v, a fresh session %v", i, asDelta.Seconds, want.Seconds)
 		}
 		moved = moved || want != before[i]
 	}
 	if !moved {
 		t.Error("the transition moved no estimate: the test proves nothing")
 	}
-	if _, err := e.NewWhatIf().EstimateWith(qs[0], rh, conf.Configuration{}); err == nil {
-		t.Error("another session accepted the handle")
+	other := e.NewWhatIf()
+	if _, err := other.EstimateWith(qs[0], rh, nil); err == nil {
+		t.Error("another session accepted the handle as a base")
+	}
+	if _, err := other.EstimateWith(qs[0], mustResolve(t, other, conf.Configuration{}), rd); err == nil {
+		t.Error("another session accepted the handle as a delta")
 	}
 }
 
 // TestEstimateHitAllocatesNothing: once an estimate is cached, asking for
-// it again — through a resolved base plus either delta, or through
-// Estimate — allocates nothing.
+// it again — through a resolved base plus either delta handle, the base
+// alone, or Estimate — allocates nothing.
 func TestEstimateHitAllocatesNothing(t *testing.T) {
 	tr := newTrial(t)
 	w := tr.e.NewWhatIf()
 	rcur := mustResolve(t, w, tr.cur)
 	for name, x := range tr.deltas {
+		rx := mustResolve(t, w, x)
 		hit := func() {
-			if _, err := w.EstimateWith(tr.q, rcur, x); err != nil {
+			if _, err := w.EstimateWith(tr.q, rcur, rx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -264,12 +293,76 @@ func TestEstimateHitAllocatesNothing(t *testing.T) {
 		}
 	}
 	hit := func() {
+		if _, err := w.EstimateWith(tr.q, rcur, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit()
+	if n := testing.AllocsPerRun(20, hit); n != 0 {
+		t.Errorf("EstimateWith, no delta: a hit allocates %v times", n)
+	}
+	hit = func() {
 		if _, err := w.Estimate(tr.q, tr.cur); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, hit); n != 0 {
 		t.Errorf("Estimate: a hit allocates %v times", n)
+	}
+}
+
+// TestRoundBaseAllocatesNothingPerQuery moves one base handle between two
+// configurations as greedy's rounds do, pricing every query of a System
+// C workload against both delta handles in each. Once the estimates are
+// cached, a round allocates no more than re-resolving the base alone: the
+// handle's relevance records and their arrays are reused, however many
+// queries the round prices.
+func TestRoundBaseAllocatesNothingPerQuery(t *testing.T) {
+	tr := newTrial(t)
+	l := tinyLab()
+	var qs []*sql.Query
+	for _, s := range l.Workload("C", "SkTH3J").SQLs() {
+		q, err := tr.e.AnalyzeSQL(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	w := tr.e.NewWhatIf()
+	rcur := mustResolve(t, w, tr.cur)
+	var hs []*engine.Resolved
+	for _, x := range tr.deltas {
+		hs = append(hs, mustResolve(t, w, x))
+	}
+	grown := tr.deltas["index"].Clone()
+	grown.Indexes = append(tr.cur.Clone().Indexes, grown.Indexes...)
+	grown.Views = tr.cur.Clone().Views
+	reset := func(c conf.Configuration) {
+		if err := rcur.Reset(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := func(c conf.Configuration) {
+		reset(c)
+		for _, q := range qs {
+			for _, h := range hs {
+				if _, err := w.EstimateWith(q, rcur, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	round(tr.cur) // the misses
+	round(grown)
+	calls, hits := engine.WhatIfCounters()
+	perRound := testing.AllocsPerRun(10, func() { round(tr.cur); round(grown) })
+	if c, h := engine.WhatIfCounters(); c-calls != h-hits {
+		t.Fatalf("%d of %d warm estimates missed", (c-calls)-(h-hits), c-calls)
+	}
+	perReset := testing.AllocsPerRun(10, func() { reset(tr.cur); reset(grown) })
+	t.Logf("two rounds over %d queries: %v allocations; the two resets alone: %v", len(qs), perRound, perReset)
+	if perRound > perReset {
+		t.Errorf("two rounds over %d queries allocate %v times, re-resolving the base alone %v", len(qs), perRound, perReset)
 	}
 }
 
@@ -302,15 +395,14 @@ func TestEstimateMissAllocatesOnlyItsEntry(t *testing.T) {
 	for name, x := range tr.deltas {
 		w := tr.e.NewWhatIf()
 		rcur := mustResolve(t, w, tr.cur)
-		all := x.Clone()
-		deltas := make([]conf.Configuration, len(extra))
+		// Resolving the deltas interns every structure the misses use.
+		deltas := make([]*engine.Resolved, len(extra))
 		for i, d := range extra {
-			deltas[i] = x.Clone()
-			deltas[i].Indexes = append(deltas[i].Indexes, d)
-			all.Indexes = append(all.Indexes, d)
+			dx := x.Clone()
+			dx.Indexes = append(dx.Indexes, d)
+			deltas[i] = mustResolve(t, w, dx)
 		}
-		mustResolve(t, w, all) // interns every structure the misses use
-		miss := func(d conf.Configuration) {
+		miss := func(d *engine.Resolved) {
 			if _, err := w.EstimateWith(tr.q, rcur, d); err != nil {
 				t.Fatal(err)
 			}
@@ -389,5 +481,31 @@ func TestRecommendationCacheOnOffIdentity(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s/%s: cached recommendation differs from uncached", spec.sys, spec.family)
 		}
+	}
+}
+
+// BenchmarkWhatIfHit times the recommender's what-if hit: a resolved base
+// plus a resolved delta handle whose estimate is already cached, the
+// trial greedy repeats round after round, for each delta kind of the
+// trial.
+func BenchmarkWhatIfHit(b *testing.B) {
+	tr := newTrial(b)
+	for _, name := range []string{"index", "view+index"} {
+		b.Run(name, func(b *testing.B) {
+			w := tr.e.NewWhatIf()
+			rcur := mustResolve(b, w, tr.cur)
+			rx := mustResolve(b, w, tr.deltas[name])
+			hit := func() {
+				if _, err := w.EstimateWith(tr.q, rcur, rx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hit() // the miss
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				hit()
+			}
+		})
 	}
 }

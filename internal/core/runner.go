@@ -148,7 +148,7 @@ func WhatIfWorkload(w *engine.WhatIf, queries []string, hypo conf.Configuration)
 		if err != nil {
 			return nil, fmt.Errorf("core: analyzing %q: %w", text, err)
 		}
-		m, err := w.EstimateWith(q, rh, conf.Configuration{})
+		m, err := w.EstimateWith(q, rh, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: what-if %q: %w", text, err)
 		}

@@ -633,6 +633,20 @@ func (e *Engine) RunAnalyzed(q *sql.Query, limitSeconds float64) (*exec.Result, 
 	return e.execPlan(p, q.SQL(), limitSeconds)
 }
 
+// EstimateAnalyzed returns the optimizer's estimated cost E(q, C) of an
+// already-analyzed query in the current configuration, as Estimate does
+// for a text, without entering the query in the memo of analyzed
+// queries: a caller that prices texts it will not ask about again (a
+// sampler stratifying a family) leaves the memo to the texts that recur.
+// The query must have been analyzed against this engine's schema.
+func (e *Engine) EstimateAnalyzed(q *sql.Query) (Measure, error) {
+	est, err := optimizer.Estimate(e.livePhysical(e.snap()), q, e.Profile.Opts)
+	if err != nil {
+		return Measure{}, err
+	}
+	return Measure{SQL: q.SQL(), Seconds: est.Seconds, Meter: est.Meter}, nil
+}
+
 // execPlan runs an optimized plan and folds the execution into a Measure.
 func (e *Engine) execPlan(p *plan.Plan, sqlText string, limitSeconds float64) (*exec.Result, Measure, error) {
 	ctx := &exec.Ctx{Model: e.Model, LimitSeconds: limitSeconds}
@@ -657,9 +671,14 @@ func (e *Engine) execPlan(p *plan.Plan, sqlText string, limitSeconds float64) (*
 // Estimate returns the optimizer's estimated cost E(q, C) of the query in
 // the current configuration.
 func (e *Engine) Estimate(sqlText string) (Measure, error) {
-	p, err := e.Prepare(sqlText)
+	q, err := e.AnalyzeSQL(sqlText)
 	if err != nil {
 		return Measure{}, err
 	}
-	return Measure{SQL: sqlText, Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
+	m, err := e.EstimateAnalyzed(q)
+	if err != nil {
+		return Measure{}, err
+	}
+	m.SQL = sqlText
+	return m, nil
 }

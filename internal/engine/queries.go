@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"slices"
 	"strings"
 	"sync"
 
@@ -9,33 +10,45 @@ import (
 )
 
 // analyzedCap bounds the memo of analyzed queries (DESIGN §11): about
-// twice the most distinct texts one engine lineage was measured to
-// analyze — 486 in a full autobench run, 474 in the advise benchmark
-// workload, each a family sampled through Estimate with its pools and
-// view definitions among them — so that neither evicts.
+// five times the most distinct texts one engine lineage was measured to
+// analyze — 200 in a full autobench run, 100 in the advise benchmark
+// workload: the sampled workloads and the definitions of the views
+// derived over them, since sampling a family prices its texts outside
+// the memo (EstimateAnalyzed) — so that neither evicts.
 const analyzedCap = 1024
 
 // analyzed is one SQL text's analysis: the query, and what every what-if
-// session reads of it — its canonical text and the relations whose
-// physical structures can influence its plan, the FROM-list tables plus
-// the tables of its IN-subqueries (planInSets consults indexes on
-// those). Nothing writes it once it is built.
+// session reads of it — its canonical text and its relevant tables
+// (RelevantTables). Nothing writes it once it is built.
 type analyzed struct {
 	text   string // the text as given, the memo's key
 	q      *sql.Query
 	sql    string
-	tables map[string]bool
+	tables []string
 }
 
 func newAnalyzed(text string, q *sql.Query) *analyzed {
-	a := &analyzed{text: text, q: q, sql: q.SQL(), tables: make(map[string]bool, len(q.Tables)+len(q.Ins))}
+	return &analyzed{text: text, q: q, sql: q.SQL(), tables: RelevantTables(q)}
+}
+
+// RelevantTables returns the lower-case names of the relations whose
+// physical structures can influence the query's plan: the FROM-list
+// tables, then the tables of its IN-subqueries (planInSets consults
+// indexes on those), each once, in that order.
+func RelevantTables(q *sql.Query) []string {
+	out := make([]string, 0, len(q.Tables)+len(q.Ins))
+	add := func(name string) {
+		if name = strings.ToLower(name); !slices.Contains(out, name) {
+			out = append(out, name)
+		}
+	}
 	for _, t := range q.Tables {
-		a.tables[strings.ToLower(t.Table.Name)] = true
+		add(t.Table.Name)
 	}
 	for _, p := range q.Ins {
-		a.tables[strings.ToLower(p.SubTable.Name)] = true
+		add(p.SubTable.Name)
 	}
-	return a
+	return out
 }
 
 // queryMemo is the engine's one analysis of each SQL text, shared by an

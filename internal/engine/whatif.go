@@ -55,16 +55,20 @@ func ResetWhatIfCounters() {
 //
 //   - derivation caches hold hypothetical index/view descriptions per
 //     definition, and the intern tables give each distinct structure one
-//     entry — a session-unique id plus its actual-or-derived description —
-//     so a search evaluating hundreds of candidates pays each derivation
-//     and catalog lookup once;
-//   - a configuration resolved once (Resolve) keeps its entries, and
-//     remembers per query which of them are relevant, so an estimate
-//     against it resolves only its delta;
+//     entry — a session-unique id, the integer id of its relation and
+//     its actual-or-derived description — so a search evaluating
+//     hundreds of candidates pays each derivation and catalog lookup
+//     once;
+//   - a configuration is resolved once (Resolve) into a handle of
+//     entries, and a search's base and each of its candidate deltas are
+//     such handles: an estimate against them touches no definition and
+//     no name. A base handle remembers per query which of its entries
+//     are relevant, and keeps those records when it is re-resolved in
+//     place (Reset) to the next configuration;
 //   - estimates themselves are cached under a relevance key: the query's
 //     id plus the ids of only the structures on relations the query can
-//     touch, so candidate configurations differing in irrelevant
-//     structures share one optimizer invocation.
+//     touch, tested on integer relation ids, so candidate configurations
+//     differing in irrelevant structures share one optimizer invocation.
 //
 // The session pins the engine snapshot its caches were derived from and
 // flushes them when the engine has published another (ApplyConfig,
@@ -95,6 +99,7 @@ type WhatIf struct {
 	viewCache  map[string]*plan.ViewInfo
 	ixEntries  map[ixKey][]*ixEntry           // interned, bucketed by ixKey
 	viewByName map[string]*viewEntry          // interned, by lower name
+	relIDs     map[string]uint32              // relation ids, by lower name
 	queries    map[*sql.Query]*queryRelevance // flushed with the estimates
 	estimates  map[string]estEntry
 	lastID     uint32      // ids are never reused
@@ -106,11 +111,28 @@ type WhatIf struct {
 }
 
 // queryRelevance is a query's fingerprint in the session: the id its
-// estimate keys start with, and the query's analysis, which carries its
-// canonical text and relevant tables.
+// estimate keys start with, its canonical text, and the relation ids of
+// its relevant tables.
 type queryRelevance struct {
-	id uint32
-	*analyzed
+	id     uint32
+	sql    string
+	tables relSet
+}
+
+// relSet is a set of relation ids, one bit each.
+type relSet []uint64
+
+func (s relSet) has(id uint32) bool {
+	i := int(id / 64)
+	return i < len(s) && s[i]&(1<<(id%64)) != 0
+}
+
+func (s relSet) with(id uint32) relSet {
+	for int(id/64) >= len(s) {
+		s = append(s, 0)
+	}
+	s[id/64] |= 1 << (id % 64)
+	return s
 }
 
 // covers reports whether every defining table of the view is one of the
@@ -119,7 +141,7 @@ type queryRelevance struct {
 // produce a candidate.
 func (fp *queryRelevance) covers(v *viewEntry) bool {
 	for _, t := range v.tables {
-		if !fp.tables[t] {
+		if !fp.tables.has(t) {
 			return false
 		}
 	}
@@ -132,22 +154,25 @@ type estEntry struct {
 	meter   cost.Meter
 }
 
-// viewEntry is one interned view: its id, lower-case name, lower-case
-// defining tables and actual-or-derived description. Views are interned by
-// name (first definition wins), matching the derivation cache.
+// viewEntry is one interned view: its id, the relation id of its name,
+// the relation ids of its defining tables and its actual-or-derived
+// description. Views are interned by name (first definition wins),
+// matching the derivation cache.
 type viewEntry struct {
 	id     uint32
-	rel    string
-	tables []string
+	rel    uint32
+	tables []uint32
 	vi     *plan.ViewInfo
 }
 
-// ixEntry is one interned index: its id, lower-case relation and
-// actual-or-derived description. Equal definitions share one entry.
+// ixEntry is one interned index: its id, its relation's id and lower-case
+// name, and its actual-or-derived description. Equal definitions share
+// one entry.
 type ixEntry struct {
-	id  uint32
-	rel string
-	ix  *plan.IndexInfo
+	id   uint32
+	rel  uint32
+	name string
+	ix   *plan.IndexInfo
 }
 
 // ixKey buckets interned indexes. Equal definitions always land in the
@@ -168,26 +193,29 @@ func keyOf(d conf.IndexDef) ixKey {
 	return k
 }
 
-// Resolved is a configuration resolved once by a session, for repeated
-// estimation through EstimateWith: a search that prices many candidates
-// against one base resolves the base once and pays per trial only for the
-// candidate's delta. It stays valid across engine changes — a handle
-// whose snapshot the session has left is re-resolved from its
-// configuration on next use — but only with the session that made it,
-// and it has that session's owner.
+// Resolved is a configuration resolved once by a session: a search's base
+// configuration, or one candidate's delta over it, for repeated
+// estimation through EstimateWith. A search resolves its base and each
+// candidate once and pays per trial for no definition at all. A handle
+// stays valid across engine changes — one whose snapshot the session has
+// left is re-resolved from its configuration on next use — but only with
+// the session that made it, and it has that session's owner.
 type Resolved struct {
 	w    *WhatIf
 	conf conf.Configuration
 
 	snap    *snapshot // the snapshot the entries were resolved under
+	gen     uint32    // counts resolutions; a relevance record names the one it was computed under
 	views   []*viewEntry
 	indexes []*ixEntry
-	memo    map[uint32]*relevance // by query id; nil on the session's scratch
+	memo    map[uint32]*relevance // by query id, made on first use; never on the session's scratch
 }
 
 // relevance is the subset of a resolved base that can influence one
-// query's plan (see estimate for the rule), in configuration order.
+// query's plan (see estimate for the rule), in configuration order,
+// computed under the base's resolution gen.
 type relevance struct {
+	gen     uint32
 	views   []*viewEntry
 	indexes []*ixEntry
 	// orphans are the base's indexes on a relation that is neither a
@@ -207,11 +235,11 @@ func (e *Engine) NewWhatIf() *WhatIf {
 func (w *WhatIf) Engine() *Engine { return w.e }
 
 // pin returns the engine's published snapshot, first flushing the
-// derivation, intern and estimate caches and the query fingerprints if
-// they were filled under another one (invalidation on RUNSTATS,
-// transitions and loads). The fingerprints go with the estimates: every
-// key that names their ids is flushed, and a query asked about again
-// gets a new id from the engine's analysis of it.
+// derivation, intern and estimate caches, the relation ids and the query
+// fingerprints if they were filled under another one (invalidation on
+// RUNSTATS, transitions and loads). The fingerprints go with the
+// estimates: every key that names their ids is flushed, and a query
+// asked about again gets a new id from the engine's analysis of it.
 func (w *WhatIf) pin() *snapshot {
 	if s := w.e.snap(); w.pinned != s {
 		w.pinned = s
@@ -219,6 +247,7 @@ func (w *WhatIf) pin() *snapshot {
 		w.viewCache = make(map[string]*plan.ViewInfo)
 		w.ixEntries = make(map[ixKey][]*ixEntry)
 		w.viewByName = make(map[string]*viewEntry)
+		w.relIDs = make(map[string]uint32)
 		w.flushQueries()
 	}
 	return w.pinned
@@ -233,18 +262,32 @@ func (w *WhatIf) flushQueries() {
 
 // Resolve resolves every definition of the configuration once, so that
 // derivation errors surface here, and returns the handle EstimateWith
-// prices deltas against.
+// takes as a base or as a delta. The handle keeps the configuration's
+// definitions, not a deep copy of them (see Reset).
 func (w *WhatIf) Resolve(c conf.Configuration) (*Resolved, error) {
-	r := &Resolved{w: w, conf: c.Clone()}
-	if !w.caching {
-		return r, nil
-	}
-	r.memo = make(map[uint32]*relevance)
-	w.pin()
-	if err := w.resolve(r, r.conf); err != nil {
+	r := &Resolved{w: w}
+	if err := r.Reset(c); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Reset re-resolves the handle in place to the configuration c. It keeps
+// its arrays and its per-query relevance records, which go stale and are
+// recomputed into their own arrays on next use, so a search that moves
+// one handle from configuration to configuration — greedy's round base,
+// the solo pass's trial delta — allocates nothing per query for it once
+// warm. The handle copies c's definitions but shares their column and
+// table lists, which must not be written while it is in use.
+func (r *Resolved) Reset(c conf.Configuration) error {
+	r.conf.Name = c.Name
+	r.conf.Indexes = append(r.conf.Indexes[:0], c.Indexes...)
+	r.conf.Views = append(r.conf.Views[:0], c.Views...)
+	if !r.w.caching {
+		return nil
+	}
+	r.w.pin()
+	return r.w.resolve(r)
 }
 
 // Estimate returns H(q, Ch, Ca) for the hypothetical configuration.
@@ -253,22 +296,35 @@ func (w *WhatIf) Estimate(q *sql.Query, hypo conf.Configuration) (Measure, error
 	if !w.caching {
 		return w.estimateUncached(q, hypo)
 	}
-	return w.estimate(q, nil, hypo)
+	// hypo is resolved afresh into the session's scratch handle, which
+	// keeps no relevance memo.
+	w.pin()
+	w.scratch.conf = hypo
+	if err := w.resolve(&w.scratch); err != nil {
+		return Measure{}, err
+	}
+	return w.estimate(q, &w.scratch, nil)
 }
 
 // EstimateWith returns H(q, base+delta, Ca) without materializing the
-// combined configuration — the path the greedy search's base-plus-one-
-// candidate trials take. The result is identical to Estimate against
-// candidate.applyTo(base): delta views whose name base already holds and
-// delta indexes base already defines are skipped, mirroring
-// Configuration.HasView/AddIndex deduplication.
-func (w *WhatIf) EstimateWith(q *sql.Query, base *Resolved, delta conf.Configuration) (Measure, error) {
+// combined configuration — the path the search's trials take: the base
+// and the delta (nil for none) are handles this session resolved, and a
+// cache hit is one key built from their integer ids and one map probe.
+// The result is identical to Estimate against candidate.applyTo(base):
+// delta views whose name base already holds and delta indexes base
+// already defines are skipped, mirroring Configuration.HasView/AddIndex
+// deduplication.
+func (w *WhatIf) EstimateWith(q *sql.Query, base, delta *Resolved) (Measure, error) {
 	whatifCalls.Add(1)
-	if base.w != w {
+	if base.w != w || delta != nil && delta.w != w {
 		return Measure{}, errForeignHandle
 	}
 	if !w.caching {
-		return w.estimateUncached(q, combineConfig(base.conf, delta))
+		c := base.conf
+		if delta != nil {
+			c = combineConfig(base.conf, delta.conf)
+		}
+		return w.estimateUncached(q, c)
 	}
 	return w.estimate(q, base, delta)
 }
@@ -287,45 +343,36 @@ func (w *WhatIf) estimateUncached(q *sql.Query, hypo conf.Configuration) (Measur
 	return Measure{SQL: q.SQL(), Seconds: p.Est.Seconds, Meter: p.Est.Meter}, nil
 }
 
-// estimate is the relevance-keyed fast path. A nil base means cfg is the
-// whole configuration (Estimate); otherwise cfg is the delta over base.
-// It pins the engine snapshot, brings the base up to it, resolves the
-// delta, builds the relevance key and probes the estimate cache. A delta
-// entry the base or an earlier delta entry already holds is dropped —
-// interned entries make that a pointer comparison. Of the rest, only the
-// relevant enter the key:
+// estimate is the relevance-keyed fast path over a resolved base and an
+// optional resolved delta. It pins the engine snapshot, brings both
+// handles up to it, builds the relevance key and probes the estimate
+// cache. A delta entry the base or an earlier delta entry already holds
+// is dropped — interned entries make that a pointer comparison. Of the
+// rest, only the relevant enter the key:
 //
 //   - a view is relevant iff it is covered by the query's relevant tables;
 //   - an index is relevant iff its relation is a relevant table or a
 //     relevant view — the optimizer consults IndexesOn only for FROM
 //     tables, IN-subquery tables and matched views.
 //
-// The key is the query id, then the relevant view ids (base, then delta),
-// then the relevant index ids (base, then delta): the order the views and
-// indexes of candidate.applyTo(base) have, so a greedy round's trial
-// (cur, X) and the next round's (cur+X, ∅) share one entry. phys.Views
-// order decides equal-cost ties, so it is part of the key by construction.
-// Two candidate configurations that agree on the relevant subset share
-// one cache entry and one optimizer invocation.
+// Both tests compare relation ids. The key is the query id, then the
+// relevant view ids (base, then delta), then the relevant index ids
+// (base, then delta): the order the views and indexes of
+// candidate.applyTo(base) have, so a greedy round's trial (cur, X) and
+// the next round's (cur+X, ∅) share one entry. phys.Views order decides
+// equal-cost ties, so it is part of the key by construction. Two
+// candidate configurations that agree on the relevant subset share one
+// cache entry and one optimizer invocation.
 //
 // On a miss the candidate physical is assembled in the session's miss
 // scratch — the pinned snapshot supplies the tables; only the relevant
 // structures are attached — and estimated, so a miss allocates only its
 // cache key and entry.
-func (w *WhatIf) estimate(q *sql.Query, base *Resolved, cfg conf.Configuration) (Measure, error) {
+func (w *WhatIf) estimate(q *sql.Query, base, delta *Resolved) (Measure, error) {
 	snap := w.pin()
-	var delta conf.Configuration
-	if base == nil {
-		// Estimate: cfg is the whole configuration, resolved afresh into
-		// the session's scratch handle, which keeps no memo.
-		base = &w.scratch
-		if err := w.resolve(base, cfg); err != nil {
-			return Measure{}, err
-		}
-	} else {
-		delta = cfg
-		if base.snap != snap {
-			if err := w.resolve(base, base.conf); err != nil {
+	for _, r := range [2]*Resolved{base, delta} {
+		if r != nil && r.snap != snap {
+			if err := w.resolve(r); err != nil {
 				return Measure{}, err
 			}
 		}
@@ -333,40 +380,36 @@ func (w *WhatIf) estimate(q *sql.Query, base *Resolved, cfg conf.Configuration) 
 	fp := w.fingerprint(q)
 	rel := w.relevant(base, fp)
 
-	// Delta views, then delta indexes: resolve, drop duplicates, keep the
-	// relevant. Deltas are a candidate's one or two structures, so the
-	// fixed arrays keep them off the heap.
+	// Delta views, then delta indexes: keep the relevant that neither the
+	// base nor an earlier delta entry holds. Deltas are a candidate's one
+	// or two structures, so the fixed arrays keep them off the heap.
 	var dvBuf [4]*viewEntry
-	dv := dvBuf[:0]
-	for _, vd := range delta.Views {
-		v, err := w.internView(vd)
-		if err != nil {
-			return Measure{}, err
-		}
-		if !slices.Contains(base.views, v) && !slices.Contains(dv, v) {
-			dv = append(dv, v)
-		}
-	}
-	dv = slices.DeleteFunc(dv, func(v *viewEntry) bool { return !fp.covers(v) })
 	var diBuf [4]*ixEntry
-	di := diBuf[:0]
-	for _, d := range delta.Indexes {
-		x, err := w.internIndex(d)
-		if err != nil {
-			return Measure{}, err
-		}
-		if !slices.Contains(base.indexes, x) && !slices.Contains(di, x) {
-			di = append(di, x)
-		}
-	}
+	dv, di := dvBuf[:0], diBuf[:0]
 	relevant := func(x *ixEntry) bool {
-		return fp.tables[x.rel] || named(rel.views, x.rel) || named(dv, x.rel)
+		return fp.tables.has(x.rel) || named(rel.views, x.rel) || named(dv, x.rel)
 	}
-	di = slices.DeleteFunc(di, func(x *ixEntry) bool { return !relevant(x) })
+	if delta != nil {
+		for _, v := range delta.views {
+			if fp.covers(v) && !slices.Contains(base.views, v) && !slices.Contains(dv, v) {
+				dv = append(dv, v)
+			}
+		}
+		for _, x := range delta.indexes {
+			if relevant(x) && !slices.Contains(base.indexes, x) && !slices.Contains(di, x) {
+				di = append(di, x)
+			}
+		}
+	}
 	baseIx := rel.indexes
 	for _, x := range rel.orphans {
 		if named(dv, x.rel) {
-			w.orphaned = slices.DeleteFunc(append(w.orphaned[:0], base.indexes...), func(x *ixEntry) bool { return !relevant(x) })
+			w.orphaned = w.orphaned[:0]
+			for _, x := range base.indexes {
+				if relevant(x) {
+					w.orphaned = append(w.orphaned, x)
+				}
+			}
 			baseIx = w.orphaned
 			break
 		}
@@ -412,7 +455,8 @@ func (w *WhatIf) estimate(q *sql.Query, base *Resolved, cfg conf.Configuration) 
 type missScratch struct {
 	indexes []*ixEntry
 	phys    plan.Physical
-	// rels[i] is a relation the indexes are on, lists[i] its indexes.
+	// rels[i] is the lower-case name of a relation the indexes are on,
+	// lists[i] its indexes.
 	rels  []string
 	lists [][]*plan.IndexInfo
 }
@@ -422,10 +466,10 @@ type missScratch struct {
 // sortedIndexes takes its no-copy path.
 func (m *missScratch) physical(e *Engine, snap *snapshot) *plan.Physical {
 	for _, x := range m.indexes {
-		i := slices.Index(m.rels, x.rel)
+		i := slices.Index(m.rels, x.name)
 		if i < 0 {
 			i = len(m.rels)
-			m.rels = append(m.rels, x.rel)
+			m.rels = append(m.rels, x.name)
 			if len(m.lists) == i {
 				m.lists = append(m.lists, nil)
 			}
@@ -458,8 +502,8 @@ func (m *missScratch) reset() {
 	m.phys = plan.Physical{Views: m.phys.Views[:0], Indexes: m.phys.Indexes}
 }
 
-// named reports whether one of the views has the lower-case name rel.
-func named(views []*viewEntry, rel string) bool {
+// named reports whether one of the views is the relation rel.
+func named(views []*viewEntry, rel uint32) bool {
 	for _, v := range views {
 		if v.rel == rel {
 			return true
@@ -468,20 +512,25 @@ func named(views []*viewEntry, rel string) bool {
 	return false
 }
 
-// resolve (re)interns every definition of c into the handle under the
-// pinned snapshot and forgets the handle's per-query memo.
-func (w *WhatIf) resolve(r *Resolved, c conf.Configuration) error {
+// resolve (re)interns every definition of the handle's configuration
+// under the pinned snapshot. Its relevance records go stale; under a new
+// snapshot they are dropped, since the query ids they are keyed by were
+// flushed with the old one.
+func (w *WhatIf) resolve(r *Resolved) error {
+	if r.snap != w.pinned {
+		clear(r.memo)
+	}
 	r.snap = nil
+	r.gen++
 	r.views, r.indexes = r.views[:0], r.indexes[:0]
-	clear(r.memo)
-	for _, vd := range c.Views {
+	for _, vd := range r.conf.Views {
 		v, err := w.internView(vd)
 		if err != nil {
 			return err
 		}
 		r.views = append(r.views, v)
 	}
-	for _, d := range c.Indexes {
+	for _, d := range r.conf.Indexes {
 		x, err := w.internIndex(d)
 		if err != nil {
 			return err
@@ -493,17 +542,23 @@ func (w *WhatIf) resolve(r *Resolved, c conf.Configuration) error {
 }
 
 // relevant returns the subset of the resolved base relevant to the
-// query, from the handle's memo when it has one. The session's scratch
-// handle has none: its subset is rebuilt in scratchRel on every call.
+// query: the handle's record for the query, recomputed in place when the
+// handle has been re-resolved since. The session's scratch handle keeps
+// no records: its subset is rebuilt in scratchRel on every call.
 func (w *WhatIf) relevant(r *Resolved, fp *queryRelevance) *relevance {
-	if m, ok := r.memo[fp.id]; ok {
-		return m
-	}
 	m := &w.scratchRel
-	if r.memo != nil {
-		m = new(relevance)
-		r.memo[fp.id] = m
+	if r != &w.scratch {
+		if m = r.memo[fp.id]; m == nil {
+			if r.memo == nil {
+				r.memo = make(map[uint32]*relevance)
+			}
+			m = new(relevance)
+			r.memo[fp.id] = m
+		} else if m.gen == r.gen {
+			return m
+		}
 	}
+	m.gen = r.gen
 	m.views, m.indexes, m.orphans = m.views[:0], m.indexes[:0], m.orphans[:0]
 	for _, v := range r.views {
 		if fp.covers(v) {
@@ -512,7 +567,7 @@ func (w *WhatIf) relevant(r *Resolved, fp *queryRelevance) *relevance {
 	}
 	for _, x := range r.indexes {
 		switch {
-		case fp.tables[x.rel] || named(m.views, x.rel):
+		case fp.tables.has(x.rel) || named(m.views, x.rel):
 			m.indexes = append(m.indexes, x)
 		case !named(r.views, x.rel):
 			m.orphans = append(m.orphans, x)
@@ -540,9 +595,24 @@ func (w *WhatIf) fingerprint(q *sql.Query) *queryRelevance {
 	if len(w.queries) >= analyzedCap {
 		w.flushQueries()
 	}
-	fp := &queryRelevance{id: w.nextID(), analyzed: a}
+	fp := &queryRelevance{id: w.nextID(), sql: a.sql}
+	for _, t := range a.tables {
+		fp.tables = fp.tables.with(w.relID(t))
+	}
 	w.queries[q] = fp
 	return fp
+}
+
+// relID returns the session's id for a lower-case relation name, handing
+// out the next on first sight. Relation ids are small and dense, so a
+// query's relevant tables are a bitset (relSet).
+func (w *WhatIf) relID(name string) uint32 {
+	id, ok := w.relIDs[name]
+	if !ok {
+		id = uint32(len(w.relIDs))
+		w.relIDs[name] = id
+	}
+	return id
 }
 
 // nextID hands out a session-unique id; queries, views and indexes draw
@@ -581,9 +651,9 @@ func (w *WhatIf) internView(vd conf.ViewDef) (*viewEntry, error) {
 			return nil, err
 		}
 	}
-	v := &viewEntry{id: w.nextID(), rel: name, vi: vi, tables: make([]string, len(vi.Query.Tables))}
+	v := &viewEntry{id: w.nextID(), rel: w.relID(name), vi: vi, tables: make([]uint32, len(vi.Query.Tables))}
 	for i, t := range vi.Query.Tables {
-		v.tables[i] = strings.ToLower(t.Table.Name)
+		v.tables[i] = w.relID(strings.ToLower(t.Table.Name))
 	}
 	w.viewByName[name] = v
 	return v, nil
@@ -606,7 +676,7 @@ func (w *WhatIf) internIndex(d conf.IndexDef) (*ixEntry, error) {
 			return nil, err
 		}
 	}
-	x := &ixEntry{id: w.nextID(), rel: k.table, ix: ix}
+	x := &ixEntry{id: w.nextID(), rel: w.relID(k.table), name: k.table, ix: ix}
 	w.ixEntries[k] = append(w.ixEntries[k], x)
 	return x, nil
 }

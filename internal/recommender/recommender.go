@@ -21,6 +21,7 @@ package recommender
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,6 +112,14 @@ type candidate struct {
 	size int64
 	// soloGain accumulates single-query gains (for ranking).
 	soloGain float64
+	// h is the candidate resolved as a what-if delta, once per search
+	// (greedy's candidates only).
+	h *engine.Resolved
+}
+
+// delta is the candidate as a configuration of its own structures.
+func (c *candidate) delta() conf.Configuration {
+	return conf.Configuration{Indexes: c.indexes, Views: c.views}
 }
 
 // scoredCand pairs a candidate with its single-query gain. byGainDesc
@@ -162,19 +171,24 @@ func (c *candidate) inConfig(cfg conf.Configuration) bool {
 	return true
 }
 
-// tables returns the base tables the candidate concerns (for affected-
-// query filtering).
-func (c *candidate) tables() map[string]bool {
-	out := make(map[string]bool)
-	for _, ix := range c.indexes {
-		out[strings.ToLower(ix.Table)] = true
+// touches reports whether the candidate concerns one of the tables, a
+// query's relevant tables (engine.RelevantTables): an index on one of
+// them, or a view over one.
+func (c *candidate) touches(tables []string) bool {
+	on := func(name string) bool {
+		return slices.ContainsFunc(tables, func(t string) bool { return strings.EqualFold(t, name) })
 	}
-	for _, v := range c.views {
-		for _, t := range v.BaseTables {
-			out[strings.ToLower(t)] = true
+	for _, ix := range c.indexes {
+		if on(ix.Table) {
+			return true
 		}
 	}
-	return out
+	for _, v := range c.views {
+		if slices.ContainsFunc(v.BaseTables, on) {
+			return true
+		}
+	}
+	return false
 }
 
 // Recommender searches configurations for one engine + profile. Its
@@ -244,7 +258,8 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 		w = r.e.NewWhatIf()
 	}
 	// The starting configuration is resolved once: the baseline and every
-	// solo trial pay only for their own delta.
+	// solo trial pay only for their own delta. Greedy then moves the same
+	// handle from round to round.
 	rbase, err := w.Resolve(base)
 	if err != nil {
 		return conf.Configuration{}, err
@@ -253,7 +268,7 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	// Baseline cost per query in the starting configuration.
 	baseCost := make([]float64, len(qs))
 	for i, q := range qs {
-		m, err := w.EstimateWith(q, rbase, conf.Configuration{})
+		m, err := w.EstimateWith(q, rbase, nil)
 		if err != nil {
 			return conf.Configuration{}, err
 		}
@@ -261,13 +276,21 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	}
 
 	// Solo evaluation: estimate every (query, candidate) pair through the
-	// delta path and keep the best TopPerQuery candidates per query.
+	// delta path — one trial handle, re-resolved to each candidate in
+	// turn — and keep the best TopPerQuery candidates per query.
+	trial, err := w.Resolve(conf.Configuration{})
+	if err != nil {
+		return conf.Configuration{}, err
+	}
 	pool := make(map[string]*candidate)
 	var ss []scoredCand
 	for i, q := range qs {
 		ss = ss[:0]
 		for _, c := range perQuery[i] {
-			m, err := w.EstimateWith(q, rbase, conf.Configuration{Indexes: c.indexes, Views: c.views})
+			if err := trial.Reset(c.delta()); err != nil {
+				return conf.Configuration{}, err
+			}
+			m, err := w.EstimateWith(q, rbase, trial)
 			if err != nil {
 				return conf.Configuration{}, err
 			}
@@ -298,13 +321,13 @@ func (r *Recommender) Recommend(queries []string, budget int64) (conf.Configurat
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].key < cands[b].key })
 	for _, c := range cands {
-		c.size = w.EstimateSize(conf.Configuration{Indexes: c.indexes, Views: c.views})
+		c.size = w.EstimateSize(c.delta())
 	}
 
 	if r.cfg.PerQuery {
 		return r.packBySoloGain(base, cands, budget), nil
 	}
-	return r.greedy(w, base, qs, baseCost, cands, budget)
+	return r.greedy(w, rbase, base, qs, baseCost, cands, budget)
 }
 
 // packBySoloGain is System A's cruder selection: rank the pooled
@@ -368,23 +391,31 @@ type roundBest struct {
 // greedy is the workload-level knapsack: each round adds the candidate
 // with the best total-gain-per-byte, re-estimating affected queries, until
 // no candidate clears the minimum-gain bar or the budget is exhausted.
-func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sql.Query,
+// rcur is the search's base handle, resolved to base; greedy re-resolves
+// it in place to each round's configuration.
+func (r *Recommender) greedy(w *engine.WhatIf, rcur *engine.Resolved, base conf.Configuration, qs []*sql.Query,
 	baseCost []float64, cands []*candidate, budget int64) (conf.Configuration, error) {
 
 	cur := base
 	cost := append([]float64(nil), baseCost...)
 	var used int64
 
-	// affected[i] lists queries touching candidate i's tables.
+	// Each candidate is resolved once, and affected[i] lists the queries
+	// one of whose relevant tables candidate i concerns — the tables the
+	// estimate key's relevance reads, IN-subquery tables included.
+	rels := make([][]string, len(qs))
+	for qi, q := range qs {
+		rels[qi] = engine.RelevantTables(q)
+	}
 	affected := make([][]int, len(cands))
 	for ci, c := range cands {
-		tabs := c.tables()
-		for qi, q := range qs {
-			for _, t := range q.Tables {
-				if tabs[strings.ToLower(t.Table.Name)] {
-					affected[ci] = append(affected[ci], qi)
-					break
-				}
+		var err error
+		if c.h, err = w.Resolve(c.delta()); err != nil {
+			return conf.Configuration{}, err
+		}
+		for qi := range qs {
+			if c.touches(rels[qi]) {
+				affected[ci] = append(affected[ci], qi)
 			}
 		}
 	}
@@ -411,13 +442,16 @@ func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sq
 		if len(work) == 0 {
 			break
 		}
-		if err := r.greedyRound(w, cur, qs, cost, cands, affected, work, &best); err != nil {
+		if err := r.greedyRound(w, rcur, qs, cost, cands, affected, work, &best); err != nil {
 			return conf.Configuration{}, err
 		}
 		if best.ci < 0 || best.gain < r.cfg.MinGainFrac*total {
 			break
 		}
 		cur = cands[best.ci].applyTo(cur)
+		if err := rcur.Reset(cur); err != nil {
+			return conf.Configuration{}, err
+		}
 		used += cands[best.ci].size
 		for _, qc := range best.costs {
 			cost[qc.qi] = qc.seconds
@@ -429,23 +463,18 @@ func (r *Recommender) greedy(w *engine.WhatIf, base conf.Configuration, qs []*sq
 // greedyRound evaluates one round's feasible candidates (work, indexes
 // into cands) against the current configuration, in candidate order, and
 // keeps the best in best: the highest gain density, a tie going to the
-// earlier candidate. Trials go through the what-if delta path: the
-// current configuration is resolved once per round and each candidate
-// only contributes its own delta.
-func (r *Recommender) greedyRound(w *engine.WhatIf, cur conf.Configuration, qs []*sql.Query,
+// earlier candidate. Trials go through the what-if delta path: rcur is
+// the current configuration's handle and each candidate's own handle its
+// delta, so a trial that hits the cache builds one key of integer ids.
+func (r *Recommender) greedyRound(w *engine.WhatIf, rcur *engine.Resolved, qs []*sql.Query,
 	cost []float64, cands []*candidate, affected [][]int, work []int, best *roundBest) error {
-	rcur, err := w.Resolve(cur)
-	if err != nil {
-		return err
-	}
 	best.ci, best.gain = -1, 0
 	for _, ci := range work {
 		c := cands[ci]
-		delta := conf.Configuration{Indexes: c.indexes, Views: c.views}
 		gain := 0.0
 		best.trial = best.trial[:0]
 		for _, qi := range affected[ci] {
-			m, err := w.EstimateWith(qs[qi], rcur, delta)
+			m, err := w.EstimateWith(qs[qi], rcur, c.h)
 			if err != nil {
 				return err
 			}

@@ -274,3 +274,25 @@ func TestSystemCBuildsOnTPCH(t *testing.T) {
 		t.Errorf("candidate generation changed the query:\n%s\nwas\n%s", got, sqlBefore)
 	}
 }
+
+// TestGreedyCostsInSubqueryTables: an index on a table that only an
+// IN-subquery reads serves the query that computes its set, so greedy
+// must re-cost the query for it. Here organism appears only in the
+// subquery; its index wins a solo gain under System C (whose what-if
+// sees hypothetical indexes computing an IN set) and must survive into
+// the recommendation. A greedy that takes a query's tables from its FROM
+// list alone prices the index at no gain and drops it.
+func TestGreedyCostsInSubqueryTables(t *testing.T) {
+	e := nrefEngine(t, engine.SystemC())
+	q := "SELECT s.taxon_id, COUNT(*) FROM source s" +
+		" WHERE s.taxon_id IN (SELECT taxon_id FROM organism GROUP BY taxon_id HAVING COUNT(*) < 4)" +
+		" GROUP BY s.taxon_id"
+	rec, err := New(e, SystemC()).Recommend([]string{q}, budgetFor(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := conf.IndexDef{Table: "organism", Columns: []string{"taxon_id"}}
+	if !rec.HasIndex(want) {
+		t.Errorf("the recommendation lacks %s: %v", want.Name(), rec.Indexes)
+	}
+}
